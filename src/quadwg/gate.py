@@ -185,6 +185,14 @@ def gate_overlap(f: PulseShape, gamma: float,
         segments = [(float(f.freqs[0]), float(f.freqs[-1]))]
     else:
         segments = [(lo, hi), (-np.inf, lo), (hi, np.inf)]
+        # A rate far above the pulse width makes the window many widths
+        # across; a geometric ladder of pulse-scale break points keeps quad
+        # from stepping over the pulse tails.
+        reach = max(f.center - lo, hi - f.center)
+        step = 8.0 * f.fwhm
+        while step < reach:
+            pts += [f.center - step, f.center + step]
+            step *= 8.0
 
     mass = _complex_pulse_quad(
         lambda x: complex(float(f(x)) ** 2), segments, points=pts).real

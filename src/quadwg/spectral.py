@@ -549,6 +549,16 @@ class GridState(BiphotonState):
         return GridState(grid, data, validate=False)
 
 
+def _width_squared(sigma: float) -> float:
+    """Square of a Gaussian width, rejecting widths whose square underflows."""
+    if not sigma > 0:
+        raise ValueError("sigma must be positive")
+    s2 = sigma * sigma
+    if not s2 > 0:
+        raise ValueError(f"sigma {sigma!r} is too small: its square underflows")
+    return s2
+
+
 def gaussian_sum_spectrum(center: float, sigma: float):
     """Normalized Gaussian sum-frequency factor.
 
@@ -556,8 +566,7 @@ def gaussian_sum_spectrum(center: float, sigma: float):
     with ``Int |f|^2 d obar = 1``; the intensity ``|f|^2`` has standard
     deviation ``sigma``.  Returns ``(callable, window)``.
     """
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
+    _width_squared(sigma)  # rejects widths whose square underflows
     amp = (2.0 * math.pi * sigma * sigma) ** -0.25
 
     def f(obar):
@@ -576,9 +585,7 @@ def gaussian_difference_profile(sigma: float, center: float = 0.0):
     this reduces to ``(2/(pi sigma^2))^{1/4} exp(-delta^2/(4 sigma^2))``.
     Returns ``(callable, window)``.
     """
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
-    s2 = sigma * sigma
+    s2 = _width_squared(sigma)
     # Half-line mass of raw(d) + raw(-d):
     #   Int_R |raw|^2 + Int_R raw(d) raw(-d) = sigma sqrt(2 pi) (1 + e^{-c^2/2s^2})
     mass = sigma * math.sqrt(2.0 * math.pi) * (1.0 + math.exp(-center * center / (2.0 * s2)))

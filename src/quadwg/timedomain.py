@@ -17,6 +17,21 @@ points violating it are decoupled and kept empty.
 
 The integrator is a fixed-step fourth-order Runge-Kutta; evolution is
 unitary, so the total norm is a sensitive discretization check.
+
+All modes of one sum-frequency row share the detuning ``nu``, so the
+emitter sees a single combination of them: the bright mode along
+``conj(g_row) / G`` with ``G = |g_row|``.  Its amplitude ``beta`` obeys
+``i dbeta/dt = nu beta + G De`` and ``i dDe/dt = sum_rows G beta``, and
+only these ``1 + N_obar`` amplitudes are stepped.  The dark remainder of
+each row never touches the emitter; a row with ``G = 0`` (kinematically
+forbidden or outside the envelope support) is all dark.  This is an exact
+change of basis, not an approximation.  Runge-Kutta is linear, so its
+step acts on a dark mode as the stability polynomial
+``R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24`` with ``z = -i nu dt``; the dark
+part is multiplied by ``R(z)`` per step rather than by ``exp(-i nu dt)``.
+That makes the result, including the slight numerical dissipation
+``|R| < 1`` that the norm-drift check watches, the same as stepping every
+mode.
 """
 
 from __future__ import annotations
@@ -213,18 +228,25 @@ def integrate(coupling: CouplingSpec,
     if not norm0 > 0:
         raise IntegrationFailureError("initial state has zero norm")
 
-    g_conj = np.conj(g)
-    phase = -1j * nu[None, :, None]
+    # Split each row into its bright amplitude and the dark remainder.
+    G = np.sqrt(np.sum(np.abs(g) ** 2, axis=(0, 2)))
+    coupled = G > 0
+    bright_dir = np.zeros_like(g)
+    bright_dir[:, coupled, :] = np.conj(g[:, coupled, :]) \
+        / G[None, coupled, None]
+    bright = np.sum(np.conj(bright_dir) * modes, axis=(0, 2))
+    dark = modes - bright_dir * bright[None, :, None]
+    dark_weight = np.sum(np.abs(dark) ** 2, axis=(0, 2))
 
     def deriv(e, b):
-        de = -1j * np.sum(g * b)
-        db = phase * b
-        db += g_conj * (-1j * e)
-        return de, db
+        return -1j * np.dot(G, b), -1j * (nu * b + G * e)
 
     t0, t1 = config.t_span
     steps = max(1, int(math.ceil((t1 - t0) / config.dt)))
     dt = (t1 - t0) / steps
+    z = -1j * nu * dt
+    dark_step = 1 + z * (1 + z / 2 * (1 + z / 3 * (1 + z / 4)))
+    dark_fade = np.abs(dark_step) ** 2
     times = t0 + dt * np.arange(steps + 1)
     trace = np.empty(steps + 1, dtype=complex)
     norms = np.empty(steps + 1)
@@ -232,19 +254,23 @@ def integrate(coupling: CouplingSpec,
     norms[0] = norm0
     half = 0.5 * dt
     for s in range(steps):
-        k1e, k1 = deriv(emitter, modes)
-        k2e, k2 = deriv(emitter + half * k1e, modes + half * k1)
-        k3e, k3 = deriv(emitter + half * k2e, modes + half * k2)
-        k4e, k4 = deriv(emitter + dt * k3e, modes + dt * k3)
+        k1e, k1 = deriv(emitter, bright)
+        k2e, k2 = deriv(emitter + half * k1e, bright + half * k1)
+        k3e, k3 = deriv(emitter + half * k2e, bright + half * k2)
+        k4e, k4 = deriv(emitter + dt * k3e, bright + dt * k3)
         emitter = emitter + (dt / 6.0) * (k1e + 2 * k2e + 2 * k3e + k4e)
-        modes = modes + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        bright = bright + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        dark_weight *= dark_fade
         trace[s + 1] = emitter
-        norms[s + 1] = abs(emitter) ** 2 + np.vdot(modes, modes).real
+        norms[s + 1] = abs(emitter) ** 2 + np.vdot(bright, bright).real \
+            + float(np.sum(dark_weight))
     drift = float(np.max(np.abs(norms - norm0))) / norm0
     if drift > NORM_DRIFT_TOLERANCE:
         raise IntegrationFailureError(
             f"norm drifted by {drift:.2e}; reduce dt or refine the grid")
 
+    modes = dark * (dark_step ** steps)[None, :, None] \
+        + bright_dir * bright[None, :, None]
     with np.errstate(invalid="ignore", divide="ignore"):
         amplitudes = np.where(weight[None, :, :] > 0,
                               modes / np.sqrt(weight)[None, :, :], 0.0)

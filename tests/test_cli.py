@@ -180,6 +180,27 @@ def test_gate_writes_one_curve_per_shape(tmp_path, capsys):
                     "--set", "shapes=box"]) == 1
 
 
+def test_gate_at_large_ratio_succeeds(tmp_path, capsys):
+    out = run_ok(["gate", "--outdir", str(tmp_path),
+                  "--set", "ratios=1e6", "--set", "report_ratio=1e6"], capsys)
+    assert out.startswith("gate:")
+
+
+@pytest.mark.parametrize("command, override", [
+    ("sweep-reflection", "alpha=1e-300"),
+    ("scatter", "sum_width=1e-300"),
+    ("scatter", "diff_width=1e-300"),
+])
+def test_underflowing_width_is_a_config_error(tmp_path, capsys, command,
+                                              override):
+    assert cli.run([command, "--set", override,
+                    "--outdir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "underflows" in err
+    assert "Traceback" not in err
+
+
 def test_verify_exit_codes(tmp_path, capsys):
     args = ["verify", "--outdir", str(tmp_path),
             "--set", "n_omegabar=128", "--set", "n_delta=48"]

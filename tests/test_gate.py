@@ -126,6 +126,25 @@ def test_lorentzian_overlap_closed_form(ratio):
     assert abs(overlap.imag) < 1e-12
 
 
+@pytest.mark.parametrize("ratio", [1e3, 1e4, 1e5, 1e6])
+def test_narrow_pulse_overlaps_match_closed_forms(ratio):
+    # The window spans forty rates, up to 4e7 pulse widths; the pulse tails
+    # must still be resolved.
+    pulse = PulseShape.gaussian(OMEGA0, GAMMA / ratio)
+    x = (GAMMA / 2) / pulse.scale
+    expected = 1.0 - 2.0 * x * math.sqrt(math.pi) * erfcx(x)
+    overlap = gate_overlap(pulse, GAMMA)
+    assert abs(overlap.real - expected) < 4e-15
+    assert abs(overlap.imag) < 1e-12
+
+    pulse = PulseShape.lorentzian(OMEGA0, GAMMA / ratio)
+    g, a = pulse.scale, GAMMA / 2
+    expected = 1.0 - GAMMA * (a + 2 * g) / (a + g) ** 2
+    overlap = gate_overlap(pulse, GAMMA)
+    assert abs(overlap.real - expected) < 4e-15
+    assert abs(overlap.imag) < 1e-12
+
+
 def test_narrow_gaussian_reference_point():
     pulse = PulseShape.gaussian(OMEGA0, GAMMA / 100)
     overlap = gate_overlap(pulse, GAMMA)

@@ -29,6 +29,7 @@ from quadwg.spectral import (
     decompose,
     gaussian_difference_profile,
 )
+from quadwg.timedomain import _mode_setup
 
 
 def isotropic(total, width=0.05, omega0=1.0):
@@ -107,6 +108,79 @@ def test_detached_band_leaves_the_emitter_excited():
     drift = np.max(np.abs(traj.norm_history - traj.norm_history[0]))
     assert drift < 1e-12
     assert np.max(np.abs(traj.final_state.data)) < 1e-12
+
+
+def full_mode_rk4(coupling, initial, config):
+    """Reference: the same RK4 stepping every grid mode, no change of basis."""
+    weight, allowed, g, nu = _mode_setup(coupling, config.grid)
+    if isinstance(initial, ExcitedEmitter):
+        e, b = 1.0 + 0.0j, np.zeros_like(g)
+    else:
+        e = 0.0j
+        b = initial.on_grid(config.grid).data * np.sqrt(weight) * allowed
+
+    def deriv(e, b):
+        return (-1j * np.sum(g * b),
+                -1j * (nu[None, :, None] * b + np.conj(g) * e))
+
+    steps = math.ceil((config.t_span[1] - config.t_span[0]) / config.dt)
+    dt = (config.t_span[1] - config.t_span[0]) / steps
+    trace, norms = [e], [abs(e) ** 2 + np.vdot(b, b).real]
+    for _ in range(steps):
+        k1e, k1 = deriv(e, b)
+        k2e, k2 = deriv(e + dt / 2 * k1e, b + dt / 2 * k1)
+        k3e, k3 = deriv(e + dt / 2 * k2e, b + dt / 2 * k2)
+        k4e, k4 = deriv(e + dt * k3e, b + dt * k3)
+        e += dt / 6 * (k1e + 2 * k2e + 2 * k3e + k4e)
+        b = b + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        trace.append(e)
+        norms.append(abs(e) ** 2 + np.vdot(b, b).real)
+    return np.array(trace), b / np.sqrt(weight), np.array(norms)
+
+
+def reference_cases():
+    iso = isotropic(0.02)
+    iso_config = TimeDomainConfig.for_scattering(iso, 0.05, n_omegabar=24,
+                                                 n_delta=8)
+    iso_input = with_arrival_delay(
+        gaussian_biphoton(DirectionPair.PP, 1.0, 0.05), 1.0,
+        iso_config.arrival_delay)
+    iso_config = TimeDomainConfig(iso_config.grid, (0.0, 300.0),
+                                  iso_config.dt)
+
+    env = Envelope.tabulated([0.0, 0.01, 0.03, 0.06, 0.1],
+                             [0.3, 1.0, 0.7 + 0.2j, 0.2, 0.0])
+    aniso = CouplingSpec(1.0, {DirectionPair.PP: 0.006,
+                               DirectionPair.MM: 0.002,
+                               DirectionPair.PM: 0.004}, env)
+    aniso_config = TimeDomainConfig(
+        FrequencyGrid.regular(1.0, 0.3, 0.12, 20, 7), (0.0, 120.0), 0.3)
+    displaced = gaussian_biphoton(DirectionPair.PM, 1.05, 0.03,
+                                  diff_center=0.02)
+
+    forbidden = CouplingSpec.isotropic(0.002, Envelope.gaussian(0.05), 0.1)
+    forbidden_config = TimeDomainConfig(
+        FrequencyGrid.regular(0.1, 0.15, 0.2, 16, 9), (0.0, 200.0), 0.5)
+    return [(iso, iso_input, iso_config),
+            (aniso, displaced, aniso_config),
+            (forbidden, ExcitedEmitter(), forbidden_config)]
+
+
+@pytest.mark.parametrize("case", [0, 1, 2],
+                         ids=["isotropic", "anisotropic-tabulated",
+                              "forbidden-rows"])
+def test_integrate_matches_full_mode_reference(case):
+    coupling, initial, config = reference_cases()[case]
+    trace, final, norms = full_mode_rk4(coupling, initial, config)
+    traj = integrate(coupling, initial, config)
+    scale = max(1.0, float(np.max(np.abs(final))))
+    np.testing.assert_allclose(traj.emitter_amplitude, trace, rtol=0,
+                               atol=1e-12)
+    np.testing.assert_allclose(traj.final_state.data, final, rtol=0,
+                               atol=1e-12 * scale)
+    np.testing.assert_allclose(traj.norm_history, norms, rtol=0,
+                               atol=1e-12 * norms[0])
+    assert np.max(np.abs(trace)) > 1e-3 and np.max(np.abs(final)) > 1e-3
 
 
 @pytest.fixture(scope="module")
