@@ -4,8 +4,10 @@ Subcommands: emit, scatter, sweep-reflection, entangle, gate, verify.
 Configuration comes from an INI-style file with one section per subcommand
 plus a shared ``[common]`` section; ``--set key=value`` flags override file
 values.  Unknown keys are rejected with a file/line diagnostic.  Exit
-status is 0 on success, 1 on configuration errors, 2 on numerical
-failures.
+status is 0 on success, 1 on configuration errors (including invalid
+envelopes and unsupported setups), 2 on numerical failures (zero-norm
+states, overlaps outside the unit disk, spectra without spread,
+integrator and quadrature failures, failed verification).
 
 Data files are deterministic: identical configuration yields byte
 identical CSV/JSON.  Run metadata (timestamp, resolved configuration)
@@ -16,7 +18,6 @@ files are quoted in units of the resonance frequency.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import datetime
 import json
 import os
@@ -26,6 +27,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import emission, entanglement, gate, scattering, spectral, timedomain
+from .errors import (InvalidOverlapError, InvalidStateError,
+                     UndefinedCorrelationError)
 from .spectral import CouplingSpec, DirectionPair, Envelope, FrequencyGrid
 
 __all__ = ["run", "main", "print_defaults", "ConfigError"]
@@ -230,25 +233,48 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
+# Sum-frequency rows formatted per write; bounds the text held in memory.
+_JOINT_CHUNK_ROWS = 64
+
+
+def _joint_lines(template: str, w1, w2, amps) -> str:
+    return "".join([template % (x, y, abs(amp) ** 2, amp.real, amp.imag)
+                    for x, y, amp in zip(w1, w2, amps)])
+
+
 def _write_joint_csv(path: str, grid: FrequencyGrid, data: np.ndarray,
                      omega0: float) -> None:
     """Joint-spectrum CSV: one row per (channel, grid point).
 
     ``omega`` and ``omega_prime`` are the two photon frequencies in units
-    of the resonance frequency.
+    of the resonance frequency.  Every value is written with ``%.12g``.
+
+    Rows are formatted in chunks from Python floats and complex numbers;
+    per-element numpy scalars cost more than the formatting itself.
+    ``abs(amp) ** 2`` is taken on Python complex numbers because numpy's
+    vectorized complex ``abs`` rounds differently from the scalar one.
+    Python float powers raise on overflow where numpy scalars give
+    ``inf``, so a chunk that overflows is formatted again from numpy
+    scalars.
     """
+    delta = grid.delta
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("omega,omega_prime,channel,abs2,re,im\n")
         for pair in spectral.PAIRS:
+            template = "%.12g,%.12g," + pair.value + ",%.12g,%.12g,%.12g\n"
             block = data[pair.index]
-            for i, ob in enumerate(grid.omegabar):
-                for j, dd in enumerate(grid.delta):
-                    w1 = 0.5 * (ob - dd) / omega0
-                    w2 = 0.5 * (ob + dd) / omega0
-                    amp = block[i, j]
-                    fh.write(f"{_fmt(w1)},{_fmt(w2)},{pair.value},"
-                             f"{_fmt(abs(amp) ** 2)},{_fmt(amp.real)},"
-                             f"{_fmt(amp.imag)}\n")
+            for start in range(0, grid.omegabar.size, _JOINT_CHUNK_ROWS):
+                rows = slice(start, start + _JOINT_CHUNK_ROWS)
+                ob = grid.omegabar[rows, None]
+                w1 = (0.5 * (ob - delta) / omega0).ravel().tolist()
+                w2 = (0.5 * (ob + delta) / omega0).ravel().tolist()
+                amps = block[rows].ravel()
+                try:
+                    text = _joint_lines(template, w1, w2, amps.tolist())
+                except OverflowError:
+                    with np.errstate(over="ignore"):
+                        text = _joint_lines(template, w1, w2, amps)
+                fh.write(text)
 
 
 def _write_rows_csv(path: str, header: Sequence[str],
@@ -287,15 +313,7 @@ def _outpath(outdir: str, name: str) -> str:
     return os.path.join(outdir, name)
 
 
-def _parallel_map(fn, items, threads: int):
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-def _cmd_emit(cfg, outdir, threads) -> str:
+def _cmd_emit(cfg, outdir) -> str:
     coupling = _coupling_from(cfg)
     grid = emission.default_emission_grid(
         coupling, _as_int(cfg, "n_omegabar"), _as_int(cfg, "n_delta"))
@@ -317,7 +335,7 @@ def _cmd_emit(cfg, outdir, threads) -> str:
             f"P_total={total:.6f} correlation={corr:+.4f}")
 
 
-def _cmd_scatter(cfg, outdir, threads) -> str:
+def _cmd_scatter(cfg, outdir) -> str:
     coupling = _coupling_from(cfg)
     channel = DirectionPair.from_string(cfg["channel"].strip())
     state = spectral.SeparableState(
@@ -359,26 +377,19 @@ def _scatter_factors(cfg):
     return f, h, f_win, h_win
 
 
-def _cmd_sweep_reflection(cfg, outdir, threads) -> str:
+def _cmd_sweep_reflection(cfg, outdir) -> str:
     alpha = _as_float(cfg, "alpha")
     ratios = _as_floats(cfg, "ratios")
     rates = _as_floats(cfg, "rates")
     omega0 = _as_float(cfg, "omega0")
-
-    def one(rate):
-        return scattering.reflection_sweep(alpha, ratios, [rate], omega0)
-
-    sweeps = _parallel_map(one, rates, threads)
-    rows = []
-    for rate, sweep in zip(rates, sweeps):
-        for j, ratio in enumerate(ratios):
-            rows.append((rate, ratio, sweep.reflection[0, j]))
+    table = scattering.reflection_sweep(alpha, ratios, rates, omega0).reflection
+    rows = [(rate, ratio, table[i, j])
+            for i, rate in enumerate(rates) for j, ratio in enumerate(ratios)]
     stem = cfg["output_stem"]
     _write_rows_csv(_outpath(outdir, stem + ".csv"),
                     ("total_rate", "width_ratio", "reflection"), rows)
-    best = [(rate, ratios[int(np.argmax(sweep.reflection[0]))],
-             float(sweep.reflection[0].max()))
-            for rate, sweep in zip(rates, sweeps)]
+    best = [(rate, ratios[int(np.argmax(line))], float(line.max()))
+            for rate, line in zip(rates, table)]
     _write_json(_outpath(outdir, stem + ".json"), {
         "alpha": _quantity(alpha, "omega0"),
         "peaks": [{
@@ -392,21 +403,15 @@ def _cmd_sweep_reflection(cfg, outdir, threads) -> str:
     return f"sweep-reflection: alpha={alpha:g} peak reflection {peak_txt}"
 
 
-def _cmd_entangle(cfg, outdir, threads) -> str:
+def _cmd_entangle(cfg, outdir) -> str:
     omega0 = _as_float(cfg, "omega0")
     total = _as_float(cfg, "total_rate")
     widths = _as_floats(cfg, "width_ratios")
     detunings = _as_floats(cfg, "detuning_ratios")
-
-    def one(width_ratio):
-        return entanglement.entropy_sweeps(
-            [width_ratio], detunings, total, omega0).entropy[0]
-
-    rows_entropy = _parallel_map(one, widths, threads)
-    rows = []
-    for b, line in zip(widths, rows_entropy):
-        for d, s in zip(detunings, line):
-            rows.append((b, d, s))
+    table = entanglement.entropy_sweeps(widths, detunings, total,
+                                        omega0).entropy
+    rows = [(b, d, s) for b, line in zip(widths, table)
+            for d, s in zip(detunings, line)]
     stem = cfg["output_stem"]
     _write_rows_csv(_outpath(outdir, stem + ".csv"),
                     ("width_over_rate", "detuning_over_rate", "entropy"), rows)
@@ -438,18 +443,14 @@ def _cmd_entangle(cfg, outdir, threads) -> str:
             f"detuning_ratio={pd:g} F(psi-)={fid_psi:.4f} F(phi+)={fid_phi:.4f}")
 
 
-def _cmd_gate(cfg, outdir, threads) -> str:
+def _cmd_gate(cfg, outdir) -> str:
     shapes = [tok.strip() for tok in cfg["shapes"].split(",") if tok.strip()]
     ratios = _as_floats(cfg, "ratios")
     on_power = _as_bool(cfg, "fwhm_on_power")
-
-    def one(shape):
-        return gate.infidelity_sweep(ratios, [shape], fwhm_on_power=on_power)
-
-    sweeps = _parallel_map(one, shapes, threads)
+    sweep = gate.infidelity_sweep(ratios, shapes, fwhm_on_power=on_power)
     stem = cfg["output_stem"]
-    for shape, sweep in zip(shapes, sweeps):
-        rows = [(ratio, sweep.log10_infidelity[0, j])
+    for i, shape in enumerate(shapes):
+        rows = [(ratio, sweep.log10_infidelity[i, j])
                 for j, ratio in enumerate(ratios)]
         _write_rows_csv(_outpath(outdir, f"{stem}_{shape}.csv"),
                         ("gamma_over_fwhm", "log10_infidelity"), rows)
@@ -475,12 +476,12 @@ def _cmd_gate(cfg, outdir, threads) -> str:
         "reports": reports,
     })
     _write_sidecar(_outpath(outdir, stem + ".meta.json"), "gate", cfg)
-    best = {shape: sweeps[i].fidelity[0, -1] for i, shape in enumerate(shapes)}
+    best = {shape: sweep.fidelity[i, -1] for i, shape in enumerate(shapes)}
     txt = " ".join(f"{s}:1-F={1 - f:.2e}" for s, f in best.items())
     return f"gate: at gamma/fwhm={ratios[-1]:g} {txt}"
 
 
-def _cmd_verify(cfg, outdir, threads) -> str:
+def _cmd_verify(cfg, outdir) -> str:
     coupling = _coupling_from(cfg)
     width = _as_float(cfg, "input_width")
     tol = _as_float(cfg, "tolerance")
@@ -529,6 +530,12 @@ class _VerifyFailure(RuntimeError):
     pass
 
 
+# ValueError subclasses that report a computation gone wrong, not a bad
+# configuration: they exit 2 like the RuntimeError failures.
+_NUMERICAL_VALUE_ERRORS = (InvalidStateError, InvalidOverlapError,
+                           UndefinedCorrelationError)
+
+
 _HANDLERS = {
     "emit": _cmd_emit,
     "scatter": _cmd_scatter,
@@ -563,7 +570,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--outdir", default=None,
                        help=f"output directory (default ${ENV_OUTDIR} or .)")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads for sweeps (default: cores)")
+                       help="ignored; sweeps run on one thread.  Accepted "
+                            "until the next release")
         p.add_argument("--print-defaults", action="store_true",
                        help="print an annotated config template and exit")
     return parser
@@ -584,21 +592,16 @@ def run(argv: Sequence[str] | None = None) -> int:
             return 1
         cfg = _read_config(args.config, args.command, args.set)
         outdir = args.outdir or os.environ.get(ENV_OUTDIR) or "."
-        threads = args.threads if args.threads and args.threads > 0 \
-            else (os.cpu_count() or 1)
-        summary = _HANDLERS[args.command](cfg, outdir, threads)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        summary = _HANDLERS[args.command](cfg, outdir)
     except _VerifyFailure as exc:
         print(str(exc))
         return 2
-    except RuntimeError as exc:
+    except (RuntimeError, *_NUMERICAL_VALUE_ERRORS) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    except (ConfigError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(summary)
     return 0
 

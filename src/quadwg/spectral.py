@@ -163,6 +163,10 @@ class Envelope:
         else:
             if not self.width > 0:
                 raise InvalidEnvelopeError("envelope width must be positive")
+            if self.width * self.width == 0.0:
+                raise InvalidEnvelopeError(
+                    f"envelope width {self.width!r} is too small:"
+                    " its square underflows")
 
     @classmethod
     def gaussian(cls, width: float) -> "Envelope":

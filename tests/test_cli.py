@@ -2,10 +2,13 @@
 
 import configparser
 import json
+import math
 
+import numpy as np
 import pytest
 
-from quadwg import cli
+from quadwg import cli, emission, scattering, spectral
+from quadwg.spectral import CouplingSpec, DirectionPair, Envelope, FrequencyGrid
 
 
 def run_ok(args, capsys):
@@ -190,15 +193,30 @@ def test_gate_at_large_ratio_succeeds(tmp_path, capsys):
     ("sweep-reflection", "alpha=1e-300"),
     ("scatter", "sum_width=1e-300"),
     ("scatter", "diff_width=1e-300"),
+    ("emit", "envelope_width=1e-300"),
+    ("scatter", "envelope_width=1e-300"),
+    ("emit", "envelope=lorentzian envelope_width=1e-300"),
+    ("scatter", "envelope=lorentzian envelope_width=1e-300"),
 ])
 def test_underflowing_width_is_a_config_error(tmp_path, capsys, command,
                                               override):
-    assert cli.run([command, "--set", override,
-                    "--outdir", str(tmp_path)]) == 1
+    sets = [arg for item in override.split() for arg in ("--set", item)]
+    assert cli.run([command, *sets, "--outdir", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "underflows" in err
     assert "Traceback" not in err
+
+
+def test_numerical_failure_exits_2(tmp_path, capsys):
+    # A difference profile centred far outside its window has zero norm:
+    # the configuration parses, the computation fails.
+    assert cli.run(["scatter", "--outdir", str(tmp_path),
+                    "--set", "diff_center=50", "--set", "diff_width=0.001",
+                    "--set", "n_omegabar=16", "--set", "n_delta=8"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:")
+    assert "zero norm" in err
 
 
 def test_verify_exit_codes(tmp_path, capsys):
@@ -222,3 +240,89 @@ def test_outdir_environment_fallback(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(cli.ENV_OUTDIR, str(tmp_path))
     run_ok(["emit", "--set", "n_omegabar=32", "--set", "n_delta=16"], capsys)
     assert (tmp_path / "emission.csv").exists()
+
+
+def _reference_joint_csv(path, grid, data, omega0):
+    """Row-by-row joint-spectrum writer through numpy scalars; the output
+    contract that ``cli._write_joint_csv`` must reproduce byte for byte."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("omega,omega_prime,channel,abs2,re,im\n")
+        for pair in spectral.PAIRS:
+            block = data[pair.index]
+            for i, ob in enumerate(grid.omegabar):
+                for j, dd in enumerate(grid.delta):
+                    w1 = 0.5 * (ob - dd) / omega0
+                    w2 = 0.5 * (ob + dd) / omega0
+                    amp = block[i, j]
+                    fh.write(f"{cli._fmt(w1)},{cli._fmt(w2)},{pair.value},"
+                             f"{cli._fmt(abs(amp) ** 2)},{cli._fmt(amp.real)},"
+                             f"{cli._fmt(amp.imag)}\n")
+
+
+def _emission_case():
+    coupling = CouplingSpec.isotropic(0.004, Envelope.gaussian(0.02))
+    # 67 sum-frequency rows: one full write chunk and a partial one.
+    grid = emission.default_emission_grid(coupling, 67, 24)
+    return grid, emission.joint_spectrum(coupling, grid).data, 1.0
+
+
+def _anisotropic_lorentzian_case():
+    coupling = CouplingSpec(1.7, {
+        DirectionPair.PP: 0.001, DirectionPair.PM: 0.0015,
+        DirectionPair.MP: 0.0015, DirectionPair.MM: 0.0005},
+        Envelope.lorentzian(0.01))
+    grid = emission.default_emission_grid(coupling, 40, 16)
+    return grid, emission.joint_spectrum(coupling, grid).data, 1.7
+
+
+def _scatter_case():
+    coupling = CouplingSpec.mirror(0.004, Envelope.gaussian(0.02))
+    state = spectral.gaussian_biphoton(DirectionPair.PP, 1.002, 0.02, 0.01)
+    grid = FrequencyGrid.for_scattering(coupling, 0.02, 67, 16)
+    out = scattering.scatter(coupling, state).output_on(grid)
+    return grid, out.data, 1.0
+
+
+def _special_values_case():
+    grid = FrequencyGrid(np.array([-1.0, -0.0, 1.0, 2.0]),
+                         np.array([0.0, 0.5, 1.0, 1.5]))
+    specials = [-0.0, complex(-0.0, -0.0), 5e-324, complex(1e-310, -2e-320),
+                math.nan, complex(math.inf, -math.inf), complex(math.inf,
+                                                                math.nan),
+                1e200, complex(0.0, -1e200), complex(1e154, 1e154),
+                complex(1.5, -2.25), complex(-1e-12, 3e7),
+                # numpy's vectorized abs rounds these differently from
+                # the scalar hypot, by one unit in the 12th digit of abs2.
+                complex(-191130.81865948136, -836141.5845932174),
+                complex(-0.0007617009494074662, -0.0002025792426095643),
+                complex(372291820.35124075, -53923672.204881),
+                complex(2.0207938943229758e-10, 2.8028833685977147e-09)]
+    data = np.zeros((4, 4, 4), dtype=complex)
+    data[:] = np.reshape(specials, (4, 4))
+    data[1] = -data[1]
+    return grid, data, 0.5
+
+
+@pytest.mark.parametrize("case", [
+    _emission_case, _anisotropic_lorentzian_case, _scatter_case,
+    _special_values_case])
+def test_joint_csv_matches_row_by_row_writer(tmp_path, case):
+    grid, data, omega0 = case()
+    expected, actual = tmp_path / "expected.csv", tmp_path / "actual.csv"
+    with np.errstate(over="ignore"):
+        _reference_joint_csv(expected, grid, data, omega0)
+    cli._write_joint_csv(actual, grid, data, omega0)
+    assert actual.read_bytes() == expected.read_bytes()
+
+
+def test_joint_csv_writes_overflowing_abs2_as_inf(tmp_path):
+    grid, data, omega0 = _special_values_case()
+    path = tmp_path / "special.csv"
+    cli._write_joint_csv(path, grid, data, omega0)
+    rows = path.read_text().splitlines()[1:]
+    assert rows[0] == "-1,-1,++,0,-0,0"
+    assert rows[4] == "-0,0,++,nan,nan,0"
+    assert rows[7] == "-1.5,1.5,++,inf,1e+200,0"
+    assert rows[8] == "1,1,++,inf,0,-1e+200"
+    assert rows[9] == "0.5,1.5,++,inf,1e+154,1e+154"
+    assert rows[16 + 7] == "-1.5,1.5,+-,inf,-1e+200,-0"
