@@ -456,14 +456,9 @@ def _cmd_gate(cfg, outdir) -> str:
                         ("gamma_over_fwhm", "log10_infidelity"), rows)
 
     ref = _as_float(cfg, "report_ratio")
-    builders = {"gaussian": gate.PulseShape.gaussian,
-                "lorentzian": gate.PulseShape.lorentzian}
     reports = {}
     for shape in shapes:
-        if shape not in builders:
-            raise ConfigError(f"key 'shapes': unknown pulse shape {shape!r}")
-        pulse = builders[shape](0.0, 1.0, fwhm_on_power=on_power)
-        rep = gate.gate_report(pulse, ref)
+        rep = gate.gate_report(gate.unit_pulse(shape, on_power), ref)
         reports[shape] = {
             "overlap": _quantity(rep.overlap, "dimensionless"),
             "worst_case_fidelity": _quantity(rep.worst_case_fidelity,

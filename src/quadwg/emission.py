@@ -25,6 +25,7 @@ from .spectral import (
     DirectionPair,
     FrequencyGrid,
     GridState,
+    resonance_denominator,
 )
 
 __all__ = [
@@ -51,10 +52,8 @@ def excited_amplitude(coupling: CouplingSpec, times):
 def emitted_amplitude(coupling: CouplingSpec, pair: DirectionPair,
                       omegabar, delta):
     """Long-time emitted pair amplitude on one direction channel."""
-    omegabar = np.asarray(omegabar, dtype=float)
-    delta = np.asarray(delta, dtype=float)
-    line = 1.0 / (0.5 * coupling.total_rate
-                  - 1j * (omegabar - coupling.omega0))
+    line = 1.0 / resonance_denominator(coupling.total_rate, coupling.omega0,
+                                       omegabar)
     u = np.conj(coupling.envelope(delta))
     return 1j * math.sqrt(coupling.rate(pair) / (2.0 * math.pi)) * line * u
 

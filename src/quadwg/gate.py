@@ -24,7 +24,8 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import InvalidOverlapError, TruncationError
-from .spectral import QUAD_EPSABS, QUAD_EPSREL, EnvelopeKind
+from .spectral import (EnvelopeKind, _complex_quad, _quad_options,
+                       resonance_denominator)
 
 __all__ = [
     "PulseShape",
@@ -35,6 +36,7 @@ __all__ = [
     "truth_table",
     "GateReport",
     "gate_report",
+    "unit_pulse",
     "InfidelitySweep",
     "infidelity_sweep",
 ]
@@ -127,8 +129,7 @@ def mirror_bracket(gamma: float, omega0: float, omegabar):
 
     Unit modulus for every real ``obar``; -1 on resonance, +1 far away.
     """
-    omegabar = np.asarray(omegabar, dtype=float)
-    return 1.0 - gamma / (gamma / 2.0 + 1j * (omega0 - omegabar))
+    return 1.0 - gamma / resonance_denominator(gamma, omega0, omegabar)
 
 
 def mirror_reflection(f: PulseShape, gamma: float,
@@ -146,20 +147,6 @@ def mirror_reflection(f: PulseShape, gamma: float,
             * mirror_bracket(gamma, w0, omegabar)
 
     return reflected
-
-
-def _complex_pulse_quad(fn, segments, points=None):
-    total = 0.0 + 0.0j
-    for a, b in segments:
-        kw = dict(epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL, limit=400)
-        if points is not None and math.isfinite(a) and math.isfinite(b):
-            inner = [p for p in points if a < p < b]
-            if inner:
-                kw["points"] = inner
-        re, _ = quad(lambda x: fn(x).real, a, b, **kw)
-        im, _ = quad(lambda x: fn(x).imag, a, b, **kw)
-        total += re + 1j * im
-    return total
 
 
 def gate_overlap(f: PulseShape, gamma: float,
@@ -194,8 +181,8 @@ def gate_overlap(f: PulseShape, gamma: float,
             pts += [f.center - step, f.center + step]
             step *= 8.0
 
-    mass = _complex_pulse_quad(
-        lambda x: complex(float(f(x)) ** 2), segments, points=pts).real
+    mass = sum(quad(lambda x: float(f(x)) ** 2, a, b,
+                    **_quad_options(a, b, pts))[0] for a, b in segments)
     if abs(mass - 1.0) > 1e-3:
         raise TruncationError(
             f"quadrature captured pulse mass {mass:.6f} instead of 1; "
@@ -205,7 +192,7 @@ def gate_overlap(f: PulseShape, gamma: float,
         amp = float(f(x))
         return amp * amp * complex(mirror_bracket(gamma, w0, x))
 
-    val = _complex_pulse_quad(integrand, segments, points=pts)
+    val = sum(_complex_quad(integrand, a, b, pts) for a, b in segments)
     return complex(val) / mass
 
 
@@ -273,6 +260,17 @@ def gate_report(f: PulseShape, gamma: float,
     return GateReport(o, fid, x_star)
 
 
+def unit_pulse(shape: str, fwhm_on_power: bool = False) -> PulseShape:
+    """Pulse of the named analytic shape, centered at zero with unit FWHM."""
+    builders = {"gaussian": PulseShape.gaussian,
+                "lorentzian": PulseShape.lorentzian}
+    try:
+        build = builders[shape]
+    except KeyError:
+        raise ValueError(f"unknown pulse shape {shape!r}") from None
+    return build(0.0, 1.0, fwhm_on_power=fwhm_on_power)
+
+
 @dataclass(frozen=True)
 class InfidelitySweep:
     """Worst-case infidelity versus rate-to-bandwidth ratio per pulse kind."""
@@ -300,17 +298,9 @@ def infidelity_sweep(gamma_over_fwhm: Sequence[float],
     ratios = np.asarray(gamma_over_fwhm, dtype=float)
     if np.any(ratios <= 0):
         raise ValueError("ratios must be positive")
-    builders = {
-        "gaussian": PulseShape.gaussian,
-        "lorentzian": PulseShape.lorentzian,
-    }
     fid = np.empty((len(shapes), ratios.size))
     for i, name in enumerate(shapes):
-        try:
-            build = builders[name]
-        except KeyError:
-            raise ValueError(f"unknown pulse shape {name!r}") from None
-        pulse = build(0.0, 1.0, fwhm_on_power=fwhm_on_power)
+        pulse = unit_pulse(name, fwhm_on_power)
         for j, ratio in enumerate(ratios):
             fid[i, j] = worst_case_fidelity(gate_overlap(pulse, ratio))[0]
     infid = np.clip(1.0 - fid, 1e-300, None)

@@ -37,6 +37,7 @@ from .spectral import (
     SeparableState,
     _check_delta_cover,
     gaussian_biphoton,
+    resonance_denominator,
 )
 
 __all__ = [
@@ -56,12 +57,6 @@ __all__ = [
 PHASE_NOTE = "amplitudes omit the free propagation phase exp(-i*obar*(t1-t0))"
 
 
-def resonance_denominator(coupling: CouplingSpec, omegabar):
-    """``total_rate / 2 + i (omega0 - obar)``, vectorized in ``obar``."""
-    omegabar = np.asarray(omegabar, dtype=float)
-    return coupling.total_rate / 2.0 + 1j * (coupling.omega0 - omegabar)
-
-
 def scattering_amplitude(coupling: CouplingSpec, out_pair: DirectionPair,
                          in_pair: DirectionPair, omegabar):
     """Emitter-mediated amplitude between direction pairs at fixed ``obar``.
@@ -70,7 +65,8 @@ def scattering_amplitude(coupling: CouplingSpec, out_pair: DirectionPair,
     On resonance with isotropic rates it equals -1/2 for every pair.
     """
     num = math.sqrt(coupling.rate(out_pair) * coupling.rate(in_pair))
-    return -num / resonance_denominator(coupling, omegabar)
+    return -num / resonance_denominator(coupling.total_rate, coupling.omega0,
+                                        omegabar)
 
 
 def transfer_coefficient(coupling: CouplingSpec, out_pair: DirectionPair,
@@ -92,9 +88,6 @@ class _AnalyticScatter:
 
     kappa: complex
     root_rate_in: float
-    f_mass: float
-    h_mass: float
-    scale: complex
     in_channels: tuple[DirectionPair, ...]
 
 
@@ -138,7 +131,8 @@ class ScatterOutput:
         u = self.coupling.envelope(grid.delta)
         drive = ana.kappa * ana.root_rate_in \
             * np.asarray(state.f(grid.omegabar), dtype=complex) \
-            / resonance_denominator(self.coupling, grid.omegabar)
+            / resonance_denominator(self.coupling.total_rate,
+                                    self.coupling.omega0, grid.omegabar)
         for pair in PAIRS:
             data[pair.index] -= math.sqrt(self.coupling.rate(pair)) \
                 * drive[:, None] * np.conj(u)[None, :]
@@ -156,21 +150,13 @@ def scatter(coupling: CouplingSpec, state: BiphotonState,
     propagation phase is dropped.
     """
     if isinstance(state, SeparableState):
-        norm2 = state.norm_squared()
-        if norm2 < 1e-280:
+        if state.norm_squared() < 1e-280:
             raise InvalidStateError("input state has zero norm")
         kappa = state.overlap_with_envelope(coupling.envelope)
         channels = (state.channel,) if state.channel.swapped is state.channel \
             else (state.channel, state.channel.swapped)
         w = sum(math.sqrt(coupling.rate(c)) for c in channels)
-        ana = _AnalyticScatter(
-            kappa=kappa,
-            root_rate_in=w,
-            f_mass=SeparableState._factor_mass(state.f, state.f_window),
-            h_mass=SeparableState._factor_mass(state.h, state.h_window),
-            scale=state._scale,
-            in_channels=channels,
-        )
+        ana = _AnalyticScatter(kappa, w, channels)
         return ScatterOutput(coupling, state, grid, analytic=ana)
     if isinstance(state, GridState):
         g = state.grid if grid is None else grid
@@ -183,7 +169,8 @@ def scatter(coupling: CouplingSpec, state: BiphotonState,
         # Summed root-rate-weighted envelope overlaps of all channels.
         q = g.integrate_delta(u[None, None, :] * inp.data)       # (4, No)
         drive = (roots[:, None] * q).sum(axis=0) \
-            / resonance_denominator(coupling, g.omegabar)        # (No,)
+            / resonance_denominator(coupling.total_rate, coupling.omega0,
+                                    g.omegabar)                  # (No,)
         out = inp.data - roots[:, None, None] * drive[None, :, None] \
             * np.conj(u)[None, None, :]
         return ScatterOutput(coupling, state, g,
@@ -228,19 +215,21 @@ def channel_probabilities(result: ScatterOutput) -> ChannelProbabilities:
     bit-identical.
     """
     coupling = result.coupling
+    n_in = result.input_state.norm_squared()
+    if n_in <= 0:
+        raise InvalidStateError("input state has zero norm")
     if result._analytic is not None:
         ana = result._analytic
         state = result.input_state
         gamma_total = coupling.total_rate
-        n_in = abs(ana.scale) ** 2 * ana.f_mass * ana.h_mass * len(ana.in_channels)
-        if n_in <= 0:
-            raise InvalidStateError("input state has zero norm")
+        # Each populated input channel holds an equal share of the norm.
+        n_own = n_in / len(ana.in_channels)
         center = 0.5 * (state.f_window[0] + state.f_window[1])
         pts = [p for p in sorted({coupling.omega0, center})
                if state.f_window[0] < p < state.f_window[1]]
 
         def integrand(ob):
-            d = resonance_denominator(coupling, ob)
+            d = resonance_denominator(gamma_total, coupling.omega0, ob)
             return abs(state.f(ob)) ** 2 / (d.real ** 2 + d.imag ** 2)
 
         J, _ = quad(integrand, state.f_window[0], state.f_window[1],
@@ -253,14 +242,10 @@ def channel_probabilities(result: ScatterOutput) -> ChannelProbabilities:
             rate = coupling.rate(pair)
             norm = rate * w * w * k2 * J
             if pair in ana.in_channels:
-                norm += abs(ana.scale) ** 2 * ana.f_mass * ana.h_mass \
-                    - math.sqrt(rate) * w * k2 * gamma_total * J
+                norm += n_own - math.sqrt(rate) * w * k2 * gamma_total * J
             values[pair] = norm / n_in
         return ChannelProbabilities(values)
     out = result.output
-    n_in = result.input_state.norm_squared()
-    if n_in <= 0:
-        raise InvalidStateError("input state has zero norm")
     values = {pair: float(out.grid.integrate(np.abs(out.channel(pair)) ** 2)) / n_in
               for pair in PAIRS}
     return ChannelProbabilities(values)
@@ -330,7 +315,8 @@ def gaussian_closed_form(coupling: CouplingSpec, sigma: float,
     u = coupling.envelope(grid.delta).real
     f = np.asarray(state.f(grid.omegabar), dtype=complex)
     drive = kappa * math.sqrt(coupling.rate(DirectionPair.PP)) * f \
-        / resonance_denominator(coupling, grid.omegabar)
+        / resonance_denominator(coupling.total_rate, coupling.omega0,
+                                grid.omegabar)
     for pair in PAIRS:
         data[pair.index] = data[pair.index] \
             - math.sqrt(coupling.rate(pair)) * drive[:, None] * u[None, :]

@@ -167,6 +167,11 @@ class Envelope:
                 raise InvalidEnvelopeError(
                     f"envelope width {self.width!r} is too small:"
                     " its square underflows")
+            with np.errstate(divide="ignore", over="ignore"):
+                if not np.isfinite(self(0.0)):
+                    raise InvalidEnvelopeError(
+                        f"envelope width {self.width!r} is too small:"
+                        " its peak density overflows")
 
     @classmethod
     def gaussian(cls, width: float) -> "Envelope":
@@ -379,15 +384,33 @@ class FrequencyGrid:
                 and np.array_equal(self.delta, other.delta))
 
 
-def _complex_quad(fn: Callable[[float], complex], a: float, b: float,
-                  points: Sequence[float] | None = None) -> complex:
-    kw = dict(epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL, limit=200)
+def resonance_denominator(total_rate: float, omega0: float, omegabar):
+    """Emitter pole ``total_rate / 2 + i (omega0 - obar)``, vectorized in ``obar``.
+
+    Pair scattering, pair emission and the mirror gate all divide by it.
+    """
+    omegabar = np.asarray(omegabar, dtype=float)
+    return total_rate / 2.0 + 1j * (omega0 - omegabar)
+
+
+def _quad_options(a: float, b: float,
+                  points: Sequence[float] | None = None) -> dict:
+    """``quad`` keywords over ``[a, b]``: tolerances, subdivision limit, and
+    the break points strictly inside a finite interval."""
+    kw = dict(epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL, limit=400)
     if points is not None and np.isfinite(a) and np.isfinite(b):
         pts = [p for p in points if a < p < b]
         if pts:
             kw["points"] = pts
-    re, _ = quad(lambda x: np.real(fn(x)), a, b, **kw)
-    im, _ = quad(lambda x: np.imag(fn(x)), a, b, **kw)
+    return kw
+
+
+def _complex_quad(fn: Callable[[float], complex], a: float, b: float,
+                  points: Sequence[float] | None = None) -> complex:
+    kw = _quad_options(a, b, points)
+    # ``.real`` on a scalar is several times cheaper than ``np.real``.
+    re, _ = quad(lambda x: fn(x).real, a, b, **kw)
+    im, _ = quad(lambda x: fn(x).imag, a, b, **kw)
     return re + 1j * im
 
 
@@ -422,13 +445,16 @@ class SeparableState(BiphotonState):
     h_window: tuple[float, float]
     normalize: bool = True
     _scale: complex = field(default=1.0 + 0.0j, repr=False)
+    # (Int |f|^2, Int |h|^2) of the unscaled factors, filled on first use;
+    # valid because f, h and the windows are never reassigned.
+    _masses: tuple[float, float] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         lo, hi = self.h_window
         self.h_window = (max(0.0, lo), hi)
         if self.normalize:
-            nf = self._factor_mass(self.f, self.f_window)
-            nh = self._factor_mass(self.h, self.h_window)
+            nf, nh = self._factor_masses()
             if nf <= 0 or nh <= 0:
                 raise InvalidStateError("separable state has zero norm")
             self._scale = 1.0 / math.sqrt(nf * nh * self.channel_count)
@@ -446,9 +472,14 @@ class SeparableState(BiphotonState):
                       epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL, limit=200)
         return val
 
+    def _factor_masses(self) -> tuple[float, float]:
+        if self._masses is None:
+            self._masses = (self._factor_mass(self.f, self.f_window),
+                            self._factor_mass(self.h, self.h_window))
+        return self._masses
+
     def norm_squared(self) -> float:
-        nf = self._factor_mass(self.f, self.f_window)
-        nh = self._factor_mass(self.h, self.h_window)
+        nf, nh = self._factor_masses()
         return abs(self._scale) ** 2 * nf * nh * self.channel_count
 
     def amplitude(self, pair: DirectionPair, omegabar, delta) -> np.ndarray:
@@ -463,14 +494,10 @@ class SeparableState(BiphotonState):
         return out
 
     def on_grid(self, grid: FrequencyGrid) -> "GridState":
-        data = np.zeros((4, grid.omegabar.size, grid.delta.size), dtype=complex)
         fvals = self._scale * np.asarray(self.f(grid.omegabar), dtype=complex)
         hvals = np.asarray(self.h(grid.delta), dtype=complex)
-        block = fvals[:, None] * hvals[None, :]
-        data[self.channel.index] = block
-        if self.channel.swapped is not self.channel:
-            data[self.channel.swapped.index] = block
-        return GridState(grid, data, validate=False)
+        return GridState.from_channel(grid, self.channel,
+                                      fvals[:, None] * hvals[None, :])
 
     def overlap_with_envelope(self, envelope: Envelope) -> complex:
         """Half-line overlap ``Int_0^inf u(delta) C_h(delta) d delta`` where

@@ -16,6 +16,21 @@ settings.load_profile("suite")
 _GATE: dict[str, bool] = {}
 
 
+@pytest.fixture
+def quad_calls(monkeypatch):
+    """List that grows by one entry per ``quad`` call the library makes."""
+    from quadwg import gate, scattering, spectral
+
+    calls = []
+    for module in (spectral, scattering, gate):
+        def counted(*args, _quad=module.quad, _name=module.__name__, **kwargs):
+            calls.append(_name)
+            return _quad(*args, **kwargs)
+
+        monkeypatch.setattr(module, "quad", counted)
+    return calls
+
+
 def pytest_configure(config):
     config.addinivalue_line(
         "markers",

@@ -208,6 +208,25 @@ def test_underflowing_width_is_a_config_error(tmp_path, capsys, command,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["emit", "scatter"])
+def test_overflowing_envelope_density_is_a_config_error(tmp_path, capsys,
+                                                        command):
+    assert cli.run([command, "--set", "envelope_width=1e-160",
+                    "--outdir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "peak density overflows" in err
+    assert "Traceback" not in err
+
+
+def test_narrow_lorentzian_envelope_is_transparent(tmp_path, capsys):
+    out = run_ok(["scatter", "--outdir", str(tmp_path),
+                  "--set", "envelope=lorentzian",
+                  "--set", "envelope_width=1e-160",
+                  "--set", "n_omegabar=16", "--set", "n_delta=8"], capsys)
+    assert "R=0.0000 S=0.0000 T=1.0000 sum=1.000000" in out
+
+
 def test_numerical_failure_exits_2(tmp_path, capsys):
     # A difference profile centred far outside its window has zero norm:
     # the configuration parses, the computation fails.

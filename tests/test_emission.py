@@ -52,6 +52,24 @@ def test_emitted_amplitude_peak_value():
     assert abs(value) ** 2 == pytest.approx(target, rel=1e-12)
 
 
+def test_emitted_amplitude_keeps_its_bits():
+    # The amplitude as written before it shared the resonance kernel; the
+    # emission data files depend on every bit of it.
+    cpl = CouplingSpec(1.7, {DirectionPair.PP: 0.001, DirectionPair.PM: 0.0005,
+                             DirectionPair.MM: 0.002}, Envelope.lorentzian(0.02))
+    detune = cpl.total_rate * np.geomspace(1e-9, 1e3, 60)
+    ob = np.concatenate([cpl.omega0 - detune, [cpl.omega0],
+                         cpl.omega0 + detune])[:, None]
+    dd = np.linspace(0.0, 0.1, 7)[None, :]
+    line = 1.0 / (0.5 * cpl.total_rate - 1j * (ob - cpl.omega0))
+    for pair in DirectionPair:
+        ref = 1j * math.sqrt(cpl.rate(pair) / (2.0 * math.pi)) * line \
+            * np.conj(cpl.envelope(dd))
+        value = emitted_amplitude(cpl, pair, ob, dd)
+        assert np.array_equal(value, ref)
+        assert value.tobytes() == ref.tobytes()
+
+
 def test_emitted_amplitude_linewidth():
     cpl = coupling(1.0)
     peak = abs(emitted_amplitude(cpl, DirectionPair.PP, 1.0, 0.0)) ** 2

@@ -96,6 +96,19 @@ def test_mirror_bracket_is_unimodular(detuning):
     assert abs(value) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_mirror_bracket_keeps_its_bits():
+    # The bracket as written before it shared the resonance kernel; the gate
+    # data files depend on every bit of it.
+    detune = np.geomspace(1e-9, 1e3, 60)
+    for gamma in (GAMMA, np.float64(3.7e-3)):
+        omegabar = np.concatenate([OMEGA0 - gamma * detune, [OMEGA0],
+                                   OMEGA0 + gamma * detune])
+        ref = 1.0 - gamma / (gamma / 2.0 + 1j * (OMEGA0 - omegabar))
+        value = mirror_bracket(gamma, OMEGA0, omegabar)
+        assert np.array_equal(value, ref)
+        assert value.tobytes() == ref.tobytes()
+
+
 def test_mirror_reflection_is_pulse_times_bracket():
     pulse = PulseShape.gaussian(OMEGA0, 0.2)
     reflected = mirror_reflection(pulse, GAMMA)
@@ -163,6 +176,13 @@ def test_tabulated_pulse_matches_analytic_overlap():
         warnings.simplefilter("ignore")  # interp kinks upset the quad estimate
         overlap = gate_overlap(sampled, GAMMA)
     assert overlap == pytest.approx(gate_overlap(analytic, GAMMA), rel=1e-5)
+
+
+def test_gate_overlap_quadrature_count(quad_calls):
+    gate_overlap(PulseShape.gaussian(OMEGA0, 0.2), GAMMA)
+    # Per segment (window and two tails): one real pulse-mass integral and
+    # the real and imaginary parts of the overlap.
+    assert len(quad_calls) == 9
 
 
 def test_worst_case_reference_points():

@@ -210,6 +210,16 @@ def test_grid_and_semianalytic_paths_agree():
         assert pg.values[pair] == pytest.approx(pa.values[pair], abs=2e-4)
 
 
+def test_separable_scatter_integrates_each_quantity_once(quad_calls):
+    cpl = isotropic()
+    state = gaussian_biphoton(DirectionPair.PP, 1.0, 0.02)
+    assert len(quad_calls) == 2  # the two factor masses, kept by the state
+    quad_calls.clear()
+    channel_probabilities(scatter(cpl, state))
+    # Two for the complex envelope overlap, one for the line integral J.
+    assert len(quad_calls) == 3
+
+
 def test_scatter_rejects_zero_norm_input():
     f, window = gaussian_sum_spectrum(1.0, 0.02)
     h, hwindow = gaussian_difference_profile(0.02)

@@ -93,6 +93,17 @@ def test_tabulated_validation_errors():
         Envelope.gaussian(0.0)
 
 
+def test_envelope_peak_density_must_be_finite():
+    # Widths whose square is still positive but whose peak density is not.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidEnvelopeError, match="overflows"):
+            Envelope.gaussian(1e-160)
+        with pytest.raises(InvalidEnvelopeError, match="overflows"):
+            Envelope.lorentzian(2.5e-162)  # width^2 / 4 underflows
+        assert np.isfinite(Envelope.lorentzian(1e-160)(0.0))
+
+
 def test_envelope_fwhm_values():
     assert Envelope.gaussian(0.02).fwhm() == pytest.approx(
         0.04 * math.sqrt(2.0 * math.log(2.0)), rel=1e-12)
