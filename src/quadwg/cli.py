@@ -313,7 +313,7 @@ def _outpath(outdir: str, name: str) -> str:
     return os.path.join(outdir, name)
 
 
-def _cmd_emit(cfg, outdir) -> str:
+def _cmd_emit(cfg, outdir) -> tuple[str, int]:
     coupling = _coupling_from(cfg)
     grid = emission.default_emission_grid(
         coupling, _as_int(cfg, "n_omegabar"), _as_int(cfg, "n_delta"))
@@ -330,12 +330,11 @@ def _cmd_emit(cfg, outdir) -> str:
         "total_probability": _quantity(total, "dimensionless"),
         "spectrum_correlation": _quantity(corr, "dimensionless"),
     })
-    _write_sidecar(_outpath(outdir, stem + ".meta.json"), "emit", cfg)
     return (f"emit: total_rate={coupling.total_rate:g} "
-            f"P_total={total:.6f} correlation={corr:+.4f}")
+            f"P_total={total:.6f} correlation={corr:+.4f}"), 0
 
 
-def _cmd_scatter(cfg, outdir) -> str:
+def _cmd_scatter(cfg, outdir) -> tuple[str, int]:
     coupling = _coupling_from(cfg)
     channel = DirectionPair.from_string(cfg["channel"].strip())
     state = spectral.SeparableState(
@@ -361,10 +360,9 @@ def _cmd_scatter(cfg, outdir) -> str:
         "total": _quantity(probs.total, "probability"),
         "phase_note": result.phase_note,
     })
-    _write_sidecar(_outpath(outdir, stem + ".meta.json"), "scatter", cfg)
     return (f"scatter: total_rate={coupling.total_rate:g} "
             f"R={probs.reflection:.4f} S={probs.splitting:.4f} "
-            f"T={probs.transmission:.4f} sum={probs.total:.6f}")
+            f"T={probs.transmission:.4f} sum={probs.total:.6f}"), 0
 
 
 def _scatter_factors(cfg):
@@ -377,7 +375,7 @@ def _scatter_factors(cfg):
     return f, h, f_win, h_win
 
 
-def _cmd_sweep_reflection(cfg, outdir) -> str:
+def _cmd_sweep_reflection(cfg, outdir) -> tuple[str, int]:
     alpha = _as_float(cfg, "alpha")
     ratios = _as_floats(cfg, "ratios")
     rates = _as_floats(cfg, "rates")
@@ -398,12 +396,11 @@ def _cmd_sweep_reflection(cfg, outdir) -> str:
             "reflection": _quantity(refl, "probability"),
         } for rate, ratio, refl in best],
     })
-    _write_sidecar(_outpath(outdir, stem + ".meta.json"), "sweep-reflection", cfg)
     peak_txt = " ".join(f"{rate:g}:{refl:.4f}" for rate, _, refl in best)
-    return f"sweep-reflection: alpha={alpha:g} peak reflection {peak_txt}"
+    return f"sweep-reflection: alpha={alpha:g} peak reflection {peak_txt}", 0
 
 
-def _cmd_entangle(cfg, outdir) -> str:
+def _cmd_entangle(cfg, outdir) -> tuple[str, int]:
     omega0 = _as_float(cfg, "omega0")
     total = _as_float(cfg, "total_rate")
     widths = _as_floats(cfg, "width_ratios")
@@ -438,12 +435,12 @@ def _cmd_entangle(cfg, outdir) -> str:
             "bb": _quantity(state.c_bb, "dimensionless"),
         },
     })
-    _write_sidecar(_outpath(outdir, stem + ".meta.json"), "entangle", cfg)
     return (f"entangle: S={entropy:.4f} bits at width_ratio={pw:g} "
-            f"detuning_ratio={pd:g} F(psi-)={fid_psi:.4f} F(phi+)={fid_phi:.4f}")
+            f"detuning_ratio={pd:g} F(psi-)={fid_psi:.4f} "
+            f"F(phi+)={fid_phi:.4f}"), 0
 
 
-def _cmd_gate(cfg, outdir) -> str:
+def _cmd_gate(cfg, outdir) -> tuple[str, int]:
     shapes = [tok.strip() for tok in cfg["shapes"].split(",") if tok.strip()]
     ratios = _as_floats(cfg, "ratios")
     on_power = _as_bool(cfg, "fwhm_on_power")
@@ -470,13 +467,12 @@ def _cmd_gate(cfg, outdir) -> str:
         "report_ratio": _quantity(ref, "dimensionless"),
         "reports": reports,
     })
-    _write_sidecar(_outpath(outdir, stem + ".meta.json"), "gate", cfg)
     best = {shape: sweep.fidelity[i, -1] for i, shape in enumerate(shapes)}
     txt = " ".join(f"{s}:1-F={1 - f:.2e}" for s, f in best.items())
-    return f"gate: at gamma/fwhm={ratios[-1]:g} {txt}"
+    return f"gate: at gamma/fwhm={ratios[-1]:g} {txt}", 0
 
 
-def _cmd_verify(cfg, outdir) -> str:
+def _cmd_verify(cfg, outdir) -> tuple[str, int]:
     coupling = _coupling_from(cfg)
     width = _as_float(cfg, "input_width")
     tol = _as_float(cfg, "tolerance")
@@ -512,17 +508,9 @@ def _cmd_verify(cfg, outdir) -> str:
             float(np.max(np.abs(traj.norm_history - traj.input_norm)))
             / traj.input_norm, "dimensionless"),
     })
-    _write_sidecar(_outpath(outdir, stem + ".meta.json"), "verify", cfg)
-    status = "OK" if passed else "FAIL"
-    summary = (f"verify: {status} worst relative difference {worst:.4f} "
-               f"(tolerance {tol:g})")
-    if not passed:
-        raise _VerifyFailure(summary)
-    return summary
-
-
-class _VerifyFailure(RuntimeError):
-    pass
+    # A failed verification is a numerical failure: exit 2.
+    return (f"verify: {'OK' if passed else 'FAIL'} worst relative difference "
+            f"{worst:.4f} (tolerance {tol:g})"), (0 if passed else 2)
 
 
 # ValueError subclasses that report a computation gone wrong, not a bad
@@ -564,9 +552,6 @@ def _build_parser() -> _Parser:
                        help="override a configuration value")
         p.add_argument("--outdir", default=None,
                        help=f"output directory (default ${ENV_OUTDIR} or .)")
-        p.add_argument("--threads", type=int, default=None,
-                       help="ignored; sweeps run on one thread.  Accepted "
-                            "until the next release")
         p.add_argument("--print-defaults", action="store_true",
                        help="print an annotated config template and exit")
     return parser
@@ -587,10 +572,9 @@ def run(argv: Sequence[str] | None = None) -> int:
             return 1
         cfg = _read_config(args.config, args.command, args.set)
         outdir = args.outdir or os.environ.get(ENV_OUTDIR) or "."
-        summary = _HANDLERS[args.command](cfg, outdir)
-    except _VerifyFailure as exc:
-        print(str(exc))
-        return 2
+        summary, status = _HANDLERS[args.command](cfg, outdir)
+        _write_sidecar(_outpath(outdir, cfg["output_stem"] + ".meta.json"),
+                       args.command, cfg)
     except (RuntimeError, *_NUMERICAL_VALUE_ERRORS) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
@@ -598,7 +582,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(summary)
-    return 0
+    return status
 
 
 def main() -> None:

@@ -25,6 +25,7 @@ from .spectral import (
     DirectionPair,
     FrequencyGrid,
     GridState,
+    _envelope_reach,
     resonance_denominator,
 )
 
@@ -68,10 +69,8 @@ def default_emission_grid(coupling: CouplingSpec,
     deliberately tight so that window-defined quantities like the
     frequency correlation have a fixed, documented meaning.
     """
-    g = coupling.total_rate
-    env = coupling.envelope
-    span = 10.0 * env.width if env.width > 0 else float(env.deltas[-1])
-    return FrequencyGrid.regular(coupling.omega0, 10.0 * g, span,
+    return FrequencyGrid.regular(coupling.omega0, 10.0 * coupling.total_rate,
+                                 _envelope_reach(coupling.envelope),
                                  n_omegabar, n_delta)
 
 

@@ -25,8 +25,6 @@ from scipy.integrate import quad
 from .errors import InvalidStateError, UnsupportedConfigurationError
 from .spectral import (
     PAIRS,
-    QUAD_EPSABS,
-    QUAD_EPSREL,
     BiphotonState,
     CouplingSpec,
     DirectionPair,
@@ -36,6 +34,7 @@ from .spectral import (
     GridState,
     SeparableState,
     _check_delta_cover,
+    _quad_options,
     gaussian_biphoton,
     resonance_denominator,
 )
@@ -99,12 +98,10 @@ class ScatterOutput:
     """
 
     def __init__(self, coupling: CouplingSpec, input_state: BiphotonState,
-                 grid: FrequencyGrid | None,
                  grid_out: GridState | None = None,
                  analytic: _AnalyticScatter | None = None) -> None:
         self.coupling = coupling
         self.input_state = input_state
-        self.grid = grid
         self.phase_note = PHASE_NOTE
         self._grid_out = grid_out
         self._analytic = analytic
@@ -112,17 +109,12 @@ class ScatterOutput:
     @property
     def output(self) -> GridState:
         if self._grid_out is None:
-            grid = self.grid
-            if grid is None:
-                grid = FrequencyGrid.for_scattering(self.coupling)
-                self.grid = grid
-            self._grid_out = self.output_on(grid)
+            self._grid_out = self.output_on(
+                FrequencyGrid.for_scattering(self.coupling))
         return self._grid_out
 
     def output_on(self, grid: FrequencyGrid) -> GridState:
         """Materialize the outgoing state on an explicit grid."""
-        if self._grid_out is not None and self._grid_out.grid.same_axes(grid):
-            return self._grid_out
         if self._analytic is None:
             return self.output.on_grid(grid)
         ana = self._analytic
@@ -139,8 +131,7 @@ class ScatterOutput:
         return GridState(grid, data, validate=False)
 
 
-def scatter(coupling: CouplingSpec, state: BiphotonState,
-            grid: FrequencyGrid | None = None) -> ScatterOutput:
+def scatter(coupling: CouplingSpec, state: BiphotonState) -> ScatterOutput:
     """Apply the pair scattering map to an incoming state.
 
     Separable inputs are handled semi-analytically (one envelope overlap
@@ -157,23 +148,22 @@ def scatter(coupling: CouplingSpec, state: BiphotonState,
             else (state.channel, state.channel.swapped)
         w = sum(math.sqrt(coupling.rate(c)) for c in channels)
         ana = _AnalyticScatter(kappa, w, channels)
-        return ScatterOutput(coupling, state, grid, analytic=ana)
+        return ScatterOutput(coupling, state, analytic=ana)
     if isinstance(state, GridState):
-        g = state.grid if grid is None else grid
-        inp = state.on_grid(g)
-        if inp.norm_squared() < 1e-280:
+        g = state.grid
+        if state.norm_squared() < 1e-280:
             raise InvalidStateError("input state has zero norm")
         _check_delta_cover(coupling.envelope, float(g.delta[-1]))
         u = coupling.envelope(g.delta)
         roots = coupling.sqrt_rates()
         # Summed root-rate-weighted envelope overlaps of all channels.
-        q = g.integrate_delta(u[None, None, :] * inp.data)       # (4, No)
+        q = g.integrate_delta(u[None, None, :] * state.data)     # (4, No)
         drive = (roots[:, None] * q).sum(axis=0) \
             / resonance_denominator(coupling.total_rate, coupling.omega0,
                                     g.omegabar)                  # (No,)
-        out = inp.data - roots[:, None, None] * drive[None, :, None] \
+        out = state.data - roots[:, None, None] * drive[None, :, None] \
             * np.conj(u)[None, None, :]
-        return ScatterOutput(coupling, state, g,
+        return ScatterOutput(coupling, state,
                              grid_out=GridState(g, out, validate=False))
     raise TypeError("state must be SeparableState or GridState")
 
@@ -224,17 +214,15 @@ def channel_probabilities(result: ScatterOutput) -> ChannelProbabilities:
         gamma_total = coupling.total_rate
         # Each populated input channel holds an equal share of the norm.
         n_own = n_in / len(ana.in_channels)
-        center = 0.5 * (state.f_window[0] + state.f_window[1])
-        pts = [p for p in sorted({coupling.omega0, center})
-               if state.f_window[0] < p < state.f_window[1]]
+        lo, hi = state.f_window
+        center = 0.5 * (lo + hi)
 
         def integrand(ob):
             d = resonance_denominator(gamma_total, coupling.omega0, ob)
             return abs(state.f(ob)) ** 2 / (d.real ** 2 + d.imag ** 2)
 
-        J, _ = quad(integrand, state.f_window[0], state.f_window[1],
-                    points=pts or None,
-                    epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL, limit=400)
+        J, _ = quad(integrand, lo, hi, **_quad_options(
+            lo, hi, sorted({coupling.omega0, center})))
         k2 = abs(ana.kappa) ** 2
         w = ana.root_rate_in
         values: dict[DirectionPair, float] = {}

@@ -79,14 +79,6 @@ class DirectionPair(enum.Enum):
         return _PAIR_INDEX[self]
 
     @property
-    def first(self) -> str:
-        return self.value[0]
-
-    @property
-    def second(self) -> str:
-        return self.value[1]
-
-    @property
     def swapped(self) -> "DirectionPair":
         return DirectionPair(self.value[::-1])
 
@@ -206,7 +198,7 @@ class Envelope:
         if self.kind is EnvelopeKind.TABULATED:
             return 2.0 * float(np.trapezoid(np.abs(self.values) ** 2, self.deltas))
         val, _ = quad(lambda d: abs(self(d)) ** 2, 0.0, np.inf,
-                      epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL)
+                      **_quad_options(0.0, np.inf))
         return 2.0 * val
 
     def half_line_mass(self, delta_max: float) -> float:
@@ -217,6 +209,8 @@ class Envelope:
             return (2.0 / math.pi) * math.atan(2.0 * delta_max / self.width)
         d = self.deltas
         v = np.abs(self.values) ** 2
+        if delta_max <= d[0]:
+            return 0.0
         if delta_max >= d[-1]:
             return 1.0
         grid = np.linspace(d[0], delta_max, 4097)
@@ -347,12 +341,11 @@ class FrequencyGrid:
                        n_omegabar: int = 2048, n_delta: int = 1024,
                        halfwidth_rates: float = 20.0) -> "FrequencyGrid":
         """Default scattering window: 20 total rates around resonance, and a
-        difference axis spanning ten times the larger of the envelope width
-        and the input width."""
+        difference axis spanning the larger of ten input widths and the
+        envelope reach (ten widths of an analytic envelope, the last sample
+        of a tabulated one)."""
         g = coupling.total_rate
-        span = 10.0 * max(coupling.envelope.width, input_width)
-        if span <= 0:
-            span = 10.0 * coupling.envelope.deltas[-1]
+        span = max(_envelope_reach(coupling.envelope), 10.0 * input_width)
         return cls.regular(coupling.omega0, halfwidth_rates * g, span,
                            n_omegabar, n_delta)
 
@@ -467,9 +460,8 @@ class SeparableState(BiphotonState):
     @staticmethod
     def _factor_mass(fn, window) -> float:
         lo, hi = window
-        mid = 0.5 * (lo + hi)
-        val, _ = quad(lambda x: abs(fn(x)) ** 2, lo, hi, points=[mid],
-                      epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL, limit=200)
+        val, _ = quad(lambda x: abs(fn(x)) ** 2, lo, hi,
+                      **_quad_options(lo, hi, [0.5 * (lo + hi)]))
         return val
 
     def _factor_masses(self) -> tuple[float, float]:
@@ -637,6 +629,14 @@ def gaussian_biphoton(channel: DirectionPair, sum_center: float, sigma: float,
     f, fw = gaussian_sum_spectrum(sum_center, sigma)
     h, hw = gaussian_difference_profile(sigma, diff_center)
     return SeparableState(channel, f, h, fw, hw)
+
+
+def _envelope_reach(envelope: Envelope) -> float:
+    """Difference-frequency extent of a default grid: ten widths of an
+    analytic envelope, the last sample of a tabulated one."""
+    if envelope.kind is EnvelopeKind.TABULATED:
+        return float(envelope.deltas[-1])
+    return 10.0 * envelope.width
 
 
 def _check_delta_cover(envelope: Envelope, delta_max: float) -> None:

@@ -78,19 +78,15 @@ class TimeDomainConfig:
     """Grid, time span and step for one time-domain run.
 
     ``arrival_delay`` records the input-pulse delay baked into the initial
-    state by ``with_arrival_delay``; it is bookkeeping only.  The
-    integrator order is fixed at four.
+    state by ``with_arrival_delay``; it is bookkeeping only.
     """
 
     grid: FrequencyGrid
     t_span: tuple[float, float]
     dt: float
-    order: int = 4
     arrival_delay: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.order != 4:
-            raise ValueError("only the fourth-order integrator is provided")
         if not self.dt > 0:
             raise ValueError("dt must be positive")
         if not self.t_span[1] > self.t_span[0]:
@@ -271,10 +267,9 @@ def integrate(coupling: CouplingSpec,
 
     modes = dark * (dark_step ** steps)[None, :, None] \
         + bright_dir * bright[None, :, None]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        amplitudes = np.where(weight[None, :, :] > 0,
-                              modes / np.sqrt(weight)[None, :, :], 0.0)
-    final = GridState(grid, amplitudes, validate=False)
+    # Strictly increasing grid axes make every trapezoid weight positive.
+    final = GridState(grid, modes / np.sqrt(weight)[None, :, :],
+                      validate=False)
     return Trajectory(coupling, config, times, trace, final, norms, norm0)
 
 

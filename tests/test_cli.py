@@ -133,13 +133,13 @@ def test_config_error_paths(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error:")
 
 
-def test_sweep_reflection_thread_count_is_immaterial(tmp_path, capsys):
+def test_sweep_reflection_outputs_are_deterministic(tmp_path, capsys):
     args = ["--set", "ratios=0.5,1.0,2.0", "--set", "rates=0.004,0.02"]
-    out = run_ok(["sweep-reflection", "--outdir", str(tmp_path / "a"),
-                  "--threads", "1"] + args, capsys)
+    out = run_ok(["sweep-reflection", "--outdir", str(tmp_path / "a")]
+                 + args, capsys)
     assert out.startswith("sweep-reflection:")
-    run_ok(["sweep-reflection", "--outdir", str(tmp_path / "b"),
-            "--threads", "2"] + args, capsys)
+    run_ok(["sweep-reflection", "--outdir", str(tmp_path / "b")] + args,
+           capsys)
     for name in ("reflection_sweep.csv", "reflection_sweep.json"):
         assert (tmp_path / "a" / name).read_bytes() \
             == (tmp_path / "b" / name).read_bytes()
@@ -149,6 +149,50 @@ def test_sweep_reflection_thread_count_is_immaterial(tmp_path, capsys):
     payload = json.loads((tmp_path / "a" / "reflection_sweep.json").read_text())
     for peak in payload["peaks"]:
         assert peak["best_ratio"]["value"] == pytest.approx(1.0)
+
+
+def test_removed_threads_flag_is_rejected(tmp_path, capsys):
+    assert cli.run(["sweep-reflection", "--threads", "2",
+                    "--outdir", str(tmp_path)]) == 1
+    assert "--threads" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, override, message", [
+    ("emit", "n_omegabar=1.5",
+     "key 'n_omegabar': expected an integer, got '1.5'"),
+    ("sweep-reflection", "ratios=1,x",
+     "key 'ratios': expected comma-separated numbers"),
+    ("gate", "fwhm_on_power=maybe",
+     "key 'fwhm_on_power': expected a boolean, got 'maybe'"),
+])
+def test_typed_value_diagnostics(tmp_path, capsys, command, override,
+                                 message):
+    assert cli.run([command, "--set", override,
+                    "--outdir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_rates_mirror_and_four_values(tmp_path, capsys):
+    small = ["--set", "n_omegabar=16", "--set", "n_delta=8"]
+    # The mirror couples only ++ pairs: nothing is reflected or split.
+    out = run_ok(["scatter", "--outdir", str(tmp_path / "mirror"),
+                  "--set", "rates=mirror"] + small, capsys)
+    assert "R=0.0000 S=0.0000 T=1.0000 sum=1.000000" in out
+    meta = json.loads((tmp_path / "mirror" / "scatter.meta.json").read_text())
+    assert meta["config"]["rates"] == "mirror"
+
+    out = run_ok(["scatter", "--outdir", str(tmp_path / "four"),
+                  "--set", "rates=0.001,0.0015,0.0015,0.0005"] + small, capsys)
+    assert "total_rate=0.0045" in out
+    payload = json.loads((tmp_path / "four" / "scatter.json").read_text())
+    assert payload["total"]["value"] == pytest.approx(1.0, abs=1e-6)
+    assert payload["reflection"]["value"] > 0
+
+    assert cli.run(["scatter", "--outdir", str(tmp_path / "unequal"),
+                    "--set", "rates=0.001,0.002,0.0015,0.0005"] + small) == 1
+    err = capsys.readouterr().err
+    assert err == "error: cross-direction rates must be equal\n"
 
 
 def test_entangle_outputs(tmp_path, capsys):

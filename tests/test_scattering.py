@@ -1,6 +1,7 @@
 """Two-photon scattering amplitudes, probabilities, and bounds."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from quadwg import (
     FrequencyGrid,
     InvalidStateError,
     SeparableState,
+    TruncationWarning,
     UnsupportedConfigurationError,
     channel_probabilities,
     gaussian_biphoton,
@@ -208,6 +210,26 @@ def test_grid_and_semianalytic_paths_agree():
     pg = channel_probabilities(gridded)
     for pair in DirectionPair:
         assert pg.values[pair] == pytest.approx(pa.values[pair], abs=2e-4)
+
+
+def test_tabulated_envelope_grid_covers_its_samples():
+    # Samples on [0, 1] reach far past ten input widths: the default grid
+    # must span the sampled support, not 10 * input_width = 0.1.
+    deltas = np.linspace(0.0, 1.0, 201)
+    env = Envelope.tabulated(deltas, np.exp(-deltas ** 2 / (4 * 0.1 ** 2)))
+    cpl = CouplingSpec.isotropic(GAMMA, env)
+    state = gaussian_biphoton(DirectionPair.PP, 1.0, 0.01)
+    grid = FrequencyGrid.for_scattering(cpl, 0.01, 256, 128)
+    assert grid.delta[-1] == 1.0
+    # Without an input width the grid spans the samples, not ten times them.
+    assert FrequencyGrid.for_scattering(cpl, 0.0, 16, 8).delta[-1] == 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TruncationWarning)
+        gridded = channel_probabilities(scatter(cpl, state.on_grid(grid)))
+    separable = channel_probabilities(scatter(cpl, state))
+    for pair in DirectionPair:
+        assert gridded.values[pair] == pytest.approx(separable.values[pair],
+                                                     abs=2e-4)
 
 
 def test_separable_scatter_integrates_each_quantity_once(quad_calls):

@@ -78,6 +78,11 @@ def test_tabulated_renormalization():
     assert env.half_line_mass(1.0) == pytest.approx(1.0, rel=1e-13)
     # Linear interpolation, zero outside the sampled range.
     assert env(2.0) == 0.0
+    # Samples starting above zero keep no mass below the first sample.
+    late = Envelope.tabulated(np.linspace(0.2, 1.0, 5), np.ones(5))
+    assert late.half_line_mass(0.1) == 0.0
+    assert late.half_line_mass(0.2) == 0.0
+    assert late.half_line_mass(0.6) == pytest.approx(0.5, rel=1e-13)
 
 
 def test_tabulated_validation_errors():

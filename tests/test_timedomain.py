@@ -55,8 +55,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TimeDomainConfig(grid, (0.0, 1.0), 0.0)
     with pytest.raises(ValueError):
-        TimeDomainConfig(grid, (0.0, 1.0), 0.1, order=2)
-    with pytest.raises(ValueError):
         TimeDomainConfig.for_scattering(isotropic(0.02), 0.0)
 
 
