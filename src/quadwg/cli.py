@@ -256,13 +256,37 @@ def _write_joint_csv(path: str, grid: FrequencyGrid, data: np.ndarray,
     Python float powers raise on overflow where numpy scalars give
     ``inf``, so a chunk that overflows is formatted again from numpy
     scalars.
+
+    Each distinct channel block is formatted once.  A block that is
+    bitwise equal to one already written (isotropic emission, or the
+    unlit channels of a scatter) is copied back out of the file chunk by
+    chunk, with only the channel label swapped.  Equality is taken on the
+    raw bits, not on complex values: ``-0.0 == 0.0`` but the two format
+    differently, and ``nan != nan`` though both format alike.
     """
     delta = grid.delta
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("omega,omega_prime,channel,abs2,re,im\n")
+    bits = np.ascontiguousarray(data).view(np.uint64)
+    spans = {}  # formatted pair -> (byte offset, size) of each chunk
+    with open(path, "w+b") as fh:
+        fh.write(b"omega,omega_prime,channel,abs2,re,im\n")
         for pair in spectral.PAIRS:
+            source = next((done for done in spans if np.array_equal(
+                bits[done.index], bits[pair.index])), None)
+            if source is not None:
+                # The label field is the only one made of two sign
+                # characters: a %.12g field always holds a digit, "inf"
+                # or "nan", so the swap cannot touch a number.
+                old = f",{source.value},".encode()
+                new = f",{pair.value},".encode()
+                for offset, size in spans[source]:
+                    fh.seek(offset)
+                    text = fh.read(size)
+                    fh.seek(0, os.SEEK_END)
+                    fh.write(text.replace(old, new))
+                continue
             template = "%.12g,%.12g," + pair.value + ",%.12g,%.12g,%.12g\n"
             block = data[pair.index]
+            spans[pair] = []
             for start in range(0, grid.omegabar.size, _JOINT_CHUNK_ROWS):
                 rows = slice(start, start + _JOINT_CHUNK_ROWS)
                 ob = grid.omegabar[rows, None]
@@ -274,7 +298,9 @@ def _write_joint_csv(path: str, grid: FrequencyGrid, data: np.ndarray,
                 except OverflowError:
                     with np.errstate(over="ignore"):
                         text = _joint_lines(template, w1, w2, amps)
-                fh.write(text)
+                raw = text.encode()
+                spans[pair].append((fh.tell(), len(raw)))
+                fh.write(raw)
 
 
 def _write_rows_csv(path: str, header: Sequence[str],

@@ -366,9 +366,53 @@ def _special_values_case():
     return grid, data, 0.5
 
 
-@pytest.mark.parametrize("case", [
+def _anisotropic_gaussian_case():
+    # Only the cross channels are equal; the zero-rate -- block is not
+    # equal to them.  67 rows: copies span two write chunks.
+    coupling = CouplingSpec(1.0, {
+        DirectionPair.PP: 0.003, DirectionPair.PM: 0.0005,
+        DirectionPair.MP: 0.0005, DirectionPair.MM: 0.0},
+        Envelope.gaussian(0.02))
+    grid = emission.default_emission_grid(coupling, 67, 24)
+    return grid, emission.joint_spectrum(coupling, grid).data, 1.0
+
+
+def _isotropic_scatter_case():
+    # The default scatter configuration: the three channels the input
+    # does not occupy are equal, so three of four blocks are.
+    coupling = CouplingSpec.isotropic(0.004, Envelope.gaussian(0.02))
+    state = spectral.gaussian_biphoton(DirectionPair.PP, 1.0, 0.02)
+    grid = FrequencyGrid.for_scattering(coupling, 0.02, 67, 16)
+    out = scattering.scatter(coupling, state).output_on(grid)
+    return grid, out.data, 1.0
+
+
+def _repeated_specials_case():
+    # The special values on every sum row of two write chunks, with ++
+    # repeated as -+ and +- as --: rows whose abs2 overflows, and nan
+    # and inf rows, are copied rather than formatted.
+    _, data, _ = _special_values_case()
+    grid = FrequencyGrid.regular(0.5, 0.5, 1.5, 67, 16)
+    block = np.resize(data[0], (67, 16))
+    return grid, np.stack([block, -block, block, -block]), 0.5
+
+
+def _signed_zero_case():
+    # +- differs from ++ only in the sign of its zero imaginary parts:
+    # equal as complex numbers, yet "0" and "-0" in the file.
+    grid = FrequencyGrid(np.array([0.5, 1.0, 1.5]), np.array([0.0, 0.25]))
+    block = np.array([[0.0, 1.5], [-0.25, 2.0], [3.0, 0.0]], dtype=complex)
+    assert np.array_equal(block, np.conj(block))
+    return grid, np.stack([block, np.conj(block), block, np.conj(block)]), 1.0
+
+
+_JOINT_CASES = [
     _emission_case, _anisotropic_lorentzian_case, _scatter_case,
-    _special_values_case])
+    _special_values_case, _anisotropic_gaussian_case, _isotropic_scatter_case,
+    _repeated_specials_case, _signed_zero_case]
+
+
+@pytest.mark.parametrize("case", _JOINT_CASES)
 def test_joint_csv_matches_row_by_row_writer(tmp_path, case):
     grid, data, omega0 = case()
     expected, actual = tmp_path / "expected.csv", tmp_path / "actual.csv"
@@ -389,3 +433,27 @@ def test_joint_csv_writes_overflowing_abs2_as_inf(tmp_path):
     assert rows[8] == "1,1,++,inf,0,-1e+200"
     assert rows[9] == "0.5,1.5,++,inf,1e+154,1e+154"
     assert rows[16 + 7] == "-1.5,1.5,+-,inf,-1e+200,-0"
+
+
+# distinct: channel blocks that differ bitwise from every earlier block.
+@pytest.mark.parametrize("case, distinct", [
+    (_emission_case, 1), (_anisotropic_lorentzian_case, 3),
+    (_scatter_case, 2), (_special_values_case, 2),
+    (_anisotropic_gaussian_case, 3), (_isotropic_scatter_case, 2),
+    (_repeated_specials_case, 2), (_signed_zero_case, 2)])
+def test_joint_csv_formats_each_distinct_block_once(tmp_path, monkeypatch,
+                                                     case, distinct):
+    # Isotropic emission formats 67 * 24 rows, not 4 * 67 * 24; the other
+    # blocks are copied from the file.
+    grid, data, omega0 = case()
+    formatted = []
+    joint_lines = cli._joint_lines
+
+    def counted(template, w1, w2, amps):
+        text = joint_lines(template, w1, w2, amps)
+        formatted.append(len(w1))
+        return text
+
+    monkeypatch.setattr(cli, "_joint_lines", counted)
+    cli._write_joint_csv(tmp_path / "joint.csv", grid, data, omega0)
+    assert sum(formatted) == distinct * data[0].size

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.integrate import quad
 from scipy.special import erfcx
 
 from quadwg import (
@@ -230,6 +231,30 @@ def test_tabulated_envelope_grid_covers_its_samples():
     for pair in DirectionPair:
         assert gridded.values[pair] == pytest.approx(separable.values[pair],
                                                      abs=2e-4)
+
+
+def test_tabulated_envelope_mass_is_that_of_its_interpolant():
+    # Unequal spacing and a complex sample: the trapezoid of |samples|^2
+    # misses the mass of the linear interpolant by about 10%.
+    deltas = [0.0, 0.01, 0.03, 0.06, 0.1]
+    env = Envelope.tabulated(deltas, [0.3, 1.0, 0.7 + 0.2j, 0.2, 0.0])
+    pieces = [quad(lambda d: abs(env(d)) ** 2, a, b, epsabs=1e-14,
+                   epsrel=1e-13)[0] for a, b in zip(deltas[:-1], deltas[1:])]
+    assert math.fsum(pieces) == pytest.approx(1.0, abs=1e-12)
+    assert env.squared_norm() == pytest.approx(2.0, abs=1e-12)
+    partial = math.fsum(pieces[:2]) + quad(
+        lambda d: abs(env(d)) ** 2, 0.03, 0.045, epsabs=1e-14)[0]
+    assert env.half_line_mass(0.045) == pytest.approx(partial, abs=1e-12)
+    # The separable formula assumes unit mass; a fine grid of the same
+    # state measures the mass the interpolant actually carries.
+    cpl = CouplingSpec.isotropic(GAMMA, env)
+    state = gaussian_biphoton(DirectionPair.PP, 1.0, 5e-4)
+    separable = channel_probabilities(scatter(cpl, state))
+    grid = FrequencyGrid.for_scattering(cpl, 5e-4, 512, 2048)
+    gridded = channel_probabilities(scatter(cpl, state.on_grid(grid)))
+    assert gridded.reflection == pytest.approx(separable.reflection,
+                                               rel=1e-3)
+    assert gridded.total == pytest.approx(1.0, abs=1e-6)
 
 
 def test_separable_scatter_integrates_each_quantity_once(quad_calls):
