@@ -196,9 +196,17 @@ def _as_bool(cfg, key) -> bool:
     raise ConfigError(f"key '{key}': expected a boolean, got {cfg[key]!r}")
 
 
+def _as_list(cfg, key) -> list[str]:
+    items = [tok.strip() for tok in cfg[key].split(",") if tok.strip()]
+    if not items:
+        raise ConfigError(f"key '{key}': expected at least one value")
+    return items
+
+
 def _as_floats(cfg, key) -> list[float]:
+    items = _as_list(cfg, key)
     try:
-        return [float(tok) for tok in cfg[key].split(",") if tok.strip()]
+        return [float(tok) for tok in items]
     except ValueError:
         raise ConfigError(f"key '{key}': expected comma-separated numbers") \
             from None
@@ -467,7 +475,7 @@ def _cmd_entangle(cfg, outdir) -> tuple[str, int]:
 
 
 def _cmd_gate(cfg, outdir) -> tuple[str, int]:
-    shapes = [tok.strip() for tok in cfg["shapes"].split(",") if tok.strip()]
+    shapes = _as_list(cfg, "shapes")
     ratios = _as_floats(cfg, "ratios")
     on_power = _as_bool(cfg, "fwhm_on_power")
     sweep = gate.infidelity_sweep(ratios, shapes, fwhm_on_power=on_power)

@@ -25,7 +25,6 @@ from scipy.integrate import quad
 from .errors import InvalidStateError, UnsupportedConfigurationError
 from .spectral import (
     PAIRS,
-    BiphotonState,
     CouplingSpec,
     DirectionPair,
     Envelope,
@@ -75,36 +74,30 @@ def transfer_coefficient(coupling: CouplingSpec, out_pair: DirectionPair,
     return delta + scattering_amplitude(coupling, out_pair, in_pair, omegabar)
 
 
-@dataclass
-class _AnalyticScatter:
-    """Semi-analytic record of a separable-input scattering event.
-
-    The scattered piece of channel ``mu`` is
-    ``- sqrt(rate(mu)) * w * kappa * f(obar) * conj(u)(delta) / denom(obar)``
-    with ``w`` the summed root rate of the populated input channels and
-    ``kappa`` the scaled envelope overlap of the input difference factor.
-    """
-
-    kappa: complex
-    root_rate_in: float
-    in_channels: tuple[DirectionPair, ...]
-
-
 class ScatterOutput:
     """Result wrapper holding the outgoing state and bookkeeping.
 
     ``output`` materializes the outgoing ``GridState`` (lazily for separable
     inputs).  ``phase_note`` records the dropped propagation phase.
+
+    A separable input stays semi-analytic: the scattered piece of channel
+    ``mu`` is
+    ``- sqrt(rate(mu)) * w * kappa * f(obar) * conj(u)(delta) / denom(obar)``
+    with ``w`` the summed root rate of the populated input channels and
+    ``kappa`` the scaled envelope overlap of the input difference factor.
     """
 
-    def __init__(self, coupling: CouplingSpec, input_state: BiphotonState,
-                 grid_out: GridState | None = None,
-                 analytic: _AnalyticScatter | None = None) -> None:
+    def __init__(self, coupling: CouplingSpec,
+                 input_state: SeparableState | GridState,
+                 grid_out: GridState | None = None) -> None:
         self.coupling = coupling
         self.input_state = input_state
         self.phase_note = PHASE_NOTE
         self._grid_out = grid_out
-        self._analytic = analytic
+        if isinstance(input_state, SeparableState):
+            self._kappa = input_state.overlap_with_envelope(coupling.envelope)
+            self._w = sum(math.sqrt(coupling.rate(c))
+                          for c in input_state.channels)
 
     @property
     def output(self) -> GridState:
@@ -115,13 +108,12 @@ class ScatterOutput:
 
     def output_on(self, grid: FrequencyGrid) -> GridState:
         """Materialize the outgoing state on an explicit grid."""
-        if self._analytic is None:
-            return self.output.on_grid(grid)
-        ana = self._analytic
         state = self.input_state
-        data = state.on_grid(grid).data.copy()
+        if not isinstance(state, SeparableState):
+            return self.output.on_grid(grid)
+        data = state.on_grid(grid).data
         u = self.coupling.envelope(grid.delta)
-        drive = ana.kappa * ana.root_rate_in \
+        drive = self._kappa * self._w \
             * np.asarray(state.f(grid.omegabar), dtype=complex) \
             / resonance_denominator(self.coupling.total_rate,
                                     self.coupling.omega0, grid.omegabar)
@@ -131,7 +123,8 @@ class ScatterOutput:
         return GridState(grid, data, validate=False)
 
 
-def scatter(coupling: CouplingSpec, state: BiphotonState) -> ScatterOutput:
+def scatter(coupling: CouplingSpec,
+            state: SeparableState | GridState) -> ScatterOutput:
     """Apply the pair scattering map to an incoming state.
 
     Separable inputs are handled semi-analytically (one envelope overlap
@@ -143,12 +136,7 @@ def scatter(coupling: CouplingSpec, state: BiphotonState) -> ScatterOutput:
     if isinstance(state, SeparableState):
         if state.norm_squared() < 1e-280:
             raise InvalidStateError("input state has zero norm")
-        kappa = state.overlap_with_envelope(coupling.envelope)
-        channels = (state.channel,) if state.channel.swapped is state.channel \
-            else (state.channel, state.channel.swapped)
-        w = sum(math.sqrt(coupling.rate(c)) for c in channels)
-        ana = _AnalyticScatter(kappa, w, channels)
-        return ScatterOutput(coupling, state, analytic=ana)
+        return ScatterOutput(coupling, state)
     if isinstance(state, GridState):
         g = state.grid
         if state.norm_squared() < 1e-280:
@@ -205,15 +193,14 @@ def channel_probabilities(result: ScatterOutput) -> ChannelProbabilities:
     bit-identical.
     """
     coupling = result.coupling
-    n_in = result.input_state.norm_squared()
+    state = result.input_state
+    n_in = state.norm_squared()
     if n_in <= 0:
         raise InvalidStateError("input state has zero norm")
-    if result._analytic is not None:
-        ana = result._analytic
-        state = result.input_state
+    if isinstance(state, SeparableState):
         gamma_total = coupling.total_rate
         # Each populated input channel holds an equal share of the norm.
-        n_own = n_in / len(ana.in_channels)
+        n_own = n_in / len(state.channels)
         lo, hi = state.f_window
         center = 0.5 * (lo + hi)
 
@@ -223,13 +210,13 @@ def channel_probabilities(result: ScatterOutput) -> ChannelProbabilities:
 
         J, _ = quad(integrand, lo, hi, **_quad_options(
             lo, hi, sorted({coupling.omega0, center})))
-        k2 = abs(ana.kappa) ** 2
-        w = ana.root_rate_in
+        k2 = abs(result._kappa) ** 2
+        w = result._w
         values: dict[DirectionPair, float] = {}
         for pair in PAIRS:
             rate = coupling.rate(pair)
             norm = rate * w * w * k2 * J
-            if pair in ana.in_channels:
+            if pair in state.channels:
                 norm += n_own - math.sqrt(rate) * w * k2 * gamma_total * J
             values[pair] = norm / n_in
         return ChannelProbabilities(values)

@@ -48,7 +48,6 @@ __all__ = [
     "Envelope",
     "CouplingSpec",
     "FrequencyGrid",
-    "BiphotonState",
     "SeparableState",
     "GridState",
     "gaussian_sum_spectrum",
@@ -161,6 +160,9 @@ class Envelope:
             object.__setattr__(self, "deltas", d)
             object.__setattr__(self, "values", v / math.sqrt(mass))
         else:
+            if not math.isfinite(self.width):
+                raise InvalidEnvelopeError(
+                    f"envelope width must be finite, got {self.width!r}")
             if not self.width > 0:
                 raise InvalidEnvelopeError("envelope width must be positive")
             if self.width * self.width == 0.0:
@@ -231,26 +233,34 @@ class Envelope:
             return 2.0 * self.width * math.sqrt(2.0 * math.log(2.0))
         if self.kind is EnvelopeKind.LORENTZIAN:
             return self.width
+        # |u|^2 of the linear interpolant is a convex quadratic on each
+        # segment, so its peak sits at a sample and each segment crosses
+        # half the peak at most once on the way down.
         v = np.abs(self.values) ** 2
-        peak = float(v.max())
-        half = peak / 2.0
-        below = np.nonzero(v < half)[0]
+        k = int(np.argmax(v))
+        half = float(v[k]) / 2.0
+        below = np.nonzero(v[k:] < half)[0]
         if below.size == 0:
             return 2.0 * float(self.deltas[-1])
-        j = below[0]
-        if j == 0:
-            return 0.0
-        d0, d1 = self.deltas[j - 1], self.deltas[j]
-        v0, v1 = v[j - 1], v[j]
-        cross = d0 + (v0 - half) / (v0 - v1) * (d1 - d0)
-        return 2.0 * float(cross)
+        j = k + int(below[0])
+        a = complex(self.values[j - 1])
+        c = complex(self.values[j]) - a
+        # Smaller root of |c|^2 t^2 + 2 Re(a conj c) t + |a|^2 - half on
+        # [0, 1), written without cancellation: the linear term is negative.
+        qa = abs(c) ** 2
+        qb = 2.0 * (a * c.conjugate()).real
+        qc = abs(a) ** 2 - half
+        t = 2.0 * qc / (-qb + math.sqrt(qb * qb - 4.0 * qa * qc))
+        d0, d1 = float(self.deltas[j - 1]), float(self.deltas[j])
+        return 2.0 * (d0 + t * (d1 - d0))
 
 
 @dataclass(frozen=True)
 class CouplingSpec:
     """Emitter frequency, directional pair rates, and shared envelope.
 
-    ``rates`` maps each ordered direction pair to its nonnegative emission
+    ``rates`` maps each ordered direction pair (a ``DirectionPair`` or its
+    string value such as ``"++"``) to its finite, nonnegative emission
     rate; the two cross pairs must carry equal rates.  The total rate is the
     plain sum of the four entries.  A warning is issued when the total rate
     exceeds 5 percent of the emitter frequency, where the flat-band treatment
@@ -262,9 +272,19 @@ class CouplingSpec:
     envelope: Envelope
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.omega0):
+            raise ValueError(f"omega0 must be finite, got {self.omega0!r}")
         if not self.omega0 > 0:
             raise ValueError("emitter frequency must be positive")
-        table = dict(self.rates)
+        table: dict[DirectionPair, float] = {}
+        for key, value in self.rates.items():
+            pair = DirectionPair(key)
+            if pair in table:
+                raise ValueError(f"rates[{pair.value!r}] is given twice")
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"rates[{pair.value!r}] must be finite, got {value!r}")
+            table[pair] = value
         pm = table.get(DirectionPair.PM)
         mp = table.get(DirectionPair.MP)
         if pm is None and mp is not None:
@@ -415,28 +435,17 @@ def _complex_quad(fn: Callable[[float], complex], a: float, b: float,
     return re + 1j * im
 
 
-class BiphotonState:
-    """Common interface of separable and grid pair states."""
-
-    def norm_squared(self) -> float:
-        raise NotImplementedError
-
-    def amplitude(self, pair: DirectionPair, omegabar, delta) -> np.ndarray:
-        raise NotImplementedError
-
-    def on_grid(self, grid: FrequencyGrid) -> "GridState":
-        raise NotImplementedError
-
-
 @dataclass
-class SeparableState(BiphotonState):
-    """Single-channel product state ``C(obar, delta) = f(obar) h(delta)``.
+class SeparableState:
+    """Product state ``C(obar, delta) = scale * f(obar) h(delta)``.
 
     ``f`` and ``h`` are vectorized callables; ``h`` lives on the half line
     ``delta >= 0``.  ``f_window`` and ``h_window`` are finite intervals that
     contain essentially all of the respective mass and serve as quadrature
-    windows.  With ``normalize=True`` the factors are rescaled at
-    construction so that ``Int |f|^2 = 1`` and ``Int_0^inf |h|^2 = 1``.
+    windows.  The amplitude fills ``channels``: ``channel`` itself and, for
+    a cross pair, its swapped twin.  With ``scale=None`` the scale is chosen
+    at construction so that the state has unit norm; a given ``scale`` is
+    used as is.
     """
 
     channel: DirectionPair
@@ -444,8 +453,7 @@ class SeparableState(BiphotonState):
     h: Callable[[np.ndarray], np.ndarray]
     f_window: tuple[float, float]
     h_window: tuple[float, float]
-    normalize: bool = True
-    _scale: complex = field(default=1.0 + 0.0j, repr=False)
+    scale: complex | None = None
     # (Int |f|^2, Int |h|^2) of the unscaled factors, filled on first use;
     # valid because f, h and the windows are never reassigned.
     _masses: tuple[float, float] | None = field(
@@ -454,16 +462,18 @@ class SeparableState(BiphotonState):
     def __post_init__(self) -> None:
         lo, hi = self.h_window
         self.h_window = (max(0.0, lo), hi)
-        if self.normalize:
+        if self.scale is None:
             nf, nh = self._factor_masses()
             if nf <= 0 or nh <= 0:
                 raise InvalidStateError("separable state has zero norm")
-            self._scale = 1.0 / math.sqrt(nf * nh * self.channel_count)
+            self.scale = 1.0 / math.sqrt(nf * nh * len(self.channels))
 
     @property
-    def channel_count(self) -> int:
-        """Populated channel tables: 1 on ++ or --, 2 on the cross pair."""
-        return 1 if self.channel.swapped is self.channel else 2
+    def channels(self) -> tuple[DirectionPair, ...]:
+        """Populated channels: ++ or -- alone, a cross pair with its twin."""
+        swapped = self.channel.swapped
+        return (self.channel,) if swapped is self.channel \
+            else (self.channel, swapped)
 
     @staticmethod
     def _factor_mass(fn, window) -> float:
@@ -480,24 +490,25 @@ class SeparableState(BiphotonState):
 
     def norm_squared(self) -> float:
         nf, nh = self._factor_masses()
-        return abs(self._scale) ** 2 * nf * nh * self.channel_count
+        return abs(self.scale) ** 2 * nf * nh * len(self.channels)
 
     def amplitude(self, pair: DirectionPair, omegabar, delta) -> np.ndarray:
         omegabar = np.asarray(omegabar, dtype=float)
         delta = np.asarray(delta, dtype=float)
-        out = self._scale * np.asarray(self.f(omegabar), dtype=complex) \
+        out = self.scale * np.asarray(self.f(omegabar), dtype=complex) \
             * np.asarray(self.h(delta), dtype=complex)
-        # Exchange symmetry in the half-plane representation: the swapped
-        # channel carries the same amplitude; other channels are empty.
-        if pair is not self.channel and pair is not self.channel.swapped:
+        if pair not in self.channels:
             return np.zeros_like(out)
         return out
 
     def on_grid(self, grid: FrequencyGrid) -> "GridState":
-        fvals = self._scale * np.asarray(self.f(grid.omegabar), dtype=complex)
+        fvals = self.scale * np.asarray(self.f(grid.omegabar), dtype=complex)
         hvals = np.asarray(self.h(grid.delta), dtype=complex)
-        return GridState.from_channel(grid, self.channel,
-                                      fvals[:, None] * hvals[None, :])
+        values = fvals[:, None] * hvals[None, :]
+        data = np.zeros((4,) + values.shape, dtype=complex)
+        for pair in self.channels:
+            data[pair.index] = values
+        return GridState(grid, data, validate=False)
 
     def overlap_with_envelope(self, envelope: Envelope) -> complex:
         """Half-line overlap ``Int_0^inf u(delta) C_h(delta) d delta`` where
@@ -509,11 +520,11 @@ class SeparableState(BiphotonState):
             return 0.0 + 0.0j
         mid = 0.5 * (lo + hi)
         val = _complex_quad(lambda d: envelope(d) * self.h(d), lo, hi, points=[mid])
-        return self._scale * val
+        return self.scale * val
 
 
 @dataclass
-class GridState(BiphotonState):
+class GridState:
     """Grid state holding all four channel amplitude tables.
 
     ``data`` has shape ``(4, n_omegabar, n_delta)`` indexed by
@@ -539,15 +550,6 @@ class GridState(BiphotonState):
                 raise InvalidStateError(
                     "cross channels must agree in the half-plane representation"
                 )
-
-    @classmethod
-    def from_channel(cls, grid: FrequencyGrid, pair: DirectionPair,
-                     values: np.ndarray) -> "GridState":
-        data = np.zeros((4, grid.omegabar.size, grid.delta.size), dtype=complex)
-        data[pair.index] = values
-        if pair.swapped is not pair:
-            data[pair.swapped.index] = values
-        return cls(grid, data, validate=False)
 
     def channel(self, pair: DirectionPair) -> np.ndarray:
         return self.data[pair.index]
@@ -658,7 +660,7 @@ def _check_delta_cover(envelope: Envelope, delta_max: float) -> None:
         )
 
 
-def project_on_envelope(state: BiphotonState, envelope: Envelope,
+def project_on_envelope(state: SeparableState | GridState, envelope: Envelope,
                         pair: DirectionPair, omegabar=None):
     """Envelope overlap ``p(obar) = Int_0^inf u(delta) C(obar, delta) d delta``.
 
@@ -668,8 +670,8 @@ def project_on_envelope(state: BiphotonState, envelope: Envelope,
     along the stored difference axis and returned on the grid's sum axis.
     """
     if isinstance(state, SeparableState):
-        kappa = state.overlap_with_envelope(envelope) if pair in (
-            state.channel, state.channel.swapped) else 0.0
+        kappa = state.overlap_with_envelope(envelope) \
+            if pair in state.channels else 0.0
 
         def p(ob):
             return kappa * np.asarray(state.f(ob), dtype=complex)
@@ -684,7 +686,7 @@ def project_on_envelope(state: BiphotonState, envelope: Envelope,
     raise TypeError("state must be SeparableState or GridState")
 
 
-def decompose(state: BiphotonState, envelope: Envelope):
+def decompose(state: SeparableState | GridState, envelope: Envelope):
     """Split a state into envelope-parallel and orthogonal parts.
 
     The parallel part of each channel is ``conj(u)(delta) p(obar)`` with
@@ -699,8 +701,7 @@ def decompose(state: BiphotonState, envelope: Envelope):
         # the split orthogonal under the windowed inner product even for
         # slowly decaying envelopes whose tails the window cuts.
         kappa = state.overlap_with_envelope(envelope)
-        scale = state._scale
-        lo, hi = state.h_window
+        hi = state.h_window[1]
         if envelope.kind is not EnvelopeKind.TABULATED:
             hi = max(hi, 12.0 * envelope.width)
         mass = envelope.half_line_mass(hi)
@@ -709,16 +710,15 @@ def decompose(state: BiphotonState, envelope: Envelope):
         def h_par(delta):
             return np.conj(envelope(delta))
 
-        def h_orth(delta, _h=state.h, _k=coeff, _s=scale):
+        def h_orth(delta, _h=state.h, _k=coeff, _s=state.scale):
             return _s * np.asarray(_h(delta), dtype=complex) \
                 - _k * np.conj(envelope(delta))
 
         parallel = SeparableState(state.channel, state.f, h_par,
-                                  state.f_window, (0.0, hi), normalize=False)
+                                  state.f_window, (0.0, hi), scale=coeff)
         orthogonal = SeparableState(state.channel, state.f, h_orth,
-                                    state.f_window, (0.0, hi), normalize=False)
-        parallel._scale = coeff
-        orthogonal._scale = 1.0 + 0.0j
+                                    state.f_window, (0.0, hi),
+                                    scale=1.0 + 0.0j)
         return parallel, orthogonal
     if isinstance(state, GridState):
         _check_delta_cover(envelope, float(state.grid.delta[-1]))

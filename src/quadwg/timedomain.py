@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -46,7 +45,6 @@ from .errors import IntegrationFailureError, NotAsymptoticError
 from .scattering import ChannelProbabilities
 from .spectral import (
     PAIRS,
-    BiphotonState,
     CouplingSpec,
     FrequencyGrid,
     GridState,
@@ -148,10 +146,8 @@ def with_arrival_delay(state: SeparableState, omega0: float,
         return np.asarray(_f(ob), dtype=complex) \
             * np.exp(1j * (ob - omega0) * delay)
 
-    out = SeparableState(state.channel, delayed_f, state.h,
-                         state.f_window, state.h_window, normalize=False)
-    out._scale = state._scale
-    return out
+    return SeparableState(state.channel, delayed_f, state.h,
+                          state.f_window, state.h_window, scale=state.scale)
 
 
 @dataclass
@@ -194,7 +190,7 @@ def _mode_setup(coupling: CouplingSpec, grid: FrequencyGrid):
 
 
 def integrate(coupling: CouplingSpec,
-              initial: Union[ExcitedEmitter, BiphotonState],
+              initial: ExcitedEmitter | SeparableState | GridState,
               config: TimeDomainConfig) -> Trajectory:
     """Evolve emitter and field amplitudes over ``config.t_span``.
 
@@ -214,7 +210,7 @@ def integrate(coupling: CouplingSpec,
     if isinstance(initial, ExcitedEmitter):
         emitter = 1.0 + 0.0j
         modes = np.zeros_like(g)
-    elif isinstance(initial, BiphotonState):
+    elif isinstance(initial, (SeparableState, GridState)):
         emitter = 0.0 + 0.0j
         modes = initial.on_grid(grid).data * np.sqrt(weight)[None, :, :]
         modes *= allowed[None, :, :]

@@ -165,6 +165,19 @@ def test_removed_threads_flag_is_rejected(tmp_path, capsys):
      "key 'ratios': expected comma-separated numbers"),
     ("gate", "fwhm_on_power=maybe",
      "key 'fwhm_on_power': expected a boolean, got 'maybe'"),
+    ("gate", "ratios=", "key 'ratios': expected at least one value"),
+    ("sweep-reflection", "ratios=",
+     "key 'ratios': expected at least one value"),
+    ("sweep-reflection", "rates=", "key 'rates': expected at least one value"),
+    ("gate", "shapes=", "key 'shapes': expected at least one value"),
+    ("entangle", "width_ratios=",
+     "key 'width_ratios': expected at least one value"),
+    ("scatter", "total_rate=inf", "rates['++'] must be finite, got inf"),
+    ("scatter", "omega0=inf", "omega0 must be finite, got inf"),
+    ("scatter", "rates=0.001,0.0015,0.0015,inf",
+     "rates['--'] must be finite, got inf"),
+    ("scatter", "envelope_width=inf", "envelope width must be finite, got inf"),
+    ("emit", "total_rate=nan", "rates['++'] must be finite, got nan"),
 ])
 def test_typed_value_diagnostics(tmp_path, capsys, command, override,
                                  message):

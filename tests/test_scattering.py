@@ -271,7 +271,7 @@ def test_scatter_rejects_zero_norm_input():
     f, window = gaussian_sum_spectrum(1.0, 0.02)
     h, hwindow = gaussian_difference_profile(0.02)
     empty = SeparableState(DirectionPair.PP, lambda x: 0.0 * x, h,
-                           window, hwindow, normalize=False)
+                           window, hwindow, scale=1.0)
     with pytest.raises(InvalidStateError):
         scatter(isotropic(), empty)
 

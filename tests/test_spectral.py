@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.optimize import brentq
 
 from quadwg import (
     CouplingSpec,
@@ -117,6 +118,14 @@ def test_envelope_fwhm_values():
     tri = Envelope.tabulated(np.linspace(0.0, 1.0, 4001),
                              1.0 - np.linspace(0.0, 1.0, 4001))
     assert tri.fwhm() == pytest.approx(2.0 * (1.0 - 2.0 ** -0.5), rel=1e-3)
+    # First sample below half the peak, but before it: the width comes from
+    # the descending segment, where |u|^2 of the interpolant is quadratic.
+    tab = Envelope.tabulated([0.0, 0.01, 0.03, 0.06, 0.1],
+                             [0.3, 1.0, 0.7 + 0.2j, 0.2, 0.0])
+    half = float(np.max(np.abs(tab.values) ** 2)) / 2.0
+    cross = brentq(lambda d: abs(tab(d)) ** 2 - half, 0.03, 0.06, xtol=1e-16)
+    assert tab.fwhm() == pytest.approx(2.0 * cross, rel=1e-12)
+    assert tab.fwhm() == pytest.approx(0.0623416708, rel=1e-9)
 
 
 def test_half_line_mass_closed_forms():
@@ -156,6 +165,26 @@ def test_coupling_cross_rate_fill_and_validation():
         CouplingSpec(1.0, {DirectionPair.PP: 0.0}, env)
     with pytest.raises(ValueError):
         CouplingSpec(-1.0, {DirectionPair.PP: 0.001}, env)
+    # String keys name the same pairs; unknown or repeated keys are errors.
+    keyed = CouplingSpec(1.0, {"++": 0.004}, env)
+    assert keyed.rate(DirectionPair.PP) == 0.004
+    assert keyed.total_rate == 0.004
+    assert keyed.rates == CouplingSpec.mirror(0.004, env).rates
+    with pytest.raises(ValueError):
+        CouplingSpec(1.0, {"+x": 0.004}, env)
+    with pytest.raises(ValueError, match="given twice"):
+        CouplingSpec(1.0, {"++": 0.004, DirectionPair.PP: 0.004}, env)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=r"omega0 must be finite"):
+            CouplingSpec(bad, {DirectionPair.PP: 0.001}, env)
+        with pytest.raises(ValueError, match=r"rates\['--'\] must be finite"):
+            CouplingSpec(1.0, {DirectionPair.PP: 0.001, "--": bad}, env)
+        with pytest.raises(InvalidEnvelopeError,
+                           match="envelope width must be finite"):
+            Envelope.gaussian(bad)
+        with pytest.raises(InvalidEnvelopeError,
+                           match="envelope width must be finite"):
+            Envelope.lorentzian(bad)
 
 
 def test_markov_validity_warning():
@@ -199,8 +228,27 @@ def test_separable_state_norm_and_channel_count():
     assert state.norm_squared() == pytest.approx(1.0, rel=1e-9)
     cross = gaussian_biphoton(DirectionPair.PM, 1.0, 0.02)
     # The shared cross amplitude counts twice in the norm.
-    assert cross.channel_count == 2
+    assert len(cross.channels) == 2
     assert cross.norm_squared() == pytest.approx(1.0, rel=1e-9)
+    grid = FrequencyGrid.regular(1.0, 0.1, 0.1, 16, 8)
+    expect = {
+        DirectionPair.PP: (DirectionPair.PP,),
+        DirectionPair.PM: (DirectionPair.PM, DirectionPair.MP),
+        DirectionPair.MP: (DirectionPair.MP, DirectionPair.PM),
+        DirectionPair.MM: (DirectionPair.MM,),
+    }
+    for pair, channels in expect.items():
+        state = gaussian_biphoton(pair, 1.0, 0.02)
+        assert state.channels == channels
+        data = state.on_grid(grid).data
+        lit = state.amplitude(pair, grid.omegabar[:, None],
+                              grid.delta[None, :])
+        assert np.any(lit != 0)
+        for other in DirectionPair:
+            if other in channels:
+                np.testing.assert_array_equal(data[other.index], lit)
+            else:
+                assert not np.any(data[other.index])
 
 
 def test_cross_channel_amplitudes_are_shared():

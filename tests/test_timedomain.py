@@ -91,6 +91,7 @@ def test_arrival_delay_is_a_pure_phase():
         shifted, reference * np.exp(1j * (omegabar - 1.0) * 50.0), rtol=1e-12)
     assert delayed.norm_squared() == pytest.approx(state.norm_squared(),
                                                    rel=1e-12)
+    assert delayed.scale == state.scale
 
 
 def test_detached_band_leaves_the_emitter_excited():
@@ -263,7 +264,7 @@ def test_initial_state_validation():
     zero = SeparableState(DirectionPair.PP,
                           lambda ob: np.zeros_like(np.asarray(ob)),
                           lambda d: np.conj(cpl.envelope(d)),
-                          (0.9, 1.1), (0.0, 0.2), normalize=False)
+                          (0.9, 1.1), (0.0, 0.2), scale=1.0)
     with pytest.raises(IntegrationFailureError):
         integrate(cpl, zero, config)
     with pytest.raises(TypeError):
