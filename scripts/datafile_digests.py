@@ -1,0 +1,76 @@
+"""SHA-256 digests of every data file and printed summary of the CLI.
+
+Runs each subcommand at its defaults, plus non-default configurations
+that reach anisotropic and Lorentzian emission, mirror scattering of a
+split pair, a Lorentzian envelope with a detuned input and the intensity
+FWHM convention of the gate, each into its own directory under a
+temporary directory.  Prints one ``<sha256>  <run>/<file>`` line per data
+file and one per printed summary, with the exit status.  The
+``.meta.json`` sidecars carry a timestamp and are skipped.
+
+Run it from the root of two checkouts and compare the outputs to check
+that a change keeps every output byte-identical:
+
+    PYTHONPATH=src python3 scripts/datafile_digests.py > digests.txt
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+from quadwg.cli import COMMANDS, run
+
+# (label, subcommand, --set overrides); the defaults come first.
+RUNS = tuple((name, name, ()) for name in COMMANDS) + (
+    ("emit-anisotropic-lorentzian", "emit",
+     ("omega0=1.7", "rates=0.001,0.0015,0.0015,0.0005",
+      "envelope=lorentzian", "envelope_width=0.01")),
+    ("scatter-mirror-split", "scatter",
+     ("rates=mirror", "channel=+-", "diff_center=0.01")),
+    ("scatter-lorentzian-detuned", "scatter",
+     ("envelope=lorentzian", "sum_center=1.01")),
+    ("gate-power-fwhm", "gate",
+     ("fwhm_on_power=true", "ratios=1,10,1e3,1e6", "report_ratio=1e6")),
+)
+
+
+def _file_digest(path: str) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.parse_args()
+    failed = 0
+    with tempfile.TemporaryDirectory() as root:
+        for label, command, overrides in RUNS:
+            outdir = os.path.join(root, label)
+            argv = [command, "--outdir", outdir]
+            for item in overrides:
+                argv += ["--set", item]
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = run(argv)
+            failed += code != 0
+            text = stdout.getvalue().encode()
+            print(f"{hashlib.sha256(text).hexdigest()}  {label}/stdout"
+                  f"  exit={code}")
+            names = sorted(os.listdir(outdir)) if os.path.isdir(outdir) else []
+            for name in names:
+                if not name.endswith(".meta.json"):
+                    path = os.path.join(outdir, name)
+                    print(f"{_file_digest(path)}  {label}/{name}")
+                    os.remove(path)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import os
 import sys
 from typing import Iterable, Sequence
@@ -171,12 +172,17 @@ def _find_line(path: str, key: str) -> int:
     return 0
 
 
-def _as_float(cfg, key) -> float:
+def _as_float(cfg, key, finite: bool = True) -> float:
+    """The number under ``key``; ``finite=False`` lets inf and nan through
+    to a library check that names the offending quantity itself."""
     try:
-        return float(cfg[key])
+        value = float(cfg[key])
     except ValueError:
         raise ConfigError(f"key '{key}': expected a number, got {cfg[key]!r}") \
             from None
+    if finite and not math.isfinite(value):
+        raise ConfigError(f"key '{key}': value must be finite, got {cfg[key]!r}")
+    return value
 
 
 def _as_int(cfg, key) -> int:
@@ -203,20 +209,29 @@ def _as_list(cfg, key) -> list[str]:
     return items
 
 
-def _as_floats(cfg, key) -> list[float]:
+def _as_floats(cfg, key, finite: bool = True) -> list[float]:
+    """Comma-separated numbers under ``key``; ``finite`` as in ``_as_float``."""
     items = _as_list(cfg, key)
     try:
-        return [float(tok) for tok in items]
+        values = [float(tok) for tok in items]
     except ValueError:
         raise ConfigError(f"key '{key}': expected comma-separated numbers") \
             from None
+    bad = [tok for tok, value in zip(items, values)
+           if not math.isfinite(value)]
+    if finite and bad:
+        raise ConfigError(
+            f"key '{key}': every value must be finite, got {bad[0]!r}")
+    return values
 
 
 def _coupling_from(cfg) -> CouplingSpec:
-    omega0 = _as_float(cfg, "omega0")
-    total = _as_float(cfg, "total_rate")
+    # CouplingSpec and Envelope reject non-finite values naming the rate,
+    # frequency or width at fault.
+    omega0 = _as_float(cfg, "omega0", finite=False)
+    total = _as_float(cfg, "total_rate", finite=False)
     kind = cfg["envelope"].strip().lower()
-    width = _as_float(cfg, "envelope_width")
+    width = _as_float(cfg, "envelope_width", finite=False)
     if kind == "gaussian":
         env = Envelope.gaussian(width)
     elif kind == "lorentzian":
@@ -228,7 +243,7 @@ def _coupling_from(cfg) -> CouplingSpec:
         return CouplingSpec.isotropic(total, env, omega0)
     if rates == "mirror":
         return CouplingSpec.mirror(total, env, omega0)
-    parts = _as_floats(cfg, "rates")
+    parts = _as_floats(cfg, "rates", finite=False)
     if len(parts) != 4:
         raise ConfigError("key 'rates': expected isotropic, mirror, or four values")
     pp, pm, mp, mm = parts

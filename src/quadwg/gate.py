@@ -24,8 +24,8 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import InvalidOverlapError, TruncationError
-from .spectral import (EnvelopeKind, _complex_quad, _quad_options,
-                       resonance_denominator)
+from .spectral import (EnvelopeKind, _complex_quad, _memoized,
+                       _quad_options, resonance_denominator)
 
 __all__ = [
     "PulseShape",
@@ -181,7 +181,9 @@ def gate_overlap(f: PulseShape, gamma: float,
             pts += [f.center - step, f.center + step]
             step *= 8.0
 
-    mass = sum(quad(lambda x: float(f(x)) ** 2, a, b,
+    # The mass pass and both overlap passes share most of their nodes.
+    amplitude = _memoized(lambda x: float(f(x)))
+    mass = sum(quad(lambda x: amplitude(x) ** 2, a, b,
                     **_quad_options(a, b, pts))[0] for a, b in segments)
     if abs(mass - 1.0) > 1e-3:
         raise TruncationError(
@@ -189,7 +191,7 @@ def gate_overlap(f: PulseShape, gamma: float,
             "pulse is off center or undersampled")
 
     def integrand(x):
-        amp = float(f(x))
+        amp = amplitude(x)
         return amp * amp * complex(mirror_bracket(gamma, w0, x))
 
     val = sum(_complex_quad(integrand, a, b, pts) for a, b in segments)

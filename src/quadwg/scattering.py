@@ -85,19 +85,32 @@ class ScatterOutput:
     ``- sqrt(rate(mu)) * w * kappa * f(obar) * conj(u)(delta) / denom(obar)``
     with ``w`` the summed root rate of the populated input channels and
     ``kappa`` the scaled envelope overlap of the input difference factor.
+    A grid input is transformed at construction on its own grid.
     """
 
     def __init__(self, coupling: CouplingSpec,
-                 input_state: SeparableState | GridState,
-                 grid_out: GridState | None = None) -> None:
+                 input_state: SeparableState | GridState) -> None:
         self.coupling = coupling
         self.input_state = input_state
         self.phase_note = PHASE_NOTE
-        self._grid_out = grid_out
+        self._grid_out = None
         if isinstance(input_state, SeparableState):
             self._kappa = input_state.overlap_with_envelope(coupling.envelope)
             self._w = sum(math.sqrt(coupling.rate(c))
                           for c in input_state.channels)
+            return
+        g = input_state.grid
+        _check_delta_cover(coupling.envelope, float(g.delta[-1]))
+        u = coupling.envelope(g.delta)
+        roots = coupling.sqrt_rates()
+        # Summed root-rate-weighted envelope overlaps of all channels.
+        q = g.integrate_delta(u[None, None, :] * input_state.data)  # (4, No)
+        drive = (roots[:, None] * q).sum(axis=0) \
+            / resonance_denominator(coupling.total_rate, coupling.omega0,
+                                    g.omegabar)                     # (No,)
+        out = input_state.data - roots[:, None, None] \
+            * drive[None, :, None] * np.conj(u)[None, None, :]
+        self._grid_out = GridState(g, out, validate=False)
 
     @property
     def output(self) -> GridState:
@@ -133,27 +146,11 @@ def scatter(coupling: CouplingSpec,
     outgoing state keeps the incoming normalization, and the free
     propagation phase is dropped.
     """
-    if isinstance(state, SeparableState):
-        if state.norm_squared() < 1e-280:
-            raise InvalidStateError("input state has zero norm")
-        return ScatterOutput(coupling, state)
-    if isinstance(state, GridState):
-        g = state.grid
-        if state.norm_squared() < 1e-280:
-            raise InvalidStateError("input state has zero norm")
-        _check_delta_cover(coupling.envelope, float(g.delta[-1]))
-        u = coupling.envelope(g.delta)
-        roots = coupling.sqrt_rates()
-        # Summed root-rate-weighted envelope overlaps of all channels.
-        q = g.integrate_delta(u[None, None, :] * state.data)     # (4, No)
-        drive = (roots[:, None] * q).sum(axis=0) \
-            / resonance_denominator(coupling.total_rate, coupling.omega0,
-                                    g.omegabar)                  # (No,)
-        out = state.data - roots[:, None, None] * drive[None, :, None] \
-            * np.conj(u)[None, None, :]
-        return ScatterOutput(coupling, state,
-                             grid_out=GridState(g, out, validate=False))
-    raise TypeError("state must be SeparableState or GridState")
+    if not isinstance(state, (SeparableState, GridState)):
+        raise TypeError("state must be SeparableState or GridState")
+    if state.norm_squared() < 1e-280:
+        raise InvalidStateError("input state has zero norm")
+    return ScatterOutput(coupling, state)
 
 
 @dataclass(frozen=True)
@@ -184,6 +181,22 @@ class ChannelProbabilities:
         return float(self.values[DirectionPair.PP])
 
 
+def _resonance_weight(state: SeparableState, total_rate: float,
+                      omega0: float) -> float:
+    """``J = Int |f|^2 / |denom|^2`` of the unscaled sum factor over its
+    window, kept on the state per total rate and resonance."""
+    lo, hi = state.f_window
+    center = 0.5 * (lo + hi)
+
+    def integrand(ob):
+        d = resonance_denominator(total_rate, omega0, ob)
+        return abs(state.f(ob)) ** 2 / (d.real ** 2 + d.imag ** 2)
+
+    return state._integral(("resonance", total_rate, omega0), lambda: quad(
+        integrand, lo, hi,
+        **_quad_options(lo, hi, sorted({omega0, center})))[0])
+
+
 def channel_probabilities(result: ScatterOutput) -> ChannelProbabilities:
     """Channel-resolved outgoing probabilities, normalized by the input.
 
@@ -201,15 +214,7 @@ def channel_probabilities(result: ScatterOutput) -> ChannelProbabilities:
         gamma_total = coupling.total_rate
         # Each populated input channel holds an equal share of the norm.
         n_own = n_in / len(state.channels)
-        lo, hi = state.f_window
-        center = 0.5 * (lo + hi)
-
-        def integrand(ob):
-            d = resonance_denominator(gamma_total, coupling.omega0, ob)
-            return abs(state.f(ob)) ** 2 / (d.real ** 2 + d.imag ** 2)
-
-        J, _ = quad(integrand, lo, hi, **_quad_options(
-            lo, hi, sorted({coupling.omega0, center})))
+        J = _resonance_weight(state, gamma_total, coupling.omega0)
         k2 = abs(result._kappa) ** 2
         w = result._w
         values: dict[DirectionPair, float] = {}
@@ -313,22 +318,24 @@ def reflection_sweep(alpha: float, ratios: Sequence[float],
                      omega0: float = 1.0) -> ReflectionSweep:
     """Sweep the -- probability for matched-center Gaussian pairs.
 
-    For each total rate and each width ratio ``beta / alpha`` an isotropic
-    Gaussian coupling is built and a resonant Gaussian pair of intensity
-    width ``alpha`` is scattered through the semi-analytic path.  The
-    reflection is largest at ratio one (matched filtering) and its peak
-    grows toward 1/4 as the rate dominates the input bandwidth.
+    One resonant Gaussian pair of intensity width ``alpha`` is built, and
+    one Gaussian envelope per width ratio ``beta / alpha``.  The pair is
+    scattered through the semi-analytic path on the isotropic coupling of
+    each total rate and envelope; it keeps its factor masses, envelope
+    overlaps and resonance weights across the points.  The reflection is
+    largest at ratio one (matched filtering) and its peak grows toward
+    1/4 as the rate dominates the input bandwidth.
     """
     ratios = np.asarray(ratios, dtype=float)
     total_rates = np.asarray(total_rates, dtype=float)
     if np.any(ratios <= 0) or np.any(total_rates <= 0):
         raise ValueError("ratios and rates must be positive")
+    envelopes = [Envelope.gaussian(ratio * alpha) for ratio in ratios]
+    state = gaussian_biphoton(DirectionPair.PP, omega0, alpha)
     table = np.empty((total_rates.size, ratios.size))
     for i, g in enumerate(total_rates):
-        for j, ratio in enumerate(ratios):
-            coupling = CouplingSpec.isotropic(
-                g, Envelope.gaussian(ratio * alpha), omega0)
-            state = gaussian_biphoton(DirectionPair.PP, omega0, alpha)
-            probs = channel_probabilities(scatter(coupling, state))
-            table[i, j] = probs.reflection
+        for j, envelope in enumerate(envelopes):
+            coupling = CouplingSpec.isotropic(g, envelope, omega0)
+            table[i, j] = channel_probabilities(
+                scatter(coupling, state)).reflection
     return ReflectionSweep(alpha, ratios, total_rates, table)

@@ -426,12 +426,32 @@ def _quad_options(a: float, b: float,
     return kw
 
 
+def _memoized(fn: Callable[[float], object]) -> Callable[[float], object]:
+    """``fn`` with each value kept by node, for quadrature passes that
+    revisit the same nodes.  Zero is not kept: ``-0.0`` and ``0.0`` are one
+    dict key, but ``fn`` may tell them apart."""
+    seen: dict[float, object] = {}
+
+    def value(x):
+        if x == 0.0:
+            return fn(x)
+        v = seen.get(x)
+        if v is None:
+            v = seen[x] = fn(x)
+        return v
+
+    return value
+
+
 def _complex_quad(fn: Callable[[float], complex], a: float, b: float,
                   points: Sequence[float] | None = None) -> complex:
     kw = _quad_options(a, b, points)
+    # Both passes start from the same Gauss-Kronrod rule on the same
+    # intervals, so most of their nodes coincide.
+    value = _memoized(fn)
     # ``.real`` on a scalar is several times cheaper than ``np.real``.
-    re, _ = quad(lambda x: fn(x).real, a, b, **kw)
-    im, _ = quad(lambda x: fn(x).imag, a, b, **kw)
+    re, _ = quad(lambda x: value(x).real, a, b, **kw)
+    im, _ = quad(lambda x: value(x).imag, a, b, **kw)
     return re + 1j * im
 
 
@@ -446,6 +466,13 @@ class SeparableState:
     a cross pair, its swapped twin.  With ``scale=None`` the scale is chosen
     at construction so that the state has unit norm; a given ``scale`` is
     used as is.
+
+    Integrals of the unscaled factors are kept on the state once computed
+    (see ``_integral``): the two factor masses, the envelope overlap of
+    ``h`` per analytic envelope kind and width, and the resonance weight of
+    ``f`` per total rate and resonance.  This is sound because ``f``,
+    ``h`` and the windows are never reassigned after construction, and
+    because ``scale`` is applied outside the kept values, so it may change.
     """
 
     channel: DirectionPair
@@ -454,10 +481,8 @@ class SeparableState:
     f_window: tuple[float, float]
     h_window: tuple[float, float]
     scale: complex | None = None
-    # (Int |f|^2, Int |h|^2) of the unscaled factors, filled on first use;
-    # valid because f, h and the windows are never reassigned.
-    _masses: tuple[float, float] | None = field(
-        default=None, init=False, repr=False, compare=False)
+    _integrals: dict[tuple, object] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         lo, hi = self.h_window
@@ -482,11 +507,18 @@ class SeparableState:
                       **_quad_options(lo, hi, [0.5 * (lo + hi)]))
         return val
 
+    def _integral(self, key: tuple, compute: Callable[[], object]):
+        """Integral of the unscaled factors named by ``key``: ``compute()``
+        on first request, the kept value after.  The first item of ``key``
+        names the integral, the rest its parameters."""
+        if key not in self._integrals:
+            self._integrals[key] = compute()
+        return self._integrals[key]
+
     def _factor_masses(self) -> tuple[float, float]:
-        if self._masses is None:
-            self._masses = (self._factor_mass(self.f, self.f_window),
-                            self._factor_mass(self.h, self.h_window))
-        return self._masses
+        return self._integral(("masses",), lambda: (
+            self._factor_mass(self.f, self.f_window),
+            self._factor_mass(self.h, self.h_window)))
 
     def norm_squared(self) -> float:
         nf, nh = self._factor_masses()
@@ -519,8 +551,16 @@ class SeparableState:
         if hi <= lo:
             return 0.0 + 0.0j
         mid = 0.5 * (lo + hi)
-        val = _complex_quad(lambda d: envelope(d) * self.h(d), lo, hi, points=[mid])
-        return self.scale * val
+
+        def compute():
+            return _complex_quad(lambda d: envelope(d) * self.h(d), lo, hi,
+                                 points=[mid])
+
+        # Samples are not a cheap key, so tabulated overlaps are not kept.
+        if envelope.kind is EnvelopeKind.TABULATED:
+            return self.scale * compute()
+        return self.scale * self._integral(
+            ("overlap", envelope.kind, envelope.width), compute)
 
 
 @dataclass

@@ -178,6 +178,14 @@ def test_removed_threads_flag_is_rejected(tmp_path, capsys):
      "rates['--'] must be finite, got inf"),
     ("scatter", "envelope_width=inf", "envelope width must be finite, got inf"),
     ("emit", "total_rate=nan", "rates['++'] must be finite, got nan"),
+    ("gate", "ratios=10,inf",
+     "key 'ratios': every value must be finite, got 'inf'"),
+    ("scatter", "sum_width=inf",
+     "key 'sum_width': value must be finite, got 'inf'"),
+    ("verify", "input_width=inf",
+     "key 'input_width': value must be finite, got 'inf'"),
+    ("sweep-reflection", "alpha=nan",
+     "key 'alpha': value must be finite, got 'nan'"),
 ])
 def test_typed_value_diagnostics(tmp_path, capsys, command, override,
                                  message):

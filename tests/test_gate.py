@@ -21,6 +21,7 @@ from quadwg import (
     worst_case_fidelity,
 )
 from quadwg.gate import mirror_bracket, mirror_reflection
+from quadwg.spectral import EnvelopeKind, _quad_options
 
 GAMMA = 1.0
 OMEGA0 = 1.0
@@ -183,6 +184,86 @@ def test_gate_overlap_quadrature_count(quad_calls):
     # Per segment (window and two tails): one real pulse-mass integral and
     # the real and imaginary parts of the overlap.
     assert len(quad_calls) == 9
+
+
+def _two_pass_gate_overlap(f, gamma, omega0=None):
+    """``gate_overlap`` without shared nodes: the mass pass and the real
+    and imaginary overlap passes each evaluate the pulse afresh."""
+    w0 = f.center if omega0 is None else float(omega0)
+    lo, hi = f.support()
+    lo = min(lo, w0 - 40.0 * gamma)
+    hi = max(hi, w0 + 40.0 * gamma)
+    pts = [f.center - f.fwhm, f.center, f.center + f.fwhm,
+           w0 - gamma, w0, w0 + gamma]
+    if f.kind is EnvelopeKind.TABULATED:
+        segments = [(float(f.freqs[0]), float(f.freqs[-1]))]
+    else:
+        segments = [(lo, hi), (-np.inf, lo), (hi, np.inf)]
+        reach = max(f.center - lo, hi - f.center)
+        step = 8.0 * f.fwhm
+        while step < reach:
+            pts += [f.center - step, f.center + step]
+            step *= 8.0
+    mass = sum(quad(lambda x: float(f(x)) ** 2, a, b,
+                    **_quad_options(a, b, pts))[0] for a, b in segments)
+
+    def integrand(x):
+        amp = float(f(x))
+        return amp * amp * complex(mirror_bracket(gamma, w0, x))
+
+    val = 0.0
+    for a, b in segments:
+        kw = _quad_options(a, b, pts)
+        re, _ = quad(lambda x: integrand(x).real, a, b, **kw)
+        im, _ = quad(lambda x: integrand(x).imag, a, b, **kw)
+        val += re + 1j * im
+    return complex(val) / mass
+
+
+class CountingPulse:
+    """A pulse that records every node it is evaluated at."""
+
+    def __init__(self, pulse):
+        self.pulse = pulse
+        self.nodes = []
+
+    def __getattr__(self, name):
+        return getattr(self.pulse, name)
+
+    def __call__(self, omegabar):
+        self.nodes.append(omegabar)
+        return self.pulse(omegabar)
+
+
+def bits(z):
+    return (z.real.hex(), z.imag.hex())
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "lorentzian"])
+@pytest.mark.parametrize("ratio", [1.0, 30.0, 1e3, 1e6])
+def test_gate_overlap_equals_two_pass_form_bitwise(kind, ratio):
+    pulse = getattr(PulseShape, kind)(0.0, 1.0)
+    assert bits(gate_overlap(pulse, ratio)) \
+        == bits(_two_pass_gate_overlap(pulse, ratio))
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "lorentzian"])
+def test_detuned_gate_overlap_equals_two_pass_form_bitwise(kind):
+    pulse = getattr(PulseShape, kind)(OMEGA0, 0.2)
+    omega0 = OMEGA0 + 0.3
+    assert bits(gate_overlap(pulse, GAMMA, omega0)) \
+        == bits(_two_pass_gate_overlap(pulse, GAMMA, omega0))
+
+
+def test_gate_overlap_evaluates_pulse_once_per_node():
+    shared = CountingPulse(PulseShape.lorentzian(OMEGA0, 0.2))
+    fresh = CountingPulse(PulseShape.lorentzian(OMEGA0, 0.2))
+    gate_overlap(shared, GAMMA)
+    _two_pass_gate_overlap(fresh, GAMMA)
+    assert len(shared.nodes) == len(set(shared.nodes))
+    assert set(shared.nodes) == set(fresh.nodes)
+    # The three passes revisit most nodes.
+    assert len(fresh.nodes) > 2 * len(shared.nodes)
 
 
 def test_worst_case_reference_points():

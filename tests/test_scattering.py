@@ -265,6 +265,76 @@ def test_separable_scatter_integrates_each_quantity_once(quad_calls):
     channel_probabilities(scatter(cpl, state))
     # Two for the complex envelope overlap, one for the line integral J.
     assert len(quad_calls) == 3
+    quad_calls.clear()
+    channel_probabilities(scatter(cpl, state))
+    assert len(quad_calls) == 0  # the overlap and J are kept by the state
+
+
+def bits(values):
+    return [float(v).hex() for v in values]
+
+
+def scattered_bits(coupling, state, grid):
+    result = scatter(coupling, state)
+    probs = channel_probabilities(result).values
+    return bits(probs[p] for p in PAIRS), result.output_on(grid).data.tobytes()
+
+
+def test_kept_integrals_follow_the_coupling():
+    def fresh():
+        return gaussian_biphoton(DirectionPair.PM, 1.0005, 0.003, 0.004)
+
+    deltas = [0.0, 0.01, 0.03, 0.06]
+    couplings = [
+        isotropic(),
+        isotropic(omega0=1.001),
+        isotropic(total=0.006),
+        isotropic(width=0.03),
+        isotropic(kind="lorentzian"),
+        CouplingSpec.isotropic(
+            GAMMA, Envelope.tabulated(deltas, [1.0, 0.8, 0.3, 0.0])),
+        CouplingSpec.isotropic(
+            GAMMA, Envelope.tabulated(deltas, [0.2, 1.0, 0.5j, 0.0])),
+        isotropic(),
+    ]
+    grid = FrequencyGrid.regular(1.0, 0.05, 0.1, 16, 8)
+    shared = fresh()
+    seen = set()
+    for coupling in couplings:
+        expect = scattered_bits(coupling, fresh(), grid)
+        assert scattered_bits(coupling, shared, grid) == expect
+        seen.add(tuple(expect[0]))
+    assert len(seen) == len(couplings) - 1  # every variant moves the result
+
+
+def test_reflection_sweep_quadrature_count(quad_calls):
+    reflection_sweep(0.002, (0.5, 1.0, 2.0), (0.0004, 0.002))
+    # Two factor masses, a complex overlap per ratio, J per rate.
+    assert len(quad_calls) == 2 + 2 * 3 + 2
+
+
+def test_reflection_sweep_equals_fresh_points_bitwise():
+    alpha, ratios, rates = 0.002, (0.35, 1.0, 2.83), (0.0004, 0.01)
+    sweep = reflection_sweep(alpha, ratios, rates)
+    for i, g in enumerate(rates):
+        for j, ratio in enumerate(ratios):
+            coupling = CouplingSpec.isotropic(
+                g, Envelope.gaussian(ratio * alpha))
+            state = gaussian_biphoton(DirectionPair.PP, 1.0, alpha)
+            point = channel_probabilities(scatter(coupling, state))
+            assert sweep.reflection[i, j].hex() == point.reflection.hex()
+
+
+def test_direct_scatter_output_of_grid_state_equals_scatter():
+    cpl = isotropic()
+    grid = FrequencyGrid.for_scattering(cpl, 0.02, 16, 8)
+    state = gaussian_biphoton(DirectionPair.PP, 1.0, 0.02).on_grid(grid)
+    direct = scattering.ScatterOutput(cpl, state)
+    via = scatter(cpl, state)
+    assert direct.output.data.tobytes() == via.output.data.tobytes()
+    other = FrequencyGrid.for_scattering(cpl, 0.02, 12, 6)
+    assert direct.output_on(other).data.tobytes() \
+        == via.output_on(other).data.tobytes()
 
 
 def test_scatter_rejects_zero_norm_input():

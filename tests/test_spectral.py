@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from quadwg import (
@@ -23,7 +24,10 @@ from quadwg import (
     gaussian_biphoton,
     project_on_envelope,
 )
-from quadwg.spectral import gaussian_difference_profile, gaussian_sum_spectrum
+from quadwg.spectral import (EnvelopeKind, _complex_quad, _memoized,
+                             _quad_options,
+                             gaussian_difference_profile,
+                             gaussian_sum_spectrum)
 
 widths = st.floats(min_value=1e-3, max_value=10.0,
                    allow_nan=False, allow_infinity=False)
@@ -333,6 +337,57 @@ def test_gaussian_overlap_matches_dense_trapezoid():
     hu /= math.sqrt(np.trapezoid(np.abs(hu) ** 2, d))
     reference = np.trapezoid(env(d) * hu, d)
     assert kappa == pytest.approx(reference, rel=1e-7)
+
+
+def _two_pass_complex_quad(fn, a, b, points=None):
+    """``_complex_quad`` without shared nodes: each pass evaluates ``fn``
+    afresh."""
+    kw = _quad_options(a, b, points)
+    re, _ = quad(lambda x: fn(x).real, a, b, **kw)
+    im, _ = quad(lambda x: fn(x).imag, a, b, **kw)
+    return re + 1j * im
+
+
+def bits(z):
+    return (z.real.hex(), z.imag.hex())
+
+
+@pytest.mark.parametrize("envelope", [
+    Envelope.gaussian(0.03),
+    Envelope.lorentzian(0.03),
+    Envelope.tabulated([0.0, 0.01, 0.03, 0.06, 0.1],
+                       [0.3, 1.0, 0.7 + 0.2j, 0.2, 0.0]),
+], ids=["gaussian", "lorentzian", "tabulated"])
+def test_complex_quad_equals_two_pass_form_bitwise(envelope):
+    f, f_window = gaussian_sum_spectrum(1.0, 0.02)
+    h, (lo, hi) = gaussian_difference_profile(0.02, 0.015)
+    state = SeparableState(DirectionPair.PP, f, h, f_window, (lo, hi))
+    if envelope.kind is EnvelopeKind.TABULATED:
+        hi = min(hi, float(envelope.deltas[-1]))
+    mid = 0.5 * (lo + hi)
+    assert bits(state.overlap_with_envelope(envelope)) == bits(
+        state.scale * _two_pass_complex_quad(
+            lambda d: envelope(d) * h(d), lo, hi, [mid]))
+
+    def chirped(d):
+        return envelope(d) * h(d) * np.exp(1j * d / 0.01)
+
+    for a, b, points in ((lo, hi, [mid]), (0.0, np.inf, None)):
+        assert bits(_complex_quad(chirped, a, b, points)) \
+            == bits(_two_pass_complex_quad(chirped, a, b, points))
+
+
+def test_memoized_keeps_signed_zeros_apart():
+    calls = []
+
+    def sign(x):
+        calls.append(x)
+        return math.copysign(1.0, x)
+
+    value = _memoized(sign)
+    assert (value(-0.0), value(0.0), value(0.5), value(0.5)) \
+        == (-1.0, 1.0, 1.0, 1.0)
+    assert len(calls) == 3
 
 
 def test_projection_vanishes_for_orthogonal_profile():
