@@ -3,10 +3,11 @@
 Runs each subcommand at its defaults, plus non-default configurations
 that reach anisotropic and Lorentzian emission, mirror scattering of a
 split pair, a Lorentzian envelope with a detuned input and the intensity
-FWHM convention of the gate, each into its own directory under a
+FWHM convention of the gate, and then every recipe of
+``scripts/data_recipes.py``, each into its own directory under a
 temporary directory.  Prints one ``<sha256>  <run>/<file>`` line per data
-file and one per printed summary, with the exit status.  The
-``.meta.json`` sidecars carry a timestamp and are skipped.
+file and one per run for its printed summaries, with the exit status.
+The ``.meta.json`` sidecars carry a timestamp and are skipped.
 
 Run it from the root of two checkouts and compare the outputs to check
 that a change keeps every output byte-identical:
@@ -22,20 +23,22 @@ import os
 import sys
 import tempfile
 
-from quadwg.cli import COMMANDS, run
+from data_recipes import RECIPES, run_steps
+from quadwg.cli import COMMANDS
 
-# (label, subcommand, --set overrides); the defaults come first.
-RUNS = tuple((name, name, ()) for name in COMMANDS) + (
-    ("emit-anisotropic-lorentzian", "emit",
-     ("omega0=1.7", "rates=0.001,0.0015,0.0015,0.0005",
-      "envelope=lorentzian", "envelope_width=0.01")),
-    ("scatter-mirror-split", "scatter",
-     ("rates=mirror", "channel=+-", "diff_center=0.01")),
-    ("scatter-lorentzian-detuned", "scatter",
-     ("envelope=lorentzian", "sum_center=1.01")),
-    ("gate-power-fwhm", "gate",
-     ("fwhm_on_power=true", "ratios=1,10,1e3,1e6", "report_ratio=1e6")),
-)
+# (label, [(subcommand, --set overrides), ...]); the defaults come first,
+# the data recipes last.
+RUNS = tuple((name, [(name, ())]) for name in COMMANDS) + (
+    ("emit-anisotropic-lorentzian", [("emit", (
+        "omega0=1.7", "rates=0.001,0.0015,0.0015,0.0005",
+        "envelope=lorentzian", "envelope_width=0.01"))]),
+    ("scatter-mirror-split", [("scatter", (
+        "rates=mirror", "channel=+-", "diff_center=0.01"))]),
+    ("scatter-lorentzian-detuned", [("scatter", (
+        "envelope=lorentzian", "sum_center=1.01"))]),
+    ("gate-power-fwhm", [("gate", (
+        "fwhm_on_power=true", "ratios=1,10,1e3,1e6", "report_ratio=1e6"))]),
+) + tuple(RECIPES.items())
 
 
 def _file_digest(path: str) -> str:
@@ -51,14 +54,11 @@ def main() -> int:
     parser.parse_args()
     failed = 0
     with tempfile.TemporaryDirectory() as root:
-        for label, command, overrides in RUNS:
+        for label, steps in RUNS:
             outdir = os.path.join(root, label)
-            argv = [command, "--outdir", outdir]
-            for item in overrides:
-                argv += ["--set", item]
             stdout = io.StringIO()
             with contextlib.redirect_stdout(stdout):
-                code = run(argv)
+                code = run_steps(steps, outdir)
             failed += code != 0
             text = stdout.getvalue().encode()
             print(f"{hashlib.sha256(text).hexdigest()}  {label}/stdout"

@@ -3,11 +3,13 @@
 Subcommands: emit, scatter, sweep-reflection, entangle, gate, verify.
 Configuration comes from an INI-style file with one section per subcommand
 plus a shared ``[common]`` section; ``--set key=value`` flags override file
-values.  Unknown keys are rejected with a file/line diagnostic.  Exit
-status is 0 on success, 1 on configuration errors (including invalid
-envelopes and unsupported setups), 2 on numerical failures (zero-norm
-states, overlaps outside the unit disk, spectra without spread,
-integrator and quadrature failures, failed verification).
+values.  A subcommand reads only the ``[common]`` keys it uses
+(``COMMON_KEYS``), and its own section overrides ``[common]``.  Unknown
+keys are rejected with a file/line diagnostic.  Exit status is 0 on
+success, 1 on configuration errors (including invalid envelopes and
+unsupported setups), 2 on numerical failures (zero-norm states, overlaps
+outside the unit disk, spectra without spread, integrator and quadrature
+failures, failed verification).
 
 Data files are deterministic: identical configuration yields byte
 identical CSV/JSON.  Run metadata (timestamp, resolved configuration)
@@ -105,6 +107,19 @@ DEFAULTS: dict[str, dict[str, tuple[str, str]]] = {
 }
 
 
+# The [common] keys each subcommand reads.  A command rejects a --set of
+# any other common key, skips the rest of [common] in a config file and
+# leaves them out of its sidecar.
+COMMON_KEYS: dict[str, tuple[str, ...]] = {
+    "emit": tuple(DEFAULTS["common"]),
+    "scatter": tuple(DEFAULTS["common"]),
+    "sweep-reflection": ("omega0",),
+    "entangle": ("omega0", "total_rate"),
+    "gate": (),
+    "verify": tuple(DEFAULTS["common"]),
+}
+
+
 def print_defaults(stream=None) -> None:
     """Emit a complete annotated configuration template."""
     out = stream or sys.stdout
@@ -120,9 +135,9 @@ def _read_config(path: str | None, command: str,
     """Merge defaults, config file and --set overrides for one command."""
     import configparser
 
-    merged = {key: val for key, (val, _) in DEFAULTS["common"].items()}
+    common = COMMON_KEYS[command]
+    merged = {key: DEFAULTS["common"][key][0] for key in common}
     merged.update({key: val for key, (val, _) in DEFAULTS[command].items()})
-    legal = set(merged)
 
     if path is not None:
         parser = configparser.ConfigParser(interpolation=None)
@@ -138,7 +153,10 @@ def _read_config(path: str | None, command: str,
                 raise ConfigError(
                     f"{path}: unknown section [{section}]"
                     f" (expected one of {', '.join(DEFAULTS)})")
-            if section not in ("common", command):
+        # The command's own section overrides [common] whatever the order
+        # of the two in the file.
+        for section, read in (("common", common), (command, DEFAULTS[command])):
+            if not parser.has_section(section):
                 continue
             for key, value in parser.items(section):
                 if key not in DEFAULTS[section]:
@@ -146,14 +164,14 @@ def _read_config(path: str | None, command: str,
                     raise ConfigError(
                         f"{path}:{line}: unknown key '{key}'"
                         f" in section [{section}]")
-                if key in legal:
+                if key in read:
                     merged[key] = value
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override '{item}' is not KEY=VALUE")
         key, _, value = item.partition("=")
         key = key.strip()
-        if key not in legal:
+        if key not in merged:
             raise ConfigError(f"override key '{key}' unknown for {command}")
         merged[key] = value.strip()
     return merged

@@ -120,7 +120,7 @@ class EmissionSpectrum:
         return np.sum(np.abs(self.data) ** 2, axis=0)
 
     def state(self) -> GridState:
-        return GridState(self.grid, self.data, validate=False)
+        return GridState(self.grid, self.data)
 
     def sum_marginal(self) -> np.ndarray:
         """Channel-summed density integrated over the difference axis."""

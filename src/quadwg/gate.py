@@ -24,8 +24,8 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import InvalidOverlapError, TruncationError
-from .spectral import (EnvelopeKind, _complex_quad, _memoized,
-                       _quad_options, resonance_denominator)
+from .spectral import (EnvelopeKind, _complex_quad, _linear_masses,
+                       _memoized, _quad_options, resonance_denominator)
 
 __all__ = [
     "PulseShape",
@@ -48,7 +48,9 @@ class PulseShape:
 
     ``fwhm`` is measured on the amplitude ``f`` itself; construct with
     ``fwhm_on_power=True`` to measure it on the intensity ``|f|^2`` instead.
-    Tabulated pulses interpolate linearly and vanish outside their samples.
+    Tabulated pulses interpolate linearly and vanish outside their samples;
+    it is the interpolant that carries unit norm, and ``center`` is the
+    trapezoid mean frequency of the squared samples.
     """
 
     kind: EnvelopeKind
@@ -90,11 +92,11 @@ class PulseShape:
             raise ValueError("pulse frequencies must be increasing")
         if np.any(v < 0):
             raise ValueError("pulse amplitude must be nonnegative")
-        mass = float(np.trapezoid(v * v, w))
+        mass = float(np.sum(_linear_masses(w, v)))
         if not mass > 0:
             raise ValueError("pulse has zero norm")
         v = v / math.sqrt(mass)
-        center = float(np.trapezoid(w * v * v, w))
+        center = float(np.trapezoid(w * v * v, w) / np.trapezoid(v * v, w))
         peak = float(v.max())
         above = w[v >= peak / 2.0]
         fwhm = float(above[-1] - above[0]) if above.size else 0.0

@@ -32,7 +32,7 @@ from .spectral import (
     FrequencyGrid,
     GridState,
     SeparableState,
-    _check_delta_cover,
+    _grid_overlaps,
     _quad_options,
     gaussian_biphoton,
     resonance_denominator,
@@ -75,15 +75,15 @@ def transfer_coefficient(coupling: CouplingSpec, out_pair: DirectionPair,
 
 
 class ScatterOutput:
-    """Result wrapper holding the outgoing state and bookkeeping.
+    """Result wrapper holding the incoming state and bookkeeping.
 
-    ``output`` materializes the outgoing ``GridState`` (lazily for separable
-    inputs).  ``phase_note`` records the dropped propagation phase.
+    ``output_on(grid)`` materializes the outgoing ``GridState``;
+    ``phase_note`` records the dropped propagation phase.
 
-    A separable input stays semi-analytic: the scattered piece of channel
-    ``mu`` is
-    ``- sqrt(rate(mu)) * w * kappa * f(obar) * conj(u)(delta) / denom(obar)``
-    with ``w`` the summed root rate of the populated input channels and
+    Channel ``mu`` loses the re-emitted piece
+    ``sqrt(rate(mu)) * drive(obar) * conj(u)(delta) / denom(obar)``.  A
+    separable input stays semi-analytic with ``drive = w * kappa * f``,
+    ``w`` the summed root rate of the populated input channels and
     ``kappa`` the scaled envelope overlap of the input difference factor.
     A grid input is transformed at construction on its own grid.
     """
@@ -93,47 +93,37 @@ class ScatterOutput:
         self.coupling = coupling
         self.input_state = input_state
         self.phase_note = PHASE_NOTE
-        self._grid_out = None
         if isinstance(input_state, SeparableState):
             self._kappa = input_state.overlap_with_envelope(coupling.envelope)
             self._w = sum(math.sqrt(coupling.rate(c))
                           for c in input_state.channels)
             return
-        g = input_state.grid
-        _check_delta_cover(coupling.envelope, float(g.delta[-1]))
-        u = coupling.envelope(g.delta)
-        roots = coupling.sqrt_rates()
+        u, q = _grid_overlaps(input_state, coupling.envelope)
         # Summed root-rate-weighted envelope overlaps of all channels.
-        q = g.integrate_delta(u[None, None, :] * input_state.data)  # (4, No)
-        drive = (roots[:, None] * q).sum(axis=0) \
-            / resonance_denominator(coupling.total_rate, coupling.omega0,
-                                    g.omegabar)                     # (No,)
-        out = input_state.data - roots[:, None, None] \
-            * drive[None, :, None] * np.conj(u)[None, None, :]
-        self._grid_out = GridState(g, out, validate=False)
+        drive = (coupling.sqrt_rates()[:, None] * q).sum(axis=0)
+        self._grid_out = self._radiated(input_state, u, drive)
 
-    @property
-    def output(self) -> GridState:
-        if self._grid_out is None:
-            self._grid_out = self.output_on(
-                FrequencyGrid.for_scattering(self.coupling))
-        return self._grid_out
+    def _radiated(self, state: GridState, u: np.ndarray,
+                  drive: np.ndarray) -> GridState:
+        """``state`` minus ``sqrt(rate(mu)) * (drive / denom) * conj(u)``
+        in every channel ``mu``; ``u`` and ``drive`` are sampled on the
+        difference and sum axes of ``state.grid``."""
+        grid = state.grid
+        drive = drive / resonance_denominator(
+            self.coupling.total_rate, self.coupling.omega0, grid.omegabar)
+        return GridState(grid, state.data
+                         - self.coupling.sqrt_rates()[:, None, None]
+                         * drive[None, :, None] * np.conj(u)[None, None, :])
 
     def output_on(self, grid: FrequencyGrid) -> GridState:
-        """Materialize the outgoing state on an explicit grid."""
+        """Materialize the outgoing state on ``grid``."""
         state = self.input_state
         if not isinstance(state, SeparableState):
-            return self.output.on_grid(grid)
-        data = state.on_grid(grid).data
-        u = self.coupling.envelope(grid.delta)
+            return self._grid_out.on_grid(grid)
         drive = self._kappa * self._w \
-            * np.asarray(state.f(grid.omegabar), dtype=complex) \
-            / resonance_denominator(self.coupling.total_rate,
-                                    self.coupling.omega0, grid.omegabar)
-        for pair in PAIRS:
-            data[pair.index] -= math.sqrt(self.coupling.rate(pair)) \
-                * drive[:, None] * np.conj(u)[None, :]
-        return GridState(grid, data, validate=False)
+            * np.asarray(state.f(grid.omegabar), dtype=complex)
+        return self._radiated(state.on_grid(grid),
+                              self.coupling.envelope(grid.delta), drive)
 
 
 def scatter(coupling: CouplingSpec,
@@ -225,7 +215,7 @@ def channel_probabilities(result: ScatterOutput) -> ChannelProbabilities:
                 norm += n_own - math.sqrt(rate) * w * k2 * gamma_total * J
             values[pair] = norm / n_in
         return ChannelProbabilities(values)
-    out = result.output
+    out = result.output_on(state.grid)
     values = {pair: float(out.grid.integrate(np.abs(out.channel(pair)) ** 2)) / n_in
               for pair in PAIRS}
     return ChannelProbabilities(values)
@@ -300,7 +290,7 @@ def gaussian_closed_form(coupling: CouplingSpec, sigma: float,
     for pair in PAIRS:
         data[pair.index] = data[pair.index] \
             - math.sqrt(coupling.rate(pair)) * drive[:, None] * u[None, :]
-    return GridState(grid, data, validate=False)
+    return GridState(grid, data)
 
 
 @dataclass(frozen=True)

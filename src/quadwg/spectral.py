@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
@@ -534,13 +535,12 @@ class SeparableState:
         return out
 
     def on_grid(self, grid: FrequencyGrid) -> "GridState":
-        fvals = self.scale * np.asarray(self.f(grid.omegabar), dtype=complex)
-        hvals = np.asarray(self.h(grid.delta), dtype=complex)
-        values = fvals[:, None] * hvals[None, :]
+        values = self.amplitude(self.channel, grid.omegabar[:, None],
+                                grid.delta[None, :])
         data = np.zeros((4,) + values.shape, dtype=complex)
         for pair in self.channels:
             data[pair.index] = values
-        return GridState(grid, data, validate=False)
+        return GridState(grid, data)
 
     def overlap_with_envelope(self, envelope: Envelope) -> complex:
         """Half-line overlap ``Int_0^inf u(delta) C_h(delta) d delta`` where
@@ -569,12 +569,11 @@ class GridState:
 
     ``data`` has shape ``(4, n_omegabar, n_delta)`` indexed by
     ``DirectionPair.index``.  The half-plane exchange symmetry requires the
-    two cross-channel tables to agree.
+    two cross-channel tables to agree; construction checks that they do.
     """
 
     grid: FrequencyGrid
     data: np.ndarray
-    validate: bool = True
 
     def __post_init__(self) -> None:
         data = np.asarray(self.data, dtype=complex)
@@ -582,14 +581,13 @@ class GridState:
         if data.shape != expect:
             raise InvalidStateError(f"grid data must have shape {expect}")
         self.data = data
-        if self.validate:
-            pm = data[DirectionPair.PM.index]
-            mp = data[DirectionPair.MP.index]
-            scale = float(np.max(np.abs(data))) or 1.0
-            if np.max(np.abs(pm - mp)) > 1e-8 * scale:
-                raise InvalidStateError(
-                    "cross channels must agree in the half-plane representation"
-                )
+        pm = data[DirectionPair.PM.index]
+        mp = data[DirectionPair.MP.index]
+        scale = float(np.max(np.abs(data))) or 1.0
+        if np.max(np.abs(pm - mp)) > 1e-8 * scale:
+            raise InvalidStateError(
+                "cross channels must agree in the half-plane representation"
+            )
 
     def channel(self, pair: DirectionPair) -> np.ndarray:
         return self.data[pair.index]
@@ -599,18 +597,14 @@ class GridState:
                          for i in range(4)))
 
     def amplitude(self, pair: DirectionPair, omegabar, delta) -> np.ndarray:
-        interp_re = RegularGridInterpolator(
-            (self.grid.omegabar, self.grid.delta), self.data[pair.index].real,
-            bounds_error=False, fill_value=0.0)
-        interp_im = RegularGridInterpolator(
-            (self.grid.omegabar, self.grid.delta), self.data[pair.index].imag,
+        interp = RegularGridInterpolator(
+            (self.grid.omegabar, self.grid.delta), self.data[pair.index],
             bounds_error=False, fill_value=0.0)
         omegabar = np.asarray(omegabar, dtype=float)
         delta = np.asarray(delta, dtype=float)
         pts = np.broadcast_arrays(omegabar, delta)
         stack = np.stack([p.ravel() for p in pts], axis=-1)
-        vals = interp_re(stack) + 1j * interp_im(stack)
-        return vals.reshape(pts[0].shape)
+        return interp(stack).reshape(pts[0].shape)
 
     def on_grid(self, grid: FrequencyGrid) -> "GridState":
         if self.grid.same_axes(grid):
@@ -619,7 +613,7 @@ class GridState:
         ob, dd = np.meshgrid(grid.omegabar, grid.delta, indexing="ij")
         for pair in PAIRS:
             data[pair.index] = self.amplitude(pair, ob, dd)
-        return GridState(grid, data, validate=False)
+        return GridState(grid, data)
 
 
 def _width_squared(sigma: float) -> float:
@@ -689,15 +683,26 @@ def _envelope_reach(envelope: Envelope) -> float:
     return 10.0 * envelope.width
 
 
-def _check_delta_cover(envelope: Envelope, delta_max: float) -> None:
-    kept = envelope.half_line_mass(delta_max)
+def _grid_overlaps(state: GridState, envelope: Envelope):
+    """Envelope ``u`` on the stored difference axis and the trapezoid
+    overlaps ``Int_0^X u(delta) C(obar, delta) d delta`` of all four
+    channels, shape ``(4, n_omegabar)``.  Warns when the axis keeps less
+    than ``ENVELOPE_COVER_FRACTION`` of the envelope mass."""
+    grid = state.grid
+    kept = envelope.half_line_mass(float(grid.delta[-1]))
     if kept < ENVELOPE_COVER_FRACTION:
+        # Name the innermost line outside the package, however deep the call.
+        frame, level = sys._getframe(), 1
+        while frame.f_globals.get("__name__", "").startswith(__package__ + "."):
+            frame, level = frame.f_back, level + 1
         warnings.warn(
             f"difference-frequency grid keeps only {kept:.4%} of the envelope "
             "mass; results on this grid are truncated",
             TruncationWarning,
-            stacklevel=3,
+            stacklevel=level,
         )
+    u = envelope(grid.delta)
+    return u, grid.integrate_delta(u[None, None, :] * state.data)
 
 
 def project_on_envelope(state: SeparableState | GridState, envelope: Envelope,
@@ -720,9 +725,7 @@ def project_on_envelope(state: SeparableState | GridState, envelope: Envelope,
             return p
         return p(np.asarray(omegabar, dtype=float))
     if isinstance(state, GridState):
-        _check_delta_cover(envelope, float(state.grid.delta[-1]))
-        u = envelope(state.grid.delta)
-        return state.grid.integrate_delta(u[None, :] * state.channel(pair))
+        return _grid_overlaps(state, envelope)[1][pair.index]
     raise TypeError("state must be SeparableState or GridState")
 
 
@@ -761,16 +764,12 @@ def decompose(state: SeparableState | GridState, envelope: Envelope):
                                     scale=1.0 + 0.0j)
         return parallel, orthogonal
     if isinstance(state, GridState):
-        _check_delta_cover(envelope, float(state.grid.delta[-1]))
-        u = envelope(state.grid.delta)
+        u, p = _grid_overlaps(state, envelope)
         unorm = float(state.grid.integrate_delta(
             np.abs(u)[None, :] ** 2)[0])
-        par = np.empty_like(state.data)
-        for pair in PAIRS:
-            p = state.grid.integrate_delta(u[None, :] * state.channel(pair))
-            if unorm > 0:
-                p = p / unorm
-            par[pair.index] = p[:, None] * np.conj(u)[None, :]
-        return (GridState(state.grid, par, validate=False),
-                GridState(state.grid, state.data - par, validate=False))
+        if unorm > 0:
+            p = p / unorm
+        par = p[:, :, None] * np.conj(u)[None, None, :]
+        return (GridState(state.grid, par),
+                GridState(state.grid, state.data - par))
     raise TypeError("state must be SeparableState or GridState")

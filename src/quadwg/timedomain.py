@@ -170,13 +170,18 @@ class Trajectory:
     input_norm: float
 
 
+def _trapezoid_weights(grid: FrequencyGrid) -> np.ndarray:
+    """Trapezoid measure weight of each grid point, ``(n_omegabar, n_delta)``."""
+    w_ob = np.full(grid.omegabar.size, grid.d_omegabar)
+    w_ob[[0, -1]] *= 0.5
+    w_dd = np.full(grid.delta.size, grid.d_delta)
+    w_dd[[0, -1]] *= 0.5
+    return w_ob[:, None] * w_dd[None, :]
+
+
 def _mode_setup(coupling: CouplingSpec, grid: FrequencyGrid):
     ob, dd = grid.omegabar, grid.delta
-    w_ob = np.full(ob.size, grid.d_omegabar)
-    w_ob[[0, -1]] *= 0.5
-    w_dd = np.full(dd.size, grid.d_delta)
-    w_dd[[0, -1]] *= 0.5
-    weight = w_ob[:, None] * w_dd[None, :]
+    weight = _trapezoid_weights(grid)
     # Pair kinematics: the difference frequency cannot exceed the sum.
     allowed = dd[None, :] <= ob[:, None] + 1e-12 * max(1.0, abs(ob[-1]))
     u = coupling.envelope(dd)
@@ -264,8 +269,7 @@ def integrate(coupling: CouplingSpec,
     modes = dark * (dark_step ** steps)[None, :, None] \
         + bright_dir * bright[None, :, None]
     # Strictly increasing grid axes make every trapezoid weight positive.
-    final = GridState(grid, modes / np.sqrt(weight)[None, :, :],
-                      validate=False)
+    final = GridState(grid, modes / np.sqrt(weight)[None, :, :])
     return Trajectory(coupling, config, times, trace, final, norms, norm0)
 
 
@@ -283,7 +287,7 @@ def oracle_channel_probabilities(traj: Trajectory) -> ChannelProbabilities:
         raise NotAsymptoticError(
             f"run spans {(t1 - t0) * g:.2f} inverse rates with residual "
             f"excitation {residual:.2e}; extend t_span")
-    weight, _, _, _ = _mode_setup(traj.coupling, traj.config.grid)
+    weight = _trapezoid_weights(traj.config.grid)
     values = {}
     for pair in PAIRS:
         b = traj.final_state.data[pair.index] * np.sqrt(weight)

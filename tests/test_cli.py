@@ -101,6 +101,21 @@ def test_config_file_merging(tmp_path, capsys):
     config.write_text("[emit]\nn_omegabar = 8\n[scatter]\nsum_width = 0.03\n")
     run_ok(["scatter", "--config", str(config), "--outdir", str(tmp_path),
             "--set", "n_omegabar=32", "--set", "n_delta=16"], capsys)
+    # [common] keys a command does not read are skipped and left out of its
+    # sidecar, and its own section wins over [common] in either file order.
+    own = "[sweep-reflection]\nrates = 0.002\nratios = 1\n"
+    for text in ("[common]\nrates = mirror\nenvelope = lorentzian\n" + own,
+                 own + "[common]\nrates = 0.001,0.001,0.001,0.001\n"):
+        config.write_text(text)
+        outdir = tmp_path / "sweep"
+        run_ok(["sweep-reflection", "--config", str(config),
+                "--outdir", str(outdir)], capsys)
+        _, rows = read_csv(outdir / "reflection_sweep.csv")
+        assert [row.split(",")[0] for row in rows] == ["0.002"]
+        meta = json.loads((outdir / "reflection_sweep.meta.json").read_text())
+        assert meta["config"] == {"alpha": "0.002", "ratios": "1",
+                                  "rates": "0.002", "omega0": "1.0",
+                                  "output_stem": "reflection_sweep"}
 
 
 def test_unknown_key_reports_file_and_line(tmp_path, capsys):
@@ -186,6 +201,13 @@ def test_removed_threads_flag_is_rejected(tmp_path, capsys):
      "key 'input_width': value must be finite, got 'inf'"),
     ("sweep-reflection", "alpha=nan",
      "key 'alpha': value must be finite, got 'nan'"),
+    ("gate", "envelope=bogus", "override key 'envelope' unknown for gate"),
+    ("gate", "total_rate=abc", "override key 'total_rate' unknown for gate"),
+    ("entangle", "envelope=gaussian",
+     "override key 'envelope' unknown for entangle"),
+    ("entangle", "rates=mirror", "override key 'rates' unknown for entangle"),
+    ("sweep-reflection", "total_rate=0.01",
+     "override key 'total_rate' unknown for sweep-reflection"),
 ])
 def test_typed_value_diagnostics(tmp_path, capsys, command, override,
                                  message):

@@ -50,15 +50,37 @@ def test_pulse_normalization_and_width(kind, fwhm_on_power):
 
 def test_tabulated_pulse_sampling_and_support():
     pulse = PulseShape.tabulated([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
-    # Normalization uses the trapezoid mass of the samples themselves.
-    freqs = np.array([0.0, 1.0, 2.0])
-    sampled = np.abs(pulse(freqs)) ** 2
-    assert np.trapezoid(sampled, freqs) == pytest.approx(1.0, rel=1e-12)
-    assert pulse(1.0) == pytest.approx(1.0)
-    assert pulse(0.5) == pytest.approx(0.5)
+    # Normalization uses the mass of the linear interpolant, which for a
+    # triangle is 2/3 of its squared peak.
+    peak = math.sqrt(1.5)
+    assert pulse(1.0) == pytest.approx(peak, rel=1e-12)
+    assert pulse(0.5) == pytest.approx(peak / 2, rel=1e-12)
+    assert pulse.center == 1.0
     assert pulse(-0.5) == 0.0
     assert pulse(2.5) == 0.0
     assert pulse.support() == (0.0, 2.0)
+
+
+_GAUSS13 = np.linspace(-3.0, 3.0, 13)
+
+
+@pytest.mark.parametrize("freqs, vals, expected", [
+    # Int 1.5 (1-|x|)^2 (1 - 1/(1/2 - i x)) dx over [-1, 1], in closed form.
+    ([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0],
+     1.0 - 1.5 * (1.0 - math.log(5.0) + 1.5 * math.atan(2.0))),
+    (_GAUSS13, np.exp(-_GAUSS13 ** 2 / 2.0), None),
+], ids=["triangle", "gaussian-13"])
+def test_tabulated_pulse_interpolant_has_unit_mass(freqs, vals, expected):
+    pulse = PulseShape.tabulated(freqs, vals)
+    mass = sum(quad(lambda w: pulse(w) ** 2, a, b, epsabs=1e-14,
+                    epsrel=1e-13)[0]
+               for a, b in zip(pulse.freqs[:-1], pulse.freqs[1:]))
+    assert mass == pytest.approx(1.0, abs=1e-12)
+    # Normalized on the samples, both pulses raised TruncationError here.
+    overlap = gate_overlap(pulse, 1.0)
+    assert abs(overlap) <= 1.0
+    if expected is not None:
+        assert overlap == pytest.approx(expected, abs=1e-9)
 
 
 def test_tabulated_pulse_validation():

@@ -19,16 +19,19 @@ from quadwg import (
     TruncationWarning,
     UnsupportedConfigurationError,
     channel_probabilities,
+    decompose,
     gaussian_biphoton,
     gaussian_closed_form,
     probability_bounds,
+    project_on_envelope,
     reflection_sweep,
     scatter,
     scattering_amplitude,
     transfer_coefficient,
 )
 from quadwg import scattering
-from quadwg.spectral import PAIRS, gaussian_difference_profile, gaussian_sum_spectrum
+from quadwg.spectral import (PAIRS, gaussian_difference_profile,
+                             gaussian_sum_spectrum, resonance_denominator)
 
 GAMMA = 0.004
 
@@ -202,7 +205,7 @@ def test_grid_and_semianalytic_paths_agree():
     analytic = scatter(cpl, state)
     gridded = scatter(cpl, state.on_grid(grid))
     out_a = analytic.output_on(grid)
-    out_g = gridded.output
+    out_g = gridded.output_on(grid)
     peak = max(np.max(np.abs(out_a.channel(ch))) for ch in DirectionPair)
     diff = max(np.max(np.abs(out_a.channel(ch) - out_g.channel(ch)))
                for ch in DirectionPair)
@@ -331,7 +334,7 @@ def test_direct_scatter_output_of_grid_state_equals_scatter():
     state = gaussian_biphoton(DirectionPair.PP, 1.0, 0.02).on_grid(grid)
     direct = scattering.ScatterOutput(cpl, state)
     via = scatter(cpl, state)
-    assert direct.output.data.tobytes() == via.output.data.tobytes()
+    assert direct.output_on(grid).data.tobytes() == via.output_on(grid).data.tobytes()
     other = FrequencyGrid.for_scattering(cpl, 0.02, 12, 6)
     assert direct.output_on(other).data.tobytes() \
         == via.output_on(other).data.tobytes()
@@ -396,3 +399,71 @@ def test_output_records_phase_convention():
     assert "phase" in scattering.PHASE_NOTE
     result = scatter(isotropic(), gaussian_biphoton(DirectionPair.PP, 1.0, 0.02))
     assert result.phase_note == scattering.PHASE_NOTE
+
+
+def _reference_output(coupling, state, grid):
+    """Outgoing table as the scattering code wrote it before one
+    re-emission step served both input kinds: a per-channel loop for a
+    separable input, the broadcast form on its own grid for a grid input."""
+    if isinstance(state, SeparableState):
+        data = state.on_grid(grid).data.copy()
+        u = coupling.envelope(grid.delta)
+        kappa = state.overlap_with_envelope(coupling.envelope)
+        w = sum(math.sqrt(coupling.rate(c)) for c in state.channels)
+        drive = kappa * w * np.asarray(state.f(grid.omegabar), dtype=complex) \
+            / resonance_denominator(coupling.total_rate, coupling.omega0,
+                                    grid.omegabar)
+        for pair in PAIRS:
+            data[pair.index] -= math.sqrt(coupling.rate(pair)) \
+                * drive[:, None] * np.conj(u)[None, :]
+        return data
+    g = state.grid
+    u = coupling.envelope(g.delta)
+    roots = coupling.sqrt_rates()
+    q = g.integrate_delta(u[None, None, :] * state.data)
+    drive = (roots[:, None] * q).sum(axis=0) \
+        / resonance_denominator(coupling.total_rate, coupling.omega0,
+                                g.omegabar)
+    return state.data - roots[:, None, None] \
+        * drive[None, :, None] * np.conj(u)[None, None, :]
+
+
+@pytest.mark.parametrize("rates", [
+    {"++": 0.001, "+-": 0.0015, "-+": 0.0015, "--": 0.0005},
+    {"++": 0.004},
+], ids=["anisotropic", "mirror"])
+@pytest.mark.parametrize("kind", ["gaussian", "lorentzian"])
+def test_scatter_output_equals_reference_bitwise(rates, kind):
+    env = Envelope.gaussian(0.02) if kind == "gaussian" \
+        else Envelope.lorentzian(0.004)
+    cpl = CouplingSpec(1.0, rates, env)
+    grid = FrequencyGrid.for_scattering(cpl, 0.02, 40, 24)
+    cross = gaussian_biphoton(DirectionPair.PM, 1.002, 0.015,
+                              diff_center=0.01)
+    assert scatter(cpl, cross).output_on(grid).data.tobytes() \
+        == _reference_output(cpl, cross, grid).tobytes()
+    with warnings.catch_warnings():
+        # The Lorentzian tails reach past this grid.
+        warnings.simplefilter("ignore", TruncationWarning)
+        for state in (cross, gaussian_biphoton(DirectionPair.PP, 1.0, 0.02)):
+            gridded = state.on_grid(grid)
+            result = scatter(cpl, gridded)
+            assert result.output_on(grid).data.tobytes() \
+                == _reference_output(cpl, gridded, grid).tobytes()
+    assert not hasattr(result, "output")
+
+
+@pytest.mark.parametrize("call", [
+    lambda cpl, state: project_on_envelope(state, cpl.envelope,
+                                           DirectionPair.PP),
+    lambda cpl, state: decompose(state, cpl.envelope),
+    lambda cpl, state: scatter(cpl, state),
+    lambda cpl, state: scattering.ScatterOutput(cpl, state),
+], ids=["project_on_envelope", "decompose", "scatter", "ScatterOutput"])
+def test_grid_truncation_warning_names_the_calling_line(call):
+    cpl = isotropic(kind="lorentzian", width=0.05)
+    grid = FrequencyGrid.regular(1.0, 0.08, 0.1, 16, 8)
+    state = gaussian_biphoton(DirectionPair.PP, 1.0, 0.02).on_grid(grid)
+    with pytest.warns(TruncationWarning) as record:
+        call(cpl, state)
+    assert [w.filename for w in record] == [__file__]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
+from scipy.interpolate import RegularGridInterpolator
 from scipy.optimize import brentq
 
 from quadwg import (
@@ -473,3 +474,80 @@ def test_separable_norm_invariant_under_factor_scaling(scale):
         scaled.amplitude(DirectionPair.PP, ob[:, None], dd[None, :]),
         base.amplitude(DirectionPair.PP, ob[:, None], dd[None, :]),
         rtol=1e-9)
+
+
+# Copies of the grid code as it was before ``SeparableState.on_grid`` went
+# through ``amplitude``, ``GridState`` used one interpolator per part and
+# the grid projections shared ``_grid_overlaps``; the current code must
+# reproduce them bit for bit.
+def _reference_on_grid(state, grid):
+    fvals = state.scale * np.asarray(state.f(grid.omegabar), dtype=complex)
+    hvals = np.asarray(state.h(grid.delta), dtype=complex)
+    values = fvals[:, None] * hvals[None, :]
+    data = np.zeros((4,) + values.shape, dtype=complex)
+    for pair in state.channels:
+        data[pair.index] = values
+    return data
+
+
+def _reference_amplitude(state, pair, omegabar, delta):
+    axes = (state.grid.omegabar, state.grid.delta)
+    interp_re = RegularGridInterpolator(
+        axes, state.data[pair.index].real, bounds_error=False, fill_value=0.0)
+    interp_im = RegularGridInterpolator(
+        axes, state.data[pair.index].imag, bounds_error=False, fill_value=0.0)
+    pts = np.broadcast_arrays(np.asarray(omegabar, dtype=float),
+                              np.asarray(delta, dtype=float))
+    stack = np.stack([p.ravel() for p in pts], axis=-1)
+    return (interp_re(stack) + 1j * interp_im(stack)).reshape(pts[0].shape)
+
+
+def _reference_project(state, envelope, pair):
+    u = envelope(state.grid.delta)
+    return state.grid.integrate_delta(u[None, :] * state.channel(pair))
+
+
+def _reference_decompose(state, envelope):
+    u = envelope(state.grid.delta)
+    unorm = float(state.grid.integrate_delta(np.abs(u)[None, :] ** 2)[0])
+    par = np.empty_like(state.data)
+    for pair in DirectionPair:
+        p = state.grid.integrate_delta(u[None, :] * state.channel(pair))
+        if unorm > 0:
+            p = p / unorm
+        par[pair.index] = p[:, None] * np.conj(u)[None, :]
+    return par, state.data - par
+
+
+_GRID_ENVELOPES = {
+    "gaussian": Envelope.gaussian(0.02),
+    "lorentzian": Envelope.lorentzian(0.004),
+    "tabulated": Envelope.tabulated([0.0, 0.01, 0.03, 0.06, 0.1],
+                                    [0.3, 1.0, 0.7 + 0.2j, 0.2, 0.0]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_GRID_ENVELOPES))
+@pytest.mark.parametrize("channel", [DirectionPair.PP, DirectionPair.PM,
+                                     DirectionPair.MM])
+def test_grid_paths_equal_reference_bitwise(kind, channel):
+    env = _GRID_ENVELOPES[kind]
+    coupling = CouplingSpec.isotropic(0.004, env, 1.0)
+    grid = FrequencyGrid.for_scattering(coupling, 0.02, 48, 40)
+    state = gaussian_biphoton(channel, 1.003, 0.015, diff_center=0.01)
+    gridded = state.on_grid(grid)
+    assert gridded.data.tobytes() == _reference_on_grid(state, grid).tobytes()
+    with warnings.catch_warnings():
+        # The Lorentzian tails reach past this grid.
+        warnings.simplefilter("ignore", TruncationWarning)
+        for pair in DirectionPair:
+            assert project_on_envelope(gridded, env, pair).tobytes() \
+                == _reference_project(gridded, env, pair).tobytes()
+        parts = decompose(gridded, env)
+    for part, ref in zip(parts, _reference_decompose(gridded, env)):
+        assert part.data.tobytes() == ref.tobytes()
+    rng = np.random.default_rng(7)
+    ob = np.append(rng.uniform(0.85, 1.15, 500), [1.0, 1.0])
+    dd = np.append(rng.uniform(-0.05, 0.3, 500), [-0.0, 0.0])
+    assert gridded.amplitude(channel, ob, dd).tobytes() \
+        == _reference_amplitude(gridded, channel, ob, dd).tobytes()

@@ -298,3 +298,26 @@ def test_rate_near_carrier_warns(decay_runs):
         with pytest.raises(MarkovValidityWarning):
             isotropic(0.1, omega0=1.0)
     assert 0.1 in decay_runs  # the fixture avoided the warning via omega0=10
+
+
+def test_oracle_probabilities_equal_reference_bitwise():
+    gamma, alpha = 0.02, 0.1
+    cpl = isotropic(gamma, width=alpha)
+    config = TimeDomainConfig.for_scattering(cpl, alpha,
+                                             n_omegabar=128, n_delta=48)
+    state = with_arrival_delay(matched_state(cpl, alpha), 1.0,
+                               config.arrival_delay)
+    traj = integrate(cpl, state, config)
+    probs = oracle_channel_probabilities(traj)
+    # The trapezoid mode weights as the oracle built them before they had
+    # a function of their own.
+    grid = config.grid
+    w_ob = np.full(grid.omegabar.size, grid.d_omegabar)
+    w_ob[[0, -1]] *= 0.5
+    w_dd = np.full(grid.delta.size, grid.d_delta)
+    w_dd[[0, -1]] *= 0.5
+    weight = w_ob[:, None] * w_dd[None, :]
+    for pair in DirectionPair:
+        b = traj.final_state.data[pair.index] * np.sqrt(weight)
+        expect = float(np.vdot(b, b).real) / traj.input_norm
+        assert probs.values[pair].hex() == expect.hex()
