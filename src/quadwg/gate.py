@@ -156,11 +156,11 @@ def gate_overlap(f: PulseShape, gamma: float,
     """Overlap of the reflected pair pulse with the incoming one.
 
     ``Int |f(obar)|^2 bracket(obar) d obar`` by adaptive quadrature over the
-    pulse support plus analytic-decay tails.  Magnitude never exceeds one;
-    the narrow-pulse limit is -1 (ideal conditional pi), the broad-pulse
-    limit is +1 (emitter transparent).  Raises a truncation error when the
-    quadrature fails to capture the pulse mass, e.g. for a tabulated pulse
-    sampled too coarsely or far off center.
+    pulse support plus analytic-decay tails, or over each sample segment of
+    a tabulated pulse.  Magnitude never exceeds one; the narrow-pulse limit
+    is -1 (ideal conditional pi), the broad-pulse limit is +1 (emitter
+    transparent).  Raises a truncation error when the quadrature fails to
+    capture the pulse mass.
     """
     if not gamma > 0:
         raise ValueError("gamma must be positive")
@@ -171,7 +171,9 @@ def gate_overlap(f: PulseShape, gamma: float,
     pts = [f.center - f.fwhm, f.center, f.center + f.fwhm,
            w0 - gamma, w0, w0 + gamma]
     if f.kind is EnvelopeKind.TABULATED:
-        segments = [(float(f.freqs[0]), float(f.freqs[-1]))]
+        # One segment per pair of samples: the interpolant has no kink
+        # inside any of them for quad to bisect across.
+        segments = list(zip(f.freqs[:-1].tolist(), f.freqs[1:].tolist()))
     else:
         segments = [(lo, hi), (-np.inf, lo), (hi, np.inf)]
         # A rate far above the pulse width makes the window many widths

@@ -1,8 +1,8 @@
 """Mirror response, controlled-phase overlap, and gate fidelity."""
 
 import math
-import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -13,7 +13,6 @@ from quadwg import (
     GateReport,
     InvalidOverlapError,
     PulseShape,
-    TruncationError,
     gate_overlap,
     gate_report,
     infidelity_sweep,
@@ -94,13 +93,53 @@ def test_tabulated_pulse_validation():
         PulseShape.tabulated([0.0, 1.0, 2.0], [0.0, 0.0, 0.0])
 
 
-def test_undersampled_spikes_raise_truncation_error():
+def test_narrow_spikes_are_integrated_segment_by_segment():
+    # Two triangles 2e-9 wide carry all the mass of the interpolant, each
+    # in proportion to its width in floating point, and each sees the
+    # bracket at its apex.
     eps = 1e-9
     freqs = [0.0, 0.7 - eps, 0.7, 0.7 + eps, 1.3 - eps, 1.3, 1.3 + eps, 2.0]
     vals = [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0]
     pulse = PulseShape.tabulated(freqs, vals)
-    with pytest.raises(TruncationError):
-        gate_overlap(pulse, 0.5, omega0=1.0)
+    gamma, omega0 = 0.5, 1.0
+    widths = [freqs[3] - freqs[1], freqs[6] - freqs[4]]
+    brackets = [1.0 - gamma / (gamma / 2 + 1j * (omega0 - x))
+                for x in (freqs[2], freqs[5])]
+    expected = np.dot(widths, brackets) / sum(widths)
+    overlap = gate_overlap(pulse, gamma, omega0=omega0)
+    # Quadrature nodes round to 1e-16 on segments 1e-9 wide.
+    assert overlap == pytest.approx(expected, rel=1e-7)
+
+
+def _interpolant_overlap_mpmath(freqs, vals, gamma, omega0):
+    """``Int f^2 bracket / Int f^2`` of the linear interpolant of the
+    samples, segment by segment in 20-digit arithmetic."""
+    mass, overlap = mpmath.mpf(0), mpmath.mpc(0)
+    with mpmath.workdps(20):
+        for a, b, fa, fb in zip(freqs[:-1], freqs[1:], vals[:-1], vals[1:]):
+            a, b, fa, fb = (mpmath.mpf(float(x)) for x in (a, b, fa, fb))
+
+            def power(x, a=a, b=b, fa=fa, fb=fb):
+                return (fa + (fb - fa) * (x - a) / (b - a)) ** 2
+
+            def reflected(x, power=power):
+                return power(x) * (1 - gamma / (mpmath.mpf(gamma) / 2
+                                                + 1j * (omega0 - x)))
+
+            mass += mpmath.quad(power, [a, b], method="gauss-legendre")
+            overlap += mpmath.quad(reflected, [a, b], method="gauss-legendre")
+        return complex(overlap / mass)
+
+
+@pytest.mark.parametrize("n_samples", [61, 121])
+def test_tabulated_overlap_matches_mpmath_interpolant(n_samples):
+    # One quadrature window across the sample kinks warns at these counts
+    # (fatal under this suite) and loses accuracy at 121 samples.
+    freqs = np.linspace(-3.0, 3.0, n_samples)
+    vals = np.exp(-freqs ** 2 / 2.0)
+    overlap = gate_overlap(PulseShape.tabulated(freqs, vals), 1.0, omega0=0.0)
+    expected = _interpolant_overlap_mpmath(freqs, vals, 1.0, 0.0)
+    assert abs(overlap - expected) <= 1e-10 * abs(expected)
 
 
 def test_mirror_bracket_on_and_off_resonance():
@@ -195,9 +234,7 @@ def test_tabulated_pulse_matches_analytic_overlap():
     grid = OMEGA0 + np.linspace(-6 * fwhm, 6 * fwhm, 4001)
     analytic = PulseShape.gaussian(OMEGA0, fwhm)
     sampled = PulseShape.tabulated(grid, np.abs(analytic(grid)))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # interp kinks upset the quad estimate
-        overlap = gate_overlap(sampled, GAMMA)
+    overlap = gate_overlap(sampled, GAMMA)
     assert overlap == pytest.approx(gate_overlap(analytic, GAMMA), rel=1e-5)
 
 

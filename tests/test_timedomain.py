@@ -29,7 +29,7 @@ from quadwg.spectral import (
     decompose,
     gaussian_difference_profile,
 )
-from quadwg.timedomain import _mode_setup
+from quadwg.timedomain import _POWER_BLOCK, _mode_setup
 
 
 def isotropic(total, width=0.05, omega0=1.0):
@@ -182,6 +182,126 @@ def test_integrate_matches_full_mode_reference(case):
     assert np.max(np.abs(trace)) > 1e-3 and np.max(np.abs(final)) > 1e-3
 
 
+def bright_mode_rk4(coupling, initial, config):
+    """Reference: RK4 stepped one step at a time on the emitter and the
+    bright amplitudes, with the dark rows scaled by ``R(-i nu dt)``."""
+    weight, allowed, g, nu = _mode_setup(coupling, config.grid)
+    if isinstance(initial, ExcitedEmitter):
+        emitter, modes = 1.0 + 0.0j, np.zeros_like(g)
+    else:
+        emitter = 0.0 + 0.0j
+        modes = initial.on_grid(config.grid).data * np.sqrt(weight) * allowed
+    norm0 = abs(emitter) ** 2 + float(np.vdot(modes, modes).real)
+    G = np.sqrt(np.sum(np.abs(g) ** 2, axis=(0, 2)))
+    coupled = G > 0
+    bright_dir = np.zeros_like(g)
+    bright_dir[:, coupled, :] = np.conj(g[:, coupled, :]) \
+        / G[None, coupled, None]
+    bright = np.sum(np.conj(bright_dir) * modes, axis=(0, 2))
+    dark = modes - bright_dir * bright[None, :, None]
+    dark_weight = np.sum(np.abs(dark) ** 2, axis=(0, 2))
+
+    def deriv(e, b):
+        return -1j * np.dot(G, b), -1j * (nu * b + G * e)
+
+    t0, t1 = config.t_span
+    steps = max(1, int(math.ceil((t1 - t0) / config.dt)))
+    dt = (t1 - t0) / steps
+    z = -1j * nu * dt
+    dark_step = 1 + z * (1 + z / 2 * (1 + z / 3 * (1 + z / 4)))
+    dark_fade = np.abs(dark_step) ** 2
+    trace = np.empty(steps + 1, dtype=complex)
+    norms = np.empty(steps + 1)
+    trace[0] = emitter
+    norms[0] = norm0
+    half = 0.5 * dt
+    for s in range(steps):
+        k1e, k1 = deriv(emitter, bright)
+        k2e, k2 = deriv(emitter + half * k1e, bright + half * k1)
+        k3e, k3 = deriv(emitter + half * k2e, bright + half * k2)
+        k4e, k4 = deriv(emitter + dt * k3e, bright + dt * k3)
+        emitter = emitter + (dt / 6.0) * (k1e + 2 * k2e + 2 * k3e + k4e)
+        bright = bright + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        dark_weight *= dark_fade
+        trace[s + 1] = emitter
+        norms[s + 1] = abs(emitter) ** 2 + np.vdot(bright, bright).real \
+            + float(np.sum(dark_weight))
+    modes = dark * (dark_step ** steps)[None, :, None] \
+        + bright_dir * bright[None, :, None]
+    return trace, modes / np.sqrt(weight)[None, :, :], norms
+
+
+def assert_matches_bright_mode_rk4(coupling, initial, config, steps):
+    trace, final, norms = bright_mode_rk4(coupling, initial, config)
+    traj = integrate(coupling, initial, config)
+    assert traj.times.size == steps + 1
+    scale = max(1.0, float(np.max(np.abs(final))))
+    np.testing.assert_allclose(traj.emitter_amplitude, trace, rtol=0,
+                               atol=1e-12)
+    np.testing.assert_allclose(traj.norm_history, norms, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(traj.final_state.data, final, rtol=0,
+                               atol=1e-12 * scale)
+    return traj
+
+
+def _steps_config(config, steps):
+    """``config`` cut to a span that rounds up to ``steps`` steps."""
+    return TimeDomainConfig(config.grid, (0.0, (steps - 0.5) * config.dt),
+                            config.dt)
+
+
+@pytest.mark.parametrize("steps", [1, _POWER_BLOCK // 2, _POWER_BLOCK,
+                                   _POWER_BLOCK + 1],
+                         ids=["one", "part-block", "block", "block+1"])
+def test_integrate_matches_bright_mode_steps(steps):
+    coupling, initial, config = reference_cases()[1]
+    traj = assert_matches_bright_mode_rk4(
+        coupling, initial, _steps_config(config, steps), steps)
+    assert np.max(np.abs(traj.emitter_amplitude)) > 1e-4
+
+
+def test_integrate_matches_bright_mode_verify_run():
+    cpl = isotropic(0.004, width=0.02)
+    config = TimeDomainConfig.for_scattering(cpl, 0.02, n_omegabar=256,
+                                             n_delta=96)
+    state = with_arrival_delay(gaussian_biphoton(DirectionPair.PP, 1.0, 0.02),
+                               1.0, config.arrival_delay)
+    assert_matches_bright_mode_rk4(cpl, state, config, 2640)
+
+
+def test_integrate_matches_bright_mode_emission_decay():
+    cpl = isotropic(0.004, width=0.02)
+    config = TimeDomainConfig.for_emission(cpl, n_omegabar=256, n_delta=32)
+    traj = assert_matches_bright_mode_rk4(cpl, ExcitedEmitter(), config, 4800)
+    assert abs(traj.emitter_amplitude[-1]) < 1e-2
+
+
+def test_integrate_matches_bright_mode_with_uncoupled_rows():
+    # The envelope vanishes below 0.05, so rows with obar < 0.05 have only
+    # uncoupled allowed points: G = 0, yet the input fills them.
+    env = Envelope.tabulated([0.0, 0.05, 0.1, 0.15], [0.0, 0.0, 1.0, 0.0])
+    cpl = CouplingSpec.isotropic(0.002, env, 0.1)
+    grid = FrequencyGrid.regular(0.1, 0.08, 0.16, 32, 17)
+    config = TimeDomainConfig(grid, (0.0, 150.0), 0.1 / 0.08)
+    state = gaussian_biphoton(DirectionPair.PM, 0.06, 0.02)
+    _, _, g, _ = _mode_setup(cpl, grid)
+    uncoupled = ~np.any(g != 0, axis=(0, 2))
+    assert 0 < np.sum(uncoupled) < grid.omegabar.size
+    assert np.any(state.on_grid(grid).data[:, uncoupled, :] != 0)
+    assert_matches_bright_mode_rk4(cpl, state, config, 120)
+
+
+@pytest.mark.parametrize("initial", ["emitter", "pair"])
+def test_integrate_matches_bright_mode_on_detached_band(initial):
+    env = Envelope.tabulated([1.0, 1.5, 2.0], [0.0, 1.0, 0.0])
+    cpl = CouplingSpec.isotropic(0.02, env, 1.0)
+    grid = FrequencyGrid.regular(1.0, 0.4, 0.5, 32, 9)
+    config = TimeDomainConfig(grid, (0.0, 100.0), 0.25)
+    state = (ExcitedEmitter() if initial == "emitter"
+             else gaussian_biphoton(DirectionPair.PP, 1.1, 0.1))
+    assert_matches_bright_mode_rk4(cpl, state, config, 400)
+
+
 @pytest.fixture(scope="module")
 def decay_runs():
     runs = {}
@@ -211,6 +331,14 @@ def test_norm_is_conserved(decay_runs):
     for traj in decay_runs.values():
         drift = np.max(np.abs(traj.norm_history - traj.norm_history[0]))
         assert drift / traj.input_norm < 1e-6
+
+
+def test_norm_drift_is_the_largest_relative_departure(decay_runs):
+    for traj in decay_runs.values():
+        expect = float(np.max(np.abs(traj.norm_history - traj.input_norm))) \
+            / traj.input_norm
+        assert traj.norm_drift.hex() == expect.hex()
+        assert traj.norm_drift > 0
 
 
 def test_orthogonal_difference_profile_passes_freely():
@@ -255,6 +383,26 @@ def test_matched_scattering_agrees_with_markov():
     saturated = closed_reflection(1e3)
     assert saturated == pytest.approx(0.25, abs=1e-5)
     assert 1.0 - 3.0 * saturated == pytest.approx(0.25, abs=3e-5)
+
+
+def test_cutoff_extrapolated_oracle_matches_markov():
+    # The hard band cutoff biases the oracle by about 1/halfwidth_rates;
+    # Richardson extrapolation over cutoffs of 20 and 40 rates removes it.
+    cpl = isotropic(0.004, width=0.02)
+    state = gaussian_biphoton(DirectionPair.PP, 1.0, 0.02)
+    probs = {}
+    for cutoff in (20.0, 40.0):
+        config = TimeDomainConfig.for_scattering(
+            cpl, 0.02, n_omegabar=256, n_delta=96, halfwidth_rates=cutoff)
+        delayed = with_arrival_delay(state, 1.0, config.arrival_delay)
+        probs[cutoff] = oracle_channel_probabilities(
+            integrate(cpl, delayed, config))
+    markov = channel_probabilities(scatter(cpl, state))
+    for name in ("reflection", "splitting", "transmission"):
+        raw, fine = getattr(probs[20.0], name), getattr(probs[40.0], name)
+        assert 2.0 * fine - raw == pytest.approx(getattr(markov, name),
+                                                 rel=1e-3)
+    assert probs[20.0].reflection > 1.01 * markov.reflection
 
 
 def test_initial_state_validation():
