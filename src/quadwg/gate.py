@@ -25,7 +25,8 @@ from scipy.integrate import quad
 
 from .errors import InvalidOverlapError, TruncationError
 from .spectral import (EnvelopeKind, _complex_quad, _linear_masses,
-                       _memoized, _quad_options, resonance_denominator)
+                       _memoized, _quad_options, _real,
+                       resonance_denominator)
 
 __all__ = [
     "PulseShape",
@@ -103,7 +104,8 @@ class PulseShape:
         return cls(EnvelopeKind.TABULATED, center, fwhm, 0.0, w, v)
 
     def __call__(self, omegabar):
-        nu = np.asarray(omegabar, dtype=float) - self.center
+        omegabar = _real(omegabar)
+        nu = omegabar - self.center
         if self.kind is EnvelopeKind.GAUSSIAN:
             s = self.scale
             amp = (s * math.sqrt(math.pi)) ** -0.5
@@ -112,8 +114,7 @@ class PulseShape:
             g = self.scale
             amp = math.sqrt(2.0 * g ** 3 / math.pi)
             return amp / (nu * nu + g * g)
-        return np.interp(np.asarray(omegabar, dtype=float), self.freqs,
-                         self.vals, left=0.0, right=0.0)
+        return np.interp(omegabar, self.freqs, self.vals, left=0.0, right=0.0)
 
     def support(self) -> tuple[float, float]:
         """Interval outside which the amplitude is zero or negligible."""

@@ -32,6 +32,7 @@ from .spectral import (
     FrequencyGrid,
     GridState,
     SeparableState,
+    _check_envelope_cover,
     _grid_overlaps,
     _quad_options,
     gaussian_biphoton,
@@ -120,6 +121,7 @@ class ScatterOutput:
         state = self.input_state
         if not isinstance(state, SeparableState):
             return self._grid_out.on_grid(grid)
+        _check_envelope_cover(self.coupling.envelope, grid)
         drive = self._kappa * self._w \
             * np.asarray(state.f(grid.omegabar), dtype=complex)
         return self._radiated(state.on_grid(grid),

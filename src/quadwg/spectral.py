@@ -191,15 +191,17 @@ class Envelope:
 
     def __call__(self, delta):
         """Evaluate ``u`` at ``delta``; even in ``delta``, vectorized."""
-        delta = np.abs(np.asarray(delta, dtype=float))
+        # Builtin ``abs`` and the ``complex128`` constructor take numpy's
+        # scalar fast paths and act as ``np.abs`` and ``astype`` on arrays.
+        delta = abs(_real(delta))
         if self.kind is EnvelopeKind.GAUSSIAN:
             b = self.width
             out = (2.0 / (math.pi * b * b)) ** 0.25 * np.exp(-(delta * delta) / (4 * b * b))
-            return out.astype(complex)
+            return np.complex128(out)
         if self.kind is EnvelopeKind.LORENTZIAN:
             b = self.width
             out = np.sqrt((b / math.pi) / (b * b / 4 + delta * delta))
-            return out.astype(complex)
+            return np.complex128(out)
         re = np.interp(delta, self.deltas, self.values.real, left=0.0, right=0.0)
         im = np.interp(delta, self.deltas, self.values.imag, left=0.0, right=0.0)
         return re + 1j * im
@@ -406,12 +408,27 @@ class FrequencyGrid:
                 and np.array_equal(self.delta, other.delta))
 
 
-def resonance_denominator(total_rate: float, omega0: float, omegabar):
-    """Emitter pole ``total_rate / 2 + i (omega0 - obar)``, vectorized in ``obar``.
+def _real(x):
+    """``x`` as float64: a numpy scalar for a float, an array otherwise.
 
-    Pair scattering, pair emission and the mirror gate all divide by it.
+    Quadrature nodes arrive as Python floats.  A numpy scalar keeps numpy's
+    arithmetic (inf or nan with a ``RuntimeWarning`` where Python would
+    raise) without the cost of boxing each node into a 0-d array, and gives
+    the same bits.
     """
-    omegabar = np.asarray(omegabar, dtype=float)
+    if isinstance(x, float):
+        return np.float64(x)
+    return np.asarray(x, dtype=float)
+
+
+def resonance_denominator(total_rate: float, omega0: float, omegabar):
+    """Emitter pole ``total_rate / 2 + i (omega0 - obar)``.
+
+    A scalar ``obar``, such as a quadrature node, gives a numpy complex
+    scalar; an array gives a complex array of its shape.  Pair scattering,
+    pair emission and the mirror gate all divide by it.
+    """
+    omegabar = _real(omegabar)
     return total_rate / 2.0 + 1j * (omega0 - omegabar)
 
 
@@ -547,20 +564,27 @@ class SeparableState:
         ``C_h`` is the scaled difference factor of this state."""
         lo, hi = self.h_window
         if envelope.kind is EnvelopeKind.TABULATED:
-            hi = min(hi, float(envelope.deltas[-1]))
+            # The interpolant vanishes outside its samples.
+            d = envelope.deltas
+            lo, hi = max(lo, float(d[0])), min(hi, float(d[-1]))
         if hi <= lo:
             return 0.0 + 0.0j
         mid = 0.5 * (lo + hi)
 
-        def compute():
-            return _complex_quad(lambda d: envelope(d) * self.h(d), lo, hi,
-                                 points=[mid])
+        def integrand(x):
+            return envelope(x) * self.h(x)
 
-        # Samples are not a cheap key, so tabulated overlaps are not kept.
         if envelope.kind is EnvelopeKind.TABULATED:
-            return self.scale * compute()
+            # One segment per pair of samples: the interpolant has no kink
+            # inside any of them for quad to bisect across.  Samples are
+            # not a cheap key, so tabulated overlaps are not kept.
+            nodes = [lo, *(x for x in d.tolist() if lo < x < hi), hi]
+            return self.scale * sum(
+                _complex_quad(integrand, a, b, points=[mid])
+                for a, b in zip(nodes[:-1], nodes[1:]))
         return self.scale * self._integral(
-            ("overlap", envelope.kind, envelope.width), compute)
+            ("overlap", envelope.kind, envelope.width),
+            lambda: _complex_quad(integrand, lo, hi, points=[mid]))
 
 
 @dataclass
@@ -637,7 +661,7 @@ def gaussian_sum_spectrum(center: float, sigma: float):
     amp = (2.0 * math.pi * sigma * sigma) ** -0.25
 
     def f(obar):
-        obar = np.asarray(obar, dtype=float)
+        obar = _real(obar)
         return amp * np.exp(-((obar - center) ** 2) / (4.0 * sigma * sigma))
 
     return f, (center - 12.0 * sigma, center + 12.0 * sigma)
@@ -659,7 +683,7 @@ def gaussian_difference_profile(sigma: float, center: float = 0.0):
     amp = 1.0 / math.sqrt(mass)
 
     def h(delta):
-        delta = np.asarray(delta, dtype=float)
+        delta = _real(delta)
         return amp * (np.exp(-((delta - center) ** 2) / (4.0 * s2))
                       + np.exp(-((delta + center) ** 2) / (4.0 * s2)))
 
@@ -689,6 +713,14 @@ def _grid_overlaps(state: GridState, envelope: Envelope):
     channels, shape ``(4, n_omegabar)``.  Warns when the axis keeps less
     than ``ENVELOPE_COVER_FRACTION`` of the envelope mass."""
     grid = state.grid
+    _check_envelope_cover(envelope, grid)
+    u = envelope(grid.delta)
+    return u, grid.integrate_delta(u[None, None, :] * state.data)
+
+
+def _check_envelope_cover(envelope: Envelope, grid: FrequencyGrid) -> None:
+    """Warn when the difference axis of ``grid`` keeps less than
+    ``ENVELOPE_COVER_FRACTION`` of the envelope mass."""
     kept = envelope.half_line_mass(float(grid.delta[-1]))
     if kept < ENVELOPE_COVER_FRACTION:
         # Name the innermost line outside the package, however deep the call.
@@ -701,8 +733,6 @@ def _grid_overlaps(state: GridState, envelope: Envelope):
             TruncationWarning,
             stacklevel=level,
         )
-    u = envelope(grid.delta)
-    return u, grid.integrate_delta(u[None, None, :] * state.data)
 
 
 def project_on_envelope(state: SeparableState | GridState, envelope: Envelope,

@@ -5,6 +5,7 @@ pass/fail summary per property after the run.  Runtime ceilings are
 asserted where the property quotes one.
 """
 
+import contextlib
 import math
 import time
 import warnings
@@ -140,8 +141,11 @@ def test_orthogonal_difference_profiles_pass_unchanged():
         _, orthogonal = decompose(state, coupling.envelope)
         result = scatter(coupling, orthogonal)
         grid = FrequencyGrid.for_scattering(coupling, 0.02, 64, 48)
-        difference = np.abs(result.output_on(grid).data
-                            - orthogonal.on_grid(grid).data)
+        # A Lorentzian envelope reaches past its default grid.
+        with pytest.warns(TruncationWarning) if trial % 2 \
+                else contextlib.nullcontext():
+            out = result.output_on(grid)
+        difference = np.abs(out.data - orthogonal.on_grid(grid).data)
         worst = max(worst, float(difference.max()))
     assert worst < 1e-9
 
@@ -274,8 +278,7 @@ def test_closed_form_matches_quadrature_and_correlation_signs():
     coupling = isotropic(width=width, kind="lorentzian")
     state = gaussian_biphoton(DirectionPair.PP, 1.0, 0.02)
     grid = FrequencyGrid.for_scattering(coupling, 0.02, 256, 128)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationWarning)
+    with pytest.warns(TruncationWarning):
         out = scatter(coupling, state).output_on(grid)
     view = 0.05
     mask = (np.abs(grid.omegabar[:, None] - 1.0)

@@ -1,5 +1,6 @@
 """Two-photon scattering amplitudes, probabilities, and bounds."""
 
+import contextlib
 import math
 import warnings
 
@@ -30,7 +31,8 @@ from quadwg import (
     transfer_coefficient,
 )
 from quadwg import scattering
-from quadwg.spectral import (PAIRS, gaussian_difference_profile,
+from quadwg.spectral import (PAIRS, EnvelopeKind,
+                             gaussian_difference_profile,
                              gaussian_sum_spectrum, resonance_denominator)
 
 GAMMA = 0.004
@@ -304,8 +306,12 @@ def test_kept_integrals_follow_the_coupling():
     shared = fresh()
     seen = set()
     for coupling in couplings:
-        expect = scattered_bits(coupling, fresh(), grid)
-        assert scattered_bits(coupling, shared, grid) == expect
+        # The Lorentzian tails reach past this grid.
+        with pytest.warns(TruncationWarning) \
+                if coupling.envelope.kind is EnvelopeKind.LORENTZIAN \
+                else contextlib.nullcontext():
+            expect = scattered_bits(coupling, fresh(), grid)
+            assert scattered_bits(coupling, shared, grid) == expect
         seen.add(tuple(expect[0]))
     assert len(seen) == len(couplings) - 1  # every variant moves the result
 
@@ -440,11 +446,11 @@ def test_scatter_output_equals_reference_bitwise(rates, kind):
     grid = FrequencyGrid.for_scattering(cpl, 0.02, 40, 24)
     cross = gaussian_biphoton(DirectionPair.PM, 1.002, 0.015,
                               diff_center=0.01)
-    assert scatter(cpl, cross).output_on(grid).data.tobytes() \
-        == _reference_output(cpl, cross, grid).tobytes()
-    with warnings.catch_warnings():
-        # The Lorentzian tails reach past this grid.
-        warnings.simplefilter("ignore", TruncationWarning)
+    # The Lorentzian tails reach past this grid.
+    with pytest.warns(TruncationWarning) if kind == "lorentzian" \
+            else contextlib.nullcontext():
+        assert scatter(cpl, cross).output_on(grid).data.tobytes() \
+            == _reference_output(cpl, cross, grid).tobytes()
         for state in (cross, gaussian_biphoton(DirectionPair.PP, 1.0, 0.02)):
             gridded = state.on_grid(grid)
             result = scatter(cpl, gridded)
@@ -467,3 +473,20 @@ def test_grid_truncation_warning_names_the_calling_line(call):
     with pytest.warns(TruncationWarning) as record:
         call(cpl, state)
     assert [w.filename for w in record] == [__file__]
+
+
+def test_separable_output_warns_when_its_grid_truncates_the_envelope():
+    # A Lorentzian envelope on its default grid keeps (2/pi) atan(20) of its
+    # mass; the separable output must say so exactly as a grid input does.
+    coupling = isotropic(kind="lorentzian")
+    state = gaussian_biphoton(DirectionPair.PP, 1.0, 0.02)
+    grid = FrequencyGrid.for_scattering(coupling, 0.02, 32, 16)
+    result = scatter(coupling, state)
+    with pytest.warns(TruncationWarning) as record:
+        result.output_on(grid)
+    assert [w.filename for w in record] == [__file__]
+    assert "96.8" in str(record[0].message)
+    with pytest.warns(TruncationWarning) as gridded:
+        scatter(coupling, state.on_grid(grid))
+    assert [str(w.message) for w in record] \
+        == [str(w.message) for w in gridded]

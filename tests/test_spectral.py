@@ -1,8 +1,10 @@
 """Envelopes, couplings, grids, and biphoton states."""
 
+import functools
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -25,10 +27,11 @@ from quadwg import (
     gaussian_biphoton,
     project_on_envelope,
 )
+from quadwg.gate import PulseShape
 from quadwg.spectral import (EnvelopeKind, _complex_quad, _memoized,
                              _quad_options,
                              gaussian_difference_profile,
-                             gaussian_sum_spectrum)
+                             gaussian_sum_spectrum, resonance_denominator)
 
 widths = st.floats(min_value=1e-3, max_value=10.0,
                    allow_nan=False, allow_infinity=False)
@@ -340,6 +343,42 @@ def test_gaussian_overlap_matches_dense_trapezoid():
     assert kappa == pytest.approx(reference, rel=1e-7)
 
 
+def _tabulated_overlap_mpmath(deltas, samples, sigma):
+    """``Int u h`` of the unit-mass linear interpolant ``u`` of real samples
+    against the centred folded Gaussian ``h`` of width ``sigma``, segment by
+    segment in 20-digit arithmetic."""
+    mass, overlap = mpmath.mpf(0), mpmath.mpf(0)
+    with mpmath.workdps(20):
+        s = mpmath.mpf(sigma)
+        amp = (2 / (mpmath.pi * s * s)) ** mpmath.mpf(0.25)
+        for a, b, ua, ub in zip(deltas[:-1], deltas[1:],
+                                samples[:-1], samples[1:]):
+            a, b, ua, ub = (mpmath.mpf(float(x)) for x in (a, b, ua, ub))
+
+            def u(x, a=a, b=b, ua=ua, ub=ub):
+                return ua + (ub - ua) * (x - a) / (b - a)
+
+            def uh(x, u=u):
+                return u(x) * amp * mpmath.exp(-x * x / (4 * s * s))
+
+            mass += mpmath.quad(lambda x, u=u: u(x) ** 2, [a, b],
+                                method="gauss-legendre")
+            overlap += mpmath.quad(uh, [a, b], method="gauss-legendre")
+        return float(overlap / mpmath.sqrt(mass))
+
+
+@pytest.mark.parametrize("n_samples", [61, 401])
+def test_tabulated_overlap_matches_mpmath_interpolant(n_samples):
+    # One quadrature window across the sample kinks warns at these counts
+    # (fatal under this suite).
+    deltas = np.linspace(0.0, 0.2, n_samples)
+    samples = np.exp(-deltas ** 2 / (4 * 0.02 ** 2))
+    state = gaussian_biphoton(DirectionPair.PP, 1.0, 0.02)
+    kappa = state.overlap_with_envelope(Envelope.tabulated(deltas, samples))
+    expected = _tabulated_overlap_mpmath(deltas, samples, 0.02)
+    assert abs(kappa - expected) <= 1e-10 * abs(expected)
+
+
 def _two_pass_complex_quad(fn, a, b, points=None):
     """``_complex_quad`` without shared nodes: each pass evaluates ``fn``
     afresh."""
@@ -363,12 +402,23 @@ def test_complex_quad_equals_two_pass_form_bitwise(envelope):
     f, f_window = gaussian_sum_spectrum(1.0, 0.02)
     h, (lo, hi) = gaussian_difference_profile(0.02, 0.015)
     state = SeparableState(DirectionPair.PP, f, h, f_window, (lo, hi))
+
+    def overlap(a, b, points):
+        return _two_pass_complex_quad(lambda d: envelope(d) * h(d), a, b,
+                                      points)
+
     if envelope.kind is EnvelopeKind.TABULATED:
+        # Integrated one sample segment at a time.
         hi = min(hi, float(envelope.deltas[-1]))
-    mid = 0.5 * (lo + hi)
-    assert bits(state.overlap_with_envelope(envelope)) == bits(
-        state.scale * _two_pass_complex_quad(
-            lambda d: envelope(d) * h(d), lo, hi, [mid]))
+        mid = 0.5 * (lo + hi)
+        nodes = envelope.deltas[envelope.deltas <= hi]
+        expected = sum(overlap(a, b, [mid])
+                       for a, b in zip(nodes[:-1], nodes[1:]))
+    else:
+        mid = 0.5 * (lo + hi)
+        expected = overlap(lo, hi, [mid])
+    assert bits(state.overlap_with_envelope(envelope)) \
+        == bits(state.scale * expected)
 
     def chirped(d):
         return envelope(d) * h(d) * np.exp(1j * d / 0.01)
@@ -389,6 +439,100 @@ def test_memoized_keeps_signed_zeros_apart():
     assert (value(-0.0), value(0.0), value(0.5), value(0.5)) \
         == (-1.0, 1.0, 1.0, 1.0)
     assert len(calls) == 3
+
+
+# The scalar kernels quad calls, built from the sweeps' parameter ranges:
+# total rates 1e-4..1e-2 around omega0 = 1, widths 1e-5 (the narrowest
+# entropy-sweep envelope) to 1 (the gate's unit pulse).
+_KERNELS = {
+    "resonance_denominator":
+        lambda rate, center, width: functools.partial(
+            resonance_denominator, rate, center),
+    "envelope_gaussian": lambda rate, center, width: Envelope.gaussian(width),
+    "envelope_lorentzian":
+        lambda rate, center, width: Envelope.lorentzian(width),
+    "envelope_tabulated": lambda rate, center, width: Envelope.tabulated(
+        [0.0, width, 3 * width], [1.0, 0.5 + 0.25j, 0.0]),
+    "sum_spectrum":
+        lambda rate, center, width: gaussian_sum_spectrum(center, width)[0],
+    "difference_profile": lambda rate, center, width:
+        gaussian_difference_profile(width, center - 1.0)[0],
+    "pulse_gaussian":
+        lambda rate, center, width: PulseShape.gaussian(center, width),
+    "pulse_lorentzian":
+        lambda rate, center, width: PulseShape.lorentzian(center, width),
+}
+
+# Nodes whose squares overflow or underflow, signed zeros and non-finite
+# values.
+_EDGE_NODES = (0.0, -0.0, 5e-324, 1e-170, 1e200, -1e200,
+               1.7976931348623157e308, -1.7976931348623157e308,
+               math.inf, -math.inf, math.nan)
+
+_nodes = st.one_of(
+    st.floats(0.9, 1.1),      # sum frequencies of the sweeps' windows
+    st.floats(-0.5, 0.5),     # difference frequencies and pulse detunings
+    st.floats(-1e8, 1e8),     # gate windows at large rates, quad's tails
+    st.sampled_from(_EDGE_NODES),
+    st.floats())
+
+
+def _bits(value):
+    """Bit patterns of the real and imaginary parts of a scalar value."""
+    z = np.asarray(value, dtype=complex)
+    assert z.shape == ()
+    return z.reshape(1).view(np.uint64).tolist()
+
+
+def _evaluate(kernel, node):
+    """Value of ``kernel`` at ``node`` and the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = kernel(node)
+    return _bits(value), [w.category for w in caught]
+
+
+@pytest.mark.parametrize("name", sorted(_KERNELS))
+@given(st.floats(1e-4, 1e-2), st.floats(0.97, 1.03), st.floats(1e-5, 1.0),
+       _nodes)
+def test_kernel_gives_same_bits_for_float_and_array_nodes(
+        name, rate, center, width, node):
+    # quad passes each node as a Python float; an array caller as a 0-d
+    # array.  Both must give the same bits and the same warnings.
+    kernel = _KERNELS[name](rate, center, width)
+    assert _evaluate(kernel, node) == _evaluate(kernel, np.asarray(node))
+
+
+@pytest.mark.parametrize("kernel, node, expected, message", [
+    (functools.partial(resonance_denominator, 0.004, 1e308),
+     -1.7976931348623157e308, complex(math.nan, math.inf), "overflow"),
+    (Envelope.gaussian(1e200), 1e200, math.nan, "overflow"),
+    (Envelope.gaussian(1e200), math.inf, math.nan, "invalid"),
+    (PulseShape.gaussian(0.0, 1e-170), 0.0, math.nan, "invalid"),
+    (PulseShape.lorentzian(0.0, 1e-170), 5e-324, math.nan, "invalid"),
+    # An overflowing square gives inf, and exp(-inf) or 1/inf gives zero.
+    (Envelope.gaussian(0.02), 1e200, 0.0, "overflow"),
+    (Envelope.lorentzian(0.02), -1e200, 0.0, "overflow"),
+    (gaussian_sum_spectrum(1.0, 0.01)[0], 1e200, 0.0, "overflow"),
+    (gaussian_difference_profile(0.01, 0.02)[0], -1e200, 0.0, "overflow"),
+    (PulseShape.gaussian(0.0, 1.0), 1.7976931348623157e308, 0.0, "overflow"),
+    (PulseShape.lorentzian(0.0, 1.0), 1e200, 0.0, "overflow"),
+], ids=["denominator", "envelope-overflow", "envelope-inf", "pulse-gaussian",
+        "pulse-lorentzian", "envelope-gaussian", "envelope-lorentzian",
+        "sum-spectrum", "difference-profile", "pulse-gaussian-tail",
+        "pulse-lorentzian-tail"])
+def test_edge_nodes_give_ieee_values_with_a_warning(kernel, node, expected,
+                                                     message):
+    # Python float arithmetic would raise ZeroDivisionError or
+    # OverflowError on these nodes; numpy gives inf or nan, in the result
+    # or in the square that overflows, and warns.
+    for x in (node, np.asarray(node)):
+        with pytest.warns(RuntimeWarning) as record:
+            value = kernel(x)
+        assert any(message in str(w.message) for w in record)
+        assert np.array_equal(np.asarray(value, dtype=complex),
+                              np.asarray(expected, dtype=complex),
+                              equal_nan=True)
 
 
 def test_projection_vanishes_for_orthogonal_profile():
