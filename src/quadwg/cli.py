@@ -21,10 +21,12 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import math
 import os
 import sys
+from types import SimpleNamespace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -277,10 +279,172 @@ def _fmt(x: float) -> str:
 # Sum-frequency rows formatted per write; bounds the text held in memory.
 _JOINT_CHUNK_ROWS = 64
 
+# The %.12g kernel of the joint-spectrum writer.  Each number of a row gets
+# a field of five 8-byte words, in which every byte %.12g could write for it
+# has its place:
+#   word 0       "-0.000": sign and the zeros ahead of the digits of
+#                1e-4 <= |x| < 0.1
+#   words 1-3    significant digit i at byte 8 + 2i, each followed by a
+#                slot for the decimal point; the slot after the twelfth
+#                digit holds the "e"
+#   word 4       exponent sign and three exponent digits, then the
+#                separator: ",", ",<label>," or "\n"
+# A layout row, picked by the number's exponent, digit count and sign,
+# holds the punctuation the number needs and 0xff over each digit it
+# keeps; every other byte is NUL.  AND-ing in the digits and deleting the
+# NUL bytes of the whole block leaves the CSV text.
+_DIGIT, _EXP = 8, 32
+_SEPS = (",", ",{},", ",", ",", "\n")   # after omega, omega_prime, abs2, re, im
+_FIXED = 16                             # %.12g writes exponents -4..11 in full
+_EMIN, _EMAX = -324, 308                # exponents of nonzero finite floats
+_KERNEL_ROWS = 4096   # CSV rows formatted at once; bounds the kernel's arrays
 
-def _joint_lines(template: str, w1, w2, amps) -> str:
-    return "".join([template % (x, y, abs(amp) ** 2, amp.real, amp.imag)
-                    for x, y, amp in zip(w1, w2, amps)])
+
+def _words(chunks) -> np.ndarray:
+    """Byte strings of at most 8 bytes as uint64 words, NUL padded."""
+    return np.frombuffer(b"".join(c.ljust(8, b"\0") for c in chunks),
+                         dtype=np.uint64)
+
+
+@functools.cache
+def _g12_tables() -> SimpleNamespace:
+    """Lookup tables of the %.12g kernel, built on first use.
+
+    ``layouts`` holds a row for each (mode, digit count, negative) at
+    ``(mode * 12 + digits - 1) * 2 + negative``.  A number's mode is
+    e + 4 for an exponent e that %.12g writes in fixed notation,
+    ``_FIXED`` for a two-digit and ``_FIXED + 1`` for a three-digit
+    exponent; ``modes`` maps e - ``_EMIN`` to it.
+    """
+    keep = 0xFF
+    layouts = np.zeros((_FIXED + 2, 12, 2, 40), dtype=np.uint8)
+    for mode in range(_FIXED + 2):
+        for ndig in range(1, 13):
+            row = layouts[mode, ndig - 1]
+            row[1, 0] = ord("-")
+            row[:, _DIGIT:_DIGIT + 2 * ndig:2] = keep
+            e = mode - 4
+            if 0 <= e < 12:
+                # integer digits are kept even where they are trailing zeros
+                row[:, _DIGIT:_DIGIT + 2 * e + 1:2] = keep
+                row[:, _DIGIT + 2 * e + 1] = ord(".") if ndig > e + 1 else 0
+            elif e < 0:
+                row[:, 1:2 - e] = list(b"0.000"[:1 - e])
+            else:
+                row[:, _DIGIT + 1] = ord(".") if ndig > 1 else 0
+                row[:, _EXP - 1] = ord("e")
+                row[:, _EXP:_EXP + 4] = keep
+                row[:, _EXP + 1] = keep if mode > _FIXED else 0
+    groups = np.arange(10000)
+    exponents = np.arange(_EMIN, _EMAX + 1)
+    significant = 4 - (groups[:, None] % [10, 100, 1000, 10000] == 0).sum(1)
+    significant[0] = 1      # the one digit of a zero
+    tables = SimpleNamespace(
+        layouts=layouts.view(np.uint64).reshape(-1, 5),
+        # correctly rounded powers of ten, 10**k at k - _EMIN
+        pow10=np.array([float("1e%d" % k) for k in range(_EMIN, 1 - _EMIN)]),
+        # the four digits of 0..9999 with 0xff between and after them
+        digits=_words(b"%c\xff%c\xff%c\xff%c\xff" % tuple(b"%04d" % g)
+                      for g in groups),
+        significant=significant,
+        exponents=_words(b"%+04d" % e for e in exponents),
+        modes=np.where((exponents >= -4) & (exponents < 12), exponents + 4,
+                       _FIXED + (abs(exponents) >= 100)))
+    for table in vars(tables).values():   # shared by every caller
+        table.flags.writeable = False
+    return tables
+
+
+def _decimal12(x: np.ndarray, pow10: np.ndarray):
+    """Digits and exponent of every value of ``x`` rounded to 12 significant
+    digits, as ``%.12g`` rounds it: ``|x| ~ n * 10**(e - 11)`` with ``n`` in
+    [1e11, 1e12).  Zeros and non-finite values give n = 0 and e = 0.
+
+    One multiply by a correctly rounded power of ten scales |x| to [1e11,
+    1e12) with a relative error below 2**-52, under 3e-4 in absolute
+    terms, so the nearest integer is the correctly rounded one unless the
+    scaled value lies within 1e-3 of a half.  Such values, and those
+    outside [1e-280, 1e280], where 10**(11 - e) would leave the float
+    range, take their digits from Python's ``%.11e``, which rounds to the
+    same 12 digits.
+    """
+    a = np.abs(x)
+    fast = (a >= 1e-280) & (a <= 1e280)
+    a = np.where(fast, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.intp)
+    s = a * pow10[11 - e - _EMIN]
+    low, high = s < 1e11, s >= 1e12   # log10 can miss next to a power of ten
+    if low.any() or high.any():
+        e -= low
+        e += high
+        s = a * pow10[11 - e - _EMIN]
+    n = np.rint(s)
+    fast &= (n >= 1e11) & (n <= 1e12) & (np.abs(s - n) < 0.499)
+    carry = n == 1e12
+    n = np.where(carry, 1e11, n).astype(np.int64)
+    e += carry
+    if not fast.all():
+        n[~fast] = 0
+        e[~fast] = 0
+        for i in np.flatnonzero(~fast & np.isfinite(x) & (x != 0)):
+            digits, _, exponent = ("%.11e" % abs(x.flat[i])).partition("e")
+            n.flat[i] = int(digits.replace(".", ""))
+            e.flat[i] = int(exponent)
+    return n, e
+
+
+def _g12_fields(x: np.ndarray, seps: np.ndarray) -> bytearray:
+    """Each row of ``x`` as ``%.12g`` fields, each followed by its word of
+    ``seps``."""
+    t = _g12_tables()
+    n, e = _decimal12(x, t.pow10)
+    g0, rest = np.divmod(n, 100000000)
+    g1, g2 = np.divmod(rest, 10000)
+    ndig = np.where(g2 != 0, 8 + t.significant[g2],
+                    np.where(g1 != 0, 4 + t.significant[g1], t.significant[g0]))
+    negative = np.signbit(x)
+    head = t.digits[g0]
+    if not np.isfinite(x).all():
+        for special, text in ((np.isinf(x), b"i\xffn\xfff"),
+                              (np.isnan(x), b"n\xffa\xffn")):
+            head[special] = _words([text])
+            ndig[special] = 3
+            e[special] = 2
+        negative &= ~np.isnan(x)
+    key = (t.modes[e - _EMIN] * 12 + ndig - 1) * 2 + negative
+    buf = bytearray(x.size * 40)
+    text = np.frombuffer(buf, dtype=np.uint64).reshape(x.shape + (5,))
+    np.take(t.layouts, key, axis=0, out=text, mode="clip")
+    text[..., 1] &= head
+    text[..., 2] &= t.digits[g1]
+    text[..., 3] &= t.digits[g2]
+    text[..., 4] &= t.exponents[e - _EMIN]
+    text[..., 4] |= seps
+    del text   # release the export of buf
+    return buf.translate(None, b"\0")
+
+
+def _abs2(amps: np.ndarray) -> list[float]:
+    """``abs(amp) ** 2`` as Python computes it: numpy's vectorized complex
+    abs and its square both round differently."""
+    try:
+        return [abs(amp) ** 2 for amp in amps.tolist()]
+    except OverflowError:   # Python raises where numpy scalars give inf
+        with np.errstate(over="ignore"):
+            return [abs(amp) ** 2 for amp in amps]
+
+
+def _joint_lines(label: str, w1, w2, amps) -> bytes:
+    """Rows ``w1,w2,label,abs2,re,im`` with every number as ``%.12g``."""
+    x = np.empty((len(w1), len(_SEPS)))
+    x[:, 0] = w1
+    x[:, 1] = w2
+    x[:, 2] = _abs2(amps)
+    x[:, 3] = amps.real
+    x[:, 4] = amps.imag
+    seps = _words(b"\0" * 4 + sep.format(label).encode() for sep in _SEPS)
+    return b"".join(_g12_fields(x[i:i + _KERNEL_ROWS], seps)
+                    for i in range(0, len(x), _KERNEL_ROWS))
 
 
 def _write_joint_csv(path: str, grid: FrequencyGrid, data: np.ndarray,
@@ -288,15 +452,18 @@ def _write_joint_csv(path: str, grid: FrequencyGrid, data: np.ndarray,
     """Joint-spectrum CSV: one row per (channel, grid point).
 
     ``omega`` and ``omega_prime`` are the two photon frequencies in units
-    of the resonance frequency.  Every value is written with ``%.12g``.
+    of the resonance frequency.  Every value reads as ``%.12g`` writes it.
 
-    Rows are formatted in chunks from Python floats and complex numbers;
-    per-element numpy scalars cost more than the formatting itself.
-    ``abs(amp) ** 2`` is taken on Python complex numbers because numpy's
-    vectorized complex ``abs`` rounds differently from the scalar one.
-    Python float powers raise on overflow where numpy scalars give
-    ``inf``, so a chunk that overflows is formatted again from numpy
-    scalars.
+    Rows are formatted 64 sum-frequency rows at a time by a numpy kernel
+    (``_joint_lines``).  It rounds each number to 12 significant digits
+    with one multiply by a power of ten, lays out each field with every
+    byte %.12g could write in a fixed place, and deletes the bytes a
+    number does not use.  A number whose scaled value lies too close to
+    a half for float64 to decide its rounding, or whose magnitude is
+    below 1e-280 or above 1e280, takes its digits from Python's
+    ``%.11e``; zeros, infinities and nan have fixed layouts.  ``abs2``
+    is ``abs(amp) ** 2`` on Python complex numbers because numpy's
+    vectorized complex ``abs`` and square round differently.
 
     Each distinct channel block is formatted once.  A block that is
     bitwise equal to one already written (isotropic emission, or the
@@ -325,21 +492,14 @@ def _write_joint_csv(path: str, grid: FrequencyGrid, data: np.ndarray,
                     fh.seek(0, os.SEEK_END)
                     fh.write(text.replace(old, new))
                 continue
-            template = "%.12g,%.12g," + pair.value + ",%.12g,%.12g,%.12g\n"
             block = data[pair.index]
             spans[pair] = []
             for start in range(0, grid.omegabar.size, _JOINT_CHUNK_ROWS):
                 rows = slice(start, start + _JOINT_CHUNK_ROWS)
                 ob = grid.omegabar[rows, None]
-                w1 = (0.5 * (ob - delta) / omega0).ravel().tolist()
-                w2 = (0.5 * (ob + delta) / omega0).ravel().tolist()
-                amps = block[rows].ravel()
-                try:
-                    text = _joint_lines(template, w1, w2, amps.tolist())
-                except OverflowError:
-                    with np.errstate(over="ignore"):
-                        text = _joint_lines(template, w1, w2, amps)
-                raw = text.encode()
+                w1 = (0.5 * (ob - delta) / omega0).ravel()
+                w2 = (0.5 * (ob + delta) / omega0).ravel()
+                raw = _joint_lines(pair.value, w1, w2, block[rows].ravel())
                 spans[pair].append((fh.tell(), len(raw)))
                 fh.write(raw)
 

@@ -43,6 +43,12 @@ __all__ = [
 ]
 
 
+def _check_scale(fwhm: float, scale: float) -> None:
+    if scale * scale == 0.0:
+        raise ValueError(f"fwhm {fwhm!r} is too small: the square of the"
+                         " pulse scale underflows")
+
+
 @dataclass(frozen=True)
 class PulseShape:
     """Real, nonnegative, unit-norm sum-frequency pulse amplitude.
@@ -69,6 +75,7 @@ class PulseShape:
         s = fwhm / (2.0 * math.sqrt(math.log(2.0)))
         if not fwhm_on_power:
             s /= math.sqrt(2.0)
+        _check_scale(fwhm, s)
         return cls(EnvelopeKind.GAUSSIAN, float(center), float(fwhm), s)
 
     @classmethod
@@ -80,6 +87,7 @@ class PulseShape:
             g = fwhm / (2.0 * math.sqrt(math.sqrt(2.0) - 1.0))
         else:
             g = fwhm / 2.0
+        _check_scale(fwhm, g)
         return cls(EnvelopeKind.LORENTZIAN, float(center), float(fwhm), g)
 
     @classmethod
@@ -190,7 +198,7 @@ def gate_overlap(f: PulseShape, gamma: float,
     amplitude = _memoized(lambda x: float(f(x)))
     mass = sum(quad(lambda x: amplitude(x) ** 2, a, b,
                     **_quad_options(a, b, pts))[0] for a, b in segments)
-    if abs(mass - 1.0) > 1e-3:
+    if not abs(mass - 1.0) <= 1e-3:   # a nan mass fails too
         raise TruncationError(
             f"quadrature captured pulse mass {mass:.6f} instead of 1; "
             "pulse is off center or undersampled")

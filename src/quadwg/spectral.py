@@ -171,10 +171,17 @@ class Envelope:
                     f"envelope width {self.width!r} is too small:"
                     " its square underflows")
             with np.errstate(divide="ignore", over="ignore"):
-                if not np.isfinite(self(0.0)):
-                    raise InvalidEnvelopeError(
-                        f"envelope width {self.width!r} is too small:"
-                        " its peak density overflows")
+                peak = abs(self(0.0))
+            if not math.isfinite(peak):
+                raise InvalidEnvelopeError(
+                    f"envelope width {self.width!r} is too small:"
+                    " its peak density overflows")
+            # A width whose square, or pi times it, overflows leaves an
+            # envelope that is zero everywhere yet claims unit mass.
+            if peak == 0.0:
+                raise InvalidEnvelopeError(
+                    f"envelope width {self.width!r} is too large:"
+                    " its peak density underflows")
 
     @classmethod
     def gaussian(cls, width: float) -> "Envelope":

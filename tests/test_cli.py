@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from quadwg import cli, emission, scattering, spectral
 from quadwg.spectral import CouplingSpec, DirectionPair, Envelope, FrequencyGrid
@@ -306,6 +307,20 @@ def test_overflowing_envelope_density_is_a_config_error(tmp_path, capsys,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["emit", "scatter"])
+@pytest.mark.parametrize("envelope", ["gaussian", "lorentzian"])
+def test_overflowing_envelope_width_is_a_config_error(tmp_path, capsys,
+                                                      command, envelope):
+    # Once reported as "numerical failure: density carries no weight".
+    assert cli.run([command, "--set", f"envelope={envelope}",
+                    "--set", "envelope_width=1e200",
+                    "--outdir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "too large" in err
+    assert "Traceback" not in err
+
+
 def test_narrow_lorentzian_envelope_is_transparent(tmp_path, capsys):
     out = run_ok(["scatter", "--outdir", str(tmp_path),
                   "--set", "envelope=lorentzian",
@@ -449,10 +464,33 @@ def _signed_zero_case():
     return grid, np.stack([block, np.conj(block), block, np.conj(block)]), 1.0
 
 
+# Values %.12g rounds at or next to a tie (the last two are decimal ties
+# that one float64 multiply by a power of ten rounds to the wrong side),
+# or with a carry; values at the edges of its fixed notation, subnormals,
+# and the values with fixed layouts.
+_G12_EDGES = (123456789012.5, 9.9999999999995, 905.9034154725,
+              5.557465012795e-05, 999999999999.5, 1e-4,
+              9.99999999999949e-5, 1e11, 1e12, 1e16, 5e-324,
+              2.225073858507201e-308, 1.7976931348623157e308, 0.0,
+              math.inf, math.nan)
+_G12_EDGES += tuple(-x for x in _G12_EDGES)
+
+
+def _g12_edges_case():
+    # 80 differences put 5120 rows in a write chunk: more than the kernel
+    # formats at once.
+    grid = FrequencyGrid(np.linspace(0.5, 1.5, 67), np.linspace(0.0, 0.2, 80))
+    rng = np.random.default_rng(12)
+    data = np.empty((4, 67, 80), dtype=complex)
+    data.real = rng.choice(_G12_EDGES, data.shape)
+    data.imag = rng.choice(_G12_EDGES, data.shape)
+    return grid, data, 1.0
+
+
 _JOINT_CASES = [
     _emission_case, _anisotropic_lorentzian_case, _scatter_case,
     _special_values_case, _anisotropic_gaussian_case, _isotropic_scatter_case,
-    _repeated_specials_case, _signed_zero_case]
+    _repeated_specials_case, _signed_zero_case, _g12_edges_case]
 
 
 @pytest.mark.parametrize("case", _JOINT_CASES)
@@ -483,7 +521,8 @@ def test_joint_csv_writes_overflowing_abs2_as_inf(tmp_path):
     (_emission_case, 1), (_anisotropic_lorentzian_case, 3),
     (_scatter_case, 2), (_special_values_case, 2),
     (_anisotropic_gaussian_case, 3), (_isotropic_scatter_case, 2),
-    (_repeated_specials_case, 2), (_signed_zero_case, 2)])
+    (_repeated_specials_case, 2), (_signed_zero_case, 2),
+    (_g12_edges_case, 4)])
 def test_joint_csv_formats_each_distinct_block_once(tmp_path, monkeypatch,
                                                      case, distinct):
     # Isotropic emission formats 67 * 24 rows, not 4 * 67 * 24; the other
@@ -500,3 +539,22 @@ def test_joint_csv_formats_each_distinct_block_once(tmp_path, monkeypatch,
     monkeypatch.setattr(cli, "_joint_lines", counted)
     cli._write_joint_csv(tmp_path / "joint.csv", grid, data, omega0)
     assert sum(formatted) == distinct * data[0].size
+
+
+_float_bits = st.integers(0, 2 ** 64 - 1).map(
+    lambda bits: float(np.uint64(bits).view(np.float64)))
+_g12_values = st.one_of(_float_bits, st.sampled_from(_G12_EDGES))
+
+
+@given(st.lists(st.tuples(_g12_values, _g12_values, _g12_values, _g12_values),
+                min_size=1, max_size=40))
+@example([(x, -x, x, -x) for x in _G12_EDGES])
+def test_joint_lines_write_each_value_as_g12(rows):
+    w1, w2, re, im = np.array(rows).T
+    amps = np.empty(len(rows), dtype=complex)
+    amps.real, amps.imag = re, im
+    with np.errstate(over="ignore"):
+        expected = "".join(
+            f"{x:.12g},{y:.12g},-+,{abs(amp) ** 2:.12g},{amp.real:.12g},"
+            f"{amp.imag:.12g}\n" for x, y, amp in zip(w1, w2, amps))
+    assert cli._joint_lines("-+", w1, w2, amps) == expected.encode()

@@ -1,6 +1,7 @@
 """Mirror response, controlled-phase overlap, and gate fidelity."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -19,6 +20,7 @@ from quadwg import (
     truth_table,
     worst_case_fidelity,
 )
+from quadwg.errors import TruncationError
 from quadwg.gate import mirror_bracket, mirror_reflection
 from quadwg.spectral import EnvelopeKind, _quad_options
 
@@ -45,6 +47,25 @@ def test_pulse_normalization_and_width(kind, fwhm_on_power):
     else:
         assert edge / peak == pytest.approx(0.5, rel=1e-12)
     assert abs(pulse(OMEGA0 - fwhm / 2)) == pytest.approx(edge, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "lorentzian"])
+@pytest.mark.parametrize("fwhm_on_power", [False, True])
+def test_pulse_scale_square_must_not_underflow(kind, fwhm_on_power):
+    make = getattr(PulseShape, kind)
+    with pytest.raises(ValueError, match="underflows"):
+        make(0.0, 1e-170, fwhm_on_power=fwhm_on_power)
+    assert make(0.0, 1e-150, fwhm_on_power=fwhm_on_power).scale > 0
+
+
+def test_gate_overlap_raises_on_a_nan_pulse_mass():
+    # Built past the checks of PulseShape.gaussian: the pulse is nan at its
+    # centre, so the captured mass is nan, which must not pass the check.
+    pulse = PulseShape(EnvelopeKind.GAUSSIAN, 0.0, 1e-170, 1e-170)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(TruncationError, match="mass nan"):
+            gate_overlap(pulse, GAMMA)
 
 
 def test_tabulated_pulse_sampling_and_support():
