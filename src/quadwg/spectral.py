@@ -170,6 +170,13 @@ class Envelope:
                 raise InvalidEnvelopeError(
                     f"envelope width {self.width!r} is too small:"
                     " its square underflows")
+            # The Gaussian exponent -delta^2 / (4 b^2) is -0 at every
+            # finite node, and nan beyond about 1.3e154, once 4 b^2 is inf.
+            if (self.kind is EnvelopeKind.GAUSSIAN
+                    and not math.isfinite(4 * self.width * self.width)):
+                raise InvalidEnvelopeError(
+                    f"envelope width {self.width!r} is too large:"
+                    " its square overflows")
             with np.errstate(divide="ignore", over="ignore"):
                 peak = abs(self(0.0))
             if not math.isfinite(peak):

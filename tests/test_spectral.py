@@ -132,6 +132,21 @@ def test_envelope_peak_density_must_not_vanish(make, too_large, largest):
     assert abs(make(largest)(0.0)) > 0
 
 
+def test_gaussian_envelope_exponent_scale_must_not_overflow():
+    # 4 b^2 overflows above about 6.7e153 though pi b^2 does not; such a
+    # Gaussian was flat at every finite node and nan at inf or 1e200.
+    for width in (6.71e153, 7e153, 7.5e153):
+        with pytest.raises(InvalidEnvelopeError, match="too large"):
+            Envelope.gaussian(width)
+    width = 6.7e153
+    env = Envelope.gaussian(width)
+    assert env(2 * width) == pytest.approx(env(0.0) * math.exp(-1.0),
+                                           rel=1e-12)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert env(1e200) == 0.0
+    assert env(math.inf) == 0.0
+
+
 def test_envelope_fwhm_values():
     assert Envelope.gaussian(0.02).fwhm() == pytest.approx(
         0.04 * math.sqrt(2.0 * math.log(2.0)), rel=1e-12)
