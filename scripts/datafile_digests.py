@@ -2,8 +2,10 @@
 
 Runs each subcommand at its defaults, plus non-default configurations
 that reach anisotropic and Lorentzian emission, mirror scattering of a
-split pair, a Lorentzian envelope with a detuned input and the intensity
-FWHM convention of the gate, and then every recipe of
+split pair, a Lorentzian envelope with a detuned input, the intensity
+FWHM convention of the gate and gate ratios from 1e-2 to 1e6 (at the
+small ones the quadrature window is the pulse support, not forty rates),
+and then every recipe of
 ``scripts/data_recipes.py``, each into its own directory under a
 temporary directory.  Prints one ``<sha256>  <run>/<file>`` line per data
 file and one per run for its printed summaries, with the exit status.
@@ -38,6 +40,9 @@ RUNS = tuple((name, [(name, ())]) for name in COMMANDS) + (
         "envelope=lorentzian", "sum_center=1.01"))]),
     ("gate-power-fwhm", [("gate", (
         "fwhm_on_power=true", "ratios=1,10,1e3,1e6", "report_ratio=1e6"))]),
+    ("gate-wide-ratios", [("gate", (
+        "ratios=0.01,0.03,0.1,0.3,1,3,10,100,1e3,1e4,1e5,1e6",
+        "report_ratio=0.01"))]),
 ) + tuple(RECIPES.items())
 
 

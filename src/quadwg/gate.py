@@ -18,15 +18,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from scipy.integrate import quad
 
 from .errors import InvalidOverlapError, TruncationError
-from .spectral import (EnvelopeKind, _complex_quad, _linear_masses,
-                       _memoized, _quad_options, _real,
-                       resonance_denominator)
+from .spectral import (EnvelopeKind, _linear_masses, _quad_options,
+                       _quad_parts, _real, resonance_denominator)
 
 __all__ = [
     "PulseShape",
@@ -160,6 +160,144 @@ def mirror_reflection(f: PulseShape, gamma: float,
     return reflected
 
 
+# Gauss-Kronrod abscissae of QUADPACK in its own digits, centre left out:
+# the 21-point rule of finite intervals and the 15-point rule of half lines.
+_XGK21 = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720])
+_XGK15 = np.array([
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245])
+# Bisections of each starting interval whose nodes ``gate_overlap``
+# evaluates up front.  On the benchmark's gate sweeps (gamma/FWHM 1 to 1e6)
+# they hold all but 0.3% of the nodes quad visits, and three hold all.
+_PREFETCH_DEPTH = 2
+
+
+def _kronrod_nodes(a: np.ndarray, b: np.ndarray, xgk: np.ndarray,
+                   depth: int) -> np.ndarray:
+    """Nodes of the rule ``xgk`` on the intervals ``[a, b]`` and on their
+    halves down to ``depth`` bisections, rounded as QUADPACK rounds them:
+    the centre ``c = 0.5 (a + b)`` and ``c -+ h xgk`` with
+    ``h = 0.5 (b - a)``; each bisection splits at ``c``."""
+    nodes = []
+    for _ in range(depth + 1):
+        c, h = 0.5 * (a + b), 0.5 * (b - a)
+        hx = np.multiply.outer(h, xgk)
+        nodes += [c, (c[:, None] - hx).ravel(), (c[:, None] + hx).ravel()]
+        a, b = np.concatenate((a, c)), np.concatenate((c, b))
+    return np.concatenate(nodes)
+
+
+def _predicted_nodes(segments, points, depth: int) -> np.ndarray:
+    """The nodes of ``quad`` over ``segments`` with the break ``points`` of
+    ``_quad_options``, down to ``depth`` bisections.
+
+    The finite intervals run between the sorted segment ends and points,
+    which is exact when the finite segments tile one interval, and a
+    superset otherwise.  A half line maps its 15-point nodes ``t`` in
+    ``(0, 1]`` to ``bound +- (1 - t) / t``.
+    """
+    ends = [x for seg in segments if all(map(math.isfinite, seg))
+            for x in seg]
+    nodes = [np.empty(0)]
+    if ends:
+        lo, hi = min(ends), max(ends)
+        edges = np.unique(np.array(
+            ends + [p for p in points if lo < p < hi], dtype=float))
+        nodes.append(_kronrod_nodes(edges[:-1], edges[1:], _XGK21, depth))
+    t = _kronrod_nodes(np.zeros(1), np.ones(1), _XGK15, depth)
+    for a, b in segments:
+        if a == -np.inf and math.isfinite(b):
+            nodes.append(b + -1.0 * (1.0 - t) / t)
+        elif b == np.inf and math.isfinite(a):
+            nodes.append(a + 1.0 * (1.0 - t) / t)
+    return np.concatenate(nodes)
+
+
+def _bracket_parts(gamma, w0: float, x: np.ndarray):
+    """Real and imaginary parts of ``complex(mirror_bracket(gamma, w0,
+    node))`` at each node of ``x``, with the bits the bracket has at that
+    node alone.
+
+    At one node ``1j * (w0 - node)`` is a Python complex, and the type of
+    ``gamma`` chooses the rest.  A numpy rate (a numpy scalar or 0-d
+    array) keeps numpy's arithmetic, whose scalar division agrees with its
+    array loop, at the complex precision of ``gamma / 2`` (a float32 rate
+    gives a complex64 bracket).  A Python number divides in CPython's
+    complex arithmetic, by the denominator where numpy's loop multiplies
+    by its reciprocal; that division is replayed here op for op on real
+    arrays.
+    """
+    d = w0 - x
+    if isinstance(gamma, (np.generic, np.ndarray)):
+        half = gamma / 2.0
+        z = (1j * d).astype(np.result_type(half, 1j))
+        bracket = 1.0 - gamma / (half + z)
+        return bracket.real.astype(float), bracket.imag.astype(float)
+    gamma = float(gamma)
+    with np.errstate(all="ignore"):     # CPython float arithmetic never warns
+        # gamma / 2 + (0 + 1j) (d + 0j), less its terms that add a zero of
+        # the same sign: (gamma / 2 + 0 d, 0 + d)
+        re = gamma / 2.0 + 0.0 * d
+        im = 0.0 + d
+        # (gamma + 0j) / (re + im j), dividing through by the larger part
+        # (Smith's method); 0 / 0 raises, as in CPython.
+        big = abs(re) >= abs(im)
+        if np.any(big & (re == 0.0)):
+            raise ZeroDivisionError("complex division by zero")
+        p, s = np.where(big, re, im), np.where(big, im, re)
+        ratio = s / p
+        denom = p + s * ratio
+        q_re = np.where(big, gamma + 0.0 * ratio, gamma * ratio + 0.0) / denom
+        q_im = np.where(big, 0.0 - gamma * ratio, 0.0 * ratio - gamma) / denom
+        return 1.0 - q_re, 0.0 - q_im
+
+
+def _node_values(f: PulseShape, gamma, w0: float, x: np.ndarray):
+    """The three integrands of ``gate_overlap`` at the nodes ``x``, each
+    with the bits it has at one node alone: ``amp ** 2`` and the real and
+    imaginary parts of ``amp * amp * complex(mirror_bracket(gamma, w0,
+    node))``, where ``amp = float(f(node))``."""
+    amp = f(x)
+    # Python's ``amp ** 2`` calls libm ``pow``, as ``float_power`` does;
+    # about one square in a thousand rounds differently from ``amp * amp``.
+    power = np.float_power(amp, 2.0)
+    re, im = _bracket_parts(gamma, w0, x)
+    with np.errstate(all="ignore"):
+        # CPython's float times complex: (amp^2 + 0j) (re + im j).
+        amp2 = amp * amp
+        return power, amp2 * re - 0.0 * im, amp2 * im + 0.0 * re
+
+
+class _NodeTable(dict):
+    """One integrand of ``gate_overlap``, keyed by node.
+
+    ``quad`` is handed the C-level ``__getitem__``.  A node missing from
+    the table is evaluated by ``values``, the same array kernel, on a
+    one-element array, and kept unless it is zero: ``-0.0`` and ``0.0``
+    share a key.
+    """
+
+    __slots__ = ("values", "part")
+
+    def __init__(self, items, values: Callable, part: int):
+        super().__init__(items)
+        self.values = values
+        self.part = part
+
+    def __missing__(self, x: float) -> float:
+        value = float(self.values(np.array([x]))[self.part][0])
+        if x:
+            self[x] = value
+        return value
+
+
 def gate_overlap(f: PulseShape, gamma: float,
                  omega0: float | None = None) -> complex:
     """Overlap of the reflected pair pulse with the incoming one.
@@ -170,6 +308,13 @@ def gate_overlap(f: PulseShape, gamma: float,
     is -1 (ideal conditional pi), the broad-pulse limit is +1 (emitter
     transparent).  Raises a truncation error when the quadrature fails to
     capture the pulse mass.
+
+    The mass pass and both overlap passes share one table per integrand.
+    It holds the values at the Gauss-Kronrod nodes ``quad`` places on the
+    starting intervals and on their halves and quarters (a tabulated pulse:
+    its sample segments only), evaluated in one array pass.  Each node
+    ``quad`` asks for beyond these is evaluated when asked.  Every value
+    has the bits of that node evaluated alone.
     """
     if not gamma > 0:
         raise ValueError("gamma must be positive")
@@ -194,20 +339,25 @@ def gate_overlap(f: PulseShape, gamma: float,
             pts += [f.center - step, f.center + step]
             step *= 8.0
 
-    # The mass pass and both overlap passes share most of their nodes.
-    amplitude = _memoized(lambda x: float(f(x)))
-    mass = sum(quad(lambda x: amplitude(x) ** 2, a, b,
-                    **_quad_options(a, b, pts))[0] for a, b in segments)
+    # On a sample segment the pulse is linear and quad seldom bisects; the
+    # nodes of bisections would cost more than the few it asks for.
+    depth = 0 if f.kind is EnvelopeKind.TABULATED else _PREFETCH_DEPTH
+    nodes = _predicted_nodes(segments, pts, depth)
+    nodes = nodes[nodes != 0.0]    # left to ``_NodeTable.__missing__``
+    values = partial(_node_values, f, gamma, w0)
+    keys = nodes.tolist()
+    power, real, imag = (_NodeTable(zip(keys, part.tolist()), values, i)
+                         for i, part in enumerate(values(nodes)))
+
+    mass = sum(quad(power.__getitem__, a, b, **_quad_options(a, b, pts))[0]
+               for a, b in segments)
     if not abs(mass - 1.0) <= 1e-3:   # a nan mass fails too
         raise TruncationError(
             f"quadrature captured pulse mass {mass:.6f} instead of 1; "
             "pulse is off center or undersampled")
 
-    def integrand(x):
-        amp = amplitude(x)
-        return amp * amp * complex(mirror_bracket(gamma, w0, x))
-
-    val = sum(_complex_quad(integrand, a, b, pts) for a, b in segments)
+    val = sum(_quad_parts(real.__getitem__, imag.__getitem__, a, b, pts)
+              for a, b in segments)
     return complex(val) / mass
 
 

@@ -475,16 +475,24 @@ def _memoized(fn: Callable[[float], object]) -> Callable[[float], object]:
     return value
 
 
+def _quad_parts(real: Callable[[float], float],
+                imag: Callable[[float], float], a: float, b: float,
+                points: Sequence[float] | None = None) -> complex:
+    """``quad`` of the real and imaginary parts of one integrand."""
+    kw = _quad_options(a, b, points)
+    re, _ = quad(real, a, b, **kw)
+    im, _ = quad(imag, a, b, **kw)
+    return re + 1j * im
+
+
 def _complex_quad(fn: Callable[[float], complex], a: float, b: float,
                   points: Sequence[float] | None = None) -> complex:
-    kw = _quad_options(a, b, points)
     # Both passes start from the same Gauss-Kronrod rule on the same
     # intervals, so most of their nodes coincide.
     value = _memoized(fn)
     # ``.real`` on a scalar is several times cheaper than ``np.real``.
-    re, _ = quad(lambda x: value(x).real, a, b, **kw)
-    im, _ = quad(lambda x: value(x).imag, a, b, **kw)
-    return re + 1j * im
+    return _quad_parts(lambda x: value(x).real, lambda x: value(x).imag,
+                       a, b, points)
 
 
 @dataclass

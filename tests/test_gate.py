@@ -6,7 +6,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import erfcx
 
@@ -20,6 +20,7 @@ from quadwg import (
     truth_table,
     worst_case_fidelity,
 )
+from quadwg import gate, spectral
 from quadwg.errors import TruncationError
 from quadwg.gate import mirror_bracket, mirror_reflection
 from quadwg.spectral import EnvelopeKind, _quad_options
@@ -301,7 +302,7 @@ def _two_pass_gate_overlap(f, gamma, omega0=None):
 
 
 class CountingPulse:
-    """A pulse that records every node it is evaluated at."""
+    """A pulse that records every argument it is evaluated at."""
 
     def __init__(self, pulse):
         self.pulse = pulse
@@ -335,15 +336,168 @@ def test_detuned_gate_overlap_equals_two_pass_form_bitwise(kind):
         == bits(_two_pass_gate_overlap(pulse, GAMMA, omega0))
 
 
-def test_gate_overlap_evaluates_pulse_once_per_node():
-    shared = CountingPulse(PulseShape.lorentzian(OMEGA0, 0.2))
-    fresh = CountingPulse(PulseShape.lorentzian(OMEGA0, 0.2))
-    gate_overlap(shared, GAMMA)
-    _two_pass_gate_overlap(fresh, GAMMA)
-    assert len(shared.nodes) == len(set(shared.nodes))
-    assert set(shared.nodes) == set(fresh.nodes)
-    # The three passes revisit most nodes.
-    assert len(fresh.nodes) > 2 * len(shared.nodes)
+def _tabulated_gaussian(center, fwhm, n_samples):
+    grid = center + np.linspace(-6 * fwhm, 6 * fwhm, n_samples)
+    return PulseShape.tabulated(
+        grid, np.abs(PulseShape.gaussian(center, fwhm)(grid)))
+
+
+@pytest.mark.parametrize("pulse, gamma, omega0", [
+    (PulseShape.lorentzian(OMEGA0, 0.2), GAMMA, None),
+    (PulseShape.gaussian(OMEGA0, 0.2), GAMMA, OMEGA0 + 0.3),
+    (PulseShape.gaussian(0.0, 1.0), np.float64(1e4), None),
+    (PulseShape.lorentzian(0.0, 1.0), np.float64(1e6), None),
+    (_tabulated_gaussian(OMEGA0, GAMMA / 3, 401), GAMMA, None),
+], ids=["lorentzian", "gaussian-detuned", "gaussian-1e4", "lorentzian-1e6",
+        "tabulated"])
+def test_gate_overlap_prefetches_every_node_quad_visits(
+        monkeypatch, pulse, gamma, omega0):
+    visited = []
+
+    def recording(quad):
+        def recorded(fn, a, b, **kwargs):
+            return quad(lambda x: visited.append(x) or fn(x), a, b, **kwargs)
+        return recorded
+
+    monkeypatch.setattr(gate, "quad", recording(gate.quad))
+    monkeypatch.setattr(spectral, "quad", recording(spectral.quad))
+    counting = CountingPulse(pulse)
+    gate_overlap(counting, gamma, omega0)
+    # One call on the array of predicted nodes; a node missing from it
+    # would take one more call, on a one-element array.
+    assert len(counting.nodes) == 1
+    (prefetched,) = counting.nodes
+    assert isinstance(prefetched, np.ndarray) and prefetched.ndim == 1
+    misses = set(visited) - set(prefetched.tolist())
+    assert visited and not misses
+
+
+def test_gate_overlap_evaluates_a_missing_node_on_its_own(monkeypatch):
+    # With no node prefetched, every node quad visits is a miss: the pulse
+    # sees one-element arrays, once per node and table, and the overlap
+    # keeps its bits.
+    monkeypatch.setattr(gate, "_predicted_nodes",
+                        lambda segments, points, depth: np.empty(0))
+    counting = CountingPulse(PulseShape.lorentzian(OMEGA0, 0.2))
+    overlap = gate_overlap(counting, GAMMA)
+    assert bits(overlap) == bits(
+        _two_pass_gate_overlap(PulseShape.lorentzian(OMEGA0, 0.2), GAMMA))
+    assert all(x.shape == (1,) for x in counting.nodes[1:])
+    nodes = [float(x[0]) for x in counting.nodes[1:]]
+    assert len(nodes) <= 3 * len(set(nodes))
+
+
+def _scalar_integrands(f, gamma, w0, x):
+    """``gate_overlap``'s integrands at one Python-float node, as the
+    quadrature evaluated them one node at a time."""
+    amp = float(f(x))
+    value = amp * amp * complex(mirror_bracket(gamma, w0, x))
+    return amp ** 2, value.real, value.imag
+
+
+def _float_bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+def _warned(fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = fn(*args)
+    return value, {w.category for w in caught}
+
+
+_PULSES = {
+    "gaussian": lambda center, fwhm: PulseShape.gaussian(center, fwhm),
+    "lorentzian": lambda center, fwhm: PulseShape.lorentzian(center, fwhm),
+    "tabulated": lambda center, fwhm: _tabulated_gaussian(center, fwhm, 13),
+}
+_MAX = 1.7976931348623157e308
+# quad's nodes are finite; these are the far ones, where the pulse's
+# square overflows, and the signed zeros.
+_FAR_NODES = (0.0, -0.0, 5e-324, 1e8, -1e8, 1e15, -1e15, 1e200, -1e200,
+              _MAX, -_MAX)
+
+
+@pytest.mark.parametrize("rate_type",
+                         [int, float, np.float64, np.float32, np.asarray],
+                         ids=["int", "float", "float64", "float32", "0-d"])
+@pytest.mark.parametrize("shape", sorted(_PULSES))
+@settings(max_examples=15)
+@given(ratio=st.floats(1e-2, 1e6), center=st.floats(-2.0, 2.0),
+       fwhm=st.floats(1e-3, 10.0), detuning=st.floats(-3.0, 3.0),
+       resonant=st.booleans(),
+       nodes=st.lists(st.floats(-50.0, 50.0) | st.floats(
+           allow_nan=False, allow_infinity=False), max_size=16))
+def test_node_values_have_the_bits_of_one_node(
+        rate_type, shape, ratio, center, fwhm, detuning, resonant, nodes):
+    pulse = _PULSES[shape](center, fwhm)
+    rate = ratio * fwhm
+    gamma = rate_type(max(rate, 1.0) if rate_type is int else rate)
+    w0 = center if resonant else center + detuning * fwhm
+    x = [w0, center, center - fwhm, center + fwhm, w0 + float(gamma),
+         *_FAR_NODES, *nodes]
+    if shape == "tabulated":
+        x += [*pulse.freqs[[0, 5, -1]], pulse.freqs[0] - fwhm,
+              0.5 * (pulse.freqs[3] + pulse.freqs[4])]
+    expected, scalar_warnings = [], set()
+    for node in x:
+        values, caught = _warned(_scalar_integrands, pulse, gamma, w0,
+                                 float(node))
+        expected.append(values)
+        scalar_warnings |= caught
+    expected = np.array(expected).T
+    batch, caught = _warned(gate._node_values, pulse, gamma, w0,
+                            np.array(x, dtype=float))
+    assert _float_bits(batch) == _float_bits(expected)
+    # Prefetched nodes warn only as quad's own nodes would.
+    assert caught <= scalar_warnings
+    for node, column in zip(x, expected.T):
+        single, _ = _warned(gate._node_values, pulse, gamma, w0,
+                            np.array([node]))
+        assert _float_bits(np.ravel(single)) == _float_bits(column)
+
+
+@pytest.mark.parametrize("shape", ["gaussian", "lorentzian"])
+def test_node_values_square_the_pulse_as_python_does(shape):
+    # Python's ``amp ** 2`` calls libm pow, which on glibc 2.36 rounds a few
+    # of these 20001 squares differently from ``amp * amp``.
+    pulse = _PULSES[shape](0.0, 1.0)
+    x = np.linspace(-3.0, 3.0, 20001)
+    power, _, _ = gate._node_values(pulse, 1.0, 0.0, x)
+    assert _float_bits(power) == _float_bits(
+        [amp ** 2 for amp in pulse(x).tolist()])
+
+
+def test_node_values_divide_by_zero_as_python_does():
+    # At gamma = 5e-324, gamma / 2 underflows to 0 and the bracket's
+    # denominator vanishes at resonance, where CPython's complex division
+    # raises.  quad reaches that node on a pulse centred at zero.
+    pulse = PulseShape.gaussian(0.0, 1.0)
+    with pytest.raises(ZeroDivisionError):
+        _scalar_integrands(pulse, 5e-324, 0.0, -0.0)
+    with pytest.raises(ZeroDivisionError):
+        gate._node_values(pulse, 5e-324, 0.0, np.array([1.0, -0.0]))
+    with pytest.raises(ZeroDivisionError):
+        gate_overlap(pulse, 5e-324)
+
+
+@pytest.mark.parametrize("a, b, points, integrand", [
+    (-1.0, 1.0, [], lambda x: 1.0),
+    (-1.0, 3.0, [0.25, 2.0, 9.0], lambda x: 1.0),
+    (-np.inf, 2.5, [], lambda x: 1.0 / (1.0 + abs(x - 2.5)) ** 2),
+    (0.7, np.inf, [], lambda x: 1.0 / (1.0 + abs(x - 0.7)) ** 2),
+], ids=["window", "break-points", "lower-tail", "upper-tail"])
+def test_predicted_nodes_are_those_of_quads_first_pass(a, b, points,
+                                                       integrand):
+    # quad's first rule integrates each integrand exactly, so it never
+    # bisects: a constant on a finite interval, and on a half line, which
+    # quad maps to t in (0, 1] by x = bound +- (1 - t) / t, an integrand
+    # whose product with dx/dt is constant.
+    visited = []
+    quad(lambda x: visited.append(x) or integrand(x), a, b,
+         **_quad_options(a, b, points))
+    predicted = gate._predicted_nodes([(a, b)], points, 0)
+    assert set(visited) == set(predicted.tolist())
 
 
 def test_worst_case_reference_points():
