@@ -1,11 +1,12 @@
 """SHA-256 digests of every data file and printed summary of the CLI.
 
 Runs each subcommand at its defaults, plus non-default configurations
-that reach anisotropic and Lorentzian emission, mirror scattering of a
-split pair, a Lorentzian envelope with a detuned input, the intensity
-FWHM convention of the gate and gate ratios from 1e-2 to 1e6 (at the
-small ones the quadrature window is the pulse support, not forty rates),
-and then every recipe of
+that reach anisotropic and Lorentzian emission, an emission map with more
+differences than the CSV writer formats at once (so the writer splits
+inside one sum row), mirror scattering of a split pair, a Lorentzian
+envelope with a detuned input, the intensity FWHM convention of the gate
+and gate ratios from 1e-2 to 1e6 (at the small ones the quadrature window
+is the pulse support, not forty rates), and then every recipe of
 ``scripts/data_recipes.py``, each into its own directory under a
 temporary directory.  Prints one ``<sha256>  <run>/<file>`` line per data
 file and one per run for its printed summaries, with the exit status.
@@ -34,6 +35,7 @@ RUNS = tuple((name, [(name, ())]) for name in COMMANDS) + (
     ("emit-anisotropic-lorentzian", [("emit", (
         "omega0=1.7", "rates=0.001,0.0015,0.0015,0.0005",
         "envelope=lorentzian", "envelope_width=0.01"))]),
+    ("emit-wide-delta", [("emit", ("n_omegabar=3", "n_delta=5000"))]),
     ("scatter-mirror-split", [("scatter", (
         "rates=mirror", "channel=+-", "diff_center=0.01"))]),
     ("scatter-lorentzian-detuned", [("scatter", (

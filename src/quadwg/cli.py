@@ -27,7 +27,7 @@ import math
 import os
 import sys
 from types import SimpleNamespace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -272,14 +272,7 @@ def _coupling_from(cfg) -> CouplingSpec:
         DirectionPair.MP: mp, DirectionPair.MM: mm}, env)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
-
-
-# Sum-frequency rows formatted per write; bounds the text held in memory.
-_JOINT_CHUNK_ROWS = 64
-
-# The %.12g kernel of the joint-spectrum writer.  Each number of a row gets
+# The %.12g kernel of every CSV writer.  Each number of a row gets
 # a field of five 8-byte words, in which every byte %.12g could write for it
 # has its place:
 #   word 0       "-0.000": sign and the zeros ahead of the digits of
@@ -294,7 +287,6 @@ _JOINT_CHUNK_ROWS = 64
 # keeps; every other byte is NUL.  AND-ing in the digits and deleting the
 # NUL bytes of the whole block leaves the CSV text.
 _DIGIT, _EXP = 8, 32
-_SEPS = (",", ",{},", ",", ",", "\n")   # after omega, omega_prime, abs2, re, im
 _FIXED = 16                             # %.12g writes exponents -4..11 in full
 _EMIN, _EMAX = -324, 308                # exponents of nonzero finite floats
 _KERNEL_ROWS = 4096   # CSV rows formatted at once; bounds the kernel's arrays
@@ -424,27 +416,28 @@ def _g12_fields(x: np.ndarray, seps: np.ndarray) -> bytearray:
     return buf.translate(None, b"\0")
 
 
-def _abs2(amps: np.ndarray) -> list[float]:
-    """``abs(amp) ** 2`` as Python computes it: numpy's vectorized complex
-    abs and its square both round differently."""
-    try:
-        return [abs(amp) ** 2 for amp in amps.tolist()]
-    except OverflowError:   # Python raises where numpy scalars give inf
-        with np.errstate(over="ignore"):
-            return [abs(amp) ** 2 for amp in amps]
+def _g12_lines(x: np.ndarray, seps: Sequence[str]) -> bytes:
+    """Each row of ``x`` as ``%.12g`` fields, each followed by its separator
+    of ``seps`` (at most four bytes), formatted ``_KERNEL_ROWS`` rows at a
+    time."""
+    words = _words(b"\0" * 4 + sep.encode() for sep in seps)
+    return b"".join(_g12_fields(x[i:i + _KERNEL_ROWS], words)
+                    for i in range(0, len(x), _KERNEL_ROWS))
 
 
 def _joint_lines(label: str, w1, w2, amps) -> bytes:
     """Rows ``w1,w2,label,abs2,re,im`` with every number as ``%.12g``."""
-    x = np.empty((len(w1), len(_SEPS)))
+    x = np.empty((len(w1), 5))
     x[:, 0] = w1
     x[:, 1] = w2
-    x[:, 2] = _abs2(amps)
+    # The bits of Python's abs(amp) ** 2, whose complex abs is libm hypot
+    # and whose float ** 2 is libm pow; numpy's complex abs and square
+    # round differently.  Where Python raises OverflowError this is inf.
+    with np.errstate(over="ignore"):
+        x[:, 2] = np.float_power(np.hypot(amps.real, amps.imag), 2.0)
     x[:, 3] = amps.real
     x[:, 4] = amps.imag
-    seps = _words(b"\0" * 4 + sep.format(label).encode() for sep in _SEPS)
-    return b"".join(_g12_fields(x[i:i + _KERNEL_ROWS], seps)
-                    for i in range(0, len(x), _KERNEL_ROWS))
+    return _g12_lines(x, (",", f",{label},", ",", ",", "\n"))
 
 
 def _write_joint_csv(path: str, grid: FrequencyGrid, data: np.ndarray,
@@ -454,16 +447,17 @@ def _write_joint_csv(path: str, grid: FrequencyGrid, data: np.ndarray,
     ``omega`` and ``omega_prime`` are the two photon frequencies in units
     of the resonance frequency.  Every value reads as ``%.12g`` writes it.
 
-    Rows are formatted 64 sum-frequency rows at a time by a numpy kernel
-    (``_joint_lines``).  It rounds each number to 12 significant digits
-    with one multiply by a power of ten, lays out each field with every
-    byte %.12g could write in a fixed place, and deletes the bytes a
-    number does not use.  A number whose scaled value lies too close to
-    a half for float64 to decide its rounding, or whose magnitude is
-    below 1e-280 or above 1e280, takes its digits from Python's
-    ``%.11e``; zeros, infinities and nan have fixed layouts.  ``abs2``
-    is ``abs(amp) ** 2`` on Python complex numbers because numpy's
-    vectorized complex ``abs`` and square round differently.
+    Rows are written as many sum-frequency rows at a time as fill
+    ``_KERNEL_ROWS`` CSV rows (one row if a row alone holds more), by a
+    numpy kernel (``_g12_lines``).  It rounds each number to 12
+    significant digits with one multiply by a power of ten, lays out each
+    field with every byte %.12g could write in a fixed place, and deletes
+    the bytes a number does not use.  A number whose scaled value lies
+    too close to a half for float64 to decide its rounding, or whose
+    magnitude is below 1e-280 or above 1e280, takes its digits from
+    Python's ``%.11e``; zeros, infinities and nan have fixed layouts.
+    ``abs2`` has the bits of Python's ``abs(amp) ** 2``, with inf where
+    Python raises ``OverflowError``.
 
     Each distinct channel block is formatted once.  A block that is
     bitwise equal to one already written (isotropic emission, or the
@@ -473,6 +467,7 @@ def _write_joint_csv(path: str, grid: FrequencyGrid, data: np.ndarray,
     differently, and ``nan != nan`` though both format alike.
     """
     delta = grid.delta
+    step = max(1, _KERNEL_ROWS // delta.size)   # sum rows per write
     bits = np.ascontiguousarray(data).view(np.uint64)
     spans = {}  # formatted pair -> (byte offset, size) of each chunk
     with open(path, "w+b") as fh:
@@ -494,8 +489,8 @@ def _write_joint_csv(path: str, grid: FrequencyGrid, data: np.ndarray,
                 continue
             block = data[pair.index]
             spans[pair] = []
-            for start in range(0, grid.omegabar.size, _JOINT_CHUNK_ROWS):
-                rows = slice(start, start + _JOINT_CHUNK_ROWS)
+            for start in range(0, grid.omegabar.size, step):
+                rows = slice(start, start + step)
                 ob = grid.omegabar[rows, None]
                 w1 = (0.5 * (ob - delta) / omega0).ravel()
                 w2 = (0.5 * (ob + delta) / omega0).ravel()
@@ -505,13 +500,11 @@ def _write_joint_csv(path: str, grid: FrequencyGrid, data: np.ndarray,
 
 
 def _write_rows_csv(path: str, header: Sequence[str],
-                    rows: Iterable[Sequence]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(
-                tok if isinstance(tok, str) else _fmt(tok) for tok in row)
-                + "\n")
+                    rows: Sequence[Sequence[float]]) -> None:
+    x = np.array(rows, dtype=float).reshape(-1, len(header))
+    with open(path, "wb") as fh:
+        fh.write(",".join(header).encode() + b"\n")
+        fh.write(_g12_lines(x, [","] * (len(header) - 1) + ["\n"]))
 
 
 def _write_json(path: str, payload: dict) -> None:

@@ -25,7 +25,6 @@ from .spectral import (
     DirectionPair,
     FrequencyGrid,
     GridState,
-    _envelope_reach,
     resonance_denominator,
 )
 
@@ -69,9 +68,8 @@ def default_emission_grid(coupling: CouplingSpec,
     deliberately tight so that window-defined quantities like the
     frequency correlation have a fixed, documented meaning.
     """
-    return FrequencyGrid.regular(coupling.omega0, 10.0 * coupling.total_rate,
-                                 _envelope_reach(coupling.envelope),
-                                 n_omegabar, n_delta)
+    return FrequencyGrid.for_scattering(coupling, 0.0, n_omegabar, n_delta,
+                                        halfwidth_rates=10.0)
 
 
 def pearson_correlation(grid: FrequencyGrid, density: np.ndarray) -> float:

@@ -226,20 +226,16 @@ def _bracket_parts(gamma, w0: float, x: np.ndarray):
     node alone.
 
     At one node ``1j * (w0 - node)`` is a Python complex, and the type of
-    ``gamma`` chooses the rest.  A numpy rate (a numpy scalar or 0-d
-    array) keeps numpy's arithmetic, whose scalar division agrees with its
-    array loop, at the complex precision of ``gamma / 2`` (a float32 rate
-    gives a complex64 bracket).  A Python number divides in CPython's
-    complex arithmetic, by the denominator where numpy's loop multiplies
-    by its reciprocal; that division is replayed here op for op on real
-    arrays.
+    ``gamma`` chooses the rest.  A float64 numpy rate (a numpy scalar or
+    0-d array) keeps numpy's arithmetic, whose scalar division agrees with
+    its array loop.  A Python number divides in CPython's complex
+    arithmetic, by the denominator where numpy's loop multiplies by its
+    reciprocal; that division is replayed here op for op on real arrays.
     """
     d = w0 - x
     if isinstance(gamma, (np.generic, np.ndarray)):
-        half = gamma / 2.0
-        z = (1j * d).astype(np.result_type(half, 1j))
-        bracket = 1.0 - gamma / (half + z)
-        return bracket.real.astype(float), bracket.imag.astype(float)
+        bracket = 1.0 - gamma / (gamma / 2.0 + 1j * d)
+        return bracket.real, bracket.imag
     gamma = float(gamma)
     with np.errstate(all="ignore"):     # CPython float arithmetic never warns
         # gamma / 2 + (0 + 1j) (d + 0j), less its terms that add a zero of
@@ -315,9 +311,17 @@ def gate_overlap(f: PulseShape, gamma: float,
     its sample segments only), evaluated in one array pass.  Each node
     ``quad`` asks for beyond these is evaluated when asked.  Every value
     has the bits of that node evaluated alone.
+
+    ``gamma`` must be positive and finite, with ``2 / gamma`` finite.  A
+    numpy rate is taken as float64.
     """
     if not gamma > 0:
         raise ValueError("gamma must be positive")
+    if not (math.isfinite(gamma) and math.isfinite(2.0 / float(gamma))):
+        raise ValueError(f"gamma must be finite with 2 / gamma finite,"
+                         f" got {float(gamma)!r}")
+    if isinstance(gamma, (np.generic, np.ndarray)):
+        gamma = np.float64(gamma)
     w0 = f.center if omega0 is None else float(omega0)
     lo, hi = f.support()
     lo = min(lo, w0 - 40.0 * gamma)

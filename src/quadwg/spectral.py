@@ -385,13 +385,18 @@ class FrequencyGrid:
     def for_scattering(cls, coupling: CouplingSpec, input_width: float = 0.0,
                        n_omegabar: int = 2048, n_delta: int = 1024,
                        halfwidth_rates: float = 20.0) -> "FrequencyGrid":
-        """Default scattering window: 20 total rates around resonance, and a
-        difference axis spanning the larger of ten input widths and the
-        envelope reach (ten widths of an analytic envelope, the last sample
-        of a tabulated one)."""
-        g = coupling.total_rate
-        span = max(_envelope_reach(coupling.envelope), 10.0 * input_width)
-        return cls.regular(coupling.omega0, halfwidth_rates * g, span,
+        """Default scattering window: ``halfwidth_rates`` total rates around
+        resonance, and a difference axis spanning the larger of ten input
+        widths and the envelope reach (ten widths of an analytic envelope,
+        the last sample of a tabulated one)."""
+        env = coupling.envelope
+        if env.kind is EnvelopeKind.TABULATED:
+            reach = float(env.deltas[-1])
+        else:
+            reach = 10.0 * env.width
+        return cls.regular(coupling.omega0,
+                           halfwidth_rates * coupling.total_rate,
+                           max(reach, 10.0 * input_width),
                            n_omegabar, n_delta)
 
     @property
@@ -719,14 +724,6 @@ def gaussian_biphoton(channel: DirectionPair, sum_center: float, sigma: float,
     f, fw = gaussian_sum_spectrum(sum_center, sigma)
     h, hw = gaussian_difference_profile(sigma, diff_center)
     return SeparableState(channel, f, h, fw, hw)
-
-
-def _envelope_reach(envelope: Envelope) -> float:
-    """Difference-frequency extent of a default grid: ten widths of an
-    analytic envelope, the last sample of a tabulated one."""
-    if envelope.kind is EnvelopeKind.TABULATED:
-        return float(envelope.deltas[-1])
-    return 10.0 * envelope.width
 
 
 def _grid_overlaps(state: GridState, envelope: Envelope):

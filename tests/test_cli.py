@@ -3,6 +3,7 @@
 import configparser
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -196,6 +197,8 @@ def test_removed_threads_flag_is_rejected(tmp_path, capsys):
     ("emit", "total_rate=nan", "rates['++'] must be finite, got nan"),
     ("gate", "ratios=10,inf",
      "key 'ratios': every value must be finite, got 'inf'"),
+    ("gate", "ratios=1e-308",
+     "gamma must be finite with 2 / gamma finite, got 1e-308"),
     ("scatter", "sum_width=inf",
      "key 'sum_width': value must be finite, got 'inf'"),
     ("verify", "input_width=inf",
@@ -363,6 +366,10 @@ def test_outdir_environment_fallback(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "emission.csv").exists()
 
 
+def _g12(x):
+    return format(float(x), ".12g")
+
+
 def _reference_joint_csv(path, grid, data, omega0):
     """Row-by-row joint-spectrum writer through numpy scalars; the output
     contract that ``cli._write_joint_csv`` must reproduce byte for byte."""
@@ -375,15 +382,16 @@ def _reference_joint_csv(path, grid, data, omega0):
                     w1 = 0.5 * (ob - dd) / omega0
                     w2 = 0.5 * (ob + dd) / omega0
                     amp = block[i, j]
-                    fh.write(f"{cli._fmt(w1)},{cli._fmt(w2)},{pair.value},"
-                             f"{cli._fmt(abs(amp) ** 2)},{cli._fmt(amp.real)},"
-                             f"{cli._fmt(amp.imag)}\n")
+                    fh.write(f"{_g12(w1)},{_g12(w2)},{pair.value},"
+                             f"{_g12(abs(amp) ** 2)},{_g12(amp.real)},"
+                             f"{_g12(amp.imag)}\n")
 
 
 def _emission_case():
     coupling = CouplingSpec.isotropic(0.004, Envelope.gaussian(0.02))
-    # 67 sum-frequency rows: one full write chunk and a partial one.
-    grid = emission.default_emission_grid(coupling, 67, 24)
+    # 64 differences put 64 sum-frequency rows in a write chunk: 67 rows
+    # make one full chunk and a partial one.
+    grid = emission.default_emission_grid(coupling, 67, 64)
     return grid, emission.joint_spectrum(coupling, grid).data, 1.0
 
 
@@ -426,12 +434,13 @@ def _special_values_case():
 
 def _anisotropic_gaussian_case():
     # Only the cross channels are equal; the zero-rate -- block is not
-    # equal to them.  67 rows: copies span two write chunks.
+    # equal to them.  67 rows of 64 differences: copies span two write
+    # chunks.
     coupling = CouplingSpec(1.0, {
         DirectionPair.PP: 0.003, DirectionPair.PM: 0.0005,
         DirectionPair.MP: 0.0005, DirectionPair.MM: 0.0},
         Envelope.gaussian(0.02))
-    grid = emission.default_emission_grid(coupling, 67, 24)
+    grid = emission.default_emission_grid(coupling, 67, 64)
     return grid, emission.joint_spectrum(coupling, grid).data, 1.0
 
 
@@ -446,12 +455,13 @@ def _isotropic_scatter_case():
 
 
 def _repeated_specials_case():
-    # The special values on every sum row of two write chunks, with ++
-    # repeated as -+ and +- as --: rows whose abs2 overflows, and nan
-    # and inf rows, are copied rather than formatted.
+    # The special values on every sum row of two write chunks (67 rows of
+    # 64 differences), with ++ repeated as -+ and +- as --: rows whose
+    # abs2 overflows, and nan and inf rows, are copied rather than
+    # formatted.
     _, data, _ = _special_values_case()
-    grid = FrequencyGrid.regular(0.5, 0.5, 1.5, 67, 16)
-    block = np.resize(data[0], (67, 16))
+    grid = FrequencyGrid.regular(0.5, 0.5, 1.5, 67, 64)
+    block = np.resize(data[0], (67, 64))
     return grid, np.stack([block, -block, block, -block]), 0.5
 
 
@@ -477,8 +487,7 @@ _G12_EDGES += tuple(-x for x in _G12_EDGES)
 
 
 def _g12_edges_case():
-    # 80 differences put 5120 rows in a write chunk: more than the kernel
-    # formats at once.
+    # 80 differences put 51 sum rows in a write chunk: 67 rows take two.
     grid = FrequencyGrid(np.linspace(0.5, 1.5, 67), np.linspace(0.0, 0.2, 80))
     rng = np.random.default_rng(12)
     data = np.empty((4, 67, 80), dtype=complex)
@@ -487,10 +496,23 @@ def _g12_edges_case():
     return grid, data, 1.0
 
 
+def _wide_delta_case():
+    # More differences than the kernel formats at once: each write chunk is
+    # one sum row, split by the kernel inside the row, and the equal ++,
+    # +- and -- blocks are copied across that split.
+    n_delta = cli._KERNEL_ROWS + 4
+    grid = FrequencyGrid(np.array([0.5, 1.0, 1.5]),
+                         np.linspace(0.0, 0.2, n_delta))
+    rng = np.random.default_rng(4100)
+    block = rng.normal(size=(3, n_delta)) + 1j * rng.normal(size=(3, n_delta))
+    return grid, np.stack([block, block, -block, block]), 1.0
+
+
 _JOINT_CASES = [
     _emission_case, _anisotropic_lorentzian_case, _scatter_case,
     _special_values_case, _anisotropic_gaussian_case, _isotropic_scatter_case,
-    _repeated_specials_case, _signed_zero_case, _g12_edges_case]
+    _repeated_specials_case, _signed_zero_case, _g12_edges_case,
+    _wide_delta_case]
 
 
 @pytest.mark.parametrize("case", _JOINT_CASES)
@@ -522,10 +544,10 @@ def test_joint_csv_writes_overflowing_abs2_as_inf(tmp_path):
     (_scatter_case, 2), (_special_values_case, 2),
     (_anisotropic_gaussian_case, 3), (_isotropic_scatter_case, 2),
     (_repeated_specials_case, 2), (_signed_zero_case, 2),
-    (_g12_edges_case, 4)])
+    (_g12_edges_case, 4), (_wide_delta_case, 2)])
 def test_joint_csv_formats_each_distinct_block_once(tmp_path, monkeypatch,
                                                      case, distinct):
-    # Isotropic emission formats 67 * 24 rows, not 4 * 67 * 24; the other
+    # Isotropic emission formats 67 * 64 rows, not 4 * 67 * 64; the other
     # blocks are copied from the file.
     grid, data, omega0 = case()
     formatted = []
@@ -558,3 +580,51 @@ def test_joint_lines_write_each_value_as_g12(rows):
             f"{x:.12g},{y:.12g},-+,{abs(amp) ** 2:.12g},{amp.real:.12g},"
             f"{amp.imag:.12g}\n" for x, y, amp in zip(w1, w2, amps))
     assert cli._joint_lines("-+", w1, w2, amps) == expected.encode()
+
+
+_abs2_parts = st.one_of(_float_bits, st.floats(-1e9, 1e9), st.sampled_from(
+    (0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-300, 1e-160, 1e154, 1.4e154,
+     1e300, -1e300, 1.7976931348623157e308, math.inf, -math.inf, math.nan)))
+
+
+@given(st.lists(st.tuples(_abs2_parts, _abs2_parts), min_size=1, max_size=40))
+# numpy's complex abs and its square round these differently.
+@example([(-191130.81865948136, -836141.5845932174),
+          (-0.0007617009494074662, -0.0002025792426095643),
+          (372291820.35124075, -53923672.204881),
+          (2.0207938943229758e-10, 2.8028833685977147e-09)])
+@example([(1.4e154, 0.0), (0.0, math.nan), (math.inf, math.nan),
+          (math.nan, -math.inf), (1e308, 1e308)])
+def test_joint_lines_abs2_has_the_bits_of_python_abs_squared(parts):
+    re, im = np.array(parts).T
+    amps = np.empty(len(parts), dtype=complex)
+    amps.real, amps.imag = re, im
+    expected = []
+    for x, y in parts:
+        # CPython's complex abs returns nan for a nan part without clearing
+        # errno, so right after an overflow it raises for that nan too.
+        if (math.isnan(x) or math.isnan(y)) \
+                and not (math.isinf(x) or math.isinf(y)):
+            expected.append(math.nan)
+            continue
+        try:
+            expected.append(abs(complex(x, y)) ** 2)
+        except OverflowError:
+            expected.append(math.inf)
+    formatted = []
+    with mock.patch.object(cli, "_g12_lines",
+                           lambda x, seps: formatted.append(x.copy())):
+        cli._joint_lines("++", re, re, amps)
+    abs2 = formatted[0][:, 2]
+    assert [math.isnan(v) or v.hex() for v in expected] \
+        == [math.isnan(v) or v.hex() for v in abs2.tolist()]
+
+
+def test_rows_csv_writes_each_value_as_g12(tmp_path):
+    for width in (2, 3):
+        header = [f"c{i}" for i in range(width)]
+        rows = np.resize(_G12_EDGES, (len(_G12_EDGES), width)).tolist()
+        cli._write_rows_csv(tmp_path / "rows.csv", header, rows)
+        assert (tmp_path / "rows.csv").read_text() == "".join(
+            ",".join(row) + "\n" for row in [header, *(
+                map(_g12, values) for values in rows)])
