@@ -4,7 +4,9 @@ Runs each subcommand at its defaults, plus non-default configurations
 that reach anisotropic and Lorentzian emission, an emission map with more
 differences than the CSV writer formats at once (so the writer splits
 inside one sum row), mirror scattering of a split pair, a Lorentzian
-envelope with a detuned input, the intensity FWHM convention of the gate
+envelope with a detuned input, a resonance 200 times narrower than the
+input's sum width (so the quadrature of the resonance weight bisects
+deeply), the intensity FWHM convention of the gate
 and gate ratios from 1e-2 to 1e6 (at the small ones the quadrature window
 is the pulse support, not forty rates), and then every recipe of
 ``scripts/data_recipes.py``, each into its own directory under a
@@ -40,6 +42,7 @@ RUNS = tuple((name, [(name, ())]) for name in COMMANDS) + (
         "rates=mirror", "channel=+-", "diff_center=0.01"))]),
     ("scatter-lorentzian-detuned", [("scatter", (
         "envelope=lorentzian", "sum_center=1.01"))]),
+    ("scatter-narrow-line", [("scatter", ("total_rate=0.0001",))]),
     ("gate-power-fwhm", [("gate", (
         "fwhm_on_power=true", "ratios=1,10,1e3,1e6", "report_ratio=1e6"))]),
     ("gate-wide-ratios", [("gate", (

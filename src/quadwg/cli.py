@@ -430,11 +430,9 @@ def _joint_lines(label: str, w1, w2, amps) -> bytes:
     x = np.empty((len(w1), 5))
     x[:, 0] = w1
     x[:, 1] = w2
-    # The bits of Python's abs(amp) ** 2, whose complex abs is libm hypot
-    # and whose float ** 2 is libm pow; numpy's complex abs and square
-    # round differently.  Where Python raises OverflowError this is inf.
+    # Where Python's abs(amp) ** 2 raises OverflowError this is inf.
     with np.errstate(over="ignore"):
-        x[:, 2] = np.float_power(np.hypot(amps.real, amps.imag), 2.0)
+        x[:, 2] = spectral._abs2(amps)
     x[:, 3] = amps.real
     x[:, 4] = amps.imag
     return _g12_lines(x, (",", f",{label},", ",", ",", "\n"))
@@ -734,7 +732,8 @@ def _cmd_verify(cfg, outdir) -> tuple[str, int]:
 # ValueError subclasses that report a computation gone wrong, not a bad
 # configuration: they exit 2 like the RuntimeError failures.
 _NUMERICAL_VALUE_ERRORS = (InvalidStateError, InvalidOverlapError,
-                           UndefinedCorrelationError)
+                           UndefinedCorrelationError,
+                           gate._UnresolvableRateError)
 
 
 _HANDLERS = {

@@ -22,11 +22,11 @@ from functools import partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import InvalidOverlapError, TruncationError
-from .spectral import (EnvelopeKind, _linear_masses, _quad_options,
-                       _quad_parts, _real, resonance_denominator)
+from .spectral import (EnvelopeKind, _linear_masses, _node_parts,
+                       _quad_options, _quad_parts, _real, quad,
+                       resonance_denominator)
 
 __all__ = [
     "PulseShape",
@@ -143,14 +143,48 @@ def mirror_bracket(gamma: float, omega0: float, omegabar):
     return 1.0 - gamma / resonance_denominator(gamma, omega0, omegabar)
 
 
+def _check_rate(gamma) -> None:
+    """Reject a rate that is not positive, or not finite with ``2 / gamma``
+    finite: the bracket is nan at an infinite rate, and at 5e-324 its
+    denominator ``gamma / 2`` rounds to zero at resonance."""
+    if not gamma > 0:
+        raise ValueError("gamma must be positive")
+    if not (math.isfinite(gamma) and math.isfinite(2.0 / float(gamma))):
+        raise ValueError(f"gamma must be finite with 2 / gamma finite,"
+                         f" got {float(gamma)!r}")
+
+
+class _UnresolvableRateError(ValueError):
+    """A rate too small for QUADPACK to bisect the resonance: a numerical
+    limit, not a bad configuration, so the command line exits 2."""
+
+
+def _check_resolvable(gamma: float) -> None:
+    """Reject a rate whose resonance interval next to zero QUADPACK would
+    refuse to bisect.
+
+    QUADPACK stops bisecting ``[a, b]`` with midpoint ``c``, and warns of
+    "extremely bad integrand behavior", once ``max(|a|, |b|) <= (1 + 100
+    eps) (|c| + 1000 tiny)``.  A resonance at zero puts ``[0, gamma]``
+    between break points; the guard refuses it, and the overlap loses the
+    mass of the bisections it skips, for ``gamma`` up to about
+    ``2000 tiny``, 4.45e-305.
+    """
+    g = float(gamma)
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    if g <= (1.0 + 100.0 * eps) * (0.5 * g + 1000.0 * tiny):
+        raise _UnresolvableRateError(
+            f"gamma {g!r} is too small: quad cannot bisect a resonance"
+            " this narrow next to zero")
+
+
 def mirror_reflection(f: PulseShape, gamma: float,
                       omega0: float | None = None) -> Callable:
     """Reflected pair pulse: the incoming ``f`` times the mirror factor.
 
     ``omega0`` defaults to the pulse center (resonant drive).
     """
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
+    _check_rate(gamma)
     w0 = f.center if omega0 is None else float(omega0)
 
     def reflected(omegabar):
@@ -158,66 +192,6 @@ def mirror_reflection(f: PulseShape, gamma: float,
             * mirror_bracket(gamma, w0, omegabar)
 
     return reflected
-
-
-# Gauss-Kronrod abscissae of QUADPACK in its own digits, centre left out:
-# the 21-point rule of finite intervals and the 15-point rule of half lines.
-_XGK21 = np.array([
-    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
-    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
-    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
-    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
-    0.294392862701460198131126603103866, 0.148874338981631210884826001129720])
-_XGK15 = np.array([
-    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
-    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
-    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
-    0.207784955007898467600689403773245])
-# Bisections of each starting interval whose nodes ``gate_overlap``
-# evaluates up front.  On the benchmark's gate sweeps (gamma/FWHM 1 to 1e6)
-# they hold all but 0.3% of the nodes quad visits, and three hold all.
-_PREFETCH_DEPTH = 2
-
-
-def _kronrod_nodes(a: np.ndarray, b: np.ndarray, xgk: np.ndarray,
-                   depth: int) -> np.ndarray:
-    """Nodes of the rule ``xgk`` on the intervals ``[a, b]`` and on their
-    halves down to ``depth`` bisections, rounded as QUADPACK rounds them:
-    the centre ``c = 0.5 (a + b)`` and ``c -+ h xgk`` with
-    ``h = 0.5 (b - a)``; each bisection splits at ``c``."""
-    nodes = []
-    for _ in range(depth + 1):
-        c, h = 0.5 * (a + b), 0.5 * (b - a)
-        hx = np.multiply.outer(h, xgk)
-        nodes += [c, (c[:, None] - hx).ravel(), (c[:, None] + hx).ravel()]
-        a, b = np.concatenate((a, c)), np.concatenate((c, b))
-    return np.concatenate(nodes)
-
-
-def _predicted_nodes(segments, points, depth: int) -> np.ndarray:
-    """The nodes of ``quad`` over ``segments`` with the break ``points`` of
-    ``_quad_options``, down to ``depth`` bisections.
-
-    The finite intervals run between the sorted segment ends and points,
-    which is exact when the finite segments tile one interval, and a
-    superset otherwise.  A half line maps its 15-point nodes ``t`` in
-    ``(0, 1]`` to ``bound +- (1 - t) / t``.
-    """
-    ends = [x for seg in segments if all(map(math.isfinite, seg))
-            for x in seg]
-    nodes = [np.empty(0)]
-    if ends:
-        lo, hi = min(ends), max(ends)
-        edges = np.unique(np.array(
-            ends + [p for p in points if lo < p < hi], dtype=float))
-        nodes.append(_kronrod_nodes(edges[:-1], edges[1:], _XGK21, depth))
-    t = _kronrod_nodes(np.zeros(1), np.ones(1), _XGK15, depth)
-    for a, b in segments:
-        if a == -np.inf and math.isfinite(b):
-            nodes.append(b + -1.0 * (1.0 - t) / t)
-        elif b == np.inf and math.isfinite(a):
-            nodes.append(a + 1.0 * (1.0 - t) / t)
-    return np.concatenate(nodes)
 
 
 def _bracket_parts(gamma, w0: float, x: np.ndarray):
@@ -271,29 +245,6 @@ def _node_values(f: PulseShape, gamma, w0: float, x: np.ndarray):
         return power, amp2 * re - 0.0 * im, amp2 * im + 0.0 * re
 
 
-class _NodeTable(dict):
-    """One integrand of ``gate_overlap``, keyed by node.
-
-    ``quad`` is handed the C-level ``__getitem__``.  A node missing from
-    the table is evaluated by ``values``, the same array kernel, on a
-    one-element array, and kept unless it is zero: ``-0.0`` and ``0.0``
-    share a key.
-    """
-
-    __slots__ = ("values", "part")
-
-    def __init__(self, items, values: Callable, part: int):
-        super().__init__(items)
-        self.values = values
-        self.part = part
-
-    def __missing__(self, x: float) -> float:
-        value = float(self.values(np.array([x]))[self.part][0])
-        if x:
-            self[x] = value
-        return value
-
-
 def gate_overlap(f: PulseShape, gamma: float,
                  omega0: float | None = None) -> complex:
     """Overlap of the reflected pair pulse with the incoming one.
@@ -305,21 +256,17 @@ def gate_overlap(f: PulseShape, gamma: float,
     transparent).  Raises a truncation error when the quadrature fails to
     capture the pulse mass.
 
-    The mass pass and both overlap passes share one table per integrand.
-    It holds the values at the Gauss-Kronrod nodes ``quad`` places on the
-    starting intervals and on their halves and quarters (a tabulated pulse:
-    its sample segments only), evaluated in one array pass.  Each node
-    ``quad`` asks for beyond these is evaluated when asked.  Every value
-    has the bits of that node evaluated alone.
+    The mass pass and both overlap passes share one node engine
+    (``spectral._node_parts``), which evaluates the three integrands on
+    arrays of the Gauss-Kronrod nodes ``quad`` visits.  Every value has the
+    bits of that node evaluated alone.
 
-    ``gamma`` must be positive and finite, with ``2 / gamma`` finite.  A
-    numpy rate is taken as float64.
+    ``gamma`` must be positive and finite, with ``2 / gamma`` finite, and
+    large enough for quad to bisect its resonance (above about 4.45e-305).
+    A numpy rate is taken as float64.
     """
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
-    if not (math.isfinite(gamma) and math.isfinite(2.0 / float(gamma))):
-        raise ValueError(f"gamma must be finite with 2 / gamma finite,"
-                         f" got {float(gamma)!r}")
+    _check_rate(gamma)
+    _check_resolvable(gamma)
     if isinstance(gamma, (np.generic, np.ndarray)):
         gamma = np.float64(gamma)
     w0 = f.center if omega0 is None else float(omega0)
@@ -343,25 +290,17 @@ def gate_overlap(f: PulseShape, gamma: float,
             pts += [f.center - step, f.center + step]
             step *= 8.0
 
-    # On a sample segment the pulse is linear and quad seldom bisects; the
-    # nodes of bisections would cost more than the few it asks for.
-    depth = 0 if f.kind is EnvelopeKind.TABULATED else _PREFETCH_DEPTH
-    nodes = _predicted_nodes(segments, pts, depth)
-    nodes = nodes[nodes != 0.0]    # left to ``_NodeTable.__missing__``
-    values = partial(_node_values, f, gamma, w0)
-    keys = nodes.tolist()
-    power, real, imag = (_NodeTable(zip(keys, part.tolist()), values, i)
-                         for i, part in enumerate(values(nodes)))
+    power, real, imag = _node_parts(partial(_node_values, f, gamma, w0), 3,
+                                    segments, pts)
 
-    mass = sum(quad(power.__getitem__, a, b, **_quad_options(a, b, pts))[0]
+    mass = sum(quad(power, a, b, **_quad_options(a, b, pts))[0]
                for a, b in segments)
     if not abs(mass - 1.0) <= 1e-3:   # a nan mass fails too
         raise TruncationError(
             f"quadrature captured pulse mass {mass:.6f} instead of 1; "
             "pulse is off center or undersampled")
 
-    val = sum(_quad_parts(real.__getitem__, imag.__getitem__, a, b, pts)
-              for a, b in segments)
+    val = sum(_quad_parts(real, imag, a, b, pts) for a, b in segments)
     return complex(val) / mass
 
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import InvalidStateError, UnsupportedConfigurationError
 from .spectral import (
@@ -32,10 +31,14 @@ from .spectral import (
     FrequencyGrid,
     GridState,
     SeparableState,
+    _abs2,
     _check_envelope_cover,
     _grid_overlaps,
+    _is_array_kernel,
+    _node_parts,
     _quad_options,
     gaussian_biphoton,
+    quad,
     resonance_denominator,
 )
 
@@ -178,15 +181,19 @@ def _resonance_weight(state: SeparableState, total_rate: float,
     """``J = Int |f|^2 / |denom|^2`` of the unscaled sum factor over its
     window, kept on the state per total rate and resonance."""
     lo, hi = state.f_window
-    center = 0.5 * (lo + hi)
+    points = sorted({omega0, 0.5 * (lo + hi)})
 
     def integrand(ob):
         d = resonance_denominator(total_rate, omega0, ob)
-        return abs(state.f(ob)) ** 2 / (d.real ** 2 + d.imag ** 2)
+        return (_abs2(state.f(ob)) / (np.float_power(d.real, 2.0)
+                                      + np.float_power(d.imag, 2.0)),)
 
-    return state._integral(("resonance", total_rate, omega0), lambda: quad(
-        integrand, lo, hi,
-        **_quad_options(lo, hi, sorted({omega0, center})))[0])
+    def compute():
+        (weight,) = _node_parts(integrand, 1, [(lo, hi)], points,
+                                _is_array_kernel(state.f))
+        return quad(weight, lo, hi, **_quad_options(lo, hi, points))[0]
+
+    return state._integral(("resonance", total_rate, omega0), compute)
 
 
 def channel_probabilities(result: ScatterOutput) -> ChannelProbabilities:

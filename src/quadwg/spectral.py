@@ -27,15 +27,15 @@ All frequencies are quoted in units of ``omega0`` unless stated otherwise.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import sys
 import warnings
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import RegularGridInterpolator
 
 from .errors import (
     InvalidEnvelopeError,
@@ -224,8 +224,9 @@ class Envelope:
         """Full-line mass ``Int |u|^2 d delta``; equals 2 by construction."""
         if self.kind is EnvelopeKind.TABULATED:
             return 2.0 * float(np.sum(_linear_masses(self.deltas, self.values)))
-        val, _ = quad(lambda d: abs(self(d)) ** 2, 0.0, np.inf,
-                      **_quad_options(0.0, np.inf))
+        (mass,) = _node_parts(lambda d: (_abs2(self(d)),), 1,
+                              [(0.0, np.inf)])
+        val, _ = quad(mass, 0.0, np.inf, **_quad_options(0.0, np.inf))
         return 2.0 * val
 
     def half_line_mass(self, delta_max: float) -> float:
@@ -451,33 +452,211 @@ def resonance_denominator(total_rate: float, omega0: float, omegabar):
     return total_rate / 2.0 + 1j * (omega0 - omegabar)
 
 
+_scipy_quad = None
+
+
+def quad(func, a, b, **kwargs):
+    """``scipy.integrate.quad``, imported on the first call, so that
+    ``import quadwg`` loads no scipy module.  ``scattering`` and ``gate``
+    import this name; each module's binding can be replaced on its own."""
+    global _scipy_quad
+    if _scipy_quad is None:
+        from scipy.integrate import quad as _scipy_quad
+    return _scipy_quad(func, a, b, **kwargs)
+
+
+def _breaks(a: float, b: float,
+            points: Sequence[float] | None) -> list[float]:
+    """The break ``points`` strictly inside a finite ``[a, b]``."""
+    if points is None or not (math.isfinite(a) and math.isfinite(b)):
+        return []
+    return [p for p in points if a < p < b]
+
+
 def _quad_options(a: float, b: float,
                   points: Sequence[float] | None = None) -> dict:
     """``quad`` keywords over ``[a, b]``: tolerances, subdivision limit, and
     the break points strictly inside a finite interval."""
     kw = dict(epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL, limit=400)
-    if points is not None and np.isfinite(a) and np.isfinite(b):
-        pts = [p for p in points if a < p < b]
-        if pts:
-            kw["points"] = pts
+    pts = _breaks(a, b, points)
+    if pts:
+        kw["points"] = pts
     return kw
 
 
-def _memoized(fn: Callable[[float], object]) -> Callable[[float], object]:
-    """``fn`` with each value kept by node, for quadrature passes that
-    revisit the same nodes.  Zero is not kept: ``-0.0`` and ``0.0`` are one
-    dict key, but ``fn`` may tell them apart."""
-    seen: dict[float, object] = {}
+def _abs2(value):
+    """``abs(value) ** 2`` with the bits Python gives one float or complex
+    node, for a node or elementwise on an array: libm ``hypot`` and
+    ``pow``, where numpy's complex abs and square round differently."""
+    return np.float_power(np.hypot(value.real, value.imag), 2.0)
 
-    def value(x):
-        if x == 0.0:
-            return fn(x)
-        v = seen.get(x)
-        if v is None:
-            v = seen[x] = fn(x)
-        return v
 
-    return value
+_ARRAY_KERNEL_CODES: set = set()
+
+
+def _array_kernel(fn):
+    """Mark the factor kernel ``fn`` as one the node engine may evaluate on
+    arrays: its value at each element of a float64 array has the bits of
+    its value at that element alone.  Every closure built from ``fn``'s
+    code qualifies."""
+    _ARRAY_KERNEL_CODES.add(fn.__code__)
+    return fn
+
+
+def _is_array_kernel(fn) -> bool:
+    return getattr(fn, "__code__", None) in _ARRAY_KERNEL_CODES
+
+
+# Gauss-Kronrod abscissae of QUADPACK in its own digits, centre left out:
+# the 21-point rule of finite intervals and the 15-point rule of half lines.
+_XGK21 = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720])
+_XGK15 = np.array([
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245])
+
+
+def _mapped(t: np.ndarray, tail) -> np.ndarray:
+    """Nodes ``t`` of a finite interval (``tail`` None), or of ``(0, 1]``
+    mapped onto the half line ``tail = (bound, sign)`` as QUADPACK maps
+    them: ``bound + sign (1 - t) / t``."""
+    if tail is None:
+        return t
+    bound, sign = tail
+    return bound + sign * (1.0 - t) / t
+
+
+class _PartTable(dict):
+    """One real part of an integrand, keyed by node.  ``quad`` is handed
+    the C-level ``__getitem__``; a node missing from the table is asked of
+    the engine that fills it."""
+
+    __slots__ = ("engine", "index", "__weakref__")
+
+    def __missing__(self, x: float):
+        return self.engine.missing(self, x)
+
+
+class _NodeEngine:
+    """The real parts of one integrand at the nodes ``quad`` visits.
+
+    ``_node_parts`` builds the engine and hands out one table per part.
+    ``values`` maps nodes to one value per real part, and ``quad`` over
+    each of ``segments``, with the break ``points`` of ``_quad_options``,
+    finds its nodes in the tables.  Passes over the same nodes share the
+    values.
+
+    With ``vectorized`` set, ``values`` takes a float64 array of nodes and
+    returns one array per part, each element with the bits that part has
+    at that node alone; the library's own kernels qualify.  One array pass
+    evaluates QUADPACK's Gauss-Kronrod nodes on the starting intervals.
+    Bisecting an interval, QUADPACK evaluates both halves, the left one
+    first and its centre before any other node.  So for each interval it
+    evaluates, the engine records the centre of its left half; when
+    ``quad`` asks for a recorded centre, one more array pass evaluates
+    both halves.  Every pass holds exactly the nodes ``quad`` is about to
+    visit.  Any other node is evaluated alone, on a one-element array.
+    Without ``vectorized``, ``values`` takes one Python float node, and
+    each node is evaluated when ``quad`` first asks for it.
+
+    Nodes are rounded as QUADPACK rounds them: ``c = 0.5 (a + b)`` and
+    ``c -+ h xgk`` with ``h = 0.5 (b - a)``, each bisection splitting at
+    ``c``.  Finite intervals take the 21-point rule and run between the
+    segment ends and the sorted break points inside them; a half line is
+    ``t`` in ``(0, 1]`` under the 15-point rule (see ``_mapped``).  A value
+    is kept unless its node is zero: ``-0.0`` and ``0.0`` share a key, but
+    ``values`` may tell them apart.
+    """
+
+    def __init__(self, values: Callable, tables: Sequence[_PartTable],
+                 vectorized: bool) -> None:
+        self.values = values
+        self.vectorized = vectorized
+        for index, table in enumerate(tables):
+            table.engine, table.index = self, index
+        # Weak references: each table holds the engine, and a reference
+        # cycle would keep the tables until the garbage collector ran.
+        self.tables = [weakref.ref(table) for table in tables]
+        # Centre of the left half -> (a, b, tail) of a tabled interval.
+        self.centres: dict[float, tuple] = {}
+
+    def start(self, segments: Sequence[tuple[float, float]],
+              points: Sequence[float] | None) -> None:
+        """Fill the starting intervals of ``quad`` over each segment."""
+        starts, groups = [], []
+        for a, b in segments:
+            if math.isfinite(a) and math.isfinite(b):
+                edges = [a, *sorted(_breaks(a, b, points)), b]
+                starts += zip(edges[:-1], edges[1:])
+            elif math.isfinite(a) or math.isfinite(b):
+                tail = (a, 1.0) if math.isfinite(a) else (b, -1.0)
+                groups.append((np.zeros(1), np.ones(1), tail))
+        if starts:
+            a, b = np.array(starts, dtype=float).T
+            groups.append((a, b, None))
+        if groups:
+            self._fill(groups)
+
+    def missing(self, table: _PartTable, x: float):
+        """The value of ``table``'s part at ``x``, a node it does not hold."""
+        interval = self.centres.pop(x, None)
+        if interval is not None:
+            a, b, tail = interval
+            c = 0.5 * (a + b)
+            self._fill([(np.array([a, c]), np.array([c, b]), tail)])
+            if x:
+                return table[x]
+        if self.vectorized:
+            row = [float(v[0]) for v in self.values(np.array([x]))]
+        else:
+            row = self.values(x)
+        if x:
+            for ref, v in zip(self.tables, row):
+                held = ref()
+                if held is not None:
+                    held[x] = v
+        return row[table.index]
+
+    def _fill(self, groups) -> None:
+        """Evaluate, in one pass, the nodes of the intervals ``[a, b]`` of
+        each group, and record the centre of each one's left half."""
+        nodes = []
+        for a, b, tail in groups:
+            c, h = 0.5 * (a + b), 0.5 * (b - a)
+            hx = np.multiply.outer(h, _XGK21 if tail is None else _XGK15)
+            nodes.append(_mapped(np.concatenate(
+                (c, (c[:, None] - hx).ravel(), (c[:, None] + hx).ravel())),
+                tail))
+            centres = _mapped(0.5 * (a + c), tail).tolist()
+            self.centres.update(zip(centres, zip(
+                a.tolist(), b.tolist(), itertools.repeat(tail))))
+        x = np.concatenate(nodes)
+        x = x[x != 0.0]
+        keys = x.tolist()
+        for ref, part in zip(self.tables, self.values(x)):
+            table = ref()
+            if table is not None:
+                table.update(zip(keys, part.tolist()))
+
+
+def _node_parts(values: Callable, n_parts: int,
+                segments: Sequence[tuple[float, float]] = (),
+                points: Sequence[float] | None = None,
+                vectorized: bool = True) -> list[Callable[[float], float]]:
+    """One ``__getitem__`` per real part of an integrand, to hand ``quad``
+    over ``segments`` with the break ``points``; a ``_NodeEngine`` fills
+    the tables behind them."""
+    tables = [_PartTable() for _ in range(n_parts)]
+    engine = _NodeEngine(values, tables, vectorized)
+    if vectorized:
+        engine.start(segments, points)
+    return [table.__getitem__ for table in tables]
 
 
 def _quad_parts(real: Callable[[float], float],
@@ -491,13 +670,17 @@ def _quad_parts(real: Callable[[float], float],
 
 
 def _complex_quad(fn: Callable[[float], complex], a: float, b: float,
-                  points: Sequence[float] | None = None) -> complex:
-    # Both passes start from the same Gauss-Kronrod rule on the same
-    # intervals, so most of their nodes coincide.
-    value = _memoized(fn)
-    # ``.real`` on a scalar is several times cheaper than ``np.real``.
-    return _quad_parts(lambda x: value(x).real, lambda x: value(x).imag,
-                       a, b, points)
+                  points: Sequence[float] | None = None,
+                  vectorized: bool = False) -> complex:
+    """``quad`` of the real and imaginary parts of ``fn`` over ``[a, b]``,
+    whose two passes share one node engine.  ``vectorized`` says that
+    ``fn`` is built from the library's array kernels."""
+    def parts(x):
+        value = fn(x)
+        return value.real, value.imag
+
+    real, imag = _node_parts(parts, 2, [(a, b)], points, vectorized)
+    return _quad_parts(real, imag, a, b, points)
 
 
 @dataclass
@@ -548,8 +731,10 @@ class SeparableState:
     @staticmethod
     def _factor_mass(fn, window) -> float:
         lo, hi = window
-        val, _ = quad(lambda x: abs(fn(x)) ** 2, lo, hi,
-                      **_quad_options(lo, hi, [0.5 * (lo + hi)]))
+        points = [0.5 * (lo + hi)]
+        (mass,) = _node_parts(lambda x: (_abs2(fn(x)),), 1, [(lo, hi)],
+                              points, _is_array_kernel(fn))
+        val, _ = quad(mass, lo, hi, **_quad_options(lo, hi, points))
         return val
 
     def _integral(self, key: tuple, compute: Callable[[], object]):
@@ -601,17 +786,18 @@ class SeparableState:
         def integrand(x):
             return envelope(x) * self.h(x)
 
+        vectorized = _is_array_kernel(self.h)
         if envelope.kind is EnvelopeKind.TABULATED:
             # One segment per pair of samples: the interpolant has no kink
             # inside any of them for quad to bisect across.  Samples are
             # not a cheap key, so tabulated overlaps are not kept.
             nodes = [lo, *(x for x in d.tolist() if lo < x < hi), hi]
             return self.scale * sum(
-                _complex_quad(integrand, a, b, points=[mid])
+                _complex_quad(integrand, a, b, [mid], vectorized)
                 for a, b in zip(nodes[:-1], nodes[1:]))
         return self.scale * self._integral(
             ("overlap", envelope.kind, envelope.width),
-            lambda: _complex_quad(integrand, lo, hi, points=[mid]))
+            lambda: _complex_quad(integrand, lo, hi, [mid], vectorized))
 
 
 @dataclass
@@ -648,6 +834,8 @@ class GridState:
                          for i in range(4)))
 
     def amplitude(self, pair: DirectionPair, omegabar, delta) -> np.ndarray:
+        from scipy.interpolate import RegularGridInterpolator
+
         interp = RegularGridInterpolator(
             (self.grid.omegabar, self.grid.delta), self.data[pair.index],
             bounds_error=False, fill_value=0.0)
@@ -687,9 +875,13 @@ def gaussian_sum_spectrum(center: float, sigma: float):
     _width_squared(sigma)  # rejects widths whose square underflows
     amp = (2.0 * math.pi * sigma * sigma) ** -0.25
 
+    # ``float_power`` squares with libm ``pow``, as ``** 2`` does on a float
+    # node; numpy's square of an array rounds differently.
+    @_array_kernel
     def f(obar):
         obar = _real(obar)
-        return amp * np.exp(-((obar - center) ** 2) / (4.0 * sigma * sigma))
+        return amp * np.exp(-np.float_power(obar - center, 2.0)
+                            / (4.0 * sigma * sigma))
 
     return f, (center - 12.0 * sigma, center + 12.0 * sigma)
 
@@ -709,10 +901,11 @@ def gaussian_difference_profile(sigma: float, center: float = 0.0):
     mass = sigma * math.sqrt(2.0 * math.pi) * (1.0 + math.exp(-center * center / (2.0 * s2)))
     amp = 1.0 / math.sqrt(mass)
 
+    @_array_kernel
     def h(delta):
         delta = _real(delta)
-        return amp * (np.exp(-((delta - center) ** 2) / (4.0 * s2))
-                      + np.exp(-((delta + center) ** 2) / (4.0 * s2)))
+        return amp * (np.exp(-np.float_power(delta - center, 2.0) / (4.0 * s2))
+                      + np.exp(-np.float_power(delta + center, 2.0) / (4.0 * s2)))
 
     hi = abs(center) + 12.0 * sigma
     return h, (0.0, hi)

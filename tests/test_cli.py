@@ -3,6 +3,9 @@
 import configparser
 import json
 import math
+import os
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -272,6 +275,38 @@ def test_gate_writes_one_curve_per_shape(tmp_path, capsys):
     assert report["worst_case_fidelity"]["value"] > 0.999
     assert cli.run(["gate", "--outdir", str(tmp_path),
                     "--set", "shapes=box"]) == 1
+
+
+def test_gate_rate_quad_cannot_resolve_is_a_numerical_failure(tmp_path,
+                                                              capsys):
+    # QUADPACK refuses to bisect the resonance at this rate; the command
+    # once printed its IntegrationWarning and exited 0 with 1-F=1.00e+00.
+    assert cli.run(["gate", "--set", "ratios=1.2e-308",
+                    "--outdir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: gamma 1.2e-308 is too small")
+
+
+def test_import_and_entangle_load_no_scipy(tmp_path):
+    # scipy is imported by the first quadrature, not by ``import quadwg``.
+    code = "\n".join([
+        "import sys",
+        "import quadwg",
+        "from quadwg import cli",
+        "def scipy_loaded():",
+        "    return sorted(m for m in sys.modules",
+        "                  if m == 'scipy' or m.startswith('scipy.'))",
+        "assert not scipy_loaded(), scipy_loaded()",
+        f"assert cli.run(['entangle', '--outdir', {str(tmp_path)!r}]) == 0",
+        "assert 'scipy.integrate' not in sys.modules, scipy_loaded()",
+    ])
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("entangle:")
 
 
 def test_gate_at_large_ratio_succeeds(tmp_path, capsys):

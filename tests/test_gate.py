@@ -23,7 +23,7 @@ from quadwg import (
 from quadwg import gate, spectral
 from quadwg.errors import TruncationError
 from quadwg.gate import mirror_bracket, mirror_reflection
-from quadwg.spectral import EnvelopeKind, _quad_options
+from quadwg.spectral import EnvelopeKind, _node_parts, _quad_options
 
 GAMMA = 1.0
 OMEGA0 = 1.0
@@ -77,6 +77,33 @@ def test_gate_overlap_rejects_a_rate_whose_inverse_overflows(gamma):
     # An infinite rate once gave nan, and 5e-324 a bare ZeroDivisionError.
     with pytest.raises(ValueError, match="2 / gamma finite"):
         gate_overlap(PulseShape.gaussian(0.0, 1.0), gamma)
+
+
+@pytest.mark.parametrize("gamma", [math.inf, 5e-324],
+                         ids=["inf", "5e-324"])
+def test_mirror_reflection_rejects_the_rates_gate_overlap_rejects(gamma):
+    # An infinite rate once reflected nan+nanj, and 5e-324 raised a bare
+    # ZeroDivisionError at resonance.
+    with pytest.raises(ValueError, match="2 / gamma finite"):
+        mirror_reflection(PulseShape.gaussian(0.0, 1.0), gamma)
+
+
+# QUADPACK refuses to bisect [0, gamma] up to this rate (see
+# gate._check_resolvable), and warned or skewed the pulse mass below it.
+_LARGEST_UNRESOLVABLE = 4.4501477170146006e-305
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "lorentzian"])
+@pytest.mark.parametrize("fwhm_on_power", [False, True])
+def test_gate_overlap_rejects_rates_quad_cannot_resolve(kind, fwhm_on_power):
+    pulse = gate.unit_pulse(kind, fwhm_on_power)
+    for gamma in (1.2e-308, 3e-305, _LARGEST_UNRESOLVABLE):
+        with pytest.raises(ValueError, match="too small"):
+            gate_overlap(pulse, gamma)
+    # The next float up is resolved: no warning (fatal under this suite)
+    # and the transparent limit.
+    overlap = gate_overlap(pulse, math.nextafter(_LARGEST_UNRESOLVABLE, 1.0))
+    assert overlap == pytest.approx(1.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("shape", ["gaussian", "lorentzian"])
@@ -385,28 +412,27 @@ def test_gate_overlap_prefetches_every_node_quad_visits(
     monkeypatch.setattr(spectral, "quad", recording(spectral.quad))
     counting = CountingPulse(pulse)
     gate_overlap(counting, gamma, omega0)
-    # One call on the array of predicted nodes; a node missing from it
-    # would take one more call, on a one-element array.
-    assert len(counting.nodes) == 1
-    (prefetched,) = counting.nodes
-    assert isinstance(prefetched, np.ndarray) and prefetched.ndim == 1
-    misses = set(visited) - set(prefetched.tolist())
-    assert visited and not misses
+    # The pulse sees only the node engine's array fills: a node missing
+    # from every fill would take a call on a one-element array.
+    assert all(isinstance(x, np.ndarray) and x.ndim == 1 and x.size > 1
+               for x in counting.nodes)
+    filled = set(np.concatenate(counting.nodes).tolist())
+    assert visited and set(visited) <= filled
 
 
 def test_gate_overlap_evaluates_a_missing_node_on_its_own(monkeypatch):
-    # With no node prefetched, every node quad visits is a miss: the pulse
-    # sees one-element arrays, once per node and table, and the overlap
-    # keeps its bits.
-    monkeypatch.setattr(gate, "_predicted_nodes",
-                        lambda segments, points, depth: np.empty(0))
+    # With no array fill, every node quad visits is a miss: the pulse sees
+    # one-element arrays, once per node for all three tables, and the
+    # overlap keeps its bits.
+    monkeypatch.setattr(spectral._NodeEngine, "_fill",
+                        lambda self, groups: None)
     counting = CountingPulse(PulseShape.lorentzian(OMEGA0, 0.2))
     overlap = gate_overlap(counting, GAMMA)
     assert bits(overlap) == bits(
         _two_pass_gate_overlap(PulseShape.lorentzian(OMEGA0, 0.2), GAMMA))
-    assert all(x.shape == (1,) for x in counting.nodes[1:])
-    nodes = [float(x[0]) for x in counting.nodes[1:]]
-    assert len(nodes) <= 3 * len(set(nodes))
+    assert all(x.shape == (1,) for x in counting.nodes)
+    nodes = [float(x[0]) for x in counting.nodes]
+    assert len(nodes) == len(set(nodes))
 
 
 def _scalar_integrands(f, gamma, w0, x):
@@ -502,22 +528,34 @@ def test_node_values_divide_by_zero_as_python_does():
 
 
 @pytest.mark.parametrize("a, b, points, integrand", [
-    (-1.0, 1.0, [], lambda x: 1.0),
-    (-1.0, 3.0, [0.25, 2.0, 9.0], lambda x: 1.0),
-    (-np.inf, 2.5, [], lambda x: 1.0 / (1.0 + abs(x - 2.5)) ** 2),
-    (0.7, np.inf, [], lambda x: 1.0 / (1.0 + abs(x - 0.7)) ** 2),
+    (-1.0, 1.0, [], lambda x: np.ones_like(x)),
+    (-1.0, 3.0, [0.25, 2.0, 9.0], lambda x: np.ones_like(x)),
+    (-np.inf, 2.5, [], lambda x: 1.0 / (1.0 + np.abs(x - 2.5)) ** 2),
+    (0.7, np.inf, [], lambda x: 1.0 / (1.0 + np.abs(x - 0.7)) ** 2),
 ], ids=["window", "break-points", "lower-tail", "upper-tail"])
 def test_predicted_nodes_are_those_of_quads_first_pass(a, b, points,
                                                        integrand):
     # quad's first rule integrates each integrand exactly, so it never
     # bisects: a constant on a finite interval, and on a half line, which
     # quad maps to t in (0, 1] by x = bound +- (1 - t) / t, an integrand
-    # whose product with dx/dt is constant.
-    visited = []
-    quad(lambda x: visited.append(x) or integrand(x), a, b,
+    # whose product with dx/dt is constant.  The engine's first array pass
+    # holds every node quad visits: one rule per starting interval.
+    calls, visited = [], []
+
+    def kernel(x):
+        calls.append(x)
+        return (integrand(x),)
+
+    (table,) = _node_parts(kernel, 1, [(a, b)], points)
+    quad(lambda x: visited.append(x) or table(x), a, b,
          **_quad_options(a, b, points))
-    predicted = gate._predicted_nodes([(a, b)], points, 0)
-    assert set(visited) == set(predicted.tolist())
+    # A zero node is left out of the fill and evaluated alone.
+    fill, *zeros = calls
+    assert [x.tolist() for x in zeros] == [[x] for x in visited if x == 0.0]
+    assert set(visited) - {0.0} <= set(fill.tolist())
+    starts = 1 + len([p for p in points if a < p < b])
+    rule = 21 if math.isfinite(a) and math.isfinite(b) else 15
+    assert len(set(visited)) == len(visited) == starts * rule
 
 
 def test_worst_case_reference_points():

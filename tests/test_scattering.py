@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import erfcx
 
@@ -30,8 +30,8 @@ from quadwg import (
     scattering_amplitude,
     transfer_coefficient,
 )
-from quadwg import scattering
-from quadwg.spectral import (PAIRS, EnvelopeKind,
+from quadwg import scattering, spectral
+from quadwg.spectral import (PAIRS, EnvelopeKind, _quad_options,
                              gaussian_difference_profile,
                              gaussian_sum_spectrum, resonance_denominator)
 
@@ -490,3 +490,118 @@ def test_separable_output_warns_when_its_grid_truncates_the_envelope():
         scatter(coupling, state.on_grid(grid))
     assert [str(w.message) for w in record] \
         == [str(w.message) for w in gridded]
+
+
+def _one_node_quad(fn, lo, hi, points):
+    """``quad`` evaluating ``fn`` afresh at every node it visits."""
+    return quad(fn, lo, hi, **_quad_options(lo, hi, points))[0]
+
+
+def _one_node_integrals(state, envelope, total_rate, omega0):
+    """The integrals a scatter keeps on ``state``, each integrated one node
+    at a time as the scalar integrands stood before the node engine:
+    the factor masses, the envelope overlap and the resonance weight J."""
+    masses = tuple(
+        _one_node_quad(lambda x, fn=fn: abs(fn(x)) ** 2, lo, hi,
+                       [0.5 * (lo + hi)])
+        for fn, (lo, hi) in ((state.f, state.f_window),
+                             (state.h, state.h_window)))
+    lo, hi = state.h_window
+    points = [0.5 * (lo + hi)]
+    overlap = _one_node_quad(lambda x: (envelope(x) * state.h(x)).real,
+                             lo, hi, points) \
+        + 1j * _one_node_quad(lambda x: (envelope(x) * state.h(x)).imag,
+                              lo, hi, points)
+
+    def weight(ob):
+        d = resonance_denominator(total_rate, omega0, ob)
+        return abs(state.f(ob)) ** 2 / (d.real ** 2 + d.imag ** 2)
+
+    lo, hi = state.f_window
+    resonance = _one_node_quad(weight, lo, hi,
+                               sorted({omega0, 0.5 * (lo + hi)}))
+    return masses, overlap, resonance
+
+
+def _kept_integrals(state, envelope, total_rate, omega0):
+    kept = state._integrals
+    return (kept[("masses",)], kept[("overlap", envelope.kind, envelope.width)],
+            kept[("resonance", total_rate, omega0)])
+
+
+def _integral_bits(integrals):
+    masses, overlap, resonance = integrals
+    return [float(x).hex() for x in (*masses, overlap.real, overlap.imag,
+                                     resonance)]
+
+
+@settings(max_examples=25)
+@given(sum_center=st.floats(0.98, 1.02), sum_width=st.floats(1e-3, 0.03),
+       diff_width=st.floats(2e-3, 0.04), diff_center=st.floats(0.0, 0.03),
+       total_rate=st.floats(1e-5, 1e-2), omega0=st.floats(0.99, 1.01),
+       width=st.floats(2e-3, 0.05), lorentzian=st.booleans())
+def test_kept_integrals_equal_their_one_node_forms_bitwise(
+        sum_center, sum_width, diff_width, diff_center, total_rate, omega0,
+        width, lorentzian):
+    # The node engine evaluates the Gaussian factors on arrays; every
+    # integral keeps the bits of its one-node-at-a-time form.  Rates down
+    # to 1/3000 of the sum width make J bisect deeply.
+    envelope = (Envelope.lorentzian if lorentzian else Envelope.gaussian)(width)
+    coupling = CouplingSpec.isotropic(total_rate, envelope, omega0)
+    f, f_window = gaussian_sum_spectrum(sum_center, sum_width)
+    h, h_window = gaussian_difference_profile(diff_width, diff_center)
+    state = SeparableState(DirectionPair.PP, f, h, f_window, h_window)
+    channel_probabilities(scatter(coupling, state))
+    assert _integral_bits(_kept_integrals(state, envelope, total_rate, omega0)) \
+        == _integral_bits(_one_node_integrals(state, envelope, total_rate,
+                                              omega0))
+
+
+def test_user_factors_are_evaluated_one_node_at_a_time():
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return np.exp(-(x - 1.0) ** 2 / 8e-4)
+
+    def h(x):
+        seen.append(x)
+        return np.exp(-x ** 2 / 8e-4)
+
+    # On an array numpy squares with x * x, on a float node with libm
+    # pow: these factors have other bits on an array than node by node.
+    nodes = np.linspace(0.9, 1.1, 20001)
+    assert f(nodes).tolist() != [f(x) for x in nodes.tolist()]
+    seen.clear()
+    state = SeparableState(DirectionPair.PP, f, h, (0.9, 1.1), (0.0, 0.2))
+    envelope = Envelope.gaussian(0.02)
+    coupling = CouplingSpec.isotropic(1e-3, envelope)
+    channel_probabilities(scatter(coupling, state))
+    assert seen and all(type(x) is float for x in seen)
+    assert _integral_bits(_kept_integrals(state, envelope, 1e-3, 1.0)) \
+        == _integral_bits(_one_node_integrals(state, envelope, 1e-3, 1.0))
+
+
+@pytest.mark.parametrize("envelope", [
+    Envelope.gaussian(0.02),
+    Envelope.lorentzian(0.004),
+    Envelope.tabulated([0.0, 0.01, 0.03, 0.06, 0.1],
+                       [0.3, 1.0, 0.7 + 0.2j, 0.2, 0.0]),
+], ids=["gaussian", "lorentzian", "tabulated"])
+def test_every_node_quad_visits_comes_from_an_array_fill(monkeypatch,
+                                                         envelope):
+    filled, alone = [], []
+    missing = spectral._NodeEngine.missing
+
+    def recording(self, table, x):
+        (filled if x in self.centres else alone).append(x)
+        return missing(self, table, x)
+
+    monkeypatch.setattr(spectral._NodeEngine, "missing", recording)
+    if envelope.kind is not EnvelopeKind.TABULATED:
+        assert envelope.squared_norm() == pytest.approx(2.0, rel=1e-12)
+    # A resonance 200 times narrower than the sum width: J bisects deeply.
+    coupling = CouplingSpec.isotropic(1e-4, envelope)
+    state = gaussian_biphoton(DirectionPair.PM, 1.003, 0.02, 0.01)
+    channel_probabilities(scatter(coupling, state))
+    assert len(filled) >= 3 and not alone

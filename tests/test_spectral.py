@@ -27,8 +27,9 @@ from quadwg import (
     gaussian_biphoton,
     project_on_envelope,
 )
+from quadwg import spectral
 from quadwg.gate import PulseShape
-from quadwg.spectral import (EnvelopeKind, _complex_quad, _memoized,
+from quadwg.spectral import (EnvelopeKind, _complex_quad, _node_parts,
                              _quad_options,
                              gaussian_difference_profile,
                              gaussian_sum_spectrum, resonance_denominator)
@@ -70,6 +71,14 @@ def test_envelope_evenness(width, delta):
 def test_envelope_full_line_mass_is_two(width):
     assert Envelope.gaussian(width).squared_norm() == pytest.approx(2.0, rel=1e-10)
     assert Envelope.lorentzian(width).squared_norm() == pytest.approx(2.0, rel=1e-10)
+
+
+@given(widths, st.booleans())
+def test_squared_norm_equals_its_one_node_form_bitwise(width, lorentzian):
+    envelope = (Envelope.lorentzian if lorentzian else Envelope.gaussian)(width)
+    expected = quad(lambda d: abs(envelope(d)) ** 2, 0.0, np.inf,
+                    **_quad_options(0.0, np.inf))[0]
+    assert envelope.squared_norm().hex() == (2.0 * expected).hex()
 
 
 def test_tabulated_box_mass():
@@ -457,17 +466,33 @@ def test_complex_quad_equals_two_pass_form_bitwise(envelope):
             == bits(_two_pass_complex_quad(chirped, a, b, points))
 
 
-def test_memoized_keeps_signed_zeros_apart():
+def test_node_engine_keeps_signed_zeros_apart():
+    # -0.0 and 0.0 are one dict key, but a kernel may tell them apart: the
+    # engine keeps no value at a zero node and evaluates it each time asked.
     calls = []
 
     def sign(x):
         calls.append(x)
-        return math.copysign(1.0, x)
+        return (np.copysign(1.0, x),)
 
-    value = _memoized(sign)
-    assert (value(-0.0), value(0.0), value(0.5), value(0.5)) \
-        == (-1.0, 1.0, 1.0, 1.0)
-    assert len(calls) == 3
+    def signs(xs):
+        return [math.copysign(1.0, x) for x in xs]
+
+    node = float(spectral._XGK21[-1])     # a node of the rule on (-1, 1)
+    (scalar,) = _node_parts(sign, 1, vectorized=False)
+    assert [scalar(x) for x in (-0.0, 0.0, -0.0, node, node)] \
+        == [-1.0, 1.0, -1.0, 1.0, 1.0]
+    assert signs(calls) == [-1.0, 1.0, -1.0, 1.0]    # the node once
+
+    calls.clear()
+    # The window (-1, 1) has its centre, a node of the fill, at zero.
+    (array,) = _node_parts(sign, 1, [(-1.0, 1.0)])
+    assert [array(x) for x in (-0.0, 0.0, -0.0, node, node)] \
+        == [-1.0, 1.0, -1.0, 1.0, 1.0]
+    fill, *alone = calls
+    assert 0.0 not in fill and node in fill
+    assert [x.shape for x in alone] == [(1,)] * 3
+    assert signs(float(x[0]) for x in alone) == [-1.0, 1.0, -1.0]
 
 
 # The scalar kernels quad calls, built from the sweeps' parameter ranges:
@@ -557,6 +582,92 @@ def test_edge_nodes_give_ieee_values_with_a_warning(kernel, node, expected,
         assert np.array_equal(np.asarray(value, dtype=complex),
                               np.asarray(expected, dtype=complex),
                               equal_nan=True)
+
+
+@pytest.mark.parametrize("name", sorted(_KERNELS))
+def test_kernel_keeps_its_bits_on_a_dense_array(name):
+    # The node engine evaluates these kernels on arrays of nodes; each
+    # element must have the bits of its node passed alone as a float.
+    # numpy squares an array with x * x and a float node with libm pow,
+    # which differ in about one square in a thousand.
+    kernel = _KERNELS[name](0.004, 1.0, 0.02)
+    nodes = np.linspace(-0.5, 1.5, 20001)
+    alone = np.array([complex(kernel(x)) for x in nodes.tolist()])
+    batch = np.asarray(kernel(nodes), dtype=complex)
+    assert batch.view(np.uint64).tolist() == alone.view(np.uint64).tolist()
+
+
+def _bisecting(center):
+    """A line of half width 1e-3 at ``center``; its elements keep their
+    bits in an array."""
+    return lambda x: (1.0 / (1e-6 + (x - center) * (x - center)),)
+
+
+def _bisected(info, starts):
+    """The intervals QUADPACK bisected, each with its level below the
+    starting intervals, rebuilt from the final partition in ``info``."""
+    last = info["last"]
+    leaves = set(zip(info["alist"][:last].tolist(),
+                     info["blist"][:last].tolist()))
+    found = []
+
+    def walk(a, b, level):
+        if (a, b) in leaves:
+            return
+        assert level < 60, "the partition does not rebuild"
+        found.append((a, b, level))
+        c = 0.5 * (a + b)
+        walk(a, c, level + 1)
+        walk(c, b, level + 1)
+
+    for a, b in starts:
+        walk(a, b, 0)
+    return found
+
+
+@pytest.mark.parametrize("a, b, points, center", [
+    (-1.0, 2.0, [], 0.3),
+    (-1.0, 2.0, [0.3, 1.5], 0.3),
+    (-1.0, 2.0, [0.25, 1.5], 0.3),
+    (-np.inf, 0.2, [], 0.19),
+    (0.2, np.inf, [], 0.21),
+], ids=["window", "break-points", "off-break", "lower-tail", "upper-tail"])
+def test_recorded_centres_are_those_quad_bisects_at(a, b, points, center):
+    kernel = _bisecting(center)
+    (table,) = _node_parts(kernel, 1, [(a, b)], points)
+    engine = table.__self__.engine
+    fills = []
+    fill = engine._fill
+
+    def recording(groups):
+        (lo, hi, tail), = groups
+        # The halves [lo[0], hi[0]] and [lo[1], hi[1]] of one interval.
+        fills.append((float(lo[0]), float(hi[1])))
+        fill(groups)
+
+    engine._fill = recording
+    missing = engine.missing
+    alone = []
+
+    def counting(part, x):
+        if x not in engine.centres:
+            alone.append(x)
+        return missing(part, x)
+
+    engine.missing = counting
+    _, _, info = quad(table, a, b, full_output=1,
+                      **_quad_options(a, b, points))
+    if math.isfinite(a) and math.isfinite(b):
+        edges = [a, *sorted(p for p in points if a < p < b), b]
+        starts = list(zip(edges[:-1], edges[1:]))
+    else:
+        starts = [(0.0, 1.0)]     # QUADPACK's t interval of a half line
+    bisected = _bisected(info, starts)
+    # The first fill holds the starting intervals, and each later one the
+    # two halves of an interval quad bisects.
+    assert max(level for *_, level in bisected) >= 3
+    assert sorted(fills) == sorted((lo, hi) for lo, hi, _ in bisected)
+    assert not alone
 
 
 def test_projection_vanishes_for_orthogonal_profile():
