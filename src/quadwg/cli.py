@@ -685,8 +685,8 @@ def _cmd_gate(cfg, outdir) -> tuple[str, int]:
         "report_ratio": _quantity(ref, "dimensionless"),
         "reports": reports,
     })
-    best = {shape: sweep.fidelity[i, -1] for i, shape in enumerate(shapes)}
-    txt = " ".join(f"{s}:1-F={1 - f:.2e}" for s, f in best.items())
+    txt = " ".join(f"{s}:1-F={10.0 ** sweep.log10_infidelity[i, -1]:.2e}"
+                   for i, s in enumerate(shapes))
     return f"gate: at gamma/fwhm={ratios[-1]:g} {txt}", 0
 
 

@@ -194,81 +194,34 @@ def mirror_reflection(f: PulseShape, gamma: float,
     return reflected
 
 
-def _bracket_parts(gamma, w0: float, x: np.ndarray):
-    """Real and imaginary parts of ``complex(mirror_bracket(gamma, w0,
-    node))`` at each node of ``x``, with the bits the bracket has at that
-    node alone.
+def _node_values(f: PulseShape, gamma: float, w0: float, x: np.ndarray):
+    """The three integrands of ``_gate_z`` at the nodes ``x``: ``|f|^2``
+    and the real and imaginary parts of ``|f|^2 (1 + bracket)``.
 
-    At one node ``1j * (w0 - node)`` is a Python complex, and the type of
-    ``gamma`` chooses the rest.  A float64 numpy rate (a numpy scalar or
-    0-d array) keeps numpy's arithmetic, whose scalar division agrees with
-    its array loop.  A Python number divides in CPython's complex
-    arithmetic, by the denominator where numpy's loop multiplies by its
-    reciprocal; that division is replayed here op for op on real arrays.
+    With ``d = w0 - obar``, ``1 + bracket = (2 d^2 + i gamma d) / (gamma^2
+    / 4 + d^2)``, evaluated as ``2 s^2 + i (gamma / h) s`` with ``h =
+    hypot(gamma / 2, d)`` and ``s = d / h``: ``gamma^2 / 4`` underflows for
+    the smallest rates ``gate_overlap`` takes.  Each value has the bits it
+    has at one node alone.
     """
-    d = w0 - x
-    if isinstance(gamma, (np.generic, np.ndarray)):
-        bracket = 1.0 - gamma / (gamma / 2.0 + 1j * d)
-        return bracket.real, bracket.imag
-    gamma = float(gamma)
-    with np.errstate(all="ignore"):     # CPython float arithmetic never warns
-        # gamma / 2 + (0 + 1j) (d + 0j), less its terms that add a zero of
-        # the same sign: (gamma / 2 + 0 d, 0 + d)
-        re = gamma / 2.0 + 0.0 * d
-        im = 0.0 + d
-        # (gamma + 0j) / (re + im j), dividing through by the larger part
-        # (Smith's method); 0 / 0 raises, as in CPython.
-        big = abs(re) >= abs(im)
-        if np.any(big & (re == 0.0)):
-            raise ZeroDivisionError("complex division by zero")
-        p, s = np.where(big, re, im), np.where(big, im, re)
-        ratio = s / p
-        denom = p + s * ratio
-        q_re = np.where(big, gamma + 0.0 * ratio, gamma * ratio + 0.0) / denom
-        q_im = np.where(big, 0.0 - gamma * ratio, 0.0 * ratio - gamma) / denom
-        return 1.0 - q_re, 0.0 - q_im
-
-
-def _node_values(f: PulseShape, gamma, w0: float, x: np.ndarray):
-    """The three integrands of ``gate_overlap`` at the nodes ``x``, each
-    with the bits it has at one node alone: ``amp ** 2`` and the real and
-    imaginary parts of ``amp * amp * complex(mirror_bracket(gamma, w0,
-    node))``, where ``amp = float(f(node))``."""
     amp = f(x)
     # Python's ``amp ** 2`` calls libm ``pow``, as ``float_power`` does;
     # about one square in a thousand rounds differently from ``amp * amp``.
     power = np.float_power(amp, 2.0)
-    re, im = _bracket_parts(gamma, w0, x)
-    with np.errstate(all="ignore"):
-        # CPython's float times complex: (amp^2 + 0j) (re + im j).
-        amp2 = amp * amp
-        return power, amp2 * re - 0.0 * im, amp2 * im + 0.0 * re
+    d = w0 - x
+    h = np.hypot(gamma / 2.0, d)
+    s = d / h
+    return power, power * (2.0 * s * s), power * ((gamma / h) * s)
 
 
-def gate_overlap(f: PulseShape, gamma: float,
-                 omega0: float | None = None) -> complex:
-    """Overlap of the reflected pair pulse with the incoming one.
-
-    ``Int |f(obar)|^2 bracket(obar) d obar`` by adaptive quadrature over the
-    pulse support plus analytic-decay tails, or over each sample segment of
-    a tabulated pulse.  Magnitude never exceeds one; the narrow-pulse limit
-    is -1 (ideal conditional pi), the broad-pulse limit is +1 (emitter
-    transparent).  Raises a truncation error when the quadrature fails to
-    capture the pulse mass.
-
-    The mass pass and both overlap passes share one node engine
-    (``spectral._node_parts``), which evaluates the three integrands on
-    arrays of the Gauss-Kronrod nodes ``quad`` visits.  Every value has the
-    bits of that node evaluated alone.
-
-    ``gamma`` must be positive and finite, with ``2 / gamma`` finite, and
-    large enough for quad to bisect its resonance (above about 4.45e-305).
-    A numpy rate is taken as float64.
-    """
+def _gate_z(f: PulseShape, gamma: float,
+            omega0: float | None = None) -> complex:
+    """The pair factor ``z = 1 + gate_overlap(f, gamma, omega0)``,
+    integrated as ``Int |f|^2 (1 + bracket) / Int |f|^2``, so that no
+    cancellation against one loses its digits as the overlap nears -1."""
     _check_rate(gamma)
     _check_resolvable(gamma)
-    if isinstance(gamma, (np.generic, np.ndarray)):
-        gamma = np.float64(gamma)
+    gamma = float(gamma)
     w0 = f.center if omega0 is None else float(omega0)
     lo, hi = f.support()
     lo = min(lo, w0 - 40.0 * gamma)
@@ -304,6 +257,51 @@ def gate_overlap(f: PulseShape, gamma: float,
     return complex(val) / mass
 
 
+def gate_overlap(f: PulseShape, gamma: float,
+                 omega0: float | None = None) -> complex:
+    """Overlap of the reflected pair pulse with the incoming one.
+
+    ``Int |f(obar)|^2 bracket(obar) d obar`` by adaptive quadrature over the
+    pulse support plus analytic-decay tails, or over each sample segment of
+    a tabulated pulse.  Magnitude never exceeds one; the narrow-pulse limit
+    is -1 (ideal conditional pi), the broad-pulse limit is +1 (emitter
+    transparent).  Raises a truncation error when the quadrature fails to
+    capture the pulse mass.
+
+    The overlap is ``z - 1`` for the pair factor ``z`` of ``_gate_z``.  Its
+    mass pass and both passes over ``z`` share one node engine
+    (``spectral._node_parts``), which evaluates the three integrands on
+    arrays of the Gauss-Kronrod nodes ``quad`` visits.  Every value has the
+    bits of that node evaluated alone.
+
+    ``gamma`` must be positive and finite, with ``2 / gamma`` finite, and
+    large enough for quad to bisect its resonance (above about 4.45e-305).
+    Any real rate is taken as a Python float.
+    """
+    return _gate_z(f, gamma, omega0) - 1.0
+
+
+def _fidelity(z: complex) -> tuple[float, float, float]:
+    """Worst-case fidelity, its minimizer and the infidelity of the pair
+    factor ``z = 1 + overlap``.
+
+    ``|1 - x z|^2`` is least over ``[0, 1]`` at ``x* = Re z / |z|^2``
+    clipped to ``[0, 1]``, where ``1 - F = x* (2 Re z - x* |z|^2)`` keeps
+    every digit of a small infidelity that ``1 - |1 - x* z|^2`` would
+    cancel away.
+    """
+    if abs(z - 1.0) > 1.0 + 1e-6:
+        raise InvalidOverlapError(
+            f"overlap magnitude {abs(z - 1.0):.6f} exceeds 1;"
+            " quadrature failed")
+    if z == 0:
+        return 1.0, 1.0, 0.0
+    norm2 = abs(z) ** 2
+    x_star = min(max(z.real / norm2, 0.0), 1.0)
+    infidelity = x_star * (2.0 * z.real - x_star * norm2)
+    return 1.0 - infidelity, x_star, infidelity
+
+
 def worst_case_fidelity(overlap: complex) -> tuple[float, float]:
     """Worst-case gate fidelity over logical inputs, with its minimizer.
 
@@ -312,16 +310,8 @@ def worst_case_fidelity(overlap: complex) -> tuple[float, float]:
     ``x in [0, 1]``.  Returns ``(fidelity, x_star)``.  Only the pair-term
     weight matters, not the relative phases of the logical amplitudes.
     """
-    o = complex(overlap)
-    if abs(o) > 1.0 + 1e-6:
-        raise InvalidOverlapError(
-            f"overlap magnitude {abs(o):.6f} exceeds 1; quadrature failed")
-    z = 1.0 + o
-    if abs(z) < 1e-15:
-        return 1.0, 1.0
-    x_star = min(max(z.real / (abs(z) ** 2), 0.0), 1.0)
-    fid = abs(1.0 - x_star * z) ** 2
-    return float(min(fid, 1.0)), float(x_star)
+    fid, x_star, _ = _fidelity(1.0 + complex(overlap))
+    return fid, x_star
 
 
 def truth_table(f: PulseShape, gamma: float, omega0: float | None = None,
@@ -363,9 +353,9 @@ class GateReport:
 
 def gate_report(f: PulseShape, gamma: float,
                 omega0: float | None = None) -> GateReport:
-    o = gate_overlap(f, gamma, omega0)
-    fid, x_star = worst_case_fidelity(o)
-    return GateReport(o, fid, x_star)
+    z = _gate_z(f, gamma, omega0)
+    fid, x_star, _ = _fidelity(z)
+    return GateReport(z - 1.0, fid, x_star)
 
 
 def unit_pulse(shape: str, fwhm_on_power: bool = False) -> PulseShape:
@@ -407,9 +397,10 @@ def infidelity_sweep(gamma_over_fwhm: Sequence[float],
     if np.any(ratios <= 0):
         raise ValueError("ratios must be positive")
     fid = np.empty((len(shapes), ratios.size))
+    infid = np.empty_like(fid)
     for i, name in enumerate(shapes):
         pulse = unit_pulse(name, fwhm_on_power)
         for j, ratio in enumerate(ratios):
-            fid[i, j] = worst_case_fidelity(gate_overlap(pulse, ratio))[0]
-    infid = np.clip(1.0 - fid, 1e-300, None)
-    return InfidelitySweep(ratios, tuple(shapes), fid, np.log10(infid))
+            fid[i, j], _, infid[i, j] = _fidelity(_gate_z(pulse, ratio))
+    return InfidelitySweep(ratios, tuple(shapes), fid,
+                           np.log10(np.clip(infid, 1e-300, None)))

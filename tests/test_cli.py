@@ -315,6 +315,20 @@ def test_gate_at_large_ratio_succeeds(tmp_path, capsys):
     assert out.startswith("gate:")
 
 
+def test_gate_writes_the_infidelity_of_a_near_ideal_gate(tmp_path, capsys):
+    # 1 - F taken from the fidelity rounded to zero here: the curves held
+    # the -300 clip and the summary printed 1-F=0.00e+00.
+    out = run_ok(["gate", "--outdir", str(tmp_path),
+                  "--set", "ratios=1e8"], capsys)
+    for shape, expected in (("gaussian", -15.84), ("lorentzian", -15.40)):
+        _, rows = read_csv(tmp_path / f"gate_infidelity_{shape}.csv")
+        assert float(rows[0].split(",")[1]) == pytest.approx(expected,
+                                                             abs=0.01)
+    assert "0.00e+00" not in out
+    assert "gaussian:1-F=1.44e-16" in out
+    assert "lorentzian:1-F=4.00e-16" in out
+
+
 @pytest.mark.parametrize("command, override", [
     ("sweep-reflection", "alpha=1e-300"),
     ("scatter", "sum_width=1e-300"),

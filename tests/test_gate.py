@@ -318,7 +318,9 @@ def test_gate_overlap_quadrature_count(quad_calls):
 
 def _two_pass_gate_overlap(f, gamma, omega0=None):
     """``gate_overlap`` without shared nodes: the mass pass and the real
-    and imaginary overlap passes each evaluate the pulse afresh."""
+    and imaginary passes over ``z = 1 + overlap`` each evaluate the pulse
+    afresh, one node at a time."""
+    gamma = float(gamma)
     w0 = f.center if omega0 is None else float(omega0)
     lo, hi = f.support()
     lo = min(lo, w0 - 40.0 * gamma)
@@ -337,17 +339,16 @@ def _two_pass_gate_overlap(f, gamma, omega0=None):
     mass = sum(quad(lambda x: float(f(x)) ** 2, a, b,
                     **_quad_options(a, b, pts))[0] for a, b in segments)
 
-    def integrand(x):
-        amp = float(f(x))
-        return amp * amp * complex(mirror_bracket(gamma, w0, x))
+    def part(index):
+        return lambda x: float(_scalar_integrands(f, gamma, w0, x)[index])
 
     val = 0.0
     for a, b in segments:
         kw = _quad_options(a, b, pts)
-        re, _ = quad(lambda x: integrand(x).real, a, b, **kw)
-        im, _ = quad(lambda x: integrand(x).imag, a, b, **kw)
+        re, _ = quad(part(1), a, b, **kw)
+        im, _ = quad(part(2), a, b, **kw)
         val += re + 1j * im
-    return complex(val) / mass
+    return complex(val) / mass - 1.0
 
 
 class CountingPulse:
@@ -437,10 +438,15 @@ def test_gate_overlap_evaluates_a_missing_node_on_its_own(monkeypatch):
 
 def _scalar_integrands(f, gamma, w0, x):
     """``gate_overlap``'s integrands at one Python-float node, as the
-    quadrature evaluated them one node at a time."""
+    quadrature evaluated them one node at a time: ``|f|^2`` and the real
+    and imaginary parts of ``|f|^2 (1 + bracket)``, in numpy-scalar
+    arithmetic (``math.hypot`` rounds a few moduli differently)."""
     amp = float(f(x))
-    value = amp * amp * complex(mirror_bracket(gamma, w0, x))
-    return amp ** 2, value.real, value.imag
+    d = w0 - x
+    h = np.hypot(gamma / 2.0, d)
+    s = d / h
+    power = amp ** 2
+    return power, power * (2.0 * s * s), power * ((gamma / h) * s)
 
 
 def _float_bits(values):
@@ -478,6 +484,10 @@ _FAR_NODES = (0.0, -0.0, 5e-324, 1e8, -1e8, 1e15, -1e15, 1e200, -1e200,
            allow_nan=False, allow_infinity=False), max_size=16))
 def test_node_values_have_the_bits_of_one_node(
         rate_type, shape, ratio, center, fwhm, detuning, resonant, nodes):
+    # The batch of nodes against each node on a one-element array, as the
+    # node engine evaluates a node it did not prefetch, and against the
+    # one-node form in numpy scalars at the rate as a float: the bits do
+    # not depend on the type of the rate.
     pulse = _PULSES[shape](center, fwhm)
     rate = ratio * fwhm
     gamma = rate_type(max(rate, 1.0) if rate_type is int else rate)
@@ -487,22 +497,21 @@ def test_node_values_have_the_bits_of_one_node(
     if shape == "tabulated":
         x += [*pulse.freqs[[0, 5, -1]], pulse.freqs[0] - fwhm,
               0.5 * (pulse.freqs[3] + pulse.freqs[4])]
-    expected, scalar_warnings = [], set()
+    single, single_warnings = [], set()
     for node in x:
-        values, caught = _warned(_scalar_integrands, pulse, gamma, w0,
-                                 float(node))
-        expected.append(values)
-        scalar_warnings |= caught
-    expected = np.array(expected).T
+        values, caught = _warned(gate._node_values, pulse, gamma, w0,
+                                 np.array([node], dtype=float))
+        single.append(np.ravel(values))
+        single_warnings |= caught
+    single = np.array(single).T
     batch, caught = _warned(gate._node_values, pulse, gamma, w0,
                             np.array(x, dtype=float))
-    assert _float_bits(batch) == _float_bits(expected)
+    assert _float_bits(batch) == _float_bits(single)
     # Prefetched nodes warn only as quad's own nodes would.
-    assert caught <= scalar_warnings
-    for node, column in zip(x, expected.T):
-        single, _ = _warned(gate._node_values, pulse, gamma, w0,
-                            np.array([node]))
-        assert _float_bits(np.ravel(single)) == _float_bits(column)
+    assert caught <= single_warnings
+    scalar = [_warned(_scalar_integrands, pulse, float(gamma), w0,
+                      float(node))[0] for node in x]
+    assert _float_bits(single) == _float_bits(np.array(scalar).T)
 
 
 @pytest.mark.parametrize("shape", ["gaussian", "lorentzian"])
@@ -514,17 +523,6 @@ def test_node_values_square_the_pulse_as_python_does(shape):
     power, _, _ = gate._node_values(pulse, 1.0, 0.0, x)
     assert _float_bits(power) == _float_bits(
         [amp ** 2 for amp in pulse(x).tolist()])
-
-
-def test_node_values_divide_by_zero_as_python_does():
-    # At gamma = 5e-324, gamma / 2 underflows to 0 and the bracket's
-    # denominator vanishes at resonance, where CPython's complex division
-    # raises.  gate_overlap rejects such a rate before quad reaches the node.
-    pulse = PulseShape.gaussian(0.0, 1.0)
-    with pytest.raises(ZeroDivisionError):
-        _scalar_integrands(pulse, 5e-324, 0.0, -0.0)
-    with pytest.raises(ZeroDivisionError):
-        gate._node_values(pulse, 5e-324, 0.0, np.array([1.0, -0.0]))
 
 
 @pytest.mark.parametrize("a, b, points, integrand", [
@@ -625,6 +623,38 @@ def test_infidelity_sweep_trends():
     assert sweep.fidelity[:, -1].min() > 1 - 1e-3
     np.testing.assert_allclose(sweep.log10_infidelity,
                                np.log10(1.0 - sweep.fidelity))
+
+
+def _resonant_infidelity_mpmath(shape, ratio):
+    """Worst-case infidelity of a resonant pulse of unit amplitude FWHM at
+    ``gamma = ratio``, from the closed form of ``z = 1 + overlap`` in
+    40-digit arithmetic."""
+    with mpmath.workdps(40):
+        a = mpmath.mpf(ratio) / 2
+        if shape == "gaussian":
+            # |f|^2 = exp(-nu^2 / s^2) / (s sqrt(pi)); f halves at nu = 1/2.
+            x = a * mpmath.sqrt(8 * mpmath.log(2))
+            z = 2 * (1 - x * mpmath.sqrt(mpmath.pi) * mpmath.exp(x * x)
+                     * mpmath.erfc(x))
+        else:
+            # |f|^2 = (2 g^3 / pi) / (nu^2 + g^2)^2 with g = 1/2.
+            g = mpmath.mpf(1) / 2
+            z = 2 * g * g / (a + g) ** 2
+        # z is real and positive on resonance; |1 - x z|^2 is least at
+        # x = 1 / z, clipped to [0, 1].
+        x_star = min(1 / z, 1)
+        return float(1 - (1 - x_star * z) ** 2)
+
+
+@pytest.mark.parametrize("shape", ["gaussian", "lorentzian"])
+def test_infidelity_matches_mpmath(shape):
+    # 1 - |1 - x (1 + overlap)|^2 with the overlap near -1 cancelled away
+    # the infidelity: 1e-4 off at 1e6 and the -300 clip at 1e8.
+    ratios = [1.0, 1e2, 1e4, 1e6, 1e8]
+    sweep = infidelity_sweep(ratios, shapes=(shape,))
+    expected = [_resonant_infidelity_mpmath(shape, r) for r in ratios]
+    np.testing.assert_allclose(10.0 ** sweep.curve(shape), expected,
+                               rtol=1e-8)
 
 
 def test_infidelity_sweep_validation():
