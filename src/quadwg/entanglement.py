@@ -24,7 +24,7 @@ import numpy as np
 
 from .emission import emitted_amplitude
 from .errors import EmptyPostselectionError
-from .spectral import CouplingSpec, DirectionPair, Envelope
+from .spectral import CouplingSpec, DirectionPair, Envelope, _check_finite
 
 __all__ = [
     "FilterPair",
@@ -48,6 +48,8 @@ class FilterPair:
     omega_b: float
 
     def __post_init__(self) -> None:
+        _check_finite("omega_a", self.omega_a)
+        _check_finite("omega_b", self.omega_b)
         if self.omega_a > self.omega_b:
             raise ValueError("omega_a must not exceed omega_b")
 
@@ -112,6 +114,7 @@ def postselect_filtered_state(coupling: CouplingSpec, filters: FilterPair,
     if coupling.rate(DirectionPair.PM) <= 0:
         raise EmptyPostselectionError(
             "cross-channel rate is zero; no counter-propagating pairs")
+    _check_finite("bandwidth", bandwidth)
     if bandwidth < 0:
         raise ValueError("bandwidth must be nonnegative")
 

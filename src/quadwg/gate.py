@@ -24,9 +24,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import InvalidOverlapError, TruncationError
-from .spectral import (EnvelopeKind, _linear_masses, _node_parts,
-                       _quad_options, _quad_parts, _real, quad,
-                       resonance_denominator)
+from .spectral import (EnvelopeKind, _check_finite, _integrals,
+                       _linear_masses, _real, quad, resonance_denominator)
 
 __all__ = [
     "PulseShape",
@@ -43,7 +42,11 @@ __all__ = [
 ]
 
 
-def _check_scale(fwhm: float, scale: float) -> None:
+def _check_pulse(center: float, fwhm: float, scale: float) -> None:
+    _check_finite("center", center)
+    _check_finite("fwhm", fwhm)
+    if not fwhm > 0:
+        raise ValueError("fwhm must be positive")
     if scale * scale == 0.0:
         raise ValueError(f"fwhm {fwhm!r} is too small: the square of the"
                          " pulse scale underflows")
@@ -70,24 +73,23 @@ class PulseShape:
     @classmethod
     def gaussian(cls, center: float, fwhm: float,
                  fwhm_on_power: bool = False) -> "PulseShape":
-        if not fwhm > 0:
-            raise ValueError("fwhm must be positive")
         s = fwhm / (2.0 * math.sqrt(math.log(2.0)))
         if not fwhm_on_power:
             s /= math.sqrt(2.0)
-        _check_scale(fwhm, s)
+        _check_pulse(center, fwhm, s)
         return cls(EnvelopeKind.GAUSSIAN, float(center), float(fwhm), s)
 
     @classmethod
     def lorentzian(cls, center: float, fwhm: float,
                    fwhm_on_power: bool = False) -> "PulseShape":
-        if not fwhm > 0:
-            raise ValueError("fwhm must be positive")
         if fwhm_on_power:
             g = fwhm / (2.0 * math.sqrt(math.sqrt(2.0) - 1.0))
         else:
             g = fwhm / 2.0
-        _check_scale(fwhm, g)
+        _check_pulse(center, fwhm, g)
+        if math.isinf(2.0 * g * g * g):     # the amplitude takes 2 g^3
+            raise ValueError(f"fwhm {fwhm!r} is too large: the cube of the"
+                             " pulse scale overflows")
         return cls(EnvelopeKind.LORENTZIAN, float(center), float(fwhm), g)
 
     @classmethod
@@ -178,6 +180,14 @@ def _check_resolvable(gamma: float) -> None:
             " this narrow next to zero")
 
 
+def _resonance(f: PulseShape, omega0: float | None) -> float:
+    """The emitter frequency: a finite ``omega0``, or the pulse center."""
+    if omega0 is None:
+        return f.center
+    _check_finite("omega0", omega0)
+    return float(omega0)
+
+
 def mirror_reflection(f: PulseShape, gamma: float,
                       omega0: float | None = None) -> Callable:
     """Reflected pair pulse: the incoming ``f`` times the mirror factor.
@@ -185,7 +195,7 @@ def mirror_reflection(f: PulseShape, gamma: float,
     ``omega0`` defaults to the pulse center (resonant drive).
     """
     _check_rate(gamma)
-    w0 = f.center if omega0 is None else float(omega0)
+    w0 = _resonance(f, omega0)
 
     def reflected(omegabar):
         return np.asarray(f(omegabar), dtype=complex) \
@@ -222,7 +232,7 @@ def _gate_z(f: PulseShape, gamma: float,
     _check_rate(gamma)
     _check_resolvable(gamma)
     gamma = float(gamma)
-    w0 = f.center if omega0 is None else float(omega0)
+    w0 = _resonance(f, omega0)
     lo, hi = f.support()
     lo = min(lo, w0 - 40.0 * gamma)
     hi = max(hi, w0 + 40.0 * gamma)
@@ -243,18 +253,13 @@ def _gate_z(f: PulseShape, gamma: float,
             pts += [f.center - step, f.center + step]
             step *= 8.0
 
-    power, real, imag = _node_parts(partial(_node_values, f, gamma, w0), 3,
-                                    segments, pts)
-
-    mass = sum(quad(power, a, b, **_quad_options(a, b, pts))[0]
-               for a, b in segments)
+    mass, re, im = _integrals(quad, partial(_node_values, f, gamma, w0), 3,
+                              segments, pts)
     if not abs(mass - 1.0) <= 1e-3:   # a nan mass fails too
         raise TruncationError(
             f"quadrature captured pulse mass {mass:.6f} instead of 1; "
             "pulse is off center or undersampled")
-
-    val = sum(_quad_parts(real, imag, a, b, pts) for a, b in segments)
-    return complex(val) / mass
+    return complex(re, im) / mass
 
 
 def gate_overlap(f: PulseShape, gamma: float,
@@ -270,7 +275,7 @@ def gate_overlap(f: PulseShape, gamma: float,
 
     The overlap is ``z - 1`` for the pair factor ``z`` of ``_gate_z``.  Its
     mass pass and both passes over ``z`` share one node engine
-    (``spectral._node_parts``), which evaluates the three integrands on
+    (``spectral._integrals``), which evaluates the three integrands on
     arrays of the Gauss-Kronrod nodes ``quad`` visits.  Every value has the
     bits of that node evaluated alone.
 
@@ -290,9 +295,9 @@ def _fidelity(z: complex) -> tuple[float, float, float]:
     every digit of a small infidelity that ``1 - |1 - x* z|^2`` would
     cancel away.
     """
-    if abs(z - 1.0) > 1.0 + 1e-6:
+    if not abs(z - 1.0) <= 1.0 + 1e-6:   # a nan overlap fails too
         raise InvalidOverlapError(
-            f"overlap magnitude {abs(z - 1.0):.6f} exceeds 1;"
+            f"overlap magnitude {abs(z - 1.0):.6f} is not at most 1;"
             " quadrature failed")
     if z == 0:
         return 1.0, 1.0, 0.0

@@ -33,10 +33,10 @@ from .spectral import (
     SeparableState,
     _abs2,
     _check_envelope_cover,
+    _fold_mass,
     _grid_overlaps,
+    _integrals,
     _is_array_kernel,
-    _node_parts,
-    _quad_options,
     gaussian_biphoton,
     quad,
     resonance_denominator,
@@ -189,9 +189,9 @@ def _resonance_weight(state: SeparableState, total_rate: float,
                                       + np.float_power(d.imag, 2.0)),)
 
     def compute():
-        (weight,) = _node_parts(integrand, 1, [(lo, hi)], points,
-                                _is_array_kernel(state.f))
-        return quad(weight, lo, hi, **_quad_options(lo, hi, points))[0]
+        (weight,) = _integrals(quad, integrand, 1, [(lo, hi)], points,
+                               _is_array_kernel(state.f))
+        return weight
 
     return state._integral(("resonance", total_rate, omega0), compute)
 
@@ -283,9 +283,7 @@ def gaussian_closed_form(coupling: CouplingSpec, sigma: float,
     state = gaussian_biphoton(DirectionPair.PP, sum_center, sigma, diff_center)
 
     s2 = sigma * sigma
-    fold_mass = sigma * math.sqrt(2.0 * math.pi) \
-        * (1.0 + math.exp(-diff_center * diff_center / (2.0 * s2)))
-    amp_fold = 1.0 / math.sqrt(fold_mass)
+    amp_fold = 1.0 / math.sqrt(_fold_mass(sigma, diff_center))
     kappa = amp_fold * (2.0 / (math.pi * beta * beta)) ** 0.25 \
         * 2.0 * sigma * beta * math.sqrt(math.pi / (s2 + beta * beta)) \
         * math.exp(-diff_center * diff_center / (4.0 * (s2 + beta * beta)))

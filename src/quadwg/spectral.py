@@ -31,7 +31,6 @@ import itertools
 import math
 import sys
 import warnings
-import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -109,6 +108,12 @@ class EnvelopeKind(enum.Enum):
     GAUSSIAN = "gaussian"
     LORENTZIAN = "lorentzian"
     TABULATED = "tabulated"
+
+
+def _check_finite(name: str, value: float) -> None:
+    """Reject a parameter ``name`` whose ``value`` is inf or nan."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def _linear_masses(d: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -224,10 +229,9 @@ class Envelope:
         """Full-line mass ``Int |u|^2 d delta``; equals 2 by construction."""
         if self.kind is EnvelopeKind.TABULATED:
             return 2.0 * float(np.sum(_linear_masses(self.deltas, self.values)))
-        (mass,) = _node_parts(lambda d: (_abs2(self(d)),), 1,
-                              [(0.0, np.inf)])
-        val, _ = quad(mass, 0.0, np.inf, **_quad_options(0.0, np.inf))
-        return 2.0 * val
+        (mass,) = _integrals(quad, lambda d: (_abs2(self(d)),), 1,
+                             [(0.0, np.inf)])
+        return 2.0 * mass
 
     def half_line_mass(self, delta_max: float) -> float:
         """Envelope mass ``Int_0^X |u|^2 d delta`` kept below ``delta_max``."""
@@ -290,8 +294,7 @@ class CouplingSpec:
     envelope: Envelope
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.omega0):
-            raise ValueError(f"omega0 must be finite, got {self.omega0!r}")
+        _check_finite("omega0", self.omega0)
         if not self.omega0 > 0:
             raise ValueError("emitter frequency must be positive")
         table: dict[DirectionPair, float] = {}
@@ -299,9 +302,7 @@ class CouplingSpec:
             pair = DirectionPair(key)
             if pair in table:
                 raise ValueError(f"rates[{pair.value!r}] is given twice")
-            if not math.isfinite(value):
-                raise ValueError(
-                    f"rates[{pair.value!r}] must be finite, got {value!r}")
+            _check_finite(f"rates[{pair.value!r}]", value)
             table[pair] = value
         pm = table.get(DirectionPair.PM)
         mp = table.get(DirectionPair.MP)
@@ -537,7 +538,7 @@ class _PartTable(dict):
     the C-level ``__getitem__``; a node missing from the table is asked of
     the engine that fills it."""
 
-    __slots__ = ("engine", "index", "__weakref__")
+    __slots__ = ("engine", "index")
 
     def __missing__(self, x: float):
         return self.engine.missing(self, x)
@@ -546,11 +547,10 @@ class _PartTable(dict):
 class _NodeEngine:
     """The real parts of one integrand at the nodes ``quad`` visits.
 
-    ``_node_parts`` builds the engine and hands out one table per part.
-    ``values`` maps nodes to one value per real part, and ``quad`` over
-    each of ``segments``, with the break ``points`` of ``_quad_options``,
-    finds its nodes in the tables.  Passes over the same nodes share the
-    values.
+    ``_integrals`` builds the engine with one table per part.  ``values``
+    maps nodes to one value per real part, and ``quad`` over each of
+    ``segments``, with the break ``points`` of ``_quad_options``, finds its
+    nodes in the tables.  Passes over the same nodes share the values.
 
     With ``vectorized`` set, ``values`` takes a float64 array of nodes and
     returns one array per part, each element with the bits that part has
@@ -580,9 +580,7 @@ class _NodeEngine:
         self.vectorized = vectorized
         for index, table in enumerate(tables):
             table.engine, table.index = self, index
-        # Weak references: each table holds the engine, and a reference
-        # cycle would keep the tables until the garbage collector ran.
-        self.tables = [weakref.ref(table) for table in tables]
+        self.tables = list(tables)
         # Centre of the left half -> (a, b, tail) of a tabled interval.
         self.centres: dict[float, tuple] = {}
 
@@ -617,10 +615,8 @@ class _NodeEngine:
         else:
             row = self.values(x)
         if x:
-            for ref, v in zip(self.tables, row):
-                held = ref()
-                if held is not None:
-                    held[x] = v
+            for held, v in zip(self.tables, row):
+                held[x] = v
         return row[table.index]
 
     def _fill(self, groups) -> None:
@@ -639,48 +635,36 @@ class _NodeEngine:
         x = np.concatenate(nodes)
         x = x[x != 0.0]
         keys = x.tolist()
-        for ref, part in zip(self.tables, self.values(x)):
-            table = ref()
-            if table is not None:
-                table.update(zip(keys, part.tolist()))
+        for table, part in zip(self.tables, self.values(x)):
+            table.update(zip(keys, part.tolist()))
 
 
-def _node_parts(values: Callable, n_parts: int,
-                segments: Sequence[tuple[float, float]] = (),
-                points: Sequence[float] | None = None,
-                vectorized: bool = True) -> list[Callable[[float], float]]:
-    """One ``__getitem__`` per real part of an integrand, to hand ``quad``
-    over ``segments`` with the break ``points``; a ``_NodeEngine`` fills
-    the tables behind them."""
+def _integrals(quad, values: Callable, n_parts: int,
+               segments: Sequence[tuple[float, float]],
+               points: Sequence[float] | None = None,
+               vectorized: bool = True) -> list[float]:
+    """``quad`` of each of the ``n_parts`` real parts of one integrand over
+    each of ``segments``, in that order, with the break ``points``; returns
+    each part's sum over the segments.  A sum starts at ``0``, as ``sum``
+    does, so a part whose segments all give ``-0.0`` sums to ``0.0``.
+
+    One ``_NodeEngine`` serves every pass; ``values`` and ``vectorized``
+    are as there.  ``quad`` is the caller's own binding, so each module's
+    integrals are counted for it.  Every quadrature of the package runs here.
+    """
     tables = [_PartTable() for _ in range(n_parts)]
     engine = _NodeEngine(values, tables, vectorized)
-    if vectorized:
-        engine.start(segments, points)
-    return [table.__getitem__ for table in tables]
-
-
-def _quad_parts(real: Callable[[float], float],
-                imag: Callable[[float], float], a: float, b: float,
-                points: Sequence[float] | None = None) -> complex:
-    """``quad`` of the real and imaginary parts of one integrand."""
-    kw = _quad_options(a, b, points)
-    re, _ = quad(real, a, b, **kw)
-    im, _ = quad(imag, a, b, **kw)
-    return re + 1j * im
-
-
-def _complex_quad(fn: Callable[[float], complex], a: float, b: float,
-                  points: Sequence[float] | None = None,
-                  vectorized: bool = False) -> complex:
-    """``quad`` of the real and imaginary parts of ``fn`` over ``[a, b]``,
-    whose two passes share one node engine.  ``vectorized`` says that
-    ``fn`` is built from the library's array kernels."""
-    def parts(x):
-        value = fn(x)
-        return value.real, value.imag
-
-    real, imag = _node_parts(parts, 2, [(a, b)], points, vectorized)
-    return _quad_parts(real, imag, a, b, points)
+    try:
+        if vectorized:
+            engine.start(segments, points)
+        return [sum(quad(table.__getitem__, a, b,
+                         **_quad_options(a, b, points))[0]
+                    for a, b in segments)
+                for table in tables]
+    finally:
+        # Each table holds the engine: break the cycle, so that the tables
+        # go now and not when the garbage collector runs.
+        engine.tables.clear()
 
 
 @dataclass
@@ -731,11 +715,9 @@ class SeparableState:
     @staticmethod
     def _factor_mass(fn, window) -> float:
         lo, hi = window
-        points = [0.5 * (lo + hi)]
-        (mass,) = _node_parts(lambda x: (_abs2(fn(x)),), 1, [(lo, hi)],
-                              points, _is_array_kernel(fn))
-        val, _ = quad(mass, lo, hi, **_quad_options(lo, hi, points))
-        return val
+        (mass,) = _integrals(quad, lambda x: (_abs2(fn(x)),), 1, [(lo, hi)],
+                             [0.5 * (lo + hi)], _is_array_kernel(fn))
+        return mass
 
     def _integral(self, key: tuple, compute: Callable[[], object]):
         """Integral of the unscaled factors named by ``key``: ``compute()``
@@ -783,21 +765,24 @@ class SeparableState:
             return 0.0 + 0.0j
         mid = 0.5 * (lo + hi)
 
-        def integrand(x):
-            return envelope(x) * self.h(x)
+        def parts(x):
+            value = envelope(x) * self.h(x)
+            return value.real, value.imag
 
-        vectorized = _is_array_kernel(self.h)
+        def overlap(segments):
+            re, im = _integrals(quad, parts, 2, segments, [mid],
+                                _is_array_kernel(self.h))
+            return complex(re, im)
+
         if envelope.kind is EnvelopeKind.TABULATED:
             # One segment per pair of samples: the interpolant has no kink
             # inside any of them for quad to bisect across.  Samples are
             # not a cheap key, so tabulated overlaps are not kept.
             nodes = [lo, *(x for x in d.tolist() if lo < x < hi), hi]
-            return self.scale * sum(
-                _complex_quad(integrand, a, b, [mid], vectorized)
-                for a, b in zip(nodes[:-1], nodes[1:]))
+            return self.scale * overlap(list(zip(nodes[:-1], nodes[1:])))
         return self.scale * self._integral(
             ("overlap", envelope.kind, envelope.width),
-            lambda: _complex_quad(integrand, lo, hi, [mid], vectorized))
+            lambda: overlap([(lo, hi)]))
 
 
 @dataclass
@@ -856,7 +841,9 @@ class GridState:
 
 
 def _width_squared(sigma: float) -> float:
-    """Square of a Gaussian width, rejecting widths whose square underflows."""
+    """Square of a Gaussian width, rejecting widths that are not finite or
+    whose square underflows."""
+    _check_finite("sigma", sigma)
     if not sigma > 0:
         raise ValueError("sigma must be positive")
     s2 = sigma * sigma
@@ -873,6 +860,7 @@ def gaussian_sum_spectrum(center: float, sigma: float):
     deviation ``sigma``.  Returns ``(callable, window)``.
     """
     _width_squared(sigma)  # rejects widths whose square underflows
+    _check_finite("center", center)
     amp = (2.0 * math.pi * sigma * sigma) ** -0.25
 
     # ``float_power`` squares with libm ``pow``, as ``** 2`` does on a float
@@ -886,6 +874,13 @@ def gaussian_sum_spectrum(center: float, sigma: float):
     return f, (center - 12.0 * sigma, center + 12.0 * sigma)
 
 
+def _fold_mass(sigma: float, center: float) -> float:
+    """Half-line mass ``sigma sqrt(2 pi) (1 + e^{-c^2/2s^2})`` of
+    ``raw(d) + raw(-d)``, the folded Gaussian of ``gaussian_difference_profile``."""
+    return sigma * math.sqrt(2.0 * math.pi) \
+        * (1.0 + math.exp(-center * center / (2.0 * (sigma * sigma))))
+
+
 def gaussian_difference_profile(sigma: float, center: float = 0.0):
     """Normalized, folded Gaussian difference-frequency factor.
 
@@ -896,10 +891,8 @@ def gaussian_difference_profile(sigma: float, center: float = 0.0):
     Returns ``(callable, window)``.
     """
     s2 = _width_squared(sigma)
-    # Half-line mass of raw(d) + raw(-d):
-    #   Int_R |raw|^2 + Int_R raw(d) raw(-d) = sigma sqrt(2 pi) (1 + e^{-c^2/2s^2})
-    mass = sigma * math.sqrt(2.0 * math.pi) * (1.0 + math.exp(-center * center / (2.0 * s2)))
-    amp = 1.0 / math.sqrt(mass)
+    _check_finite("center", center)
+    amp = 1.0 / math.sqrt(_fold_mass(sigma, center))
 
     @_array_kernel
     def h(delta):

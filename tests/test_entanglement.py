@@ -48,6 +48,23 @@ def test_symmetric_filters_straddle_half_resonance():
         FilterPair(0.6, 0.4)
 
 
+@pytest.mark.parametrize("build, name", [
+    (lambda cpl: FilterPair(math.nan, 1.0), "omega_a"),
+    (lambda cpl: FilterPair(0.4, math.inf), "omega_b"),
+    (lambda cpl: FilterPair.symmetric(cpl, math.nan), "omega_a"),
+    (lambda cpl: FilterPair.symmetric(cpl, math.inf), "omega_a"),
+    (lambda cpl: postselect_filtered_state(
+        cpl, FilterPair.symmetric(cpl, GAMMA), math.nan), "bandwidth"),
+    (lambda cpl: postselect_filtered_state(
+        cpl, FilterPair.symmetric(cpl, GAMMA), math.inf), "bandwidth"),
+], ids=["nan-omega_a", "inf-omega_b", "nan-detuning", "inf-detuning",
+        "nan-bandwidth", "inf-bandwidth"])
+def test_filters_reject_non_finite_frequencies(build, name):
+    # Each once ended in "all filtered amplitudes vanish", or passed.
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        build(lorentzian_coupling(1.0))
+
+
 def test_two_qubit_state_layout_and_normalization():
     state = TwoQubitState.from_unnormalized(2.0, 0.0, 0.0, 0.0)
     assert state.c_aa == pytest.approx(1.0)

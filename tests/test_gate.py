@@ -23,7 +23,7 @@ from quadwg import (
 from quadwg import gate, spectral
 from quadwg.errors import TruncationError
 from quadwg.gate import mirror_bracket, mirror_reflection
-from quadwg.spectral import EnvelopeKind, _node_parts, _quad_options
+from quadwg.spectral import EnvelopeKind, _integrals, _quad_options
 
 GAMMA = 1.0
 OMEGA0 = 1.0
@@ -57,6 +57,40 @@ def test_pulse_scale_square_must_not_underflow(kind, fwhm_on_power):
     with pytest.raises(ValueError, match="underflows"):
         make(0.0, 1e-170, fwhm_on_power=fwhm_on_power)
     assert make(0.0, 1e-150, fwhm_on_power=fwhm_on_power).scale > 0
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "lorentzian"])
+@pytest.mark.parametrize("center, fwhm, name", [
+    (math.nan, 1.0, "center"), (math.inf, 1.0, "center"),
+    (0.0, math.nan, "fwhm"), (0.0, math.inf, "fwhm"),
+], ids=["nan-center", "inf-center", "nan-fwhm", "inf-fwhm"])
+def test_pulse_rejects_non_finite_parameters(kind, center, fwhm, name):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        getattr(PulseShape, kind)(center, fwhm)
+
+
+@pytest.mark.parametrize("fwhm_on_power", [False, True])
+def test_lorentzian_pulse_scale_cube_must_not_overflow(fwhm_on_power):
+    # The amplitude takes 2 g^3; its cube once raised a bare OverflowError
+    # from gate_overlap.
+    for fwhm in (1e155, 1e103):
+        with pytest.raises(ValueError, match="cube"):
+            PulseShape.lorentzian(0.0, fwhm, fwhm_on_power=fwhm_on_power)
+    pulse = PulseShape.lorentzian(0.0, 5e102, fwhm_on_power=fwhm_on_power)
+    assert gate_overlap(pulse, 1.0) == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("omega0", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("call", [gate_overlap, gate_report, truth_table,
+                                  mirror_reflection],
+                         ids=["gate_overlap", "gate_report", "truth_table",
+                              "mirror_reflection"])
+def test_gate_rejects_a_non_finite_resonance(call, omega0):
+    # A nan resonance once gave a report of nans with only an
+    # IntegrationWarning.
+    with pytest.raises(ValueError, match="omega0 must be finite"):
+        call(PulseShape.gaussian(0.0, 1.0), GAMMA, omega0)
 
 
 def test_gate_overlap_raises_on_a_nan_pulse_mass():
@@ -312,8 +346,8 @@ def test_tabulated_pulse_matches_analytic_overlap():
 def test_gate_overlap_quadrature_count(quad_calls):
     gate_overlap(PulseShape.gaussian(OMEGA0, 0.2), GAMMA)
     # Per segment (window and two tails): one real pulse-mass integral and
-    # the real and imaginary parts of the overlap.
-    assert len(quad_calls) == 9
+    # the real and imaginary parts of the overlap, each the gate's own.
+    assert quad_calls == ["quadwg.gate"] * 9
 
 
 def _two_pass_gate_overlap(f, gamma, omega0=None):
@@ -544,9 +578,10 @@ def test_predicted_nodes_are_those_of_quads_first_pass(a, b, points,
         calls.append(x)
         return (integrand(x),)
 
-    (table,) = _node_parts(kernel, 1, [(a, b)], points)
-    quad(lambda x: visited.append(x) or table(x), a, b,
-         **_quad_options(a, b, points))
+    def visiting(table, *args, **kwargs):
+        return quad(lambda x: visited.append(x) or table(x), *args, **kwargs)
+
+    _integrals(visiting, kernel, 1, [(a, b)], points)
     # A zero node is left out of the fill and evaluated alone.
     fill, *zeros = calls
     assert [x.tolist() for x in zeros] == [[x] for x in visited if x == 0.0]
@@ -571,6 +606,10 @@ def test_worst_case_rejects_unphysical_overlap():
         worst_case_fidelity(1.2)
     with pytest.raises(InvalidOverlapError):
         worst_case_fidelity(-(1.0 + 1e-5))
+    # A non-finite overlap once gave (nan, nan).
+    for overlap in (math.nan, complex(0.0, math.inf), complex(math.nan, 0.5)):
+        with pytest.raises(InvalidOverlapError, match="magnitude (nan|inf)"):
+            worst_case_fidelity(overlap)
     # Round-off just past the unit circle is tolerated.
     fidelity, _ = worst_case_fidelity(1.0 + 1e-9)
     assert fidelity == pytest.approx(0.0, abs=1e-8)

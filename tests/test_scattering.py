@@ -269,7 +269,7 @@ def test_separable_scatter_integrates_each_quantity_once(quad_calls):
     quad_calls.clear()
     channel_probabilities(scatter(cpl, state))
     # Two for the complex envelope overlap, one for the line integral J.
-    assert len(quad_calls) == 3
+    assert sorted(quad_calls) == ["quadwg.scattering"] + ["quadwg.spectral"] * 2
     quad_calls.clear()
     channel_probabilities(scatter(cpl, state))
     assert len(quad_calls) == 0  # the overlap and J are kept by the state

@@ -29,8 +29,8 @@ from quadwg import (
 )
 from quadwg import spectral
 from quadwg.gate import PulseShape
-from quadwg.spectral import (EnvelopeKind, _complex_quad, _node_parts,
-                             _quad_options,
+from quadwg.spectral import (EnvelopeKind, _integrals, _NodeEngine,
+                             _PartTable, _quad_options,
                              gaussian_difference_profile,
                              gaussian_sum_spectrum, resonance_denominator)
 
@@ -324,6 +324,23 @@ def test_gaussian_factors_have_stated_moments():
     assert mass == pytest.approx(1.0, rel=1e-8)
 
 
+@pytest.mark.parametrize("sum_center, sigma, diff_center, name", [
+    (math.nan, 0.02, 0.0, "center"),
+    (math.inf, 0.02, 0.0, "center"),
+    (1.0, math.inf, 0.0, "sigma"),
+    (1.0, math.nan, 0.0, "sigma"),
+    (1.0, 0.02, math.nan, "center"),
+    (1.0, 0.02, -math.inf, "center"),
+], ids=["nan-sum-center", "inf-sum-center", "inf-sigma", "nan-sigma",
+        "nan-diff-center", "inf-diff-center"])
+def test_gaussian_biphoton_rejects_non_finite_inputs(sum_center, sigma,
+                                                     diff_center, name):
+    # A nan center once built a state of nan scale, and an infinite sigma
+    # failed as a zero norm.
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        gaussian_biphoton(DirectionPair.PP, sum_center, sigma, diff_center)
+
+
 def test_grid_state_roundtrip_and_validation():
     coupling = CouplingSpec.isotropic(0.004, Envelope.gaussian(0.02), 1.0)
     grid = FrequencyGrid.for_scattering(coupling, 0.02, 96, 48)
@@ -418,8 +435,8 @@ def test_tabulated_overlap_matches_mpmath_interpolant(n_samples):
 
 
 def _two_pass_complex_quad(fn, a, b, points=None):
-    """``_complex_quad`` without shared nodes: each pass evaluates ``fn``
-    afresh."""
+    """The integral of complex ``fn`` without shared nodes: each pass
+    evaluates ``fn`` afresh."""
     kw = _quad_options(a, b, points)
     re, _ = quad(lambda x: fn(x).real, a, b, **kw)
     im, _ = quad(lambda x: fn(x).imag, a, b, **kw)
@@ -461,9 +478,39 @@ def test_complex_quad_equals_two_pass_form_bitwise(envelope):
     def chirped(d):
         return envelope(d) * h(d) * np.exp(1j * d / 0.01)
 
+    def parts(d):
+        value = chirped(d)
+        return value.real, value.imag
+
     for a, b, points in ((lo, hi, [mid]), (0.0, np.inf, None)):
-        assert bits(_complex_quad(chirped, a, b, points)) \
+        re, im = _integrals(quad, parts, 2, [(a, b)], points,
+                            vectorized=False)
+        assert bits(complex(re, im)) \
             == bits(_two_pass_complex_quad(chirped, a, b, points))
+
+
+def test_integrals_break_the_table_engine_cycle(monkeypatch):
+    # Each table holds its engine.  The engine lets its tables go once the
+    # integrals are done, or quad raises, so no cycle waits for the
+    # garbage collector.
+    engines = []
+
+    def recording(*args):
+        engines.append(_NodeEngine(*args))
+        return engines[-1]
+
+    def failing(*args, **kwargs):
+        raise RuntimeError("quad failed")
+
+    monkeypatch.setattr(spectral, "_NodeEngine", recording)
+
+    def ones(x):
+        return (np.ones_like(x),)
+
+    assert _integrals(quad, ones, 1, [(0.0, 1.0)]) == [pytest.approx(1.0)]
+    with pytest.raises(RuntimeError, match="quad failed"):
+        _integrals(failing, ones, 1, [(0.0, 1.0)])
+    assert len(engines) == 2 and not any(e.tables for e in engines)
 
 
 def test_node_engine_keeps_signed_zeros_apart():
@@ -479,15 +526,17 @@ def test_node_engine_keeps_signed_zeros_apart():
         return [math.copysign(1.0, x) for x in xs]
 
     node = float(spectral._XGK21[-1])     # a node of the rule on (-1, 1)
-    (scalar,) = _node_parts(sign, 1, vectorized=False)
-    assert [scalar(x) for x in (-0.0, 0.0, -0.0, node, node)] \
+    scalar = _PartTable()
+    _NodeEngine(sign, [scalar], vectorized=False)
+    assert [scalar[x] for x in (-0.0, 0.0, -0.0, node, node)] \
         == [-1.0, 1.0, -1.0, 1.0, 1.0]
     assert signs(calls) == [-1.0, 1.0, -1.0, 1.0]    # the node once
 
     calls.clear()
     # The window (-1, 1) has its centre, a node of the fill, at zero.
-    (array,) = _node_parts(sign, 1, [(-1.0, 1.0)])
-    assert [array(x) for x in (-0.0, 0.0, -0.0, node, node)] \
+    array = _PartTable()
+    _NodeEngine(sign, [array], vectorized=True).start([(-1.0, 1.0)], None)
+    assert [array[x] for x in (-0.0, 0.0, -0.0, node, node)] \
         == [-1.0, 1.0, -1.0, 1.0, 1.0]
     fill, *alone = calls
     assert 0.0 not in fill and node in fill
@@ -633,9 +682,9 @@ def _bisected(info, starts):
     (0.2, np.inf, [], 0.21),
 ], ids=["window", "break-points", "off-break", "lower-tail", "upper-tail"])
 def test_recorded_centres_are_those_quad_bisects_at(a, b, points, center):
-    kernel = _bisecting(center)
-    (table,) = _node_parts(kernel, 1, [(a, b)], points)
-    engine = table.__self__.engine
+    table = _PartTable()
+    engine = _NodeEngine(_bisecting(center), [table], vectorized=True)
+    engine.start([(a, b)], points)
     fills = []
     fill = engine._fill
 
@@ -655,7 +704,7 @@ def test_recorded_centres_are_those_quad_bisects_at(a, b, points, center):
         return missing(part, x)
 
     engine.missing = counting
-    _, _, info = quad(table, a, b, full_output=1,
+    _, _, info = quad(table.__getitem__, a, b, full_output=1,
                       **_quad_options(a, b, points))
     if math.isfinite(a) and math.isfinite(b):
         edges = [a, *sorted(p for p in points if a < p < b), b]
