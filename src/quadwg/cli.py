@@ -40,9 +40,6 @@ __all__ = ["run", "main", "print_defaults", "ConfigError"]
 
 ENV_OUTDIR = "QUADWG_OUTDIR"
 
-COMMANDS = ("emit", "scatter", "sweep-reflection", "entangle", "gate", "verify")
-
-
 class ConfigError(Exception):
     """Bad configuration file or override."""
 
@@ -192,15 +189,14 @@ def _find_line(path: str, key: str) -> int:
     return 0
 
 
-def _as_float(cfg, key, finite: bool = True) -> float:
-    """The number under ``key``; ``finite=False`` lets inf and nan through
-    to a library check that names the offending quantity itself."""
+def _as_float(cfg, key) -> float:
+    """The finite number under ``key``."""
     try:
         value = float(cfg[key])
     except ValueError:
         raise ConfigError(f"key '{key}': expected a number, got {cfg[key]!r}") \
             from None
-    if finite and not math.isfinite(value):
+    if not math.isfinite(value):
         raise ConfigError(f"key '{key}': value must be finite, got {cfg[key]!r}")
     return value
 
@@ -229,8 +225,8 @@ def _as_list(cfg, key) -> list[str]:
     return items
 
 
-def _as_floats(cfg, key, finite: bool = True) -> list[float]:
-    """Comma-separated numbers under ``key``; ``finite`` as in ``_as_float``."""
+def _as_floats(cfg, key) -> list[float]:
+    """The comma-separated finite numbers under ``key``."""
     items = _as_list(cfg, key)
     try:
         values = [float(tok) for tok in items]
@@ -239,19 +235,17 @@ def _as_floats(cfg, key, finite: bool = True) -> list[float]:
             from None
     bad = [tok for tok, value in zip(items, values)
            if not math.isfinite(value)]
-    if finite and bad:
+    if bad:
         raise ConfigError(
             f"key '{key}': every value must be finite, got {bad[0]!r}")
     return values
 
 
 def _coupling_from(cfg) -> CouplingSpec:
-    # CouplingSpec and Envelope reject non-finite values naming the rate,
-    # frequency or width at fault.
-    omega0 = _as_float(cfg, "omega0", finite=False)
-    total = _as_float(cfg, "total_rate", finite=False)
+    omega0 = _as_float(cfg, "omega0")
+    total = _as_float(cfg, "total_rate")
     kind = cfg["envelope"].strip().lower()
-    width = _as_float(cfg, "envelope_width", finite=False)
+    width = _as_float(cfg, "envelope_width")
     if kind == "gaussian":
         env = Envelope.gaussian(width)
     elif kind == "lorentzian":
@@ -263,7 +257,7 @@ def _coupling_from(cfg) -> CouplingSpec:
         return CouplingSpec.isotropic(total, env, omega0)
     if rates == "mirror":
         return CouplingSpec.mirror(total, env, omega0)
-    parts = _as_floats(cfg, "rates", finite=False)
+    parts = _as_floats(cfg, "rates")
     if len(parts) != 4:
         raise ConfigError("key 'rates': expected isotropic, mirror, or four values")
     pp, pm, mp, mm = parts
@@ -555,15 +549,17 @@ def _cmd_emit(cfg, outdir) -> tuple[str, int]:
 def _cmd_scatter(cfg, outdir) -> tuple[str, int]:
     coupling = _coupling_from(cfg)
     channel = DirectionPair.from_string(cfg["channel"].strip())
-    state = spectral.SeparableState(
-        channel,
-        *_scatter_factors(cfg),
-    )
+    sum_center = _as_float(cfg, "sum_center")
+    sum_width = _as_float(cfg, "sum_width")
+    diff_center = _as_float(cfg, "diff_center")
+    diff_width = _as_float(cfg, "diff_width")
+    f, f_win = spectral.gaussian_sum_spectrum(sum_center, sum_width)
+    h, h_win = spectral.gaussian_difference_profile(diff_width, diff_center)
+    state = spectral.SeparableState(channel, f, h, f_win, h_win)
     result = scattering.scatter(coupling, state)
     probs = scattering.channel_probabilities(result)
-    width = max(_as_float(cfg, "sum_width"), abs(_as_float(cfg, "diff_center")))
     grid = FrequencyGrid.for_scattering(
-        coupling, width,
+        coupling, max(sum_width, abs(diff_center)),
         _as_int(cfg, "n_omegabar"), _as_int(cfg, "n_delta"))
     out = result.output_on(grid)
     stem = cfg["output_stem"]
@@ -571,7 +567,7 @@ def _cmd_scatter(cfg, outdir) -> tuple[str, int]:
                      coupling.omega0)
     _write_json(_outpath(outdir, stem + ".json"), {
         "total_rate": _quantity(coupling.total_rate, "omega0"),
-        "sum_width": _quantity(_as_float(cfg, "sum_width"), "omega0"),
+        "sum_width": _quantity(sum_width, "omega0"),
         "reflection": _quantity(probs.reflection, "probability"),
         "splitting": _quantity(probs.splitting, "probability"),
         "transmission": _quantity(probs.transmission, "probability"),
@@ -581,16 +577,6 @@ def _cmd_scatter(cfg, outdir) -> tuple[str, int]:
     return (f"scatter: total_rate={coupling.total_rate:g} "
             f"R={probs.reflection:.4f} S={probs.splitting:.4f} "
             f"T={probs.transmission:.4f} sum={probs.total:.6f}"), 0
-
-
-def _scatter_factors(cfg):
-    sum_center = _as_float(cfg, "sum_center")
-    sum_width = _as_float(cfg, "sum_width")
-    diff_center = _as_float(cfg, "diff_center")
-    diff_width = _as_float(cfg, "diff_width")
-    f, f_win = spectral.gaussian_sum_spectrum(sum_center, sum_width)
-    h, h_win = spectral.gaussian_difference_profile(diff_width, diff_center)
-    return f, h, f_win, h_win
 
 
 def _cmd_sweep_reflection(cfg, outdir) -> tuple[str, int]:
@@ -744,6 +730,8 @@ _HANDLERS = {
     "gate": _cmd_gate,
     "verify": _cmd_verify,
 }
+
+COMMANDS = tuple(_HANDLERS)
 
 
 class _Parser(argparse.ArgumentParser):

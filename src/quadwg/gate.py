@@ -52,6 +52,10 @@ def _check_pulse(center: float, fwhm: float, scale: float) -> None:
                          " pulse scale underflows")
 
 
+# Half width, in scales, of a Gaussian pulse's support.
+_GAUSSIAN_REACH = 40.0
+
+
 @dataclass(frozen=True)
 class PulseShape:
     """Real, nonnegative, unit-norm sum-frequency pulse amplitude.
@@ -77,6 +81,10 @@ class PulseShape:
         if not fwhm_on_power:
             s /= math.sqrt(2.0)
         _check_pulse(center, fwhm, s)
+        half = _GAUSSIAN_REACH * s
+        if math.isinf(half * half):     # the amplitude squares nu on it
+            raise ValueError(f"fwhm {fwhm!r} is too large: the square of the"
+                             " pulse support's half width overflows")
         return cls(EnvelopeKind.GAUSSIAN, float(center), float(fwhm), s)
 
     @classmethod
@@ -131,7 +139,7 @@ class PulseShape:
         if self.kind is EnvelopeKind.TABULATED:
             return float(self.freqs[0]), float(self.freqs[-1])
         if self.kind is EnvelopeKind.GAUSSIAN:
-            half = 40.0 * self.scale
+            half = _GAUSSIAN_REACH * self.scale
         else:
             half = 1e4 * self.scale
         return self.center - half, self.center + half

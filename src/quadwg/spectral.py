@@ -89,19 +89,8 @@ class DirectionPair(enum.Enum):
             raise ValueError(f"unknown direction pair {text!r}") from None
 
 
-_PAIR_INDEX = {
-    DirectionPair.PP: 0,
-    DirectionPair.PM: 1,
-    DirectionPair.MP: 2,
-    DirectionPair.MM: 3,
-}
-
-PAIRS: tuple[DirectionPair, ...] = (
-    DirectionPair.PP,
-    DirectionPair.PM,
-    DirectionPair.MP,
-    DirectionPair.MM,
-)
+PAIRS: tuple[DirectionPair, ...] = tuple(DirectionPair)
+_PAIR_INDEX = {pair: i for i, pair in enumerate(PAIRS)}
 
 
 class EnvelopeKind(enum.Enum):
@@ -492,20 +481,12 @@ def _abs2(value):
     return np.float_power(np.hypot(value.real, value.imag), 2.0)
 
 
-_ARRAY_KERNEL_CODES: set = set()
-
-
-def _array_kernel(fn):
-    """Mark the factor kernel ``fn`` as one the node engine may evaluate on
-    arrays: its value at each element of a float64 array has the bits of
-    its value at that element alone.  Every closure built from ``fn``'s
-    code qualifies."""
-    _ARRAY_KERNEL_CODES.add(fn.__code__)
-    return fn
-
-
 def _is_array_kernel(fn) -> bool:
-    return getattr(fn, "__code__", None) in _ARRAY_KERNEL_CODES
+    """Whether the node engine may evaluate the factor ``fn`` on arrays:
+    its value at each element of a float64 array has the bits of its value
+    at that element alone.  The library's Gaussian factors say so with an
+    ``_array_kernel`` attribute."""
+    return getattr(fn, "_array_kernel", False)
 
 
 # Gauss-Kronrod abscissae of QUADPACK in its own digits, centre left out:
@@ -840,15 +821,24 @@ class GridState:
         return GridState(grid, data)
 
 
+# Half width, in widths ``sigma``, of a Gaussian factor's quadrature window.
+_GAUSSIAN_REACH = 12.0
+
+
 def _width_squared(sigma: float) -> float:
-    """Square of a Gaussian width, rejecting widths that are not finite or
-    whose square underflows."""
+    """Square of a Gaussian width, rejecting widths that are not finite,
+    whose square underflows, or whose window's half width squared overflows
+    (the factors square their distance from the centre at every node)."""
     _check_finite("sigma", sigma)
     if not sigma > 0:
         raise ValueError("sigma must be positive")
     s2 = sigma * sigma
     if not s2 > 0:
         raise ValueError(f"sigma {sigma!r} is too small: its square underflows")
+    reach = _GAUSSIAN_REACH * sigma
+    if math.isinf(reach * reach):
+        raise ValueError(f"sigma {sigma!r} is too large: the square of its"
+                         " window's half width overflows")
     return s2
 
 
@@ -859,19 +849,20 @@ def gaussian_sum_spectrum(center: float, sigma: float):
     with ``Int |f|^2 d obar = 1``; the intensity ``|f|^2`` has standard
     deviation ``sigma``.  Returns ``(callable, window)``.
     """
-    _width_squared(sigma)  # rejects widths whose square underflows
+    _width_squared(sigma)  # rejects widths out of range
     _check_finite("center", center)
     amp = (2.0 * math.pi * sigma * sigma) ** -0.25
 
     # ``float_power`` squares with libm ``pow``, as ``** 2`` does on a float
     # node; numpy's square of an array rounds differently.
-    @_array_kernel
     def f(obar):
         obar = _real(obar)
         return amp * np.exp(-np.float_power(obar - center, 2.0)
                             / (4.0 * sigma * sigma))
 
-    return f, (center - 12.0 * sigma, center + 12.0 * sigma)
+    f._array_kernel = True
+    reach = _GAUSSIAN_REACH * sigma
+    return f, (center - reach, center + reach)
 
 
 def _fold_mass(sigma: float, center: float) -> float:
@@ -894,13 +885,13 @@ def gaussian_difference_profile(sigma: float, center: float = 0.0):
     _check_finite("center", center)
     amp = 1.0 / math.sqrt(_fold_mass(sigma, center))
 
-    @_array_kernel
     def h(delta):
         delta = _real(delta)
         return amp * (np.exp(-np.float_power(delta - center, 2.0) / (4.0 * s2))
                       + np.exp(-np.float_power(delta + center, 2.0) / (4.0 * s2)))
 
-    hi = abs(center) + 12.0 * sigma
+    h._array_kernel = True
+    hi = abs(center) + _GAUSSIAN_REACH * sigma
     return h, (0.0, hi)
 
 

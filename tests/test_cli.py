@@ -192,12 +192,15 @@ def test_removed_threads_flag_is_rejected(tmp_path, capsys):
     ("gate", "shapes=", "key 'shapes': expected at least one value"),
     ("entangle", "width_ratios=",
      "key 'width_ratios': expected at least one value"),
-    ("scatter", "total_rate=inf", "rates['++'] must be finite, got inf"),
-    ("scatter", "omega0=inf", "omega0 must be finite, got inf"),
+    ("scatter", "total_rate=inf",
+     "key 'total_rate': value must be finite, got 'inf'"),
+    ("scatter", "omega0=inf", "key 'omega0': value must be finite, got 'inf'"),
     ("scatter", "rates=0.001,0.0015,0.0015,inf",
-     "rates['--'] must be finite, got inf"),
-    ("scatter", "envelope_width=inf", "envelope width must be finite, got inf"),
-    ("emit", "total_rate=nan", "rates['++'] must be finite, got nan"),
+     "key 'rates': every value must be finite, got 'inf'"),
+    ("scatter", "envelope_width=inf",
+     "key 'envelope_width': value must be finite, got 'inf'"),
+    ("emit", "total_rate=nan",
+     "key 'total_rate': value must be finite, got 'nan'"),
     ("gate", "ratios=10,inf",
      "key 'ratios': every value must be finite, got 'inf'"),
     ("gate", "ratios=1e-308",
@@ -345,6 +348,24 @@ def test_underflowing_width_is_a_config_error(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "underflows" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, override", [
+    ("scatter", "sum_width=6e153"),
+    ("scatter", "sum_width=1e160"),
+    ("scatter", "diff_width=1e160"),
+    ("verify", "input_width=1e160"),
+])
+def test_overflowing_gaussian_window_is_a_config_error(tmp_path, capsys,
+                                                       command, override):
+    # Once a numerical failure, an OverflowError traceback, nan written to
+    # scatter.csv with exit 0, and a numerical failure.
+    assert cli.run([command, "--set", override,
+                    "--outdir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "too large" in err
     assert "Traceback" not in err
 
 

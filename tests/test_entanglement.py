@@ -198,3 +198,5 @@ def test_entropy_sweeps_shapes_and_features():
     assert against_width[-1] > 0.95
     against_detuning = sweeps.vs_detuning(1e-2)
     assert np.all(np.diff(against_detuning) > -1e-12)
+    with pytest.raises(ValueError, match="width ratios must be positive"):
+        entropy_sweeps([0.0], [1.0])

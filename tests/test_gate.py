@@ -80,6 +80,29 @@ def test_lorentzian_pulse_scale_cube_must_not_overflow(fwhm_on_power):
     assert gate_overlap(pulse, 1.0) == pytest.approx(1.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("fwhm_on_power", [False, True])
+def test_gaussian_pulse_support_square_must_not_overflow(fwhm_on_power):
+    # From a FWHM of about 5.6e152 (7.9e152 on the amplitude) the square of
+    # the 40-scale half support overflows: gate_overlap warned there, and
+    # at 1e160 failed with a captured pulse mass of nan.
+    for fwhm in (1e153, 1e160):
+        with pytest.raises(ValueError, match="too large"):
+            PulseShape.gaussian(0.0, fwhm, fwhm_on_power=fwhm_on_power)
+    # The overlap is scale free: the widest pulse gives the unit pulse's.
+    pulse = PulseShape.gaussian(0.0, 1e152, fwhm_on_power=fwhm_on_power)
+    unit = gate.unit_pulse("gaussian", fwhm_on_power)
+    assert gate_overlap(pulse, 1e151) == pytest.approx(
+        gate_overlap(unit, 0.1), rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "lorentzian"])
+def test_pulse_width_and_rate_must_be_positive(kind):
+    with pytest.raises(ValueError, match="fwhm must be positive"):
+        getattr(PulseShape, kind)(0.0, 0.0)
+    with pytest.raises(ValueError, match="gamma must be positive"):
+        gate_overlap(gate.unit_pulse(kind), 0.0)
+
+
 @pytest.mark.parametrize("omega0", [math.nan, math.inf, -math.inf],
                          ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("call", [gate_overlap, gate_report, truth_table,
@@ -264,8 +287,9 @@ def test_mirror_bracket_is_unimodular(detuning):
 
 
 def test_mirror_bracket_keeps_its_bits():
-    # The bracket as written before it shared the resonance kernel; the gate
-    # data files depend on every bit of it.
+    # The bracket as written before it shared the resonance kernel.  The
+    # gate data files come from gate._node_values, not from the bracket;
+    # mirror_reflection and callers of the public bracket keep these bits.
     detune = np.geomspace(1e-9, 1e3, 60)
     for gamma in (GAMMA, np.float64(3.7e-3)):
         omegabar = np.concatenate([OMEGA0 - gamma * detune, [OMEGA0],

@@ -353,6 +353,21 @@ def test_scatter_rejects_zero_norm_input():
                            window, hwindow, scale=1.0)
     with pytest.raises(InvalidStateError):
         scatter(isotropic(), empty)
+    # Built directly, the output checks the norm when asked for channels.
+    direct = scattering.ScatterOutput(isotropic(), empty)
+    with pytest.raises(InvalidStateError, match="zero norm"):
+        channel_probabilities(direct)
+
+
+@pytest.mark.parametrize("call", [
+    lambda state: scatter(isotropic(), state),
+    lambda state: project_on_envelope(state, Envelope.gaussian(0.02),
+                                      DirectionPair.PP),
+    lambda state: decompose(state, Envelope.gaussian(0.02)),
+], ids=["scatter", "project_on_envelope", "decompose"])
+def test_a_non_state_is_a_type_error(call):
+    with pytest.raises(TypeError, match="SeparableState or GridState"):
+        call(np.zeros((4, 3, 3), dtype=complex))
 
 
 def test_closed_form_rejects_unsupported_configurations():

@@ -114,6 +114,8 @@ def test_tabulated_validation_errors():
         Envelope.tabulated([0.0, 1.0], [0.0, 0.0])
     with pytest.raises(InvalidEnvelopeError):
         Envelope.gaussian(0.0)
+    with pytest.raises(InvalidEnvelopeError, match="needs samples"):
+        Envelope(EnvelopeKind.TABULATED)
 
 
 def test_envelope_peak_density_must_be_finite():
@@ -172,6 +174,9 @@ def test_envelope_fwhm_values():
     cross = brentq(lambda d: abs(tab(d)) ** 2 - half, 0.03, 0.06, xtol=1e-16)
     assert tab.fwhm() == pytest.approx(2.0 * cross, rel=1e-12)
     assert tab.fwhm() == pytest.approx(0.0623416708, rel=1e-9)
+    # |u|^2 never falls to half its peak: the width is the sampled line.
+    flat = Envelope.tabulated([0.0, 0.5, 1.5], [0.8, 1.0, 0.9])
+    assert flat.fwhm() == 3.0
 
 
 def test_half_line_mass_closed_forms():
@@ -202,6 +207,8 @@ def test_coupling_cross_rate_fill_and_validation():
     cpl = CouplingSpec(1.0, {DirectionPair.PP: 0.001, DirectionPair.MM: 0.001,
                              DirectionPair.PM: 0.0005}, env)
     assert cpl.rate(DirectionPair.MP) == pytest.approx(0.0005)
+    twin = CouplingSpec(1.0, {DirectionPair.PP: 0.001, "-+": 0.0005}, env)
+    assert twin.rate(DirectionPair.PM) == 0.0005
     with pytest.raises(ValueError):
         CouplingSpec(1.0, {DirectionPair.PM: 0.001, DirectionPair.MP: 0.002},
                      env)
@@ -250,6 +257,17 @@ def test_regular_grid_axes():
     assert grid.omegabar[-1] == pytest.approx(1.1)
     assert grid.delta[-1] == pytest.approx(0.05)
     assert grid.shape == (64, 33)
+
+
+@pytest.mark.parametrize("omegabar, delta, message", [
+    ([1.0], [0.0, 0.1], "omegabar axis needs at least two points"),
+    ([1.0, 0.9], [0.0, 0.1], "omegabar axis must be strictly increasing"),
+    ([0.9, 1.0, 1.2], [0.0, 0.1], "omegabar axis must be uniform"),
+    ([0.9, 1.0], [0.1, 0.2], "delta axis must start at zero"),
+], ids=["one-point", "decreasing", "non-uniform", "delta-off-zero"])
+def test_frequency_grid_rejects_bad_axes(omegabar, delta, message):
+    with pytest.raises(ValueError, match=message):
+        FrequencyGrid(np.array(omegabar), np.array(delta))
 
 
 def test_scattering_grid_window_scales_with_rates_and_width():
@@ -341,6 +359,36 @@ def test_gaussian_biphoton_rejects_non_finite_inputs(sum_center, sigma,
         gaussian_biphoton(DirectionPair.PP, sum_center, sigma, diff_center)
 
 
+@pytest.mark.parametrize("build", [
+    lambda sigma: gaussian_sum_spectrum(1.0, sigma),
+    gaussian_difference_profile,
+    lambda sigma: gaussian_biphoton(DirectionPair.PP, 1.0, sigma),
+], ids=["sum", "difference", "biphoton"])
+@pytest.mark.parametrize("sigma, message", [
+    (0.0, "sigma must be positive"),
+    (1e-170, "too small"),
+    (1.12e153, "too large"),
+    (4e153, "too large"),
+    (5e153, "too large"),
+    (6e153, "too large"),
+    (7e153, "too large"),
+    (1e160, "too large"),
+], ids=["zero", "1e-170", "1.12e153", "4e153", "5e153", "6e153", "7e153",
+        "1e160"])
+def test_gaussian_factors_reject_widths_out_of_range(build, sigma, message):
+    # From about 1.12e153 the square of the 12-sigma half window overflows.
+    # Such widths once warned and built states of scale 1.0008 (4e153),
+    # 1.0074 (5e153), zero norm (6e153) or nan (7e153, 1e160).
+    with pytest.raises(ValueError, match=message):
+        build(sigma)
+
+
+def test_gaussian_biphoton_takes_the_widest_window_that_squares():
+    # Warnings fail this suite, so the state builds without one.
+    state = gaussian_biphoton(DirectionPair.PP, 1.0, 1.1e153)
+    assert state.norm_squared() == pytest.approx(1.0, rel=1e-12)
+
+
 def test_grid_state_roundtrip_and_validation():
     coupling = CouplingSpec.isotropic(0.004, Envelope.gaussian(0.02), 1.0)
     grid = FrequencyGrid.for_scattering(coupling, 0.02, 96, 48)
@@ -356,6 +404,8 @@ def test_grid_state_roundtrip_and_validation():
     bad[DirectionPair.MP.index] *= 1.5
     with pytest.raises(InvalidStateError):
         GridState(grid, bad)
+    with pytest.raises(InvalidStateError, match="must have shape"):
+        GridState(grid, grid_state.data[:3])
 
 
 def test_grid_state_resampling_preserves_norm():
@@ -717,6 +767,12 @@ def test_recorded_centres_are_those_quad_bisects_at(a, b, points, center):
     assert max(level for *_, level in bisected) >= 3
     assert sorted(fills) == sorted((lo, hi) for lo, hi, _ in bisected)
     assert not alone
+
+
+def test_overlap_with_envelope_samples_outside_the_window_is_zero():
+    state = gaussian_biphoton(DirectionPair.PP, 1.0, 0.02)
+    far = Envelope.tabulated([10.0, 11.0], [1.0, 1.0])
+    assert state.overlap_with_envelope(far) == 0.0
 
 
 def test_projection_vanishes_for_orthogonal_profile():
