@@ -30,6 +30,7 @@ from .entanglement import (
 from .errors import (
     EmptyPostselectionError,
     IntegrationFailureError,
+    IntegrationWarning,
     InvalidEnvelopeError,
     InvalidOverlapError,
     InvalidStateError,
@@ -96,6 +97,7 @@ __all__ = [
     "GateReport",
     "GridState",
     "IntegrationFailureError",
+    "IntegrationWarning",
     "InvalidEnvelopeError",
     "InvalidOverlapError",
     "InvalidStateError",

@@ -46,3 +46,8 @@ class TruncationWarning(UserWarning):
 class MarkovValidityWarning(UserWarning):
     """Issued when the coupling rate is too large compared to the emitter
     frequency for the flat-band approximation to be reliable."""
+
+
+class IntegrationWarning(UserWarning):
+    """Issued when adaptive quadrature stops short of its requested
+    tolerance; the message says why, in scipy's words."""

@@ -282,10 +282,10 @@ def gate_overlap(f: PulseShape, gamma: float,
     capture the pulse mass.
 
     The overlap is ``z - 1`` for the pair factor ``z`` of ``_gate_z``.  Its
-    mass pass and both passes over ``z`` share one node engine
-    (``spectral._integrals``), which evaluates the three integrands on
-    arrays of the Gauss-Kronrod nodes ``quad`` visits.  Every value has the
-    bits of that node evaluated alone.
+    mass pass and both passes over ``z`` share their values
+    (``spectral._integrals``): the three integrands are evaluated together
+    on each array of Gauss-Kronrod nodes ``quad`` asks for.  Every value
+    has the bits of that node evaluated alone.
 
     ``gamma`` must be positive and finite, with ``2 / gamma`` finite, and
     large enough for quad to bisect its resonance (above about 4.45e-305).

@@ -27,7 +27,6 @@ All frequencies are quoted in units of ``omega0`` unless stated otherwise.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 import sys
 import warnings
@@ -36,6 +35,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from . import _quadpack
+from ._quadpack import quad
 from .errors import (
     InvalidEnvelopeError,
     InvalidStateError,
@@ -442,19 +443,6 @@ def resonance_denominator(total_rate: float, omega0: float, omegabar):
     return total_rate / 2.0 + 1j * (omega0 - omegabar)
 
 
-_scipy_quad = None
-
-
-def quad(func, a, b, **kwargs):
-    """``scipy.integrate.quad``, imported on the first call, so that
-    ``import quadwg`` loads no scipy module.  ``scattering`` and ``gate``
-    import this name; each module's binding can be replaced on its own."""
-    global _scipy_quad
-    if _scipy_quad is None:
-        from scipy.integrate import quad as _scipy_quad
-    return _scipy_quad(func, a, b, **kwargs)
-
-
 def _breaks(a: float, b: float,
             points: Sequence[float] | None) -> list[float]:
     """The break ``points`` strictly inside a finite ``[a, b]``."""
@@ -482,142 +470,11 @@ def _abs2(value):
 
 
 def _is_array_kernel(fn) -> bool:
-    """Whether the node engine may evaluate the factor ``fn`` on arrays:
+    """Whether ``_integrals`` may evaluate the factor ``fn`` on arrays:
     its value at each element of a float64 array has the bits of its value
     at that element alone.  The library's Gaussian factors say so with an
     ``_array_kernel`` attribute."""
     return getattr(fn, "_array_kernel", False)
-
-
-# Gauss-Kronrod abscissae of QUADPACK in its own digits, centre left out:
-# the 21-point rule of finite intervals and the 15-point rule of half lines.
-_XGK21 = np.array([
-    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
-    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
-    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
-    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
-    0.294392862701460198131126603103866, 0.148874338981631210884826001129720])
-_XGK15 = np.array([
-    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
-    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
-    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
-    0.207784955007898467600689403773245])
-
-
-def _mapped(t: np.ndarray, tail) -> np.ndarray:
-    """Nodes ``t`` of a finite interval (``tail`` None), or of ``(0, 1]``
-    mapped onto the half line ``tail = (bound, sign)`` as QUADPACK maps
-    them: ``bound + sign (1 - t) / t``."""
-    if tail is None:
-        return t
-    bound, sign = tail
-    return bound + sign * (1.0 - t) / t
-
-
-class _PartTable(dict):
-    """One real part of an integrand, keyed by node.  ``quad`` is handed
-    the C-level ``__getitem__``; a node missing from the table is asked of
-    the engine that fills it."""
-
-    __slots__ = ("engine", "index")
-
-    def __missing__(self, x: float):
-        return self.engine.missing(self, x)
-
-
-class _NodeEngine:
-    """The real parts of one integrand at the nodes ``quad`` visits.
-
-    ``_integrals`` builds the engine with one table per part.  ``values``
-    maps nodes to one value per real part, and ``quad`` over each of
-    ``segments``, with the break ``points`` of ``_quad_options``, finds its
-    nodes in the tables.  Passes over the same nodes share the values.
-
-    With ``vectorized`` set, ``values`` takes a float64 array of nodes and
-    returns one array per part, each element with the bits that part has
-    at that node alone; the library's own kernels qualify.  One array pass
-    evaluates QUADPACK's Gauss-Kronrod nodes on the starting intervals.
-    Bisecting an interval, QUADPACK evaluates both halves, the left one
-    first and its centre before any other node.  So for each interval it
-    evaluates, the engine records the centre of its left half; when
-    ``quad`` asks for a recorded centre, one more array pass evaluates
-    both halves.  Every pass holds exactly the nodes ``quad`` is about to
-    visit.  Any other node is evaluated alone, on a one-element array.
-    Without ``vectorized``, ``values`` takes one Python float node, and
-    each node is evaluated when ``quad`` first asks for it.
-
-    Nodes are rounded as QUADPACK rounds them: ``c = 0.5 (a + b)`` and
-    ``c -+ h xgk`` with ``h = 0.5 (b - a)``, each bisection splitting at
-    ``c``.  Finite intervals take the 21-point rule and run between the
-    segment ends and the sorted break points inside them; a half line is
-    ``t`` in ``(0, 1]`` under the 15-point rule (see ``_mapped``).  A value
-    is kept unless its node is zero: ``-0.0`` and ``0.0`` share a key, but
-    ``values`` may tell them apart.
-    """
-
-    def __init__(self, values: Callable, tables: Sequence[_PartTable],
-                 vectorized: bool) -> None:
-        self.values = values
-        self.vectorized = vectorized
-        for index, table in enumerate(tables):
-            table.engine, table.index = self, index
-        self.tables = list(tables)
-        # Centre of the left half -> (a, b, tail) of a tabled interval.
-        self.centres: dict[float, tuple] = {}
-
-    def start(self, segments: Sequence[tuple[float, float]],
-              points: Sequence[float] | None) -> None:
-        """Fill the starting intervals of ``quad`` over each segment."""
-        starts, groups = [], []
-        for a, b in segments:
-            if math.isfinite(a) and math.isfinite(b):
-                edges = [a, *sorted(_breaks(a, b, points)), b]
-                starts += zip(edges[:-1], edges[1:])
-            elif math.isfinite(a) or math.isfinite(b):
-                tail = (a, 1.0) if math.isfinite(a) else (b, -1.0)
-                groups.append((np.zeros(1), np.ones(1), tail))
-        if starts:
-            a, b = np.array(starts, dtype=float).T
-            groups.append((a, b, None))
-        if groups:
-            self._fill(groups)
-
-    def missing(self, table: _PartTable, x: float):
-        """The value of ``table``'s part at ``x``, a node it does not hold."""
-        interval = self.centres.pop(x, None)
-        if interval is not None:
-            a, b, tail = interval
-            c = 0.5 * (a + b)
-            self._fill([(np.array([a, c]), np.array([c, b]), tail)])
-            if x:
-                return table[x]
-        if self.vectorized:
-            row = [float(v[0]) for v in self.values(np.array([x]))]
-        else:
-            row = self.values(x)
-        if x:
-            for held, v in zip(self.tables, row):
-                held[x] = v
-        return row[table.index]
-
-    def _fill(self, groups) -> None:
-        """Evaluate, in one pass, the nodes of the intervals ``[a, b]`` of
-        each group, and record the centre of each one's left half."""
-        nodes = []
-        for a, b, tail in groups:
-            c, h = 0.5 * (a + b), 0.5 * (b - a)
-            hx = np.multiply.outer(h, _XGK21 if tail is None else _XGK15)
-            nodes.append(_mapped(np.concatenate(
-                (c, (c[:, None] - hx).ravel(), (c[:, None] + hx).ravel())),
-                tail))
-            centres = _mapped(0.5 * (a + c), tail).tolist()
-            self.centres.update(zip(centres, zip(
-                a.tolist(), b.tolist(), itertools.repeat(tail))))
-        x = np.concatenate(nodes)
-        x = x[x != 0.0]
-        keys = x.tolist()
-        for table, part in zip(self.tables, self.values(x)):
-            table.update(zip(keys, part.tolist()))
 
 
 def _integrals(quad, values: Callable, n_parts: int,
@@ -629,23 +486,41 @@ def _integrals(quad, values: Callable, n_parts: int,
     each part's sum over the segments.  A sum starts at ``0``, as ``sum``
     does, so a part whose segments all give ``-0.0`` sums to ``0.0``.
 
-    One ``_NodeEngine`` serves every pass; ``values`` and ``vectorized``
-    are as there.  ``quad`` is the caller's own binding, so each module's
-    integrals are counted for it.  Every quadrature of the package runs here.
+    ``quad`` is the caller's own binding of ``_quadpack.quad``, so each
+    module's integrals are counted for it.  Every quadrature of the package
+    runs here.  With ``vectorized`` set, ``values`` takes a float64 array of
+    nodes and returns one array per part, each element with the bits that
+    part has at that node alone; the library's own kernels qualify.
+    Without it, ``values`` takes one Python float node and returns one
+    value per part.  The parts share their values: each distinct array of
+    nodes ``quad`` asks for is evaluated once, keyed by its bytes, so
+    ``-0.0`` and ``0.0`` stay apart.  One array pass evaluates the first
+    nodes of every segment.
     """
-    tables = [_PartTable() for _ in range(n_parts)]
-    engine = _NodeEngine(values, tables, vectorized)
-    try:
-        if vectorized:
-            engine.start(segments, points)
-        return [sum(quad(table.__getitem__, a, b,
-                         **_quad_options(a, b, points))[0]
-                    for a, b in segments)
-                for table in tables]
-    finally:
-        # Each table holds the engine: break the cycle, so that the tables
-        # go now and not when the garbage collector runs.
-        engine.tables.clear()
+    options = [_quad_options(a, b, points) for a, b in segments]
+    rows: dict[bytes, Sequence] = {}
+
+    def row(x: np.ndarray) -> Sequence:
+        key = x.tobytes()
+        found = rows.get(key)
+        if found is None:
+            found = rows[key] = values(x) if vectorized \
+                else tuple(zip(*map(values, x.tolist())))
+        return found
+
+    if vectorized:
+        firsts = [x for x in (_quadpack.first_nodes(a, b, kw.get("points"))
+                              for (a, b), kw in zip(segments, options))
+                  if x is not None]
+        if firsts:
+            parts = values(np.concatenate(firsts))
+            at = 0
+            for x in firsts:
+                rows[x.tobytes()] = [part[at:at + x.size] for part in parts]
+                at += x.size
+    return [sum(quad(lambda x, i=i: row(x)[i], a, b, **kw)[0]
+                for (a, b), kw in zip(segments, options))
+            for i in range(n_parts)]
 
 
 @dataclass
@@ -800,6 +675,8 @@ class GridState:
                          for i in range(4)))
 
     def amplitude(self, pair: DirectionPair, omegabar, delta) -> np.ndarray:
+        # The package's one scipy import, taken on first use so that no
+        # subcommand at its defaults loads scipy.
         from scipy.interpolate import RegularGridInterpolator
 
         interp = RegularGridInterpolator(
@@ -891,8 +768,10 @@ def gaussian_difference_profile(sigma: float, center: float = 0.0):
                       + np.exp(-np.float_power(delta + center, 2.0) / (4.0 * s2)))
 
     h._array_kernel = True
-    hi = abs(center) + _GAUSSIAN_REACH * sigma
-    return h, (0.0, hi)
+    # The window holds the peak at |center| and reaches 0 for a centre
+    # within reach of it, where the two folded halves overlap.
+    reach = _GAUSSIAN_REACH * sigma
+    return h, (max(0.0, abs(center) - reach), abs(center) + reach)
 
 
 def gaussian_biphoton(channel: DirectionPair, sum_center: float, sigma: float,

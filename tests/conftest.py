@@ -11,6 +11,9 @@ from hypothesis import settings
 
 settings.register_profile("suite", deadline=None, max_examples=50,
                           derandomize=True)
+# A deeper run of the QUADPACK parity tests against the installed scipy:
+# pytest tests/test_quadpack.py --hypothesis-profile=parity
+settings.register_profile("parity", deadline=None, max_examples=2000)
 settings.load_profile("suite")
 
 _GATE: dict[str, bool] = {}

@@ -291,7 +291,8 @@ def test_gate_rate_quad_cannot_resolve_is_a_numerical_failure(tmp_path,
 
 
 def test_import_and_entangle_load_no_scipy(tmp_path):
-    # scipy is imported by the first quadrature, not by ``import quadwg``.
+    # Neither ``import quadwg`` nor any subcommand at its defaults loads a
+    # scipy module: the library integrates with its own QUADPACK port.
     code = "\n".join([
         "import sys",
         "import quadwg",
@@ -300,16 +301,20 @@ def test_import_and_entangle_load_no_scipy(tmp_path):
         "    return sorted(m for m in sys.modules",
         "                  if m == 'scipy' or m.startswith('scipy.'))",
         "assert not scipy_loaded(), scipy_loaded()",
-        f"assert cli.run(['entangle', '--outdir', {str(tmp_path)!r}]) == 0",
-        "assert 'scipy.integrate' not in sys.modules, scipy_loaded()",
+        "for command in cli.COMMANDS:",
+        f"    assert cli.run([command, '--outdir', {str(tmp_path)!r}]) == 0",
+        "    assert not scipy_loaded(), (command, scipy_loaded())",
     ])
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
+    for path in tmp_path.iterdir():     # emit alone writes 173 MB
+        path.unlink()
     assert done.returncode == 0, done.stderr
-    assert done.stdout.startswith("entangle:")
+    assert [line.split(":")[0] for line in done.stdout.splitlines()] \
+        == list(cli.COMMANDS)
 
 
 def test_gate_at_large_ratio_succeeds(tmp_path, capsys):
@@ -403,14 +408,26 @@ def test_narrow_lorentzian_envelope_is_transparent(tmp_path, capsys):
 
 
 def test_numerical_failure_exits_2(tmp_path, capsys):
-    # A difference profile centred far outside its window has zero norm:
-    # the configuration parses, the computation fails.
+    # A sum width float64 cannot resolve at its centre collapses the
+    # factor's window to a point, so the state has zero norm: the
+    # configuration parses, the computation fails.
     assert cli.run(["scatter", "--outdir", str(tmp_path),
-                    "--set", "diff_center=50", "--set", "diff_width=0.001",
+                    "--set", "sum_width=1e-160",
                     "--set", "n_omegabar=16", "--set", "n_delta=8"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("numerical failure:")
     assert "zero norm" in err
+
+
+@pytest.mark.parametrize("diff_center", ["50", "1000"])
+def test_scatter_takes_a_far_difference_centre(tmp_path, capsys, diff_center):
+    # The difference factor's window holds its peak however far out it
+    # sits; such a pair misses the envelope and is transmitted.
+    out = run_ok(["scatter", "--outdir", str(tmp_path),
+                  "--set", f"diff_center={diff_center}",
+                  "--set", "diff_width=0.001",
+                  "--set", "n_omegabar=16", "--set", "n_delta=8"], capsys)
+    assert "R=0.0000 S=0.0000 T=1.0000 sum=1.000000" in out
 
 
 def test_verify_exit_codes(tmp_path, capsys):

@@ -464,34 +464,43 @@ def test_gate_overlap_prefetches_every_node_quad_visits(
 
     def recording(quad):
         def recorded(fn, a, b, **kwargs):
-            return quad(lambda x: visited.append(x) or fn(x), a, b, **kwargs)
+            def visit(x):
+                visited.extend(x.tolist())
+                return fn(x)
+            return quad(visit, a, b, **kwargs)
         return recorded
 
     monkeypatch.setattr(gate, "quad", recording(gate.quad))
     monkeypatch.setattr(spectral, "quad", recording(spectral.quad))
     counting = CountingPulse(pulse)
     gate_overlap(counting, gamma, omega0)
-    # The pulse sees only the node engine's array fills: a node missing
-    # from every fill would take a call on a one-element array.
+    # The pulse sees arrays only: first the starting nodes of every
+    # segment in one pass, then each later array of nodes once, whichever
+    # of the three integrals asks for it first.
     assert all(isinstance(x, np.ndarray) and x.ndim == 1 and x.size > 1
                for x in counting.nodes)
+    first, *later = counting.nodes
+    assert first.size > 21 and all(x.size in (30, 42) for x in later)
+    keys = [x.tobytes() for x in counting.nodes]
+    assert len(keys) == len(set(keys))
     filled = set(np.concatenate(counting.nodes).tolist())
-    assert visited and set(visited) <= filled
+    assert visited and set(visited) == filled
 
 
-def test_gate_overlap_evaluates_a_missing_node_on_its_own(monkeypatch):
-    # With no array fill, every node quad visits is a miss: the pulse sees
-    # one-element arrays, once per node for all three tables, and the
-    # overlap keeps its bits.
-    monkeypatch.setattr(spectral._NodeEngine, "_fill",
-                        lambda self, groups: None)
+def test_gate_overlap_without_prefetch_keeps_its_bits(monkeypatch):
+    # With no first pass over the starting nodes, each array of nodes is
+    # evaluated when quad first asks for it: the pulse sees every array
+    # once, and the overlap keeps its bits.
+    monkeypatch.setattr(spectral._quadpack, "first_nodes",
+                        lambda a, b, points=None: None)
     counting = CountingPulse(PulseShape.lorentzian(OMEGA0, 0.2))
     overlap = gate_overlap(counting, GAMMA)
     assert bits(overlap) == bits(
         _two_pass_gate_overlap(PulseShape.lorentzian(OMEGA0, 0.2), GAMMA))
-    assert all(x.shape == (1,) for x in counting.nodes)
-    nodes = [float(x[0]) for x in counting.nodes]
-    assert len(nodes) == len(set(nodes))
+    sizes = [x.size for x in counting.nodes]
+    assert sizes[0] % 21 == 0 and 15 in sizes
+    keys = [x.tobytes() for x in counting.nodes]
+    assert len(keys) == len(set(keys))
 
 
 def _scalar_integrands(f, gamma, w0, x):
@@ -542,10 +551,9 @@ _FAR_NODES = (0.0, -0.0, 5e-324, 1e8, -1e8, 1e15, -1e15, 1e200, -1e200,
            allow_nan=False, allow_infinity=False), max_size=16))
 def test_node_values_have_the_bits_of_one_node(
         rate_type, shape, ratio, center, fwhm, detuning, resonant, nodes):
-    # The batch of nodes against each node on a one-element array, as the
-    # node engine evaluates a node it did not prefetch, and against the
-    # one-node form in numpy scalars at the rate as a float: the bits do
-    # not depend on the type of the rate.
+    # The batch of nodes against each node on a one-element array, and
+    # against the one-node form in numpy scalars at the rate as a float:
+    # the bits do not depend on the type of the rate.
     pulse = _PULSES[shape](center, fwhm)
     rate = ratio * fwhm
     gamma = rate_type(max(rate, 1.0) if rate_type is int else rate)
@@ -594,22 +602,20 @@ def test_predicted_nodes_are_those_of_quads_first_pass(a, b, points,
     # quad's first rule integrates each integrand exactly, so it never
     # bisects: a constant on a finite interval, and on a half line, which
     # quad maps to t in (0, 1] by x = bound +- (1 - t) / t, an integrand
-    # whose product with dx/dt is constant.  The engine's first array pass
-    # holds every node quad visits: one rule per starting interval.
+    # whose product with dx/dt is constant.  The one array pass that
+    # ``_integrals`` makes before any quad holds exactly the nodes scipy's
+    # quad visits, in its order: one rule per starting interval.
     calls, visited = [], []
 
     def kernel(x):
         calls.append(x)
         return (integrand(x),)
 
-    def visiting(table, *args, **kwargs):
-        return quad(lambda x: visited.append(x) or table(x), *args, **kwargs)
-
-    _integrals(visiting, kernel, 1, [(a, b)], points)
-    # A zero node is left out of the fill and evaluated alone.
-    fill, *zeros = calls
-    assert [x.tolist() for x in zeros] == [[x] for x in visited if x == 0.0]
-    assert set(visited) - {0.0} <= set(fill.tolist())
+    _integrals(spectral.quad, kernel, 1, [(a, b)], points)
+    (fill,) = calls
+    quad(lambda x: visited.append(x) or float(integrand(np.array(x))),
+         a, b, **_quad_options(a, b, points))
+    assert fill.tolist() == visited
     starts = 1 + len([p for p in points if a < p < b])
     rule = 21 if math.isfinite(a) and math.isfinite(b) else 15
     assert len(set(visited)) == len(visited) == starts * rule

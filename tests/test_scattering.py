@@ -514,7 +514,7 @@ def _one_node_quad(fn, lo, hi, points):
 
 def _one_node_integrals(state, envelope, total_rate, omega0):
     """The integrals a scatter keeps on ``state``, each integrated one node
-    at a time as the scalar integrands stood before the node engine:
+    at a time as the scalar integrands stood before array evaluation:
     the factor masses, the envelope overlap and the resonance weight J."""
     masses = tuple(
         _one_node_quad(lambda x, fn=fn: abs(fn(x)) ** 2, lo, hi,
@@ -558,7 +558,7 @@ def _integral_bits(integrals):
 def test_kept_integrals_equal_their_one_node_forms_bitwise(
         sum_center, sum_width, diff_width, diff_center, total_rate, omega0,
         width, lorentzian):
-    # The node engine evaluates the Gaussian factors on arrays; every
+    # ``_integrals`` evaluates the Gaussian factors on arrays; every
     # integral keeps the bits of its one-node-at-a-time form.  Rates down
     # to 1/3000 of the sum width make J bisect deeply.
     envelope = (Envelope.lorentzian if lorentzian else Envelope.gaussian)(width)
@@ -605,18 +605,35 @@ def test_user_factors_are_evaluated_one_node_at_a_time():
 ], ids=["gaussian", "lorentzian", "tabulated"])
 def test_every_node_quad_visits_comes_from_an_array_fill(monkeypatch,
                                                          envelope):
-    filled, alone = [], []
-    missing = spectral._NodeEngine.missing
+    # The Gaussian factors are array kernels: each node quad visits comes
+    # from an array of many nodes they were evaluated on, never alone.
+    visited, filled = [], []
 
-    def recording(self, table, x):
-        (filled if x in self.centres else alone).append(x)
-        return missing(self, table, x)
+    def recording(quad):
+        def recorded(fn, a, b, **kwargs):
+            def visit(x):
+                visited.extend(x.tolist())
+                return fn(x)
+            return quad(visit, a, b, **kwargs)
+        return recorded
 
-    monkeypatch.setattr(spectral._NodeEngine, "missing", recording)
+    def counted(factor):
+        def fill(x):
+            assert isinstance(x, np.ndarray) and x.size > 1
+            filled.extend(x.tolist())
+            return factor(x)
+        fill._array_kernel = True
+        return fill
+
     if envelope.kind is not EnvelopeKind.TABULATED:
         assert envelope.squared_norm() == pytest.approx(2.0, rel=1e-12)
+    monkeypatch.setattr(spectral, "quad", recording(spectral.quad))
+    monkeypatch.setattr(scattering, "quad", recording(scattering.quad))
     # A resonance 200 times narrower than the sum width: J bisects deeply.
     coupling = CouplingSpec.isotropic(1e-4, envelope)
-    state = gaussian_biphoton(DirectionPair.PM, 1.003, 0.02, 0.01)
+    f, f_window = gaussian_sum_spectrum(1.003, 0.02)
+    h, h_window = gaussian_difference_profile(0.02, 0.01)
+    state = SeparableState(DirectionPair.PM, counted(f), counted(h),
+                           f_window, h_window)
     channel_probabilities(scatter(coupling, state))
-    assert len(filled) >= 3 and not alone
+    assert len(visited) > 1000 and set(visited) <= set(filled)

@@ -23,14 +23,15 @@ from quadwg import (
     MarkovValidityWarning,
     SeparableState,
     TruncationWarning,
+    channel_probabilities,
     decompose,
     gaussian_biphoton,
     project_on_envelope,
+    scatter,
 )
-from quadwg import spectral
+from quadwg import _quadpack, spectral
 from quadwg.gate import PulseShape
-from quadwg.spectral import (EnvelopeKind, _integrals, _NodeEngine,
-                             _PartTable, _quad_options,
+from quadwg.spectral import (EnvelopeKind, _integrals, _quad_options,
                              gaussian_difference_profile,
                              gaussian_sum_spectrum, resonance_denominator)
 
@@ -383,6 +384,32 @@ def test_gaussian_factors_reject_widths_out_of_range(build, sigma, message):
         build(sigma)
 
 
+@pytest.mark.parametrize("diff_center", [1e3, 1e6, -1e3])
+def test_difference_profile_far_from_zero_has_unit_mass(diff_center):
+    # The window holds the peak at |center|, not only the range from 0,
+    # where a single break point at its middle missed the peak.
+    h, (lo, hi) = gaussian_difference_profile(0.02, diff_center)
+    reach = 12.0 * 0.02
+    assert (lo, hi) == (abs(diff_center) - reach, abs(diff_center) + reach)
+    state = gaussian_biphoton(DirectionPair.PP, 1.0, 0.02, diff_center)
+    _, mass = state._factor_masses()
+    # Nodes near 1e6 carry their difference from the centre to about 1e-10.
+    assert mass == pytest.approx(1.0, rel=1e-12 if abs(diff_center) < 1e4
+                                 else 1e-9)
+    envelope = Envelope.gaussian(0.02)
+    probabilities = channel_probabilities(scatter(
+        CouplingSpec.isotropic(0.004, envelope), state))
+    assert probabilities.transmission == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("diff_center, sigma", [(0.0, 0.02), (0.24, 0.02),
+                                                (-0.1, 0.01)])
+def test_difference_profile_near_zero_keeps_its_window(diff_center, sigma):
+    # Within 12 sigma of zero the window starts at zero, as it always did.
+    _, window = gaussian_difference_profile(sigma, diff_center)
+    assert window == (0.0, abs(diff_center) + 12.0 * sigma)
+
+
 def test_gaussian_biphoton_takes_the_widest_window_that_squares():
     # Warnings fail this suite, so the state builds without one.
     state = gaussian_biphoton(DirectionPair.PP, 1.0, 1.1e153)
@@ -533,65 +560,63 @@ def test_complex_quad_equals_two_pass_form_bitwise(envelope):
         return value.real, value.imag
 
     for a, b, points in ((lo, hi, [mid]), (0.0, np.inf, None)):
-        re, im = _integrals(quad, parts, 2, [(a, b)], points,
+        re, im = _integrals(spectral.quad, parts, 2, [(a, b)], points,
                             vectorized=False)
         assert bits(complex(re, im)) \
             == bits(_two_pass_complex_quad(chirped, a, b, points))
 
 
-def test_integrals_break_the_table_engine_cycle(monkeypatch):
-    # Each table holds its engine.  The engine lets its tables go once the
-    # integrals are done, or quad raises, so no cycle waits for the
-    # garbage collector.
-    engines = []
+def test_integrals_evaluate_each_node_array_once():
+    # The parts of one integrand share their values: the first nodes of
+    # every segment are evaluated in one pass, and each other array of
+    # nodes quad asks for once, whichever part asks first.
+    calls, asked = [], set()
 
-    def recording(*args):
-        engines.append(_NodeEngine(*args))
-        return engines[-1]
+    def parts(x):
+        calls.append(x.tobytes())
+        return 1.0 / (1e-4 + (x - 0.3) ** 2), np.cos(40.0 * x) * np.exp(-x * x)
 
-    def failing(*args, **kwargs):
-        raise RuntimeError("quad failed")
+    def asking(fn, a, b, **kwargs):
+        def recorded(x):
+            asked.add(x.tobytes())
+            return fn(x)
+        return spectral.quad(recorded, a, b, **kwargs)
 
-    monkeypatch.setattr(spectral, "_NodeEngine", recording)
+    segments, points = [(-1.0, 0.2), (0.2, 2.0), (2.0, np.inf)], [0.3, 1.0]
+    options = [_quad_options(a, b, points) for a, b in segments]
+    firsts = [_quadpack.first_nodes(a, b, kw.get("points"))
+              for (a, b), kw in zip(segments, options)]
+    values = _integrals(asking, parts, 2, segments, points)
+    first, *later = calls
+    assert first == np.concatenate(firsts).tobytes()
+    assert len(later) > 10 and len(later) == len(set(later))
+    assert set(later) == asked - {x.tobytes() for x in firsts}
+    for i, value in enumerate(values):
+        alone = sum(spectral.quad(lambda x, i=i: parts(x)[i], a, b, **kw)[0]
+                    for (a, b), kw in zip(segments, options))
+        assert value.hex() == alone.hex()
 
-    def ones(x):
-        return (np.ones_like(x),)
 
-    assert _integrals(quad, ones, 1, [(0.0, 1.0)]) == [pytest.approx(1.0)]
-    with pytest.raises(RuntimeError, match="quad failed"):
-        _integrals(failing, ones, 1, [(0.0, 1.0)])
-    assert len(engines) == 2 and not any(e.tables for e in engines)
-
-
-def test_node_engine_keeps_signed_zeros_apart():
-    # -0.0 and 0.0 are one dict key, but a kernel may tell them apart: the
-    # engine keeps no value at a zero node and evaluates it each time asked.
-    calls = []
+def test_integrals_keep_signed_zeros_apart():
+    # An array of nodes is keyed by its bytes, so nodes -0.0 and 0.0 keep
+    # their own values; a callable that is not an array kernel sees each
+    # node as a Python float, signed zeros included.
+    seen = []
 
     def sign(x):
-        calls.append(x)
+        seen.append(x)
         return (np.copysign(1.0, x),)
 
-    def signs(xs):
-        return [math.copysign(1.0, x) for x in xs]
+    def probing(fn, a, b, **kwargs):
+        zero, negative = np.array([0.0, 0.5]), np.array([-0.0, 0.5])
+        return float(fn(zero)[0] - fn(negative)[0] + fn(zero)[0]), 0.0
 
-    node = float(spectral._XGK21[-1])     # a node of the rule on (-1, 1)
-    scalar = _PartTable()
-    _NodeEngine(sign, [scalar], vectorized=False)
-    assert [scalar[x] for x in (-0.0, 0.0, -0.0, node, node)] \
-        == [-1.0, 1.0, -1.0, 1.0, 1.0]
-    assert signs(calls) == [-1.0, 1.0, -1.0, 1.0]    # the node once
-
-    calls.clear()
-    # The window (-1, 1) has its centre, a node of the fill, at zero.
-    array = _PartTable()
-    _NodeEngine(sign, [array], vectorized=True).start([(-1.0, 1.0)], None)
-    assert [array[x] for x in (-0.0, 0.0, -0.0, node, node)] \
-        == [-1.0, 1.0, -1.0, 1.0, 1.0]
-    fill, *alone = calls
-    assert 0.0 not in fill and node in fill
-    assert [x.shape for x in alone] == [(1,)] * 3
-    assert signs(float(x[0]) for x in alone) == [-1.0, 1.0, -1.0]
+    assert _integrals(probing, sign, 1, [(-1.0, 1.0)]) == [3.0]
+    seen.clear()
+    assert _integrals(probing, sign, 1, [(-1.0, 1.0)],
+                      vectorized=False) == [3.0]
+    assert all(type(x) is float for x in seen)
+    assert [math.copysign(1.0, x) for x in seen if x == 0.0] == [1.0, -1.0]
 
 
 # The scalar kernels quad calls, built from the sweeps' parameter ranges:
@@ -685,7 +710,7 @@ def test_edge_nodes_give_ieee_values_with_a_warning(kernel, node, expected,
 
 @pytest.mark.parametrize("name", sorted(_KERNELS))
 def test_kernel_keeps_its_bits_on_a_dense_array(name):
-    # The node engine evaluates these kernels on arrays of nodes; each
+    # ``_integrals`` evaluates these kernels on arrays of nodes; each
     # element must have the bits of its node passed alone as a float.
     # numpy squares an array with x * x and a float node with libm pow,
     # which differ in about one square in a thousand.
@@ -699,7 +724,7 @@ def test_kernel_keeps_its_bits_on_a_dense_array(name):
 def _bisecting(center):
     """A line of half width 1e-3 at ``center``; its elements keep their
     bits in an array."""
-    return lambda x: (1.0 / (1e-6 + (x - center) * (x - center)),)
+    return (lambda x: 1.0 / (1e-6 + (x - center) * (x - center)),)
 
 
 def _bisected(info, starts):
@@ -731,42 +756,40 @@ def _bisected(info, starts):
     (-np.inf, 0.2, [], 0.19),
     (0.2, np.inf, [], 0.21),
 ], ids=["window", "break-points", "off-break", "lower-tail", "upper-tail"])
-def test_recorded_centres_are_those_quad_bisects_at(a, b, points, center):
-    table = _PartTable()
-    engine = _NodeEngine(_bisecting(center), [table], vectorized=True)
-    engine.start([(a, b)], points)
-    fills = []
-    fill = engine._fill
+def test_recorded_centres_are_those_quad_bisects_at(monkeypatch, a, b,
+                                                    points, center):
+    # Each call of the integrand after the first holds the two halves of
+    # the interval the port bisects; these are the intervals scipy's
+    # QUADPACK bisects, rebuilt from its final partition.
+    rules = []
 
-    def recording(groups):
-        (lo, hi, tail), = groups
-        # The halves [lo[0], hi[0]] and [lo[1], hi[1]] of one interval.
-        fills.append((float(lo[0]), float(hi[1])))
-        fill(groups)
+    def recording(nodes):
+        def recorded(*args):
+            rules.append(args[-1])
+            return nodes(*args)
+        return recorded
 
-    engine._fill = recording
-    missing = engine.missing
-    alone = []
-
-    def counting(part, x):
-        if x not in engine.centres:
-            alone.append(x)
-        return missing(part, x)
-
-    engine.missing = counting
-    _, _, info = quad(table.__getitem__, a, b, full_output=1,
-                      **_quad_options(a, b, points))
+    monkeypatch.setattr(_quadpack, "_nodes21", recording(_quadpack._nodes21))
+    monkeypatch.setattr(_quadpack, "_nodes15i",
+                        recording(_quadpack._nodes15i))
+    kw = _quad_options(a, b, points)
+    (bisecting,) = _bisecting(center)
+    value, _ = spectral.quad(bisecting, a, b, **kw)
+    expected, _, info = quad(lambda x: bisecting(np.array([x]))[0], a, b,
+                             full_output=1, **kw)
+    assert value.hex() == expected.hex()
     if math.isfinite(a) and math.isfinite(b):
         edges = [a, *sorted(p for p in points if a < p < b), b]
         starts = list(zip(edges[:-1], edges[1:]))
     else:
         starts = [(0.0, 1.0)]     # QUADPACK's t interval of a half line
+    first, *halves = rules
+    assert first == starts
     bisected = _bisected(info, starts)
-    # The first fill holds the starting intervals, and each later one the
-    # two halves of an interval quad bisects.
     assert max(level for *_, level in bisected) >= 3
-    assert sorted(fills) == sorted((lo, hi) for lo, hi, _ in bisected)
-    assert not alone
+    assert all(h1 == h2 for (_, h1), (h2, _) in halves)
+    assert sorted((lo, hi) for (lo, _), (_, hi) in halves) \
+        == sorted((lo, hi) for lo, hi, _ in bisected)
 
 
 def test_overlap_with_envelope_samples_outside_the_window_is_zero():
