@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import InvalidOverlapError, TruncationError
 from .spectral import (EnvelopeKind, _check_finite, _integrals,
-                       _linear_masses, _real, quad, resonance_denominator)
+                       _linear_masses, quad, resonance_denominator)
 
 __all__ = [
     "PulseShape",
@@ -122,7 +122,7 @@ class PulseShape:
         return cls(EnvelopeKind.TABULATED, center, fwhm, 0.0, w, v)
 
     def __call__(self, omegabar):
-        omegabar = _real(omegabar)
+        omegabar = np.asarray(omegabar, dtype=float)
         nu = omegabar - self.center
         if self.kind is EnvelopeKind.GAUSSIAN:
             s = self.scale
@@ -219,12 +219,13 @@ def _node_values(f: PulseShape, gamma: float, w0: float, x: np.ndarray):
     With ``d = w0 - obar``, ``1 + bracket = (2 d^2 + i gamma d) / (gamma^2
     / 4 + d^2)``, evaluated as ``2 s^2 + i (gamma / h) s`` with ``h =
     hypot(gamma / 2, d)`` and ``s = d / h``: ``gamma^2 / 4`` underflows for
-    the smallest rates ``gate_overlap`` takes.  Each value has the bits it
-    has at one node alone.
+    the smallest rates ``gate_overlap`` takes.  An element's value does not
+    depend on the other nodes of ``x``.
     """
     amp = f(x)
-    # Python's ``amp ** 2`` calls libm ``pow``, as ``float_power`` does;
-    # about one square in a thousand rounds differently from ``amp * amp``.
+    # ``float_power`` squares with libm ``pow``, as the gate data files
+    # were made; about one square in a thousand rounds differently from
+    # ``amp * amp``.
     power = np.float_power(amp, 2.0)
     d = w0 - x
     h = np.hypot(gamma / 2.0, d)
@@ -284,8 +285,7 @@ def gate_overlap(f: PulseShape, gamma: float,
     The overlap is ``z - 1`` for the pair factor ``z`` of ``_gate_z``.  Its
     mass pass and both passes over ``z`` share their values
     (``spectral._integrals``): the three integrands are evaluated together
-    on each array of Gauss-Kronrod nodes ``quad`` asks for.  Every value
-    has the bits of that node evaluated alone.
+    on each array of Gauss-Kronrod nodes ``quad`` asks for.
 
     ``gamma`` must be positive and finite, with ``2 / gamma`` finite, and
     large enough for quad to bisect its resonance (above about 4.45e-305).

@@ -36,7 +36,6 @@ from .spectral import (
     _fold_mass,
     _grid_overlaps,
     _integrals,
-    _is_array_kernel,
     gaussian_biphoton,
     quad,
     resonance_denominator,
@@ -189,8 +188,7 @@ def _resonance_weight(state: SeparableState, total_rate: float,
                                       + np.float_power(d.imag, 2.0)),)
 
     def compute():
-        (weight,) = _integrals(quad, integrand, 1, [(lo, hi)], points,
-                               _is_array_kernel(state.f))
+        (weight,) = _integrals(quad, integrand, 1, [(lo, hi)], points)
         return weight
 
     return state._integral(("resonance", total_rate, omega0), compute)

@@ -200,12 +200,11 @@ class Envelope:
 
     def __call__(self, delta):
         """Evaluate ``u`` at ``delta``; even in ``delta``, vectorized."""
-        # Builtin ``abs`` and the ``complex128`` constructor take numpy's
-        # scalar fast paths and act as ``np.abs`` and ``astype`` on arrays.
-        delta = abs(_real(delta))
+        delta = np.abs(np.asarray(delta, dtype=float))
         if self.kind is EnvelopeKind.GAUSSIAN:
             b = self.width
-            out = (2.0 / (math.pi * b * b)) ** 0.25 * np.exp(-(delta * delta) / (4 * b * b))
+            out = (2.0 / (math.pi * b * b)) ** 0.25 * np.exp(
+                -_saturating_quotient(delta * delta, 4 * b * b))
             return np.complex128(out)
         if self.kind is EnvelopeKind.LORENTZIAN:
             b = self.width
@@ -419,27 +418,22 @@ class FrequencyGrid:
                 and np.array_equal(self.delta, other.delta))
 
 
-def _real(x):
-    """``x`` as float64: a numpy scalar for a float, an array otherwise.
-
-    Quadrature nodes arrive as Python floats.  A numpy scalar keeps numpy's
-    arithmetic (inf or nan with a ``RuntimeWarning`` where Python would
-    raise) without the cost of boxing each node into a 0-d array, and gives
-    the same bits.
-    """
-    if isinstance(x, float):
-        return np.float64(x)
-    return np.asarray(x, dtype=float)
+def _saturating_quotient(square, scale: float):
+    """The Gaussian exponent ``square / scale``, with ``square`` first held
+    to ``1000 scale``: where that bites, ``exp`` of either negative is 0,
+    and far out in the tail the quotient no longer overflows with a
+    warning.  A square that overflows itself still warns."""
+    return np.minimum(square, 1e3 * scale) / scale
 
 
 def resonance_denominator(total_rate: float, omega0: float, omegabar):
     """Emitter pole ``total_rate / 2 + i (omega0 - obar)``.
 
-    A scalar ``obar``, such as a quadrature node, gives a numpy complex
-    scalar; an array gives a complex array of its shape.  Pair scattering,
-    pair emission and the mirror gate all divide by it.
+    A scalar ``obar`` gives a numpy complex scalar; an array gives a
+    complex array of its shape.  Pair scattering, pair emission and the
+    mirror gate all divide by it.
     """
-    omegabar = _real(omegabar)
+    omegabar = np.asarray(omegabar, dtype=float)
     return total_rate / 2.0 + 1j * (omega0 - omegabar)
 
 
@@ -469,18 +463,9 @@ def _abs2(value):
     return np.float_power(np.hypot(value.real, value.imag), 2.0)
 
 
-def _is_array_kernel(fn) -> bool:
-    """Whether ``_integrals`` may evaluate the factor ``fn`` on arrays:
-    its value at each element of a float64 array has the bits of its value
-    at that element alone.  The library's Gaussian factors say so with an
-    ``_array_kernel`` attribute."""
-    return getattr(fn, "_array_kernel", False)
-
-
 def _integrals(quad, values: Callable, n_parts: int,
                segments: Sequence[tuple[float, float]],
-               points: Sequence[float] | None = None,
-               vectorized: bool = True) -> list[float]:
+               points: Sequence[float] | None = None) -> list[float]:
     """``quad`` of each of the ``n_parts`` real parts of one integrand over
     each of ``segments``, in that order, with the break ``points``; returns
     each part's sum over the segments.  A sum starts at ``0``, as ``sum``
@@ -488,11 +473,8 @@ def _integrals(quad, values: Callable, n_parts: int,
 
     ``quad`` is the caller's own binding of ``_quadpack.quad``, so each
     module's integrals are counted for it.  Every quadrature of the package
-    runs here.  With ``vectorized`` set, ``values`` takes a float64 array of
-    nodes and returns one array per part, each element with the bits that
-    part has at that node alone; the library's own kernels qualify.
-    Without it, ``values`` takes one Python float node and returns one
-    value per part.  The parts share their values: each distinct array of
+    runs here.  ``values`` takes a float64 array of nodes and returns one
+    array per part.  The parts share their values: each distinct array of
     nodes ``quad`` asks for is evaluated once, keyed by its bytes, so
     ``-0.0`` and ``0.0`` stay apart.  One array pass evaluates the first
     nodes of every segment.
@@ -504,20 +486,18 @@ def _integrals(quad, values: Callable, n_parts: int,
         key = x.tobytes()
         found = rows.get(key)
         if found is None:
-            found = rows[key] = values(x) if vectorized \
-                else tuple(zip(*map(values, x.tolist())))
+            found = rows[key] = values(x)
         return found
 
-    if vectorized:
-        firsts = [x for x in (_quadpack.first_nodes(a, b, kw.get("points"))
-                              for (a, b), kw in zip(segments, options))
-                  if x is not None]
-        if firsts:
-            parts = values(np.concatenate(firsts))
-            at = 0
-            for x in firsts:
-                rows[x.tobytes()] = [part[at:at + x.size] for part in parts]
-                at += x.size
+    firsts = [x for x in (_quadpack.first_nodes(a, b, kw.get("points"))
+                          for (a, b), kw in zip(segments, options))
+              if x is not None]
+    if firsts:
+        parts = values(np.concatenate(firsts))
+        at = 0
+        for x in firsts:
+            rows[x.tobytes()] = [part[at:at + x.size] for part in parts]
+            at += x.size
     return [sum(quad(lambda x, i=i: row(x)[i], a, b, **kw)[0]
                 for (a, b), kw in zip(segments, options))
             for i in range(n_parts)]
@@ -527,13 +507,14 @@ def _integrals(quad, values: Callable, n_parts: int,
 class SeparableState:
     """Product state ``C(obar, delta) = scale * f(obar) h(delta)``.
 
-    ``f`` and ``h`` are vectorized callables; ``h`` lives on the half line
-    ``delta >= 0``.  ``f_window`` and ``h_window`` are finite intervals that
-    contain essentially all of the respective mass and serve as quadrature
-    windows.  The amplitude fills ``channels``: ``channel`` itself and, for
-    a cross pair, its swapped twin.  With ``scale=None`` the scale is chosen
-    at construction so that the state has unit norm; a given ``scale`` is
-    used as is.
+    ``f`` and ``h`` are vectorized callables: the quadratures call them on
+    float64 arrays of nodes.  ``h`` lives on the half line ``delta >= 0``.
+    ``f_window`` and ``h_window`` are finite intervals that contain
+    essentially all of the respective mass and serve as quadrature windows.
+    The amplitude fills ``channels``: ``channel`` itself and, for a cross
+    pair, its swapped twin.  With ``scale=None`` the scale is chosen at
+    construction so that the state has unit norm; a given ``scale`` is used
+    as is.
 
     Integrals of the unscaled factors are kept on the state once computed
     (see ``_integral``): the two factor masses, the envelope overlap of
@@ -572,7 +553,7 @@ class SeparableState:
     def _factor_mass(fn, window) -> float:
         lo, hi = window
         (mass,) = _integrals(quad, lambda x: (_abs2(fn(x)),), 1, [(lo, hi)],
-                             [0.5 * (lo + hi)], _is_array_kernel(fn))
+                             [0.5 * (lo + hi)])
         return mass
 
     def _integral(self, key: tuple, compute: Callable[[], object]):
@@ -626,8 +607,7 @@ class SeparableState:
             return value.real, value.imag
 
         def overlap(segments):
-            re, im = _integrals(quad, parts, 2, segments, [mid],
-                                _is_array_kernel(self.h))
+            re, im = _integrals(quad, parts, 2, segments, [mid])
             return complex(re, im)
 
         if envelope.kind is EnvelopeKind.TABULATED:
@@ -675,18 +655,22 @@ class GridState:
                          for i in range(4)))
 
     def amplitude(self, pair: DirectionPair, omegabar, delta) -> np.ndarray:
-        # The package's one scipy import, taken on first use so that no
-        # subcommand at its defaults loads scipy.
-        from scipy.interpolate import RegularGridInterpolator
-
-        interp = RegularGridInterpolator(
-            (self.grid.omegabar, self.grid.delta), self.data[pair.index],
-            bounds_error=False, fill_value=0.0)
-        omegabar = np.asarray(omegabar, dtype=float)
-        delta = np.asarray(delta, dtype=float)
-        pts = np.broadcast_arrays(omegabar, delta)
-        stack = np.stack([p.ravel() for p in pts], axis=-1)
-        return interp(stack).reshape(pts[0].shape)
+        """Bilinear interpolant of the ``pair`` table at ``(omegabar,
+        delta)``: zero outside the axes, nan at a nan point.  Its real and
+        imaginary parts are each the four-term sum of scipy's linear
+        regular-grid interpolator, in its order, with its bits."""
+        pts = np.broadcast_arrays(np.asarray(omegabar, dtype=float),
+                                  np.asarray(delta, dtype=float))
+        table = self.data[pair.index]
+        with np.errstate(all="ignore"):   # far points, filled, may overflow
+            (i, y0, out0), (j, y1, out1) = (
+                _cell(axis, p.ravel())
+                for axis, p in zip((self.grid.omegabar, self.grid.delta), pts))
+            re, im = (np.where(np.isnan(y0) | np.isnan(y1), np.nan, np.where(
+                out0 | out1, 0.0, 0.0 + v[i, j] * (1 - y0) * (1 - y1)
+                + v[i, j + 1] * (1 - y0) * y1 + v[i + 1, j] * y0 * (1 - y1)
+                + v[i + 1, j + 1] * y0 * y1)) for v in (table.real, table.imag))
+        return (re + 1j * im).reshape(pts[0].shape)
 
     def on_grid(self, grid: FrequencyGrid) -> "GridState":
         if self.grid.same_axes(grid):
@@ -696,6 +680,15 @@ class GridState:
         for pair in PAIRS:
             data[pair.index] = self.amplitude(pair, ob, dd)
         return GridState(grid, data)
+
+
+def _cell(axis: np.ndarray, x: np.ndarray):
+    """The cell ``i`` of ``axis`` with ``axis[i] <= x < axis[i + 1]``, the
+    last one at the upper edge; the distance into it in cell widths; and
+    whether ``x`` lies outside the axis."""
+    i = np.clip(np.searchsorted(axis, x, side="right") - 1, 0, axis.size - 2)
+    return (i, (x - axis[i]) / (axis[i + 1] - axis[i]),
+            (x < axis[0]) | (x > axis[-1]))
 
 
 # Half width, in widths ``sigma``, of a Gaussian factor's quadrature window.
@@ -733,11 +726,10 @@ def gaussian_sum_spectrum(center: float, sigma: float):
     # ``float_power`` squares with libm ``pow``, as ``** 2`` does on a float
     # node; numpy's square of an array rounds differently.
     def f(obar):
-        obar = _real(obar)
+        obar = np.asarray(obar, dtype=float)
         return amp * np.exp(-np.float_power(obar - center, 2.0)
                             / (4.0 * sigma * sigma))
 
-    f._array_kernel = True
     reach = _GAUSSIAN_REACH * sigma
     return f, (center - reach, center + reach)
 
@@ -763,11 +755,13 @@ def gaussian_difference_profile(sigma: float, center: float = 0.0):
     amp = 1.0 / math.sqrt(_fold_mass(sigma, center))
 
     def h(delta):
-        delta = _real(delta)
-        return amp * (np.exp(-np.float_power(delta - center, 2.0) / (4.0 * s2))
-                      + np.exp(-np.float_power(delta + center, 2.0) / (4.0 * s2)))
+        delta = np.asarray(delta, dtype=float)
+        return amp * (
+            np.exp(-_saturating_quotient(np.float_power(delta - center, 2.0),
+                                         4.0 * s2))
+            + np.exp(-_saturating_quotient(np.float_power(delta + center, 2.0),
+                                           4.0 * s2)))
 
-    h._array_kernel = True
     # The window holds the peak at |center| and reaches 0 for a centre
     # within reach of it, where the two folded halves overlap.
     reach = _GAUSSIAN_REACH * sigma

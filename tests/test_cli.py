@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -315,6 +316,54 @@ def test_import_and_entangle_load_no_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
     assert [line.split(":")[0] for line in done.stdout.splitlines()] \
         == list(cli.COMMANDS)
+
+
+def test_subcommands_and_grid_resampling_run_with_scipy_blocked(tmp_path):
+    # numpy is the one runtime dependency: with every scipy import made to
+    # fail, each subcommand runs and a grid state resamples onto other axes.
+    code = "\n".join([
+        "import sys",
+        "sys.modules['scipy'] = None",
+        "from quadwg import cli",
+        "from quadwg.spectral import (DirectionPair, FrequencyGrid,",
+        "                             gaussian_biphoton)",
+        "small = {'emit': ['n_omegabar=32', 'n_delta=16'],",
+        "         'scatter': ['n_omegabar=32', 'n_delta=16'],",
+        "         'gate': ['ratios=1,10', 'report_ratio=10'],",
+        "         'verify': ['n_omegabar=128', 'n_delta=48']}",
+        "for command in cli.COMMANDS:",
+        "    sets = [a for s in small.get(command, []) for a in ('--set', s)]",
+        f"    assert cli.run([command, *sets, '--outdir', {str(tmp_path)!r}])"
+        " == 0, command",
+        "state = gaussian_biphoton(DirectionPair.PM, 1.0, 0.02).on_grid(",
+        "    FrequencyGrid.regular(1.0, 0.1, 0.2, 64, 32))",
+        "moved = state.on_grid(FrequencyGrid.regular(1.01, 0.12, 0.25, 48, 24))",
+        "assert moved.data.shape == (4, 48, 24)",
+        "assert abs(moved.norm_squared() - 1.0) < 0.01, moved.norm_squared()",
+    ])
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert [line.split(":")[0] for line in done.stdout.splitlines()] \
+        == list(cli.COMMANDS)
+
+
+def test_scatter_deep_in_gaussian_tails_prints_no_warning(tmp_path, capsys):
+    # A difference axis ten sum widths long puts nodes so far out in the
+    # envelope's and the difference factor's tails that their exponents
+    # overflow to -inf; the value, 0, is right, and once came with two
+    # "overflow encountered in divide" RuntimeWarnings.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = run_ok(["scatter", "--outdir", str(tmp_path),
+                      "--set", "sum_width=1e152",
+                      "--set", "n_omegabar=64", "--set", "n_delta=32"],
+                     capsys)
+    assert [str(w.message) for w in caught] == []
+    assert "R=0.0000 S=0.0000 T=1.0000 sum=1.000000" in out
 
 
 def test_gate_at_large_ratio_succeeds(tmp_path, capsys):

@@ -31,7 +31,7 @@ from quadwg import (
     transfer_coefficient,
 )
 from quadwg import scattering, spectral
-from quadwg.spectral import (PAIRS, EnvelopeKind, _quad_options,
+from quadwg.spectral import (PAIRS, EnvelopeKind, _abs2, _quad_options,
                              gaussian_difference_profile,
                              gaussian_sum_spectrum, resonance_denominator)
 
@@ -572,7 +572,35 @@ def test_kept_integrals_equal_their_one_node_forms_bitwise(
                                               omega0))
 
 
-def test_user_factors_are_evaluated_one_node_at_a_time():
+def _array_integrals(state, envelope, total_rate, omega0):
+    """The integrals a scatter keeps on ``state``, each its own
+    ``spectral.quad`` of an integrand that evaluates the factors on node
+    arrays: the factor masses, the envelope overlap and the resonance
+    weight J."""
+    def integral(fn, lo, hi, points):
+        return spectral.quad(fn, lo, hi, **_quad_options(lo, hi, points))[0]
+
+    masses = tuple(
+        integral(lambda x, fn=fn: _abs2(fn(x)), lo, hi, [0.5 * (lo + hi)])
+        for fn, (lo, hi) in ((state.f, state.f_window),
+                             (state.h, state.h_window)))
+    lo, hi = state.h_window
+    points = [0.5 * (lo + hi)]
+    overlap = complex(
+        integral(lambda x: (envelope(x) * state.h(x)).real, lo, hi, points),
+        integral(lambda x: (envelope(x) * state.h(x)).imag, lo, hi, points))
+
+    def weight(ob):
+        d = resonance_denominator(total_rate, omega0, ob)
+        return _abs2(state.f(ob)) / (np.float_power(d.real, 2.0)
+                                     + np.float_power(d.imag, 2.0))
+
+    lo, hi = state.f_window
+    resonance = integral(weight, lo, hi, sorted({omega0, 0.5 * (lo + hi)}))
+    return masses, overlap, resonance
+
+
+def test_user_factors_are_evaluated_on_node_arrays():
     seen = []
 
     def f(x):
@@ -583,18 +611,15 @@ def test_user_factors_are_evaluated_one_node_at_a_time():
         seen.append(x)
         return np.exp(-x ** 2 / 8e-4)
 
-    # On an array numpy squares with x * x, on a float node with libm
-    # pow: these factors have other bits on an array than node by node.
-    nodes = np.linspace(0.9, 1.1, 20001)
-    assert f(nodes).tolist() != [f(x) for x in nodes.tolist()]
-    seen.clear()
     state = SeparableState(DirectionPair.PP, f, h, (0.9, 1.1), (0.0, 0.2))
     envelope = Envelope.gaussian(0.02)
     coupling = CouplingSpec.isotropic(1e-3, envelope)
     channel_probabilities(scatter(coupling, state))
-    assert seen and all(type(x) is float for x in seen)
+    assert len(seen) > 10
+    assert all(isinstance(x, np.ndarray) and x.dtype == np.float64
+               and x.ndim == 1 and x.size > 1 for x in seen)
     assert _integral_bits(_kept_integrals(state, envelope, 1e-3, 1.0)) \
-        == _integral_bits(_one_node_integrals(state, envelope, 1e-3, 1.0))
+        == _integral_bits(_array_integrals(state, envelope, 1e-3, 1.0))
 
 
 @pytest.mark.parametrize("envelope", [
@@ -605,8 +630,8 @@ def test_user_factors_are_evaluated_one_node_at_a_time():
 ], ids=["gaussian", "lorentzian", "tabulated"])
 def test_every_node_quad_visits_comes_from_an_array_fill(monkeypatch,
                                                          envelope):
-    # The Gaussian factors are array kernels: each node quad visits comes
-    # from an array of many nodes they were evaluated on, never alone.
+    # Every factor is evaluated on arrays: each node quad visits comes from
+    # an array of many nodes the factors were evaluated on, never alone.
     visited, filled = [], []
 
     def recording(quad):
@@ -622,7 +647,6 @@ def test_every_node_quad_visits_comes_from_an_array_fill(monkeypatch,
             assert isinstance(x, np.ndarray) and x.size > 1
             filled.extend(x.tolist())
             return factor(x)
-        fill._array_kernel = True
         return fill
 
     if envelope.kind is not EnvelopeKind.TABULATED:

@@ -552,19 +552,6 @@ def test_complex_quad_equals_two_pass_form_bitwise(envelope):
     assert bits(state.overlap_with_envelope(envelope)) \
         == bits(state.scale * expected)
 
-    def chirped(d):
-        return envelope(d) * h(d) * np.exp(1j * d / 0.01)
-
-    def parts(d):
-        value = chirped(d)
-        return value.real, value.imag
-
-    for a, b, points in ((lo, hi, [mid]), (0.0, np.inf, None)):
-        re, im = _integrals(spectral.quad, parts, 2, [(a, b)], points,
-                            vectorized=False)
-        assert bits(complex(re, im)) \
-            == bits(_two_pass_complex_quad(chirped, a, b, points))
-
 
 def test_integrals_evaluate_each_node_array_once():
     # The parts of one integrand share their values: the first nodes of
@@ -599,12 +586,8 @@ def test_integrals_evaluate_each_node_array_once():
 
 def test_integrals_keep_signed_zeros_apart():
     # An array of nodes is keyed by its bytes, so nodes -0.0 and 0.0 keep
-    # their own values; a callable that is not an array kernel sees each
-    # node as a Python float, signed zeros included.
-    seen = []
-
+    # their own values.
     def sign(x):
-        seen.append(x)
         return (np.copysign(1.0, x),)
 
     def probing(fn, a, b, **kwargs):
@@ -612,11 +595,6 @@ def test_integrals_keep_signed_zeros_apart():
         return float(fn(zero)[0] - fn(negative)[0] + fn(zero)[0]), 0.0
 
     assert _integrals(probing, sign, 1, [(-1.0, 1.0)]) == [3.0]
-    seen.clear()
-    assert _integrals(probing, sign, 1, [(-1.0, 1.0)],
-                      vectorized=False) == [3.0]
-    assert all(type(x) is float for x in seen)
-    assert [math.copysign(1.0, x) for x in seen if x == 0.0] == [1.0, -1.0]
 
 
 # The scalar kernels quad calls, built from the sweeps' parameter ranges:
@@ -675,8 +653,8 @@ def _evaluate(kernel, node):
        _nodes)
 def test_kernel_gives_same_bits_for_float_and_array_nodes(
         name, rate, center, width, node):
-    # quad passes each node as a Python float; an array caller as a 0-d
-    # array.  Both must give the same bits and the same warnings.
+    # A caller may pass a node as a Python float or as a 0-d array.  Both
+    # must give the same bits and the same warnings.
     kernel = _KERNELS[name](rate, center, width)
     assert _evaluate(kernel, node) == _evaluate(kernel, np.asarray(node))
 
