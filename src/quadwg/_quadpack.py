@@ -10,12 +10,16 @@ floats, so that a value and its error estimate have the bits the compiled
 routines give.  Arrays are indexed from 1, as in the Fortran, and each
 ``go to`` becomes a branch, a ``break`` or a ``continue``; a comparison
 that decides a jump is kept as written, so nan takes the same branches.
+``dqagse`` and ``dqagpe`` share three steps, written once on
+``_Partition``: the bisection step, the search for a larger interval to
+bisect before extrapolating, and the finish.  Each routine keeps its
+start, its test of a large interval and its extrapolation.
 
 The integrand is the one part that differs.  ``f`` is called once per rule
 application, on a float64 array of the rule's nodes: once on the nodes of
 every starting interval, then once on both halves of each bisected
 interval.  Each interval's nodes come in the order QUADPACK evaluates
-them; ``first_nodes`` gives the first array.
+them.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import numpy as np
 
 from .errors import IntegrationWarning
 
-__all__ = ["quad", "first_nodes"]
+__all__ = ["quad"]
 
 _EPMACH = sys.float_info.epsilon      # d1mach(4)
 _UFLOW = sys.float_info.min           # d1mach(1)
@@ -459,98 +463,106 @@ def _final(ier: int, ierro: int, result: float, abserr: float, area: float,
     return False, ier, abserr
 
 
-def _sum(rlist: list, last: int) -> float:
-    """The global integral sum, ``rlist(1) + ... + rlist(last)``."""
-    result = 0.0
-    for k in range(1, last + 1):
-        result = result + rlist[k]
-    return result
+class _Partition:
+    """The partition of the range that ``dqagse`` and ``dqagpe`` bisect,
+    with the steps they share: the bisection, the search for a larger
+    interval and the finish.
 
+    The lists are indexed from 1.  Interval ``i`` is ``[alist[i],
+    blist[i]]``, bisected ``level[i]`` times, with the result ``rlist[i]``
+    and the error estimate ``elist[i]``; ``iord`` orders the intervals by
+    descending error, and ``maxerr = iord[nrmax]``, of error ``errmax``,
+    is bisected next.  ``area`` and ``errsum`` are the sums of the results
+    and of the errors, ``last`` the number of intervals, ``iroff1`` to
+    ``iroff3`` the roundoff counts and ``ier`` and ``ierro`` the error
+    flags.  A routine calls ``start`` before it bisects.
+    """
 
-def _qagse(rule: Callable, a: float, b: float, epsabs: float, epsrel: float,
-           limit: int) -> tuple[float, float, int]:
-    """``dqagse`` over ``[a, b]`` with ``rule`` as ``dqk21``; ``dqagie`` is
-    the same routine over ``t`` in ``(0, 1]`` with ``rule`` as ``dqk15i``.
-    Returns ``(result, abserr, ier)``."""
-    ier = 0
-    ((result, abserr, defabs, resabs),) = rule([(a, b)])
-    # Test on accuracy.
-    dres = abs(result)
-    errbnd = _fmax(epsabs, epsrel * dres)
-    last = 1
-    alist, blist, rlist, elist, iord = [0.0, a], [0.0, b], \
-        [0.0, result], [0.0, abserr], [0, 1]
-    if abserr <= 1.0e+02 * _EPMACH * defabs and abserr > errbnd:
-        ier = 2
-    if limit == 1:
-        ier = 1
-    if ier != 0 or (abserr <= errbnd and abserr != resabs) or abserr == 0.0:
-        return result, abserr, ier
-    # Initialization.
-    rlist2 = [0.0] * 53
-    res3la = [0.0] * 4
-    rlist2[1] = result
-    errmax = abserr
-    maxerr = 1
-    area = result
-    errsum = abserr
-    abserr = _OFLOW
-    nrmax = 1
-    nres = 0
-    numrl2 = 2
-    ktmin = 0
-    extrap = False
-    noext = False
-    ierro = 0
-    iroff1 = iroff2 = iroff3 = 0
-    small = erlarg = ertest = correc = 0.0
-    ksgn = -1
-    if dres >= (0.1e+01 - 0.5e+02 * _EPMACH) * defabs:
-        ksgn = 1
-    summed = False
-    for last in range(2, limit + 1):
+    def __init__(self, rule: Callable, limit: int, epsabs: float,
+                 epsrel: float, intervals: list, estimates: list) -> None:
+        self.rule = rule
+        self.limit = limit
+        self.epsabs = epsabs
+        self.epsrel = epsrel
+        self.last = len(intervals)
+        self.alist = [0.0, *(a for a, _ in intervals)]
+        self.blist = [0.0, *(b for _, b in intervals)]
+        self.rlist = [0.0, *(r for r, *_ in estimates)]
+        self.elist = [0.0, *(e for _, e, *_ in estimates)]
+        self.iord = list(range(self.last + 1))
+        self.level = [0] * (self.last + 1)
+        self.ier = self.ierro = 0
+        self.iroff1 = self.iroff2 = self.iroff3 = 0
+
+    def start(self, area: float, errsum: float) -> None:
+        """Set the sums of the results and of the errors and select the
+        interval of largest error."""
+        self.area = area
+        self.errsum = errsum
+        self.select()
+
+    def select(self) -> None:
+        """Make the interval with the largest error estimate the next to
+        bisect."""
+        self.nrmax = 1
+        self.maxerr = self.iord[1]
+        self.errmax = self.elist[self.maxerr]
+
+    def bisect(self, extrap: bool) -> tuple[float, float, float]:
+        """Bisect interval ``maxerr`` into itself and a new interval
+        ``last``, and select the next interval to bisect; ``extrap`` tells
+        which roundoff count to raise.  Returns the new error bound
+        ``errbnd``, the error ``erro12`` of the two halves and the length
+        ``b1 - a1`` of the lower half."""
+        alist, blist, rlist, elist, level = \
+            self.alist, self.blist, self.rlist, self.elist, self.level
+        maxerr, errmax = self.maxerr, self.errmax
+        self.last = last = self.last + 1
         alist.append(0.0)
         blist.append(0.0)
         rlist.append(0.0)
         elist.append(0.0)
-        iord.append(0)
+        self.iord.append(0)
+        level.append(0)
         # Bisect the subinterval with the nrmax-th largest error estimate.
+        levcur = level[maxerr] + 1
         a1 = alist[maxerr]
         b1 = 0.5 * (alist[maxerr] + blist[maxerr])
         a2 = b1
         b2 = blist[maxerr]
-        erlast = errmax
         (area1, error1, _, defab1), (area2, error2, _, defab2) = \
-            rule([(a1, b1), (a2, b2)])
+            self.rule([(a1, b1), (a2, b2)])
         # Improve previous approximations to integral and error and test
         # for accuracy.
         area12 = area1 + area2
         erro12 = error1 + error2
-        errsum = errsum + erro12 - errmax
-        area = area + area12 - rlist[maxerr]
+        self.errsum = self.errsum + erro12 - errmax
+        self.area = self.area + area12 - rlist[maxerr]
         if not (defab1 == error1 or defab2 == error2):
             if not (abs(rlist[maxerr] - area12) > 0.1e-04 * abs(area12)
                     or erro12 < 0.99e+00 * errmax):
                 if extrap:
-                    iroff2 = iroff2 + 1
+                    self.iroff2 = self.iroff2 + 1
                 if not extrap:
-                    iroff1 = iroff1 + 1
+                    self.iroff1 = self.iroff1 + 1
             if last > 10 and erro12 > errmax:
-                iroff3 = iroff3 + 1
+                self.iroff3 = self.iroff3 + 1
+        level[maxerr] = levcur
+        level[last] = levcur
         rlist[maxerr] = area1
         rlist[last] = area2
-        errbnd = _fmax(epsabs, epsrel * abs(area))
+        errbnd = _fmax(self.epsabs, self.epsrel * abs(self.area))
         # Test for roundoff error and eventually set error flag.
-        if iroff1 + iroff2 >= 10 or iroff3 >= 20:
-            ier = 2
-        if iroff2 >= 5:
-            ierro = 3
-        if last == limit:
-            ier = 1
+        if self.iroff1 + self.iroff2 >= 10 or self.iroff3 >= 20:
+            self.ier = 2
+        if self.iroff2 >= 5:
+            self.ierro = 3
+        if last == self.limit:
+            self.ier = 1
         # Bad integrand behaviour at a point of the integration range.
         if _fmax(abs(a1), abs(b2)) <= (0.1e+01 + 0.1e+03 * _EPMACH) \
                 * (abs(a2) + 0.1e+04 * _UFLOW):
-            ier = 4
+            self.ier = 4
         # Append the newly-created intervals to the list.
         if not error2 > error1:
             alist[last] = a2
@@ -566,54 +578,123 @@ def _qagse(rule: Callable, a: float, b: float, epsabs: float, epsrel: float,
             rlist[last] = area1
             elist[maxerr] = error2
             elist[last] = error1
-        maxerr, errmax, nrmax = _qpsrt(limit, last, maxerr, elist, iord,
-                                       nrmax)
-        if errsum <= errbnd:
+        self.maxerr, self.errmax, self.nrmax = _qpsrt(
+            self.limit, last, maxerr, elist, self.iord, self.nrmax)
+        return errbnd, erro12, b1 - a1
+
+    def larger(self, large: Callable[[int], bool]) -> bool:
+        """Whether an interval from the ``nrmax``-th largest error estimate
+        on is ``large``; the first such is selected.  With none to search,
+        the selection stays as it was."""
+        jupbnd = self.last
+        if self.last > 2 + self.limit // 2:
+            jupbnd = self.limit + 3 - self.last
+        for _ in range(self.nrmax, jupbnd + 1):
+            self.maxerr = self.iord[self.nrmax]
+            self.errmax = self.elist[self.maxerr]
+            if large(self.maxerr):
+                return True
+            self.nrmax = self.nrmax + 1
+        return False
+
+    def finish(self, summed: bool, result: float, abserr: float,
+               correc: float, dres: float,
+               defabs: float) -> tuple[float, float, int]:
+        """From label 100 of ``dqagse`` (170 of ``dqagpe``) on: the sum of
+        the partition if the bisection ``summed`` it or the extrapolated
+        ``result`` and ``abserr`` are no better, else these; returns
+        ``(result, abserr, ier)``."""
+        ier = self.ier
+        if not summed:
+            ksgn = -1
+            if dres >= (0.1e+01 - 0.5e+02 * _EPMACH) * defabs:
+                ksgn = 1
+            summed, ier, abserr = _final(ier, self.ierro, result, abserr,
+                                         self.area, self.errsum, correc,
+                                         ksgn, defabs)
+        if summed:
+            result = 0.0
+            for k in range(1, self.last + 1):
+                result = result + self.rlist[k]
+            abserr = self.errsum
+        if ier > 2:
+            ier = ier - 1
+        return result, abserr, ier
+
+
+def _qagse(rule: Callable, a: float, b: float, epsabs: float, epsrel: float,
+           limit: int) -> tuple[float, float, int]:
+    """``dqagse`` over ``[a, b]`` with ``rule`` as ``dqk21``; ``dqagie`` is
+    the same routine over ``t`` in ``(0, 1]`` with ``rule`` as ``dqk15i``.
+    Returns ``(result, abserr, ier)``."""
+    ier = 0
+    estimates = rule([(a, b)])
+    ((result, abserr, defabs, resabs),) = estimates
+    # Test on accuracy.
+    dres = abs(result)
+    errbnd = _fmax(epsabs, epsrel * dres)
+    if abserr <= 1.0e+02 * _EPMACH * defabs and abserr > errbnd:
+        ier = 2
+    if limit == 1:
+        ier = 1
+    if ier != 0 or (abserr <= errbnd and abserr != resabs) or abserr == 0.0:
+        return result, abserr, ier
+    # Initialization.
+    part = _Partition(rule, limit, epsabs, epsrel, [(a, b)], estimates)
+    part.start(result, abserr)
+    rlist2 = [0.0] * 53
+    res3la = [0.0] * 4
+    rlist2[1] = result
+    abserr = _OFLOW
+    nres = 0
+    numrl2 = 2
+    ktmin = 0
+    extrap = False
+    noext = False
+    small = erlarg = ertest = correc = 0.0
+    summed = False
+
+    def large(i: int) -> bool:
+        return abs(part.blist[i] - part.alist[i]) > small
+
+    while part.last < limit:
+        erlast = part.errmax
+        errbnd, erro12, length = part.bisect(extrap)
+        if part.errsum <= errbnd:
             summed = True
             break
-        if ier != 0:
+        if part.ier != 0:
             break
-        if last == 2:
+        if part.last == 2:
             small = abs(b - a) * 0.375e+00
-            erlarg = errsum
+            erlarg = part.errsum
             ertest = errbnd
-            rlist2[2] = area
+            rlist2[2] = part.area
             continue
         if noext:
             continue
         erlarg = erlarg - erlast
-        if abs(b1 - a1) > small:
+        if abs(length) > small:
             erlarg = erlarg + erro12
         if not extrap:
             # Is the interval to be bisected next the smallest one?
-            if abs(blist[maxerr] - alist[maxerr]) > small:
+            if large(part.maxerr):
                 continue
             extrap = True
-            nrmax = 2
-        if not (ierro == 3 or erlarg <= ertest):
+            part.nrmax = 2
+        if not (part.ierro == 3 or erlarg <= ertest):
             # The smallest interval has the largest error.  Before
             # bisecting, decrease the sum of the errors over the larger
             # intervals (erlarg) and perform extrapolation.
-            jupbnd = last
-            if last > 2 + limit // 2:
-                jupbnd = limit + 3 - last
-            larger = False
-            for _ in range(nrmax, jupbnd + 1):
-                maxerr = iord[nrmax]
-                errmax = elist[maxerr]
-                if abs(blist[maxerr] - alist[maxerr]) > small:
-                    larger = True
-                    break
-                nrmax = nrmax + 1
-            if larger:
+            if part.larger(large):
                 continue
         # Perform extrapolation.
         numrl2 = numrl2 + 1
-        rlist2[numrl2] = area
+        rlist2[numrl2] = part.area
         numrl2, reseps, abseps, nres = _qelg(numrl2, rlist2, res3la, nres)
         ktmin = ktmin + 1
-        if ktmin > 5 and abserr < 0.1e-02 * errsum:
-            ier = 5
+        if ktmin > 5 and abserr < 0.1e-02 * part.errsum:
+            part.ier = 5
         if not abseps >= abserr:
             ktmin = 0
             abserr = abseps
@@ -625,23 +706,13 @@ def _qagse(rule: Callable, a: float, b: float, epsabs: float, epsrel: float,
         # Prepare bisection of the smallest interval.
         if numrl2 == 1:
             noext = True
-        if ier == 5:
+        if part.ier == 5:
             break
-        maxerr = iord[1]
-        errmax = elist[maxerr]
-        nrmax = 1
+        part.select()
         extrap = False
         small = small * 0.5e+00
-        erlarg = errsum
-    if not summed:
-        summed, ier, abserr = _final(ier, ierro, result, abserr, area,
-                                     errsum, correc, ksgn, defabs)
-    if summed:
-        result = _sum(rlist, last)
-        abserr = errsum
-    if ier > 2:
-        ier = ier - 1
-    return result, abserr, ier
+        erlarg = part.errsum
+    return part.finish(summed, result, abserr, correc, dres, defabs)
 
 
 def _qagpe(rule: Callable, a: float, b: float, points: list[float],
@@ -657,31 +728,24 @@ def _qagpe(rule: Callable, a: float, b: float, points: list[float],
     nint = npts + 1
     starts = list(zip(pts[1:-1], pts[2:]))
     # Compute first integral and error approximations.
-    alist, blist, rlist, elist, iord, level = \
-        [0.0], [0.0], [0.0], [0.0], [0], [0]
+    estimates = rule(starts)
+    part = _Partition(rule, limit, epsabs, epsrel, starts, estimates)
+    elist, iord = part.elist, part.iord
     ndin = [0]
     abserr = 0.0
     result = 0.0
     resabs = 0.0
-    for i, ((a1, b1), (area1, error1, defabs, resa)) in enumerate(
-            zip(starts, rule(starts)), 1):
+    for area1, error1, defabs, resa in estimates:
         abserr = abserr + error1
         result = result + area1
         ndin.append(1 if error1 == resa and error1 != 0.0 else 0)
         resabs = resabs + defabs
-        level.append(0)
-        elist.append(error1)
-        alist.append(a1)
-        blist.append(b1)
-        rlist.append(area1)
-        iord.append(i)
     errsum = 0.0
     for i in range(1, nint + 1):
         if ndin[i] == 1:
             elist[i] = abserr
         errsum = errsum + elist[i]
     # Test on accuracy.
-    last = nint
     dres = abs(result)
     errbnd = _fmax(epsabs, epsrel * dres)
     if abserr <= 0.1e+03 * _EPMACH * resabs and abserr > errbnd:
@@ -703,13 +767,10 @@ def _qagpe(rule: Callable, a: float, b: float, points: list[float],
     if ier != 0 or abserr <= errbnd:
         return result, abserr, ier
     # Initialization.
+    part.start(result, errsum)
     rlist2 = [0.0] * 53
     res3la = [0.0] * 4
     rlist2[1] = result
-    maxerr = iord[1]
-    errmax = elist[maxerr]
-    area = result
-    nrmax = 1
     nres = 0
     numrl2 = 1
     ktmin = 0
@@ -718,120 +779,47 @@ def _qagpe(rule: Callable, a: float, b: float, points: list[float],
     erlarg = errsum
     ertest = errbnd
     levmax = 1
-    iroff1 = iroff2 = iroff3 = 0
-    ierro = 0
     correc = 0.0
     abserr = _OFLOW
-    ksgn = -1
-    if dres >= (0.1e+01 - 0.5e+02 * _EPMACH) * resabs:
-        ksgn = 1
     summed = False
-    for last in range(npts2, limit + 1):
-        alist.append(0.0)
-        blist.append(0.0)
-        rlist.append(0.0)
-        elist.append(0.0)
-        iord.append(0)
-        level.append(0)
-        # Bisect the subinterval with the nrmax-th largest error estimate.
-        levcur = level[maxerr] + 1
-        a1 = alist[maxerr]
-        b1 = 0.5 * (alist[maxerr] + blist[maxerr])
-        a2 = b1
-        b2 = blist[maxerr]
-        erlast = errmax
-        (area1, error1, _, defab1), (area2, error2, _, defab2) = \
-            rule([(a1, b1), (a2, b2)])
-        # Improve previous approximations to integral and error and test
-        # for accuracy.
-        area12 = area1 + area2
-        erro12 = error1 + error2
-        errsum = errsum + erro12 - errmax
-        area = area + area12 - rlist[maxerr]
-        if not (defab1 == error1 or defab2 == error2):
-            if not (abs(rlist[maxerr] - area12) > 0.1e-04 * abs(area12)
-                    or erro12 < 0.99e+00 * errmax):
-                if extrap:
-                    iroff2 = iroff2 + 1
-                if not extrap:
-                    iroff1 = iroff1 + 1
-            if last > 10 and erro12 > errmax:
-                iroff3 = iroff3 + 1
-        level[maxerr] = levcur
-        level[last] = levcur
-        rlist[maxerr] = area1
-        rlist[last] = area2
-        errbnd = _fmax(epsabs, epsrel * abs(area))
-        # Test for roundoff error and eventually set error flag.
-        if iroff1 + iroff2 >= 10 or iroff3 >= 20:
-            ier = 2
-        if iroff2 >= 5:
-            ierro = 3
-        if last == limit:
-            ier = 1
-        # Bad integrand behaviour at a point of the integration range.
-        if _fmax(abs(a1), abs(b2)) <= (0.1e+01 + 0.1e+03 * _EPMACH) \
-                * (abs(a2) + 0.1e+04 * _UFLOW):
-            ier = 4
-        # Append the newly-created intervals to the list.
-        if not error2 > error1:
-            alist[last] = a2
-            blist[maxerr] = b1
-            blist[last] = b2
-            elist[maxerr] = error1
-            elist[last] = error2
-        else:
-            alist[maxerr] = a2
-            alist[last] = a1
-            blist[last] = b1
-            rlist[maxerr] = area2
-            rlist[last] = area1
-            elist[maxerr] = error2
-            elist[last] = error1
-        maxerr, errmax, nrmax = _qpsrt(limit, last, maxerr, elist, iord,
-                                       nrmax)
-        if errsum <= errbnd:
+
+    def large(i: int) -> bool:
+        return part.level[i] + 1 <= levmax
+
+    while part.last < limit:
+        erlast = part.errmax
+        errbnd, erro12, _ = part.bisect(extrap)
+        if part.errsum <= errbnd:
             summed = True
             break
-        if ier != 0:
+        if part.ier != 0:
             break
         if noext:
             continue
         erlarg = erlarg - erlast
-        if levcur + 1 <= levmax:
+        if large(part.last):
             erlarg = erlarg + erro12
         if not extrap:
             # Is the interval to be bisected next the smallest one?
-            if level[maxerr] + 1 <= levmax:
+            if large(part.maxerr):
                 continue
             extrap = True
-            nrmax = 2
-        if not (ierro == 3 or erlarg <= ertest):
+            part.nrmax = 2
+        if not (part.ierro == 3 or erlarg <= ertest):
             # The smallest interval has the largest error.  Before
             # bisecting, decrease the sum of the errors over the larger
             # intervals (erlarg) and perform extrapolation.
-            jupbnd = last
-            if last > 2 + limit // 2:
-                jupbnd = limit + 3 - last
-            larger = False
-            for _ in range(nrmax, jupbnd + 1):
-                maxerr = iord[nrmax]
-                errmax = elist[maxerr]
-                if level[maxerr] + 1 <= levmax:
-                    larger = True
-                    break
-                nrmax = nrmax + 1
-            if larger:
+            if part.larger(large):
                 continue
         # Perform extrapolation.
         numrl2 = numrl2 + 1
-        rlist2[numrl2] = area
+        rlist2[numrl2] = part.area
         if numrl2 > 2:
             numrl2, reseps, abseps, nres = _qelg(numrl2, rlist2, res3la,
                                                  nres)
             ktmin = ktmin + 1
-            if ktmin > 5 and abserr < 0.1e-02 * errsum:
-                ier = 5
+            if ktmin > 5 and abserr < 0.1e-02 * part.errsum:
+                part.ier = 5
             if not abseps >= abserr:
                 ktmin = 0
                 abserr = abseps
@@ -843,23 +831,13 @@ def _qagpe(rule: Callable, a: float, b: float, points: list[float],
             # Prepare bisection of the smallest interval.
             if numrl2 == 1:
                 noext = True
-            if ier >= 5:
+            if part.ier >= 5:
                 break
-        maxerr = iord[1]
-        errmax = elist[maxerr]
-        nrmax = 1
+        part.select()
         extrap = False
         levmax = levmax + 1
-        erlarg = errsum
-    if not summed:
-        summed, ier, abserr = _final(ier, ierro, result, abserr, area,
-                                     errsum, correc, ksgn, resabs)
-    if summed:
-        result = _sum(rlist, last)
-        abserr = errsum
-    if ier > 2:
-        ier = ier - 1
-    return result, abserr, ier
+        erlarg = part.errsum
+    return part.finish(summed, result, abserr, correc, dres, resabs)
 
 
 def _plan(a: float, b: float, points: Sequence[float] | None):
@@ -915,17 +893,6 @@ def _values(f: Callable, x: list[float]) -> list[float]:
     """``f`` on the float64 array of the nodes ``x``, as Python floats."""
     nodes = np.array(x)
     return np.asarray(f(nodes), dtype=float).reshape(nodes.shape).tolist()
-
-
-def first_nodes(a: float, b: float,
-                points: Sequence[float] | None = None) -> np.ndarray | None:
-    """The array of nodes ``quad(f, a, b, points=points)`` first calls
-    ``f`` on, or None when ``a == b`` and ``f`` is never called."""
-    if a == b:
-        return None
-    a, b = min(a, b), max(a, b)
-    nodes, _, starts, _ = _plan(a, b, points)
-    return np.array(nodes(starts))
 
 
 def quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, *,

@@ -177,12 +177,13 @@ def _read_config(path: str | None, command: str,
 
 
 def _find_line(path: str, key: str) -> int:
+    """The number of the first line of ``path`` that sets ``key``, which
+    configparser has lowercased, or 0."""
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
-                stripped = line.lstrip()
-                if stripped.startswith(key) and \
-                        stripped[len(key):].lstrip()[:1] in ("=", ":"):
+                name = line.split("=", 1)[0].split(":", 1)[0]
+                if name != line and name.strip().lower() == key:
                     return lineno
     except OSError:
         pass

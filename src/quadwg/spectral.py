@@ -35,7 +35,6 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from . import _quadpack
 from ._quadpack import quad
 from .errors import (
     InvalidEnvelopeError,
@@ -476,8 +475,7 @@ def _integrals(quad, values: Callable, n_parts: int,
     runs here.  ``values`` takes a float64 array of nodes and returns one
     array per part.  The parts share their values: each distinct array of
     nodes ``quad`` asks for is evaluated once, keyed by its bytes, so
-    ``-0.0`` and ``0.0`` stay apart.  One array pass evaluates the first
-    nodes of every segment.
+    ``-0.0`` and ``0.0`` stay apart.
     """
     options = [_quad_options(a, b, points) for a, b in segments]
     rows: dict[bytes, Sequence] = {}
@@ -489,15 +487,6 @@ def _integrals(quad, values: Callable, n_parts: int,
             found = rows[key] = values(x)
         return found
 
-    firsts = [x for x in (_quadpack.first_nodes(a, b, kw.get("points"))
-                          for (a, b), kw in zip(segments, options))
-              if x is not None]
-    if firsts:
-        parts = values(np.concatenate(firsts))
-        at = 0
-        for x in firsts:
-            rows[x.tobytes()] = [part[at:at + x.size] for part in parts]
-            at += x.size
     return [sum(quad(lambda x, i=i: row(x)[i], a, b, **kw)[0]
                 for (a, b), kw in zip(segments, options))
             for i in range(n_parts)]

@@ -131,6 +131,11 @@ def test_unknown_key_reports_file_and_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "unknown key 'bogus_key'" in err
     assert f"{config}:3:" in err
+    # configparser lowercases the key; the line is found in any case.
+    mixed = tmp_path / "mixed.ini"
+    mixed.write_text("[emit]\nn_delta = 5\n\nFoo = 3\n")
+    assert cli.run(["emit", "--config", str(mixed)]) == 1
+    assert f"{mixed}:4: unknown key 'foo'" in capsys.readouterr().err
 
 
 def test_config_error_paths(tmp_path, capsys):

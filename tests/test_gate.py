@@ -386,7 +386,7 @@ def _two_pass_gate_overlap(f, gamma, omega0=None):
     pts = [f.center - f.fwhm, f.center, f.center + f.fwhm,
            w0 - gamma, w0, w0 + gamma]
     if f.kind is EnvelopeKind.TABULATED:
-        segments = [(float(f.freqs[0]), float(f.freqs[-1]))]
+        segments = list(zip(f.freqs[:-1].tolist(), f.freqs[1:].tolist()))
     else:
         segments = [(lo, hi), (-np.inf, lo), (hi, np.inf)]
         reach = max(f.center - lo, hi - f.center)
@@ -473,34 +473,17 @@ def test_gate_overlap_prefetches_every_node_quad_visits(
     monkeypatch.setattr(gate, "quad", recording(gate.quad))
     monkeypatch.setattr(spectral, "quad", recording(spectral.quad))
     counting = CountingPulse(pulse)
-    gate_overlap(counting, gamma, omega0)
-    # The pulse sees arrays only: first the starting nodes of every
-    # segment in one pass, then each later array of nodes once, whichever
-    # of the three integrals asks for it first.
+    overlap = gate_overlap(counting, gamma, omega0)
+    # The pulse sees arrays only, each array of nodes once, whichever of
+    # the three integrals asks for it first, and the overlap has the bits
+    # of three passes that each evaluate the pulse afresh.
     assert all(isinstance(x, np.ndarray) and x.ndim == 1 and x.size > 1
                for x in counting.nodes)
-    first, *later = counting.nodes
-    assert first.size > 21 and all(x.size in (30, 42) for x in later)
     keys = [x.tobytes() for x in counting.nodes]
     assert len(keys) == len(set(keys))
     filled = set(np.concatenate(counting.nodes).tolist())
     assert visited and set(visited) == filled
-
-
-def test_gate_overlap_without_prefetch_keeps_its_bits(monkeypatch):
-    # With no first pass over the starting nodes, each array of nodes is
-    # evaluated when quad first asks for it: the pulse sees every array
-    # once, and the overlap keeps its bits.
-    monkeypatch.setattr(spectral._quadpack, "first_nodes",
-                        lambda a, b, points=None: None)
-    counting = CountingPulse(PulseShape.lorentzian(OMEGA0, 0.2))
-    overlap = gate_overlap(counting, GAMMA)
-    assert bits(overlap) == bits(
-        _two_pass_gate_overlap(PulseShape.lorentzian(OMEGA0, 0.2), GAMMA))
-    sizes = [x.size for x in counting.nodes]
-    assert sizes[0] % 21 == 0 and 15 in sizes
-    keys = [x.tobytes() for x in counting.nodes]
-    assert len(keys) == len(set(keys))
+    assert bits(overlap) == bits(_two_pass_gate_overlap(pulse, gamma, omega0))
 
 
 def _scalar_integrands(f, gamma, w0, x):
@@ -602,9 +585,9 @@ def test_predicted_nodes_are_those_of_quads_first_pass(a, b, points,
     # quad's first rule integrates each integrand exactly, so it never
     # bisects: a constant on a finite interval, and on a half line, which
     # quad maps to t in (0, 1] by x = bound +- (1 - t) / t, an integrand
-    # whose product with dx/dt is constant.  The one array pass that
-    # ``_integrals`` makes before any quad holds exactly the nodes scipy's
-    # quad visits, in its order: one rule per starting interval.
+    # whose product with dx/dt is constant.  The one array ``_integrals``
+    # evaluates holds exactly the nodes scipy's quad visits, in its order:
+    # one rule per starting interval.
     calls, visited = [], []
 
     def kernel(x):

@@ -254,8 +254,15 @@ def test_extrapolation_and_exhausted_subdivisions(limit, message):
     (_singular(0.0, -0.99), 0.0, 1.0, {"epsabs": 0.0, "epsrel": 2e-14},
      "extrapolation table"),
     (lambda x: math.sin(x) / x, 0.0, math.inf, {}, "divergent"),
+    (_oscillating(300.0), -3.0, 3.0, {"points": [0.0], "limit": 5},
+     "maximum number"),
+    (_spoilt(0.5, 0.2, math.nan), 0.0, 1.0, {"points": [0.25]},
+     "roundoff error is detected,"),
+    (_singular(0.3, -0.99), 0.0, 1.0,
+     {"points": [0.3], "epsabs": 0.0, "epsrel": 2e-14}, "extrapolation table"),
 ], ids=["1-limit", "2-roundoff", "3-bad-point", "4-extrapolation",
-        "5-divergent"])
+        "5-divergent", "1-limit-points", "2-roundoff-points",
+        "4-extrapolation-points"])
 def test_each_error_code_issues_scipys_warning(g, a, b, options, expected):
     options = dict(dict(epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL, limit=400),
                    **options)
@@ -269,7 +276,7 @@ def test_equal_bounds_give_zero_without_a_call(a, g):
     calls = []
     assert _quadpack.quad(calls.append, a, a, epsabs=1e-12, epsrel=1e-10,
                           limit=50) == (0.0, 0.0) == scipy_quad(g, a, a)
-    assert not calls and _quadpack.first_nodes(a, a) is None
+    assert not calls
 
 
 @given(a=_finite, b=_finite, points=st.lists(_finite, max_size=4))
@@ -298,26 +305,30 @@ def test_refused_arguments_raise_scipys_error(a, b, options):
     assert outcome[0] == "ValueError"
 
 
-def test_array_kernels_and_first_nodes():
+def test_array_kernels_and_starting_nodes():
     # The port calls an array kernel once per rule application: once on
-    # the starting intervals, which ``first_nodes`` gives, then on both
-    # halves of each bisected interval.  Elementwise IEEE arithmetic has
-    # the same bits on an array as on one float.
+    # the nodes of every starting interval, then on both halves of each
+    # bisected interval.  Elementwise IEEE arithmetic has the same bits on
+    # an array as on one float.
     calls = []
 
     def kernel(x):
         calls.append(x.copy())
         return 1.0 / (1e-4 + (x - 0.3) * (x - 0.3))
 
-    options = dict(epsabs=0.0, epsrel=1e-12, limit=400,
-                   points=[0.3, 0.3, 9.0])
-    value = assert_same_as_scipy(lambda x: 1.0 / (1e-4 + (x - 0.3) * (x - 0.3)),
-                                 -2.0, 2.0, vectorized=kernel, **options)
-    assert calls[0].tolist() == _quadpack.first_nodes(
-        -2.0, 2.0, options["points"]).tolist()
+    def peak(x):
+        return 1.0 / (1e-4 + (x - 0.3) * (x - 0.3))
+
+    options = dict(epsabs=0.0, epsrel=1e-12, limit=400)
+    value = assert_same_as_scipy(peak, -2.0, 2.0, vectorized=kernel,
+                                 points=[0.3, 0.3, 9.0], **options)
     assert calls[0].size == 2 * 21
     assert len(calls) > 5 and all(x.size == 42 for x in calls[1:])
     assert value[2] == []
+    # A half or the whole line starts from one interval of t, with the
+    # nodes of dqk15i, mirrored on the whole line.
     for a, b, size in ((0.0, math.inf, 15), (-math.inf, 1.0, 15),
                        (-math.inf, math.inf, 30)):
-        assert _quadpack.first_nodes(a, b).size == size
+        calls.clear()
+        assert_same_as_scipy(peak, a, b, vectorized=kernel, **options)
+        assert calls[0].size == size
