@@ -27,12 +27,11 @@ from __future__ import annotations
 import functools
 import math
 import sys
-import warnings
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import IntegrationWarning
+from .errors import IntegrationWarning, warn
 
 __all__ = ["quad"]
 
@@ -929,6 +928,5 @@ def quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, *,
     if flip:
         result = -result
     if ier:
-        warnings.warn(_MESSAGES[ier].format(limit=limit), IntegrationWarning,
-                      stacklevel=2)
+        warn(_MESSAGES[ier].format(limit=limit), IntegrationWarning)
     return result, abserr

@@ -20,6 +20,7 @@ files are quoted in units of the resonance frequency.
 from __future__ import annotations
 
 import argparse
+import configparser
 import datetime
 import functools
 import json
@@ -32,8 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from . import emission, entanglement, gate, scattering, spectral, timedomain
-from .errors import (InvalidOverlapError, InvalidStateError,
-                     UndefinedCorrelationError)
+from .errors import _NumericalFailure
 from .spectral import CouplingSpec, DirectionPair, Envelope, FrequencyGrid
 
 __all__ = ["run", "main", "print_defaults", "ConfigError"]
@@ -132,8 +132,6 @@ def print_defaults(stream=None) -> None:
 def _read_config(path: str | None, command: str,
                  overrides: Sequence[str]) -> dict[str, str]:
     """Merge defaults, config file and --set overrides for one command."""
-    import configparser
-
     common = COMMON_KEYS[command]
     merged = {key: DEFAULTS["common"][key][0] for key in common}
     merged.update({key: val for key, (val, _) in DEFAULTS[command].items()})
@@ -142,7 +140,8 @@ def _read_config(path: str | None, command: str,
         parser = configparser.ConfigParser(interpolation=None)
         try:
             with open(path, encoding="utf-8") as fh:
-                parser.read_file(fh)
+                lines = fh.readlines()
+            parser.read_file(lines, source=path)
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         except configparser.Error as exc:
@@ -159,7 +158,7 @@ def _read_config(path: str | None, command: str,
                 continue
             for key, value in parser.items(section):
                 if key not in DEFAULTS[section]:
-                    line = _find_line(path, key)
+                    line = _find_line(lines, section, key)
                     raise ConfigError(
                         f"{path}:{line}: unknown key '{key}'"
                         f" in section [{section}]")
@@ -176,17 +175,18 @@ def _read_config(path: str | None, command: str,
     return merged
 
 
-def _find_line(path: str, key: str) -> int:
-    """The number of the first line of ``path`` that sets ``key``, which
-    configparser has lowercased, or 0."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                name = line.split("=", 1)[0].split(":", 1)[0]
-                if name != line and name.strip().lower() == key:
-                    return lineno
-    except OSError:
-        pass
+def _find_line(lines: list[str], section: str, key: str) -> int:
+    """The number of the first of ``lines`` that sets ``key``, which
+    configparser has lowercased, in ``[section]`` or ``[DEFAULT]``, or 0."""
+    current = None
+    for lineno, line in enumerate(lines, 1):
+        header = configparser.ConfigParser.SECTCRE.match(line.strip())
+        if header:
+            current = header.group("header")
+        elif current in (section, configparser.DEFAULTSECT):
+            name = line.split("=", 1)[0].split(":", 1)[0]
+            if name != line and name.strip().lower() == key:
+                return lineno
     return 0
 
 
@@ -716,13 +716,6 @@ def _cmd_verify(cfg, outdir) -> tuple[str, int]:
             f"{worst:.4f} (tolerance {tol:g})"), (0 if passed else 2)
 
 
-# ValueError subclasses that report a computation gone wrong, not a bad
-# configuration: they exit 2 like the RuntimeError failures.
-_NUMERICAL_VALUE_ERRORS = (InvalidStateError, InvalidOverlapError,
-                           UndefinedCorrelationError,
-                           gate._UnresolvableRateError)
-
-
 _HANDLERS = {
     "emit": _cmd_emit,
     "scatter": _cmd_scatter,
@@ -781,7 +774,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         summary, status = _HANDLERS[args.command](cfg, outdir)
         _write_sidecar(_outpath(outdir, cfg["output_stem"] + ".meta.json"),
                        args.command, cfg)
-    except (RuntimeError, *_NUMERICAL_VALUE_ERRORS) as exc:
+    except (RuntimeError, _NumericalFailure) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except (ConfigError, ValueError) as exc:

@@ -1,13 +1,31 @@
-"""Exceptions and warning categories shared across the package."""
+"""Exceptions and warning categories shared across the package.  ``warn``
+issues every library warning against the caller's line; the command line
+exits 2 on a ``_NumericalFailure``, as on every ``RuntimeError``."""
 
 from __future__ import annotations
+
+import sys
+import warnings
+
+
+def warn(message: str, category: type[Warning]) -> None:
+    """Issue ``message`` against the innermost frame outside the package,
+    so the warning names the caller's line however deep the call."""
+    frame, level = sys._getframe(), 1
+    while frame.f_globals.get("__name__", "").startswith(__package__ + "."):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, category, stacklevel=level)
+
+
+class _NumericalFailure(Exception):
+    """Base of the ``ValueError``s that report a computation gone wrong."""
 
 
 class InvalidEnvelopeError(ValueError):
     """Raised when a coupling envelope cannot be constructed or evaluated."""
 
 
-class InvalidStateError(ValueError):
+class InvalidStateError(ValueError, _NumericalFailure):
     """Raised when a two-photon state is malformed (for example zero norm)."""
 
 
@@ -15,11 +33,11 @@ class UnsupportedConfigurationError(ValueError):
     """Raised when an operation does not apply to the given coupling setup."""
 
 
-class InvalidOverlapError(ValueError):
+class InvalidOverlapError(ValueError, _NumericalFailure):
     """Raised when a gate overlap lies outside the closed unit disk."""
 
 
-class UndefinedCorrelationError(ValueError):
+class UndefinedCorrelationError(ValueError, _NumericalFailure):
     """Raised when a joint spectrum has no spectral spread on either axis."""
 
 

@@ -23,7 +23,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import InvalidOverlapError, TruncationError
+from .errors import InvalidOverlapError, TruncationError, _NumericalFailure
 from .spectral import (EnvelopeKind, _check_finite, _integrals,
                        _linear_masses, quad, resonance_denominator)
 
@@ -164,9 +164,8 @@ def _check_rate(gamma) -> None:
                          f" got {float(gamma)!r}")
 
 
-class _UnresolvableRateError(ValueError):
-    """A rate too small for QUADPACK to bisect the resonance: a numerical
-    limit, not a bad configuration, so the command line exits 2."""
+class _UnresolvableRateError(ValueError, _NumericalFailure):
+    """A rate too small for QUADPACK to bisect the resonance."""
 
 
 def _check_resolvable(gamma: float) -> None:

@@ -28,8 +28,6 @@ from __future__ import annotations
 
 import enum
 import math
-import sys
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -41,6 +39,7 @@ from .errors import (
     InvalidStateError,
     MarkovValidityWarning,
     TruncationWarning,
+    warn,
 )
 
 __all__ = [
@@ -309,12 +308,9 @@ class CouplingSpec:
             raise ValueError("at least one rate must be positive")
         object.__setattr__(self, "rates", table)
         if total > 0.05 * self.omega0:
-            warnings.warn(
-                "total rate exceeds 5% of the emitter frequency; the "
-                "flat-band approximation may be inaccurate",
-                MarkovValidityWarning,
-                stacklevel=2,
-            )
+            warn("total rate exceeds 5% of the emitter frequency; the "
+                 "flat-band approximation may be inaccurate",
+                 MarkovValidityWarning)
 
     @classmethod
     def isotropic(cls, total_rate: float, envelope: Envelope,
@@ -356,7 +352,9 @@ class FrequencyGrid:
             steps = np.diff(axis)
             if np.any(steps <= 0):
                 raise ValueError(f"{name} axis must be strictly increasing")
-            if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
+            # A few float spacings absorb linspace's rounding of a fine step.
+            atol = 4.0 * np.spacing(np.max(np.abs(axis)))
+            if not np.allclose(steps, steps[0], rtol=1e-9, atol=atol):
                 raise ValueError(f"{name} axis must be uniform")
         if abs(dd[0]) > 1e-15 * max(1.0, dd[-1]):
             raise ValueError("delta axis must start at zero")
@@ -777,20 +775,13 @@ def _grid_overlaps(state: GridState, envelope: Envelope):
 
 
 def _check_envelope_cover(envelope: Envelope, grid: FrequencyGrid) -> None:
-    """Warn when the difference axis of ``grid`` keeps less than
-    ``ENVELOPE_COVER_FRACTION`` of the envelope mass."""
+    """Warn, naming the caller's line, when the difference axis of ``grid``
+    keeps less than ``ENVELOPE_COVER_FRACTION`` of the envelope mass."""
     kept = envelope.half_line_mass(float(grid.delta[-1]))
     if kept < ENVELOPE_COVER_FRACTION:
-        # Name the innermost line outside the package, however deep the call.
-        frame, level = sys._getframe(), 1
-        while frame.f_globals.get("__name__", "").startswith(__package__ + "."):
-            frame, level = frame.f_back, level + 1
-        warnings.warn(
-            f"difference-frequency grid keeps only {kept:.4%} of the envelope "
-            "mass; results on this grid are truncated",
-            TruncationWarning,
-            stacklevel=level,
-        )
+        warn(f"difference-frequency grid keeps only {kept:.4%} of the "
+             "envelope mass; results on this grid are truncated",
+             TruncationWarning)
 
 
 def project_on_envelope(state: SeparableState | GridState, envelope: Envelope,

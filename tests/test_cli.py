@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from quadwg import cli, emission, scattering, spectral
+from quadwg import cli, emission, errors, gate, scattering, spectral
 from quadwg.spectral import CouplingSpec, DirectionPair, Envelope, FrequencyGrid
 
 
@@ -136,6 +136,16 @@ def test_unknown_key_reports_file_and_line(tmp_path, capsys):
     mixed.write_text("[emit]\nn_delta = 5\n\nFoo = 3\n")
     assert cli.run(["emit", "--config", str(mixed)]) == 1
     assert f"{mixed}:4: unknown key 'foo'" in capsys.readouterr().err
+    # The line is the one in the named section, not the first in the file.
+    sections = tmp_path / "sec.ini"
+    sections.write_text("[scatter]\nbogus = 1\n\n[emit]\nBogus = 2\n")
+    assert cli.run(["emit", "--config", str(sections)]) == 1
+    assert f"{sections}:5: unknown key 'bogus'" in capsys.readouterr().err
+    # configparser gives [DEFAULT]'s keys to every section.
+    defaults = tmp_path / "defaults.ini"
+    defaults.write_text("[emit]\nn_delta = 5\n[DEFAULT]\nzork = 1\n")
+    assert cli.run(["emit", "--config", str(defaults)]) == 1
+    assert f"{defaults}:4: unknown key 'zork'" in capsys.readouterr().err
 
 
 def test_config_error_paths(tmp_path, capsys):
@@ -471,6 +481,38 @@ def test_numerical_failure_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numerical failure:")
     assert "zero norm" in err
+
+
+@pytest.mark.parametrize("error, code", [
+    (errors.InvalidStateError, 2),
+    (errors.InvalidOverlapError, 2),
+    (errors.UndefinedCorrelationError, 2),
+    (gate._UnresolvableRateError, 2),
+    (errors.EmptyPostselectionError, 2),
+    (RuntimeError, 2),
+    (errors.InvalidEnvelopeError, 1),
+    (errors.UnsupportedConfigurationError, 1),
+    (ValueError, 1),
+    (cli.ConfigError, 1),
+], ids=lambda v: getattr(v, "__name__", str(v)))
+def test_exit_code_follows_the_failure_class(tmp_path, capsys, error, code):
+    def handler(cfg, outdir):
+        raise error("boom")
+
+    with mock.patch.dict(cli._HANDLERS, {"entangle": handler}):
+        assert cli.run(["entangle", "--outdir", str(tmp_path)]) == code
+    prefix = "numerical failure:" if code == 2 else "error:"
+    assert capsys.readouterr().err == f"{prefix} boom\n"
+
+
+def test_emit_runs_on_a_narrow_line(tmp_path, capsys):
+    # The omegabar step is 3e-8 of the axis's magnitude, so one float
+    # spacing moves a step by 7e-9 of itself: the grid once rejected
+    # linspace's own axis as not uniform to 1e-9.
+    out = run_ok(["emit", "--outdir", str(tmp_path),
+                  "--set", "total_rate=1e-7",
+                  "--set", "n_omegabar=64", "--set", "n_delta=16"], capsys)
+    assert out.startswith("emit: total_rate=1e-07")
 
 
 @pytest.mark.parametrize("diff_center", ["50", "1000"])

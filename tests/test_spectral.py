@@ -7,7 +7,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from scipy.integrate import quad
 from scipy.interpolate import RegularGridInterpolator
 from scipy.optimize import brentq
@@ -269,6 +269,35 @@ def test_regular_grid_axes():
 def test_frequency_grid_rejects_bad_axes(omegabar, delta, message):
     with pytest.raises(ValueError, match=message):
         FrequencyGrid(np.array(omegabar), np.array(delta))
+
+
+@given(st.floats(-6.0, 6.0), st.sampled_from([-1.0, 0.0, 1.0]),
+       st.floats(-9.0, 2.0), st.integers(2, 4096))
+@example(0.0, 1.0, -5.0, 256)
+def test_frequency_grid_accepts_every_linspace_axis(log_scale, sign,
+                                                    log_ratio, size):
+    # Half-widths down to 1e-9 of the centre: there linspace's rounding of
+    # the step is far above the 1e-9 relative bound, yet the axis is as
+    # uniform as float64 can make it.
+    scale = 10.0 ** log_scale
+    halfwidth = 10.0 ** log_ratio * scale
+    grid = FrequencyGrid.regular(sign * scale, halfwidth, halfwidth,
+                                 size, size)
+    assert grid.shape == (size, size)
+
+
+@pytest.mark.parametrize("center, halfwidth, size", [
+    (1.0, 1e-5, 256), (1.0, 1e-4, 2048), (0.0, 1.0, 64)])
+@pytest.mark.parametrize("name", ["omegabar", "delta"])
+def test_frequency_grid_rejects_one_step_off_by_1e6(name, center, halfwidth,
+                                                    size):
+    axes = {"omegabar": np.linspace(center - halfwidth, center + halfwidth,
+                                    size),
+            "delta": np.linspace(0.0, halfwidth, size)}
+    axis = axes[name]
+    axis[size // 2:] += 1e-6 * (axis[1] - axis[0])
+    with pytest.raises(ValueError, match=f"{name} axis must be uniform"):
+        FrequencyGrid(**axes)
 
 
 def test_scattering_grid_window_scales_with_rates_and_width():
