@@ -15,19 +15,29 @@ that decides a jump is kept as written, so nan takes the same branches.
 bisect before extrapolating, and the finish.  Each routine keeps its
 start, its test of a large interval and its extrapolation.
 
-The integrand is the one part that differs.  ``f`` is called once per rule
-application, on a float64 array of the rule's nodes: once on the nodes of
-every starting interval, then once on both halves of each bisected
-interval.  Each interval's nodes come in the order QUADPACK evaluates
-them.
+The integrand is the one part that differs.  Each routine is a generator:
+it yields the intervals of its next rule application (every starting
+interval, then both halves of each bisected interval) and is sent their
+``(result, abserr, resabs, resasc)``; it returns ``(result, abserr,
+ier)``.  ``quad`` runs one generator: it calls ``f`` on the float64 array
+of the rule's nodes, each interval's nodes in the order QUADPACK evaluates
+them, and applies ``dqk21`` or ``dqk15i`` in Python floats.
+
+``_lockstep`` runs many integrals, set up by ``quad(..., defer=True)``,
+one rule application of each per round.  A round places the nodes of all
+pending intervals, calls the integrand of each job once on the nodes of
+its unfinished integrals, and applies each rule to all the round's
+intervals at once: on numpy arrays, one row per interval, from
+``_ARRAY_MIN`` intervals on, else in Python.  The array rules do the
+Python rules' operations in their order, so each integral keeps the steps
+and the bits of its own ``quad``.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
-from typing import Callable, Sequence
+from typing import Callable, Generator, Sequence
 
 import numpy as np
 
@@ -305,6 +315,135 @@ def _qk15i(inf: int, fv: list[float], intervals) -> list[tuple]:
     return out
 
 
+# The rules on arrays of intervals, one row per interval: the same
+# operations in the same order as ``_qk21`` and ``_qk15i``, on columns.
+# Elementwise IEEE arithmetic gives each row the bits of the Python rule;
+# ``add.accumulate`` adds the terms of a row one after another, in
+# QUADPACK's order, where ``sum`` would add them pairwise.
+# ``float_power`` is libm ``pow``, as Python's ``**`` is, where numpy's
+# ``**`` rounds some powers 1.5 differently.  Below ``_ARRAY_MIN``
+# intervals a round, numpy's fixed cost exceeds the Python rule's.
+_ARRAY_MIN = 32
+# dqk21's abscissae in the order ``_nodes21`` places their pairs of nodes,
+# which is the order dqk21 sums them in, and the pairs' Kronrod and Gauss
+# weights.
+_PAIRS21 = np.array([_X1, _X3, _X5, _X7, _X9, _X0, _X2, _X4, _X6, _X8])
+_KRONROD21 = np.array([_K1, _K3, _K5, _K7, _K9, _K0, _K2, _K4, _K6, _K8])
+_GAUSS21 = np.array([_G1, _G3, _G5, _G7, _G9])
+# The pairs in the order dqk21 sums resasc.
+_ASC21 = [5, 0, 6, 1, 7, 2, 8, 3, 9, 4]
+_XGK15_7 = np.array(_XGK15[:7])
+_WGK15_7 = np.array(_WGK15[:7])
+_WG7_7 = np.array(_WG7[:7])
+
+
+def _running(first, terms) -> np.ndarray:
+    """``first + terms[:, 0] + terms[:, 1] + ...`` row by row, added in
+    that order."""
+    row = np.empty((terms.shape[0], terms.shape[1] + 1))
+    row[:, 0] = first
+    row[:, 1:] = terms
+    return np.add.accumulate(row, axis=1)[:, -1]
+
+
+def _error_array(resk, resg, hlgth, resabs, resasc):
+    """``_error`` on arrays."""
+    abserr = np.abs((resk - resg) * hlgth)
+    ratio = 0.2e+03 * abserr / resasc
+    scaled = resasc * np.where(ratio < 1.0, np.float_power(ratio, 1.5), 1.0)
+    abserr = np.where((resasc != 0.0) & (abserr != 0.0), scaled, abserr)
+    return np.where(resabs > _RESABS_FLOOR,
+                    np.fmax((_EPMACH * 0.5e+02) * resabs, abserr), abserr)
+
+
+def _nodes21_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``_nodes21`` on arrays of bounds: row ``i`` holds the 21 nodes of
+    ``[a[i], b[i]]``."""
+    c = 0.5 * (a + b)
+    d = (0.5 * (b - a))[:, None] * _PAIRS21
+    x = np.empty((a.size, 21))
+    x[:, 0] = c
+    x[:, 1::2] = c[:, None] - d
+    x[:, 2::2] = c[:, None] + d
+    return x
+
+
+def _qk21_array(fv: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
+    """``_qk21`` on rows: ``fv[i]`` holds the values at the nodes of
+    ``[a[i], b[i]]``; returns the arrays ``(result, abserr, resabs,
+    resasc)``."""
+    hlgth = 0.5 * (b - a)
+    dhlgth = np.abs(hlgth)
+    fc = fv[:, 0]
+    m, p = fv[:, 1::2], fv[:, 2::2]
+    fsum = m + p
+    resk0 = _K10 * fc
+    resg = _running(0.0, _GAUSS21 * fsum[:, :5])
+    resk = _running(resk0, _KRONROD21 * fsum)
+    resabs = _running(np.abs(resk0), _KRONROD21 * (np.abs(m) + np.abs(p)))
+    reskh = resk * 0.5
+    spread = _KRONROD21 * (np.abs(m - reskh[:, None])
+                           + np.abs(p - reskh[:, None]))
+    resasc = _running(_K10 * np.abs(fc - reskh), spread[:, _ASC21])
+    resabs = resabs * dhlgth
+    resasc = resasc * dhlgth
+    return (resk * hlgth, _error_array(resk, resg, hlgth, resabs, resasc),
+            resabs, resasc)
+
+
+def _nodes15i_array(boun: np.ndarray, dinf: np.ndarray, both: bool,
+                    a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``_nodes15i`` on arrays: row ``i`` holds the nodes of ``[a[i],
+    b[i]]`` mapped by ``boun[i]`` and ``dinf[i]``, each followed by its
+    mirror image if ``both``."""
+    centr = 0.5 * (a + b)
+    absc = (0.5 * (b - a))[:, None] * _XGK15_7
+    t = np.empty((a.size, 15))
+    t[:, 0] = centr
+    t[:, 1::2] = centr[:, None] - absc
+    t[:, 2::2] = centr[:, None] + absc
+    x = boun[:, None] + dinf[:, None] * (0.1e+01 - t) / t
+    if not both:
+        return x
+    pairs = x[:, 1:].reshape(a.size, 7, 2)
+    return np.concatenate([x[:, :1], -x[:, :1],
+                           np.concatenate([pairs, -pairs], axis=2)
+                           .reshape(a.size, 28)], axis=1)
+
+
+def _qk15i_array(fv: np.ndarray, both: bool, a: np.ndarray,
+                 b: np.ndarray) -> tuple:
+    """``_qk15i`` on rows, as ``_qk21_array`` is ``_qk21``."""
+    if both:
+        quads = fv[:, 2:].reshape(a.size, 7, 4)
+        fval0 = fv[:, 0] + fv[:, 1]
+        fval1 = quads[:, :, 0] + quads[:, :, 2]
+        fval2 = quads[:, :, 1] + quads[:, :, 3]
+    else:
+        fval0, fval1, fval2 = fv[:, 0], fv[:, 1::2], fv[:, 2::2]
+    centr = 0.5 * (a + b)
+    hlgth = 0.5 * (b - a)
+    absc = hlgth[:, None] * _XGK15_7
+    absc1 = centr[:, None] - absc
+    absc2 = centr[:, None] + absc
+    fc = (fval0 / centr) / centr
+    fv1 = (fval1 / absc1) / absc1
+    fv2 = (fval2 / absc2) / absc2
+    fsum = fv1 + fv2
+    resk0 = _WGK15[7] * fc
+    resg = _running(_WG7[7] * fc, _WG7_7 * fsum)
+    resk = _running(resk0, _WGK15_7 * fsum)
+    resabs = _running(np.abs(resk0), _WGK15_7 * (np.abs(fv1) + np.abs(fv2)))
+    reskh = resk * 0.5
+    resasc = _running(_WGK15[7] * np.abs(fc - reskh),
+                      _WGK15_7 * (np.abs(fv1 - reskh[:, None])
+                                  + np.abs(fv2 - reskh[:, None])))
+    resasc = resasc * hlgth
+    resabs = resabs * hlgth
+    return (resk * hlgth, _error_array(resk, resg, hlgth, resabs, resasc),
+            resabs, resasc)
+
+
 def _qpsrt(limit: int, last: int, maxerr: int, elist: list, iord: list,
            nrmax: int) -> tuple[int, float, int]:
     """``dqpsrt``: keep ``iord`` ordering the error estimates ``elist``
@@ -477,9 +616,8 @@ class _Partition:
     flags.  A routine calls ``start`` before it bisects.
     """
 
-    def __init__(self, rule: Callable, limit: int, epsabs: float,
-                 epsrel: float, intervals: list, estimates: list) -> None:
-        self.rule = rule
+    def __init__(self, limit: int, epsabs: float, epsrel: float,
+                 intervals: list, estimates: list) -> None:
         self.limit = limit
         self.epsabs = epsabs
         self.epsrel = epsrel
@@ -507,12 +645,13 @@ class _Partition:
         self.maxerr = self.iord[1]
         self.errmax = self.elist[self.maxerr]
 
-    def bisect(self, extrap: bool) -> tuple[float, float, float]:
+    def bisect(self, extrap: bool) -> Generator:
         """Bisect interval ``maxerr`` into itself and a new interval
         ``last``, and select the next interval to bisect; ``extrap`` tells
-        which roundoff count to raise.  Returns the new error bound
-        ``errbnd``, the error ``erro12`` of the two halves and the length
-        ``b1 - a1`` of the lower half."""
+        which roundoff count to raise.  Yields the two halves and receives
+        their rule estimates; returns the new error bound ``errbnd``, the
+        error ``erro12`` of the two halves and the length ``b1 - a1`` of
+        the lower half."""
         alist, blist, rlist, elist, level = \
             self.alist, self.blist, self.rlist, self.elist, self.level
         maxerr, errmax = self.maxerr, self.errmax
@@ -530,7 +669,7 @@ class _Partition:
         a2 = b1
         b2 = blist[maxerr]
         (area1, error1, _, defab1), (area2, error2, _, defab2) = \
-            self.rule([(a1, b1), (a2, b2)])
+            yield [(a1, b1), (a2, b2)]
         # Improve previous approximations to integral and error and test
         # for accuracy.
         area12 = area1 + area2
@@ -621,13 +760,14 @@ class _Partition:
         return result, abserr, ier
 
 
-def _qagse(rule: Callable, a: float, b: float, epsabs: float, epsrel: float,
-           limit: int) -> tuple[float, float, int]:
-    """``dqagse`` over ``[a, b]`` with ``rule`` as ``dqk21``; ``dqagie`` is
-    the same routine over ``t`` in ``(0, 1]`` with ``rule`` as ``dqk15i``.
-    Returns ``(result, abserr, ier)``."""
+def _qagse(a: float, b: float, epsabs: float, epsrel: float,
+           limit: int) -> Generator:
+    """``dqagse`` over ``[a, b]``, its rule ``dqk21``; ``dqagie`` is the
+    same routine over ``t`` in ``(0, 1]``, its rule ``dqk15i``.  Yields
+    the intervals of each rule application and receives their estimates;
+    returns ``(result, abserr, ier)``."""
     ier = 0
-    estimates = rule([(a, b)])
+    estimates = yield [(a, b)]
     ((result, abserr, defabs, resabs),) = estimates
     # Test on accuracy.
     dres = abs(result)
@@ -639,7 +779,7 @@ def _qagse(rule: Callable, a: float, b: float, epsabs: float, epsrel: float,
     if ier != 0 or (abserr <= errbnd and abserr != resabs) or abserr == 0.0:
         return result, abserr, ier
     # Initialization.
-    part = _Partition(rule, limit, epsabs, epsrel, [(a, b)], estimates)
+    part = _Partition(limit, epsabs, epsrel, [(a, b)], estimates)
     part.start(result, abserr)
     rlist2 = [0.0] * 53
     res3la = [0.0] * 4
@@ -658,7 +798,7 @@ def _qagse(rule: Callable, a: float, b: float, epsabs: float, epsrel: float,
 
     while part.last < limit:
         erlast = part.errmax
-        errbnd, erro12, length = part.bisect(extrap)
+        errbnd, erro12, length = yield from part.bisect(extrap)
         if part.errsum <= errbnd:
             summed = True
             break
@@ -714,12 +854,11 @@ def _qagse(rule: Callable, a: float, b: float, epsabs: float, epsrel: float,
     return part.finish(summed, result, abserr, correc, dres, defabs)
 
 
-def _qagpe(rule: Callable, a: float, b: float, points: list[float],
-           epsabs: float, epsrel: float,
-           limit: int) -> tuple[float, float, int]:
+def _qagpe(a: float, b: float, points: list[float], epsabs: float,
+           epsrel: float, limit: int) -> Generator:
     """``dqagpe`` over ``[a, b]``, ``a < b``, with the sorted break
-    ``points`` strictly inside; ``rule`` is ``dqk21``.  Returns
-    ``(result, abserr, ier)``."""
+    ``points`` strictly inside; its rule is ``dqk21``.  Yields and
+    receives as ``_qagse`` does; returns ``(result, abserr, ier)``."""
     ier = 0
     npts2 = len(points) + 2
     npts = npts2 - 2
@@ -727,8 +866,8 @@ def _qagpe(rule: Callable, a: float, b: float, points: list[float],
     nint = npts + 1
     starts = list(zip(pts[1:-1], pts[2:]))
     # Compute first integral and error approximations.
-    estimates = rule(starts)
-    part = _Partition(rule, limit, epsabs, epsrel, starts, estimates)
+    estimates = yield starts
+    part = _Partition(limit, epsabs, epsrel, starts, estimates)
     elist, iord = part.elist, part.iord
     ndin = [0]
     abserr = 0.0
@@ -787,7 +926,7 @@ def _qagpe(rule: Callable, a: float, b: float, points: list[float],
 
     while part.last < limit:
         erlast = part.errmax
-        errbnd, erro12, _ = part.bisect(extrap)
+        errbnd, erro12, _ = yield from part.bisect(extrap)
         if part.errsum <= errbnd:
             summed = True
             break
@@ -839,29 +978,25 @@ def _qagpe(rule: Callable, a: float, b: float, points: list[float],
     return part.finish(summed, result, abserr, correc, dres, resabs)
 
 
-def _plan(a: float, b: float, points: Sequence[float] | None):
+def _plan(a: float, b: float,
+          points: Sequence[float] | None) -> tuple[int, float, list | None]:
     """How ``quad`` integrates over ``[a, b]``, ``a < b``, as scipy decides:
-    ``(nodes, rule, starts, breaks)``.  ``nodes(intervals)`` places the
-    nodes of the rule on ``intervals`` and ``rule(fv, intervals)`` applies
-    it to their values; ``starts`` are the starting intervals (of ``t`` on
-    an infinite range) and ``breaks`` the sorted distinct break points
-    strictly inside, or None for ``dqagse`` and ``dqagie``."""
+    ``(inf, boun, breaks)``.  ``inf`` is 0 for ``dqk21`` on the finite
+    range; else ``dqk15i`` maps ``t`` in ``(0, 1]`` to ``boun + (1 - t) /
+    t`` (``inf = 1``), ``boun - (1 - t) / t`` (``-1``) or both signs of
+    ``(1 - t) / t`` (``2``).  ``breaks`` are the sorted distinct break
+    points strictly inside, or None for ``dqagse`` and ``dqagie``."""
     if b == math.inf or a == -math.inf:
         if points is not None:
             raise ValueError("Infinity inputs cannot be used with break points.")
         if a == -math.inf and b == math.inf:
-            inf, boun = 2, 0.0
-        elif b == math.inf:
-            inf, boun = 1, a
-        else:
-            inf, boun = -1, b
-        return (functools.partial(_nodes15i, boun, inf),
-                functools.partial(_qk15i, inf), [(0.0, 1.0)], None)
+            return 2, 0.0, None
+        if b == math.inf:
+            return 1, a, None
+        return -1, b, None
     if points is None:
-        return _nodes21, _qk21, [(a, b)], None
-    breaks = sorted({float(p) for p in points if a < p < b})
-    edges = [a, *breaks, b]
-    return _nodes21, _qk21, list(zip(edges[:-1], edges[1:])), breaks
+        return 0, 0.0, None
+    return 0, 0.0, sorted({float(p) for p in points if a < p < b})
 
 
 def _invalid(a: float, b: float, epsabs: float, epsrel: float, limit: int,
@@ -888,15 +1023,81 @@ def _invalid(a: float, b: float, epsabs: float, epsrel: float, limit: int,
     return "The input is invalid."
 
 
-def _values(f: Callable, x: list[float]) -> list[float]:
-    """``f`` on the float64 array of the nodes ``x``, as Python floats."""
-    nodes = np.array(x)
-    return np.asarray(f(nodes), dtype=float).reshape(nodes.shape).tolist()
+class _Integration:
+    """One integral as ``quad`` sets it up: the generator of its routine,
+    which ``quad`` runs alone and ``_lockstep`` with others.
+
+    ``inf`` and ``boun`` name its rule as ``_plan`` does, and ``width`` is
+    the number of nodes the rule places on an interval.  ``pending`` holds
+    the intervals of its next rule application; once the routine has
+    returned it is None and ``outcome`` is ``(result, abserr, ier)``.
+    """
+
+    __slots__ = ("steps", "inf", "boun", "width", "flip", "limit", "pending",
+                 "outcome")
+
+    def __init__(self, a: float, b: float, epsabs: float, epsrel: float,
+                 limit: int, points: Sequence[float] | None) -> None:
+        self.flip, self.limit, self.pending = b < a, limit, None
+        self.steps, self.inf, self.boun, self.width = None, 0, 0.0, 21
+        self.outcome = (0.0, 0.0, 0)
+        if a == b:
+            self.flip = False
+            return
+        a, b = min(a, b), max(a, b)
+        self.inf, self.boun, breaks = _plan(a, b, points)
+        message = _invalid(a, b, epsabs, epsrel, limit, points, breaks)
+        if message is not None:
+            raise ValueError(message)
+        if self.inf:
+            self.width = 30 if self.inf == 2 else 15
+            self.steps = _qagse(0.0, 1.0, epsabs, epsrel, limit)
+        elif breaks is None:
+            self.steps = _qagse(a, b, epsabs, epsrel, limit)
+        else:
+            self.steps = _qagpe(a, b, breaks, epsabs, epsrel, limit)
+
+    def advance(self, estimates: list | None = None) -> bool:
+        """Send the routine the ``estimates`` of its pending intervals
+        (None to start it) and run it to its next rule application;
+        whether there is one."""
+        if self.steps is None:
+            return False
+        try:
+            self.pending = self.steps.send(estimates)
+            return True
+        except StopIteration as stop:
+            self.steps, self.pending, self.outcome = None, None, stop.value
+            return False
+
+    def nodes(self, intervals: list) -> list[float]:
+        """The nodes of the rule on ``intervals``, in its order."""
+        if self.inf == 0:
+            return _nodes21(intervals)
+        return _nodes15i(self.boun, self.inf, intervals)
+
+    def rule(self, fv: list[float], intervals: list) -> list[tuple]:
+        """The rule's estimates on ``intervals`` from the values ``fv`` at
+        their nodes, in Python."""
+        if self.inf == 0:
+            return _qk21(fv, intervals)
+        return _qk15i(self.inf, fv, intervals)
+
+    def result(self) -> tuple[float, float]:
+        """``(result, abserr)`` of the finished integral, its error code
+        issued as an ``IntegrationWarning``."""
+        result, abserr, ier = self.outcome
+        if self.flip:
+            result = -result
+        if ier:
+            warn(_MESSAGES[ier].format(limit=self.limit), IntegrationWarning)
+        return result, abserr
 
 
 def quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, *,
          epsabs: float, epsrel: float, limit: int,
-         points: Sequence[float] | None = None) -> tuple[float, float]:
+         points: Sequence[float] | None = None,
+         defer: bool = False) -> tuple[float, float] | _Integration:
     """``Int_a^b f`` and an estimate of its absolute error, as
     ``scipy.integrate.quad`` computes them with the same arguments.
 
@@ -907,26 +1108,158 @@ def quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, *,
     ``(a, b)`` are used.  Each error code QUADPACK returns is issued as an
     ``IntegrationWarning`` with scipy's text; arguments it refuses raise
     ``ValueError``.
+
+    With ``defer=True`` nothing is integrated yet: the arguments are
+    checked and the integral is returned for ``_lockstep`` to run, which
+    evaluates ``f`` through its job's ``values``.
     """
-    if a == b:
-        return 0.0, 0.0
-    flip, a, b = b < a, min(a, b), max(a, b)
-    nodes, rule, starts, breaks = _plan(a, b, points)
-    message = _invalid(a, b, epsabs, epsrel, limit, points, breaks)
-    if message is not None:
-        raise ValueError(message)
+    integral = _Integration(a, b, epsabs, epsrel, limit, points)
+    if defer:
+        return integral
+    ((result,),) = _lockstep([(lambda x: (f(x),), [(0, integral)])])
+    return result
 
-    def estimates(intervals):
-        return rule(_values(f, nodes(intervals)), intervals)
 
-    if breaks is None:
-        result, abserr, ier = _qagse(estimates, *starts[0], epsabs, epsrel,
-                                     limit)
-    else:
-        result, abserr, ier = _qagpe(estimates, a, b, breaks, epsabs, epsrel,
-                                     limit)
-    if flip:
-        result = -result
-    if ier:
-        warn(_MESSAGES[ier].format(limit=limit), IntegrationWarning)
-    return result, abserr
+def _lockstep(jobs: Sequence[tuple[Callable, Sequence[tuple[int, _Integration]]]]
+              ) -> list[list[tuple[float, float]]]:
+    """Run the deferred integrals of ``jobs`` together, one rule
+    application of each per round.
+
+    A job is ``(values, integrals)``: ``values`` takes a float64 array of
+    nodes and returns one array of values per row, and each of
+    ``integrals`` is ``(row, integral)``, a ``quad(..., defer=True)`` of
+    row ``row`` of ``values``.  Each round places the nodes of the pending
+    intervals of every live integral, an interval that several of a job's
+    integrals bisect alike once; calls each job's ``values`` once, on the
+    nodes of its live integrals; and applies the rules to all pending
+    intervals together, on arrays from ``_ARRAY_MIN`` intervals on and in
+    Python below.  Every integrand is elementwise: a value depends on its
+    own node only, not on the other nodes of the array, so each integral
+    takes the steps and gets the bits of its own ``quad``.
+
+    Returns ``(result, abserr)`` of each integral, job by job in the order
+    given, and issues their warnings in that order.
+    """
+    live = [(values, [(row, it) for row, it in integrals if it.advance()])
+            for values, integrals in jobs]
+    live = [job for job in live if job[1]]
+    while live:
+        if len(live) == 1 and len(live[0][1]) == 1:
+            # The last integral has no other to keep step with.
+            ((_, ((_, it),)),) = live
+            while it.pending is not None:
+                _round_lists(live)
+            break
+        count = sum(len(it.pending) for _, running in live
+                    for _, it in running)
+        (_round_arrays if count >= _ARRAY_MIN else _round_lists)(live)
+        live = [(values, running) for values, running in
+                ((values, [(row, it) for row, it in running
+                           if it.pending is not None])
+                 for values, running in live) if running]
+    return [[it.result() for _, it in integrals] for _, integrals in jobs]
+
+
+def _round_lists(live: list) -> None:
+    """One round of ``_lockstep`` in Python floats."""
+    for values, running in live:
+        if len(running) == 1:
+            # Nothing to share: random scatter's common case, kept lean.
+            ((row, it),) = running
+            nodes = np.array(it.nodes(it.pending))
+            fv = np.asarray(values(nodes)[row], dtype=float) \
+                .reshape(nodes.shape)
+            it.advance(it.rule(fv.tolist(), it.pending))
+            continue
+        x: list[float] = []
+        for _, it in running:
+            x += it.nodes(it.pending)
+        nodes = np.array(x)
+        parts = values(nodes)
+        rows: dict[int, list] = {}
+        at = 0
+        for row, it in running:
+            if row not in rows:
+                rows[row] = np.asarray(parts[row], dtype=float) \
+                    .reshape(nodes.shape).tolist()
+            n = len(it.pending) * it.width
+            it.advance(it.rule(rows[row][at:at + n], it.pending))
+            at += n
+
+
+def _round_arrays(live: list) -> None:
+    """One round of ``_lockstep`` on arrays: the nodes of all jobs placed
+    and each rule applied once per width of rule (21, 15 or 30 nodes)."""
+    widths = (21, 15, 30)
+    # Per width, the distinct intervals of each job in turn, with the
+    # integral that placed each first.
+    blocks: dict[int, list] = {w: [] for w in widths}
+    owners: dict[int, list] = {w: [] for w in widths}
+    jobs = []
+    for values, running in live:
+        first = {w: len(blocks[w]) for w in widths}
+        index: dict[tuple, dict] = {}
+        local = []
+        for _, it in running:
+            taken = blocks[it.width]
+            seen = index.get((it.inf, it.boun))
+            if seen is None:
+                seen = index[it.inf, it.boun] = {}
+            mine = []
+            for interval in it.pending:
+                u = seen.get(interval)
+                if u is None:
+                    u = seen[interval] = len(taken) - first[it.width]
+                    taken.append(interval)
+                    owners[it.width].append(it)
+                mine.append(u)
+            local.append(mine)
+        counts = {w: len(blocks[w]) - first[w] for w in widths}
+        jobs.append((values, running, first, counts, local))
+    placed = {}
+    for w, taken in blocks.items():
+        if taken:
+            a, b = np.array(taken).T
+            with np.errstate(all="ignore"):
+                if w == 21:
+                    placed[w] = _nodes21_array(a, b)
+                else:
+                    boun = np.array([it.boun for it in owners[w]])
+                    dinf = np.array([float(min(1, it.inf))
+                                     for it in owners[w]])
+                    placed[w] = _nodes15i_array(boun, dinf, w == 30, a, b)
+    # The values of row r at block u of a job sit in row base + r n + u of
+    # the width's table, n being the job's number of blocks of that width.
+    tables: dict[int, list] = {w: [] for w in widths}
+    base = dict.fromkeys(widths, 0)
+    gather = {w: ([], [], []) for w in widths}
+    spans = []
+    for values, running, first, counts, local in jobs:
+        x = np.concatenate([placed[w][first[w]:first[w] + n].ravel()
+                            for w, n in counts.items() if n])
+        v = np.asarray(values(x), dtype=float).reshape(-1, x.size)
+        at = 0
+        for w, n in counts.items():
+            if n:
+                tables[w].append(v[:, at:at + n * w].reshape(-1, w))
+                at += n * w
+        for (row, it), mine in zip(running, local):
+            w = it.width
+            offsets, us, intervals = gather[w]
+            spans.append((it, w, len(us), len(mine)))
+            offsets += [base[w] + row * counts[w]] * len(mine)
+            us += mine
+            intervals += it.pending
+        for w, n in counts.items():
+            base[w] += v.shape[0] * n
+    estimates = {}
+    for w, (offsets, us, intervals) in gather.items():
+        if us:
+            fv = np.concatenate(tables[w])[np.add(offsets, us)]
+            a, b = np.array(intervals).T
+            with np.errstate(all="ignore"):
+                out = (_qk21_array(fv, a, b) if w == 21 else
+                       _qk15i_array(fv, w == 30, a, b))
+            estimates[w] = list(zip(*(column.tolist() for column in out)))
+    for it, w, start, n in spans:
+        it.advance(estimates[w][start:start + n])

@@ -210,17 +210,97 @@ def entropy_sweeps(beta_over_gamma: Sequence[float],
     depends only on these ratios.  Along detuning the entropy grows and
     saturates; along width it dips to zero at ratio one and approaches one
     (a Bell state) at both extremes.
+
+    Each entry has the bits of ``entanglement_entropy(
+    postselect_filtered_state(coupling, FilterPair.symmetric(coupling, d
+    * total_rate)))`` for its point, and the grid raises what that loop
+    would raise first.  It is computed in array passes, a width at a time:
+    the amplitudes in real arithmetic, with the products and the quotient
+    of the Python and numpy-scalar complex arithmetic of
+    ``emitted_amplitude`` (numpy's array complex multiply rounds
+    differently); each state's norm by ``np.linalg.norm`` on its own
+    vector, whose BLAS reduction a sum over an array axis would not round
+    alike; then every point's ``eigvalsh`` and entropy together.
     """
     betas = np.asarray(beta_over_gamma, dtype=float)
     deltas = np.asarray(delta_over_gamma, dtype=float)
     if np.any(betas <= 0) or np.any(deltas < 0):
         raise ValueError("width ratios must be positive, detunings nonnegative")
-    table = np.empty((betas.size, deltas.size))
+    states = np.empty((betas.size, deltas.size, 4), dtype=complex)
+    filters = None
     for i, b in enumerate(betas):
         coupling = CouplingSpec.isotropic(
             total_rate, Envelope.lorentzian(b * total_rate), omega0)
-        for j, d in enumerate(deltas):
-            filters = FilterPair.symmetric(coupling, d * total_rate)
-            state = postselect_filtered_state(coupling, filters)
-            table[i, j] = entanglement_entropy(state)
-    return EntropySweeps(betas, deltas, table)
+        if filters is None:
+            filters = [FilterPair.symmetric(coupling, d * total_rate)
+                       for d in deltas]
+            # The four filter combinations (aa, ab, ba, bb) of each point,
+            # and their line factor 1 / (rate / 2 + i (omega0 - obar)).
+            wa = np.array([f.omega_a for f in filters])[:, None]
+            wb = np.array([f.omega_b for f in filters])[:, None]
+            w1 = np.concatenate([wa, wa, wb, wb], axis=1)
+            w2 = np.concatenate([wa, wb, wa, wb], axis=1)
+            line = _reciprocal(coupling.total_rate / 2.0,
+                               coupling.omega0 - (w1 + w2))
+        states[i] = _postselect_row(coupling, line, np.abs(w2 - w1))
+    return EntropySweeps(betas, deltas, _entropies(states))
+
+
+def _reciprocal(re: float, im: np.ndarray) -> tuple:
+    """``1 / (re + i im)`` elementwise, as Python divides complex numbers:
+    ``(real, imag)``."""
+    big = abs(re) >= np.abs(im)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # Both branches of CPython's division, one of them kept.
+        ratio = np.where(big, im / re, re / im)
+        denom = np.where(big, re + im * ratio, re * ratio + im)
+        real = np.where(big, (1.0 + 0.0 * ratio) / denom,
+                        (1.0 * ratio + 0.0) / denom)
+        imag = np.where(big, (0.0 - 1.0 * ratio) / denom,
+                        (0.0 * ratio - 1.0) / denom)
+    return real, imag
+
+
+def _postselect_row(coupling: CouplingSpec, line: tuple,
+                    delta: np.ndarray) -> np.ndarray:
+    """``postselect_filtered_state`` on each row of filter combinations,
+    given their line factors and frequency differences: the unit-norm
+    state vectors, in arrays."""
+    if delta.size and coupling.rate(DirectionPair.PM) <= 0:
+        raise EmptyPostselectionError(
+            "cross-channel rate is zero; no counter-propagating pairs")
+    lr, li = line
+    s = math.sqrt(coupling.rate(DirectionPair.PM) / (2.0 * math.pi))
+    # (1j * s) * line in Python complex arithmetic, then times conj(u) in
+    # numpy-scalar complex arithmetic, each written out in real terms.
+    pr = 0.0 * lr - s * li
+    pi = 0.0 * li + s * lr
+    u = np.conj(coupling.envelope(delta))
+    ur, ui = u.real, u.imag
+    amps = np.empty(delta.shape, dtype=complex)
+    amps.real = pr * ur - pi * ui
+    amps.imag = pr * ui + pi * ur
+    outside = np.max(np.hypot(amps.real, amps.imag), axis=1) < 1e-300
+    norms = np.array([float(np.linalg.norm(vec)) for vec in amps])
+    for out, norm in zip(outside, norms):
+        if out:
+            raise EmptyPostselectionError(
+                "filters sit outside the envelope support")
+        if not norm > 1e-150:
+            raise EmptyPostselectionError(
+                "all filtered amplitudes vanish; nothing to postselect")
+    return amps / norms[:, None]
+
+
+def _entropies(states: np.ndarray) -> np.ndarray:
+    """``entanglement_entropy`` of each unit state vector along the last
+    axis of ``states``, in one batch."""
+    m = states.reshape(-1, 2, 2)
+    evals = np.clip(np.linalg.eigvalsh(m @ m.conj().transpose(0, 2, 1))
+                    .real, 0.0, 1.0)
+    positive = evals > 0.0
+    logs = np.zeros_like(evals)
+    logs[positive] = [math.log2(lam) for lam in evals[positive].tolist()]
+    terms = np.where(positive, evals * logs, 0.0)
+    s = (0.0 - terms[:, 0]) - terms[:, 1]
+    return np.minimum(np.maximum(s, 0.0), 1.0).reshape(states.shape[:-1])

@@ -174,7 +174,8 @@ def _check_resolvable(gamma: float) -> None:
 
     QUADPACK stops bisecting ``[a, b]`` with midpoint ``c``, and warns of
     "extremely bad integrand behavior", once ``max(|a|, |b|) <= (1 + 100
-    eps) (|c| + 1000 tiny)``.  A resonance at zero puts ``[0, gamma]``
+    eps) (|c| + 1000 tiny)``.  A resonance at zero, where ``_gate_job``
+    puts that of every analytic pulse, makes ``[0, gamma]`` an interval
     between break points; the guard refuses it, and the overlap loses the
     mass of the bisections it skips, for ``gamma`` up to about
     ``2000 tiny``, 4.45e-305.
@@ -211,41 +212,54 @@ def mirror_reflection(f: PulseShape, gamma: float,
     return reflected
 
 
-def _node_values(f: PulseShape, gamma: float, w0: float, x: np.ndarray):
-    """The three integrands of ``_gate_z`` at the nodes ``x``: ``|f|^2``
-    and the real and imaginary parts of ``|f|^2 (1 + bracket)``.
+def _node_values(f: PulseShape, gamma: float, origin: float, r: float,
+                 t: np.ndarray):
+    """The three integrands of ``_gate_z`` at the nodes ``t = obar -
+    origin``, the resonance sitting at ``t = r``: ``|f|^2`` and the real
+    and imaginary parts of ``|f|^2 (1 + bracket)``.
 
-    With ``d = w0 - obar``, ``1 + bracket = (2 d^2 + i gamma d) / (gamma^2
-    / 4 + d^2)``, evaluated as ``2 s^2 + i (gamma / h) s`` with ``h =
-    hypot(gamma / 2, d)`` and ``s = d / h``: ``gamma^2 / 4`` underflows for
-    the smallest rates ``gate_overlap`` takes.  An element's value does not
-    depend on the other nodes of ``x``.
+    With ``d = w0 - obar = r - t``, ``1 + bracket = (2 d^2 + i gamma d) /
+    (gamma^2 / 4 + d^2)``, evaluated as ``2 s^2 + i (gamma / h) s`` with
+    ``h = hypot(gamma / 2, d)`` and ``s = d / h``: ``gamma^2 / 4``
+    underflows for the smallest rates ``gate_overlap`` takes.  The pulse
+    is evaluated at ``origin + t``.  An element's value does not depend on
+    the other nodes of ``t``.
     """
-    amp = f(x)
+    amp = f(origin + t)
     # ``float_power`` squares with libm ``pow``, as the gate data files
     # were made; about one square in a thousand rounds differently from
     # ``amp * amp``.
     power = np.float_power(amp, 2.0)
-    d = w0 - x
+    d = r - t
     h = np.hypot(gamma / 2.0, d)
     s = d / h
     return power, power * (2.0 * s * s), power * ((gamma / h) * s)
 
 
-def _gate_z(f: PulseShape, gamma: float,
-            omega0: float | None = None) -> complex:
-    """The pair factor ``z = 1 + gate_overlap(f, gamma, omega0)``,
-    integrated as ``Int |f|^2 (1 + bracket) / Int |f|^2``, so that no
-    cancellation against one loses its digits as the overlap nears -1."""
+def _gate_job(f: PulseShape, gamma: float,
+              omega0: float | None = None) -> tuple:
+    """The integrals of the pair factor ``z`` as a ``spectral._integrals``
+    job: the pulse mass and both parts of ``Int |f|^2 (1 + bracket)``.
+
+    An analytic pulse is integrated in ``t = obar - w0``, so the
+    resonance's break points ``0`` and ``+-gamma`` are exact however narrow
+    it sits away from zero; at ``w0 = 0`` every node, break point and value
+    has the bits of ``obar``.  A tabulated pulse is integrated in ``obar``
+    itself, one segment per pair of samples, so that each segment's nodes
+    are placed from its samples as given: shifted by ``w0``, the rounded
+    centres of segments 2e-9 wide moved their quadratures by 1e-7.
+    """
     _check_rate(gamma)
     _check_resolvable(gamma)
     gamma = float(gamma)
     w0 = _resonance(f, omega0)
+    origin = 0.0 if f.kind is EnvelopeKind.TABULATED else w0
+    r = w0 - origin
     lo, hi = f.support()
-    lo = min(lo, w0 - 40.0 * gamma)
-    hi = max(hi, w0 + 40.0 * gamma)
-    pts = [f.center - f.fwhm, f.center, f.center + f.fwhm,
-           w0 - gamma, w0, w0 + gamma]
+    lo = min(lo - origin, r - 40.0 * gamma)
+    hi = max(hi - origin, r + 40.0 * gamma)
+    center = f.center - origin
+    pts = [center - f.fwhm, center, center + f.fwhm, r - gamma, r, r + gamma]
     if f.kind is EnvelopeKind.TABULATED:
         # One segment per pair of samples: the interpolant has no kink
         # inside any of them for quad to bisect across.
@@ -255,19 +269,54 @@ def _gate_z(f: PulseShape, gamma: float,
         # A rate far above the pulse width makes the window many widths
         # across; a geometric ladder of pulse-scale break points keeps quad
         # from stepping over the pulse tails.
-        reach = max(f.center - lo, hi - f.center)
+        reach = max(center - lo, hi - center)
         step = 8.0 * f.fwhm
         while step < reach:
-            pts += [f.center - step, f.center + step]
+            pts += [center - step, center + step]
             step *= 8.0
+    return partial(_node_values, f, gamma, origin, r), 3, segments, \
+        _apart(pts)
 
-    mass, re, im = _integrals(quad, partial(_node_values, f, gamma, w0), 3,
-                              segments, pts)
+
+def _apart(points: list[float]) -> list[float]:
+    """The sorted distinct break ``points``, less each too close to the one
+    kept before it.
+
+    QUADPACK refuses to bisect ``[a, b]`` once ``max(|a|, |b|) <= (1 + 100
+    eps) (|c| + 1000 tiny)`` and warns of "extremely bad integrand
+    behavior"; a pulse point a few ulps from a resonance point, or both
+    within a few ``tiny`` of zero, bound such an interval.  A point is kept
+    if its gap to the last one could be halved about 14 times first, and
+    is at least ``2000 tiny``, the gap ``_check_resolvable`` asks of
+    ``[0, gamma]``.
+    """
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    kept: list[float] = []
+    for p in sorted(set(points)):
+        if kept and p - kept[-1] <= (2.0 ** 14 * 200.0 * eps
+                                     * max(abs(p), abs(kept[-1]))
+                                     + 2000.0 * tiny):
+            continue
+        kept.append(p)
+    return kept
+
+
+def _pair_factor(mass: float, re: float, im: float) -> complex:
+    """``z`` from the integrals of ``_gate_job``, once the mass is checked."""
     if not abs(mass - 1.0) <= 1e-3:   # a nan mass fails too
         raise TruncationError(
             f"quadrature captured pulse mass {mass:.6f} instead of 1; "
             "pulse is off center or undersampled")
     return complex(re, im) / mass
+
+
+def _gate_z(f: PulseShape, gamma: float,
+            omega0: float | None = None) -> complex:
+    """The pair factor ``z = 1 + gate_overlap(f, gamma, omega0)``,
+    integrated as ``Int |f|^2 (1 + bracket) / Int |f|^2``, so that no
+    cancellation against one loses its digits as the overlap nears -1."""
+    ((mass, re, im),) = _integrals(quad, [_gate_job(f, gamma, omega0)])
+    return _pair_factor(mass, re, im)
 
 
 def gate_overlap(f: PulseShape, gamma: float,
@@ -282,9 +331,9 @@ def gate_overlap(f: PulseShape, gamma: float,
     capture the pulse mass.
 
     The overlap is ``z - 1`` for the pair factor ``z`` of ``_gate_z``.  Its
-    mass pass and both passes over ``z`` share their values
-    (``spectral._integrals``): the three integrands are evaluated together
-    on each array of Gauss-Kronrod nodes ``quad`` asks for.
+    mass pass and both passes over ``z`` share their values: the three
+    integrands are evaluated together, once a round, on the Gauss-Kronrod
+    nodes of all nine integrals (``spectral._integrals``).
 
     ``gamma`` must be positive and finite, with ``2 / gamma`` finite, and
     large enough for quad to bisect its resonance (above about 4.45e-305).
@@ -412,7 +461,11 @@ def infidelity_sweep(gamma_over_fwhm: Sequence[float],
     infid = np.empty_like(fid)
     for i, name in enumerate(shapes):
         pulse = unit_pulse(name, fwhm_on_power)
-        for j, ratio in enumerate(ratios):
-            fid[i, j], _, infid[i, j] = _fidelity(_gate_z(pulse, ratio))
+        # The integrals of every point of a curve run together, a round at
+        # a time; one curve at a time bounds the partitions held at once.
+        parts = _integrals(quad, [_gate_job(pulse, ratio)
+                                  for ratio in ratios])
+        for j, integrals in enumerate(parts):
+            fid[i, j], _, infid[i, j] = _fidelity(_pair_factor(*integrals))
     return InfidelitySweep(ratios, tuple(shapes), fid,
                            np.log10(np.clip(infid, 1e-300, None)))

@@ -188,7 +188,7 @@ def _resonance_weight(state: SeparableState, total_rate: float,
                                       + np.float_power(d.imag, 2.0)),)
 
     def compute():
-        (weight,) = _integrals(quad, integrand, 1, [(lo, hi)], points)
+        ((weight,),) = _integrals(quad, [(integrand, 1, [(lo, hi)], points)])
         return weight
 
     return state._integral(("resonance", total_rate, omega0), compute)

@@ -33,7 +33,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from ._quadpack import quad
+from ._quadpack import _lockstep, quad
 from .errors import (
     InvalidEnvelopeError,
     InvalidStateError,
@@ -216,8 +216,8 @@ class Envelope:
         """Full-line mass ``Int |u|^2 d delta``; equals 2 by construction."""
         if self.kind is EnvelopeKind.TABULATED:
             return 2.0 * float(np.sum(_linear_masses(self.deltas, self.values)))
-        (mass,) = _integrals(quad, lambda d: (_abs2(self(d)),), 1,
-                             [(0.0, np.inf)])
+        ((mass,),) = _integrals(quad, [(lambda d: (_abs2(self(d)),), 1,
+                                        [(0.0, np.inf)], None)])
         return 2.0 * mass
 
     def half_line_mass(self, delta_max: float) -> float:
@@ -460,34 +460,42 @@ def _abs2(value):
     return np.float_power(np.hypot(value.real, value.imag), 2.0)
 
 
-def _integrals(quad, values: Callable, n_parts: int,
-               segments: Sequence[tuple[float, float]],
-               points: Sequence[float] | None = None) -> list[float]:
-    """``quad`` of each of the ``n_parts`` real parts of one integrand over
-    each of ``segments``, in that order, with the break ``points``; returns
-    each part's sum over the segments.  A sum starts at ``0``, as ``sum``
-    does, so a part whose segments all give ``-0.0`` sums to ``0.0``.
+def _integrals(quad, jobs: Sequence[tuple]) -> list[list[float]]:
+    """``quad`` of each real part of each job's integrand over each of the
+    job's segments, all run together; returns per job each part's sum
+    over its segments.  A sum starts at ``0``, as ``sum`` does, so a part
+    whose segments all give ``-0.0`` sums to ``0.0``.
 
-    ``quad`` is the caller's own binding of ``_quadpack.quad``, so each
-    module's integrals are counted for it.  Every quadrature of the package
-    runs here.  ``values`` takes a float64 array of nodes and returns one
-    array per part.  The parts share their values: each distinct array of
-    nodes ``quad`` asks for is evaluated once, keyed by its bytes, so
-    ``-0.0`` and ``0.0`` stay apart.
+    A job is ``(values, n_parts, segments, points)``: ``values`` takes a
+    float64 array of nodes and returns one array per part, and the break
+    ``points`` (or None) apply to each segment they fall inside.  Every
+    quadrature of the package runs here.  ``quad`` is the caller's own
+    binding of ``_quadpack.quad``; it is called once per part and segment,
+    with ``defer=True``, so each module's integrals are counted for it.
+    ``_quadpack._lockstep`` then runs all the integrals a round at a time:
+    each round it calls a job's ``values`` once, on the nodes of all its
+    unfinished integrals, so the parts share their values.  That needs
+    ``values`` elementwise, a value depending on its own node alone; each
+    integral then has the bits of its own ``quad``.
     """
-    options = [_quad_options(a, b, points) for a, b in segments]
-    rows: dict[bytes, Sequence] = {}
+    runs = []
+    for values, n_parts, segments, points in jobs:
+        options = [_quad_options(a, b, points) for a, b in segments]
+        runs.append((values, [(i, quad(_part(values, i), a, b, defer=True,
+                                       **kw))
+                              for i in range(n_parts)
+                              for (a, b), kw in zip(segments, options)]))
+    sums = []
+    for results, (_, n_parts, segments, _) in zip(_lockstep(runs), jobs):
+        n = len(segments)
+        sums.append([sum(value for value, _ in results[i * n:(i + 1) * n])
+                     for i in range(n_parts)])
+    return sums
 
-    def row(x: np.ndarray) -> Sequence:
-        key = x.tobytes()
-        found = rows.get(key)
-        if found is None:
-            found = rows[key] = values(x)
-        return found
 
-    return [sum(quad(lambda x, i=i: row(x)[i], a, b, **kw)[0]
-                for (a, b), kw in zip(segments, options))
-            for i in range(n_parts)]
+def _part(values: Callable, i: int) -> Callable:
+    """Part ``i`` of ``values`` alone, the integrand of its integrals."""
+    return lambda x: values(x)[i]
 
 
 @dataclass
@@ -539,8 +547,8 @@ class SeparableState:
     @staticmethod
     def _factor_mass(fn, window) -> float:
         lo, hi = window
-        (mass,) = _integrals(quad, lambda x: (_abs2(fn(x)),), 1, [(lo, hi)],
-                             [0.5 * (lo + hi)])
+        ((mass,),) = _integrals(quad, [(lambda x: (_abs2(fn(x)),), 1,
+                                        [(lo, hi)], [0.5 * (lo + hi)])])
         return mass
 
     def _integral(self, key: tuple, compute: Callable[[], object]):
@@ -594,7 +602,7 @@ class SeparableState:
             return value.real, value.imag
 
         def overlap(segments):
-            re, im = _integrals(quad, parts, 2, segments, [mid])
+            ((re, im),) = _integrals(quad, [(parts, 2, segments, [mid])])
             return complex(re, im)
 
         if envelope.kind is EnvelopeKind.TABULATED:

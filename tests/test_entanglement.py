@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+
+from quadwg import cli
 
 from quadwg import (
     CouplingSpec,
@@ -200,3 +202,44 @@ def test_entropy_sweeps_shapes_and_features():
     assert np.all(np.diff(against_detuning) > -1e-12)
     with pytest.raises(ValueError, match="width ratios must be positive"):
         entropy_sweeps([0.0], [1.0])
+
+
+def _per_point_entropies(betas, deltas, total_rate, omega0):
+    """``entropy_sweeps`` as one loop over its points."""
+    table = np.empty((len(betas), len(deltas)))
+    for i, b in enumerate(np.asarray(betas, dtype=float)):
+        cpl = CouplingSpec.isotropic(total_rate,
+                                     Envelope.lorentzian(b * total_rate),
+                                     omega0)
+        for j, d in enumerate(np.asarray(deltas, dtype=float)):
+            state = postselect_filtered_state(
+                cpl, FilterPair.symmetric(cpl, d * total_rate))
+            table[i, j] = entanglement_entropy(state)
+    return table
+
+
+def _assert_sweep_is_per_point(betas, deltas, total_rate, omega0):
+    swept = entropy_sweeps(betas, deltas, total_rate, omega0).entropy
+    expected = _per_point_entropies(betas, deltas, total_rate, omega0)
+    assert swept.view(np.uint64).tolist() \
+        == expected.view(np.uint64).tolist()
+
+
+def test_entropy_sweeps_equal_the_per_point_path_on_the_cli_grid():
+    # The entangle defaults, whose width ratio 1 makes a product state:
+    # its entropy is a rounding residue, which the arrays keep.
+    entangle, common = cli.DEFAULTS["entangle"], cli.DEFAULTS["common"]
+    betas, deltas = (np.array(entangle[key][0].split(","), dtype=float)
+                     for key in ("width_ratios", "detuning_ratios"))
+    _assert_sweep_is_per_point(betas, deltas,
+                               float(common["total_rate"][0]),
+                               float(common["omega0"][0]))
+
+
+@settings(max_examples=20)
+@given(betas=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=6),
+       deltas=st.lists(st.floats(0.0, 50.0), max_size=6),
+       total_rate=st.floats(1e-6, 1e-2), omega0=st.floats(0.5, 10.0))
+def test_entropy_sweeps_equal_the_per_point_path(betas, deltas, total_rate,
+                                                 omega0):
+    _assert_sweep_is_per_point(betas, [0.0, *deltas], total_rate, omega0)

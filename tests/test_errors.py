@@ -9,8 +9,9 @@ import pytest
 import quadwg
 from quadwg import errors
 from quadwg.errors import IntegrationWarning, MarkovValidityWarning
-from quadwg.gate import gate_overlap, unit_pulse
-from quadwg.spectral import CouplingSpec, Envelope
+from quadwg.scattering import channel_probabilities, scatter
+from quadwg.spectral import (CouplingSpec, DirectionPair, Envelope,
+                             gaussian_biphoton)
 
 
 @pytest.mark.parametrize("build", [
@@ -24,9 +25,12 @@ def test_markov_validity_warning_names_the_calling_line(build):
 
 
 def test_integration_warning_names_the_calling_line():
-    # QUADPACK cannot bisect a resonance a few ulps wide at omega0 = 0.3.
+    # At a total rate of 2e-7 the resonance weight's absolute tolerance is
+    # out of scale, and QUADPACK's extrapolation detects roundoff.
+    coupling = CouplingSpec.isotropic(2e-7, Envelope.gaussian(0.02))
+    state = gaussian_biphoton(DirectionPair.PP, 1.0, 0.02)
     with pytest.warns(IntegrationWarning) as record:
-        gate_overlap(unit_pulse("gaussian"), 1e-16, 0.3)
+        channel_probabilities(scatter(coupling, state))
     assert [w.filename for w in record] == [__file__]
 
 

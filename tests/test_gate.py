@@ -367,6 +367,28 @@ def test_tabulated_pulse_matches_analytic_overlap():
     assert overlap == pytest.approx(gate_overlap(analytic, GAMMA), rel=1e-5)
 
 
+@pytest.mark.parametrize("gamma", np.geomspace(1e-17, 1e-13, 9).tolist())
+def test_gate_overlap_resolves_a_detuned_resonance_a_few_ulps_wide(gamma):
+    # In obar the break points 0.3 +- gamma sat a few ulps apart, and at
+    # 1e-16 QUADPACK refused to bisect between them ("extremely bad
+    # integrand behavior") and returned a magnitude above one.  Warnings
+    # are errors in this suite.
+    overlap = gate_overlap(gate.unit_pulse("gaussian"), gamma, 0.3)
+    assert abs(overlap) <= 1.0
+
+
+@pytest.mark.parametrize("omega0", [5.7353605093906255e-15, -5.7e-15, 1e-14,
+                                    2.2250738585072014e-308])
+@pytest.mark.parametrize("gamma", [1.0, 8.0])
+def test_gate_overlap_merges_break_points_a_few_ulps_apart(gamma, omega0):
+    # The pulse's break points (centre, centre +- fwhm, its ladder) a few
+    # ulps, or a few tiny, from the resonance's (omega0, omega0 +- gamma)
+    # bounded intervals QUADPACK refused to bisect, with "extremely bad
+    # integrand behavior"; warnings are errors in this suite.
+    overlap = gate_overlap(gate.unit_pulse("gaussian"), gamma, omega0)
+    assert abs(overlap) <= 1.0
+
+
 def test_gate_overlap_quadrature_count(quad_calls):
     gate_overlap(PulseShape.gaussian(OMEGA0, 0.2), GAMMA)
     # Per segment (window and two tails): one real pulse-mass integral and
@@ -377,28 +399,32 @@ def test_gate_overlap_quadrature_count(quad_calls):
 def _two_pass_gate_overlap(f, gamma, omega0=None):
     """``gate_overlap`` without shared nodes: the mass pass and the real
     and imaginary passes over ``z = 1 + overlap`` each evaluate the pulse
-    afresh, one node at a time."""
+    afresh, one node at a time, in ``t = obar - origin``: ``origin = w0``
+    for an analytic pulse, ``0`` for a tabulated one."""
     gamma = float(gamma)
     w0 = f.center if omega0 is None else float(omega0)
+    origin = 0.0 if f.kind is EnvelopeKind.TABULATED else w0
+    r = w0 - origin
     lo, hi = f.support()
-    lo = min(lo, w0 - 40.0 * gamma)
-    hi = max(hi, w0 + 40.0 * gamma)
-    pts = [f.center - f.fwhm, f.center, f.center + f.fwhm,
-           w0 - gamma, w0, w0 + gamma]
+    lo = min(lo - origin, r - 40.0 * gamma)
+    hi = max(hi - origin, r + 40.0 * gamma)
+    c = f.center - origin
+    pts = [c - f.fwhm, c, c + f.fwhm, r - gamma, r, r + gamma]
     if f.kind is EnvelopeKind.TABULATED:
         segments = list(zip(f.freqs[:-1].tolist(), f.freqs[1:].tolist()))
     else:
         segments = [(lo, hi), (-np.inf, lo), (hi, np.inf)]
-        reach = max(f.center - lo, hi - f.center)
+        reach = max(c - lo, hi - c)
         step = 8.0 * f.fwhm
         while step < reach:
-            pts += [f.center - step, f.center + step]
+            pts += [c - step, c + step]
             step *= 8.0
-    mass = sum(quad(lambda x: float(f(x)) ** 2, a, b,
+    mass = sum(quad(lambda t: float(f(origin + t)) ** 2, a, b,
                     **_quad_options(a, b, pts))[0] for a, b in segments)
 
     def part(index):
-        return lambda x: float(_scalar_integrands(f, gamma, w0, x)[index])
+        return lambda t: float(
+            _scalar_integrands(f, gamma, origin, r, t)[index])
 
     val = 0.0
     for a, b in segments:
@@ -407,21 +433,6 @@ def _two_pass_gate_overlap(f, gamma, omega0=None):
         im, _ = quad(part(2), a, b, **kw)
         val += re + 1j * im
     return complex(val) / mass - 1.0
-
-
-class CountingPulse:
-    """A pulse that records every argument it is evaluated at."""
-
-    def __init__(self, pulse):
-        self.pulse = pulse
-        self.nodes = []
-
-    def __getattr__(self, name):
-        return getattr(self.pulse, name)
-
-    def __call__(self, omegabar):
-        self.nodes.append(omegabar)
-        return self.pulse(omegabar)
 
 
 def bits(z):
@@ -460,39 +471,52 @@ def _tabulated_gaussian(center, fwhm, n_samples):
         "tabulated"])
 def test_gate_overlap_prefetches_every_node_quad_visits(
         monkeypatch, pulse, gamma, omega0):
-    visited = []
+    filled, visited, alone = [], [], []
 
     def recording(quad):
-        def recorded(fn, a, b, **kwargs):
-            def visit(x):
-                visited.extend(x.tolist())
-                return fn(x)
-            return quad(visit, a, b, **kwargs)
+        def recorded(fn, a, b, defer=False, **kwargs):
+            # Each integral also runs alone, as its own quad takes it, to
+            # record the nodes it visits.
+            def visit(t):
+                visited.extend(t.tolist())
+                return fn(t)
+            alone.append(True)
+            try:
+                quad(visit, a, b, **kwargs)
+            finally:
+                alone.pop()
+            return quad(fn, a, b, defer=defer, **kwargs)
         return recorded
 
+    def counted(*args):
+        if not alone:
+            filled.append(args[-1])
+        return node_values(*args)
+
+    node_values = gate._node_values
+    monkeypatch.setattr(gate, "_node_values", counted)
     monkeypatch.setattr(gate, "quad", recording(gate.quad))
     monkeypatch.setattr(spectral, "quad", recording(spectral.quad))
-    counting = CountingPulse(pulse)
-    overlap = gate_overlap(counting, gamma, omega0)
-    # The pulse sees arrays only, each array of nodes once, whichever of
-    # the three integrals asks for it first, and the overlap has the bits
-    # of three passes that each evaluate the pulse afresh.
-    assert all(isinstance(x, np.ndarray) and x.ndim == 1 and x.size > 1
-               for x in counting.nodes)
-    keys = [x.tobytes() for x in counting.nodes]
+    overlap = gate_overlap(pulse, gamma, omega0)
+    # The integrands see arrays only, one a round holding the nodes of all
+    # three integrals over every segment, and the overlap has the bits of
+    # three passes that each evaluate the pulse afresh.
+    assert all(isinstance(t, np.ndarray) and t.ndim == 1 and t.size > 1
+               for t in filled)
+    keys = [t.tobytes() for t in filled]
     assert len(keys) == len(set(keys))
-    filled = set(np.concatenate(counting.nodes).tolist())
-    assert visited and set(visited) == filled
+    assert visited and set(visited) == set(np.concatenate(filled).tolist())
     assert bits(overlap) == bits(_two_pass_gate_overlap(pulse, gamma, omega0))
 
 
-def _scalar_integrands(f, gamma, w0, x):
-    """``gate_overlap``'s integrands at one Python-float node, as the
-    quadrature evaluated them one node at a time: ``|f|^2`` and the real
-    and imaginary parts of ``|f|^2 (1 + bracket)``, in numpy-scalar
-    arithmetic (``math.hypot`` rounds a few moduli differently)."""
-    amp = float(f(x))
-    d = w0 - x
+def _scalar_integrands(f, gamma, origin, r, t):
+    """``gate_overlap``'s integrands at one Python-float node ``t = obar -
+    origin``, the resonance at ``t = r``, as the quadrature evaluated them
+    one node at a time: ``|f|^2`` and the real and imaginary parts of
+    ``|f|^2 (1 + bracket)``, in numpy-scalar arithmetic (``math.hypot``
+    rounds a few moduli differently)."""
+    amp = float(f(origin + t))
+    d = r - t
     h = np.hypot(gamma / 2.0, d)
     s = d / h
     power = amp ** 2
@@ -541,24 +565,27 @@ def test_node_values_have_the_bits_of_one_node(
     rate = ratio * fwhm
     gamma = rate_type(max(rate, 1.0) if rate_type is int else rate)
     w0 = center if resonant else center + detuning * fwhm
-    x = [w0, center, center - fwhm, center + fwhm, w0 + float(gamma),
-         *_FAR_NODES, *nodes]
+    x = [w0, center, center - fwhm, center + fwhm, w0 + float(gamma)]
     if shape == "tabulated":
         x += [*pulse.freqs[[0, 5, -1]], pulse.freqs[0] - fwhm,
               0.5 * (pulse.freqs[3] + pulse.freqs[4])]
+    # quad's nodes are t = obar - origin, the resonance at t = r.
+    origin = 0.0 if shape == "tabulated" else w0
+    r = w0 - origin
+    x = [node - origin for node in x] + [*_FAR_NODES, *nodes]
     single, single_warnings = [], set()
     for node in x:
-        values, caught = _warned(gate._node_values, pulse, gamma, w0,
+        values, caught = _warned(gate._node_values, pulse, gamma, origin, r,
                                  np.array([node], dtype=float))
         single.append(np.ravel(values))
         single_warnings |= caught
     single = np.array(single).T
-    batch, caught = _warned(gate._node_values, pulse, gamma, w0,
+    batch, caught = _warned(gate._node_values, pulse, gamma, origin, r,
                             np.array(x, dtype=float))
     assert _float_bits(batch) == _float_bits(single)
     # Prefetched nodes warn only as quad's own nodes would.
     assert caught <= single_warnings
-    scalar = [_warned(_scalar_integrands, pulse, float(gamma), w0,
+    scalar = [_warned(_scalar_integrands, pulse, float(gamma), origin, r,
                       float(node))[0] for node in x]
     assert _float_bits(single) == _float_bits(np.array(scalar).T)
 
@@ -569,7 +596,7 @@ def test_node_values_square_the_pulse_as_python_does(shape):
     # of these 20001 squares differently from ``amp * amp``.
     pulse = _PULSES[shape](0.0, 1.0)
     x = np.linspace(-3.0, 3.0, 20001)
-    power, _, _ = gate._node_values(pulse, 1.0, 0.0, x)
+    power, _, _ = gate._node_values(pulse, 1.0, 0.0, 0.0, x)
     assert _float_bits(power) == _float_bits(
         [amp ** 2 for amp in pulse(x).tolist()])
 
@@ -594,7 +621,7 @@ def test_predicted_nodes_are_those_of_quads_first_pass(a, b, points,
         calls.append(x)
         return (integrand(x),)
 
-    _integrals(spectral.quad, kernel, 1, [(a, b)], points)
+    _integrals(spectral.quad, [(kernel, 1, [(a, b)], points)])
     (fill,) = calls
     quad(lambda x: visited.append(x) or float(integrand(np.array(x))),
          a, b, **_quad_options(a, b, points))

@@ -90,7 +90,7 @@ def _checked_quads(calls):
     also integrates with scipy and asserts the same outcome."""
     saved = {m: m.quad for m in (spectral, scattering, gate)}
 
-    def checked(fn, a, b, **kwargs):
+    def checked(fn, a, b, defer=False, **kwargs):
         table, visited = _Table(fn), []
 
         def recorded(x):
@@ -114,7 +114,10 @@ def _checked_quads(calls):
             == _outcome(scipy_quad, lookup, a, b, kwargs)
         assert _bits(visited) == _bits(seen)
         calls.append(kwargs)
-        return value, error
+        # A deferred integral runs with the others of its job; the lockstep
+        # tests below hold it to this one.
+        return _quadpack.quad(fn, a, b, defer=True, **kwargs) if defer \
+            else (value, error)
 
     try:
         for module in saved:
@@ -332,3 +335,158 @@ def test_array_kernels_and_starting_nodes():
         calls.clear()
         assert_same_as_scipy(peak, a, b, vectorized=kernel, **options)
         assert calls[0].size == size
+
+
+# ---------------------------------------------------------------------------
+# The rules on arrays, and integrals run together by ``_lockstep``.
+
+# Values the rules meet: any float, with nan, infinities, signed zeros and
+# magnitudes whose error ratio makes ``r ** 1.5`` overflow.
+_rule_values = (st.floats(allow_nan=True, allow_infinity=True)
+                | st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0,
+                                   1e-300, 1e300, -1e300, 5e-324]))
+# Counts of intervals on both sides of the array threshold.
+_interval_counts = st.integers(1, 2 * _quadpack._ARRAY_MIN)
+_bound = st.floats(-1e6, 1e6)
+
+
+def _rule_bits(estimates):
+    """The bits of ``(result, abserr, resabs, resasc)`` per interval, every
+    nan as the one nan: the payloads hypothesis gives its nans need not
+    propagate alike, and no integrand makes them."""
+    return [tuple(_bits(np.where(np.isnan(e), math.nan, e)))
+            for e in estimates]
+
+
+def _rule_inputs(data, n, width):
+    """``n`` rows of ``width`` values, drawn from a small pool so that
+    special values recur."""
+    pool = data.draw(st.lists(_rule_values, min_size=1, max_size=40))
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    picks = np.random.default_rng(seed).integers(len(pool), size=n * width)
+    return np.array(pool)[picks].tolist()
+
+
+@given(data=st.data(), n=_interval_counts)
+def test_array_dqk21_has_the_bits_of_the_python_rule(data, n):
+    intervals = [tuple(sorted(data.draw(st.tuples(_bound, _bound))))
+                 for _ in range(n)]
+    fv = _rule_inputs(data, n, 21)
+    a, b = np.array(intervals).T
+    with np.errstate(all="ignore"):
+        nodes = _quadpack._nodes21_array(a, b)
+        arrays = _quadpack._qk21_array(np.array(fv).reshape(n, 21), a, b)
+    assert _bits(nodes.ravel()) == _bits(_quadpack._nodes21(intervals))
+    assert _rule_bits(zip(*arrays)) \
+        == _rule_bits(_quadpack._qk21(fv, intervals))
+
+
+@given(data=st.data(), n=_interval_counts, inf=st.sampled_from([1, -1, 2]),
+       boun=st.floats(-1e3, 1e3))
+def test_array_dqk15i_has_the_bits_of_the_python_rule(data, n, inf, boun):
+    # Intervals of t in (0, 1], as dqagie bisects them.
+    t = st.floats(0.0, 1.0, exclude_min=True)
+    intervals = [tuple(sorted(data.draw(st.tuples(t, t)))) for _ in range(n)]
+    boun = 0.0 if inf == 2 else boun
+    width = 30 if inf == 2 else 15
+    fv = _rule_inputs(data, n, width)
+    a, b = np.array(intervals).T
+    with np.errstate(all="ignore"):
+        nodes = _quadpack._nodes15i_array(np.full(n, boun),
+                                          np.full(n, float(min(1, inf))),
+                                          inf == 2, a, b)
+        arrays = _quadpack._qk15i_array(np.array(fv).reshape(n, width),
+                                        inf == 2, a, b)
+    assert _bits(nodes.ravel()) == _bits(_quadpack._nodes15i(boun, inf,
+                                                             intervals))
+    assert _rule_bits(zip(*arrays)) \
+        == _rule_bits(_quadpack._qk15i(inf, fv, intervals))
+
+
+def _on_array(g):
+    return lambda x: np.array([g(v) for v in x.tolist()], dtype=float)
+
+
+def _lockstep_outcomes(integrals, copies, shared):
+    """Each of ``integrals`` as ``_outcome`` gives it, run ``copies``
+    times over by ``_lockstep``: as rows of one job if ``shared``, else
+    one job each."""
+    refused = {}
+    runs = []
+    for k, (g, a, b, options) in enumerate(integrals):
+        try:
+            deferred = [_quadpack.quad(g, a, b, defer=True, **options)
+                        for _ in range(copies)]
+        except ValueError as exc:
+            refused[k] = ("ValueError", str(exc))
+            continue
+        runs.append((k, g, deferred))
+    if shared:
+        rows = [_on_array(g) for _, g, _ in runs]
+        jobs = [(lambda x: [row(x) for row in rows],
+                 [(i, it) for i, (_, _, deferred) in enumerate(runs)
+                  for it in deferred])]
+    else:
+        jobs = [(lambda x, g=g: [_on_array(g)(x)], [(0, it)])
+                for _, g, deferred in runs for it in deferred]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        results = [r for job in _quadpack._lockstep(jobs) for r in job]
+    assert all(w.category is IntegrationWarning for w in caught)
+    texts = [str(w.message) for w in caught]
+    outcomes = {}
+    ordered = [k for k, _, deferred in runs for _ in deferred]
+    for k, (value, error) in zip(ordered, results):
+        outcomes.setdefault(k, []).append((_bits(value), _bits(error)))
+    return refused, outcomes, texts
+
+
+@given(integrals=st.lists(_model_integrals(), min_size=1, max_size=5),
+       copies=st.sampled_from([1, 3, 9]), shared=st.booleans())
+def test_lockstep_gives_each_integral_the_bits_of_its_own_quad(
+        integrals, copies, shared):
+    # Integrals that finish in different rounds, with or without a
+    # warning, alone and as copies enough to apply the rules on arrays.
+    refused, outcomes, texts = _lockstep_outcomes(integrals, copies, shared)
+    alone = [_outcome(_quadpack.quad, _on_array(g), a, b, options)
+             for g, a, b, options in integrals]
+    expected_texts = []
+    for k, outcome in enumerate(alone):
+        if outcome[0] == "ValueError":
+            assert refused[k] == outcome
+            continue
+        value, error, warned = outcome
+        assert outcomes[k] == [(value, error)] * copies
+        expected_texts += warned * copies
+    if shared:
+        # One job issues its warnings in the order of its integrals.
+        assert texts == expected_texts
+    else:
+        assert sorted(texts) == sorted(expected_texts)
+
+
+def test_lockstep_issues_each_error_code_as_its_own_quad():
+    # Every error code QUADPACK returns, from integrals finishing in
+    # different rounds, in one job on arrays of intervals.
+    cases = [
+        (_oscillating(300.0), -3.0, 3.0, {"limit": 5}),
+        (_spoilt(0.5, 0.2, math.nan), 0.0, 1.0, {}),
+        (_singular(0.5, -1.0), 0.0, 1.0, {"points": [0.5]}),
+        (_singular(0.0, -0.99), 0.0, 1.0, {"epsabs": 0.0, "epsrel": 2e-14}),
+        (lambda x: math.sin(x) / x if x else 1.0, 0.0, math.inf, {}),
+        (_sqrt_log, 0.0, 1.0, {"epsabs": 0.0, "epsrel": 1e-12}),
+        (_full_line(0.3, 0.1), -math.inf, math.inf, {}),
+    ]
+    integrals = [(g, a, b, dict(dict(epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL,
+                                     limit=400), **options))
+                 for g, a, b, options in cases]
+    _, outcomes, texts = _lockstep_outcomes(integrals, 3, True)
+    expected = []
+    for k, (g, a, b, options) in enumerate(integrals):
+        value, error, warned = _outcome(_quadpack.quad, _on_array(g), a, b,
+                                        options)
+        assert outcomes[k] == [(value, error)] * 3
+        expected += warned * 3
+    assert texts == expected
+    assert {text.split()[1] for text in texts} \
+        == {"maximum", "occurrence", "bad", "algorithm", "integral"}

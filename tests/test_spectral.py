@@ -583,42 +583,56 @@ def test_complex_quad_equals_two_pass_form_bitwise(envelope):
 
 
 def test_integrals_evaluate_each_node_array_once():
-    # The parts of one integrand share their values: each array of nodes
-    # quad asks for is evaluated once, whichever part asks first.
-    calls, asked = [], set()
+    # The parts of one integrand share their values: ``values`` is called
+    # once a round, on the nodes of every unfinished integral of its job,
+    # so as often as the integral with the most rule applications applies
+    # its rule, each time on new nodes.  Two jobs run together give what
+    # each gives alone.
+    calls = []
 
     def parts(x):
         calls.append(x.tobytes())
         return 1.0 / (1e-4 + (x - 0.3) ** 2), np.cos(40.0 * x) * np.exp(-x * x)
 
-    def asking(fn, a, b, **kwargs):
-        def recorded(x):
-            asked.add(x.tobytes())
-            return fn(x)
-        return spectral.quad(recorded, a, b, **kwargs)
+    def other(x):
+        return (np.exp(-(x - 0.5) ** 2),)
 
     segments, points = [(-1.0, 0.2), (0.2, 2.0), (2.0, np.inf)], [0.3, 1.0]
     options = [_quad_options(a, b, points) for a, b in segments]
-    values = _integrals(asking, parts, 2, segments, points)
-    assert len(calls) > 10 and len(calls) == len(set(calls))
-    assert set(calls) == asked
+    values, together = _integrals(spectral.quad,
+                                  [(parts, 2, segments, points),
+                                   (other, 1, [(-3.0, 3.0)], None)])
+    rounds = list(calls)
+    applications = []
     for i, value in enumerate(values):
-        alone = sum(spectral.quad(lambda x, i=i: parts(x)[i], a, b, **kw)[0]
-                    for (a, b), kw in zip(segments, options))
+        alone = 0
+        for (a, b), kw in zip(segments, options):
+            count = []
+            alone += spectral.quad(lambda x, i=i: count.append(1)
+                                   or parts(x)[i], a, b, **kw)[0]
+            applications.append(len(count))
         assert value.hex() == alone.hex()
+    assert len(rounds) == max(applications) > 10
+    assert len(rounds) == len(set(rounds))
+    assert together == _integrals(spectral.quad,
+                                  [(other, 1, [(-3.0, 3.0)], None)])[0]
 
 
 def test_integrals_keep_signed_zeros_apart():
-    # An array of nodes is keyed by its bytes, so nodes -0.0 and 0.0 keep
-    # their own values.
+    # A job places the nodes of intervals with equal bounds once, and
+    # -0.0 == 0.0; that is sound, as either zero places the same nodes,
+    # none of them a zero.  The integrand tells the signs apart.
+    seen = []
+
     def sign(x):
+        seen.append(x)
         return (np.copysign(1.0, x),)
 
-    def probing(fn, a, b, **kwargs):
-        zero, negative = np.array([0.0, 0.5]), np.array([-0.0, 0.5])
-        return float(fn(zero)[0] - fn(negative)[0] + fn(zero)[0]), 0.0
-
-    assert _integrals(probing, sign, 1, [(-1.0, 1.0)]) == [3.0]
+    assert _integrals(spectral.quad, [(sign, 1, [(-0.0, 1.0), (0.0, 1.0),
+                                                 (-1.0, -0.0)], None)]) \
+        == [[1.0]]
+    assert not np.any(np.concatenate(seen) == 0.0)
+    assert _quadpack._nodes21([(-0.0, 1.0)]) == _quadpack._nodes21([(0.0, 1.0)])
 
 
 # The scalar kernels quad calls, built from the sweeps' parameter ranges:
