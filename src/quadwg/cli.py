@@ -28,7 +28,7 @@ import math
 import os
 import sys
 from types import SimpleNamespace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -433,10 +433,14 @@ def _joint_lines(label: str, w1, w2, amps) -> bytes:
     return _g12_lines(x, (",", f",{label},", ",", ",", "\n"))
 
 
-def _write_joint_csv(path: str, grid: FrequencyGrid, data: np.ndarray,
+def _write_joint_csv(path: str, grid: FrequencyGrid,
+                     block: Callable[[DirectionPair], np.ndarray],
                      omega0: float) -> None:
     """Joint-spectrum CSV: one row per (channel, grid point).
 
+    ``block(pair)`` returns that channel's ``(n_omegabar, n_delta)``
+    complex amplitudes; it is called again for a block already written
+    rather than keeping it, so at most two blocks are live at a time.
     ``omega`` and ``omega_prime`` are the two photon frequencies in units
     of the resonance frequency.  Every value reads as ``%.12g`` writes it.
 
@@ -457,17 +461,20 @@ def _write_joint_csv(path: str, grid: FrequencyGrid, data: np.ndarray,
     unlit channels of a scatter) is copied back out of the file chunk by
     chunk, with only the channel label swapped.  Equality is taken on the
     raw bits, not on complex values: ``-0.0 == 0.0`` but the two format
-    differently, and ``nan != nan`` though both format alike.
+    differently, and ``nan != nan`` though both format alike.  With four
+    distinct blocks ``block`` is called ten times.
     """
     delta = grid.delta
     step = max(1, _KERNEL_ROWS // delta.size)   # sum rows per write
-    bits = np.ascontiguousarray(data).view(np.uint64)
     spans = {}  # formatted pair -> (byte offset, size) of each chunk
     with open(path, "w+b") as fh:
         fh.write(b"omega,omega_prime,channel,abs2,re,im\n")
         for pair in spectral.PAIRS:
+            data = np.ascontiguousarray(block(pair))
+            bits = data.view(np.uint64)
             source = next((done for done in spans if np.array_equal(
-                bits[done.index], bits[pair.index])), None)
+                np.ascontiguousarray(block(done)).view(np.uint64), bits)),
+                None)
             if source is not None:
                 # The label field is the only one made of two sign
                 # characters: a %.12g field always holds a digit, "inf"
@@ -480,14 +487,13 @@ def _write_joint_csv(path: str, grid: FrequencyGrid, data: np.ndarray,
                     fh.seek(0, os.SEEK_END)
                     fh.write(text.replace(old, new))
                 continue
-            block = data[pair.index]
             spans[pair] = []
             for start in range(0, grid.omegabar.size, step):
                 rows = slice(start, start + step)
                 ob = grid.omegabar[rows, None]
                 w1 = (0.5 * (ob - delta) / omega0).ravel()
                 w2 = (0.5 * (ob + delta) / omega0).ravel()
-                raw = _joint_lines(pair.value, w1, w2, block[rows].ravel())
+                raw = _joint_lines(pair.value, w1, w2, data[rows].ravel())
                 spans[pair].append((fh.tell(), len(raw)))
                 fh.write(raw)
 
@@ -530,11 +536,18 @@ def _cmd_emit(cfg, outdir) -> tuple[str, int]:
     coupling = _coupling_from(cfg)
     grid = emission.default_emission_grid(
         coupling, _as_int(cfg, "n_omegabar"), _as_int(cfg, "n_delta"))
-    spec = emission.joint_spectrum(coupling, grid)
-    total = spec.total_probability()
-    corr = spec.spectrum_correlation()
+    ob, dd = grid.omegabar[:, None], grid.delta[None, :]
+
+    def block(pair: DirectionPair) -> np.ndarray:
+        # The call joint_spectrum makes, one channel at a time.
+        return emission.emitted_amplitude(coupling, pair, ob, dd)
+
+    density = emission._channel_sum(block)
+    total = emission._total_probability(coupling, grid, density)
+    corr = emission.pearson_correlation(grid, density)
+    del density   # the writer holds up to two blocks; free this first
     stem = cfg["output_stem"]
-    _write_joint_csv(_outpath(outdir, stem + ".csv"), grid, spec.data,
+    _write_joint_csv(_outpath(outdir, stem + ".csv"), grid, block,
                      coupling.omega0)
     _write_json(_outpath(outdir, stem + ".json"), {
         "total_rate": _quantity(coupling.total_rate, "omega0"),
@@ -564,8 +577,8 @@ def _cmd_scatter(cfg, outdir) -> tuple[str, int]:
         _as_int(cfg, "n_omegabar"), _as_int(cfg, "n_delta"))
     out = result.output_on(grid)
     stem = cfg["output_stem"]
-    _write_joint_csv(_outpath(outdir, stem + ".csv"), grid, out.data,
-                     coupling.omega0)
+    _write_joint_csv(_outpath(outdir, stem + ".csv"), grid,
+                     lambda pair: out.data[pair.index], coupling.omega0)
     _write_json(_outpath(outdir, stem + ".json"), {
         "total_rate": _quantity(coupling.total_rate, "omega0"),
         "sum_width": _quantity(sum_width, "omega0"),

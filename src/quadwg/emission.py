@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -100,6 +101,31 @@ def pearson_correlation(grid: FrequencyGrid, density: np.ndarray) -> float:
     return (var_ob - var_dd) / denom
 
 
+def _channel_sum(block: Callable[[DirectionPair], np.ndarray]) -> np.ndarray:
+    """Sum of ``|block(pair)|**2`` over the channels, added in channel order
+    as ``np.sum(..., axis=0)`` adds the channels of a stacked array.
+
+    ``block`` maps each pair to its channel block; no block outlives its
+    own term, so at most one is held at a time.
+    """
+    total = np.abs(block(PAIRS[0])) ** 2
+    for pair in PAIRS[1:]:
+        total += np.abs(block(pair)) ** 2
+    return total
+
+
+def _total_probability(coupling: CouplingSpec, grid: FrequencyGrid,
+                       density: np.ndarray) -> float:
+    """Window integral of the channel-summed ``density`` divided by the
+    fraction of the emitted probability that lies inside the window."""
+    window = float(grid.integrate(density))
+    half = min(coupling.omega0 - grid.omegabar[0],
+               grid.omegabar[-1] - coupling.omega0)
+    line_frac = (2.0 / math.pi) * math.atan(2.0 * half / coupling.total_rate)
+    env_frac = coupling.envelope.half_line_mass(float(grid.delta[-1]))
+    return window / (line_frac * env_frac)
+
+
 @dataclass(frozen=True)
 class EmissionSpectrum:
     """Channel-resolved emission amplitudes on a half-plane grid."""
@@ -115,7 +141,10 @@ class EmissionSpectrum:
         return np.abs(self.data[pair.index]) ** 2
 
     def total_density(self) -> np.ndarray:
-        return np.sum(np.abs(self.data) ** 2, axis=0)
+        """Channel-summed density, the bits of ``np.sum(np.abs(data) ** 2,
+        axis=0)``, added one channel block at a time so that no
+        four-channel float array is made."""
+        return _channel_sum(self.channel)
 
     def state(self) -> GridState:
         return GridState(self.grid, self.data)
@@ -137,13 +166,8 @@ class EmissionSpectrum:
         trapezoid result by that fraction recovers the full-plane value,
         which is one for a complete emission record.
         """
-        window = float(self.grid.integrate(self.total_density()))
-        g = self.coupling.total_rate
-        half = min(self.coupling.omega0 - self.grid.omegabar[0],
-                   self.grid.omegabar[-1] - self.coupling.omega0)
-        line_frac = (2.0 / math.pi) * math.atan(2.0 * half / g)
-        env_frac = self.coupling.envelope.half_line_mass(float(self.grid.delta[-1]))
-        return window / (line_frac * env_frac)
+        return _total_probability(self.coupling, self.grid,
+                                  self.total_density())
 
     def spectrum_correlation(self) -> float:
         """Pearson correlation of the two photon frequencies.

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -549,6 +550,65 @@ def test_outdir_environment_fallback(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "emission.csv").exists()
 
 
+# The coupling each --set list configures, as the library builds it.
+_EMIT_CASES = {
+    "isotropic-gaussian": (
+        ("n_omegabar=64", "n_delta=32"),
+        CouplingSpec.isotropic(0.004, Envelope.gaussian(0.02)), 64, 32),
+    "anisotropic-lorentzian": (
+        ("omega0=1.7", "rates=0.001,0.0015,0.0015,0.0005",
+         "envelope=lorentzian", "envelope_width=0.01",
+         "n_omegabar=40", "n_delta=16"),
+        CouplingSpec(1.7, {DirectionPair.PP: 0.001, DirectionPair.PM: 0.0015,
+                           DirectionPair.MP: 0.0015, DirectionPair.MM: 0.0005},
+                     Envelope.lorentzian(0.01)), 40, 16),
+    "mirror": (
+        ("rates=mirror", "n_omegabar=48", "n_delta=24"),
+        CouplingSpec.mirror(0.004, Envelope.gaussian(0.02)), 48, 24),
+    # 64 differences put 64 sum rows in a write chunk: the second is partial.
+    "partial-chunk": (
+        ("n_omegabar=67", "n_delta=64"),
+        CouplingSpec.isotropic(0.004, Envelope.gaussian(0.02)), 67, 64),
+}
+
+
+@pytest.mark.parametrize("name", _EMIT_CASES)
+def test_emit_summaries_and_map_are_those_of_joint_spectrum(tmp_path, capsys,
+                                                            name):
+    overrides, coupling, n_omegabar, n_delta = _EMIT_CASES[name]
+    args = ["emit", "--outdir", str(tmp_path / "cli")]
+    for override in overrides:
+        args += ["--set", override]
+    out = run_ok(args, capsys)
+    grid = emission.default_emission_grid(coupling, n_omegabar, n_delta)
+    spec = emission.joint_spectrum(coupling, grid)
+    total, corr = spec.total_probability(), spec.spectrum_correlation()
+    payload = json.loads((tmp_path / "cli" / "emission.json").read_text())
+    assert payload["total_probability"]["value"].hex() == total.hex()
+    assert payload["spectrum_correlation"]["value"].hex() == corr.hex()
+    assert out == (f"emit: total_rate={coupling.total_rate:g} "
+                   f"P_total={total:.6f} correlation={corr:+.4f}\n")
+    expected = tmp_path / "expected.csv"
+    cli._write_joint_csv(expected, grid, lambda pair: spec.data[pair.index],
+                         coupling.omega0)
+    assert (tmp_path / "cli" / "emission.csv").read_bytes() \
+        == expected.read_bytes()
+
+
+def test_emit_holds_no_four_channel_array(tmp_path, capsys):
+    # 512 x 256 points: one channel block is 2.1 MB, the four-channel
+    # array 8.4 MB.  The channel-summed density and two blocks fit.
+    cli._g12_tables()   # built once per process, not part of the bound
+    tracemalloc.start()
+    try:
+        run_ok(["emit", "--outdir", str(tmp_path), "--set", "n_omegabar=512",
+                "--set", "n_delta=256"], capsys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 7.5e6
+
+
 def _g12(x):
     return format(float(x), ".12g")
 
@@ -704,14 +764,14 @@ def test_joint_csv_matches_row_by_row_writer(tmp_path, case):
     expected, actual = tmp_path / "expected.csv", tmp_path / "actual.csv"
     with np.errstate(over="ignore"):
         _reference_joint_csv(expected, grid, data, omega0)
-    cli._write_joint_csv(actual, grid, data, omega0)
+    cli._write_joint_csv(actual, grid, lambda pair: data[pair.index], omega0)
     assert actual.read_bytes() == expected.read_bytes()
 
 
 def test_joint_csv_writes_overflowing_abs2_as_inf(tmp_path):
     grid, data, omega0 = _special_values_case()
     path = tmp_path / "special.csv"
-    cli._write_joint_csv(path, grid, data, omega0)
+    cli._write_joint_csv(path, grid, lambda pair: data[pair.index], omega0)
     rows = path.read_text().splitlines()[1:]
     assert rows[0] == "-1,-1,++,0,-0,0"
     assert rows[4] == "-0,0,++,nan,nan,0"
@@ -731,19 +791,33 @@ def test_joint_csv_writes_overflowing_abs2_as_inf(tmp_path):
 def test_joint_csv_formats_each_distinct_block_once(tmp_path, monkeypatch,
                                                      case, distinct):
     # Isotropic emission formats 67 * 64 rows, not 4 * 67 * 64; the other
-    # blocks are copied from the file.
+    # blocks are copied from the file.  The block function is called once
+    # per channel and once per comparison with an earlier formatted block,
+    # at most ten times, and never between two chunks of one block.
     grid, data, omega0 = case()
     formatted = []
+    events = []   # channel labels of formatted chunks, pairs of block calls
     joint_lines = cli._joint_lines
 
     def counted(template, w1, w2, amps):
         text = joint_lines(template, w1, w2, amps)
         formatted.append(len(w1))
+        events.append(template)
         return text
 
+    def block(pair):
+        events.append(pair)
+        return data[pair.index]
+
     monkeypatch.setattr(cli, "_joint_lines", counted)
-    cli._write_joint_csv(tmp_path / "joint.csv", grid, data, omega0)
+    cli._write_joint_csv(tmp_path / "joint.csv", grid, block, omega0)
     assert sum(formatted) == distinct * data[0].size
+    calls = [e for e in events if isinstance(e, DirectionPair)]
+    assert set(calls) == set(spectral.PAIRS)
+    assert len(calls) <= 10
+    for label in set(events) - set(calls):
+        chunks = [i for i, e in enumerate(events) if e == label]
+        assert events[chunks[0]:chunks[-1] + 1] == [label] * len(chunks)
 
 
 _float_bits = st.integers(0, 2 ** 64 - 1).map(

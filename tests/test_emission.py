@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from quadwg import (
     CouplingSpec,
@@ -15,7 +17,7 @@ from quadwg import (
     excited_amplitude,
     joint_spectrum,
 )
-from quadwg.emission import pearson_correlation
+from quadwg.emission import _channel_sum, pearson_correlation
 
 GAMMA = 0.004
 
@@ -176,3 +178,32 @@ def test_emission_state_norm_and_marginals():
     profile = spec.difference_marginal()
     assert profile.shape == spec.grid.delta.shape
     assert np.argmax(profile) == 0
+
+
+_parts = st.one_of(
+    st.integers(0, 2 ** 64 - 1).map(
+        lambda bits: float(np.uint64(bits).view(np.float64))),
+    st.floats(-1e3, 1e3),
+    st.sampled_from((0.0, -0.0, 5e-324, -2.2e-308, 1e-160, 1e154, -1.4e154,
+                     1e200, 1.7976931348623157e308, math.inf, -math.inf,
+                     math.nan)))
+_blocks = st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
+    lambda shape: arrays(complex, (4,) + shape,
+                         elements=st.builds(complex, _parts, _parts)))
+
+
+@given(_blocks)
+# Squares added in another order round differently; squares that
+# overflow, signed zeros, subnormals, and nan beside inf.
+@example(np.array([1e8, 1.0, 1.0, 0.0]).reshape(4, 1, 1))
+@example(np.array([1e200, -0.0, 1.0, 1.0 + 1e154j]).reshape(4, 1, 1))
+@example(np.array([[-0.0, complex(math.inf, math.nan)],
+                   [complex(5e-324, -0.0), math.nan],
+                   [complex(-0.0, -0.0), -math.inf],
+                   [1e-170, complex(math.nan, 1.0)]]).reshape(4, 1, 2))
+def test_channel_sum_has_the_bits_of_the_stacked_sum(data):
+    with np.errstate(all="ignore"):
+        expected = np.sum(np.abs(data) ** 2, axis=0)
+        total = _channel_sum(lambda pair: data[pair.index])
+    assert total.shape == expected.shape
+    assert total.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
