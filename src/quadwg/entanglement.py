@@ -22,7 +22,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .emission import emitted_amplitude
 from .errors import EmptyPostselectionError
 from .spectral import CouplingSpec, DirectionPair, Envelope, _check_finite
 
@@ -82,13 +81,8 @@ class TwoQubitState:
 
     @classmethod
     def from_unnormalized(cls, c_aa, c_ab, c_ba, c_bb) -> "TwoQubitState":
-        vec = np.array([c_aa, c_ab, c_ba, c_bb], dtype=complex)
-        norm = float(np.linalg.norm(vec))
-        if not norm > 1e-150:
-            raise EmptyPostselectionError(
-                "all filtered amplitudes vanish; nothing to postselect")
-        vec /= norm
-        return cls(*vec)
+        amps = np.array([[c_aa, c_ab, c_ba, c_bb]], dtype=complex)
+        return cls(*_unit_rows(amps, outside=[False])[0])
 
     def as_matrix(self) -> np.ndarray:
         """Amplitudes as a 2x2 matrix indexed (first slot, second slot)."""
@@ -109,36 +103,29 @@ def postselect_filtered_state(coupling: CouplingSpec, filters: FilterPair,
     ``obar = omega_x + omega_y`` and ``delta = |omega_y - omega_x|``, and
     renormalized.  ``bandwidth > 0`` replaces the pointwise evaluation by a
     box average over square windows of that full width, to gauge how narrow
-    real filters must be for the ideal-filter answer to hold.
+    real filters must be for the ideal-filter answer to hold; a bandwidth
+    too narrow or too wide for float64 windows raises ``ValueError``.
     """
-    if coupling.rate(DirectionPair.PM) <= 0:
-        raise EmptyPostselectionError(
-            "cross-channel rate is zero; no counter-propagating pairs")
     _check_finite("bandwidth", bandwidth)
     if bandwidth < 0:
         raise ValueError("bandwidth must be nonnegative")
-
-    def point(w1: float, w2: float) -> complex:
-        return complex(emitted_amplitude(coupling, DirectionPair.PM,
-                                         w1 + w2, abs(w2 - w1)))
-
-    def sample(w1: float, w2: float) -> complex:
-        if bandwidth == 0.0:
-            return point(w1, w2)
-        xs = np.linspace(w1 - bandwidth / 2, w1 + bandwidth / 2, 33)
-        ys = np.linspace(w2 - bandwidth / 2, w2 + bandwidth / 2, 33)
-        vals = emitted_amplitude(
-            coupling, DirectionPair.PM,
-            xs[:, None] + ys[None, :], np.abs(ys[None, :] - xs[:, None]))
-        inner = np.trapezoid(vals, ys, axis=1)
-        return complex(np.trapezoid(inner, xs)) / bandwidth ** 2
-
-    wa, wb = filters.omega_a, filters.omega_b
-    amps = [sample(wa, wa), sample(wa, wb), sample(wb, wa), sample(wb, wb)]
-    if max(abs(a) for a in amps) < 1e-300:
-        raise EmptyPostselectionError(
-            "filters sit outside the envelope support")
-    return TwoQubitState.from_unnormalized(*amps)
+    w1, w2 = _combinations([filters])
+    if bandwidth == 0.0:
+        amps = _amplitudes(coupling, w1, w2)
+    else:
+        # The trapezoid rule on 33 x 33 nodes around each combination,
+        # over the area that the rounded nodes span.
+        xs, ys = (np.linspace(w - bandwidth / 2, w + bandwidth / 2, 33,
+                              axis=-1) for w in (w1, w2))
+        with np.errstate(over="ignore"):
+            area = (xs[..., -1] - xs[..., 0]) * (ys[..., -1] - ys[..., 0])
+        if not np.all((area > 0) & (area < math.inf)):
+            raise ValueError(f"bandwidth {bandwidth!r} leaves a filter window"
+                             " of zero or infinite sampled area")
+        vals = _amplitudes(coupling, xs[..., :, None], ys[..., None, :])
+        inner = np.trapezoid(vals, ys[..., None, :], axis=-1)
+        amps = np.trapezoid(inner, xs, axis=-1) / area
+    return TwoQubitState(*_postselect_row(coupling, amps)[0])
 
 
 def entanglement_entropy(state: TwoQubitState) -> float:
@@ -147,15 +134,7 @@ def entanglement_entropy(state: TwoQubitState) -> float:
     Zero for product states, one for Bell states.  ``0 log 0`` counts as
     zero.
     """
-    m = state.as_matrix()
-    rho = m @ m.conj().T
-    evals = np.linalg.eigvalsh(rho)
-    evals = np.clip(evals.real, 0.0, 1.0)
-    s = 0.0
-    for lam in evals:
-        if lam > 0.0:
-            s -= lam * math.log2(lam)
-    return float(min(max(s, 0.0), 1.0))
+    return float(_entropies(state.as_vector()))
 
 
 _BELL_TARGETS = {
@@ -211,39 +190,40 @@ def entropy_sweeps(beta_over_gamma: Sequence[float],
     saturates; along width it dips to zero at ratio one and approaches one
     (a Bell state) at both extremes.
 
-    Each entry has the bits of ``entanglement_entropy(
-    postselect_filtered_state(coupling, FilterPair.symmetric(coupling, d
-    * total_rate)))`` for its point, and the grid raises what that loop
-    would raise first.  It is computed in array passes, a width at a time:
-    the amplitudes in real arithmetic, with the products and the quotient
-    of the Python and numpy-scalar complex arithmetic of
-    ``emitted_amplitude`` (numpy's array complex multiply rounds
-    differently); each state's norm by ``np.linalg.norm`` on its own
-    vector, whose BLAS reduction a sum over an array axis would not round
-    alike; then every point's ``eigvalsh`` and entropy together.
+    Entry ``[i, j]`` is ``entanglement_entropy(postselect_filtered_state(
+    coupling, FilterPair.symmetric(coupling, delta_over_gamma[j] *
+    total_rate)))`` at width ratio ``beta_over_gamma[i]``: those two
+    functions are this grid's one-point case, so the grid has their bits
+    and raises what a loop over its points would raise first.  It is
+    computed in array passes, a width at a time, with every point's
+    entropy taken together at the end.
     """
     betas = np.asarray(beta_over_gamma, dtype=float)
     deltas = np.asarray(delta_over_gamma, dtype=float)
     if np.any(betas <= 0) or np.any(deltas < 0):
         raise ValueError("width ratios must be positive, detunings nonnegative")
     states = np.empty((betas.size, deltas.size, 4), dtype=complex)
-    filters = None
+    combinations = None
     for i, b in enumerate(betas):
         coupling = CouplingSpec.isotropic(
             total_rate, Envelope.lorentzian(b * total_rate), omega0)
-        if filters is None:
-            filters = [FilterPair.symmetric(coupling, d * total_rate)
-                       for d in deltas]
-            # The four filter combinations (aa, ab, ba, bb) of each point,
-            # and their line factor 1 / (rate / 2 + i (omega0 - obar)).
-            wa = np.array([f.omega_a for f in filters])[:, None]
-            wb = np.array([f.omega_b for f in filters])[:, None]
-            w1 = np.concatenate([wa, wa, wb, wb], axis=1)
-            w2 = np.concatenate([wa, wb, wa, wb], axis=1)
-            line = _reciprocal(coupling.total_rate / 2.0,
-                               coupling.omega0 - (w1 + w2))
-        states[i] = _postselect_row(coupling, line, np.abs(w2 - w1))
+        if combinations is None:
+            combinations = _combinations(
+                [FilterPair.symmetric(coupling, d * total_rate)
+                 for d in deltas])
+        states[i] = _postselect_row(coupling,
+                                    _amplitudes(coupling, *combinations))
     return EntropySweeps(betas, deltas, _entropies(states))
+
+
+def _combinations(filters: Sequence[FilterPair]) -> tuple:
+    """First and second frequencies of the four filter combinations
+    ``(aa, ab, ba, bb)`` of each filter pair: two ``(len(filters), 4)``
+    arrays."""
+    wa = np.array([f.omega_a for f in filters])[:, None]
+    wb = np.array([f.omega_b for f in filters])[:, None]
+    return (np.concatenate([wa, wa, wb, wb], axis=1),
+            np.concatenate([wa, wb, wa, wb], axis=1))
 
 
 def _reciprocal(re: float, im: np.ndarray) -> tuple:
@@ -261,15 +241,16 @@ def _reciprocal(re: float, im: np.ndarray) -> tuple:
     return real, imag
 
 
-def _postselect_row(coupling: CouplingSpec, line: tuple,
-                    delta: np.ndarray) -> np.ndarray:
-    """``postselect_filtered_state`` on each row of filter combinations,
-    given their line factors and frequency differences: the unit-norm
-    state vectors, in arrays."""
-    if delta.size and coupling.rate(DirectionPair.PM) <= 0:
-        raise EmptyPostselectionError(
-            "cross-channel rate is zero; no counter-propagating pairs")
-    lr, li = line
+def _amplitudes(coupling: CouplingSpec, w1: np.ndarray,
+                w2: np.ndarray) -> np.ndarray:
+    """``emitted_amplitude`` on the cross channel at the pair frequencies
+    ``(w1, w2)``, in real arithmetic: the products and the quotient of its
+    Python and numpy-scalar complex arithmetic, written out (numpy's array
+    complex multiply rounds differently)."""
+    # The line factor 1 / (rate / 2 + i (omega0 - obar)).
+    lr, li = _reciprocal(coupling.total_rate / 2.0,
+                         coupling.omega0 - (w1 + w2))
+    delta = np.abs(w2 - w1)
     s = math.sqrt(coupling.rate(DirectionPair.PM) / (2.0 * math.pi))
     # (1j * s) * line in Python complex arithmetic, then times conj(u) in
     # numpy-scalar complex arithmetic, each written out in real terms.
@@ -280,12 +261,36 @@ def _postselect_row(coupling: CouplingSpec, line: tuple,
     amps = np.empty(delta.shape, dtype=complex)
     amps.real = pr * ur - pi * ui
     amps.imag = pr * ui + pi * ur
-    outside = np.max(np.hypot(amps.real, amps.imag), axis=1) < 1e-300
-    norms = np.array([float(np.linalg.norm(vec)) for vec in amps])
+    return amps
+
+
+def _postselect_row(coupling: CouplingSpec, amps: np.ndarray) -> np.ndarray:
+    """``postselect_filtered_state`` on each row of cross-channel
+    amplitudes at the filter combinations ``(aa, ab, ba, bb)``: the
+    unit-norm state vectors, in arrays."""
+    if amps.size and coupling.rate(DirectionPair.PM) <= 0:
+        raise EmptyPostselectionError(
+            "cross-channel rate is zero; no counter-propagating pairs")
+    return _unit_rows(amps, outside=np.max(np.abs(amps), axis=1) < 1e-300)
+
+
+def _unit_rows(amps: np.ndarray, outside: Sequence[bool]) -> np.ndarray:
+    """Each row of ``amps`` over its norm, by ``np.linalg.norm`` on its own
+    vector (a sum over an array axis would not round alike).
+
+    The first row whose filters sit ``outside`` the envelope support, whose
+    norm is not finite or whose amplitudes vanish raises, as a loop over
+    the rows would.
+    """
+    with np.errstate(over="ignore"):
+        norms = np.array([float(np.linalg.norm(vec)) for vec in amps])
     for out, norm in zip(outside, norms):
         if out:
             raise EmptyPostselectionError(
                 "filters sit outside the envelope support")
+        if not math.isfinite(norm):
+            raise ValueError("filtered amplitudes must be finite, with a"
+                             " finite norm")
         if not norm > 1e-150:
             raise EmptyPostselectionError(
                 "all filtered amplitudes vanish; nothing to postselect")

@@ -11,8 +11,10 @@ from hypothesis import settings
 
 settings.register_profile("suite", deadline=None, max_examples=50,
                           derandomize=True)
-# A deeper run of the QUADPACK parity tests against the installed scipy:
+# A deeper run of the parity tests: the QUADPACK port against the
+# installed scipy, and the filtered state against its reference:
 # pytest tests/test_quadpack.py --hypothesis-profile=parity
+# pytest tests/test_entanglement.py --hypothesis-profile=parity
 settings.register_profile("parity", deadline=None, max_examples=2000)
 settings.load_profile("suite")
 

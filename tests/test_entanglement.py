@@ -1,4 +1,10 @@
-"""Filtered two-qubit states, entropy, and Bell fidelities."""
+"""Filtered two-qubit states, entropy, and Bell fidelities.
+
+The parity tests hold ``postselect_filtered_state``, ``entanglement_entropy``
+and ``entropy_sweeps`` bit for bit to a reference built here from the public
+``emitted_amplitude``; run them deeper with
+``pytest tests/test_entanglement.py --hypothesis-profile=parity``.
+"""
 
 import math
 
@@ -16,6 +22,7 @@ from quadwg import (
     FilterPair,
     TwoQubitState,
     bell_fidelity,
+    emitted_amplitude,
     entanglement_entropy,
     entropy_sweeps,
     postselect_filtered_state,
@@ -78,6 +85,15 @@ def test_two_qubit_state_layout_and_normalization():
     assert matrix[1, 0] == pytest.approx(0.0)
     with pytest.raises(EmptyPostselectionError):
         TwoQubitState.from_unnormalized(0.0, 0.0, 0.0, 0.0)
+    # Each once gave a NaN or zero state with entropy 0.
+    for amplitudes in [(math.inf, 0.0, 0.0, 0.0), (math.nan, 1.0, 0.0, 0.0),
+                       (1.0, complex(0.0, -math.inf), 0.0, 0.0),
+                       (1e308, 1e308, 0.0, 0.0), (1e200, 0.0, 0.0, 0.0)]:
+        with pytest.raises(ValueError, match="finite norm"):
+            TwoQubitState.from_unnormalized(*amplitudes)
+    # Large amplitudes whose squared norm stays finite still normalize.
+    state = TwoQubitState.from_unnormalized(1e150, 0.0, 0.0, 1e150)
+    assert entanglement_entropy(state) == pytest.approx(1.0)
 
 
 def test_entropy_reference_values():
@@ -174,8 +190,14 @@ def test_postselection_requires_cross_coupling():
                              DirectionPair.MM: GAMMA / 2,
                              DirectionPair.PM: 0.0,
                              DirectionPair.MP: 0.0}, env)
-    with pytest.raises(EmptyPostselectionError):
-        postselect_filtered_state(cpl, FilterPair.symmetric(cpl, GAMMA))
+    mirror = CouplingSpec.mirror(GAMMA, env, 1.0)
+    for coupling in (cpl, mirror):
+        for bandwidth in (0.0, GAMMA / 100):
+            with pytest.raises(EmptyPostselectionError,
+                               match="cross-channel rate is zero"):
+                postselect_filtered_state(
+                    coupling, FilterPair.symmetric(coupling, GAMMA),
+                    bandwidth)
 
 
 def test_finite_filter_bandwidth_converges_to_point_filters():
@@ -187,6 +209,29 @@ def test_finite_filter_bandwidth_converges_to_point_filters():
                                atol=1e-4)
     with pytest.raises(ValueError):
         postselect_filtered_state(cpl, filters, bandwidth=-1.0)
+
+
+@pytest.mark.parametrize("bandwidth", [1e-12, 1e-13, 3e-16])
+def test_narrow_box_average_is_the_point_state(bandwidth):
+    # Dividing by the nominal bandwidth ** 2 put 1e-12 7e-5 off and 1e-13
+    # 7e-4 off: the nodes' rounded spans differ from box to box.
+    cpl = lorentzian_coupling(0.5)
+    filters = FilterPair.symmetric(cpl, 8 * GAMMA)
+    point = postselect_filtered_state(cpl, filters)
+    averaged = postselect_filtered_state(cpl, filters, bandwidth)
+    np.testing.assert_allclose(averaged.as_vector(), point.as_vector(),
+                               rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("bandwidth", [1e-100, 1e-170, 5e-324, 1e160,
+                                       1.7e308])
+def test_unresolvable_bandwidth_is_rejected(bandwidth):
+    # These raised a false "outside the envelope support",
+    # ZeroDivisionError or OverflowError.
+    cpl = lorentzian_coupling(0.5)
+    filters = FilterPair.symmetric(cpl, 8 * GAMMA)
+    with pytest.raises(ValueError, match="bandwidth"):
+        postselect_filtered_state(cpl, filters, bandwidth)
 
 
 def test_entropy_sweeps_shapes_and_features():
@@ -204,17 +249,51 @@ def test_entropy_sweeps_shapes_and_features():
         entropy_sweeps([0.0], [1.0])
 
 
+def _reference_state(coupling, filters):
+    """The unit state vector from ``emitted_amplitude`` at each filter
+    combination, one at a time, with the library's postselection rules."""
+    if coupling.rate(DirectionPair.PM) <= 0:
+        raise EmptyPostselectionError(
+            "cross-channel rate is zero; no counter-propagating pairs")
+    wa, wb = filters.omega_a, filters.omega_b
+    amps = np.array([
+        complex(emitted_amplitude(coupling, DirectionPair.PM, x + y,
+                                  abs(y - x)))
+        for x, y in [(wa, wa), (wa, wb), (wb, wa), (wb, wb)]])
+    if max(abs(a) for a in amps) < 1e-300:
+        raise EmptyPostselectionError(
+            "filters sit outside the envelope support")
+    norm = float(np.linalg.norm(amps))
+    if not norm > 1e-150:
+        raise EmptyPostselectionError(
+            "all filtered amplitudes vanish; nothing to postselect")
+    amps /= norm
+    return amps
+
+
+def _reference_entropy(vector):
+    """Von Neumann entropy of a unit state vector, one eigenvalue at a
+    time."""
+    m = vector.reshape(2, 2)
+    evals = np.clip(np.linalg.eigvalsh(m @ m.conj().T).real, 0.0, 1.0)
+    s = 0.0
+    for lam in evals:
+        if lam > 0.0:
+            s -= lam * math.log2(lam)
+    return min(max(s, 0.0), 1.0)
+
+
 def _per_point_entropies(betas, deltas, total_rate, omega0):
-    """``entropy_sweeps`` as one loop over its points."""
+    """``entropy_sweeps`` as one loop over its points, by the reference."""
     table = np.empty((len(betas), len(deltas)))
     for i, b in enumerate(np.asarray(betas, dtype=float)):
         cpl = CouplingSpec.isotropic(total_rate,
                                      Envelope.lorentzian(b * total_rate),
                                      omega0)
         for j, d in enumerate(np.asarray(deltas, dtype=float)):
-            state = postselect_filtered_state(
+            state = _reference_state(
                 cpl, FilterPair.symmetric(cpl, d * total_rate))
-            table[i, j] = entanglement_entropy(state)
+            table[i, j] = _reference_entropy(state)
     return table
 
 
@@ -243,3 +322,64 @@ def test_entropy_sweeps_equal_the_per_point_path_on_the_cli_grid():
 def test_entropy_sweeps_equal_the_per_point_path(betas, deltas, total_rate,
                                                  omega0):
     _assert_sweep_is_per_point(betas, [0.0, *deltas], total_rate, omega0)
+
+
+@st.composite
+def filtered_pairs(draw):
+    """A coupling and a filter pair: three envelope kinds; isotropic,
+    anisotropic and mirror rates; asymmetric and degenerate filters."""
+    omega0 = draw(st.floats(0.3, 5.0))
+    total = draw(st.floats(1e-7, 2e-3))
+    width = total * draw(st.floats(1e-2, 1e2))
+    kind = draw(st.sampled_from(["gaussian", "lorentzian", "tabulated"]))
+    if kind == "tabulated":
+        # Samples that may start away from zero, so that every filter
+        # combination can fall outside the support.
+        n = draw(st.integers(2, 8))
+        start = draw(st.sampled_from([0.0, width]))
+        values = draw(st.lists(
+            st.builds(complex, st.floats(0.1, 1.0), st.floats(-1.0, 1.0)),
+            min_size=n, max_size=n))
+        envelope = Envelope.tabulated(start + width * np.arange(n), values)
+    else:
+        envelope = getattr(Envelope, kind)(width)
+    rates = draw(st.sampled_from(["isotropic", "anisotropic", "mirror"]))
+    if rates == "anisotropic":
+        pp, mm, pm = draw(st.tuples(*[st.floats(0.05, 1.0)] * 3))
+        scale = total / (pp + mm + 2 * pm)
+        coupling = CouplingSpec(omega0, {
+            DirectionPair.PP: pp * scale, DirectionPair.MM: mm * scale,
+            DirectionPair.PM: pm * scale}, envelope)
+    else:
+        coupling = getattr(CouplingSpec, rates)(total, envelope, omega0)
+    first = omega0 / 2 + total * draw(st.floats(-40.0, 40.0))
+    if draw(st.booleans()):
+        second = first
+    else:
+        second = omega0 / 2 + total * draw(st.floats(-40.0, 40.0))
+    return coupling, FilterPair(min(first, second), max(first, second))
+
+
+def _outcome(build):
+    try:
+        return build()
+    except EmptyPostselectionError as exc:
+        return str(exc)
+
+
+@given(filtered_pairs())
+def test_filtered_state_and_entropy_equal_the_reference(case):
+    coupling, filters = case
+    expected = _outcome(lambda: _reference_state(coupling, filters))
+    state = _outcome(lambda: postselect_filtered_state(coupling, filters))
+    if isinstance(expected, str):
+        assert state == expected
+        return
+    assert not isinstance(state, str), state
+    assert state.as_vector().view(np.uint64).tolist() \
+        == expected.view(np.uint64).tolist()
+    entropy = entanglement_entropy(state)
+    assert type(entropy) is float
+    assert np.float64(entropy).view(np.uint64) \
+        == np.float64(_reference_entropy(expected)).view(np.uint64)
+
