@@ -284,7 +284,11 @@ def _coupling_from(cfg) -> CouplingSpec:
 _DIGIT, _EXP = 8, 32
 _FIXED = 16                             # %.12g writes exponents -4..11 in full
 _EMIN, _EMAX = -324, 308                # exponents of nonzero finite floats
-_KERNEL_ROWS = 4096   # CSV rows formatted at once; bounds the kernel's arrays
+# CSV rows formatted at once; bounds the kernel's arrays.  At 2048 rows the
+# arrays of one kernel call (about 0.8 MB) are reused from glibc's heap by
+# the next call of a fresh `quadwg emit`; at 4096 (about 1.5 MB) glibc gave
+# them back after each call and faulted them in again.
+_KERNEL_ROWS = 2048
 
 
 def _words(chunks) -> np.ndarray:
@@ -380,9 +384,16 @@ def _decimal12(x: np.ndarray, pow10: np.ndarray):
     return n, e
 
 
-def _g12_fields(x: np.ndarray, seps: np.ndarray) -> bytearray:
+def _kernel_buffer(rows: int, fields: int) -> bytearray:
+    """Work buffer of the kernel for rows of ``fields`` numbers: 40 bytes
+    for each field of as many rows as it formats at once, at most
+    ``rows``."""
+    return bytearray(min(rows, _KERNEL_ROWS) * fields * 40)
+
+
+def _g12_fields(x: np.ndarray, seps: np.ndarray, buf: bytearray) -> bytearray:
     """Each row of ``x`` as ``%.12g`` fields, each followed by its word of
-    ``seps``."""
+    ``seps``, laid out in the work buffer ``buf``."""
     t = _g12_tables()
     n, e = _decimal12(x, t.pow10)
     g0, rest = np.divmod(n, 100000000)
@@ -399,8 +410,9 @@ def _g12_fields(x: np.ndarray, seps: np.ndarray) -> bytearray:
             e[special] = 2
         negative &= ~np.isnan(x)
     key = (t.modes[e - _EMIN] * 12 + ndig - 1) * 2 + negative
-    buf = bytearray(x.size * 40)
-    text = np.frombuffer(buf, dtype=np.uint64).reshape(x.shape + (5,))
+    size = x.size * 40
+    text = np.frombuffer(buf, dtype=np.uint64,
+                         count=size // 8).reshape(x.shape + (5,))
     np.take(t.layouts, key, axis=0, out=text, mode="clip")
     text[..., 1] &= head
     text[..., 2] &= t.digits[g1]
@@ -408,20 +420,26 @@ def _g12_fields(x: np.ndarray, seps: np.ndarray) -> bytearray:
     text[..., 4] &= t.exponents[e - _EMIN]
     text[..., 4] |= seps
     del text   # release the export of buf
-    return buf.translate(None, b"\0")
+    return (buf if len(buf) == size else buf[:size]).translate(None, b"\0")
 
 
-def _g12_lines(x: np.ndarray, seps: Sequence[str]) -> bytes:
+def _g12_lines(x: np.ndarray, seps: Sequence[str],
+               buf: bytearray | None = None) -> bytes:
     """Each row of ``x`` as ``%.12g`` fields, each followed by its separator
     of ``seps`` (at most four bytes), formatted ``_KERNEL_ROWS`` rows at a
-    time."""
+    time in the work buffer ``buf`` (``_kernel_buffer``), made here if not
+    given."""
+    if buf is None:
+        buf = _kernel_buffer(*x.shape)
     words = _words(b"\0" * 4 + sep.encode() for sep in seps)
-    return b"".join(_g12_fields(x[i:i + _KERNEL_ROWS], words)
+    return b"".join(_g12_fields(x[i:i + _KERNEL_ROWS], words, buf)
                     for i in range(0, len(x), _KERNEL_ROWS))
 
 
-def _joint_lines(label: str, w1, w2, amps) -> bytes:
-    """Rows ``w1,w2,label,abs2,re,im`` with every number as ``%.12g``."""
+def _joint_lines(label: str, w1, w2, amps,
+                 buf: bytearray | None = None) -> bytes:
+    """Rows ``w1,w2,label,abs2,re,im`` with every number as ``%.12g``,
+    formatted in the work buffer ``buf`` as ``_g12_lines`` does."""
     x = np.empty((len(w1), 5))
     x[:, 0] = w1
     x[:, 1] = w2
@@ -430,51 +448,68 @@ def _joint_lines(label: str, w1, w2, amps) -> bytes:
         x[:, 2] = spectral._abs2(amps)
     x[:, 3] = amps.real
     x[:, 4] = amps.imag
-    return _g12_lines(x, (",", f",{label},", ",", ",", "\n"))
+    return _g12_lines(x, (",", f",{label},", ",", ",", "\n"), buf)
+
+
+def _row_chunks(grid: FrequencyGrid) -> list[slice]:
+    """The sum-frequency rows of each chunk a joint spectrum is written
+    in: as many rows as fill ``_KERNEL_ROWS`` CSV rows, or one row if a
+    row alone holds more."""
+    step = max(1, _KERNEL_ROWS // grid.delta.size)
+    return [slice(start, start + step)
+            for start in range(0, grid.omegabar.size, step)]
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return np.array_equal(np.ascontiguousarray(a).view(np.uint64),
+                          np.ascontiguousarray(b).view(np.uint64))
 
 
 def _write_joint_csv(path: str, grid: FrequencyGrid,
-                     block: Callable[[DirectionPair], np.ndarray],
+                     block: Callable[[DirectionPair, slice], np.ndarray],
                      omega0: float) -> None:
     """Joint-spectrum CSV: one row per (channel, grid point).
 
-    ``block(pair)`` returns that channel's ``(n_omegabar, n_delta)``
-    complex amplitudes; it is called again for a block already written
-    rather than keeping it, so at most two blocks are live at a time.
-    ``omega`` and ``omega_prime`` are the two photon frequencies in units
-    of the resonance frequency.  Every value reads as ``%.12g`` writes it.
+    ``block(pair, rows)`` returns that channel's complex amplitudes on the
+    sum-frequency rows ``rows``, a slice of the ``(n_omegabar, n_delta)``
+    block.  The writer asks for one chunk of rows at a time
+    (``_row_chunks``: as many rows as fill ``_KERNEL_ROWS`` CSV rows, or
+    one row if a row alone holds more) and keeps none, so it never holds
+    a whole block.  ``omega`` and ``omega_prime`` are the two photon
+    frequencies in units of the resonance frequency.  Every value reads
+    as ``%.12g`` writes it.
 
-    Rows are written as many sum-frequency rows at a time as fill
-    ``_KERNEL_ROWS`` CSV rows (one row if a row alone holds more), by a
-    numpy kernel (``_g12_lines``).  It rounds each number to 12
-    significant digits with one multiply by a power of ten, lays out each
-    field with every byte %.12g could write in a fixed place, and deletes
-    the bytes a number does not use.  A number whose scaled value lies
-    too close to a half for float64 to decide its rounding, or whose
-    magnitude is below 1e-280 or above 1e280, takes its digits from
-    Python's ``%.11e``; zeros, infinities and nan have fixed layouts.
-    ``abs2`` has the bits of Python's ``abs(amp) ** 2``, with inf where
-    Python raises ``OverflowError``.
+    Each chunk is formatted by a numpy kernel (``_g12_lines``) in one work
+    buffer allocated per file.  It rounds each number to 12 significant
+    digits with one multiply by a power of ten, lays out each field with
+    every byte %.12g could write in a fixed place, and deletes the bytes a
+    number does not use.  A number whose scaled value lies too close to a
+    half for float64 to decide its rounding, or whose magnitude is below
+    1e-280 or above 1e280, takes its digits from Python's ``%.11e``;
+    zeros, infinities and nan have fixed layouts.  ``abs2`` has the bits
+    of Python's ``abs(amp) ** 2``, with inf where Python raises
+    ``OverflowError``.
 
-    Each distinct channel block is formatted once.  A block that is
-    bitwise equal to one already written (isotropic emission, or the
-    unlit channels of a scatter) is copied back out of the file chunk by
-    chunk, with only the channel label swapped.  Equality is taken on the
-    raw bits, not on complex values: ``-0.0 == 0.0`` but the two format
-    differently, and ``nan != nan`` though both format alike.  With four
-    distinct blocks ``block`` is called ten times.
+    Each distinct channel block is formatted once.  Before formatting a
+    channel, the writer compares its chunks with those of each channel
+    already formatted, stopping at the first chunk that differs.  A block
+    that is bitwise equal to one already written (isotropic emission, or
+    the unlit channels of a scatter) is copied back out of the file chunk
+    by chunk, with only the channel label swapped.  Equality is taken on
+    the raw bits, not on complex values: ``-0.0 == 0.0`` but the two
+    format differently, and ``nan != nan`` though both format alike.
     """
     delta = grid.delta
-    step = max(1, _KERNEL_ROWS // delta.size)   # sum rows per write
+    chunks = _row_chunks(grid)
+    # The five numbers of each row of the largest chunk.
+    buf = _kernel_buffer(grid.omegabar[chunks[0]].size * delta.size, 5)
     spans = {}  # formatted pair -> (byte offset, size) of each chunk
     with open(path, "w+b") as fh:
         fh.write(b"omega,omega_prime,channel,abs2,re,im\n")
         for pair in spectral.PAIRS:
-            data = np.ascontiguousarray(block(pair))
-            bits = data.view(np.uint64)
-            source = next((done for done in spans if np.array_equal(
-                np.ascontiguousarray(block(done)).view(np.uint64), bits)),
-                None)
+            source = next((done for done in spans if all(
+                _same_bits(block(pair, rows), block(done, rows))
+                for rows in chunks)), None)
             if source is not None:
                 # The label field is the only one made of two sign
                 # characters: a %.12g field always holds a digit, "inf"
@@ -488,12 +523,12 @@ def _write_joint_csv(path: str, grid: FrequencyGrid,
                     fh.write(text.replace(old, new))
                 continue
             spans[pair] = []
-            for start in range(0, grid.omegabar.size, step):
-                rows = slice(start, start + step)
+            for rows in chunks:
                 ob = grid.omegabar[rows, None]
                 w1 = (0.5 * (ob - delta) / omega0).ravel()
                 w2 = (0.5 * (ob + delta) / omega0).ravel()
-                raw = _joint_lines(pair.value, w1, w2, data[rows].ravel())
+                raw = _joint_lines(pair.value, w1, w2,
+                                   block(pair, rows).ravel(), buf)
                 spans[pair].append((fh.tell(), len(raw)))
                 fh.write(raw)
 
@@ -536,16 +571,21 @@ def _cmd_emit(cfg, outdir) -> tuple[str, int]:
     coupling = _coupling_from(cfg)
     grid = emission.default_emission_grid(
         coupling, _as_int(cfg, "n_omegabar"), _as_int(cfg, "n_delta"))
-    ob, dd = grid.omegabar[:, None], grid.delta[None, :]
+    # Each channel's amplitude factors over the whole axes, taken as
+    # joint_spectrum takes them; the rows of a block are their product.
+    factors = {pair: emission._amplitude_factors(
+        coupling, pair, grid.omegabar[:, None], grid.delta[None, :])
+        for pair in spectral.PAIRS}
 
-    def block(pair: DirectionPair) -> np.ndarray:
-        # The call joint_spectrum makes, one channel at a time.
-        return emission.emitted_amplitude(coupling, pair, ob, dd)
+    def block(pair: DirectionPair, rows: slice) -> np.ndarray:
+        line, u = factors[pair]
+        return line[rows] * u
 
-    density = emission._channel_sum(block)
-    total = emission._total_probability(coupling, grid, density)
-    corr = emission.pearson_correlation(grid, density)
-    del density   # the writer holds up to two blocks; free this first
+    chunks = _row_chunks(grid)
+    window, corr = emission._window_summaries(
+        grid, lambda rows: emission._channel_sum(
+            lambda pair: block(pair, rows)), chunks)
+    total = emission._total_probability(coupling, grid, window)
     stem = cfg["output_stem"]
     _write_joint_csv(_outpath(outdir, stem + ".csv"), grid, block,
                      coupling.omega0)
@@ -578,7 +618,8 @@ def _cmd_scatter(cfg, outdir) -> tuple[str, int]:
     out = result.output_on(grid)
     stem = cfg["output_stem"]
     _write_joint_csv(_outpath(outdir, stem + ".csv"), grid,
-                     lambda pair: out.data[pair.index], coupling.omega0)
+                     lambda pair, rows: out.data[pair.index, rows],
+                     coupling.omega0)
     _write_json(_outpath(outdir, stem + ".json"), {
         "total_rate": _quantity(coupling.total_rate, "omega0"),
         "sum_width": _quantity(sum_width, "omega0"),

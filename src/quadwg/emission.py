@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -50,13 +50,27 @@ def excited_amplitude(coupling: CouplingSpec, times):
     return np.where(t >= 0, out, 0.0)
 
 
+def _amplitude_factors(coupling: CouplingSpec, pair: DirectionPair,
+                       omegabar, delta):
+    """The two factors of ``emitted_amplitude``, whose product it is: the
+    sum-frequency factor ``i sqrt(rate(pair) / (2 pi))`` times the line on
+    ``omegabar``, and the difference factor ``conj(u)`` on ``delta``.
+
+    A slice of the first times the second has the bits of the same slice
+    of the product, so a caller can form any rows of a channel block from
+    factors taken once over the whole axes.
+    """
+    line = 1.0 / resonance_denominator(coupling.total_rate, coupling.omega0,
+                                       omegabar)
+    return (1j * math.sqrt(coupling.rate(pair) / (2.0 * math.pi)) * line,
+            np.conj(coupling.envelope(delta)))
+
+
 def emitted_amplitude(coupling: CouplingSpec, pair: DirectionPair,
                       omegabar, delta):
     """Long-time emitted pair amplitude on one direction channel."""
-    line = 1.0 / resonance_denominator(coupling.total_rate, coupling.omega0,
-                                       omegabar)
-    u = np.conj(coupling.envelope(delta))
-    return 1j * math.sqrt(coupling.rate(pair) / (2.0 * math.pi)) * line * u
+    line, u = _amplitude_factors(coupling, pair, omegabar, delta)
+    return line * u
 
 
 def default_emission_grid(coupling: CouplingSpec,
@@ -87,26 +101,60 @@ def pearson_correlation(grid: FrequencyGrid, density: np.ndarray) -> float:
     part of the reported quantity.
     """
     density = np.asarray(density, dtype=float)
-    mass = float(grid.integrate(density))
+    return _window_summaries(grid, lambda rows: density[rows])[1]
+
+
+def _window_summaries(grid: FrequencyGrid,
+                      density: Callable[[slice], np.ndarray],
+                      chunks: Sequence[slice] = (slice(None),),
+                      correlation: bool = True) -> tuple[float, float | None]:
+    """Window integral of the joint intensity ``density(rows)`` and, with
+    ``correlation``, its ``pearson_correlation`` (else None).
+
+    ``density(rows)`` returns the intensity on the sum-frequency rows
+    ``rows``, and is asked for each slice of ``chunks`` in turn (by
+    default one chunk of every row), so no array of the whole grid need
+    exist.  Every inner trapezoid of ``grid.integrate`` runs along one
+    row, so the row integrals of ``density``, ``density * obar`` and
+    ``density * delta**2`` taken a chunk at a time, each followed by one
+    trapezoid over ``obar``, have the bits of ``grid.integrate`` of the
+    whole arrays.  ``Var(obar)`` needs the mean first, so it takes a
+    second pass over the chunks.
+    """
+    ob, dd2 = grid.omegabar, grid.delta ** 2
+    # Row integrals of density times 1, obar, delta**2 and (obar - mean)**2.
+    inner = np.empty((4, ob.size))
+    for rows in chunks:
+        part = density(rows)
+        inner[0, rows] = grid.integrate_delta(part)
+        if correlation:
+            inner[1, rows] = grid.integrate_delta(part * ob[rows, None])
+            inner[2, rows] = grid.integrate_delta(part * dd2)
+    mass = float(np.trapezoid(inner[0], ob))
+    if not correlation:
+        return mass, None
     if not mass > 0:
         raise UndefinedCorrelationError("density carries no weight")
-    ob = grid.omegabar
-    mean_ob = float(grid.integrate(density * ob[:, None])) / mass
-    var_ob = float(grid.integrate(density * (ob[:, None] - mean_ob) ** 2)) / mass
+    mean_ob = float(np.trapezoid(inner[1], ob)) / mass
+    for rows in chunks:
+        inner[3, rows] = grid.integrate_delta(
+            density(rows) * (ob[rows, None] - mean_ob) ** 2)
+    var_ob = float(np.trapezoid(inner[3], ob)) / mass
     # Half-line moments of an even density equal the full-line ones.
-    var_dd = float(grid.integrate(density * grid.delta[None, :] ** 2)) / mass
+    var_dd = float(np.trapezoid(inner[2], ob)) / mass
     denom = var_ob + var_dd
     if not denom > 0:
         raise UndefinedCorrelationError("density has no spread")
-    return (var_ob - var_dd) / denom
+    return mass, (var_ob - var_dd) / denom
 
 
 def _channel_sum(block: Callable[[DirectionPair], np.ndarray]) -> np.ndarray:
     """Sum of ``|block(pair)|**2`` over the channels, added in channel order
     as ``np.sum(..., axis=0)`` adds the channels of a stacked array.
 
-    ``block`` maps each pair to its channel block; no block outlives its
-    own term, so at most one is held at a time.
+    ``block`` maps each pair to its channel block, or to the same rows of
+    each block; no block outlives its own term, so at most one is held at
+    a time.
     """
     total = np.abs(block(PAIRS[0])) ** 2
     for pair in PAIRS[1:]:
@@ -115,10 +163,10 @@ def _channel_sum(block: Callable[[DirectionPair], np.ndarray]) -> np.ndarray:
 
 
 def _total_probability(coupling: CouplingSpec, grid: FrequencyGrid,
-                       density: np.ndarray) -> float:
-    """Window integral of the channel-summed ``density`` divided by the
-    fraction of the emitted probability that lies inside the window."""
-    window = float(grid.integrate(density))
+                       window: float) -> float:
+    """``window``, the window integral of the channel-summed density,
+    divided by the fraction of the emitted probability that lies inside
+    the window."""
     half = min(coupling.omega0 - grid.omegabar[0],
                grid.omegabar[-1] - coupling.omega0)
     line_frac = (2.0 / math.pi) * math.atan(2.0 * half / coupling.total_rate)
@@ -143,7 +191,8 @@ class EmissionSpectrum:
     def total_density(self) -> np.ndarray:
         """Channel-summed density, the bits of ``np.sum(np.abs(data) ** 2,
         axis=0)``, added one channel block at a time so that no
-        four-channel float array is made."""
+        four-channel float array is made.  The summaries take it as one
+        chunk of rows; ``quadwg emit`` sums it a chunk of rows at a time."""
         return _channel_sum(self.channel)
 
     def state(self) -> GridState:
@@ -166,8 +215,10 @@ class EmissionSpectrum:
         trapezoid result by that fraction recovers the full-plane value,
         which is one for a complete emission record.
         """
-        return _total_probability(self.coupling, self.grid,
-                                  self.total_density())
+        density = self.total_density()
+        window, _ = _window_summaries(self.grid, lambda rows: density[rows],
+                                      correlation=False)
+        return _total_probability(self.coupling, self.grid, window)
 
     def spectrum_correlation(self) -> float:
         """Pearson correlation of the two photon frequencies.

@@ -1,18 +1,22 @@
 """Command-line interface: configs, outputs, determinism, exit codes."""
 
 import configparser
+import contextlib
+import io
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quadwg import cli, emission, errors, gate, scattering, spectral
 from quadwg.spectral import CouplingSpec, DirectionPair, Envelope, FrequencyGrid
@@ -565,48 +569,114 @@ _EMIT_CASES = {
     "mirror": (
         ("rates=mirror", "n_omegabar=48", "n_delta=24"),
         CouplingSpec.mirror(0.004, Envelope.gaussian(0.02)), 48, 24),
-    # 64 differences put 64 sum rows in a write chunk: the second is partial.
+    # 64 differences put 32 sum rows in a write chunk: the third is partial.
     "partial-chunk": (
         ("n_omegabar=67", "n_delta=64"),
         CouplingSpec.isotropic(0.004, Envelope.gaussian(0.02)), 67, 64),
 }
 
 
-@pytest.mark.parametrize("name", _EMIT_CASES)
-def test_emit_summaries_and_map_are_those_of_joint_spectrum(tmp_path, capsys,
-                                                            name):
-    overrides, coupling, n_omegabar, n_delta = _EMIT_CASES[name]
-    args = ["emit", "--outdir", str(tmp_path / "cli")]
+def _rows_of(data):
+    """The chunk callable of ``cli._write_joint_csv`` for a whole
+    ``(4, n_omegabar, n_delta)`` array."""
+    return lambda pair, rows: data[pair.index, rows]
+
+
+def _check_emit_is_joint_spectrum(outdir, overrides, coupling, n_omegabar,
+                                  n_delta):
+    """Run emit with ``overrides``: its JSON values, printed line and CSV
+    bytes must be those of ``joint_spectrum`` on the same grid, whose
+    whole array the writer writes."""
+    args = ["emit", "--outdir", str(outdir / "cli")]
     for override in overrides:
         args += ["--set", override]
-    out = run_ok(args, capsys)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.run(args) == 0
     grid = emission.default_emission_grid(coupling, n_omegabar, n_delta)
     spec = emission.joint_spectrum(coupling, grid)
     total, corr = spec.total_probability(), spec.spectrum_correlation()
-    payload = json.loads((tmp_path / "cli" / "emission.json").read_text())
+    payload = json.loads((outdir / "cli" / "emission.json").read_text())
     assert payload["total_probability"]["value"].hex() == total.hex()
     assert payload["spectrum_correlation"]["value"].hex() == corr.hex()
-    assert out == (f"emit: total_rate={coupling.total_rate:g} "
-                   f"P_total={total:.6f} correlation={corr:+.4f}\n")
-    expected = tmp_path / "expected.csv"
-    cli._write_joint_csv(expected, grid, lambda pair: spec.data[pair.index],
-                         coupling.omega0)
-    assert (tmp_path / "cli" / "emission.csv").read_bytes() \
+    assert out.getvalue() == (f"emit: total_rate={coupling.total_rate:g} "
+                              f"P_total={total:.6f} correlation={corr:+.4f}\n")
+    expected = outdir / "expected.csv"
+    cli._write_joint_csv(expected, grid, _rows_of(spec.data), coupling.omega0)
+    assert (outdir / "cli" / "emission.csv").read_bytes() \
         == expected.read_bytes()
 
 
-def test_emit_holds_no_four_channel_array(tmp_path, capsys):
-    # 512 x 256 points: one channel block is 2.1 MB, the four-channel
-    # array 8.4 MB.  The channel-summed density and two blocks fit.
-    cli._g12_tables()   # built once per process, not part of the bound
+@pytest.mark.parametrize("name", _EMIT_CASES)
+def test_emit_summaries_and_map_are_those_of_joint_spectrum(tmp_path, name):
+    _check_emit_is_joint_spectrum(tmp_path, *_EMIT_CASES[name])
+
+
+_WIDE = cli._KERNEL_ROWS + 3   # more differences than the kernel formats
+
+
+@settings(max_examples=20)
+@given(kind=st.sampled_from(("gaussian", "lorentzian")),
+       rates=st.one_of(
+           st.sampled_from(("isotropic", "mirror")),
+           # ++, the two equal cross rates and --.
+           st.tuples(*[st.sampled_from((0.0, 0.0005, 0.001, 0.0025))] * 3)
+           .filter(any).map(lambda r: (r[0], r[1], r[1], r[2]))),
+       shape=st.one_of(st.tuples(st.integers(2, 70), st.integers(2, 80)),
+                       st.tuples(st.integers(2, 3), st.just(_WIDE))))
+# A zero rate; 67 rows of 64 differences (a partial last chunk); rows
+# wider than the kernel; two sum rows.
+@example(kind="gaussian", rates=(0.001, 0.0, 0.0, 0.0025), shape=(67, 64))
+@example(kind="lorentzian", rates="mirror", shape=(3, _WIDE))
+@example(kind="gaussian", rates="isotropic", shape=(2, 2))
+def test_streamed_emit_is_joint_spectrum(kind, rates, shape):
+    omega0, width = 1.3, 0.01
+    envelope = getattr(Envelope, kind)(width)
+    if rates == "isotropic":
+        coupling = CouplingSpec.isotropic(0.004, envelope, omega0)
+    elif rates == "mirror":
+        coupling = CouplingSpec.mirror(0.004, envelope, omega0)
+    else:
+        coupling = CouplingSpec(omega0, dict(zip(spectral.PAIRS, rates)),
+                                envelope)
+    overrides = [f"omega0={omega0}", f"envelope={kind}",
+                 f"envelope_width={width}", f"n_omegabar={shape[0]}",
+                 f"n_delta={shape[1]}",
+                 "rates=" + (rates if isinstance(rates, str)
+                             else ",".join(map(repr, rates)))]
+    with tempfile.TemporaryDirectory() as outdir:
+        _check_emit_is_joint_spectrum(pathlib.Path(outdir), overrides,
+                                      coupling, *shape)
+
+
+def _emit_peak(outdir, n_omegabar, n_delta):
+    """Traced Python memory peak of one emit run on the given grid."""
     tracemalloc.start()
     try:
-        run_ok(["emit", "--outdir", str(tmp_path), "--set", "n_omegabar=512",
-                "--set", "n_delta=256"], capsys)
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.run(["emit", "--outdir", str(outdir),
+                            "--set", f"n_omegabar={n_omegabar}",
+                            "--set", f"n_delta={n_delta}"])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 7.5e6
+    assert code == 0
+    return peak
+
+
+def test_emit_holds_no_four_channel_array(tmp_path):
+    # Two grids 16 times apart in points: each chunk of the first is one
+    # sum row of more differences than the kernel formats at once, each
+    # chunk of the second 8 sum rows of 256.  Emit holds one chunk of rows
+    # at a time, so its peak does not follow the grid; one channel block
+    # of the second grid is 2.2 MB, its four-channel array 8.9 MB.
+    cli._g12_tables()   # built once per process, not part of the bound
+    n_delta = cli._KERNEL_ROWS + 128
+    small = _emit_peak(tmp_path / "small", 4, n_delta)
+    large = _emit_peak(tmp_path / "large", n_delta // 4, 256)
+    assert (n_delta // 4) * 256 == 16 * 4 * n_delta
+    assert small < 5e6 and large < 5e6
+    assert abs(large - small) < 0.5e6
 
 
 def _g12(x):
@@ -632,8 +702,8 @@ def _reference_joint_csv(path, grid, data, omega0):
 
 def _emission_case():
     coupling = CouplingSpec.isotropic(0.004, Envelope.gaussian(0.02))
-    # 64 differences put 64 sum-frequency rows in a write chunk: 67 rows
-    # make one full chunk and a partial one.
+    # 64 differences put 32 sum-frequency rows in a write chunk: 67 rows
+    # make two full chunks and a partial one.
     grid = emission.default_emission_grid(coupling, 67, 64)
     return grid, emission.joint_spectrum(coupling, grid).data, 1.0
 
@@ -677,7 +747,7 @@ def _special_values_case():
 
 def _anisotropic_gaussian_case():
     # Only the cross channels are equal; the zero-rate -- block is not
-    # equal to them.  67 rows of 64 differences: copies span two write
+    # equal to them.  67 rows of 64 differences: copies span three write
     # chunks.
     coupling = CouplingSpec(1.0, {
         DirectionPair.PP: 0.003, DirectionPair.PM: 0.0005,
@@ -698,7 +768,7 @@ def _isotropic_scatter_case():
 
 
 def _repeated_specials_case():
-    # The special values on every sum row of two write chunks (67 rows of
+    # The special values on every sum row of three write chunks (67 rows of
     # 64 differences), with ++ repeated as -+ and +- as --: rows whose
     # abs2 overflows, and nan and inf rows, are copied rather than
     # formatted.
@@ -730,7 +800,7 @@ _G12_EDGES += tuple(-x for x in _G12_EDGES)
 
 
 def _g12_edges_case():
-    # 80 differences put 51 sum rows in a write chunk: 67 rows take two.
+    # 80 differences put 25 sum rows in a write chunk: 67 rows take three.
     grid = FrequencyGrid(np.linspace(0.5, 1.5, 67), np.linspace(0.0, 0.2, 80))
     rng = np.random.default_rng(12)
     data = np.empty((4, 67, 80), dtype=complex)
@@ -751,11 +821,34 @@ def _wide_delta_case():
     return grid, np.stack([block, block, -block, block]), 1.0
 
 
+def _last_chunk_differs_case():
+    # 67 rows of 64 differences are written in three chunks; -+ and --
+    # equal ++ and +- in the first two and differ from them in one value
+    # of the last, so all four blocks are formatted.
+    grid = FrequencyGrid(np.linspace(0.5, 1.5, 67), np.linspace(0.0, 0.2, 64))
+    rng = np.random.default_rng(67)
+    block = rng.normal(size=(67, 64)) + 1j * rng.normal(size=(67, 64))
+    other = block.copy()
+    other[-1, 5] += 1e-9
+    return grid, np.stack([block, -block, other, -other]), 1.0
+
+
+def _last_chunk_signed_zero_case():
+    # As above, with the last chunks differing only in the sign of one zero
+    # imaginary part: equal as complex numbers, yet "0" and "-0" in the
+    # file.
+    grid, data, omega0 = _last_chunk_differs_case()
+    data[2:] = data[:2]
+    data[0, -1, 7] = complex(data[0, -1, 7].real, 0.0)
+    data[2, -1, 7] = complex(data[0, -1, 7].real, -0.0)
+    return grid, data, omega0
+
+
 _JOINT_CASES = [
     _emission_case, _anisotropic_lorentzian_case, _scatter_case,
     _special_values_case, _anisotropic_gaussian_case, _isotropic_scatter_case,
     _repeated_specials_case, _signed_zero_case, _g12_edges_case,
-    _wide_delta_case]
+    _wide_delta_case, _last_chunk_differs_case, _last_chunk_signed_zero_case]
 
 
 @pytest.mark.parametrize("case", _JOINT_CASES)
@@ -764,14 +857,14 @@ def test_joint_csv_matches_row_by_row_writer(tmp_path, case):
     expected, actual = tmp_path / "expected.csv", tmp_path / "actual.csv"
     with np.errstate(over="ignore"):
         _reference_joint_csv(expected, grid, data, omega0)
-    cli._write_joint_csv(actual, grid, lambda pair: data[pair.index], omega0)
+    cli._write_joint_csv(actual, grid, _rows_of(data), omega0)
     assert actual.read_bytes() == expected.read_bytes()
 
 
 def test_joint_csv_writes_overflowing_abs2_as_inf(tmp_path):
     grid, data, omega0 = _special_values_case()
     path = tmp_path / "special.csv"
-    cli._write_joint_csv(path, grid, lambda pair: data[pair.index], omega0)
+    cli._write_joint_csv(path, grid, _rows_of(data), omega0)
     rows = path.read_text().splitlines()[1:]
     assert rows[0] == "-1,-1,++,0,-0,0"
     assert rows[4] == "-0,0,++,nan,nan,0"
@@ -787,37 +880,48 @@ def test_joint_csv_writes_overflowing_abs2_as_inf(tmp_path):
     (_scatter_case, 2), (_special_values_case, 2),
     (_anisotropic_gaussian_case, 3), (_isotropic_scatter_case, 2),
     (_repeated_specials_case, 2), (_signed_zero_case, 2),
-    (_g12_edges_case, 4), (_wide_delta_case, 2)])
+    (_g12_edges_case, 4), (_wide_delta_case, 2),
+    (_last_chunk_differs_case, 4), (_last_chunk_signed_zero_case, 3)])
 def test_joint_csv_formats_each_distinct_block_once(tmp_path, monkeypatch,
                                                      case, distinct):
     # Isotropic emission formats 67 * 64 rows, not 4 * 67 * 64; the other
-    # blocks are copied from the file.  The block function is called once
-    # per channel and once per comparison with an earlier formatted block,
-    # at most ten times, and never between two chunks of one block.
+    # blocks are copied from the file.  Each chunk of rows is asked for
+    # once per channel formatted and twice per comparison with an earlier
+    # formatted block that reaches it.  A formatted block is written in
+    # one run: each chunk is asked for and formatted, in order, with
+    # nothing between.
     grid, data, omega0 = case()
+    chunks = [rows.start for rows in cli._row_chunks(grid)]
     formatted = []
-    events = []   # channel labels of formatted chunks, pairs of block calls
+    events = []   # channel labels of formatted chunks, (pair, row) calls
     joint_lines = cli._joint_lines
 
-    def counted(template, w1, w2, amps):
-        text = joint_lines(template, w1, w2, amps)
+    def counted(template, w1, w2, amps, buf):
+        text = joint_lines(template, w1, w2, amps, buf)
         formatted.append(len(w1))
         events.append(template)
         return text
 
-    def block(pair):
-        events.append(pair)
-        return data[pair.index]
+    def block(pair, rows):
+        events.append((pair, rows.start))
+        return data[pair.index, rows]
 
     monkeypatch.setattr(cli, "_joint_lines", counted)
     cli._write_joint_csv(tmp_path / "joint.csv", grid, block, omega0)
     assert sum(formatted) == distinct * data[0].size
-    calls = [e for e in events if isinstance(e, DirectionPair)]
-    assert set(calls) == set(spectral.PAIRS)
-    assert len(calls) <= 10
-    for label in set(events) - set(calls):
-        chunks = [i for i, e in enumerate(events) if e == label]
-        assert events[chunks[0]:chunks[-1] + 1] == [label] * len(chunks)
+    calls = [e for e in events if isinstance(e, tuple)]
+    assert {pair for pair, _ in calls} == set(spectral.PAIRS)
+    # At most one comparison per earlier formatted block.
+    comparisons = sum(min(k, distinct) for k in range(len(spectral.PAIRS)))
+    for start in chunks:
+        assert [row for _, row in calls].count(start) \
+            <= distinct + 2 * comparisons
+    for pair in spectral.PAIRS:
+        if pair.value in events:
+            first = events.index(pair.value) - 1
+            run = events[first:first + 2 * len(chunks)]
+            assert run == [event for start in chunks
+                           for event in ((pair, start), pair.value)]
 
 
 _float_bits = st.integers(0, 2 ** 64 - 1).map(
@@ -870,7 +974,7 @@ def test_joint_lines_abs2_has_the_bits_of_python_abs_squared(parts):
             expected.append(math.inf)
     formatted = []
     with mock.patch.object(cli, "_g12_lines",
-                           lambda x, seps: formatted.append(x.copy())):
+                           lambda x, seps, buf: formatted.append(x.copy())):
         cli._joint_lines("++", re, re, amps)
     abs2 = formatted[0][:, 2]
     assert [math.isnan(v) or v.hex() for v in expected] \

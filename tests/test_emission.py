@@ -17,7 +17,13 @@ from quadwg import (
     excited_amplitude,
     joint_spectrum,
 )
-from quadwg.emission import _channel_sum, pearson_correlation
+from quadwg.emission import (
+    _channel_sum,
+    _total_probability,
+    _window_summaries,
+    default_emission_grid,
+    pearson_correlation,
+)
 
 GAMMA = 0.004
 
@@ -162,6 +168,43 @@ def test_correlation_error_paths():
     point[16, 0] = 1.0
     with pytest.raises(UndefinedCorrelationError):
         pearson_correlation(grid, point)
+
+
+def _whole_grid_summaries(spec):
+    """Window mass and frequency correlation of the channel-summed density
+    of ``spec`` by ``grid.integrate`` of whole arrays: the reference that
+    summaries taken a chunk of sum rows at a time must reproduce."""
+    grid, density = spec.grid, spec.total_density()
+    ob = grid.omegabar[:, None]
+    mass = float(grid.integrate(density))
+    mean_ob = float(grid.integrate(density * ob)) / mass
+    var_ob = float(grid.integrate(density * (ob - mean_ob) ** 2)) / mass
+    var_dd = float(grid.integrate(density * grid.delta[None, :] ** 2)) / mass
+    return mass, (var_ob - var_dd) / (var_ob + var_dd)
+
+
+@pytest.mark.parametrize("step", [1, 5, 16, 66, 67, 200])
+def test_window_summaries_by_row_chunks_have_the_whole_grid_bits(step):
+    # A tabulated envelope with a phase, and anisotropic rates with no --
+    # weight; 67 sum rows in chunks of ``step``.
+    env = Envelope.tabulated(0.002 * np.arange(8),
+                             [1.0, 0.95 - 0.1j, 0.8 - 0.3j, 0.55 - 0.4j,
+                              0.3 - 0.35j, 0.12 - 0.2j, 0.03 - 0.06j, 0.0])
+    cpl = CouplingSpec(1.0, {DirectionPair.PP: 0.003,
+                             DirectionPair.PM: 0.0005,
+                             DirectionPair.MP: 0.0005}, env)
+    grid = default_emission_grid(cpl, 67, 40)
+    spec = joint_spectrum(cpl, grid)
+    mass, corr = _whole_grid_summaries(spec)
+    chunks = [slice(start, start + step) for start in range(0, 67, step)]
+    window, r = _window_summaries(grid, lambda rows: _channel_sum(
+        lambda pair: spec.data[pair.index, rows]), chunks)
+    assert (window.hex(), r.hex()) == (mass.hex(), corr.hex())
+    # The library's summaries are its one-chunk case.
+    assert spec.spectrum_correlation().hex() == corr.hex()
+    assert pearson_correlation(grid, spec.total_density()).hex() == corr.hex()
+    assert spec.total_probability().hex() \
+        == _total_probability(cpl, grid, mass).hex()
 
 
 def test_emission_state_norm_and_marginals():
