@@ -22,6 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .emission import emitted_amplitude
 from .errors import EmptyPostselectionError
 from .spectral import CouplingSpec, DirectionPair, Envelope, _check_finite
 
@@ -60,6 +61,7 @@ class FilterPair:
         ``omega0`` or ``omega0 + 2 d``, i.e. they sit symmetrically on the
         emission line.
         """
+        _check_finite("detuning", detuning)
         if detuning < 0:
             raise ValueError("detuning must be nonnegative")
         half = 0.5 * coupling.omega0
@@ -98,9 +100,10 @@ def postselect_filtered_state(coupling: CouplingSpec, filters: FilterPair,
                               bandwidth: float = 0.0) -> TwoQubitState:
     """Filtered two-qubit state of the counter-propagating emitted pair.
 
-    The cross-channel emission amplitude is evaluated at the four filter
-    combinations ``(omega_x, omega_y)``, mapped to half-plane coordinates
-    ``obar = omega_x + omega_y`` and ``delta = |omega_y - omega_x|``, and
+    The cross-channel emission amplitude, ``emitted_amplitude`` on the
+    ``+-`` channel, is evaluated at the four filter combinations
+    ``(omega_x, omega_y)``, mapped to half-plane coordinates ``obar =
+    omega_x + omega_y`` and ``delta = |omega_y - omega_x|``, and
     renormalized.  ``bandwidth > 0`` replaces the pointwise evaluation by a
     box average over square windows of that full width, to gauge how narrow
     real filters must be for the ideal-filter answer to hold; a bandwidth
@@ -111,7 +114,8 @@ def postselect_filtered_state(coupling: CouplingSpec, filters: FilterPair,
         raise ValueError("bandwidth must be nonnegative")
     w1, w2 = _combinations([filters])
     if bandwidth == 0.0:
-        amps = _amplitudes(coupling, w1, w2)
+        amps = emitted_amplitude(coupling, DirectionPair.PM, w1 + w2,
+                                 np.abs(w2 - w1))
     else:
         # The trapezoid rule on 33 x 33 nodes around each combination,
         # over the area that the rounded nodes span.
@@ -122,8 +126,10 @@ def postselect_filtered_state(coupling: CouplingSpec, filters: FilterPair,
         if not np.all((area > 0) & (area < math.inf)):
             raise ValueError(f"bandwidth {bandwidth!r} leaves a filter window"
                              " of zero or infinite sampled area")
-        vals = _amplitudes(coupling, xs[..., :, None], ys[..., None, :])
-        inner = np.trapezoid(vals, ys[..., None, :], axis=-1)
+        x, y = xs[..., :, None], ys[..., None, :]
+        vals = emitted_amplitude(coupling, DirectionPair.PM, x + y,
+                                 np.abs(y - x))
+        inner = np.trapezoid(vals, y, axis=-1)
         amps = np.trapezoid(inner, xs, axis=-1) / area
     return TwoQubitState(*_postselect_row(coupling, amps)[0])
 
@@ -198,21 +204,28 @@ def entropy_sweeps(beta_over_gamma: Sequence[float],
     computed in array passes, a width at a time, with every point's
     entropy taken together at the end.
     """
+    if not (math.isfinite(total_rate) and total_rate > 0):
+        raise ValueError(f"total_rate must be finite and positive, got"
+                         f" {total_rate!r}")
     betas = np.asarray(beta_over_gamma, dtype=float)
     deltas = np.asarray(delta_over_gamma, dtype=float)
-    if np.any(betas <= 0) or np.any(deltas < 0):
-        raise ValueError("width ratios must be positive, detunings nonnegative")
+    # Written so that a nan ratio fails them too.
+    if not np.all(betas > 0):
+        raise ValueError("width ratios must be positive")
+    if not np.all(deltas >= 0):
+        raise ValueError("detuning ratios must be nonnegative")
     states = np.empty((betas.size, deltas.size, 4), dtype=complex)
-    combinations = None
+    coords = None
     for i, b in enumerate(betas):
         coupling = CouplingSpec.isotropic(
             total_rate, Envelope.lorentzian(b * total_rate), omega0)
-        if combinations is None:
-            combinations = _combinations(
+        if coords is None:
+            w1, w2 = _combinations(
                 [FilterPair.symmetric(coupling, d * total_rate)
                  for d in deltas])
-        states[i] = _postselect_row(coupling,
-                                    _amplitudes(coupling, *combinations))
+            coords = (w1 + w2, np.abs(w2 - w1))
+        states[i] = _postselect_row(coupling, emitted_amplitude(
+            coupling, DirectionPair.PM, *coords))
     return EntropySweeps(betas, deltas, _entropies(states))
 
 
@@ -224,44 +237,6 @@ def _combinations(filters: Sequence[FilterPair]) -> tuple:
     wb = np.array([f.omega_b for f in filters])[:, None]
     return (np.concatenate([wa, wa, wb, wb], axis=1),
             np.concatenate([wa, wb, wa, wb], axis=1))
-
-
-def _reciprocal(re: float, im: np.ndarray) -> tuple:
-    """``1 / (re + i im)`` elementwise, as Python divides complex numbers:
-    ``(real, imag)``."""
-    big = abs(re) >= np.abs(im)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # Both branches of CPython's division, one of them kept.
-        ratio = np.where(big, im / re, re / im)
-        denom = np.where(big, re + im * ratio, re * ratio + im)
-        real = np.where(big, (1.0 + 0.0 * ratio) / denom,
-                        (1.0 * ratio + 0.0) / denom)
-        imag = np.where(big, (0.0 - 1.0 * ratio) / denom,
-                        (0.0 * ratio - 1.0) / denom)
-    return real, imag
-
-
-def _amplitudes(coupling: CouplingSpec, w1: np.ndarray,
-                w2: np.ndarray) -> np.ndarray:
-    """``emitted_amplitude`` on the cross channel at the pair frequencies
-    ``(w1, w2)``, in real arithmetic: the products and the quotient of its
-    Python and numpy-scalar complex arithmetic, written out (numpy's array
-    complex multiply rounds differently)."""
-    # The line factor 1 / (rate / 2 + i (omega0 - obar)).
-    lr, li = _reciprocal(coupling.total_rate / 2.0,
-                         coupling.omega0 - (w1 + w2))
-    delta = np.abs(w2 - w1)
-    s = math.sqrt(coupling.rate(DirectionPair.PM) / (2.0 * math.pi))
-    # (1j * s) * line in Python complex arithmetic, then times conj(u) in
-    # numpy-scalar complex arithmetic, each written out in real terms.
-    pr = 0.0 * lr - s * li
-    pi = 0.0 * li + s * lr
-    u = np.conj(coupling.envelope(delta))
-    ur, ui = u.real, u.imag
-    amps = np.empty(delta.shape, dtype=complex)
-    amps.real = pr * ur - pi * ui
-    amps.imag = pr * ui + pi * ur
-    return amps
 
 
 def _postselect_row(coupling: CouplingSpec, amps: np.ndarray) -> np.ndarray:

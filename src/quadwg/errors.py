@@ -29,6 +29,11 @@ class InvalidStateError(ValueError, _NumericalFailure):
     """Raised when a two-photon state is malformed (for example zero norm)."""
 
 
+class _UnresolvableRateError(ValueError, _NumericalFailure):
+    """A rate too small or too large for float64 or the quadrature to
+    resolve."""
+
+
 class UnsupportedConfigurationError(ValueError):
     """Raised when an operation does not apply to the given coupling setup."""
 

@@ -23,9 +23,11 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import InvalidOverlapError, TruncationError, _NumericalFailure
-from .spectral import (EnvelopeKind, _check_finite, _integrals,
-                       _linear_masses, quad, resonance_denominator)
+from .errors import (InvalidOverlapError, TruncationError,
+                     _UnresolvableRateError)
+from .spectral import (QUAD_LIMIT, EnvelopeKind, _breaks, _check_finite,
+                       _integrals, _linear_masses, quad,
+                       resonance_denominator)
 
 __all__ = [
     "PulseShape",
@@ -164,10 +166,6 @@ def _check_rate(gamma) -> None:
                          f" got {float(gamma)!r}")
 
 
-class _UnresolvableRateError(ValueError, _NumericalFailure):
-    """A rate too small for QUADPACK to bisect the resonance."""
-
-
 def _check_resolvable(gamma: float) -> None:
     """Reject a rate whose resonance interval next to zero QUADPACK would
     refuse to bisect.
@@ -274,8 +272,13 @@ def _gate_job(f: PulseShape, gamma: float,
         while step < reach:
             pts += [center - step, center + step]
             step *= 8.0
-    return partial(_node_values, f, gamma, origin, r), 3, segments, \
-        _apart(pts)
+    points = _apart(pts)
+    n_breaks = len(_breaks(lo, hi, points))
+    if n_breaks >= QUAD_LIMIT:
+        raise _UnresolvableRateError(
+            f"gamma {gamma!r} is too large: quad cannot take the"
+            f" {n_breaks} break points of a window this wide")
+    return partial(_node_values, f, gamma, origin, r), 3, segments, points
 
 
 def _apart(points: list[float]) -> list[float]:
@@ -335,8 +338,10 @@ def gate_overlap(f: PulseShape, gamma: float,
     integrands are evaluated together, once a round, on the Gauss-Kronrod
     nodes of all nine integrals (``spectral._integrals``).
 
-    ``gamma`` must be positive and finite, with ``2 / gamma`` finite, and
-    large enough for quad to bisect its resonance (above about 4.45e-305).
+    ``gamma`` must be positive and finite, with ``2 / gamma`` finite,
+    large enough for quad to bisect its resonance (above about 4.45e-305),
+    and, for an analytic pulse, small enough for quad to take the break
+    points of its window (below about 1e178 times its FWHM).
     Any real rate is taken as a Python float.
     """
     return _gate_z(f, gamma, omega0) - 1.0

@@ -21,7 +21,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import InvalidStateError, UnsupportedConfigurationError
+from .errors import (InvalidStateError, UnsupportedConfigurationError,
+                     _UnresolvableRateError)
 from .spectral import (
     PAIRS,
     CouplingSpec,
@@ -221,6 +222,12 @@ def channel_probabilities(result: ScatterOutput) -> ChannelProbabilities:
             if pair in state.channels:
                 norm += n_own - math.sqrt(rate) * w * k2 * gamma_total * J
             values[pair] = norm / n_in
+        if not all(map(math.isfinite, values.values())):
+            # Past a total rate of about 1e154, J underflows to zero as
+            # rate * w * w overflows.
+            raise _UnresolvableRateError(
+                f"total rate {gamma_total!r} is too large: the channel"
+                " probabilities are not finite")
         return ChannelProbabilities(values)
     out = result.output_on(state.grid)
     values = {pair: float(out.grid.integrate(np.abs(out.channel(pair)) ** 2)) / n_in

@@ -55,9 +55,11 @@ __all__ = [
     "decompose",
 ]
 
-# Adaptive quadrature targets used for every one-dimensional integral.
+# Adaptive quadrature targets and subinterval limit used for every
+# one-dimensional integral.
 QUAD_EPSABS = 1.0e-12
 QUAD_EPSREL = 1.0e-10
+QUAD_LIMIT = 400
 
 # Fraction of half-line envelope mass a grid must keep before a
 # TruncationWarning is issued.
@@ -446,7 +448,7 @@ def _quad_options(a: float, b: float,
                   points: Sequence[float] | None = None) -> dict:
     """``quad`` keywords over ``[a, b]``: tolerances, subdivision limit, and
     the break points strictly inside a finite interval."""
-    kw = dict(epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL, limit=400)
+    kw = dict(epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL, limit=QUAD_LIMIT)
     pts = _breaks(a, b, points)
     if pts:
         kw["points"] = pts

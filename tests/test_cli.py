@@ -488,6 +488,31 @@ def test_numerical_failure_exits_2(tmp_path, capsys):
     assert "zero norm" in err
 
 
+@pytest.mark.parametrize("args, name", [
+    (["scatter", "--set", "total_rate=1e155"], "total rate 1e+155"),
+    (["sweep-reflection", "--set", "rates=1e154,1e155"], "total rate 1e+155"),
+    (["gate", "--set", "ratios=1e300"], "gamma 1e+300"),
+], ids=["scatter", "sweep-reflection", "gate"])
+def test_rates_out_of_reach_exit_2(tmp_path, capsys, args, name):
+    # The first two printed nan probabilities and exited 0; the gate
+    # exited 1 with quad's own complaint about its break points.
+    with warnings.catch_warnings():
+        # The overflow and flat-band warnings of these rates.
+        warnings.simplefilter("ignore")
+        assert cli.run([*args, "--outdir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:")
+    assert name in err
+
+
+def test_entangle_names_a_negative_total_rate(tmp_path, capsys):
+    # Once "envelope width must be positive".
+    assert cli.run(["entangle", "--outdir", str(tmp_path),
+                    "--set", "total_rate=-0.004"]) == 1
+    assert "total_rate must be finite and positive" \
+        in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("error, code", [
     (errors.InvalidStateError, 2),
     (errors.InvalidOverlapError, 2),

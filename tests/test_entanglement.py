@@ -2,7 +2,8 @@
 
 The parity tests hold ``postselect_filtered_state``, ``entanglement_entropy``
 and ``entropy_sweeps`` bit for bit to a reference built here from the public
-``emitted_amplitude``; run them deeper with
+``emitted_amplitude`` on arrays, and within 2 eps to one built from its
+scalar calls; run them deeper with
 ``pytest tests/test_entanglement.py --hypothesis-profile=parity``.
 """
 
@@ -60,8 +61,8 @@ def test_symmetric_filters_straddle_half_resonance():
 @pytest.mark.parametrize("build, name", [
     (lambda cpl: FilterPair(math.nan, 1.0), "omega_a"),
     (lambda cpl: FilterPair(0.4, math.inf), "omega_b"),
-    (lambda cpl: FilterPair.symmetric(cpl, math.nan), "omega_a"),
-    (lambda cpl: FilterPair.symmetric(cpl, math.inf), "omega_a"),
+    (lambda cpl: FilterPair.symmetric(cpl, math.nan), "detuning"),
+    (lambda cpl: FilterPair.symmetric(cpl, math.inf), "detuning"),
     (lambda cpl: postselect_filtered_state(
         cpl, FilterPair.symmetric(cpl, GAMMA), math.nan), "bandwidth"),
     (lambda cpl: postselect_filtered_state(
@@ -249,17 +250,52 @@ def test_entropy_sweeps_shapes_and_features():
         entropy_sweeps([0.0], [1.0])
 
 
-def _reference_state(coupling, filters):
-    """The unit state vector from ``emitted_amplitude`` at each filter
-    combination, one at a time, with the library's postselection rules."""
+@pytest.mark.parametrize("args, name", [
+    (([1.0], [math.nan]), "detuning ratios"),
+    (([math.nan], [1.0]), "width ratios"),
+    (([1.0], [1.0], -0.004), "total_rate"),
+    (([1.0], [1.0], 0.0), "total_rate"),
+    (([1.0], [1.0], math.nan), "total_rate"),
+    (([1.0], [1.0], math.inf), "total_rate"),
+], ids=["nan-detuning", "nan-width", "negative-rate", "zero-rate",
+        "nan-rate", "inf-rate"])
+def test_entropy_sweeps_errors_name_their_parameter(args, name):
+    # A bad rate once blamed the envelope width, and a nan ratio omega_a.
+    with pytest.raises(ValueError, match=name):
+        entropy_sweeps(*args)
+
+
+def _combinations(filters):
+    """The four filter combinations ``(aa, ab, ba, bb)``."""
+    wa, wb = filters.omega_a, filters.omega_b
+    return [(wa, wa), (wa, wb), (wb, wa), (wb, wb)]
+
+
+def _array_amplitudes(coupling, filters):
+    """``emitted_amplitude`` at the four filter combinations, in one array
+    call."""
+    pairs = _combinations(filters)
+    return emitted_amplitude(coupling, DirectionPair.PM,
+                             np.array([x + y for x, y in pairs]),
+                             np.array([abs(y - x) for x, y in pairs]))
+
+
+def _scalar_amplitudes(coupling, filters):
+    """``emitted_amplitude`` at the four filter combinations, one scalar
+    call each: numpy rounds the complex products of one element otherwise
+    than those of an array."""
+    return np.array([complex(emitted_amplitude(coupling, DirectionPair.PM,
+                                               x + y, abs(y - x)))
+                     for x, y in _combinations(filters)])
+
+
+def _reference_state(coupling, filters, amplitudes=_array_amplitudes):
+    """The unit state vector from the filter combinations' ``amplitudes``,
+    with the library's postselection rules written out."""
     if coupling.rate(DirectionPair.PM) <= 0:
         raise EmptyPostselectionError(
             "cross-channel rate is zero; no counter-propagating pairs")
-    wa, wb = filters.omega_a, filters.omega_b
-    amps = np.array([
-        complex(emitted_amplitude(coupling, DirectionPair.PM, x + y,
-                                  abs(y - x)))
-        for x, y in [(wa, wa), (wa, wb), (wb, wa), (wb, wb)]])
+    amps = amplitudes(coupling, filters)
     if max(abs(a) for a in amps) < 1e-300:
         raise EmptyPostselectionError(
             "filters sit outside the envelope support")
@@ -383,3 +419,20 @@ def test_filtered_state_and_entropy_equal_the_reference(case):
     assert np.float64(entropy).view(np.uint64) \
         == np.float64(_reference_entropy(expected)).view(np.uint64)
 
+
+@given(filtered_pairs())
+def test_filtered_state_and_entropy_stay_near_the_scalar_path(case):
+    # The state was once built from four scalar calls of
+    # emitted_amplitude; the array call moves it by at most 2 eps.
+    coupling, filters = case
+    expected = _outcome(lambda: _reference_state(coupling, filters,
+                                                 _scalar_amplitudes))
+    state = _outcome(lambda: postselect_filtered_state(coupling, filters))
+    if isinstance(expected, str):
+        assert state == expected
+        return
+    assert not isinstance(state, str), state
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(state.as_vector() - expected)) <= 2 * eps
+    assert abs(entanglement_entropy(state) - _reference_entropy(expected)) \
+        <= 1e-14

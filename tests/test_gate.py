@@ -1,6 +1,7 @@
 """Mirror response, controlled-phase overlap, and gate fidelity."""
 
 import math
+import re
 import warnings
 
 import mpmath
@@ -161,6 +162,21 @@ def test_gate_overlap_rejects_rates_quad_cannot_resolve(kind, fwhm_on_power):
     # and the transparent limit.
     overlap = gate_overlap(pulse, math.nextafter(_LARGEST_UNRESOLVABLE, 1.0))
     assert overlap == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "lorentzian"])
+@pytest.mark.parametrize("gamma", [1e178, 1e300])
+def test_gate_rejects_rates_whose_break_points_outnumber_quads_limit(
+        kind, gamma):
+    # The ladder of pulse-scale break points across a window 80 gamma wide
+    # outgrew quad's 400 subintervals, and quad refused with its own
+    # ValueError.
+    pulse = gate.unit_pulse(kind)
+    match = f"gamma {re.escape(repr(gamma))} is too large"
+    with pytest.raises(gate._UnresolvableRateError, match=match):
+        gate_overlap(pulse, gamma)
+    with pytest.raises(gate._UnresolvableRateError, match=match):
+        infidelity_sweep([gamma], shapes=(kind,))
 
 
 @pytest.mark.parametrize("shape", ["gaussian", "lorentzian"])

@@ -30,7 +30,7 @@ from quadwg import (
     scattering_amplitude,
     transfer_coefficient,
 )
-from quadwg import scattering, spectral
+from quadwg import errors, scattering, spectral
 from quadwg.spectral import (PAIRS, EnvelopeKind, _abs2, _quad_options,
                              gaussian_difference_profile,
                              gaussian_sum_spectrum, resonance_denominator)
@@ -414,6 +414,24 @@ def test_reflection_sweep_shape_and_extremes():
         reflection_sweep(0.02, (0.0,), (GAMMA,))
     with pytest.raises(ValueError):
         reflection_sweep(0.02, (1.0,), (0.0,))
+
+
+def test_channel_probabilities_reject_a_rate_whose_norms_overflow():
+    # Past a total rate of about 1e154, J underflows to zero while
+    # rate * w * w overflows: the probabilities were nan.
+    state = gaussian_biphoton(DirectionPair.PP, 1.0, 2e-3)
+    envelope = Envelope.gaussian(2e-3)
+    with warnings.catch_warnings():
+        # The flat-band warning of such rates, and the overflow warnings
+        # of the far quadrature nodes.
+        warnings.simplefilter("ignore")
+        probs = channel_probabilities(
+            scatter(CouplingSpec.isotropic(1e154, envelope, 1.0), state))
+        assert probs.total == pytest.approx(1.0)
+        result = scatter(CouplingSpec.isotropic(1e155, envelope, 1.0), state)
+        with pytest.raises(errors._UnresolvableRateError,
+                           match=r"total rate 1e\+155 is too large"):
+            channel_probabilities(result)
 
 
 def test_output_records_phase_convention():
