@@ -354,7 +354,9 @@ def _fidelity(z: complex) -> tuple[float, float, float]:
     ``|1 - x z|^2`` is least over ``[0, 1]`` at ``x* = Re z / |z|^2``
     clipped to ``[0, 1]``, where ``1 - F = x* (2 Re z - x* |z|^2)`` keeps
     every digit of a small infidelity that ``1 - |1 - x* z|^2`` would
-    cancel away.
+    cancel away.  Where ``|z|^2`` is not normal, both use ``w = z 2^-e``
+    for ``|z| = m 2^e``: ``x* = y 2^-e``, ``1 - F = y (2 Re w - y |w|^2)``
+    and ``y = Re w / |w|^2`` held to ``[0, 2^e]``.
     """
     if not abs(z - 1.0) <= 1.0 + 1e-6:   # a nan overlap fails too
         raise InvalidOverlapError(
@@ -362,10 +364,12 @@ def _fidelity(z: complex) -> tuple[float, float, float]:
             " quadrature failed")
     if z == 0:
         return 1.0, 1.0, 0.0
-    norm2 = abs(z) ** 2
-    x_star = min(max(z.real / norm2, 0.0), 1.0)
-    infidelity = x_star * (2.0 * z.real - x_star * norm2)
-    return 1.0 - infidelity, x_star, infidelity
+    e = 0 if abs(z) ** 2 >= np.finfo(float).tiny else math.frexp(abs(z))[1]
+    w = complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e))
+    norm2 = abs(w) ** 2
+    y = min(max(w.real / norm2, 0.0), math.ldexp(1.0, e))
+    infidelity = y * (2.0 * w.real - y * norm2)
+    return 1.0 - infidelity, math.ldexp(y, -e), infidelity
 
 
 def worst_case_fidelity(overlap: complex) -> tuple[float, float]:

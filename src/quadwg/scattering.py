@@ -105,19 +105,20 @@ class ScatterOutput:
         u, q = _grid_overlaps(input_state, coupling.envelope)
         # Summed root-rate-weighted envelope overlaps of all channels.
         drive = (coupling.sqrt_rates()[:, None] * q).sum(axis=0)
-        self._grid_out = self._radiated(input_state, u, drive)
+        self._grid_out = self._radiated(input_state.grid,
+                                        input_state.data.copy(), u, drive)
 
-    def _radiated(self, state: GridState, u: np.ndarray,
-                  drive: np.ndarray) -> GridState:
-        """``state`` minus ``sqrt(rate(mu)) * (drive / denom) * conj(u)``
-        in every channel ``mu``; ``u`` and ``drive`` are sampled on the
-        difference and sum axes of ``state.grid``."""
-        grid = state.grid
+    def _radiated(self, grid: FrequencyGrid, data: np.ndarray,
+                  u: np.ndarray, drive: np.ndarray) -> GridState:
+        """``data`` on ``grid`` minus ``sqrt(rate(mu)) * (drive / denom) *
+        conj(u)`` in every channel ``mu``, in place; ``u`` and ``drive`` are
+        sampled on the difference and sum axes of ``grid``."""
         drive = drive / resonance_denominator(
             self.coupling.total_rate, self.coupling.omega0, grid.omegabar)
-        return GridState(grid, state.data
-                         - self.coupling.sqrt_rates()[:, None, None]
-                         * drive[None, :, None] * np.conj(u)[None, None, :])
+        u = np.conj(u)[None, :]
+        for channel, root in zip(data, self.coupling.sqrt_rates()):
+            channel -= (root * drive)[:, None] * u
+        return GridState(grid, data)
 
     def output_on(self, grid: FrequencyGrid) -> GridState:
         """Materialize the outgoing state on ``grid``."""
@@ -127,7 +128,7 @@ class ScatterOutput:
         _check_envelope_cover(self.coupling.envelope, grid)
         drive = self._kappa * self._w \
             * np.asarray(state.f(grid.omegabar), dtype=complex)
-        return self._radiated(state.on_grid(grid),
+        return self._radiated(grid, state.on_grid(grid).data,
                               self.coupling.envelope(grid.delta), drive)
 
 

@@ -638,7 +638,7 @@ class GridState:
         self.data = data
         pm = data[DirectionPair.PM.index]
         mp = data[DirectionPair.MP.index]
-        scale = float(np.max(np.abs(data))) or 1.0
+        scale = float(np.max([np.max(np.abs(c)) for c in data])) or 1.0
         if np.max(np.abs(pm - mp)) > 1e-8 * scale:
             raise InvalidStateError(
                 "cross channels must agree in the half-plane representation"

@@ -37,6 +37,10 @@ diagonalizes ``H`` once and builds those powers a block of steps at a
 time; nothing loops per step.  The result is the same Runge-Kutta map,
 including the slight numerical dissipation ``|R| < 1`` that the
 norm-drift check watches, not the exact exponential.
+
+Memory: a run holds one four-channel array, the modes, plus per-row
+vectors; couplings and bright directions are built one channel at a time,
+and the dark remainder and the final state overwrite the modes in place.
 """
 
 from __future__ import annotations
@@ -197,18 +201,21 @@ def _rk4_factor(z):
 
 
 def _mode_setup(coupling: CouplingSpec, grid: FrequencyGrid):
+    """Root trapezoid weights, the pair-kinematics mask, ``channel(pair)``
+    giving one channel's couplings ``g`` and the mode detunings."""
     ob, dd = grid.omegabar, grid.delta
-    weight = _trapezoid_weights(grid)
     # Pair kinematics: the difference frequency cannot exceed the sum.
     allowed = dd[None, :] <= ob[:, None] + 1e-12 * max(1.0, abs(ob[-1]))
-    u = coupling.envelope(dd)
-    g = np.empty((4, ob.size, dd.size), dtype=complex)
-    for pair in PAIRS:
-        g[pair.index] = math.sqrt(coupling.rate(pair) / (2.0 * math.pi)) \
-            * u[None, :] * np.sqrt(weight)
-    g *= allowed[None, :, :]
+    u = coupling.envelope(dd)[None, :]
+    root_weight = np.sqrt(_trapezoid_weights(grid))
+
+    def channel(pair):
+        g = math.sqrt(coupling.rate(pair) / (2.0 * math.pi)) * u * root_weight
+        g *= allowed
+        return g
+
     nu = ob - coupling.omega0
-    return weight, allowed, g, nu
+    return root_weight, allowed, channel, nu
 
 
 def integrate(coupling: CouplingSpec,
@@ -220,10 +227,11 @@ def integrate(coupling: CouplingSpec,
     or a pair state, which is discretized onto the grid with measure
     weights.  Raises an integration-failure error when the conserved norm
     drifts by more than one part in ten thousand, which signals a step too
-    large or a grid too coarse.
+    large or a grid too coarse.  The run holds one four-channel array, the
+    final state, plus per-row vectors; a grid input is never changed.
     """
     grid = config.grid
-    weight, allowed, g, nu = _mode_setup(coupling, grid)
+    root_weight, allowed, channel, nu = _mode_setup(coupling, grid)
     if config.dt * float(np.max(np.abs(nu))) > STABILITY_LIMIT * (1 + 1e-9):
         raise ValueError(
             "dt too large for the grid bandwidth; "
@@ -231,26 +239,35 @@ def integrate(coupling: CouplingSpec,
 
     if isinstance(initial, ExcitedEmitter):
         emitter = 1.0 + 0.0j
-        modes = np.zeros_like(g)
+        modes = np.zeros((4,) + root_weight.shape, dtype=complex)
     elif isinstance(initial, (SeparableState, GridState)):
         emitter = 0.0 + 0.0j
-        modes = initial.on_grid(grid).data * np.sqrt(weight)[None, :, :]
-        modes *= allowed[None, :, :]
+        state = initial.on_grid(grid)   # itself on the integration axes
+        modes = state.data.copy() if state is initial else state.data
+        modes *= root_weight
+        modes *= allowed
     else:
         raise TypeError("initial must be ExcitedEmitter or a pair state")
     norm0 = abs(emitter) ** 2 + float(np.vdot(modes, modes).real)
     if not norm0 > 0:
         raise IntegrationFailureError("initial state has zero norm")
 
-    # Split each row into its bright amplitude and the dark remainder.
-    G = np.sqrt(np.sum(np.abs(g) ** 2, axis=(0, 2)))
-    coupled = G > 0
-    bright_dir = np.zeros_like(g)
-    bright_dir[:, coupled, :] = np.conj(g[:, coupled, :]) \
-        / G[None, coupled, None]
-    bright = np.sum(np.conj(bright_dir) * modes, axis=(0, 2))
-    dark = modes - bright_dir * bright[None, :, None]
-    dark_weight = np.sum(np.abs(dark) ** 2, axis=(0, 2))
+    # Split each row into its bright amplitude and, in place, the dark
+    # remainder; row sums added in PAIRS order keep one sum's bits.
+    G = np.sqrt(sum(np.sum(np.abs(channel(pair)) ** 2, axis=1)
+                    for pair in PAIRS))
+
+    def bright_dir(pair):
+        """``conj(g) / G`` in one channel, zero on the uncoupled rows."""
+        g = channel(pair)
+        return np.divide(np.conj(g, out=g), G[:, None], out=np.zeros_like(g),
+                         where=G[:, None] > 0)
+
+    bright = sum(np.sum(np.conj(bright_dir(pair)) * modes[pair.index], axis=1)
+                 for pair in PAIRS)
+    for pair, m in zip(PAIRS, modes):
+        m -= bright_dir(pair) * bright[:, None]
+    dark_weight = sum(np.sum(np.abs(m) ** 2, axis=1) for m in modes)
 
     t0, t1 = config.t_span
     steps = max(1, int(math.ceil((t1 - t0) / config.dt)))
@@ -261,6 +278,7 @@ def integrate(coupling: CouplingSpec,
     h = np.diag(np.concatenate(([0.0], nu)))
     h[0, 1:] = h[1:, 0] = G
     lam, vec = np.linalg.eigh(h)
+    del h
     growth = _rk4_factor(-1j * lam * dt)
     dark_step = _rk4_factor(-1j * nu * dt)
     comp = vec.T @ np.concatenate(([emitter], bright))
@@ -284,12 +302,16 @@ def integrate(coupling: CouplingSpec,
         norms[start:start + n] = fade_table[:n] @ weights
         comp = comp * table[n - 1]
         weights = weights * fade_table[n - 1]
+    del table, fade_table   # vec[1:] @ comp below copies vec to complex
 
     bright = vec[1:] @ comp
-    modes = dark * (dark_step ** steps)[None, :, None] \
-        + bright_dir * bright[None, :, None]
-    # Strictly increasing grid axes make every trapezoid weight positive.
-    final = GridState(grid, modes / np.sqrt(weight)[None, :, :])
+    del vec
+    for pair, m in zip(PAIRS, modes):
+        m *= (dark_step ** steps)[:, None]
+        m += bright_dir(pair) * bright[:, None]
+        # Strictly increasing grid axes make every trapezoid weight positive.
+        m /= root_weight
+    final = GridState(grid, modes)
     traj = Trajectory(coupling, config, times, trace, final, norms, norm0)
     if traj.norm_drift > NORM_DRIFT_TOLERANCE:
         raise IntegrationFailureError(

@@ -12,9 +12,12 @@ from hypothesis import settings
 settings.register_profile("suite", deadline=None, max_examples=50,
                           derandomize=True)
 # A deeper run of the parity tests: the QUADPACK port against the
-# installed scipy, and the filtered state against its reference:
+# installed scipy, the filtered state against its reference, and the
+# time-domain integration and grid scattering against their four-channel
+# expressions:
 # pytest tests/test_quadpack.py --hypothesis-profile=parity
 # pytest tests/test_entanglement.py --hypothesis-profile=parity
+# pytest tests/test_timedomain.py --hypothesis-profile=parity
 settings.register_profile("parity", deadline=None, max_examples=2000)
 settings.load_profile("suite")
 

@@ -505,6 +505,16 @@ def test_rates_out_of_reach_exit_2(tmp_path, capsys, args, name):
     assert name in err
 
 
+def test_gate_runs_where_the_pair_factor_square_underflows(tmp_path, capsys):
+    # Exited 1 with a ZeroDivisionError traceback from the fidelity.
+    with warnings.catch_warnings():
+        # numpy's overflow warnings of this rate (ROADMAP item 1).
+        warnings.simplefilter("ignore", RuntimeWarning)
+        out = run_ok(["gate", "--outdir", str(tmp_path),
+                      "--set", "ratios=1e170"], capsys)
+    assert "gaussian:1-F=1.00e-300 lorentzian:1-F=1.00e-300" in out
+
+
 def test_entangle_names_a_negative_total_rate(tmp_path, capsys):
     # Once "envelope width must be positive".
     assert cli.run(["entangle", "--outdir", str(tmp_path),

@@ -7,7 +7,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import erfcx
 
@@ -177,6 +177,56 @@ def test_gate_rejects_rates_whose_break_points_outnumber_quads_limit(
         gate_overlap(pulse, gamma)
     with pytest.raises(gate._UnresolvableRateError, match=match):
         infidelity_sweep([gamma], shapes=(kind,))
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "lorentzian"])
+@pytest.mark.parametrize("gamma", [1e150, 1e160, 1e170])
+def test_infidelity_survives_a_pair_factor_whose_square_underflows(
+        kind, gamma):
+    # |z|^2 underflowed to zero and x* = Re z / |z|^2 divided by it.
+    with warnings.catch_warnings():
+        # numpy's overflow warnings of these rates (ROADMAP item 1).
+        warnings.simplefilter("ignore", RuntimeWarning)
+        sweep = infidelity_sweep([1e140, gamma], shapes=(kind,))
+    assert sweep.fidelity.tolist() == [[1.0, 1.0]]
+    near, far = sweep.log10_infidelity[0]
+    # 1 - F falls as (fwhm / gamma)^2 until the 1e-300 clip.
+    assert far == pytest.approx(max(near - 2 * math.log10(gamma / 1e140),
+                                    -300.0), abs=1e-9)
+
+
+def _old_fidelity(z):
+    """``_fidelity`` as written before the scaled branch."""
+    norm2 = abs(z) ** 2
+    x_star = min(max(z.real / norm2, 0.0), 1.0)
+    infidelity = x_star * (2.0 * z.real - x_star * norm2)
+    return 1.0 - infidelity, x_star, infidelity
+
+
+@given(st.complex_numbers(max_magnitude=2.0, allow_nan=False,
+                          allow_infinity=False))
+def test_fidelity_keeps_its_bits_where_the_square_is_normal(z):
+    assume(abs(z) ** 2 >= np.finfo(float).tiny and abs(z - 1.0) <= 1.0)
+    assert _float_bits(gate._fidelity(z)) == _float_bits(_old_fidelity(z))
+
+
+@pytest.mark.parametrize("z", [complex(3e-160, 4e-160),
+                               complex(-3e-160, 4e-160),
+                               complex(1e-321, 1e-160),
+                               complex(2e-170, -1e-300),
+                               complex(5e-324, 0.0)])
+def test_fidelity_of_a_pair_factor_whose_square_is_not_normal(z):
+    mpmath.mp.prec = 200
+    re, im = mpmath.mpf(z.real), mpmath.mpf(z.imag)
+    norm2 = re * re + im * im
+    x_star = min(max(re / norm2, 0), 1)
+    infidelity = x_star * (2 * re - x_star * norm2)
+    fidelity, got_x, got_infidelity = gate._fidelity(z)
+    assert got_x == pytest.approx(float(x_star), rel=1e-15)
+    # Subnormal results keep only the digits their exponent leaves.
+    assert got_infidelity == pytest.approx(float(infidelity), rel=1e-15,
+                                           abs=1e-323)
+    assert fidelity == 1.0
 
 
 @pytest.mark.parametrize("shape", ["gaussian", "lorentzian"])

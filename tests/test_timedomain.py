@@ -1,10 +1,12 @@
 """Time-domain integrator against closed-form decay and scattering."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy.special import erfcx
 
 from quadwg import (
@@ -16,6 +18,7 @@ from quadwg import (
     IntegrationFailureError,
     MarkovValidityWarning,
     NotAsymptoticError,
+    TruncationWarning,
     TimeDomainConfig,
     channel_probabilities,
     gaussian_biphoton,
@@ -25,11 +28,21 @@ from quadwg import (
     with_arrival_delay,
 )
 from quadwg.spectral import (
+    PAIRS,
     SeparableState,
+    _grid_overlaps,
     decompose,
     gaussian_difference_profile,
+    resonance_denominator,
 )
-from quadwg.timedomain import _POWER_BLOCK, _mode_setup
+from quadwg.timedomain import (
+    _POWER_BLOCK,
+    NORM_DRIFT_TOLERANCE,
+    STABILITY_LIMIT,
+    _mode_setup,
+    _rk4_factor,
+    _trapezoid_weights,
+)
 
 
 def isotropic(total, width=0.05, omega0=1.0):
@@ -109,14 +122,21 @@ def test_detached_band_leaves_the_emitter_excited():
     assert np.max(np.abs(traj.final_state.data)) < 1e-12
 
 
+def four_channel_setup(coupling, grid):
+    """``_mode_setup`` with the couplings of the four channels stacked into
+    one ``(4, n_omegabar, n_delta)`` array ``g`` for the references."""
+    root_weight, allowed, channel, nu = _mode_setup(coupling, grid)
+    return root_weight, allowed, np.stack([channel(p) for p in PAIRS]), nu
+
+
 def full_mode_rk4(coupling, initial, config):
     """Reference: the same RK4 stepping every grid mode, no change of basis."""
-    weight, allowed, g, nu = _mode_setup(coupling, config.grid)
+    root_weight, allowed, g, nu = four_channel_setup(coupling, config.grid)
     if isinstance(initial, ExcitedEmitter):
         e, b = 1.0 + 0.0j, np.zeros_like(g)
     else:
         e = 0.0j
-        b = initial.on_grid(config.grid).data * np.sqrt(weight) * allowed
+        b = initial.on_grid(config.grid).data * root_weight * allowed
 
     def deriv(e, b):
         return (-1j * np.sum(g * b),
@@ -134,7 +154,7 @@ def full_mode_rk4(coupling, initial, config):
         b = b + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         trace.append(e)
         norms.append(abs(e) ** 2 + np.vdot(b, b).real)
-    return np.array(trace), b / np.sqrt(weight), np.array(norms)
+    return np.array(trace), b / root_weight, np.array(norms)
 
 
 def reference_cases():
@@ -185,12 +205,12 @@ def test_integrate_matches_full_mode_reference(case):
 def bright_mode_rk4(coupling, initial, config):
     """Reference: RK4 stepped one step at a time on the emitter and the
     bright amplitudes, with the dark rows scaled by ``R(-i nu dt)``."""
-    weight, allowed, g, nu = _mode_setup(coupling, config.grid)
+    root_weight, allowed, g, nu = four_channel_setup(coupling, config.grid)
     if isinstance(initial, ExcitedEmitter):
         emitter, modes = 1.0 + 0.0j, np.zeros_like(g)
     else:
         emitter = 0.0 + 0.0j
-        modes = initial.on_grid(config.grid).data * np.sqrt(weight) * allowed
+        modes = initial.on_grid(config.grid).data * root_weight * allowed
     norm0 = abs(emitter) ** 2 + float(np.vdot(modes, modes).real)
     G = np.sqrt(np.sum(np.abs(g) ** 2, axis=(0, 2)))
     coupled = G > 0
@@ -228,7 +248,7 @@ def bright_mode_rk4(coupling, initial, config):
             + float(np.sum(dark_weight))
     modes = dark * (dark_step ** steps)[None, :, None] \
         + bright_dir * bright[None, :, None]
-    return trace, modes / np.sqrt(weight)[None, :, :], norms
+    return trace, modes / root_weight[None, :, :], norms
 
 
 def assert_matches_bright_mode_rk4(coupling, initial, config, steps):
@@ -260,13 +280,19 @@ def test_integrate_matches_bright_mode_steps(steps):
     assert np.max(np.abs(traj.emitter_amplitude)) > 1e-4
 
 
-def test_integrate_matches_bright_mode_verify_run():
+def _verify_case(scale):
+    """``quadwg verify``'s coupling, input and configuration on its
+    256x96 grid with both axes ``scale`` times finer."""
     cpl = isotropic(0.004, width=0.02)
-    config = TimeDomainConfig.for_scattering(cpl, 0.02, n_omegabar=256,
-                                             n_delta=96)
+    config = TimeDomainConfig.for_scattering(
+        cpl, 0.02, n_omegabar=256 * scale, n_delta=96 * scale)
     state = with_arrival_delay(gaussian_biphoton(DirectionPair.PP, 1.0, 0.02),
                                1.0, config.arrival_delay)
-    assert_matches_bright_mode_rk4(cpl, state, config, 2640)
+    return cpl, state, config
+
+
+def test_integrate_matches_bright_mode_verify_run():
+    assert_matches_bright_mode_rk4(*_verify_case(1), 2640)
 
 
 def test_integrate_matches_bright_mode_emission_decay():
@@ -284,7 +310,7 @@ def test_integrate_matches_bright_mode_with_uncoupled_rows():
     grid = FrequencyGrid.regular(0.1, 0.08, 0.16, 32, 17)
     config = TimeDomainConfig(grid, (0.0, 150.0), 0.1 / 0.08)
     state = gaussian_biphoton(DirectionPair.PM, 0.06, 0.02)
-    _, _, g, _ = _mode_setup(cpl, grid)
+    _, _, g, _ = four_channel_setup(cpl, grid)
     uncoupled = ~np.any(g != 0, axis=(0, 2))
     assert 0 < np.sum(uncoupled) < grid.omegabar.size
     assert np.any(state.on_grid(grid).data[:, uncoupled, :] != 0)
@@ -469,3 +495,250 @@ def test_oracle_probabilities_equal_reference_bitwise():
         b = traj.final_state.data[pair.index] * np.sqrt(weight)
         expect = float(np.vdot(b, b).real) / traj.input_norm
         assert probs.values[pair].hex() == expect.hex()
+
+
+# -- Parity with the four-channel expressions ---------------------------
+#
+# ``integrate`` and the grid output of ``scatter`` work one channel at a
+# time, in place.  The functions below are frozen copies of the
+# expressions they replaced, which held the four-channel coupling, its
+# bright directions and every intermediate state as (4, n_omegabar,
+# n_delta) arrays.  The library must reproduce them bit for bit.
+
+def _four_channel_integrate(coupling, initial, config):
+    grid = config.grid
+    ob, dd = grid.omegabar, grid.delta
+    weight = _trapezoid_weights(grid)
+    allowed = dd[None, :] <= ob[:, None] + 1e-12 * max(1.0, abs(ob[-1]))
+    u = coupling.envelope(dd)
+    g = np.empty((4, ob.size, dd.size), dtype=complex)
+    for pair in PAIRS:
+        g[pair.index] = math.sqrt(coupling.rate(pair) / (2.0 * math.pi)) \
+            * u[None, :] * np.sqrt(weight)
+    g *= allowed[None, :, :]
+    nu = ob - coupling.omega0
+    if isinstance(initial, ExcitedEmitter):
+        emitter = 1.0 + 0.0j
+        modes = np.zeros_like(g)
+    else:
+        emitter = 0.0 + 0.0j
+        modes = initial.on_grid(grid).data * np.sqrt(weight)[None, :, :]
+        modes *= allowed[None, :, :]
+    norm0 = abs(emitter) ** 2 + float(np.vdot(modes, modes).real)
+    if not norm0 > 0:
+        raise IntegrationFailureError("initial state has zero norm")
+    G = np.sqrt(np.sum(np.abs(g) ** 2, axis=(0, 2)))
+    coupled = G > 0
+    bright_dir = np.zeros_like(g)
+    bright_dir[:, coupled, :] = np.conj(g[:, coupled, :]) \
+        / G[None, coupled, None]
+    bright = np.sum(np.conj(bright_dir) * modes, axis=(0, 2))
+    dark = modes - bright_dir * bright[None, :, None]
+    dark_weight = np.sum(np.abs(dark) ** 2, axis=(0, 2))
+    t0, t1 = config.t_span
+    steps = max(1, int(math.ceil((t1 - t0) / config.dt)))
+    dt = (t1 - t0) / steps
+    h = np.diag(np.concatenate(([0.0], nu)))
+    h[0, 1:] = h[1:, 0] = G
+    lam, vec = np.linalg.eigh(h)
+    growth = _rk4_factor(-1j * lam * dt)
+    dark_step = _rk4_factor(-1j * nu * dt)
+    comp = vec.T @ np.concatenate(([emitter], bright))
+    fade = np.abs(np.concatenate((growth, dark_step))) ** 2
+    weights = np.concatenate((np.abs(comp) ** 2, dark_weight))
+    table = np.cumprod(np.broadcast_to(growth, (_POWER_BLOCK, growth.size)),
+                       axis=0)
+    fade_table = np.cumprod(np.broadcast_to(fade, (_POWER_BLOCK, fade.size)),
+                            axis=0)
+    trace = np.empty(steps + 1, dtype=complex)
+    norms = np.empty(steps + 1)
+    trace[0] = emitter
+    norms[0] = norm0
+    for start in range(1, steps + 1, _POWER_BLOCK):
+        n = min(_POWER_BLOCK, steps + 1 - start)
+        trace[start:start + n] = table[:n] @ (vec[0] * comp)
+        norms[start:start + n] = fade_table[:n] @ weights
+        comp = comp * table[n - 1]
+        weights = weights * fade_table[n - 1]
+    bright = vec[1:] @ comp
+    modes = dark * (dark_step ** steps)[None, :, None] \
+        + bright_dir * bright[None, :, None]
+    return trace, norms, modes / np.sqrt(weight)[None, :, :]
+
+
+def _four_channel_radiated(coupling, data, grid, u, drive):
+    drive = drive / resonance_denominator(coupling.total_rate,
+                                          coupling.omega0, grid.omegabar)
+    return data - coupling.sqrt_rates()[:, None, None] \
+        * drive[None, :, None] * np.conj(u)[None, None, :]
+
+
+def _four_channel_output(coupling, state, grid):
+    """The outgoing data of ``scatter(coupling, state).output_on(grid)``,
+    for a separable input, or for a grid input on its own grid."""
+    if isinstance(state, SeparableState):
+        kappa = state.overlap_with_envelope(coupling.envelope)
+        w = sum(math.sqrt(coupling.rate(c)) for c in state.channels)
+        drive = kappa * w * np.asarray(state.f(grid.omegabar), dtype=complex)
+        return _four_channel_radiated(coupling, state.on_grid(grid).data,
+                                      grid, coupling.envelope(grid.delta),
+                                      drive)
+    u, q = _grid_overlaps(state, coupling.envelope)
+    drive = (coupling.sqrt_rates()[:, None] * q).sum(axis=0)
+    return _four_channel_radiated(coupling, state.data, state.grid, u, drive)
+
+
+def _bits(*arrays):
+    return [np.ascontiguousarray(a).view(np.uint64).tolist() for a in arrays]
+
+
+def _steps_around_power_blocks():
+    return st.sampled_from([1, 2, _POWER_BLOCK - 1, _POWER_BLOCK,
+                            _POWER_BLOCK + 1, 2 * _POWER_BLOCK - 1,
+                            2 * _POWER_BLOCK, 2 * _POWER_BLOCK + 1])
+
+
+@st.composite
+def parity_cases(draw):
+    """A coupling, a grid, an initial state and a step count: three
+    envelope kinds; isotropic, mirror and four-value rates, zeros among
+    them; grids whose low sum rows lie below zero or below the envelope
+    support, so that some rows are uncoupled; emitter, separable and grid
+    inputs, the last on the integration grid or on another one."""
+    omega0 = draw(st.floats(0.05, 2.0))
+    total = omega0 * draw(st.floats(1e-3, 0.04))
+    width = total * draw(st.floats(0.3, 10.0))
+    kind = draw(st.sampled_from(["gaussian", "lorentzian", "tabulated"]))
+    if kind == "tabulated":
+        n = draw(st.integers(2, 6))
+        start = draw(st.sampled_from([0.0, width]))
+        values = draw(st.lists(
+            st.builds(complex, st.floats(0.1, 1.0), st.floats(-1.0, 1.0)),
+            min_size=n, max_size=n))
+        envelope = Envelope.tabulated(start + width * np.arange(n), values)
+    else:
+        envelope = getattr(Envelope, kind)(width)
+    rates = draw(st.sampled_from(["isotropic", "mirror", "four"]))
+    if rates == "four":
+        pp, mm, pm = draw(st.tuples(*[st.sampled_from([0.0, 0.3, 1.0])] * 3)
+                          .filter(any))
+        scale = total / (pp + mm + 2 * pm)
+        coupling = CouplingSpec(omega0, {
+            DirectionPair.PP: pp * scale, DirectionPair.MM: mm * scale,
+            DirectionPair.PM: pm * scale}, envelope)
+    else:
+        coupling = getattr(CouplingSpec, rates)(total, envelope, omega0)
+    halfwidth = total * draw(st.floats(2.0, 30.0))
+    center = omega0 + total * draw(st.floats(-5.0, 5.0))
+    if draw(st.booleans()):
+        # Sum rows below zero allow no pair at all.
+        center = halfwidth * draw(st.floats(0.2, 1.5))
+    grid = FrequencyGrid.regular(center, halfwidth,
+                                 width * draw(st.floats(0.5, 8.0)),
+                                 draw(st.integers(2, 24)),
+                                 draw(st.integers(2, 12)))
+    sigma = total * draw(st.floats(0.5, 5.0))
+    pair = gaussian_biphoton(draw(st.sampled_from(PAIRS)),
+                             center + sigma * draw(st.floats(-2.0, 2.0)),
+                             sigma, sigma * draw(st.floats(0.0, 2.0)))
+    source = draw(st.sampled_from(["emitter", "separable", "grid", "other"]))
+    if source == "emitter":
+        initial = ExcitedEmitter()
+    elif source == "separable":
+        initial = pair
+    else:
+        on = grid if source == "grid" else FrequencyGrid.regular(
+            center, 1.3 * halfwidth, grid.delta[-1] * 0.8, 9, 5)
+        initial = pair.on_grid(on)
+    dt = STABILITY_LIMIT / float(np.max(np.abs(grid.omegabar - omega0)))
+    steps = draw(_steps_around_power_blocks())
+    config = TimeDomainConfig(grid, (0.0, (steps - 0.5) * dt), dt)
+    return coupling, initial, config
+
+
+def _outcome(build):
+    try:
+        return build()
+    except IntegrationFailureError as exc:
+        return str(exc)
+
+
+@given(parity_cases())
+@settings(suppress_health_check=[HealthCheck.too_slow])
+def test_integrate_and_scatter_have_the_four_channel_bits(case):
+    coupling, initial, config = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        expected = _outcome(
+            lambda: _four_channel_integrate(coupling, initial, config))
+        traj = _outcome(lambda: integrate(coupling, initial, config))
+        if isinstance(expected, str):
+            assert traj == expected
+        elif isinstance(traj, str):
+            # Only the norm-drift guard may stop a run the copy finished.
+            norms = expected[1]
+            assert "norm drifted" in traj
+            assert np.max(np.abs(norms - norms[0])) / norms[0] \
+                > NORM_DRIFT_TOLERANCE
+        else:
+            assert _bits(traj.emitter_amplitude, traj.norm_history,
+                         traj.final_state.data) == _bits(*expected)
+        if isinstance(initial, ExcitedEmitter) or initial.norm_squared() \
+                < 1e-280:
+            return
+        grid = config.grid if isinstance(initial, SeparableState) \
+            else initial.grid
+        out = scatter(coupling, initial).output_on(grid)
+        assert _bits(out.data) == _bits(
+            _four_channel_output(coupling, initial, grid))
+
+
+def _traced_peak_in_arrays(call, grid):
+    """Traced Python memory peak of ``call()`` in units of one
+    four-channel complex array on ``grid``."""
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / (4 * grid.omegabar.size * grid.delta.size * 16)
+
+
+def test_integrate_holds_one_four_channel_array():
+    # verify's grid and one 16 times larger.  The four-channel expressions
+    # peaked at 7.6 and 7.0 arrays; one channel at a time, the modes are
+    # the one array, and the rest is per-channel or per-row.
+    peaks = []
+    for scale in (1, 4):
+        cpl, state, config = _verify_case(scale)
+        peaks.append(_traced_peak_in_arrays(
+            lambda: integrate(cpl, state, config), config.grid))
+    assert max(peaks) <= 3.0
+    assert abs(peaks[0] - peaks[1]) < 0.25
+
+
+def test_output_on_holds_one_four_channel_array():
+    # The four-channel expression peaked at 3.0 arrays on both grids.
+    peaks = []
+    for scale in (1, 4):
+        cpl, state, config = _verify_case(scale)
+        out = scatter(cpl, state)
+        peaks.append(_traced_peak_in_arrays(
+            lambda: out.output_on(config.grid), config.grid))
+    assert max(peaks) <= 2.0
+    assert abs(peaks[0] - peaks[1]) < 0.25
+
+
+def test_integrate_and_scatter_leave_a_grid_input_alone():
+    # On its own axes a grid state's on_grid is the state itself, whose
+    # array the in-place updates must not reach.
+    cpl, state, config = reference_cases()[1]
+    grid_input = state.on_grid(config.grid)
+    assert grid_input.on_grid(config.grid) is grid_input
+    before = grid_input.data.copy()
+    traj = integrate(cpl, grid_input, config)
+    out = scatter(cpl, grid_input).output_on(config.grid)
+    assert _bits(grid_input.data) == _bits(before)
+    assert not np.shares_memory(traj.final_state.data, grid_input.data)
+    assert not np.shares_memory(out.data, grid_input.data)
