@@ -177,23 +177,46 @@ class ChannelProbabilities:
         return float(self.values[DirectionPair.PP])
 
 
-def _resonance_weight(state: SeparableState, total_rate: float,
-                      omega0: float) -> float:
+def _resonance_weights(state: SeparableState, total_rates: Sequence[float],
+                       omega0: float) -> list[float]:
     """``J = Int |f|^2 / |denom|^2`` of the unscaled sum factor over its
-    window, kept on the state per total rate and resonance."""
+    window for each of ``total_rates``, all in one ``_integrals`` call."""
     lo, hi = state.f_window
     points = sorted({omega0, 0.5 * (lo + hi)})
 
-    def integrand(ob):
+    def integrand(ob, total_rate):
         d = resonance_denominator(total_rate, omega0, ob)
         return (_abs2(state.f(ob)) / (np.float_power(d.real, 2.0)
                                       + np.float_power(d.imag, 2.0)),)
 
-    def compute():
-        ((weight,),) = _integrals(quad, [(integrand, 1, [(lo, hi)], points)])
-        return weight
+    jobs = [(lambda ob, g=g: integrand(ob, g), 1, [(lo, hi)], points)
+            for g in total_rates]
+    return [weight for (weight,) in _integrals(quad, jobs)]
 
-    return state._integral(("resonance", total_rate, omega0), compute)
+
+def _separable_probabilities(coupling: CouplingSpec, state: SeparableState,
+                             n_in: float, kappa: complex, w: float,
+                             J: float) -> dict[DirectionPair, float]:
+    """Channel probabilities of a separable input of norm ``n_in``, scaled
+    envelope overlap ``kappa``, summed root rate ``w`` and weight ``J``."""
+    gamma_total = coupling.total_rate
+    # Each populated input channel holds an equal share of the norm.
+    n_own = n_in / len(state.channels)
+    k2 = abs(kappa) ** 2
+    values: dict[DirectionPair, float] = {}
+    for pair in PAIRS:
+        rate = coupling.rate(pair)
+        norm = rate * w * w * k2 * J
+        if pair in state.channels:
+            norm += n_own - math.sqrt(rate) * w * k2 * gamma_total * J
+        values[pair] = norm / n_in
+    if not all(map(math.isfinite, values.values())):
+        # Past a total rate of about 1e154, J underflows to zero as
+        # rate * w * w overflows.
+        raise _UnresolvableRateError(
+            f"total rate {gamma_total!r} is too large: the channel"
+            " probabilities are not finite")
+    return values
 
 
 def channel_probabilities(result: ScatterOutput) -> ChannelProbabilities:
@@ -210,26 +233,9 @@ def channel_probabilities(result: ScatterOutput) -> ChannelProbabilities:
     if n_in <= 0:
         raise InvalidStateError("input state has zero norm")
     if isinstance(state, SeparableState):
-        gamma_total = coupling.total_rate
-        # Each populated input channel holds an equal share of the norm.
-        n_own = n_in / len(state.channels)
-        J = _resonance_weight(state, gamma_total, coupling.omega0)
-        k2 = abs(result._kappa) ** 2
-        w = result._w
-        values: dict[DirectionPair, float] = {}
-        for pair in PAIRS:
-            rate = coupling.rate(pair)
-            norm = rate * w * w * k2 * J
-            if pair in state.channels:
-                norm += n_own - math.sqrt(rate) * w * k2 * gamma_total * J
-            values[pair] = norm / n_in
-        if not all(map(math.isfinite, values.values())):
-            # Past a total rate of about 1e154, J underflows to zero as
-            # rate * w * w overflows.
-            raise _UnresolvableRateError(
-                f"total rate {gamma_total!r} is too large: the channel"
-                " probabilities are not finite")
-        return ChannelProbabilities(values)
+        (J,) = _resonance_weights(state, [coupling.total_rate], coupling.omega0)
+        return ChannelProbabilities(_separable_probabilities(
+            coupling, state, n_in, result._kappa, result._w, J))
     out = result.output_on(state.grid)
     values = {pair: float(out.grid.integrate(np.abs(out.channel(pair)) ** 2)) / n_in
               for pair in PAIRS}
@@ -321,13 +327,12 @@ def reflection_sweep(alpha: float, ratios: Sequence[float],
                      omega0: float = 1.0) -> ReflectionSweep:
     """Sweep the -- probability for matched-center Gaussian pairs.
 
-    One resonant Gaussian pair of intensity width ``alpha`` is built, and
-    one Gaussian envelope per width ratio ``beta / alpha``.  The pair is
-    scattered through the semi-analytic path on the isotropic coupling of
-    each total rate and envelope; it keeps its factor masses, envelope
-    overlaps and resonance weights across the points.  The reflection is
-    largest at ratio one (matched filtering) and its peak grows toward
-    1/4 as the rate dominates the input bandwidth.
+    A resonant Gaussian pair of intensity width ``alpha`` meets the
+    isotropic coupling of each total rate and width ratio ``beta / alpha``
+    of a Gaussian envelope.  One call integrates the distinct envelope
+    overlaps, another the distinct resonance weights, and each point has
+    the bits of ``channel_probabilities``.  The reflection peaks at ratio
+    one (matched filtering), growing toward 1/4 with the rate.
     """
     ratios = np.asarray(ratios, dtype=float)
     total_rates = np.asarray(total_rates, dtype=float)
@@ -335,10 +340,16 @@ def reflection_sweep(alpha: float, ratios: Sequence[float],
         raise ValueError("ratios and rates must be positive")
     envelopes = [Envelope.gaussian(ratio * alpha) for ratio in ratios]
     state = gaussian_biphoton(DirectionPair.PP, omega0, alpha)
-    table = np.empty((total_rates.size, ratios.size))
-    for i, g in enumerate(total_rates):
-        for j, envelope in enumerate(envelopes):
-            coupling = CouplingSpec.isotropic(g, envelope, omega0)
-            table[i, j] = channel_probabilities(
-                scatter(coupling, state)).reflection
-    return ReflectionSweep(alpha, ratios, total_rates, table)
+    couplings = [CouplingSpec.isotropic(g, envelope, omega0)
+                 for g in total_rates for envelope in envelopes]
+    distinct = list(dict.fromkeys(envelopes))
+    kappas = dict(zip(distinct, state._envelope_overlaps(distinct)))
+    totals = list(dict.fromkeys(c.total_rate for c in couplings))
+    weights = dict(zip(totals, _resonance_weights(state, totals, omega0)))
+    n_in = state.norm_squared()
+    reflection = [_separable_probabilities(
+        c, state, n_in, kappas[c.envelope],
+        sum(math.sqrt(c.rate(pair)) for pair in state.channels),
+        weights[c.total_rate])[DirectionPair.MM] for c in couplings]
+    return ReflectionSweep(alpha, ratios, total_rates, np.reshape(
+        reflection, (total_rates.size, ratios.size)))

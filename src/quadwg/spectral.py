@@ -513,12 +513,10 @@ class SeparableState:
     construction so that the state has unit norm; a given ``scale`` is used
     as is.
 
-    Integrals of the unscaled factors are kept on the state once computed
-    (see ``_integral``): the two factor masses, the envelope overlap of
-    ``h`` per analytic envelope kind and width, and the resonance weight of
-    ``f`` per total rate and resonance.  This is sound because ``f``,
-    ``h`` and the windows are never reassigned after construction, and
-    because ``scale`` is applied outside the kept values, so it may change.
+    The masses of the two unscaled factors are integrated together on
+    first request and kept: ``f``, ``h`` and the windows are never
+    reassigned after construction, and ``scale`` is applied outside them,
+    so it may change.  Every other integral is taken on each request.
     """
 
     channel: DirectionPair
@@ -527,8 +525,8 @@ class SeparableState:
     f_window: tuple[float, float]
     h_window: tuple[float, float]
     scale: complex | None = None
-    _integrals: dict[tuple, object] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+    _masses: tuple[float, float] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         lo, hi = self.h_window
@@ -546,25 +544,16 @@ class SeparableState:
         return (self.channel,) if swapped is self.channel \
             else (self.channel, swapped)
 
-    @staticmethod
-    def _factor_mass(fn, window) -> float:
-        lo, hi = window
-        ((mass,),) = _integrals(quad, [(lambda x: (_abs2(fn(x)),), 1,
-                                        [(lo, hi)], [0.5 * (lo + hi)])])
-        return mass
-
-    def _integral(self, key: tuple, compute: Callable[[], object]):
-        """Integral of the unscaled factors named by ``key``: ``compute()``
-        on first request, the kept value after.  The first item of ``key``
-        names the integral, the rest its parameters."""
-        if key not in self._integrals:
-            self._integrals[key] = compute()
-        return self._integrals[key]
-
     def _factor_masses(self) -> tuple[float, float]:
-        return self._integral(("masses",), lambda: (
-            self._factor_mass(self.f, self.f_window),
-            self._factor_mass(self.h, self.h_window)))
+        """``Int |f|^2`` and ``Int |h|^2`` over their windows."""
+        if self._masses is None:
+            jobs = [(lambda x, fn=fn: (_abs2(fn(x)),), 1, [(lo, hi)],
+                     [0.5 * (lo + hi)])
+                    for fn, (lo, hi) in ((self.f, self.f_window),
+                                         (self.h, self.h_window))]
+            ((nf,), (nh,)) = _integrals(quad, jobs)
+            self._masses = (nf, nh)
+        return self._masses
 
     def norm_squared(self) -> float:
         nf, nh = self._factor_masses()
@@ -580,42 +569,47 @@ class SeparableState:
         return out
 
     def on_grid(self, grid: FrequencyGrid) -> "GridState":
-        values = self.amplitude(self.channel, grid.omegabar[:, None],
-                                grid.delta[None, :])
-        data = np.zeros((4,) + values.shape, dtype=complex)
-        for pair in self.channels:
-            data[pair.index] = values
+        """The state on ``grid``, written in place into one array."""
+        data = np.zeros((4,) + grid.shape, dtype=complex)
+        first, *twin = self.channels
+        np.multiply(
+            self.scale * np.asarray(self.f(grid.omegabar[:, None]),
+                                    dtype=complex),
+            np.asarray(self.h(grid.delta[None, :]), dtype=complex),
+            out=data[first.index])
+        for pair in twin:
+            data[pair.index] = data[first.index]
         return GridState(grid, data)
 
     def overlap_with_envelope(self, envelope: Envelope) -> complex:
         """Half-line overlap ``Int_0^inf u(delta) C_h(delta) d delta`` where
         ``C_h`` is the scaled difference factor of this state."""
-        lo, hi = self.h_window
-        if envelope.kind is EnvelopeKind.TABULATED:
-            # The interpolant vanishes outside its samples.
-            d = envelope.deltas
-            lo, hi = max(lo, float(d[0])), min(hi, float(d[-1]))
-        if hi <= lo:
-            return 0.0 + 0.0j
-        mid = 0.5 * (lo + hi)
+        return self._envelope_overlaps([envelope])[0]
 
-        def parts(x):
-            value = envelope(x) * self.h(x)
-            return value.real, value.imag
+    def _envelope_overlaps(self, envelopes: Sequence[Envelope]) -> list[complex]:
+        """``overlap_with_envelope`` of each of ``envelopes``, all
+        integrated in one ``_integrals`` call."""
+        jobs = []
+        for envelope in envelopes:
+            lo, hi = self.h_window
+            samples = []
+            if envelope.kind is EnvelopeKind.TABULATED:
+                # The interpolant vanishes outside its samples; a segment
+                # per pair of them leaves quad no kink to bisect across.
+                d = envelope.deltas
+                lo, hi = max(lo, float(d[0])), min(hi, float(d[-1]))
+                samples = [x for x in d.tolist() if lo < x < hi]
 
-        def overlap(segments):
-            ((re, im),) = _integrals(quad, [(parts, 2, segments, [mid])])
-            return complex(re, im)
+            def parts(x, envelope=envelope):
+                value = envelope(x) * self.h(x)
+                return value.real, value.imag
 
-        if envelope.kind is EnvelopeKind.TABULATED:
-            # One segment per pair of samples: the interpolant has no kink
-            # inside any of them for quad to bisect across.  Samples are
-            # not a cheap key, so tabulated overlaps are not kept.
-            nodes = [lo, *(x for x in d.tolist() if lo < x < hi), hi]
-            return self.scale * overlap(list(zip(nodes[:-1], nodes[1:])))
-        return self.scale * self._integral(
-            ("overlap", envelope.kind, envelope.width),
-            lambda: overlap([(lo, hi)]))
+            nodes = [lo, *samples, hi]
+            jobs.append((parts, 2, list(zip(nodes[:-1], nodes[1:])),
+                         [0.5 * (lo + hi)]) if hi > lo else None)
+        sums = iter(_integrals(quad, [job for job in jobs if job]))
+        return [self.scale * complex(*next(sums)) if job else 0.0 + 0.0j
+                for job in jobs]
 
 
 @dataclass
@@ -776,12 +770,13 @@ def gaussian_biphoton(channel: DirectionPair, sum_center: float, sigma: float,
 def _grid_overlaps(state: GridState, envelope: Envelope):
     """Envelope ``u`` on the stored difference axis and the trapezoid
     overlaps ``Int_0^X u(delta) C(obar, delta) d delta`` of all four
-    channels, shape ``(4, n_omegabar)``.  Warns when the axis keeps less
-    than ``ENVELOPE_COVER_FRACTION`` of the envelope mass."""
+    channels, shape ``(4, n_omegabar)``, one channel at a time.  Warns when
+    the axis keeps less than ``ENVELOPE_COVER_FRACTION`` of the mass."""
     grid = state.grid
     _check_envelope_cover(envelope, grid)
     u = envelope(grid.delta)
-    return u, grid.integrate_delta(u[None, None, :] * state.data)
+    return u, np.stack([grid.integrate_delta(u * channel)
+                        for channel in state.data])
 
 
 def _check_envelope_cover(envelope: Envelope, grid: FrequencyGrid) -> None:

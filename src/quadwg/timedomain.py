@@ -326,8 +326,17 @@ def oracle_channel_probabilities(traj: Trajectory) -> ChannelProbabilities:
     Demands an asymptotic trajectory: the span must cover at least ten
     inverse rates and the emitter must have returned to the ground state,
     otherwise flight is still in progress and the split is meaningless.
+    First, the span must stay below the grid's recurrence time
+    ``2 pi / d_omegabar``: rows ``d_omegabar`` apart form a periodic box,
+    so from then on the scattered field comes back to the emitter.
     """
     t0, t1 = traj.config.t_span
+    recurrence = 2.0 * math.pi / traj.config.grid.d_omegabar
+    if t1 - t0 >= recurrence:
+        raise ValueError(
+            f"run spans {t1 - t0:g}, not less than the grid's recurrence"
+            f" time 2*pi/d_omegabar = {recurrence:g}, when the field comes"
+            " back to the emitter; use more sum-frequency rows (n_omegabar)")
     g = traj.coupling.total_rate
     residual = abs(traj.emitter_amplitude[-1]) ** 2 / traj.input_norm
     if (t1 - t0) * g < ASYMPTOTIC_RATE_SPAN or residual >= RESIDUAL_EXCITATION:

@@ -583,6 +583,19 @@ def test_verify_exit_codes(tmp_path, capsys):
     assert payload["passed"] is False
 
 
+def test_verify_past_the_recurrence_time_is_a_configuration_error(
+        tmp_path, capsys):
+    # A 5e-4 input spans 15000 against 2 pi / d_omegabar = 4987 on 128
+    # rows; the residual-excitation check used to fail it with exit 2.
+    assert cli.run(["verify", "--outdir", str(tmp_path),
+                    "--set", "n_omegabar=128", "--set", "n_delta=48",
+                    "--set", "input_width=5e-4"]) == 1
+    err = capsys.readouterr().err
+    assert "error: run spans 15000, not less than the grid's recurrence" \
+        " time 2*pi/d_omegabar = 4987.28" in err
+    assert "n_omegabar" in err
+
+
 def test_outdir_environment_fallback(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(cli.ENV_OUTDIR, str(tmp_path))
     run_ok(["emit", "--set", "n_omegabar=32", "--set", "n_delta=16"], capsys)

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import erfcx
 
@@ -266,13 +266,13 @@ def test_separable_scatter_integrates_each_quantity_once(quad_calls):
     cpl = isotropic()
     state = gaussian_biphoton(DirectionPair.PP, 1.0, 0.02)
     assert len(quad_calls) == 2  # the two factor masses, kept by the state
-    quad_calls.clear()
-    channel_probabilities(scatter(cpl, state))
-    # Two for the complex envelope overlap, one for the line integral J.
-    assert sorted(quad_calls) == ["quadwg.scattering"] + ["quadwg.spectral"] * 2
-    quad_calls.clear()
-    channel_probabilities(scatter(cpl, state))
-    assert len(quad_calls) == 0  # the overlap and J are kept by the state
+    for _ in range(2):
+        quad_calls.clear()
+        channel_probabilities(scatter(cpl, state))
+        # Two for the complex envelope overlap, one for the line integral
+        # J, taken afresh by each scatter.
+        assert sorted(quad_calls) \
+            == ["quadwg.scattering"] + ["quadwg.spectral"] * 2
 
 
 def bits(values):
@@ -317,19 +317,30 @@ def test_kept_integrals_follow_the_coupling():
 
 
 def test_reflection_sweep_quadrature_count(quad_calls):
-    reflection_sweep(0.002, (0.5, 1.0, 2.0), (0.0004, 0.002))
-    # Two factor masses, a complex overlap per ratio, J per rate.
-    assert len(quad_calls) == 2 + 2 * 3 + 2
+    reflection_sweep(0.002, (0.5, 1.0, 2.0, 1.0), (0.0004, 0.002, 0.0004))
+    # Two factor masses and a complex overlap per distinct ratio in
+    # spectral, J per distinct rate in scattering.
+    assert sorted(quad_calls) \
+        == ["quadwg.scattering"] * 2 + ["quadwg.spectral"] * (2 + 2 * 3)
 
 
-def test_reflection_sweep_equals_fresh_points_bitwise():
-    alpha, ratios, rates = 0.002, (0.35, 1.0, 2.83), (0.0004, 0.01)
-    sweep = reflection_sweep(alpha, ratios, rates)
+@settings(max_examples=20)
+@given(alpha=st.floats(5e-4, 0.02),
+       ratios=st.lists(st.sampled_from((0.35, 1.0, 2.83))
+                       | st.floats(0.2, 5.0), min_size=1, max_size=4),
+       rates=st.lists(st.sampled_from((4e-4, 0.01)) | st.floats(1e-4, 0.02),
+                      min_size=1, max_size=3),
+       omega0=st.floats(0.5, 2.0))
+@example(alpha=0.002, ratios=[0.35, 1.0, 2.83, 1.0], rates=[4e-4, 0.01, 4e-4],
+         omega0=1.0)
+def test_reflection_sweep_equals_fresh_points_bitwise(alpha, ratios, rates,
+                                                      omega0):
+    sweep = reflection_sweep(alpha, ratios, rates, omega0)
     for i, g in enumerate(rates):
         for j, ratio in enumerate(ratios):
             coupling = CouplingSpec.isotropic(
-                g, Envelope.gaussian(ratio * alpha))
-            state = gaussian_biphoton(DirectionPair.PP, 1.0, alpha)
+                g, Envelope.gaussian(ratio * alpha), omega0)
+            state = gaussian_biphoton(DirectionPair.PP, omega0, alpha)
             point = channel_probabilities(scatter(coupling, state))
             assert sweep.reflection[i, j].hex() == point.reflection.hex()
 
@@ -531,9 +542,10 @@ def _one_node_quad(fn, lo, hi, points):
 
 
 def _one_node_integrals(state, envelope, total_rate, omega0):
-    """The integrals a scatter keeps on ``state``, each integrated one node
+    """The integrals a scatter of ``state`` takes, each integrated one node
     at a time as the scalar integrands stood before array evaluation:
-    the factor masses, the envelope overlap and the resonance weight J."""
+    the factor masses, the scaled envelope overlap and the resonance
+    weight J."""
     masses = tuple(
         _one_node_quad(lambda x, fn=fn: abs(fn(x)) ** 2, lo, hi,
                        [0.5 * (lo + hi)])
@@ -541,10 +553,11 @@ def _one_node_integrals(state, envelope, total_rate, omega0):
                              (state.h, state.h_window)))
     lo, hi = state.h_window
     points = [0.5 * (lo + hi)]
-    overlap = _one_node_quad(lambda x: (envelope(x) * state.h(x)).real,
-                             lo, hi, points) \
+    overlap = state.scale * (
+        _one_node_quad(lambda x: (envelope(x) * state.h(x)).real, lo, hi,
+                       points)
         + 1j * _one_node_quad(lambda x: (envelope(x) * state.h(x)).imag,
-                              lo, hi, points)
+                              lo, hi, points))
 
     def weight(ob):
         d = resonance_denominator(total_rate, omega0, ob)
@@ -556,10 +569,13 @@ def _one_node_integrals(state, envelope, total_rate, omega0):
     return masses, overlap, resonance
 
 
-def _kept_integrals(state, envelope, total_rate, omega0):
-    kept = state._integrals
-    return (kept[("masses",)], kept[("overlap", envelope.kind, envelope.width)],
-            kept[("resonance", total_rate, omega0)])
+def _point_integrals(state, envelope, total_rate, omega0):
+    """The integrals a scatter of ``state`` takes, through the point
+    functions: the kept factor masses, the scaled envelope overlap and
+    the resonance weight J."""
+    (resonance,) = scattering._resonance_weights(state, [total_rate], omega0)
+    return (state._factor_masses(), state.overlap_with_envelope(envelope),
+            resonance)
 
 
 def _integral_bits(integrals):
@@ -580,21 +596,19 @@ def test_kept_integrals_equal_their_one_node_forms_bitwise(
     # integral keeps the bits of its one-node-at-a-time form.  Rates down
     # to 1/3000 of the sum width make J bisect deeply.
     envelope = (Envelope.lorentzian if lorentzian else Envelope.gaussian)(width)
-    coupling = CouplingSpec.isotropic(total_rate, envelope, omega0)
     f, f_window = gaussian_sum_spectrum(sum_center, sum_width)
     h, h_window = gaussian_difference_profile(diff_width, diff_center)
     state = SeparableState(DirectionPair.PP, f, h, f_window, h_window)
-    channel_probabilities(scatter(coupling, state))
-    assert _integral_bits(_kept_integrals(state, envelope, total_rate, omega0)) \
+    assert _integral_bits(_point_integrals(state, envelope, total_rate, omega0)) \
         == _integral_bits(_one_node_integrals(state, envelope, total_rate,
                                               omega0))
 
 
 def _array_integrals(state, envelope, total_rate, omega0):
-    """The integrals a scatter keeps on ``state``, each its own
+    """The integrals a scatter of ``state`` takes, each its own
     ``spectral.quad`` of an integrand that evaluates the factors on node
-    arrays: the factor masses, the envelope overlap and the resonance
-    weight J."""
+    arrays: the factor masses, the scaled envelope overlap and the
+    resonance weight J."""
     def integral(fn, lo, hi, points):
         return spectral.quad(fn, lo, hi, **_quad_options(lo, hi, points))[0]
 
@@ -604,7 +618,7 @@ def _array_integrals(state, envelope, total_rate, omega0):
                              (state.h, state.h_window)))
     lo, hi = state.h_window
     points = [0.5 * (lo + hi)]
-    overlap = complex(
+    overlap = state.scale * complex(
         integral(lambda x: (envelope(x) * state.h(x)).real, lo, hi, points),
         integral(lambda x: (envelope(x) * state.h(x)).imag, lo, hi, points))
 
@@ -636,7 +650,7 @@ def test_user_factors_are_evaluated_on_node_arrays():
     assert len(seen) > 10
     assert all(isinstance(x, np.ndarray) and x.dtype == np.float64
                and x.ndim == 1 and x.size > 1 for x in seen)
-    assert _integral_bits(_kept_integrals(state, envelope, 1e-3, 1.0)) \
+    assert _integral_bits(_point_integrals(state, envelope, 1e-3, 1.0)) \
         == _integral_bits(_array_integrals(state, envelope, 1e-3, 1.0))
 
 

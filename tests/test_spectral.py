@@ -814,6 +814,24 @@ def test_overlap_with_envelope_samples_outside_the_window_is_zero():
     assert state.overlap_with_envelope(far) == 0.0
 
 
+def test_envelope_overlaps_have_the_bits_of_their_one_envelope_cases():
+    # Analytic and tabulated envelopes, one outside the window, in one call.
+    state = gaussian_biphoton(DirectionPair.PM, 1.0, 0.02, 0.01)
+    envelopes = [Envelope.gaussian(0.02),
+                 Envelope.tabulated([10.0, 11.0], [1.0, 1.0]),
+                 Envelope.tabulated([0.0, 0.01, 0.03, 0.06, 0.1],
+                                    [0.3, 1.0, 0.7 + 0.2j, 0.2, 0.0]),
+                 Envelope.lorentzian(0.004)]
+
+    def bits(overlaps):
+        return [(z.real.hex(), z.imag.hex()) for z in map(complex, overlaps)]
+
+    together = state._envelope_overlaps(envelopes)
+    assert together[1] == 0.0
+    assert bits(together) \
+        == bits(state.overlap_with_envelope(e) for e in envelopes)
+
+
 def test_projection_vanishes_for_orthogonal_profile():
     env = Envelope.gaussian(0.02)
     state = gaussian_biphoton(DirectionPair.PP, 1.0, 0.02, 0.0)

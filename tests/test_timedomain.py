@@ -466,6 +466,25 @@ def test_short_run_is_not_asymptotic():
         oracle_channel_probabilities(traj)
 
 
+def test_readout_past_the_recurrence_time_is_rejected():
+    # Rows d_omegabar apart are periodic in time: after 2 pi / d_omegabar
+    # the field is back at the emitter.  The guard comes before the
+    # asymptotic checks, which these short runs also fail.
+    cpl = isotropic(0.02)
+    grid = small_grid()
+    recurrence = 2.0 * math.pi / grid.d_omegabar
+    short = TimeDomainConfig(grid, (0.0, 0.99 * recurrence), 0.25)
+    with pytest.raises(NotAsymptoticError):
+        oracle_channel_probabilities(integrate(cpl, ExcitedEmitter(), short))
+    for span in (recurrence, 250.0):
+        config = TimeDomainConfig(grid, (0.0, span), 0.25)
+        traj = integrate(cpl, ExcitedEmitter(), config)
+        with pytest.raises(ValueError, match=(
+                f"run spans {span:g}, not less than the grid's recurrence"
+                rf" time 2\*pi/d_omegabar = {recurrence:g}")):
+            oracle_channel_probabilities(traj)
+
+
 def test_rate_near_carrier_warns(decay_runs):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -728,6 +747,25 @@ def test_output_on_holds_one_four_channel_array():
             lambda: out.output_on(config.grid), config.grid))
     assert max(peaks) <= 2.0
     assert abs(peaks[0] - peaks[1]) < 0.25
+
+
+def test_grid_scatter_overlaps_one_channel_at_a_time():
+    # The four-channel overlap product and its trapezoid peaked at 3.07
+    # arrays; one channel at a time the copy radiated in place dominates.
+    for scale in (1, 4):
+        cpl, state, config = _verify_case(scale)
+        gridded = state.on_grid(config.grid)
+        assert _traced_peak_in_arrays(lambda: scatter(cpl, gridded),
+                                      config.grid) <= 1.5
+
+
+def test_separable_on_grid_fills_its_array_in_place():
+    # Holding the one-channel product beside the zero-filled array peaked
+    # at 1.63 arrays; in place, the array and the cross-channel check.
+    for scale in (1, 4):
+        _, state, config = _verify_case(scale)
+        assert _traced_peak_in_arrays(lambda: state.on_grid(config.grid),
+                                      config.grid) <= 1.4
 
 
 def test_integrate_and_scatter_leave_a_grid_input_alone():
