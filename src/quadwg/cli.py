@@ -34,7 +34,8 @@ import numpy as np
 
 from . import emission, entanglement, gate, scattering, spectral, timedomain
 from .errors import _NumericalFailure
-from .spectral import CouplingSpec, DirectionPair, Envelope, FrequencyGrid
+from .spectral import (_CHUNK_POINTS, CouplingSpec, DirectionPair, Envelope,
+                       FrequencyGrid, _row_chunks)
 
 __all__ = ["run", "main", "print_defaults", "ConfigError"]
 
@@ -284,11 +285,6 @@ def _coupling_from(cfg) -> CouplingSpec:
 _DIGIT, _EXP = 8, 32
 _FIXED = 16                             # %.12g writes exponents -4..11 in full
 _EMIN, _EMAX = -324, 308                # exponents of nonzero finite floats
-# CSV rows formatted at once; bounds the kernel's arrays.  At 2048 rows the
-# arrays of one kernel call (about 0.8 MB) are reused from glibc's heap by
-# the next call of a fresh `quadwg emit`; at 4096 (about 1.5 MB) glibc gave
-# them back after each call and faulted them in again.
-_KERNEL_ROWS = 2048
 
 
 def _words(chunks) -> np.ndarray:
@@ -388,7 +384,7 @@ def _kernel_buffer(rows: int, fields: int) -> bytearray:
     """Work buffer of the kernel for rows of ``fields`` numbers: 40 bytes
     for each field of as many rows as it formats at once, at most
     ``rows``."""
-    return bytearray(min(rows, _KERNEL_ROWS) * fields * 40)
+    return bytearray(min(rows, _CHUNK_POINTS) * fields * 40)
 
 
 def _g12_fields(x: np.ndarray, seps: np.ndarray, buf: bytearray) -> bytearray:
@@ -426,14 +422,14 @@ def _g12_fields(x: np.ndarray, seps: np.ndarray, buf: bytearray) -> bytearray:
 def _g12_lines(x: np.ndarray, seps: Sequence[str],
                buf: bytearray | None = None) -> bytes:
     """Each row of ``x`` as ``%.12g`` fields, each followed by its separator
-    of ``seps`` (at most four bytes), formatted ``_KERNEL_ROWS`` rows at a
+    of ``seps`` (at most four bytes), formatted ``_CHUNK_POINTS`` rows at a
     time in the work buffer ``buf`` (``_kernel_buffer``), made here if not
     given."""
     if buf is None:
         buf = _kernel_buffer(*x.shape)
     words = _words(b"\0" * 4 + sep.encode() for sep in seps)
-    return b"".join(_g12_fields(x[i:i + _KERNEL_ROWS], words, buf)
-                    for i in range(0, len(x), _KERNEL_ROWS))
+    return b"".join(_g12_fields(x[i:i + _CHUNK_POINTS], words, buf)
+                    for i in range(0, len(x), _CHUNK_POINTS))
 
 
 def _joint_lines(label: str, w1, w2, amps,
@@ -451,15 +447,6 @@ def _joint_lines(label: str, w1, w2, amps,
     return _g12_lines(x, (",", f",{label},", ",", ",", "\n"), buf)
 
 
-def _row_chunks(grid: FrequencyGrid) -> list[slice]:
-    """The sum-frequency rows of each chunk a joint spectrum is written
-    in: as many rows as fill ``_KERNEL_ROWS`` CSV rows, or one row if a
-    row alone holds more."""
-    step = max(1, _KERNEL_ROWS // grid.delta.size)
-    return [slice(start, start + step)
-            for start in range(0, grid.omegabar.size, step)]
-
-
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return np.array_equal(np.ascontiguousarray(a).view(np.uint64),
                           np.ascontiguousarray(b).view(np.uint64))
@@ -473,11 +460,9 @@ def _write_joint_csv(path: str, grid: FrequencyGrid,
     ``block(pair, rows)`` returns that channel's complex amplitudes on the
     sum-frequency rows ``rows``, a slice of the ``(n_omegabar, n_delta)``
     block.  The writer asks for one chunk of rows at a time
-    (``_row_chunks``: as many rows as fill ``_KERNEL_ROWS`` CSV rows, or
-    one row if a row alone holds more) and keeps none, so it never holds
-    a whole block.  ``omega`` and ``omega_prime`` are the two photon
-    frequencies in units of the resonance frequency.  Every value reads
-    as ``%.12g`` writes it.
+    (``_row_chunks``) and keeps none, so it never holds a whole block.
+    ``omega`` and ``omega_prime`` are the two photon frequencies in units
+    of the resonance frequency.  Every value reads as ``%.12g`` writes it.
 
     Each chunk is formatted by a numpy kernel (``_g12_lines``) in one work
     buffer allocated per file.  It rounds each number to 12 significant
@@ -569,26 +554,13 @@ def _outpath(outdir: str, name: str) -> str:
 
 def _cmd_emit(cfg, outdir) -> tuple[str, int]:
     coupling = _coupling_from(cfg)
-    grid = emission.default_emission_grid(
-        coupling, _as_int(cfg, "n_omegabar"), _as_int(cfg, "n_delta"))
-    # Each channel's amplitude factors over the whole axes, taken as
-    # joint_spectrum takes them; the rows of a block are their product.
-    factors = {pair: emission._amplitude_factors(
-        coupling, pair, grid.omegabar[:, None], grid.delta[None, :])
-        for pair in spectral.PAIRS}
-
-    def block(pair: DirectionPair, rows: slice) -> np.ndarray:
-        line, u = factors[pair]
-        return line[rows] * u
-
-    chunks = _row_chunks(grid)
-    window, corr = emission._window_summaries(
-        grid, lambda rows: emission._channel_sum(
-            lambda pair: block(pair, rows)), chunks)
-    total = emission._total_probability(coupling, grid, window)
+    spectrum = emission.joint_spectrum(coupling, emission.default_emission_grid(
+        coupling, _as_int(cfg, "n_omegabar"), _as_int(cfg, "n_delta")))
+    # Summaries first: an emit that exits 2 writes no file.
+    total, corr = spectrum.total_probability(), spectrum.spectrum_correlation()
     stem = cfg["output_stem"]
-    _write_joint_csv(_outpath(outdir, stem + ".csv"), grid, block,
-                     coupling.omega0)
+    _write_joint_csv(_outpath(outdir, stem + ".csv"), spectrum.grid,
+                     spectrum.block, coupling.omega0)
     _write_json(_outpath(outdir, stem + ".json"), {
         "total_rate": _quantity(coupling.total_rate, "omega0"),
         "envelope_width": _quantity(coupling.envelope.width, "omega0"),

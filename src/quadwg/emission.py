@@ -14,7 +14,7 @@ this carries unit probability.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -26,6 +26,7 @@ from .spectral import (
     DirectionPair,
     FrequencyGrid,
     GridState,
+    _row_chunks,
     resonance_denominator,
 )
 
@@ -166,34 +167,51 @@ def _total_probability(coupling: CouplingSpec, grid: FrequencyGrid,
                        window: float) -> float:
     """``window``, the window integral of the channel-summed density,
     divided by the fraction of the emitted probability that lies inside
-    the window."""
-    half = min(coupling.omega0 - grid.omegabar[0],
-               grid.omegabar[-1] - coupling.omega0)
-    line_frac = (2.0 / math.pi) * math.atan(2.0 * half / coupling.total_rate)
+    the window.  The Lorentzian line of full width ``total_rate`` keeps
+    ``(atan(2 (ob[-1] - omega0) / total_rate) - atan(2 (ob[0] - omega0) /
+    total_rate)) / pi`` of its mass on the sum axis ``ob``, centred on
+    ``omega0`` or not."""
+    ob, g = grid.omegabar, coupling.total_rate
+    line_frac = (math.atan(2.0 * (ob[-1] - coupling.omega0) / g)
+                 - math.atan(2.0 * (ob[0] - coupling.omega0) / g)) / math.pi
     env_frac = coupling.envelope.half_line_mass(float(grid.delta[-1]))
     return window / (line_frac * env_frac)
 
 
 @dataclass(frozen=True)
 class EmissionSpectrum:
-    """Channel-resolved emission amplitudes on a half-plane grid."""
+    """Channel-resolved emission amplitudes on a half-plane grid, kept as
+    each channel's two ``_amplitude_factors`` over the whole axes."""
 
     coupling: CouplingSpec
     grid: FrequencyGrid
-    data: np.ndarray  # (4, n_omegabar, n_delta) complex
+    _factors: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        ob, dd = self.grid.omegabar[:, None], self.grid.delta[None, :]
+        object.__setattr__(self, "_factors", tuple(
+            _amplitude_factors(self.coupling, pair, ob, dd) for pair in PAIRS))
+
+    def block(self, pair: DirectionPair, rows=slice(None)) -> np.ndarray:
+        """Amplitudes of channel ``pair`` on the sum-frequency ``rows``."""
+        line, u = self._factors[pair.index]
+        return line[rows] * u
+
+    @property
+    def data(self) -> np.ndarray:
+        """The ``(4, n_omegabar, n_delta)`` amplitudes, built on request."""
+        return np.stack([self.block(pair) for pair in PAIRS])
 
     def channel(self, pair: DirectionPair) -> np.ndarray:
-        return self.data[pair.index]
+        return self.block(pair)
 
     def density(self, pair: DirectionPair) -> np.ndarray:
-        return np.abs(self.data[pair.index]) ** 2
+        return np.abs(self.block(pair)) ** 2
 
-    def total_density(self) -> np.ndarray:
-        """Channel-summed density, the bits of ``np.sum(np.abs(data) ** 2,
-        axis=0)``, added one channel block at a time so that no
-        four-channel float array is made.  The summaries take it as one
-        chunk of rows; ``quadwg emit`` sums it a chunk of rows at a time."""
-        return _channel_sum(self.channel)
+    def total_density(self, rows=slice(None)) -> np.ndarray:
+        """Channel-summed density on the sum-frequency ``rows``, with the
+        bits of ``np.sum(np.abs(data[:, rows]) ** 2, axis=0)``."""
+        return _channel_sum(lambda pair: self.block(pair, rows))
 
     def state(self) -> GridState:
         return GridState(self.grid, self.data)
@@ -215,8 +233,8 @@ class EmissionSpectrum:
         trapezoid result by that fraction recovers the full-plane value,
         which is one for a complete emission record.
         """
-        density = self.total_density()
-        window, _ = _window_summaries(self.grid, lambda rows: density[rows],
+        window, _ = _window_summaries(self.grid, self.total_density,
+                                      _row_chunks(self.grid),
                                       correlation=False)
         return _total_probability(self.coupling, self.grid, window)
 
@@ -227,12 +245,13 @@ class EmissionSpectrum:
         envelope (frequencies move together), negative when the envelope
         dominates (frequencies anticorrelate about the fixed sum).
         """
-        return pearson_correlation(self.grid, self.total_density())
+        return _window_summaries(self.grid, self.total_density,
+                                 _row_chunks(self.grid))[1]
 
 
 def joint_spectrum(coupling: CouplingSpec,
                    grid: FrequencyGrid | None = None) -> EmissionSpectrum:
-    """Tabulate the emitted pair amplitudes.
+    """The emitted pair amplitudes on ``grid``.
 
     The default window spans ten linewidths around resonance and ten
     envelope widths in the difference frequency; pass an explicit grid to
@@ -242,9 +261,4 @@ def joint_spectrum(coupling: CouplingSpec,
     """
     if grid is None:
         grid = default_emission_grid(coupling)
-    ob, dd = grid.omegabar, grid.delta
-    data = np.empty((4, ob.size, dd.size), dtype=complex)
-    for pair in PAIRS:
-        data[pair.index] = emitted_amplitude(
-            coupling, pair, ob[:, None], dd[None, :])
-    return EmissionSpectrum(coupling, grid, data)
+    return EmissionSpectrum(coupling, grid)

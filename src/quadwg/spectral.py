@@ -62,7 +62,8 @@ QUAD_EPSREL = 1.0e-10
 QUAD_LIMIT = 400
 
 # Fraction of half-line envelope mass a grid must keep before a
-# TruncationWarning is issued.
+# TruncationWarning is issued, and of a resonant input's sum intensity the
+# band of a time-domain scattering run must keep.
 ENVELOPE_COVER_FRACTION = 0.999
 
 
@@ -415,6 +416,21 @@ class FrequencyGrid:
                 and self.delta.shape == other.delta.shape
                 and np.array_equal(self.omegabar, other.omegabar)
                 and np.array_equal(self.delta, other.delta))
+
+
+# Grid points of a chunk of sum rows, which the emission summaries sum and
+# the CSV kernel formats at once.  At 2048 the kernel's arrays (0.8 MB) stay
+# in glibc's heap between calls of a fresh `quadwg emit`; at 4096 (1.5 MB)
+# glibc gave them back after each call and faulted them in again.
+_CHUNK_POINTS = 2048
+
+
+def _row_chunks(grid: FrequencyGrid) -> list[slice]:
+    """The sum-frequency rows of each chunk of ``grid``: as many rows as
+    hold ``_CHUNK_POINTS`` points, or one row if a row alone holds more."""
+    step = max(1, _CHUNK_POINTS // grid.delta.size)
+    return [slice(start, start + step)
+            for start in range(0, grid.omegabar.size, step)]
 
 
 def _saturating_quotient(square, scale: float):

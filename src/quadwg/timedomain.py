@@ -53,11 +53,13 @@ import numpy as np
 from .errors import IntegrationFailureError, NotAsymptoticError
 from .scattering import ChannelProbabilities
 from .spectral import (
+    ENVELOPE_COVER_FRACTION,
     PAIRS,
     CouplingSpec,
     FrequencyGrid,
     GridState,
     SeparableState,
+    _width_squared,
 )
 
 __all__ = [
@@ -109,11 +111,24 @@ class TimeDomainConfig:
 
         The pulse is assumed delayed by three inverse widths so it arrives
         whole after the start; the span then covers its passage plus the
-        emitter settling time.
+        emitter settling time.  The band of half width ``half =
+        halfwidth_rates * total_rate`` keeps ``erf(half / (input_width
+        sqrt 2))`` of the sum intensity of a resonant input of that
+        standard deviation; below ``ENVELOPE_COVER_FRACTION`` this raises
+        ``ValueError``.
         """
         if not input_width > 0:
             raise ValueError("input_width must be positive")
+        _width_squared(input_width)  # rejects widths out of range
         g = coupling.total_rate
+        half = halfwidth_rates * g
+        kept = math.erf(half / (input_width * math.sqrt(2.0)))
+        if kept < ENVELOPE_COVER_FRACTION:
+            raise ValueError(
+                f"the band of half width {half:g} ({halfwidth_rates:g} total"
+                f" rates) keeps only {kept:.4g} of the sum intensity of an"
+                f" input of width {input_width:g}; use a narrower input or a"
+                " larger total rate")
         delay = 3.0 / input_width
         grid = FrequencyGrid.for_scattering(
             coupling, input_width, n_omegabar, n_delta, halfwidth_rates)

@@ -12,12 +12,13 @@ from hypothesis import settings
 settings.register_profile("suite", deadline=None, max_examples=50,
                           derandomize=True)
 # A deeper run of the parity tests: the QUADPACK port against the
-# installed scipy, the filtered state against its reference, and the
+# installed scipy, the filtered state against its reference, the
 # time-domain integration and grid scattering against their four-channel
-# expressions:
+# expressions, and the emission spectrum against its whole-array ones:
 # pytest tests/test_quadpack.py --hypothesis-profile=parity
 # pytest tests/test_entanglement.py --hypothesis-profile=parity
 # pytest tests/test_timedomain.py --hypothesis-profile=parity
+# pytest tests/test_emission.py --hypothesis-profile=parity
 settings.register_profile("parity", deadline=None, max_examples=2000)
 settings.load_profile("suite")
 

@@ -20,6 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from quadwg import cli, emission, errors, gate, scattering, spectral
 from quadwg.spectral import CouplingSpec, DirectionPair, Envelope, FrequencyGrid
+from test_emission import whole_array_spectrum
 
 
 def run_ok(args, capsys):
@@ -596,6 +597,25 @@ def test_verify_past_the_recurrence_time_is_a_configuration_error(
     assert "n_omegabar" in err
 
 
+@pytest.mark.parametrize("override, band, kept, width", [
+    # Once exit 2 with "FAIL 633.6214": the band is 40,000 times narrower
+    # than the input.
+    ("total_rate=5e-7", "1e-05", "0.0003989", "0.02"),
+    # Once a pass at 0.0189, from an input the band cut to 99.24%.
+    ("input_width=0.03", "0.08", "0.9923", "0.03"),
+])
+def test_verify_input_outside_the_band_is_a_configuration_error(
+        tmp_path, capsys, override, band, kept, width):
+    assert cli.run(["verify", "--outdir", str(tmp_path),
+                    "--set", override]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: the band of half width {band} (20 total rates)"
+                   f" keeps only {kept} of the sum intensity of an input of"
+                   f" width {width}; use a narrower input or a larger total"
+                   " rate\n")
+    assert not (tmp_path / "verify.json").exists()
+
+
 def test_outdir_environment_fallback(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(cli.ENV_OUTDIR, str(tmp_path))
     run_ok(["emit", "--set", "n_omegabar=32", "--set", "n_delta=16"], capsys)
@@ -633,8 +653,9 @@ def _rows_of(data):
 def _check_emit_is_joint_spectrum(outdir, overrides, coupling, n_omegabar,
                                   n_delta):
     """Run emit with ``overrides``: its JSON values, printed line and CSV
-    bytes must be those of ``joint_spectrum`` on the same grid, whose
-    whole array the writer writes."""
+    bytes must be those of the whole-array emission expressions
+    (``whole_array_spectrum``) on the same grid, whose whole array the
+    writer writes."""
     args = ["emit", "--outdir", str(outdir / "cli")]
     for override in overrides:
         args += ["--set", override]
@@ -642,15 +663,15 @@ def _check_emit_is_joint_spectrum(outdir, overrides, coupling, n_omegabar,
     with contextlib.redirect_stdout(out):
         assert cli.run(args) == 0
     grid = emission.default_emission_grid(coupling, n_omegabar, n_delta)
-    spec = emission.joint_spectrum(coupling, grid)
-    total, corr = spec.total_probability(), spec.spectrum_correlation()
+    data, _, mass, corr = whole_array_spectrum(coupling, grid)
+    total = emission._total_probability(coupling, grid, mass)
     payload = json.loads((outdir / "cli" / "emission.json").read_text())
     assert payload["total_probability"]["value"].hex() == total.hex()
     assert payload["spectrum_correlation"]["value"].hex() == corr.hex()
     assert out.getvalue() == (f"emit: total_rate={coupling.total_rate:g} "
                               f"P_total={total:.6f} correlation={corr:+.4f}\n")
     expected = outdir / "expected.csv"
-    cli._write_joint_csv(expected, grid, _rows_of(spec.data), coupling.omega0)
+    cli._write_joint_csv(expected, grid, _rows_of(data), coupling.omega0)
     assert (outdir / "cli" / "emission.csv").read_bytes() \
         == expected.read_bytes()
 
@@ -660,7 +681,7 @@ def test_emit_summaries_and_map_are_those_of_joint_spectrum(tmp_path, name):
     _check_emit_is_joint_spectrum(tmp_path, *_EMIT_CASES[name])
 
 
-_WIDE = cli._KERNEL_ROWS + 3   # more differences than the kernel formats
+_WIDE = spectral._CHUNK_POINTS + 3   # more differences than the kernel formats
 
 
 @settings(max_examples=20)
@@ -719,7 +740,7 @@ def test_emit_holds_no_four_channel_array(tmp_path):
     # at a time, so its peak does not follow the grid; one channel block
     # of the second grid is 2.2 MB, its four-channel array 8.9 MB.
     cli._g12_tables()   # built once per process, not part of the bound
-    n_delta = cli._KERNEL_ROWS + 128
+    n_delta = spectral._CHUNK_POINTS + 128
     small = _emit_peak(tmp_path / "small", 4, n_delta)
     large = _emit_peak(tmp_path / "large", n_delta // 4, 256)
     assert (n_delta // 4) * 256 == 16 * 4 * n_delta
@@ -861,7 +882,7 @@ def _wide_delta_case():
     # More differences than the kernel formats at once: each write chunk is
     # one sum row, split by the kernel inside the row, and the equal ++,
     # +- and -- blocks are copied across that split.
-    n_delta = cli._KERNEL_ROWS + 4
+    n_delta = spectral._CHUNK_POINTS + 4
     grid = FrequencyGrid(np.array([0.5, 1.0, 1.5]),
                          np.linspace(0.0, 0.2, n_delta))
     rng = np.random.default_rng(4100)
@@ -939,7 +960,7 @@ def test_joint_csv_formats_each_distinct_block_once(tmp_path, monkeypatch,
     # one run: each chunk is asked for and formatted, in order, with
     # nothing between.
     grid, data, omega0 = case()
-    chunks = [rows.start for rows in cli._row_chunks(grid)]
+    chunks = [rows.start for rows in spectral._row_chunks(grid)]
     formatted = []
     events = []   # channel labels of formatted chunks, (pair, row) calls
     joint_lines = cli._joint_lines

@@ -1,6 +1,7 @@
 """Spontaneous pair emission spectra and their correlation structure."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from quadwg.emission import (
     default_emission_grid,
     pearson_correlation,
 )
+from quadwg.spectral import _CHUNK_POINTS, PAIRS, _row_chunks
 
 GAMMA = 0.004
 
@@ -170,17 +172,25 @@ def test_correlation_error_paths():
         pearson_correlation(grid, point)
 
 
-def _whole_grid_summaries(spec):
-    """Window mass and frequency correlation of the channel-summed density
-    of ``spec`` by ``grid.integrate`` of whole arrays: the reference that
-    summaries taken a chunk of sum rows at a time must reproduce."""
-    grid, density = spec.grid, spec.total_density()
-    ob = grid.omegabar[:, None]
+def whole_array_spectrum(cpl, grid):
+    """The whole-array expressions the emission spectrum was first built
+    from: the stacked ``emitted_amplitude`` fill, the channel sum of
+    ``np.abs(data) ** 2``, and its ``grid.integrate`` window mass and
+    frequency correlation.  Returns ``(data, density, mass, correlation)``;
+    every ``EmissionSpectrum`` method must keep their bits.
+    """
+    ob, dd = grid.omegabar, grid.delta
+    data = np.empty((4, ob.size, dd.size), dtype=complex)
+    for pair in PAIRS:
+        data[pair.index] = emitted_amplitude(cpl, pair, ob[:, None],
+                                             dd[None, :])
+    density = np.sum(np.abs(data) ** 2, axis=0)
     mass = float(grid.integrate(density))
-    mean_ob = float(grid.integrate(density * ob)) / mass
-    var_ob = float(grid.integrate(density * (ob - mean_ob) ** 2)) / mass
-    var_dd = float(grid.integrate(density * grid.delta[None, :] ** 2)) / mass
-    return mass, (var_ob - var_dd) / (var_ob + var_dd)
+    mean_ob = float(grid.integrate(density * ob[:, None])) / mass
+    var_ob = float(grid.integrate(density * (ob[:, None] - mean_ob) ** 2)) \
+        / mass
+    var_dd = float(grid.integrate(density * dd[None, :] ** 2)) / mass
+    return data, density, mass, (var_ob - var_dd) / (var_ob + var_dd)
 
 
 @pytest.mark.parametrize("step", [1, 5, 16, 66, 67, 200])
@@ -194,13 +204,14 @@ def test_window_summaries_by_row_chunks_have_the_whole_grid_bits(step):
                              DirectionPair.PM: 0.0005,
                              DirectionPair.MP: 0.0005}, env)
     grid = default_emission_grid(cpl, 67, 40)
-    spec = joint_spectrum(cpl, grid)
-    mass, corr = _whole_grid_summaries(spec)
+    data, _, mass, corr = whole_array_spectrum(cpl, grid)
     chunks = [slice(start, start + step) for start in range(0, 67, step)]
     window, r = _window_summaries(grid, lambda rows: _channel_sum(
-        lambda pair: spec.data[pair.index, rows]), chunks)
+        lambda pair: data[pair.index, rows]), chunks)
     assert (window.hex(), r.hex()) == (mass.hex(), corr.hex())
-    # The library's summaries are its one-chunk case.
+    # The library's summaries are its case of ``_row_chunks``, and
+    # ``pearson_correlation`` its one-chunk case.
+    spec = joint_spectrum(cpl, grid)
     assert spec.spectrum_correlation().hex() == corr.hex()
     assert pearson_correlation(grid, spec.total_density()).hex() == corr.hex()
     assert spec.total_probability().hex() \
@@ -250,3 +261,93 @@ def test_channel_sum_has_the_bits_of_the_stacked_sum(data):
         total = _channel_sum(lambda pair: data[pair.index])
     assert total.shape == expected.shape
     assert total.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype \
+        and a.tobytes() == b.tobytes()
+
+
+_WIDE = _CHUNK_POINTS + 5   # more differences than a chunk holds
+_TABULATED = Envelope.tabulated(
+    0.004 * np.arange(8), [1.0, 0.95 - 0.1j, 0.8 - 0.3j, 0.55 - 0.4j,
+                           0.3 - 0.35j, 0.12 - 0.2j, 0.03 - 0.06j, 0.0])
+
+
+@given(envelope=st.sampled_from((Envelope.gaussian(0.02),
+                                 Envelope.lorentzian(0.01), _TABULATED)),
+       rates=st.one_of(
+           st.sampled_from(("isotropic", "mirror")),
+           # ++, the two equal cross rates and --.
+           st.tuples(*[st.sampled_from((0.0, 0.0005, 0.001, 0.0025))] * 3)
+           .filter(any).map(lambda r: (r[0], r[1], r[1], r[2]))),
+       omega0=st.sampled_from((1.0, 0.7, 1.3)),
+       offset=st.sampled_from((0.0, 3.0, -7.5)),
+       shape=st.one_of(st.tuples(st.integers(2, 70), st.integers(2, 80)),
+                       st.tuples(st.integers(2, 3), st.just(_WIDE))))
+# Rows wider than a chunk; 67 rows of 64 differences, 32 rows a chunk,
+# so the last chunk is partial; two sum rows of two differences.
+@example(envelope=_TABULATED, rates="mirror", omega0=1.0, offset=0.0,
+         shape=(3, _WIDE))
+@example(envelope=Envelope.gaussian(0.02), rates=(0.001, 0.0, 0.0, 0.0025),
+         omega0=1.3, offset=3.0, shape=(67, 64))
+@example(envelope=Envelope.lorentzian(0.01), rates="isotropic", omega0=0.7,
+         offset=-7.5, shape=(2, 2))
+def test_spectrum_methods_have_the_bits_of_the_whole_arrays(
+        envelope, rates, omega0, offset, shape):
+    if rates == "isotropic":
+        cpl = CouplingSpec.isotropic(GAMMA, envelope, omega0)
+    elif rates == "mirror":
+        cpl = CouplingSpec.mirror(GAMMA, envelope, omega0)
+    else:
+        cpl = CouplingSpec(omega0, dict(zip(PAIRS, rates)), envelope)
+    g = cpl.total_rate
+    grid = FrequencyGrid.regular(omega0 + offset * g, 10.0 * g,
+                                 default_emission_grid(cpl).delta[-1], *shape)
+    spec = joint_spectrum(cpl, grid)
+    data, density, mass, corr = whole_array_spectrum(cpl, grid)
+    assert _same_bits(spec.data, data)
+    assert _same_bits(spec.state().data, data)
+    for pair in PAIRS:
+        assert _same_bits(spec.channel(pair), data[pair.index])
+        assert _same_bits(spec.block(pair), data[pair.index])
+        assert _same_bits(spec.density(pair), np.abs(data[pair.index]) ** 2)
+        for rows in _row_chunks(grid) + [slice(1, None, 2)]:
+            assert _same_bits(spec.block(pair, rows), data[pair.index, rows])
+    assert _same_bits(spec.total_density(), density)
+    assert _same_bits(spec.total_density(slice(1, None)), density[1:])
+    assert _same_bits(spec.sum_marginal(), grid.integrate_delta(density))
+    assert _same_bits(spec.difference_marginal(),
+                      np.trapezoid(density, grid.omegabar, axis=0))
+    assert spec.total_probability().hex() \
+        == _total_probability(cpl, grid, mass).hex()
+    assert spec.spectrum_correlation().hex() == corr.hex()
+    assert pearson_correlation(grid, density).hex() == corr.hex()
+
+
+def test_spectrum_and_summaries_hold_no_whole_block():
+    # At the emit defaults one channel block is 8.4 MB and the four-channel
+    # array 33.6 MB; the spectrum keeps its factors and sums the densities
+    # one chunk of rows at a time.
+    cpl = coupling(1.0)
+    grid = default_emission_grid(cpl, 1024, 512)
+    tracemalloc.start()
+    try:
+        spec = joint_spectrum(cpl, grid)
+        spec.total_probability()
+        spec.spectrum_correlation()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+
+
+@pytest.mark.parametrize("center", [1.03, 1.2])
+def test_total_probability_on_a_window_off_resonance(center):
+    # The sum window [center - 0.04, center + 0.04] holds the resonance
+    # off its middle (1.03) or not at all (1.2); the line's mass inside
+    # it is taken between its two edges.
+    cpl = CouplingSpec.isotropic(GAMMA, Envelope.gaussian(0.02))
+    grid = FrequencyGrid.regular(center, 0.04, 0.2, 256, 64)
+    assert joint_spectrum(cpl, grid).total_probability() \
+        == pytest.approx(1.0, abs=1e-4)

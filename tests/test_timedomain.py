@@ -71,6 +71,23 @@ def test_config_validation():
         TimeDomainConfig.for_scattering(isotropic(0.02), 0.0)
 
 
+def test_scattering_config_needs_the_band_to_hold_the_input():
+    # A half band of h total rates keeps erf(h g / (sigma sqrt 2)) of a
+    # resonant input's sum intensity: 4 sigma keeps 0.99994, 3 sigma 0.9973.
+    cpl = isotropic(0.02)
+    TimeDomainConfig.for_scattering(cpl, 0.1, n_omegabar=64, n_delta=16)
+    with pytest.raises(ValueError, match=r"the band of half width 0\.4"
+                       r" \(20 total rates\) keeps only 0\.9973 of the sum"
+                       r" intensity of an input of width 0\.1333"):
+        TimeDomainConfig.for_scattering(cpl, 0.4 / 3.0, n_omegabar=64,
+                                        n_delta=16)
+    # Widths out of range keep their own errors.
+    with pytest.raises(ValueError, match="too large"):
+        TimeDomainConfig.for_scattering(cpl, 1e160)
+    with pytest.raises(ValueError, match="must be finite"):
+        TimeDomainConfig.for_scattering(cpl, math.inf)
+
+
 def test_factory_spans_and_steps():
     cpl = isotropic(0.02)
     cfg = TimeDomainConfig.for_scattering(cpl, 0.05, n_omegabar=64, n_delta=16)
