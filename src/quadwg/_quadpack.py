@@ -25,12 +25,12 @@ them, and applies ``dqk21`` or ``dqk15i`` in Python floats.
 
 ``_lockstep`` runs many integrals, set up by ``quad(..., defer=True)``,
 one rule application of each per round.  A round places the nodes of all
-pending intervals, calls the integrand of each job once on the nodes of
-its unfinished integrals, and applies each rule to all the round's
-intervals at once: on numpy arrays, one row per interval, from
-``_ARRAY_MIN`` intervals on, else in Python.  The array rules do the
-Python rules' operations in their order, so each integral keeps the steps
-and the bits of its own ``quad``.
+pending intervals and calls the integrand of each job once on the nodes of
+its unfinished integrals.  From ``_ARRAY_MIN`` intervals on, it applies
+``dqk21`` to all the round's finite intervals at once, on numpy arrays with
+one row per interval, and ``dqk15i`` in Python; below, both rules run in
+Python.  The array rule does the Python rule's operations in their order,
+so each integral keeps the steps and the bits of its own ``quad``.
 """
 
 from __future__ import annotations
@@ -315,14 +315,15 @@ def _qk15i(inf: int, fv: list[float], intervals) -> list[tuple]:
     return out
 
 
-# The rules on arrays of intervals, one row per interval: the same
-# operations in the same order as ``_qk21`` and ``_qk15i``, on columns.
-# Elementwise IEEE arithmetic gives each row the bits of the Python rule;
-# ``add.accumulate`` adds the terms of a row one after another, in
-# QUADPACK's order, where ``sum`` would add them pairwise.
-# ``float_power`` is libm ``pow``, as Python's ``**`` is, where numpy's
-# ``**`` rounds some powers 1.5 differently.  Below ``_ARRAY_MIN``
-# intervals a round, numpy's fixed cost exceeds the Python rule's.
+# dqk21 on an array of intervals, one row per interval: the same
+# operations in the same order as ``_qk21``, on columns.  Elementwise IEEE
+# arithmetic gives each row the bits of the Python rule; ``add.accumulate``
+# adds the terms of a row one after another, in QUADPACK's order, where
+# ``sum`` would add them pairwise.  ``float_power`` is libm ``pow``, as
+# Python's ``**`` is, where numpy's ``**`` rounds some powers 1.5
+# differently.  Below ``_ARRAY_MIN`` intervals a round, numpy's fixed cost
+# exceeds the Python rule's.  dqk15i stays in Python: it only integrates
+# the infinite tails of a few integrands, a small share of any round.
 _ARRAY_MIN = 32
 # dqk21's abscissae in the order ``_nodes21`` places their pairs of nodes,
 # which is the order dqk21 sums them in, and the pairs' Kronrod and Gauss
@@ -332,9 +333,6 @@ _KRONROD21 = np.array([_K1, _K3, _K5, _K7, _K9, _K0, _K2, _K4, _K6, _K8])
 _GAUSS21 = np.array([_G1, _G3, _G5, _G7, _G9])
 # The pairs in the order dqk21 sums resasc.
 _ASC21 = [5, 0, 6, 1, 7, 2, 8, 3, 9, 4]
-_XGK15_7 = np.array(_XGK15[:7])
-_WGK15_7 = np.array(_WGK15[:7])
-_WG7_7 = np.array(_WG7[:7])
 
 
 def _running(first, terms) -> np.ndarray:
@@ -387,59 +385,6 @@ def _qk21_array(fv: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
     resasc = _running(_K10 * np.abs(fc - reskh), spread[:, _ASC21])
     resabs = resabs * dhlgth
     resasc = resasc * dhlgth
-    return (resk * hlgth, _error_array(resk, resg, hlgth, resabs, resasc),
-            resabs, resasc)
-
-
-def _nodes15i_array(boun: np.ndarray, dinf: np.ndarray, both: bool,
-                    a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``_nodes15i`` on arrays: row ``i`` holds the nodes of ``[a[i],
-    b[i]]`` mapped by ``boun[i]`` and ``dinf[i]``, each followed by its
-    mirror image if ``both``."""
-    centr = 0.5 * (a + b)
-    absc = (0.5 * (b - a))[:, None] * _XGK15_7
-    t = np.empty((a.size, 15))
-    t[:, 0] = centr
-    t[:, 1::2] = centr[:, None] - absc
-    t[:, 2::2] = centr[:, None] + absc
-    x = boun[:, None] + dinf[:, None] * (0.1e+01 - t) / t
-    if not both:
-        return x
-    pairs = x[:, 1:].reshape(a.size, 7, 2)
-    return np.concatenate([x[:, :1], -x[:, :1],
-                           np.concatenate([pairs, -pairs], axis=2)
-                           .reshape(a.size, 28)], axis=1)
-
-
-def _qk15i_array(fv: np.ndarray, both: bool, a: np.ndarray,
-                 b: np.ndarray) -> tuple:
-    """``_qk15i`` on rows, as ``_qk21_array`` is ``_qk21``."""
-    if both:
-        quads = fv[:, 2:].reshape(a.size, 7, 4)
-        fval0 = fv[:, 0] + fv[:, 1]
-        fval1 = quads[:, :, 0] + quads[:, :, 2]
-        fval2 = quads[:, :, 1] + quads[:, :, 3]
-    else:
-        fval0, fval1, fval2 = fv[:, 0], fv[:, 1::2], fv[:, 2::2]
-    centr = 0.5 * (a + b)
-    hlgth = 0.5 * (b - a)
-    absc = hlgth[:, None] * _XGK15_7
-    absc1 = centr[:, None] - absc
-    absc2 = centr[:, None] + absc
-    fc = (fval0 / centr) / centr
-    fv1 = (fval1 / absc1) / absc1
-    fv2 = (fval2 / absc2) / absc2
-    fsum = fv1 + fv2
-    resk0 = _WGK15[7] * fc
-    resg = _running(_WG7[7] * fc, _WG7_7 * fsum)
-    resk = _running(resk0, _WGK15_7 * fsum)
-    resabs = _running(np.abs(resk0), _WGK15_7 * (np.abs(fv1) + np.abs(fv2)))
-    reskh = resk * 0.5
-    resasc = _running(_WGK15[7] * np.abs(fc - reskh),
-                      _WGK15_7 * (np.abs(fv1 - reskh[:, None])
-                                  + np.abs(fv2 - reskh[:, None])))
-    resasc = resasc * hlgth
-    resabs = resabs * hlgth
     return (resk * hlgth, _error_array(resk, resg, hlgth, resabs, resasc),
             resabs, resasc)
 
@@ -1131,11 +1076,12 @@ def _lockstep(jobs: Sequence[tuple[Callable, Sequence[tuple[int, _Integration]]]
     row ``row`` of ``values``.  Each round places the nodes of the pending
     intervals of every live integral, an interval that several of a job's
     integrals bisect alike once; calls each job's ``values`` once, on the
-    nodes of its live integrals; and applies the rules to all pending
-    intervals together, on arrays from ``_ARRAY_MIN`` intervals on and in
-    Python below.  Every integrand is elementwise: a value depends on its
-    own node only, not on the other nodes of the array, so each integral
-    takes the steps and gets the bits of its own ``quad``.
+    nodes of its live integrals; and applies the rules.  From
+    ``_ARRAY_MIN`` pending intervals on, ``dqk21`` runs on arrays, once for
+    all finite intervals, and ``dqk15i`` in Python; below, both run in
+    Python.  Every integrand is elementwise: a value depends on its own
+    node only, not on the other nodes of the array, so each integral takes
+    the steps and gets the bits of its own ``quad``.
 
     Returns ``(result, abserr)`` of each integral, job by job in the order
     given, and issues their warnings in that order.
@@ -1188,78 +1134,65 @@ def _round_lists(live: list) -> None:
 
 
 def _round_arrays(live: list) -> None:
-    """One round of ``_lockstep`` on arrays: the nodes of all jobs placed
-    and each rule applied once per width of rule (21, 15 or 30 nodes)."""
-    widths = (21, 15, 30)
-    # Per width, the distinct intervals of each job in turn, with the
-    # integral that placed each first.
-    blocks: dict[int, list] = {w: [] for w in widths}
-    owners: dict[int, list] = {w: [] for w in widths}
+    """One round of ``_lockstep`` with ``dqk21`` on arrays.  Each job's
+    distinct finite intervals are placed once, followed by the Python
+    ``dqk15i`` nodes of its half- and whole-line integrals, and its
+    ``values`` is called once on them all.  Those integrals get ``_qk15i``
+    from their slice of the values; one ``_qk21_array`` call covers every
+    finite interval of the round."""
+    # The distinct finite intervals of each job in turn, and per integral
+    # the index of each of its intervals among its job's (None for dqk15i).
+    taken: list[tuple] = []
     jobs = []
     for values, running in live:
-        first = {w: len(blocks[w]) for w in widths}
-        index: dict[tuple, dict] = {}
+        first = len(taken)
+        seen: dict[tuple, int] = {}
         local = []
+        tails: list[float] = []
         for _, it in running:
-            taken = blocks[it.width]
-            seen = index.get((it.inf, it.boun))
-            if seen is None:
-                seen = index[it.inf, it.boun] = {}
+            if it.inf:
+                tails += it.nodes(it.pending)
+                local.append(None)
+                continue
             mine = []
             for interval in it.pending:
                 u = seen.get(interval)
                 if u is None:
-                    u = seen[interval] = len(taken) - first[it.width]
+                    u = seen[interval] = len(taken) - first
                     taken.append(interval)
-                    owners[it.width].append(it)
                 mine.append(u)
             local.append(mine)
-        counts = {w: len(blocks[w]) - first[w] for w in widths}
-        jobs.append((values, running, first, counts, local))
-    placed = {}
-    for w, taken in blocks.items():
-        if taken:
-            a, b = np.array(taken).T
-            with np.errstate(all="ignore"):
-                if w == 21:
-                    placed[w] = _nodes21_array(a, b)
-                else:
-                    boun = np.array([it.boun for it in owners[w]])
-                    dinf = np.array([float(min(1, it.inf))
-                                     for it in owners[w]])
-                    placed[w] = _nodes15i_array(boun, dinf, w == 30, a, b)
-    # The values of row r at block u of a job sit in row base + r n + u of
-    # the width's table, n being the job's number of blocks of that width.
-    tables: dict[int, list] = {w: [] for w in widths}
-    base = dict.fromkeys(widths, 0)
-    gather = {w: ([], [], []) for w in widths}
-    spans = []
-    for values, running, first, counts, local in jobs:
-        x = np.concatenate([placed[w][first[w]:first[w] + n].ravel()
-                            for w, n in counts.items() if n])
+        jobs.append((values, running, first, len(taken) - first, tails,
+                     local))
+    a, b = np.array(taken, dtype=float).reshape(-1, 2).T
+    with np.errstate(all="ignore"):
+        placed = _nodes21_array(a, b)
+    # The values of row r at interval u of a job sit in row base + r n + u
+    # of the table, n being the job's number of distinct finite intervals.
+    tables, offsets, us, intervals, spans = [], [], [], [], []
+    base = 0
+    for values, running, first, n, tails, local in jobs:
+        x = np.concatenate([placed[first:first + n].ravel(), tails])
         v = np.asarray(values(x), dtype=float).reshape(-1, x.size)
-        at = 0
-        for w, n in counts.items():
-            if n:
-                tables[w].append(v[:, at:at + n * w].reshape(-1, w))
-                at += n * w
+        tables.append(v[:, :n * 21].reshape(-1, 21))
+        at = n * 21
         for (row, it), mine in zip(running, local):
-            w = it.width
-            offsets, us, intervals = gather[w]
-            spans.append((it, w, len(us), len(mine)))
-            offsets += [base[w] + row * counts[w]] * len(mine)
+            if mine is None:
+                m = len(it.pending) * it.width
+                it.advance(it.rule(v[row, at:at + m].tolist(), it.pending))
+                at += m
+                continue
+            spans.append((it, len(us), len(mine)))
+            offsets += [base + row * n] * len(mine)
             us += mine
             intervals += it.pending
-        for w, n in counts.items():
-            base[w] += v.shape[0] * n
-    estimates = {}
-    for w, (offsets, us, intervals) in gather.items():
-        if us:
-            fv = np.concatenate(tables[w])[np.add(offsets, us)]
-            a, b = np.array(intervals).T
-            with np.errstate(all="ignore"):
-                out = (_qk21_array(fv, a, b) if w == 21 else
-                       _qk15i_array(fv, w == 30, a, b))
-            estimates[w] = list(zip(*(column.tolist() for column in out)))
-    for it, w, start, n in spans:
-        it.advance(estimates[w][start:start + n])
+        base += v.shape[0] * n
+    if not us:
+        return
+    fv = np.concatenate(tables)[np.add(offsets, us)]
+    a, b = np.array(intervals).T
+    with np.errstate(all="ignore"):
+        out = _qk21_array(fv, a, b)
+    estimates = list(zip(*(column.tolist() for column in out)))
+    for it, start, n in spans:
+        it.advance(estimates[start:start + n])

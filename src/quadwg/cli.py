@@ -587,6 +587,16 @@ def _cmd_scatter(cfg, outdir) -> tuple[str, int]:
     grid = FrequencyGrid.for_scattering(
         coupling, max(sum_width, abs(diff_center)),
         _as_int(cfg, "n_omegabar"), _as_int(cfg, "n_delta"))
+    # A far difference centre stretches the difference axis to ten centres;
+    # a profile clear of delta = 0 is on the map only if that axis's
+    # spacing resolves it.
+    if h_win[0] > 0 and grid.d_delta > diff_width:
+        needed = math.ceil(float(grid.delta[-1]) / diff_width) + 1
+        raise ConfigError(
+            f"the output grid's difference spacing {grid.d_delta:g} exceeds"
+            f" diff_width={diff_width:g}, so its map cannot resolve the"
+            f" difference profile at diff_center={diff_center:g}; raise"
+            f" n_delta to at least {needed} or bring diff_center nearer zero")
     out = result.output_on(grid)
     stem = cfg["output_stem"]
     _write_joint_csv(_outpath(outdir, stem + ".csv"), grid,

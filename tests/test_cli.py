@@ -559,12 +559,49 @@ def test_emit_runs_on_a_narrow_line(tmp_path, capsys):
 @pytest.mark.parametrize("diff_center", ["50", "1000"])
 def test_scatter_takes_a_far_difference_centre(tmp_path, capsys, diff_center):
     # The difference factor's window holds its peak however far out it
-    # sits; such a pair misses the envelope and is transmitted.
-    out = run_ok(["scatter", "--outdir", str(tmp_path),
-                  "--set", f"diff_center={diff_center}",
-                  "--set", "diff_width=0.001",
-                  "--set", "n_omegabar=16", "--set", "n_delta=8"], capsys)
-    assert "R=0.0000 S=0.0000 T=1.0000 sum=1.000000" in out
+    # sits; such a pair misses the envelope and is transmitted.  Eight
+    # differences out to ten centres are 71 and 1429 apart, so the command
+    # refuses to write a map of a profile 0.001 wide.
+    coupling = CouplingSpec.isotropic(0.004, Envelope.gaussian(0.02))
+    f, f_win = spectral.gaussian_sum_spectrum(1.0, 0.02)
+    h, h_win = spectral.gaussian_difference_profile(0.001, float(diff_center))
+    state = spectral.SeparableState(DirectionPair.PP, f, h, f_win, h_win)
+    probs = scattering.channel_probabilities(
+        scattering.scatter(coupling, state))
+    assert (f"R={probs.reflection:.4f} S={probs.splitting:.4f} "
+            f"T={probs.transmission:.4f} sum={probs.total:.6f}") \
+        == "R=0.0000 S=0.0000 T=1.0000 sum=1.000000"
+    assert cli.run(["scatter", "--outdir", str(tmp_path),
+                    "--set", f"diff_center={diff_center}",
+                    "--set", "diff_width=0.001",
+                    "--set", "n_omegabar=16", "--set", "n_delta=8"]) == 1
+    assert "exceeds diff_width=0.001" in capsys.readouterr().err
+    assert not (tmp_path / "scatter.csv").exists()
+
+
+def test_scatter_map_must_resolve_a_difference_profile_clear_of_zero(
+        tmp_path, capsys):
+    # A centre of 1000 stretches the 128 differences to 10000: a spacing of
+    # 78.7 for a profile 0.02 wide, once 131,072 rows of zeros and exit 0.
+    assert cli.run(["scatter", "--outdir", str(tmp_path),
+                    "--set", "diff_center=1000"]) == 1
+    assert capsys.readouterr().err == (
+        "error: the output grid's difference spacing 78.7402 exceeds"
+        " diff_width=0.02, so its map cannot resolve the difference profile"
+        " at diff_center=1000; raise n_delta to at least 500001 or bring"
+        " diff_center nearer zero\n")
+    assert not (tmp_path / "scatter.csv").exists()
+    # At 0.3 the profile is clear of zero and the axis reaches 3: the
+    # advised 151 differences are 0.02 apart, one fewer is too coarse.
+    small = ["--outdir", str(tmp_path), "--set", "diff_center=0.3",
+             "--set", "n_omegabar=16"]
+    assert cli.run(["scatter", *small, "--set", "n_delta=150"]) == 1
+    assert "raise n_delta to at least 151" in capsys.readouterr().err
+    run_ok(["scatter", *small, "--set", "n_delta=151"], capsys)
+    # A profile that reaches zero keeps its grid, however coarse: the
+    # default 16 x 8 scatter spaces its differences 0.029 apart.
+    run_ok(["scatter", "--outdir", str(tmp_path), "--set", "diff_center=0.01",
+            "--set", "n_omegabar=16", "--set", "n_delta=8"], capsys)
 
 
 def test_verify_exit_codes(tmp_path, capsys):

@@ -14,7 +14,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 from scipy.integrate import quad as scipy_quad
 
 from quadwg import (CouplingSpec, DirectionPair, Envelope, PulseShape,
@@ -381,26 +381,7 @@ def test_array_dqk21_has_the_bits_of_the_python_rule(data, n):
         == _rule_bits(_quadpack._qk21(fv, intervals))
 
 
-@given(data=st.data(), n=_interval_counts, inf=st.sampled_from([1, -1, 2]),
-       boun=st.floats(-1e3, 1e3))
-def test_array_dqk15i_has_the_bits_of_the_python_rule(data, n, inf, boun):
-    # Intervals of t in (0, 1], as dqagie bisects them.
-    t = st.floats(0.0, 1.0, exclude_min=True)
-    intervals = [tuple(sorted(data.draw(st.tuples(t, t)))) for _ in range(n)]
-    boun = 0.0 if inf == 2 else boun
-    width = 30 if inf == 2 else 15
-    fv = _rule_inputs(data, n, width)
-    a, b = np.array(intervals).T
-    with np.errstate(all="ignore"):
-        nodes = _quadpack._nodes15i_array(np.full(n, boun),
-                                          np.full(n, float(min(1, inf))),
-                                          inf == 2, a, b)
-        arrays = _quadpack._qk15i_array(np.array(fv).reshape(n, width),
-                                        inf == 2, a, b)
-    assert _bits(nodes.ravel()) == _bits(_quadpack._nodes15i(boun, inf,
-                                                             intervals))
-    assert _rule_bits(zip(*arrays)) \
-        == _rule_bits(_quadpack._qk15i(inf, fv, intervals))
+_LOCKSTEP_OPTIONS = dict(epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL, limit=400)
 
 
 def _on_array(g):
@@ -443,6 +424,14 @@ def _lockstep_outcomes(integrals, copies, shared):
 
 @given(integrals=st.lists(_model_integrals(), min_size=1, max_size=5),
        copies=st.sampled_from([1, 3, 9]), shared=st.booleans())
+# A finite, a half-line and a whole-line integral in one job: from the
+# second round on, 9 copies of each put it on arrays, where the two
+# infinite ones take dqk15i in Python from their slices of the values.
+@example(integrals=[
+    (_oscillating(10.0), -3.0, 3.0, _LOCKSTEP_OPTIONS),
+    (_slow_tail(0.5), 0.0, math.inf, _LOCKSTEP_OPTIONS),
+    (_full_line(0.3, 0.1), -math.inf, math.inf, _LOCKSTEP_OPTIONS)],
+    copies=9, shared=True)
 def test_lockstep_gives_each_integral_the_bits_of_its_own_quad(
         integrals, copies, shared):
     # Integrals that finish in different rounds, with or without a

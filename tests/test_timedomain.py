@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+from scipy.integrate import quad
 from scipy.special import erfcx
 
 from quadwg import (
@@ -446,6 +447,66 @@ def test_cutoff_extrapolated_oracle_matches_markov():
         assert 2.0 * fine - raw == pytest.approx(getattr(markov, name),
                                                  rel=1e-3)
     assert probs[20.0].reflection > 1.01 * markov.reflection
+
+
+def band_limited_probabilities(coupling, state, grid):
+    """Channel probabilities of a separable input scattered by an emitter
+    that sees only the flat band of the grid's rows, ``|nu| < W`` with
+    ``W`` the band's half width plus half a row spacing.
+
+    The band's self-energy turns the Markov denominator ``g/2 - i nu``
+    into ``g/2 - i (nu - Lambda(nu))``, with the Lamb shift ``Lambda(nu) =
+    (g / 2 pi) ln((W + nu) / (W - nu))``; the resonance weight ``J`` is
+    taken over the band, the overlap and the norms over the factors'
+    windows, all with scipy from the state's and the envelope's
+    definitions.
+    """
+    g, omega0 = coupling.total_rate, coupling.omega0
+    half = 0.5 * float(grid.omegabar[-1] - grid.omegabar[0])
+    band = half + 0.5 * grid.d_omegabar
+
+    def at(fn, x):
+        return complex(fn(np.array([x]))[0])
+
+    def lamb_shift(nu):
+        return g / (2.0 * math.pi) * math.log((band + nu) / (band - nu))
+
+    def weight(nu):
+        return abs(at(state.f, omega0 + nu)) ** 2 \
+            / ((g / 2.0) ** 2 + (nu - lamb_shift(nu)) ** 2)
+
+    options = dict(epsabs=0.0, epsrel=1e-12, limit=200)
+    J = quad(weight, -half, half, points=[0.0], **options)[0]
+    n_f = quad(lambda ob: abs(at(state.f, ob)) ** 2, *state.f_window,
+               points=[omega0], **options)[0]
+    n_h = quad(lambda d: abs(at(state.h, d)) ** 2, *state.h_window,
+               **options)[0]
+    kappa = quad(lambda d: (at(coupling.envelope, d) * at(state.h, d)).real,
+                 *state.h_window, **options)[0]
+    r_in = coupling.rate(state.channel)
+    values = {}
+    for pair in PAIRS:
+        norm = coupling.rate(pair) * r_in * kappa ** 2 * J
+        if pair is state.channel:
+            norm += n_f * n_h - r_in * g * kappa ** 2 * J
+        values[pair] = norm / (n_f * n_h)
+    return values
+
+
+def test_oracle_matches_the_band_limited_reference_at_verify_defaults():
+    # verify's configuration: 256 x 96 rows, a band of 20 total rates.
+    # The oracle sits 1.4e-3 (++) and 1.5e-2 (the others) from the Markov
+    # probabilities, and 7.7e-6 and 8.5e-5 from the band-limited ones; the
+    # rest is row resolution, about 6 rows per linewidth.
+    cpl = isotropic(0.004, width=0.02)
+    state = gaussian_biphoton(DirectionPair.PP, 1.0, 0.02)
+    config = TimeDomainConfig.for_scattering(cpl, 0.02, n_omegabar=256,
+                                             n_delta=96)
+    delayed = with_arrival_delay(state, 1.0, config.arrival_delay)
+    oracle = oracle_channel_probabilities(integrate(cpl, delayed, config))
+    reference = band_limited_probabilities(cpl, state, config.grid)
+    for pair in PAIRS:
+        assert oracle.values[pair] == pytest.approx(reference[pair], rel=2e-4)
 
 
 def test_initial_state_validation():
