@@ -771,7 +771,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built once per process.  Parsing leaves it
+    unchanged: ``--set`` appends to a copy of its empty default."""
     parser = _Parser(prog="quadwg",
                      description="Quadratically coupled waveguide emitter "
                                  "simulations")

@@ -648,6 +648,8 @@ class GridState:
         self.data = data
         pm = data[DirectionPair.PM.index]
         mp = data[DirectionPair.MP.index]
+        if np.array_equal(pm, mp):
+            return
         scale = float(np.max([np.max(np.abs(c)) for c in data])) or 1.0
         if np.max(np.abs(pm - mp)) > 1e-8 * scale:
             raise InvalidStateError(

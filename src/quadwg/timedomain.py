@@ -39,8 +39,11 @@ including the slight numerical dissipation ``|R| < 1`` that the
 norm-drift check watches, not the exact exponential.
 
 Memory: a run holds one four-channel array, the modes, plus per-row
-vectors; couplings and bright directions are built one channel at a time,
-and the dark remainder and the final state overwrite the modes in place.
+vectors and one channel's bright direction per distinct rate (one for an
+isotropic coupling, at most three).  Each direction is built once, in
+place over its coupling, and held for the run: it gives the row norms, the
+bright amplitudes, the dark split and the final state.  The dark remainder
+and the final state overwrite the modes in place.
 """
 
 from __future__ import annotations
@@ -243,7 +246,8 @@ def integrate(coupling: CouplingSpec,
     weights.  Raises an integration-failure error when the conserved norm
     drifts by more than one part in ten thousand, which signals a step too
     large or a grid too coarse.  The run holds one four-channel array, the
-    final state, plus per-row vectors; a grid input is never changed.
+    final state, plus per-row vectors and one channel's bright direction
+    per distinct rate; a grid input is never changed.
     """
     grid = config.grid
     root_weight, allowed, channel, nu = _mode_setup(coupling, grid)
@@ -267,21 +271,33 @@ def integrate(coupling: CouplingSpec,
     if not norm0 > 0:
         raise IntegrationFailureError("initial state has zero norm")
 
+    # One coupling array per distinct rate, keyed by its bits (a rate of
+    # -0.0 signs its zeros apart from one of 0.0); channels of equal rate
+    # share it.  Row sums added in PAIRS order keep one sum's bits.
+    keys = [coupling.rate(pair).hex() for pair in PAIRS]
+    built = {}
+    for pair, key in zip(PAIRS, keys):
+        if key not in built:
+            built[key] = channel(pair)
+    row_sums = {key: np.sum(np.abs(g) ** 2, axis=1)
+                for key, g in built.items()}
+    G = np.sqrt(sum(row_sums[key] for key in keys))
+
+    # Each coupling becomes, in place, its bright direction conj(g) / G,
+    # held for the run: explicit zeros on the uncoupled rows, also where
+    # |g|^2 underflows to G = 0 on a nonzero g.
+    coupled = G > 0
+    for g in built.values():
+        np.divide(np.conj(g, out=g), G[:, None], out=g, where=coupled[:, None])
+        g[~coupled] = 0
+    bright_dir = [built[key] for key in keys]
+
     # Split each row into its bright amplitude and, in place, the dark
-    # remainder; row sums added in PAIRS order keep one sum's bits.
-    G = np.sqrt(sum(np.sum(np.abs(channel(pair)) ** 2, axis=1)
-                    for pair in PAIRS))
-
-    def bright_dir(pair):
-        """``conj(g) / G`` in one channel, zero on the uncoupled rows."""
-        g = channel(pair)
-        return np.divide(np.conj(g, out=g), G[:, None], out=np.zeros_like(g),
-                         where=G[:, None] > 0)
-
-    bright = sum(np.sum(np.conj(bright_dir(pair)) * modes[pair.index], axis=1)
-                 for pair in PAIRS)
-    for pair, m in zip(PAIRS, modes):
-        m -= bright_dir(pair) * bright[:, None]
+    # remainder.
+    bright = sum(np.sum(np.conj(d) * m, axis=1)
+                 for d, m in zip(bright_dir, modes))
+    for d, m in zip(bright_dir, modes):
+        m -= d * bright[:, None]
     dark_weight = sum(np.sum(np.abs(m) ** 2, axis=1) for m in modes)
 
     t0, t1 = config.t_span
@@ -321,9 +337,10 @@ def integrate(coupling: CouplingSpec,
 
     bright = vec[1:] @ comp
     del vec
-    for pair, m in zip(PAIRS, modes):
-        m *= (dark_step ** steps)[:, None]
-        m += bright_dir(pair) * bright[:, None]
+    dark_fade = (dark_step ** steps)[:, None]
+    for d, m in zip(bright_dir, modes):
+        m *= dark_fade
+        m += d * bright[:, None]
         # Strictly increasing grid axes make every trapezoid weight positive.
         m /= root_weight
     final = GridState(grid, modes)
@@ -358,9 +375,9 @@ def oracle_channel_probabilities(traj: Trajectory) -> ChannelProbabilities:
         raise NotAsymptoticError(
             f"run spans {(t1 - t0) * g:.2f} inverse rates with residual "
             f"excitation {residual:.2e}; extend t_span")
-    weight = _trapezoid_weights(traj.config.grid)
+    root_weight = np.sqrt(_trapezoid_weights(traj.config.grid))
     values = {}
     for pair in PAIRS:
-        b = traj.final_state.data[pair.index] * np.sqrt(weight)
+        b = traj.final_state.data[pair.index] * root_weight
         values[pair] = float(np.vdot(b, b).real) / traj.input_norm
     return ChannelProbabilities(values)

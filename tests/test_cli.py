@@ -175,6 +175,30 @@ def test_config_error_paths(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error:")
 
 
+def test_runs_in_one_process_share_one_parser_and_no_overrides(tmp_path,
+                                                                capsys):
+    assert cli._build_parser() is cli._build_parser()
+    sweep = ["--set", "width_ratios=0.1", "--set", "detuning_ratios=1"]
+    run_ok(["entangle", "--outdir", str(tmp_path / "a"),
+            "--set", "point_detuning_ratio=2"] + sweep, capsys)
+    run_ok(["entangle", "--outdir", str(tmp_path / "b")] + sweep, capsys)
+    config = json.loads(
+        (tmp_path / "b" / "entanglement.meta.json").read_text())["config"]
+    assert config["point_detuning_ratio"] == "10"
+    assert config["width_ratios"] == "0.1"
+    # A bad argument after a good run exits 1 with the usage on the
+    # stderr of its own call.
+    for args, usage, message in (
+            (["--bogus"], "usage: quadwg [-h]", "unrecognized arguments"),
+            (["--set"], "usage: quadwg entangle", "expected one argument")):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert cli.run(["entangle"] + args) == 1
+        assert err.getvalue().startswith(usage)
+        assert message in err.getvalue()
+    assert capsys.readouterr().err == ""
+
+
 def test_sweep_reflection_outputs_are_deterministic(tmp_path, capsys):
     args = ["--set", "ratios=0.5,1.0,2.0", "--set", "rates=0.004,0.02"]
     out = run_ok(["sweep-reflection", "--outdir", str(tmp_path / "a")]

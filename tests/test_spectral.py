@@ -456,8 +456,20 @@ def test_grid_state_roundtrip_and_validation():
     np.testing.assert_allclose(
         grid_state.amplitude(DirectionPair.PM, ob, dd),
         grid_state.channel(DirectionPair.PM), atol=1e-12)
+    pm, mp = DirectionPair.PM.index, DirectionPair.MP.index
+    # Cross channels equal within 1e-8 of the largest amplitude pass, and
+    # so do ones that differ only in the sign of a zero.
+    near = grid_state.data.copy()
+    near[mp] += 0.5e-8 * np.max(np.abs(near))
+    assert not np.array_equal(near[pm], near[mp])
+    GridState(grid, near)
+    signed = grid_state.data.copy()
+    signed[pm, 0, :] = 0.0
+    signed[mp, 0, :] = complex(-0.0, -0.0)
+    assert signed[pm].tobytes() != signed[mp].tobytes()
+    GridState(grid, signed)
     bad = grid_state.data.copy()
-    bad[DirectionPair.MP.index] *= 1.5
+    bad[mp] *= 1.5
     with pytest.raises(InvalidStateError):
         GridState(grid, bad)
     with pytest.raises(InvalidStateError, match="must have shape"):
