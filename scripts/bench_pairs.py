@@ -14,7 +14,12 @@ which side runs first (the base first in even pairs), with seeds
 - the pairs the change won, ties counting for neither side;
 - whether the claim rule holds: the change wins at least nine tenths of
   the pairs, and the medians differ in the better direction by more than
-  the base's interquartile range.
+  the base's interquartile range;
+- its bound check, with the metric's ``bound`` read as a fraction of the
+  base's median: "unresolved" where the base's interquartile range is
+  wider than that bound and not every change run beats every base run,
+  else "regression" where the change's median is worse than the base's
+  by more than the bound, else "within bound".
 
 Run it from the root of a checkout:
 
@@ -74,6 +79,14 @@ def summarize(runs, spec):
     wins = sum(sign * (c - b) < 0 for b, c in zip(base, change))
     b, c = quartiles(base), quartiles(change)
     iqr = b["q3"] - b["q1"]
+    bound = spec["bound"] * abs(b["median"])
+    if iqr > bound and not all(sign * (x - y) < 0
+                               for x in change for y in base):
+        check = "unresolved"
+    elif sign * (c["median"] - b["median"]) > bound:
+        check = "regression"
+    else:
+        check = "within bound"
     return {
         "base": b, "change": c,
         "median_change": (c["median"] - b["median"]) / b["median"]
@@ -82,6 +95,7 @@ def summarize(runs, spec):
         "change_won": wins,
         "claim_rule_holds": wins >= math.ceil(0.9 * len(runs))
         and sign * (b["median"] - c["median"]) > iqr,
+        "bound_check": check,
     }
 
 
@@ -127,13 +141,14 @@ def main(argv=None):
           f"seeds {args.seed}-{args.seed + args.pairs - 1}, base {args.base}")
     print(f"{'metric':<12} {'base median [q1, q3]':<32} "
           f"{'change median [q1, q3]':<32} {'change':>8} {'base IQR':>10} "
-          f"{'won':>6}  claim rule")
+          f"{'won':>6}  {'claim rule':<13}  bound check")
     for name, s in summary.items():
         b, c = (f"{q['median']:.6g} [{q['q1']:.6g}, {q['q3']:.6g}]"
                 for q in (s["base"], s["change"]))
         print(f"{name:<12} {b:<32} {c:<32} {s['median_change']:>+8.1%} "
               f"{s['base_iqr']:>10.4g} {s['change_won']:>3}/{args.pairs:<2}  "
-              f"{'holds' if s['claim_rule_holds'] else 'does not hold'}")
+              f"{'holds' if s['claim_rule_holds'] else 'does not hold':<13}  "
+              f"{s['bound_check']}")
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump({"workload": args.workload, "base": args.base,

@@ -281,7 +281,9 @@ def _coupling_from(cfg) -> CouplingSpec:
 # A layout row, picked by the number's exponent, digit count and sign,
 # holds the punctuation the number needs and 0xff over each digit it
 # keeps; every other byte is NUL.  AND-ing in the digits and deleting the
-# NUL bytes of the whole block leaves the CSV text.
+# NUL bytes of the whole block leaves the CSV text.  Every byte a layout row
+# does not clear survives, so a field's length in the text is the count of
+# its row's non-NUL bytes plus its separator's length.
 _DIGIT, _EXP = 8, 32
 _FIXED = 16                             # %.12g writes exponents -4..11 in full
 _EMIN, _EMAX = -324, 308                # exponents of nonzero finite floats
@@ -328,6 +330,10 @@ def _g12_tables() -> SimpleNamespace:
     significant[0] = 1      # the one digit of a zero
     tables = SimpleNamespace(
         layouts=layouts.view(np.uint64).reshape(-1, 5),
+        # the length of the field each layout row writes, separator
+        # excluded: the bytes it keeps
+        lengths=np.count_nonzero(layouts.reshape(-1, 40), axis=1)
+        .astype(np.uint8),
         # correctly rounded powers of ten, 10**k at k - _EMIN
         pow10=np.array([float("1e%d" % k) for k in range(_EMIN, 1 - _EMIN)]),
         # the four digits of 0..9999 with 0xff between and after them
@@ -387,9 +393,18 @@ def _kernel_buffer(rows: int, fields: int) -> bytearray:
     return bytearray(min(rows, _CHUNK_POINTS) * fields * 40)
 
 
-def _g12_fields(x: np.ndarray, seps: np.ndarray, buf: bytearray) -> bytearray:
+def _g12_fields(x: np.ndarray, seps: np.ndarray, widths: np.ndarray,
+                buf: bytearray) -> tuple[bytes, np.ndarray]:
     """Each row of ``x`` as ``%.12g`` fields, each followed by its word of
-    ``seps``, laid out in the work buffer ``buf``."""
+    ``seps``, whose lengths are ``widths``, laid out in the work buffer
+    ``buf``; and where in that text each row's second separator lies, as
+    uint8 steps: the first from the start of the text, each next from the
+    one before.
+
+    A step spans one row's worth of fields, each at most 19 bytes (as in
+    "-1.23456789012e-308") and its separator, so it fits a uint8 for rows
+    of up to five numbers.
+    """
     t = _g12_tables()
     n, e = _decimal12(x, t.pow10)
     g0, rest = np.divmod(n, 100000000)
@@ -406,6 +421,12 @@ def _g12_fields(x: np.ndarray, seps: np.ndarray, buf: bytearray) -> bytearray:
             e[special] = 2
         negative &= ~np.isnan(x)
     key = (t.modes[e - _EMIN] * 12 + ndig - 1) * 2 + negative
+    lengths = t.lengths.take(key, mode="clip")
+    lengths += widths
+    steps = lengths[:, 0] + lengths[:, 1]
+    for column in lengths.T[2:]:
+        steps[1:] += column[:-1]
+    steps[0] -= widths[1]
     size = x.size * 40
     text = np.frombuffer(buf, dtype=np.uint64,
                          count=size // 8).reshape(x.shape + (5,))
@@ -416,26 +437,31 @@ def _g12_fields(x: np.ndarray, seps: np.ndarray, buf: bytearray) -> bytearray:
     text[..., 4] &= t.exponents[e - _EMIN]
     text[..., 4] |= seps
     del text   # release the export of buf
-    return (buf if len(buf) == size else buf[:size]).translate(None, b"\0")
+    return ((buf if len(buf) == size else buf[:size]).translate(None, b"\0"),
+            steps)
 
 
 def _g12_lines(x: np.ndarray, seps: Sequence[str],
-               buf: bytearray | None = None) -> bytes:
+               buf: bytearray | None = None):
     """Each row of ``x`` as ``%.12g`` fields, each followed by its separator
     of ``seps`` (at most four bytes), formatted ``_CHUNK_POINTS`` rows at a
     time in the work buffer ``buf`` (``_kernel_buffer``), made here if not
-    given."""
+    given.  Yields the text of each such piece with the steps to each
+    row's second separator in it (``_g12_fields``); each piece reuses
+    ``buf``, so its text is no longer than ``buf``."""
     if buf is None:
         buf = _kernel_buffer(*x.shape)
-    words = _words(b"\0" * 4 + sep.encode() for sep in seps)
-    return b"".join(_g12_fields(x[i:i + _CHUNK_POINTS], words, buf)
-                    for i in range(0, len(x), _CHUNK_POINTS))
+    encoded = [sep.encode() for sep in seps]
+    words = _words(b"\0" * 4 + sep for sep in encoded)
+    widths = np.array([len(sep) for sep in encoded], dtype=np.uint8)
+    for i in range(0, len(x), _CHUNK_POINTS):
+        yield _g12_fields(x[i:i + _CHUNK_POINTS], words, widths, buf)
 
 
-def _joint_lines(label: str, w1, w2, amps,
-                 buf: bytearray | None = None) -> bytes:
+def _joint_lines(label: str, w1, w2, amps, buf: bytearray | None = None):
     """Rows ``w1,w2,label,abs2,re,im`` with every number as ``%.12g``,
-    formatted in the work buffer ``buf`` as ``_g12_lines`` does."""
+    formatted in the work buffer ``buf`` as ``_g12_lines`` does: the text
+    of each piece, and the steps to each row's ``,label,`` in it."""
     x = np.empty((len(w1), 5))
     x[:, 0] = w1
     x[:, 1] = w2
@@ -447,14 +473,16 @@ def _joint_lines(label: str, w1, w2, amps,
     return _g12_lines(x, (",", f",{label},", ",", ",", "\n"), buf)
 
 
-def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    return np.array_equal(np.ascontiguousarray(a).view(np.uint64),
-                          np.ascontiguousarray(b).view(np.uint64))
+def _first_alike(channels: Sequence[np.ndarray]) -> tuple[int, ...]:
+    """For each of ``channels``, the index of the first one with its bits."""
+    bits = [np.ascontiguousarray(c).view(np.uint64) for c in channels]
+    return tuple(next(j for j in range(i + 1) if np.array_equal(b, bits[j]))
+                 for i, b in enumerate(bits))
 
 
 def _write_joint_csv(path: str, grid: FrequencyGrid,
                      block: Callable[[DirectionPair, slice], np.ndarray],
-                     omega0: float) -> None:
+                     omega0: float, first: Sequence[int]) -> None:
     """Joint-spectrum CSV: one row per (channel, grid point).
 
     ``block(pair, rows)`` returns that channel's complex amplitudes on the
@@ -465,57 +493,73 @@ def _write_joint_csv(path: str, grid: FrequencyGrid,
     of the resonance frequency.  Every value reads as ``%.12g`` writes it.
 
     Each chunk is formatted by a numpy kernel (``_g12_lines``) in one work
-    buffer allocated per file.  It rounds each number to 12 significant
-    digits with one multiply by a power of ten, lays out each field with
-    every byte %.12g could write in a fixed place, and deletes the bytes a
-    number does not use.  A number whose scaled value lies too close to a
-    half for float64 to decide its rounding, or whose magnitude is below
-    1e-280 or above 1e280, takes its digits from Python's ``%.11e``;
-    zeros, infinities and nan have fixed layouts.  ``abs2`` has the bits
-    of Python's ``abs(amp) ** 2``, with inf where Python raises
-    ``OverflowError``.
+    buffer allocated per file, in pieces of at most ``_CHUNK_POINTS`` rows
+    (a chunk of one wider sum row takes several).  It rounds each number
+    to 12 significant digits with one multiply by a power of ten, lays out
+    each field with every byte %.12g could write in a fixed place, and
+    deletes the bytes a number does not use; the lengths of the layouts
+    give the offset of each row's label in its piece.  A number whose
+    scaled value lies too close to a half for float64 to decide its
+    rounding, or whose magnitude is below 1e-280 or above 1e280, takes its
+    digits from Python's ``%.11e``; zeros, infinities and nan have fixed
+    layouts.  ``abs2`` has the bits of Python's ``abs(amp) ** 2``, with
+    inf where Python raises ``OverflowError``.
 
-    Each distinct channel block is formatted once.  Before formatting a
-    channel, the writer compares its chunks with those of each channel
-    already formatted, stopping at the first chunk that differs.  A block
-    that is bitwise equal to one already written (isotropic emission, or
-    the unlit channels of a scatter) is copied back out of the file chunk
-    by chunk, with only the channel label swapped.  Equality is taken on
-    the raw bits, not on complex values: ``-0.0 == 0.0`` but the two
-    format differently, and ``nan != nan`` though both format alike.
+    Each distinct channel block is formatted once.  ``first[i]`` is the
+    index of the first channel whose block has the bits of channel
+    ``i``'s (``EmissionSpectrum._first``, or ``_first_alike`` of the
+    blocks): equality on the raw bits, not on complex values, since
+    ``-0.0 == 0.0`` but the two format differently, and ``nan != nan``
+    though both format alike.  A block that repeats an earlier one
+    (isotropic emission, or the unlit channels of a scatter) is never
+    asked for; it is copied back out of the file one kernel piece at a
+    time.  For each piece of a block that a later channel copies, the
+    writer keeps its byte offset, size and label offsets, the kernel's
+    uint8 steps (a byte a point); it reads a copied piece into the work
+    buffer, overwrites only the label bytes that differ at the summed
+    steps, and writes it out.  A block no channel copies keeps nothing.
     """
     delta = grid.delta
     chunks = _row_chunks(grid)
-    # The five numbers of each row of the largest chunk.
+    # The five numbers of each row of the largest chunk; a piece of text
+    # formatted in it fits it again when copied.
     buf = _kernel_buffer(grid.omegabar[chunks[0]].size * delta.size, 5)
-    spans = {}  # formatted pair -> (byte offset, size) of each chunk
+    view = np.frombuffer(buf, dtype=np.uint8)
+    at = np.empty(_CHUNK_POINTS, dtype=np.int32)   # a piece's separators
+    # formatted pair -> (byte offset, size, label steps) of each piece,
+    # kept only if a later channel copies the block
+    spans = {}
     with open(path, "w+b") as fh:
         fh.write(b"omega,omega_prime,channel,abs2,re,im\n")
         for pair in spectral.PAIRS:
-            source = next((done for done in spans if all(
-                _same_bits(block(pair, rows), block(done, rows))
-                for rows in chunks)), None)
-            if source is not None:
-                # The label field is the only one made of two sign
-                # characters: a %.12g field always holds a digit, "inf"
-                # or "nan", so the swap cannot touch a number.
-                old = f",{source.value},".encode()
-                new = f",{pair.value},".encode()
-                for offset, size in spans[source]:
+            source = spectral.PAIRS[first[pair.index]]
+            if source != pair:
+                # Each label byte that differs, with the buffer from its
+                # place in the ",label," separator on.
+                patches = [(view[1 + k:], new) for k, (old, new) in enumerate(
+                    zip(source.value.encode(), pair.value.encode()))
+                    if old != new]
+                for offset, size, steps in spans[source]:
                     fh.seek(offset)
-                    text = fh.read(size)
+                    fh.readinto(view[:size])
+                    seps = np.cumsum(steps, dtype=np.int32,
+                                     out=at[:steps.size])
+                    for tail, byte in patches:
+                        tail[seps] = byte
                     fh.seek(0, os.SEEK_END)
-                    fh.write(text.replace(old, new))
+                    fh.write(view[:size])
                 continue
-            spans[pair] = []
+            copied = pair.index in first[pair.index + 1:]
+            pieces = spans[pair] = []
             for rows in chunks:
                 ob = grid.omegabar[rows, None]
                 w1 = (0.5 * (ob - delta) / omega0).ravel()
                 w2 = (0.5 * (ob + delta) / omega0).ravel()
-                raw = _joint_lines(pair.value, w1, w2,
-                                   block(pair, rows).ravel(), buf)
-                spans[pair].append((fh.tell(), len(raw)))
-                fh.write(raw)
+                for text, steps in _joint_lines(
+                        pair.value, w1, w2, block(pair, rows).ravel(), buf):
+                    if copied:
+                        pieces.append((fh.tell(), len(text), steps))
+                    fh.write(text)
 
 
 def _write_rows_csv(path: str, header: Sequence[str],
@@ -523,7 +567,8 @@ def _write_rows_csv(path: str, header: Sequence[str],
     x = np.array(rows, dtype=float).reshape(-1, len(header))
     with open(path, "wb") as fh:
         fh.write(",".join(header).encode() + b"\n")
-        fh.write(_g12_lines(x, [","] * (len(header) - 1) + ["\n"]))
+        fh.writelines(text for text, _ in _g12_lines(
+            x, [","] * (len(header) - 1) + ["\n"]))
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -560,7 +605,7 @@ def _cmd_emit(cfg, outdir) -> tuple[str, int]:
     total, corr = spectrum.total_probability(), spectrum.spectrum_correlation()
     stem = cfg["output_stem"]
     _write_joint_csv(_outpath(outdir, stem + ".csv"), spectrum.grid,
-                     spectrum.block, coupling.omega0)
+                     spectrum.block, coupling.omega0, spectrum._first)
     _write_json(_outpath(outdir, stem + ".json"), {
         "total_rate": _quantity(coupling.total_rate, "omega0"),
         "envelope_width": _quantity(coupling.envelope.width, "omega0"),
@@ -601,7 +646,7 @@ def _cmd_scatter(cfg, outdir) -> tuple[str, int]:
     stem = cfg["output_stem"]
     _write_joint_csv(_outpath(outdir, stem + ".csv"), grid,
                      lambda pair, rows: out.data[pair.index, rows],
-                     coupling.omega0)
+                     coupling.omega0, _first_alike(out.data))
     _write_json(_outpath(outdir, stem + ".json"), {
         "total_rate": _quantity(coupling.total_rate, "omega0"),
         "sum_width": _quantity(sum_width, "omega0"),

@@ -149,17 +149,30 @@ def _window_summaries(grid: FrequencyGrid,
     return mass, (var_ob - var_dd) / denom
 
 
-def _channel_sum(block: Callable[[DirectionPair], np.ndarray]) -> np.ndarray:
+def _channel_sum(block: Callable[[DirectionPair], np.ndarray],
+                 first: Sequence[int]) -> np.ndarray:
     """Sum of ``|block(pair)|**2`` over the channels, added in channel order
-    as ``np.sum(..., axis=0)`` adds the channels of a stacked array.
+    as ``np.sum(..., axis=0)`` adds the channels of a stacked array, with
+    its bits, NaN payloads included: each sum is a new ``total + term``,
+    whose first operand's payload numpy keeps as the stacked sum does
+    (an in-place add keeps the second's).
 
     ``block`` maps each pair to its channel block, or to the same rows of
-    each block; no block outlives its own term, so at most one is held at
-    a time.
+    each block.  ``first[i]`` is the index of the first channel whose
+    block has the bits of channel ``i``'s (``EmissionSpectrum._first``):
+    the square of each distinct block is taken once, and kept only while
+    a later channel adds it again.
     """
-    total = np.abs(block(PAIRS[0])) ** 2
-    for pair in PAIRS[1:]:
-        total += np.abs(block(pair)) ** 2
+    kept = {}
+    total = None
+    for i, pair in enumerate(PAIRS):
+        source = first[i]
+        term = kept.pop(source, None)
+        if term is None:
+            term = np.abs(block(pair)) ** 2
+        if source in first[i + 1:]:
+            kept[source] = term
+        total = term if total is None else total + term
     return total
 
 
@@ -181,16 +194,27 @@ def _total_probability(coupling: CouplingSpec, grid: FrequencyGrid,
 @dataclass(frozen=True)
 class EmissionSpectrum:
     """Channel-resolved emission amplitudes on a half-plane grid, kept as
-    each channel's two ``_amplitude_factors`` over the whole axes."""
+    each channel's two ``_amplitude_factors`` over the whole axes.
+
+    Channels whose factors have the same bits have blocks with the same
+    bits (isotropic rates make all four alike, mirror rates the three
+    empty ones); ``_first`` records, for each channel, the first channel
+    with its factors, so that the channel-summed density squares each
+    distinct block once.
+    """
 
     coupling: CouplingSpec
     grid: FrequencyGrid
     _factors: tuple = field(init=False, repr=False, compare=False)
+    _first: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ob, dd = self.grid.omegabar[:, None], self.grid.delta[None, :]
-        object.__setattr__(self, "_factors", tuple(
-            _amplitude_factors(self.coupling, pair, ob, dd) for pair in PAIRS))
+        factors = tuple(_amplitude_factors(self.coupling, pair, ob, dd)
+                        for pair in PAIRS)
+        bits = [tuple(f.tobytes() for f in pair) for pair in factors]
+        object.__setattr__(self, "_factors", factors)
+        object.__setattr__(self, "_first", tuple(map(bits.index, bits)))
 
     def block(self, pair: DirectionPair, rows=slice(None)) -> np.ndarray:
         """Amplitudes of channel ``pair`` on the sum-frequency ``rows``."""
@@ -210,8 +234,9 @@ class EmissionSpectrum:
 
     def total_density(self, rows=slice(None)) -> np.ndarray:
         """Channel-summed density on the sum-frequency ``rows``, with the
-        bits of ``np.sum(np.abs(data[:, rows]) ** 2, axis=0)``."""
-        return _channel_sum(lambda pair: self.block(pair, rows))
+        bits of ``np.sum(np.abs(data[:, rows]) ** 2, axis=0)``; each
+        distinct channel block is formed and squared once."""
+        return _channel_sum(lambda pair: self.block(pair, rows), self._first)
 
     def state(self) -> GridState:
         return GridState(self.grid, self.data)

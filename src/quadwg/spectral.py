@@ -634,7 +634,9 @@ class GridState:
 
     ``data`` has shape ``(4, n_omegabar, n_delta)`` indexed by
     ``DirectionPair.index``.  The half-plane exchange symmetry requires the
-    two cross-channel tables to agree; construction checks that they do.
+    two cross-channel tables to agree; construction checks that they do:
+    wherever their bits differ, both values must be finite and within 1e-8
+    of the largest finite amplitude of each other.
     """
 
     grid: FrequencyGrid
@@ -650,8 +652,16 @@ class GridState:
         mp = data[DirectionPair.MP.index]
         if np.array_equal(pm, mp):
             return
-        scale = float(np.max([np.max(np.abs(c)) for c in data])) or 1.0
-        if np.max(np.abs(pm - mp)) > 1e-8 * scale:
+        # Where their bits differ, the two must be finite and within 1e-8
+        # of the largest finite amplitude: a gap through inf or nan is
+        # itself inf or nan, and fails the test.
+        differ = ((pm.real.view(np.uint64) != mp.real.view(np.uint64))
+                  | (pm.imag.view(np.uint64) != mp.imag.view(np.uint64)))
+        with np.errstate(invalid="ignore", over="ignore"):
+            scale = max(float(np.max(m, where=np.isfinite(m), initial=0.0))
+                        for m in map(np.abs, data)) or 1.0
+            gap = np.abs(pm[differ] - mp[differ])
+        if not np.all(gap <= 1e-8 * scale):
             raise InvalidStateError(
                 "cross channels must agree in the half-plane representation"
             )

@@ -732,7 +732,8 @@ def _check_emit_is_joint_spectrum(outdir, overrides, coupling, n_omegabar,
     assert out.getvalue() == (f"emit: total_rate={coupling.total_rate:g} "
                               f"P_total={total:.6f} correlation={corr:+.4f}\n")
     expected = outdir / "expected.csv"
-    cli._write_joint_csv(expected, grid, _rows_of(data), coupling.omega0)
+    cli._write_joint_csv(expected, grid, _rows_of(data), coupling.omega0,
+                         cli._first_alike(data))
     assert (outdir / "cli" / "emission.csv").read_bytes() \
         == expected.read_bytes()
 
@@ -798,8 +799,10 @@ def test_emit_holds_no_four_channel_array(tmp_path):
     # Two grids 16 times apart in points: each chunk of the first is one
     # sum row of more differences than the kernel formats at once, each
     # chunk of the second 8 sum rows of 256.  Emit holds one chunk of rows
-    # at a time, so its peak does not follow the grid; one channel block
-    # of the second grid is 2.2 MB, its four-channel array 8.9 MB.
+    # at a time, and of the block that isotropic emission copies a byte a
+    # point (0.14 MB here; ``test_joint_csv_keeps_a_byte_a_point_of_each_
+    # copied_block`` bounds it); one channel block of the second grid is
+    # 2.2 MB, its four-channel array 8.9 MB.
     cli._g12_tables()   # built once per process, not part of the bound
     n_delta = spectral._CHUNK_POINTS + 128
     small = _emit_peak(tmp_path / "small", 4, n_delta)
@@ -807,6 +810,44 @@ def test_emit_holds_no_four_channel_array(tmp_path):
     assert (n_delta // 4) * 256 == 16 * 4 * n_delta
     assert small < 5e6 and large < 5e6
     assert abs(large - small) < 0.5e6
+
+
+def _writer_peak(path, n_omegabar, first):
+    """Traced Python memory peak of ``cli._write_joint_csv`` writing
+    ``n_omegabar`` sum rows of 256 differences, whose channels repeat as
+    ``first`` says; the amplitudes are made before tracing starts."""
+    grid = FrequencyGrid(np.linspace(0.5, 1.5, n_omegabar),
+                         np.linspace(0.0, 0.2, 256))
+    rng = np.random.default_rng(n_omegabar)
+    data = rng.standard_normal((4, n_omegabar, 256, 2)).view(complex)[..., 0]
+    data = data[list(first)]
+    tracemalloc.start()
+    try:
+        cli._write_joint_csv(path, grid, _rows_of(data), 1.0, first)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+# kept: blocks that a later channel copies.
+@pytest.mark.parametrize("first, kept", [
+    ((0, 1, 2, 3), 0), ((0, 0, 0, 0), 1), ((0, 1, 1, 1), 1),
+    ((0, 1, 1, 3), 1), ((0, 1, 0, 1), 2)])
+def test_joint_csv_keeps_a_byte_a_point_of_each_copied_block(tmp_path,
+                                                             first, kept):
+    # Both grids have chunks of 8 rows of 256 differences, so the kernel's
+    # work arrays are alike; the larger has 480 * 256 more points.  Of a
+    # block that a later channel copies, the writer keeps the label steps
+    # of each piece (one byte a point) with its offset and size; of any
+    # other block, nothing.
+    # A first write builds what the process keeps between writes.
+    _writer_peak(tmp_path / "warm.csv", 32, first)
+    points = 480 * 256
+    growth = _writer_peak(tmp_path / "large.csv", 512, first) \
+        - _writer_peak(tmp_path / "small.csv", 32, first)
+    # The chunk list adds about 0.08 bytes a point at these shapes.
+    assert kept * points <= growth < (1.25 * kept + 0.25) * points
 
 
 def _g12(x):
@@ -987,14 +1028,16 @@ def test_joint_csv_matches_row_by_row_writer(tmp_path, case):
     expected, actual = tmp_path / "expected.csv", tmp_path / "actual.csv"
     with np.errstate(over="ignore"):
         _reference_joint_csv(expected, grid, data, omega0)
-    cli._write_joint_csv(actual, grid, _rows_of(data), omega0)
+    cli._write_joint_csv(actual, grid, _rows_of(data), omega0,
+                         cli._first_alike(data))
     assert actual.read_bytes() == expected.read_bytes()
 
 
 def test_joint_csv_writes_overflowing_abs2_as_inf(tmp_path):
     grid, data, omega0 = _special_values_case()
     path = tmp_path / "special.csv"
-    cli._write_joint_csv(path, grid, _rows_of(data), omega0)
+    cli._write_joint_csv(path, grid, _rows_of(data), omega0,
+                         cli._first_alike(data))
     rows = path.read_text().splitlines()[1:]
     assert rows[0] == "-1,-1,++,0,-0,0"
     assert rows[4] == "-0,0,++,nan,nan,0"
@@ -1015,12 +1058,13 @@ def test_joint_csv_writes_overflowing_abs2_as_inf(tmp_path):
 def test_joint_csv_formats_each_distinct_block_once(tmp_path, monkeypatch,
                                                      case, distinct):
     # Isotropic emission formats 67 * 64 rows, not 4 * 67 * 64; the other
-    # blocks are copied from the file.  Each chunk of rows is asked for
-    # once per channel formatted and twice per comparison with an earlier
-    # formatted block that reaches it.  A formatted block is written in
-    # one run: each chunk is asked for and formatted, in order, with
-    # nothing between.
+    # blocks are copied from the file and never asked for.  Each chunk of
+    # rows is asked for once per channel formatted.  A formatted block is
+    # written in one run: each chunk is asked for and formatted, in order,
+    # with nothing between.
     grid, data, omega0 = case()
+    first = cli._first_alike(data)
+    assert len(set(first)) == distinct
     chunks = [rows.start for rows in spectral._row_chunks(grid)]
     formatted = []
     events = []   # channel labels of formatted chunks, (pair, row) calls
@@ -1037,21 +1081,16 @@ def test_joint_csv_formats_each_distinct_block_once(tmp_path, monkeypatch,
         return data[pair.index, rows]
 
     monkeypatch.setattr(cli, "_joint_lines", counted)
-    cli._write_joint_csv(tmp_path / "joint.csv", grid, block, omega0)
+    cli._write_joint_csv(tmp_path / "joint.csv", grid, block, omega0, first)
     assert sum(formatted) == distinct * data[0].size
     calls = [e for e in events if isinstance(e, tuple)]
-    assert {pair for pair, _ in calls} == set(spectral.PAIRS)
-    # At most one comparison per earlier formatted block.
-    comparisons = sum(min(k, distinct) for k in range(len(spectral.PAIRS)))
-    for start in chunks:
-        assert [row for _, row in calls].count(start) \
-            <= distinct + 2 * comparisons
-    for pair in spectral.PAIRS:
-        if pair.value in events:
-            first = events.index(pair.value) - 1
-            run = events[first:first + 2 * len(chunks)]
-            assert run == [event for start in chunks
-                           for event in ((pair, start), pair.value)]
+    sources = [spectral.PAIRS[i] for i in sorted(set(first))]
+    assert calls == [(pair, start) for pair in sources for start in chunks]
+    for pair in sources:
+        start = events.index(pair.value) - 1
+        run = events[start:start + 2 * len(chunks)]
+        assert run == [event for start in chunks
+                       for event in ((pair, start), pair.value)]
 
 
 _float_bits = st.integers(0, 2 ** 64 - 1).map(
@@ -1067,10 +1106,83 @@ def test_joint_lines_write_each_value_as_g12(rows):
     amps = np.empty(len(rows), dtype=complex)
     amps.real, amps.imag = re, im
     with np.errstate(over="ignore"):
-        expected = "".join(
-            f"{x:.12g},{y:.12g},-+,{abs(amp) ** 2:.12g},{amp.real:.12g},"
-            f"{amp.imag:.12g}\n" for x, y, amp in zip(w1, w2, amps))
-    assert cli._joint_lines("-+", w1, w2, amps) == expected.encode()
+        lines = [f"{x:.12g},{y:.12g},-+,{abs(amp) ** 2:.12g},{amp.real:.12g},"
+                 f"{amp.imag:.12g}\n" for x, y, amp in zip(w1, w2, amps)]
+    (text, steps), = cli._joint_lines("-+", w1, w2, amps)
+    assert text == "".join(lines).encode()
+    # The steps sum to where each row's ",-+," begins.
+    starts = np.cumsum([0] + [len(line) for line in lines[:-1]])
+    assert np.cumsum(steps).tolist() == [
+        start + len(x) + len(y) + 1 for start, (x, y, _) in zip(
+            starts.tolist(), (line.split(",", 2) for line in lines))]
+    assert steps.dtype == np.uint8
+
+
+# A value of each length class: a leading "-", "e-05" and "e+100"
+# exponents, signed zeros, nan and both infinities.
+_COPY_VALUES = (-1.5, 0.25, -2.5e-05, 3.0000000000125e-05, 1e100,
+                -7.123456789012e+100, -0.0, 0.0, math.nan, math.inf,
+                -math.inf, -123.456)
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["chunks", "wide-row"])
+@pytest.mark.parametrize("earlier, later", [
+    (a, b) for i, a in enumerate(spectral.PAIRS)
+    for b in spectral.PAIRS[i + 1:]], ids=lambda pair: pair.value)
+def test_joint_csv_copies_a_block_under_each_later_label(
+        tmp_path, monkeypatch, earlier, later, wide):
+    # The later block repeats the earlier one and is copied from the file
+    # with its label patched; the other three are formatted.  67 rows of
+    # 40 differences take a write chunk of 51 rows and a partial one of
+    # 16; rows wider than the kernel are split inside the row.
+    n_omegabar, n_delta = (3, spectral._CHUNK_POINTS + 3) if wide else (67, 40)
+    grid = FrequencyGrid(np.linspace(0.5, 1.5, n_omegabar),
+                         np.linspace(0.0, 0.2, n_delta))
+    rng = np.random.default_rng(36)
+    data = np.empty((4, n_omegabar, n_delta), dtype=complex)
+    data.real = rng.choice(_COPY_VALUES, data.shape)
+    data.imag = rng.choice(_COPY_VALUES, data.shape)
+    data[later.index] = data[earlier.index]
+    formatted = []
+    joint_lines = cli._joint_lines
+
+    def counted(label, w1, w2, amps, buf):
+        formatted.append(len(w1))
+        return joint_lines(label, w1, w2, amps, buf)
+
+    monkeypatch.setattr(cli, "_joint_lines", counted)
+    expected, actual = tmp_path / "expected.csv", tmp_path / "actual.csv"
+    with np.errstate(over="ignore"):
+        _reference_joint_csv(expected, grid, data, 1.0)
+    cli._write_joint_csv(actual, grid, _rows_of(data), 1.0,
+                         cli._first_alike(data))
+    assert sum(formatted) == 3 * data[0].size
+    assert actual.read_bytes() == expected.read_bytes()
+
+
+@given(values=st.lists(_g12_values, min_size=8, max_size=8),
+       first=st.tuples(*[st.integers(0, i) for i in range(4)]),
+       shape=st.tuples(st.integers(2, 5), st.integers(2, 9)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_joint_csv_copies_drawn_values_as_g12(values, first, shape, seed):
+    # Each channel repeats the block of the channel ``first`` names, or
+    # is drawn afresh where that is itself.
+    grid = FrequencyGrid(np.linspace(0.5, 1.5, shape[0]),
+                         np.linspace(0.0, 0.2, shape[1]))
+    rng = np.random.default_rng(seed)
+    data = np.empty((4,) + shape, dtype=complex)
+    data.real = rng.choice(values, data.shape)
+    data.imag = rng.choice(values, data.shape)
+    for i, j in enumerate(first):
+        data[i] = data[j]
+    with tempfile.TemporaryDirectory() as outdir:
+        expected = pathlib.Path(outdir) / "expected.csv"
+        actual = pathlib.Path(outdir) / "actual.csv"
+        with np.errstate(over="ignore"):
+            _reference_joint_csv(expected, grid, data, 1.0)
+        cli._write_joint_csv(actual, grid, _rows_of(data), 1.0,
+                             cli._first_alike(data))
+        assert actual.read_bytes() == expected.read_bytes()
 
 
 _abs2_parts = st.one_of(_float_bits, st.floats(-1e9, 1e9), st.sampled_from(

@@ -19,6 +19,7 @@ from quadwg import (
     joint_spectrum,
 )
 from quadwg.emission import (
+    EmissionSpectrum,
     _channel_sum,
     _total_probability,
     _window_summaries,
@@ -207,7 +208,7 @@ def test_window_summaries_by_row_chunks_have_the_whole_grid_bits(step):
     data, _, mass, corr = whole_array_spectrum(cpl, grid)
     chunks = [slice(start, start + step) for start in range(0, 67, step)]
     window, r = _window_summaries(grid, lambda rows: _channel_sum(
-        lambda pair: data[pair.index, rows]), chunks)
+        lambda pair: data[pair.index, rows], (0, 1, 2, 3)), chunks)
     assert (window.hex(), r.hex()) == (mass.hex(), corr.hex())
     # The library's summaries are its case of ``_row_chunks``, and
     # ``pearson_correlation`` its one-chunk case.
@@ -246,20 +247,64 @@ _blocks = st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
                          elements=st.builds(complex, _parts, _parts)))
 
 
-@given(_blocks)
+_NAN_1 = float(np.uint64(0x7FF8000000000001).view(np.float64))  # payload 1
+
+
+def _canonical_first(choices):
+    """For each channel, the first channel it copies: channel i copies the
+    channel that ``choices[i]`` (at most i) copies."""
+    first = []
+    for i, j in enumerate(choices):
+        first.append(first[j] if j < i else i)
+    return tuple(first)
+
+
+# Which earlier channel each channel repeats: all distinct, all alike
+# (isotropic), three alike (mirror), equal cross channels, or any other.
+_firsts = st.one_of(
+    st.sampled_from(((0, 1, 2, 3), (0, 0, 0, 0), (0, 1, 1, 1), (0, 1, 1, 3))),
+    st.tuples(*[st.integers(0, i) for i in range(len(PAIRS))])
+    .map(_canonical_first))
+
+
+@given(_blocks, _firsts)
 # Squares added in another order round differently; squares that
 # overflow, signed zeros, subnormals, and nan beside inf.
-@example(np.array([1e8, 1.0, 1.0, 0.0]).reshape(4, 1, 1))
-@example(np.array([1e200, -0.0, 1.0, 1.0 + 1e154j]).reshape(4, 1, 1))
+@example(np.array([1e8, 1.0, 1.0, 0.0]).reshape(4, 1, 1), (0, 1, 2, 3))
+@example(np.array([1e200, -0.0, 1.0, 1.0 + 1e154j]).reshape(4, 1, 1),
+         (0, 1, 2, 3))
 @example(np.array([[-0.0, complex(math.inf, math.nan)],
                    [complex(5e-324, -0.0), math.nan],
                    [complex(-0.0, -0.0), -math.inf],
-                   [1e-170, complex(math.nan, 1.0)]]).reshape(4, 1, 2))
-def test_channel_sum_has_the_bits_of_the_stacked_sum(data):
+                   [1e-170, complex(math.nan, 1.0)]]).reshape(4, 1, 2),
+         (0, 1, 2, 3))
+# Two channels nan at one point, whose squares are nans with different
+# payloads: an in-place add keeps the second's, the stacked sum the
+# first's.
+@example(np.array([0.0, 0.0, complex(0.0, _NAN_1),
+                   complex(math.nan, 0.0)]).reshape(4, 1, 1), (0, 1, 2, 3))
+@example(np.array([complex(0.0, _NAN_1), complex(math.nan, 0.0),
+                   1e200, 1.0]).reshape(4, 1, 1), (0, 1, 1, 0))
+def test_channel_sum_has_the_bits_of_the_stacked_sum(data, first):
+    # Four channels as drawn, each squared.
     with np.errstate(all="ignore"):
         expected = np.sum(np.abs(data) ** 2, axis=0)
-        total = _channel_sum(lambda pair: data[pair.index])
+        total = _channel_sum(lambda pair: data[pair.index], (0, 1, 2, 3))
     assert total.shape == expected.shape
+    assert total.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+    # The same channels repeated as ``first`` says: each distinct block is
+    # asked for and squared once, in channel order.
+    copies = data[list(first)]
+    squared = []
+
+    def block(pair):
+        squared.append(first[pair.index])
+        return copies[pair.index]
+
+    with np.errstate(all="ignore"):
+        expected = np.sum(np.abs(copies) ** 2, axis=0)
+        total = _channel_sum(block, first)
+    assert squared == sorted(set(first))
     assert total.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
 
@@ -323,6 +368,36 @@ def test_spectrum_methods_have_the_bits_of_the_whole_arrays(
         == _total_probability(cpl, grid, mass).hex()
     assert spec.spectrum_correlation().hex() == corr.hex()
     assert pearson_correlation(grid, density).hex() == corr.hex()
+
+
+# distinct: channels whose factors differ from every earlier channel's.
+@pytest.mark.parametrize("rates, distinct", [
+    ("isotropic", 1), ("mirror", 2), ((0.001, 0.0005, 0.0005, 0.0025), 3),
+    ((0.0, 0.0005, 0.0005, 0.0025), 3), ((0.001, 0.0, 0.0, 0.001), 2)])
+def test_total_density_squares_each_distinct_channel_once(monkeypatch, rates,
+                                                          distinct):
+    env = Envelope.gaussian(0.02)
+    if rates == "isotropic":
+        cpl = CouplingSpec.isotropic(GAMMA, env)
+    elif rates == "mirror":
+        cpl = CouplingSpec.mirror(GAMMA, env)
+    else:
+        cpl = CouplingSpec(1.0, dict(zip(PAIRS, rates)), env)
+    spec = joint_spectrum(cpl, default_emission_grid(cpl, 67, 64))
+    data = spec.data
+    calls = []
+    block = EmissionSpectrum.block
+
+    def counted(self, pair, rows=slice(None)):
+        calls.append(pair)
+        return block(self, pair, rows)
+
+    monkeypatch.setattr(EmissionSpectrum, "block", counted)
+    for rows in _row_chunks(spec.grid) + [slice(None)]:
+        calls.clear()
+        density = spec.total_density(rows)
+        assert len(calls) == len(set(calls)) == distinct
+        assert _same_bits(density, np.sum(np.abs(data[:, rows]) ** 2, axis=0))
 
 
 def test_spectrum_and_summaries_hold_no_whole_block():

@@ -476,6 +476,28 @@ def test_grid_state_roundtrip_and_validation():
         GridState(grid, grid_state.data[:3])
 
 
+@pytest.mark.parametrize("pm_value, mp_value", [
+    (math.nan, 0.0), (math.inf, 0.0), (math.inf, -math.inf),
+    (complex(0.0, math.nan), 0.0), (math.nan, -math.nan)])
+def test_grid_state_rejects_cross_channels_differing_through_non_finite_values(
+        pm_value, mp_value):
+    grid = FrequencyGrid(np.array([0.5, 1.0, 1.5, 2.0]),
+                         np.array([0.0, 0.25, 0.5]))
+    data = np.full((4, 4, 3), 0.5 + 0.25j)
+    pm, mp = DirectionPair.PM.index, DirectionPair.MP.index
+    data[pm, 1, 2], data[mp, 1, 2] = pm_value, mp_value
+    with pytest.raises(InvalidStateError, match="cross channels"):
+        GridState(grid, data)
+    # The same non-finite bits in both channels agree, beside a nan in
+    # another channel; a finite disagreement is caught beside them.
+    data[mp, 1, 2] = data[pm, 1, 2]
+    data[DirectionPair.PP.index, 0, 0] = math.nan
+    GridState(grid, data)
+    data[mp, 3, 0] *= 1.5
+    with pytest.raises(InvalidStateError, match="cross channels"):
+        GridState(grid, data)
+
+
 def test_grid_state_resampling_preserves_norm():
     coupling = CouplingSpec.isotropic(0.004, Envelope.gaussian(0.02), 1.0)
     coarse = FrequencyGrid.for_scattering(coupling, 0.02, 96, 48)
