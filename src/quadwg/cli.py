@@ -632,6 +632,14 @@ def _cmd_scatter(cfg, outdir) -> tuple[str, int]:
     grid = FrequencyGrid.for_scattering(
         coupling, max(sum_width, abs(diff_center)),
         _as_int(cfg, "n_omegabar"), _as_int(cfg, "n_delta"))
+    # An input clear of the sum axis would leave the map empty.
+    ob = grid.omegabar
+    if not (f_win[0] < ob[-1] and f_win[1] > ob[0]):
+        raise ConfigError(
+            f"the input's sum window [{f_win[0]:g}, {f_win[1]:g}] at"
+            f" sum_center={sum_center:g} misses the output grid's sum axis"
+            f" [{ob[0]:g}, {ob[-1]:g}], so its map would be empty; bring"
+            f" sum_center nearer omega0={coupling.omega0:g}")
     # A far difference centre stretches the difference axis to ten centres;
     # a profile clear of delta = 0 is on the map only if that axis's
     # spacing resolves it.

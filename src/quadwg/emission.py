@@ -13,6 +13,7 @@ this carries unit probability.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -107,20 +108,19 @@ def pearson_correlation(grid: FrequencyGrid, density: np.ndarray) -> float:
 
 def _window_summaries(grid: FrequencyGrid,
                       density: Callable[[slice], np.ndarray],
-                      chunks: Sequence[slice] = (slice(None),),
-                      correlation: bool = True) -> tuple[float, float | None]:
-    """Window integral of the joint intensity ``density(rows)`` and, with
-    ``correlation``, its ``pearson_correlation`` (else None).
+                      chunks: Sequence[slice] = (slice(None),)
+                      ) -> tuple[float, float]:
+    """Window integral of the joint intensity ``density(rows)`` and its
+    ``pearson_correlation``; a window with no weight, or no spread, raises
+    ``UndefinedCorrelationError``.
 
-    ``density(rows)`` returns the intensity on the sum-frequency rows
-    ``rows``, and is asked for each slice of ``chunks`` in turn (by
-    default one chunk of every row), so no array of the whole grid need
-    exist.  Every inner trapezoid of ``grid.integrate`` runs along one
-    row, so the row integrals of ``density``, ``density * obar`` and
-    ``density * delta**2`` taken a chunk at a time, each followed by one
-    trapezoid over ``obar``, have the bits of ``grid.integrate`` of the
-    whole arrays.  ``Var(obar)`` needs the mean first, so it takes a
-    second pass over the chunks.
+    ``density(rows)`` is the intensity on the sum-frequency ``rows``, asked
+    for each slice of ``chunks`` in turn (by default one of every row), so
+    no array of the whole grid need exist.  ``grid.integrate`` takes its
+    inner trapezoids along rows, so row integrals of ``density`` times 1,
+    ``obar`` and ``delta**2`` a chunk at a time, then one trapezoid over
+    ``obar``, have its bits.  ``Var(obar)`` needs the mean
+    first: a second pass over the chunks.
     """
     ob, dd2 = grid.omegabar, grid.delta ** 2
     # Row integrals of density times 1, obar, delta**2 and (obar - mean)**2.
@@ -128,12 +128,9 @@ def _window_summaries(grid: FrequencyGrid,
     for rows in chunks:
         part = density(rows)
         inner[0, rows] = grid.integrate_delta(part)
-        if correlation:
-            inner[1, rows] = grid.integrate_delta(part * ob[rows, None])
-            inner[2, rows] = grid.integrate_delta(part * dd2)
+        inner[1, rows] = grid.integrate_delta(part * ob[rows, None])
+        inner[2, rows] = grid.integrate_delta(part * dd2)
     mass = float(np.trapezoid(inner[0], ob))
-    if not correlation:
-        return mass, None
     if not mass > 0:
         raise UndefinedCorrelationError("density carries no weight")
     mean_ob = float(np.trapezoid(inner[1], ob)) / mass
@@ -249,19 +246,22 @@ class EmissionSpectrum:
         """Channel-summed density integrated over the sum axis."""
         return np.trapezoid(self.total_density(), self.grid.omegabar, axis=0)
 
+    @functools.cached_property
+    def _summaries(self) -> tuple[float, float]:
+        """``_window_summaries`` of ``total_density`` over the row chunks."""
+        return _window_summaries(self.grid, self.total_density,
+                                 _row_chunks(self.grid))
+
     def total_probability(self) -> float:
         """Window integral rescaled by the analytically known tail mass.
 
         The emitted density is an exact product of a Lorentzian line and
         the envelope intensity, so the fraction of it inside the stored
         window is the product of two one-dimensional masses.  Dividing the
-        trapezoid result by that fraction recovers the full-plane value,
-        which is one for a complete emission record.
-        """
-        window, _ = _window_summaries(self.grid, self.total_density,
-                                      _row_chunks(self.grid),
-                                      correlation=False)
-        return _total_probability(self.coupling, self.grid, window)
+        trapezoid result by it recovers the full-plane value, one for a
+        complete record; a window with no weight raises
+        ``UndefinedCorrelationError``."""
+        return _total_probability(self.coupling, self.grid, self._summaries[0])
 
     def spectrum_correlation(self) -> float:
         """Pearson correlation of the two photon frequencies.
@@ -270,8 +270,7 @@ class EmissionSpectrum:
         envelope (frequencies move together), negative when the envelope
         dominates (frequencies anticorrelate about the fixed sum).
         """
-        return _window_summaries(self.grid, self.total_density,
-                                 _row_chunks(self.grid))[1]
+        return self._summaries[1]
 
 
 def joint_spectrum(coupling: CouplingSpec,

@@ -77,6 +77,7 @@ __all__ = [
 STABILITY_LIMIT = 0.1          # dt * max detuning bound for the fixed step
 NORM_DRIFT_TOLERANCE = 1e-4
 ASYMPTOTIC_RATE_SPAN = 10.0    # required (t1 - t0) * total_rate
+SETTLE_RATES = 12.0            # settling time after the input, in 1/total_rate
 RESIDUAL_EXCITATION = 1e-4
 _POWER_BLOCK = 128             # steps per table of stability-factor powers
 
@@ -106,25 +107,34 @@ class TimeDomainConfig:
             raise ValueError("t_span must have positive length")
 
     @classmethod
+    def _banded(cls, coupling: CouplingSpec, input_width: float,
+                delay: float, n_omegabar: int, n_delta: int,
+                halfwidth_rates: float) -> "TimeDomainConfig":
+        """``FrequencyGrid.for_scattering``'s band for an input of
+        ``input_width``, stepped at ``STABILITY_LIMIT`` over its half width;
+        the span holds an input that peaks at ``delay`` and passes in as
+        long again, then ``SETTLE_RATES`` inverse total rates."""
+        grid = FrequencyGrid.for_scattering(
+            coupling, input_width, n_omegabar, n_delta, halfwidth_rates)
+        g = coupling.total_rate
+        return cls(grid, (0.0, 2.0 * delay + SETTLE_RATES / g),
+                   STABILITY_LIMIT / (halfwidth_rates * g), delay)
+
+    @classmethod
     def for_scattering(cls, coupling: CouplingSpec, input_width: float,
                        n_omegabar: int = 256, n_delta: int = 128,
-                       halfwidth_rates: float = 20.0,
-                       settle_rates: float = 12.0) -> "TimeDomainConfig":
-        """Window and step sized for a resonant pulse of the given width.
-
-        The pulse is assumed delayed by three inverse widths so it arrives
-        whole after the start; the span then covers its passage plus the
-        emitter settling time.  The band of half width ``half =
-        halfwidth_rates * total_rate`` keeps ``erf(half / (input_width
-        sqrt 2))`` of the sum intensity of a resonant input of that
-        standard deviation; below ``ENVELOPE_COVER_FRACTION`` this raises
-        ``ValueError``.
+                       halfwidth_rates: float = 20.0) -> "TimeDomainConfig":
+        """``_banded`` for a resonant pulse of the given width, delayed by
+        three inverse widths so it arrives whole after the start.  The band
+        of half width ``half = halfwidth_rates * total_rate`` keeps
+        ``erf(half / (input_width sqrt 2))`` of the sum intensity of a
+        resonant input of that standard deviation; below
+        ``ENVELOPE_COVER_FRACTION`` this raises ``ValueError``.
         """
         if not input_width > 0:
             raise ValueError("input_width must be positive")
         _width_squared(input_width)  # rejects widths out of range
-        g = coupling.total_rate
-        half = halfwidth_rates * g
+        half = halfwidth_rates * coupling.total_rate
         kept = math.erf(half / (input_width * math.sqrt(2.0)))
         if kept < ENVELOPE_COVER_FRACTION:
             raise ValueError(
@@ -132,30 +142,22 @@ class TimeDomainConfig:
                 f" rates) keeps only {kept:.4g} of the sum intensity of an"
                 f" input of width {input_width:g}; use a narrower input or a"
                 " larger total rate")
-        delay = 3.0 / input_width
-        grid = FrequencyGrid.for_scattering(
-            coupling, input_width, n_omegabar, n_delta, halfwidth_rates)
-        span = delay + 3.0 / input_width + settle_rates / g
-        dt = STABILITY_LIMIT / (halfwidth_rates * g)
-        return cls(grid, (0.0, span), dt, arrival_delay=delay)
+        return cls._banded(coupling, input_width, 3.0 / input_width,
+                           n_omegabar, n_delta, halfwidth_rates)
 
     @classmethod
     def for_emission(cls, coupling: CouplingSpec,
                      n_omegabar: int = 512, n_delta: int = 64,
-                     halfwidth_rates: float = 40.0,
-                     settle_rates: float = 12.0) -> "TimeDomainConfig":
-        """Window and step sized for watching the excited emitter decay.
+                     halfwidth_rates: float = 40.0) -> "TimeDomainConfig":
+        """``_banded`` with no input: the excited emitter's decay.
 
         The band is kept wide because a hard frequency cutoff steals
         Lorentzian line tails and slows the observed decay by roughly the
         rate-to-bandwidth ratio; forty linewidths keep that bias near one
         percent over five lifetimes.
         """
-        g = coupling.total_rate
-        grid = FrequencyGrid.for_scattering(
-            coupling, 0.0, n_omegabar, n_delta, halfwidth_rates)
-        dt = STABILITY_LIMIT / (halfwidth_rates * g)
-        return cls(grid, (0.0, settle_rates / g), dt)
+        return cls._banded(coupling, 0.0, 0.0, n_omegabar, n_delta,
+                           halfwidth_rates)
 
 
 def with_arrival_delay(state: SeparableState, omega0: float,
@@ -245,9 +247,8 @@ def integrate(coupling: CouplingSpec,
     or a pair state, which is discretized onto the grid with measure
     weights.  Raises an integration-failure error when the conserved norm
     drifts by more than one part in ten thousand, which signals a step too
-    large or a grid too coarse.  The run holds one four-channel array, the
-    final state, plus per-row vectors and one channel's bright direction
-    per distinct rate; a grid input is never changed.
+    large or a grid too coarse.  A grid input is never changed; the module
+    note gives the memory a run holds.
     """
     grid = config.grid
     root_weight, allowed, channel, nu = _mode_setup(coupling, grid)

@@ -603,6 +603,25 @@ def test_scatter_takes_a_far_difference_centre(tmp_path, capsys, diff_center):
     assert not (tmp_path / "scatter.csv").exists()
 
 
+def test_scatter_input_must_reach_the_output_sum_axis(tmp_path, capsys):
+    # The default output axis is omega0 +- 20 total rates, [0.92, 1.08];
+    # the input's sum window is sum_center +- 12 sum widths.  At 1.5 the
+    # two miss each other, and the map would be near-zero amplitudes.
+    assert cli.run(["scatter", "--outdir", str(tmp_path),
+                    "--set", "sum_center=1.5"]) == 1
+    assert capsys.readouterr().err == (
+        "error: the input's sum window [1.26, 1.74] at sum_center=1.5"
+        " misses the output grid's sum axis [0.92, 1.08], so its map would"
+        " be empty; bring sum_center nearer omega0=1\n")
+    assert list(tmp_path.iterdir()) == []
+    # Below the axis too; a window that reaches into the axis is mapped.
+    small = ["--outdir", str(tmp_path), "--set", "n_omegabar=16",
+             "--set", "n_delta=8"]
+    assert cli.run(["scatter", *small, "--set", "sum_center=0.6"]) == 1
+    assert "at sum_center=0.6 misses" in capsys.readouterr().err
+    run_ok(["scatter", *small, "--set", "sum_center=1.3"], capsys)
+
+
 def test_scatter_map_must_resolve_a_difference_profile_clear_of_zero(
         tmp_path, capsys):
     # A centre of 1000 stretches the 128 differences to 10000: a spacing of
@@ -741,6 +760,27 @@ def _check_emit_is_joint_spectrum(outdir, overrides, coupling, n_omegabar,
 @pytest.mark.parametrize("name", _EMIT_CASES)
 def test_emit_summaries_and_map_are_those_of_joint_spectrum(tmp_path, name):
     _check_emit_is_joint_spectrum(tmp_path, *_EMIT_CASES[name])
+
+
+def test_emit_walks_the_row_chunks_twice(tmp_path, monkeypatch):
+    # Both summaries come from one pair of walks over the row chunks: the
+    # moments, then the spread about the mean.  67 rows of 64 differences
+    # are three chunks, the last one partial.
+    calls = []
+    total_density = emission.EmissionSpectrum.total_density
+
+    def counted(self, rows=slice(None)):
+        calls.append(rows)
+        return total_density(self, rows)
+
+    monkeypatch.setattr(emission.EmissionSpectrum, "total_density", counted)
+    assert cli.run(["emit", "--outdir", str(tmp_path),
+                    "--set", "n_omegabar=67", "--set", "n_delta=64"]) == 0
+    coupling = CouplingSpec.isotropic(0.004, Envelope.gaussian(0.02))
+    chunks = spectral._row_chunks(
+        emission.default_emission_grid(coupling, 67, 64))
+    assert len(chunks) == 3
+    assert calls == chunks + chunks
 
 
 _WIDE = spectral._CHUNK_POINTS + 3   # more differences than the kernel formats

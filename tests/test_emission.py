@@ -173,6 +173,19 @@ def test_correlation_error_paths():
         pearson_correlation(grid, point)
 
 
+def test_total_probability_of_an_empty_window_is_undefined():
+    # The envelope is zero on the whole difference axis [0, 0.005], so the
+    # window holds no weight and its kept envelope mass is zero too; the
+    # two summaries share one walk, whose empty window raises first.
+    env = Envelope.tabulated([0, 0.01, 0.02, 0.03], [0, 0, 1, 0])
+    grid = FrequencyGrid.regular(1.0, 0.04, 0.005, 64, 16)
+    spec = joint_spectrum(CouplingSpec.isotropic(0.004, env, 1.0), grid)
+    with pytest.raises(UndefinedCorrelationError, match="no weight"):
+        spec.total_probability()
+    with pytest.raises(UndefinedCorrelationError, match="no weight"):
+        spec.spectrum_correlation()
+
+
 def whole_array_spectrum(cpl, grid):
     """The whole-array expressions the emission spectrum was first built
     from: the stacked ``emitted_amplitude`` fill, the channel sum of

@@ -91,17 +91,39 @@ def test_scattering_config_needs_the_band_to_hold_the_input():
 
 
 def test_factory_spans_and_steps():
-    cpl = isotropic(0.02)
-    cfg = TimeDomainConfig.for_scattering(cpl, 0.05, n_omegabar=64, n_delta=16)
-    assert cfg.arrival_delay == pytest.approx(3.0 / 0.05)
-    assert cfg.t_span[0] == 0.0
-    assert cfg.t_span[1] == pytest.approx(6.0 / 0.05 + 12.0 / 0.02)
-    assert cfg.dt == pytest.approx(0.1 / (20.0 * 0.02))
-    assert cfg.grid.omegabar.size == 64
-    assert cfg.grid.delta.size == 16
-    emission = TimeDomainConfig.for_emission(cpl, n_omegabar=64, n_delta=16)
-    assert emission.t_span[1] == pytest.approx(12.0 / 0.02)
-    assert emission.dt == pytest.approx(0.1 / (40.0 * 0.02))
+    # Both constructors against the expressions each once wrote out on its
+    # own, bit for bit: the grid call, the span (the input's delay and
+    # passage plus twelve inverse rates) and dt = 0.1 over the half band.
+    four = {DirectionPair.PP: 0.003, DirectionPair.PM: 0.0005,
+            DirectionPair.MP: 0.0005, DirectionPair.MM: 0.0011}
+    couplings = [isotropic(0.02),
+                 CouplingSpec.mirror(0.013, Envelope.gaussian(0.04), 0.9),
+                 CouplingSpec(1.0, four, Envelope.gaussian(0.03)),
+                 CouplingSpec.isotropic(0.007, Envelope.lorentzian(0.02))]
+
+    def same(cfg, grid, span, dt, delay):
+        assert cfg.grid.omegabar.tobytes() == grid.omegabar.tobytes()
+        assert cfg.grid.delta.tobytes() == grid.delta.tobytes()
+        assert [t.hex() for t in cfg.t_span] == [0.0.hex(), span.hex()]
+        assert (cfg.dt.hex(), cfg.arrival_delay.hex()) \
+            == (dt.hex(), delay.hex())
+
+    for cpl in couplings:
+        g = cpl.total_rate
+        for width, half in [(g, 20.0), (0.3 * g, 30.0)]:
+            cfg = TimeDomainConfig.for_scattering(
+                cpl, width, n_omegabar=64, n_delta=16, halfwidth_rates=half)
+            delay = 3.0 / width
+            same(cfg, FrequencyGrid.for_scattering(cpl, width, 64, 16, half),
+                 delay + 3.0 / width + 12.0 / g, 0.1 / (half * g), delay)
+        for kwargs, half in [({}, 40.0), ({"halfwidth_rates": 25.0}, 25.0)]:
+            cfg = TimeDomainConfig.for_emission(cpl, n_omegabar=64,
+                                                n_delta=16, **kwargs)
+            same(cfg, FrequencyGrid.for_scattering(cpl, 0.0, 64, 16, half),
+                 12.0 / g, 0.1 / (half * g), 0.0)
+    cfg = TimeDomainConfig.for_scattering(couplings[0], 0.05)
+    assert cfg.grid.shape == (256, 128)
+    assert TimeDomainConfig.for_emission(couplings[0]).grid.shape == (512, 64)
 
 
 def test_step_limit_guards_grid_bandwidth():
