@@ -630,26 +630,8 @@ def _cmd_scatter(cfg, outdir) -> tuple[str, int]:
     result = scattering.scatter(coupling, state)
     probs = scattering.channel_probabilities(result)
     grid = FrequencyGrid.for_scattering(
-        coupling, max(sum_width, abs(diff_center)),
+        coupling, (sum_center, sum_width, diff_center, diff_width),
         _as_int(cfg, "n_omegabar"), _as_int(cfg, "n_delta"))
-    # An input clear of the sum axis would leave the map empty.
-    ob = grid.omegabar
-    if not (f_win[0] < ob[-1] and f_win[1] > ob[0]):
-        raise ConfigError(
-            f"the input's sum window [{f_win[0]:g}, {f_win[1]:g}] at"
-            f" sum_center={sum_center:g} misses the output grid's sum axis"
-            f" [{ob[0]:g}, {ob[-1]:g}], so its map would be empty; bring"
-            f" sum_center nearer omega0={coupling.omega0:g}")
-    # A far difference centre stretches the difference axis to ten centres;
-    # a profile clear of delta = 0 is on the map only if that axis's
-    # spacing resolves it.
-    if h_win[0] > 0 and grid.d_delta > diff_width:
-        needed = math.ceil(float(grid.delta[-1]) / diff_width) + 1
-        raise ConfigError(
-            f"the output grid's difference spacing {grid.d_delta:g} exceeds"
-            f" diff_width={diff_width:g}, so its map cannot resolve the"
-            f" difference profile at diff_center={diff_center:g}; raise"
-            f" n_delta to at least {needed} or bring diff_center nearer zero")
     out = result.output_on(grid)
     stem = cfg["output_stem"]
     _write_joint_csv(_outpath(outdir, stem + ".csv"), grid,

@@ -27,6 +27,8 @@ from .spectral import (
     DirectionPair,
     FrequencyGrid,
     GridState,
+    _check_emission_grid,
+    _total_probability,
     _row_chunks,
     resonance_denominator,
 )
@@ -83,10 +85,14 @@ def default_emission_grid(coupling: CouplingSpec,
     Sum axis: ten linewidths around resonance.  Difference axis: ten
     envelope widths (sampled extent for tabulated envelopes).  Kept
     deliberately tight so that window-defined quantities like the
-    frequency correlation have a fixed, documented meaning.
+    frequency correlation have a fixed, documented meaning.  Warns when
+    it is too coarse for the total emission probability (spectral's
+    ``_check_emission_grid``).
     """
-    return FrequencyGrid.for_scattering(coupling, 0.0, n_omegabar, n_delta,
+    grid = FrequencyGrid.for_scattering(coupling, 0.0, n_omegabar, n_delta,
                                         halfwidth_rates=10.0)
+    _check_emission_grid(grid, coupling)
+    return grid
 
 
 def pearson_correlation(grid: FrequencyGrid, density: np.ndarray) -> float:
@@ -171,21 +177,6 @@ def _channel_sum(block: Callable[[DirectionPair], np.ndarray],
             kept[source] = term
         total = term if total is None else total + term
     return total
-
-
-def _total_probability(coupling: CouplingSpec, grid: FrequencyGrid,
-                       window: float) -> float:
-    """``window``, the window integral of the channel-summed density,
-    divided by the fraction of the emitted probability that lies inside
-    the window.  The Lorentzian line of full width ``total_rate`` keeps
-    ``(atan(2 (ob[-1] - omega0) / total_rate) - atan(2 (ob[0] - omega0) /
-    total_rate)) / pi`` of its mass on the sum axis ``ob``, centred on
-    ``omega0`` or not."""
-    ob, g = grid.omegabar, coupling.total_rate
-    line_frac = (math.atan(2.0 * (ob[-1] - coupling.omega0) / g)
-                 - math.atan(2.0 * (ob[0] - coupling.omega0) / g)) / math.pi
-    env_frac = coupling.envelope.half_line_mass(float(grid.delta[-1]))
-    return window / (line_frac * env_frac)
 
 
 @dataclass(frozen=True)

@@ -63,7 +63,8 @@ class TruncationError(RuntimeError):
 
 
 class TruncationWarning(UserWarning):
-    """Issued when a frequency grid clips a non-negligible envelope tail."""
+    """Issued when a frequency grid clips or under-resolves what it carries:
+    an envelope tail, an input's sum window, the emitted pair."""
 
 
 class MarkovValidityWarning(UserWarning):

@@ -21,8 +21,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import (InvalidStateError, UnsupportedConfigurationError,
-                     _UnresolvableRateError)
+from .errors import (InvalidStateError, TruncationWarning,
+                     UnsupportedConfigurationError, _UnresolvableRateError)
 from .spectral import (
     PAIRS,
     CouplingSpec,
@@ -33,7 +33,7 @@ from .spectral import (
     GridState,
     SeparableState,
     _abs2,
-    _check_envelope_cover,
+    _check_grid,
     _fold_mass,
     _grid_overlaps,
     _integrals,
@@ -121,11 +121,14 @@ class ScatterOutput:
         return GridState(grid, data)
 
     def output_on(self, grid: FrequencyGrid) -> GridState:
-        """Materialize the outgoing state on ``grid``."""
+        """Materialize the outgoing state on ``grid``; for a separable
+        input, warn (``TruncationWarning``) where ``grid`` cuts the
+        envelope or misses the input's sum window (``_check_grid``)."""
         state = self.input_state
         if not isinstance(state, SeparableState):
             return self._grid_out.on_grid(grid)
-        _check_envelope_cover(self.coupling.envelope, grid)
+        _check_grid(grid, TruncationWarning, self.coupling.envelope,
+                    (self.coupling.omega0, state.f_window, None, None))
         drive = self._kappa * self._w \
             * np.asarray(state.f(grid.omegabar), dtype=complex)
         return self._radiated(grid, state.on_grid(grid).data,

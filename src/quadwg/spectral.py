@@ -373,22 +373,34 @@ class FrequencyGrid:
         )
 
     @classmethod
-    def for_scattering(cls, coupling: CouplingSpec, input_width: float = 0.0,
+    def for_scattering(cls, coupling: CouplingSpec, pair,
                        n_omegabar: int = 2048, n_delta: int = 1024,
-                       halfwidth_rates: float = 20.0) -> "FrequencyGrid":
-        """Default scattering window: ``halfwidth_rates`` total rates around
-        resonance, and a difference axis spanning the larger of ten input
-        widths and the envelope reach (ten widths of an analytic envelope,
-        the last sample of a tabulated one)."""
+                       halfwidth_rates: float = 20.0,
+                       hold: bool = False) -> "FrequencyGrid":
+        """Window of ``halfwidth_rates`` total rates around resonance, and
+        of differences out to the larger of the envelope reach (ten widths
+        of an analytic envelope, the last sample of a tabulated one) and
+        ten times ``max(diff_width, |diff_center|)`` of the input ``pair``,
+        ``(sum_center, sum_width, diff_center, diff_width)`` or one width
+        for the resonant pair of that width (0 for none).  ``_check_grid``
+        raises ``ValueError`` where it fails the pair (with ``hold``, also
+        where it cuts the pair's sum intensity)."""
+        if not isinstance(pair, tuple):
+            pair = (coupling.omega0, pair, 0.0, pair)
         env = coupling.envelope
         if env.kind is EnvelopeKind.TABULATED:
             reach = float(env.deltas[-1])
         else:
             reach = 10.0 * env.width
-        return cls.regular(coupling.omega0,
+        grid = cls.regular(coupling.omega0,
                            halfwidth_rates * coupling.total_rate,
-                           max(reach, 10.0 * input_width),
+                           max(reach, 10.0 * max(pair[3], abs(pair[2]))),
                            n_omegabar, n_delta)
+        sum_reach = _GAUSSIAN_REACH * pair[1]
+        _check_grid(grid, ValueError, None, (
+            coupling.omega0, (pair[0] - sum_reach, pair[0] + sum_reach),
+            pair, halfwidth_rates if hold else None))
+        return grid
 
     @property
     def d_omegabar(self) -> float:
@@ -450,6 +462,36 @@ def resonance_denominator(total_rate: float, omega0: float, omegabar):
     """
     omegabar = np.asarray(omegabar, dtype=float)
     return total_rate / 2.0 + 1j * (omega0 - omegabar)
+
+
+def _total_probability(coupling: CouplingSpec, grid: FrequencyGrid,
+                       window: float) -> float:
+    """``window``, the window integral of the channel-summed emitted
+    density, over the fraction of the emitted probability inside the
+    window: that of the Lorentzian line of full width ``total_rate`` about
+    ``omega0`` on the sum axis, times the envelope mass kept."""
+    ob, g = grid.omegabar, coupling.total_rate
+    line_frac = (math.atan(2.0 * (ob[-1] - coupling.omega0) / g)
+                 - math.atan(2.0 * (ob[0] - coupling.omega0) / g)) / math.pi
+    env_frac = coupling.envelope.half_line_mass(float(grid.delta[-1]))
+    return window / (line_frac * env_frac)
+
+
+def _check_emission_grid(grid: FrequencyGrid, coupling: CouplingSpec) -> None:
+    """Warn (``TruncationWarning``) when the trapezoid rule on ``grid``
+    resolves the emitted line and envelope intensity, whose product is the
+    emitted density, too coarsely for the total emission probability to
+    come within 5e-7 of one, half a unit in its sixth printed decimal."""
+    ob, dd, g = grid.omegabar, grid.delta, coupling.total_rate
+    line = _abs2(math.sqrt(g / (2.0 * math.pi))
+                 / resonance_denominator(g, coupling.omega0, ob))
+    error = _total_probability(coupling, grid, float(np.trapezoid(
+        line, ob) * np.trapezoid(_abs2(coupling.envelope(dd)), dd))) - 1.0
+    if not abs(error) < 5e-7:
+        warn(f"the {ob.size}x{dd.size} emission grid cannot resolve the"
+             " emitted line and envelope: the total emission probability on"
+             f" it is off by {error:+.2e}; raise n_omegabar or n_delta",
+             TruncationWarning)
 
 
 def _breaks(a: float, b: float,
@@ -801,20 +843,62 @@ def _grid_overlaps(state: GridState, envelope: Envelope):
     channels, shape ``(4, n_omegabar)``, one channel at a time.  Warns when
     the axis keeps less than ``ENVELOPE_COVER_FRACTION`` of the mass."""
     grid = state.grid
-    _check_envelope_cover(envelope, grid)
+    _check_grid(grid, TruncationWarning, envelope, None)
     u = envelope(grid.delta)
     return u, np.stack([grid.integrate_delta(u * channel)
                         for channel in state.data])
 
 
-def _check_envelope_cover(envelope: Envelope, grid: FrequencyGrid) -> None:
-    """Warn, naming the caller's line, when the difference axis of ``grid``
-    keeps less than ``ENVELOPE_COVER_FRACTION`` of the envelope mass."""
-    kept = envelope.half_line_mass(float(grid.delta[-1]))
+def _check_grid(grid: FrequencyGrid, fault: type, envelope: Envelope | None,
+                support: tuple | None) -> None:
+    """Raise ``fault``, or issue it if a warning class, for each way
+    ``grid`` fails what it carries.  The difference axis keeps
+    ``ENVELOPE_COVER_FRACTION`` of the mass of ``envelope``.  ``support`` is
+    an input's ``(omega0, sum_window, pair, rates)``: the sum axis meets
+    ``sum_window``; the difference spacing resolves the profile of a
+    Gaussian ``pair`` (as ``FrequencyGrid.for_scattering`` takes it) clear
+    of zero; and the sum axis, ``rates`` total rates about ``omega0``, keeps
+    ``ENVELOPE_COVER_FRACTION`` of the pair's sum intensity.  None skips."""
+    def report(message):
+        if issubclass(fault, Warning):
+            return warn(message, fault)
+        raise fault(message)
+
+    if envelope is not None:
+        kept = envelope.half_line_mass(float(grid.delta[-1]))
+        if kept < ENVELOPE_COVER_FRACTION:
+            report(f"difference-frequency grid keeps only {kept:.4%} of the"
+                   " envelope mass; results on this grid are truncated")
+    if support is None:
+        return
+    omega0, (lo, hi), pair, rates = support
+    ob = grid.omegabar
+    if not (lo < ob[-1] and hi > ob[0]):
+        report(f"the input's sum window [{lo:g}, {hi:g}] at sum_center="
+               f"{(lo + hi) / 2:g} misses the output grid's sum axis"
+               f" [{ob[0]:g}, {ob[-1]:g}], so its map would be empty; bring"
+               f" sum_center nearer omega0={omega0:g}")
+    if pair is None:
+        return
+    sum_center, sum_width, diff_center, diff_width = pair
+    if (abs(diff_center) - _GAUSSIAN_REACH * diff_width > 0
+            and grid.d_delta > diff_width):
+        report(f"the output grid's difference spacing {grid.d_delta:g}"
+               f" exceeds diff_width={diff_width:g}, so its map cannot"
+               " resolve the difference profile at"
+               f" diff_center={diff_center:g}; raise n_delta to at least"
+               f" {math.ceil(float(grid.delta[-1]) / diff_width) + 1} or"
+               " bring diff_center nearer zero")
+    if rates is None or sum_width == 0:
+        return
+    scale = sum_width * math.sqrt(2.0)
+    kept = (math.erf((ob[-1] - sum_center) / scale)
+            - math.erf((ob[0] - sum_center) / scale)) / 2
     if kept < ENVELOPE_COVER_FRACTION:
-        warn(f"difference-frequency grid keeps only {kept:.4%} of the "
-             "envelope mass; results on this grid are truncated",
-             TruncationWarning)
+        report(f"the band of half width {(ob[-1] - ob[0]) / 2:g} ({rates:g}"
+               f" total rates) keeps only {kept:.4g} of the sum intensity of"
+               f" an input of width {sum_width:g}; use a narrower input or a"
+               " larger total rate")
 
 
 def project_on_envelope(state: SeparableState | GridState, envelope: Envelope,

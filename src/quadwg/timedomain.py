@@ -56,7 +56,6 @@ import numpy as np
 from .errors import IntegrationFailureError, NotAsymptoticError
 from .scattering import ChannelProbabilities
 from .spectral import (
-    ENVELOPE_COVER_FRACTION,
     PAIRS,
     CouplingSpec,
     FrequencyGrid,
@@ -110,12 +109,13 @@ class TimeDomainConfig:
     def _banded(cls, coupling: CouplingSpec, input_width: float,
                 delay: float, n_omegabar: int, n_delta: int,
                 halfwidth_rates: float) -> "TimeDomainConfig":
-        """``FrequencyGrid.for_scattering``'s band for an input of
-        ``input_width``, stepped at ``STABILITY_LIMIT`` over its half width;
-        the span holds an input that peaks at ``delay`` and passes in as
-        long again, then ``SETTLE_RATES`` inverse total rates."""
+        """``FrequencyGrid.for_scattering``'s band, which must hold a
+        resonant input of ``input_width``, stepped at ``STABILITY_LIMIT``
+        over its half width; the span holds an input that peaks at ``delay``
+        and passes in as long again, then ``SETTLE_RATES`` inverse rates."""
         grid = FrequencyGrid.for_scattering(
-            coupling, input_width, n_omegabar, n_delta, halfwidth_rates)
+            coupling, input_width, n_omegabar, n_delta, halfwidth_rates,
+            hold=input_width > 0)
         g = coupling.total_rate
         return cls(grid, (0.0, 2.0 * delay + SETTLE_RATES / g),
                    STABILITY_LIMIT / (halfwidth_rates * g), delay)
@@ -125,23 +125,14 @@ class TimeDomainConfig:
                        n_omegabar: int = 256, n_delta: int = 128,
                        halfwidth_rates: float = 20.0) -> "TimeDomainConfig":
         """``_banded`` for a resonant pulse of the given width, delayed by
-        three inverse widths so it arrives whole after the start.  The band
-        of half width ``half = halfwidth_rates * total_rate`` keeps
-        ``erf(half / (input_width sqrt 2))`` of the sum intensity of a
-        resonant input of that standard deviation; below
-        ``ENVELOPE_COVER_FRACTION`` this raises ``ValueError``.
+        three inverse widths so it arrives whole after the start.  A band
+        of ``halfwidth_rates`` total rates that keeps less than
+        ``ENVELOPE_COVER_FRACTION`` of its sum intensity raises
+        ``ValueError``.
         """
         if not input_width > 0:
             raise ValueError("input_width must be positive")
         _width_squared(input_width)  # rejects widths out of range
-        half = halfwidth_rates * coupling.total_rate
-        kept = math.erf(half / (input_width * math.sqrt(2.0)))
-        if kept < ENVELOPE_COVER_FRACTION:
-            raise ValueError(
-                f"the band of half width {half:g} ({halfwidth_rates:g} total"
-                f" rates) keeps only {kept:.4g} of the sum intensity of an"
-                f" input of width {input_width:g}; use a narrower input or a"
-                " larger total rate")
         return cls._banded(coupling, input_width, 3.0 / input_width,
                            n_omegabar, n_delta, halfwidth_rates)
 

@@ -20,7 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from quadwg import cli, emission, errors, gate, scattering, spectral
 from quadwg.spectral import CouplingSpec, DirectionPair, Envelope, FrequencyGrid
-from test_emission import whole_array_spectrum
+from test_emission import coarse_emission_grid, whole_array_spectrum
 
 
 def run_ok(args, capsys):
@@ -28,6 +28,13 @@ def run_ok(args, capsys):
     out = capsys.readouterr()
     assert code == 0, out.err
     return out.out
+
+
+def coarse_emit():
+    """The warning of an emit on a grid too coarse for the six printed
+    decimals of its total emission probability."""
+    return pytest.warns(errors.TruncationWarning,
+                        match="emission grid cannot resolve")
 
 
 def read_csv(path):
@@ -54,8 +61,9 @@ def test_missing_subcommand_is_a_config_error(capsys):
 
 
 def test_emit_outputs(tmp_path, capsys):
-    out = run_ok(["emit", "--outdir", str(tmp_path),
-                  "--set", "n_omegabar=64", "--set", "n_delta=32"], capsys)
+    with coarse_emit():
+        out = run_ok(["emit", "--outdir", str(tmp_path),
+                      "--set", "n_omegabar=64", "--set", "n_delta=32"], capsys)
     assert out.startswith("emit:")
     assert "P_total=" in out
     header, rows = read_csv(tmp_path / "emission.csv")
@@ -76,8 +84,9 @@ def test_emit_outputs(tmp_path, capsys):
 
 def test_emit_data_files_are_deterministic(tmp_path, capsys):
     args = ["--set", "n_omegabar=48", "--set", "n_delta=16"]
-    run_ok(["emit", "--outdir", str(tmp_path / "a")] + args, capsys)
-    run_ok(["emit", "--outdir", str(tmp_path / "b")] + args, capsys)
+    with coarse_emit():
+        run_ok(["emit", "--outdir", str(tmp_path / "a")] + args, capsys)
+        run_ok(["emit", "--outdir", str(tmp_path / "b")] + args, capsys)
     for name in ("emission.csv", "emission.json"):
         first = (tmp_path / "a" / name).read_bytes()
         second = (tmp_path / "b" / name).read_bytes()
@@ -574,9 +583,10 @@ def test_emit_runs_on_a_narrow_line(tmp_path, capsys):
     # The omegabar step is 3e-8 of the axis's magnitude, so one float
     # spacing moves a step by 7e-9 of itself: the grid once rejected
     # linspace's own axis as not uniform to 1e-9.
-    out = run_ok(["emit", "--outdir", str(tmp_path),
-                  "--set", "total_rate=1e-7",
-                  "--set", "n_omegabar=64", "--set", "n_delta=16"], capsys)
+    with coarse_emit():
+        out = run_ok(["emit", "--outdir", str(tmp_path),
+                      "--set", "total_rate=1e-7",
+                      "--set", "n_omegabar=64", "--set", "n_delta=16"], capsys)
     assert out.startswith("emit: total_rate=1e-07")
 
 
@@ -647,6 +657,44 @@ def test_scatter_map_must_resolve_a_difference_profile_clear_of_zero(
             "--set", "n_omegabar=16", "--set", "n_delta=8"], capsys)
 
 
+@pytest.mark.parametrize("overrides, delta_max", [
+    # A sum width of 1e152 once stretched the 32 differences to 1e153,
+    # every row past the first a pair 5e152 apart.
+    (("sum_width=1e152",), 0.2),
+    (("diff_width=0.05",), 0.5),
+    (("diff_width=0.001", "diff_center=0.004"), 0.2),
+])
+def test_scatter_sizes_its_difference_axis_from_the_difference_profile(
+        tmp_path, capsys, overrides, delta_max):
+    # Ten times max(diff_width, |diff_center|), or the envelope's ten
+    # widths if more: the sum width plays no part.
+    args = ["scatter", "--outdir", str(tmp_path), "--set", "n_omegabar=64",
+            "--set", "n_delta=32"]
+    for override in overrides:
+        args += ["--set", override]
+    run_ok(args, capsys)
+    _, rows = read_csv(tmp_path / "scatter.csv")
+    omega, omega_prime = map(float, rows[-1].split(",")[:2])
+    assert omega + omega_prime == pytest.approx(1.08, rel=1e-12)
+    assert omega_prime - omega == pytest.approx(delta_max, rel=1e-12)
+
+
+@pytest.mark.parametrize("shape, error, total", [
+    ((32, 16), "-1.58e-02", "0.984239"), ((3, 5000), "+5.59e+00", "6.591720")])
+def test_emit_on_a_coarse_grid_warns(tmp_path, capsys, shape, error, total):
+    # P_total read 0.984239 at 32 x 16 and 6.591720 at 3 x 5000, exit 0.
+    with pytest.warns(errors.TruncationWarning) as record:
+        out = run_ok(["emit", "--outdir", str(tmp_path),
+                      "--set", f"n_omegabar={shape[0]}",
+                      "--set", f"n_delta={shape[1]}"], capsys)
+    assert [str(w.message) for w in record] == [
+        f"the {shape[0]}x{shape[1]} emission grid cannot resolve the emitted"
+        " line and envelope: the total emission probability on it is off"
+        f" by {error}; raise n_omegabar or n_delta"]
+    assert record[0].filename == __file__
+    assert f"P_total={total} " in out
+
+
 def test_verify_exit_codes(tmp_path, capsys):
     args = ["verify", "--outdir", str(tmp_path),
             "--set", "n_omegabar=128", "--set", "n_delta=48"]
@@ -698,7 +746,9 @@ def test_verify_input_outside_the_band_is_a_configuration_error(
 
 def test_outdir_environment_fallback(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(cli.ENV_OUTDIR, str(tmp_path))
-    run_ok(["emit", "--set", "n_omegabar=32", "--set", "n_delta=16"], capsys)
+    with coarse_emit():
+        run_ok(["emit", "--set", "n_omegabar=32", "--set", "n_delta=16"],
+               capsys)
     assert (tmp_path / "emission.csv").exists()
 
 
@@ -740,9 +790,9 @@ def _check_emit_is_joint_spectrum(outdir, overrides, coupling, n_omegabar,
     for override in overrides:
         args += ["--set", override]
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    with contextlib.redirect_stdout(out), coarse_emit():
         assert cli.run(args) == 0
-    grid = emission.default_emission_grid(coupling, n_omegabar, n_delta)
+    grid = coarse_emission_grid(coupling, n_omegabar, n_delta)
     data, _, mass, corr = whole_array_spectrum(coupling, grid)
     total = emission._total_probability(coupling, grid, mass)
     payload = json.loads((outdir / "cli" / "emission.json").read_text())
@@ -774,11 +824,11 @@ def test_emit_walks_the_row_chunks_twice(tmp_path, monkeypatch):
         return total_density(self, rows)
 
     monkeypatch.setattr(emission.EmissionSpectrum, "total_density", counted)
-    assert cli.run(["emit", "--outdir", str(tmp_path),
-                    "--set", "n_omegabar=67", "--set", "n_delta=64"]) == 0
+    with coarse_emit():
+        assert cli.run(["emit", "--outdir", str(tmp_path),
+                        "--set", "n_omegabar=67", "--set", "n_delta=64"]) == 0
     coupling = CouplingSpec.isotropic(0.004, Envelope.gaussian(0.02))
-    chunks = spectral._row_chunks(
-        emission.default_emission_grid(coupling, 67, 64))
+    chunks = spectral._row_chunks(coarse_emission_grid(coupling, 67, 64))
     assert len(chunks) == 3
     assert calls == chunks + chunks
 
@@ -845,7 +895,8 @@ def test_emit_holds_no_four_channel_array(tmp_path):
     # 2.2 MB, its four-channel array 8.9 MB.
     cli._g12_tables()   # built once per process, not part of the bound
     n_delta = spectral._CHUNK_POINTS + 128
-    small = _emit_peak(tmp_path / "small", 4, n_delta)
+    with coarse_emit():
+        small = _emit_peak(tmp_path / "small", 4, n_delta)
     large = _emit_peak(tmp_path / "large", n_delta // 4, 256)
     assert (n_delta // 4) * 256 == 16 * 4 * n_delta
     assert small < 5e6 and large < 5e6
@@ -915,7 +966,7 @@ def _emission_case():
     coupling = CouplingSpec.isotropic(0.004, Envelope.gaussian(0.02))
     # 64 differences put 32 sum-frequency rows in a write chunk: 67 rows
     # make two full chunks and a partial one.
-    grid = emission.default_emission_grid(coupling, 67, 64)
+    grid = coarse_emission_grid(coupling, 67, 64)
     return grid, emission.joint_spectrum(coupling, grid).data, 1.0
 
 
@@ -924,7 +975,7 @@ def _anisotropic_lorentzian_case():
         DirectionPair.PP: 0.001, DirectionPair.PM: 0.0015,
         DirectionPair.MP: 0.0015, DirectionPair.MM: 0.0005},
         Envelope.lorentzian(0.01))
-    grid = emission.default_emission_grid(coupling, 40, 16)
+    grid = coarse_emission_grid(coupling, 40, 16)
     return grid, emission.joint_spectrum(coupling, grid).data, 1.7
 
 
@@ -964,7 +1015,7 @@ def _anisotropic_gaussian_case():
         DirectionPair.PP: 0.003, DirectionPair.PM: 0.0005,
         DirectionPair.MP: 0.0005, DirectionPair.MM: 0.0},
         Envelope.gaussian(0.02))
-    grid = emission.default_emission_grid(coupling, 67, 64)
+    grid = coarse_emission_grid(coupling, 67, 64)
     return grid, emission.joint_spectrum(coupling, grid).data, 1.0
 
 

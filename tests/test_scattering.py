@@ -536,6 +536,25 @@ def test_separable_output_warns_when_its_grid_truncates_the_envelope():
         == [str(w.message) for w in gridded]
 
 
+def test_separable_output_warns_when_its_grid_misses_the_sum_window():
+    # The library's case of the scatter command's exit 1: a detuned input
+    # whose sum window, 1.5 +- 0.24, misses a default grid's 0.92 to 1.08.
+    coupling = isotropic(0.004)
+    result = scatter(coupling, gaussian_biphoton(DirectionPair.PP, 1.5, 0.02))
+    grid = FrequencyGrid.for_scattering(coupling, 0.02, 32, 16)
+    with pytest.warns(TruncationWarning) as record:
+        out = result.output_on(grid)
+    assert [str(w.message) for w in record] == [
+        "the input's sum window [1.26, 1.74] at sum_center=1.5 misses the"
+        " output grid's sum axis [0.92, 1.08], so its map would be empty;"
+        " bring sum_center nearer omega0=1"]
+    assert record[0].filename == __file__
+    assert np.max(np.abs(out.data)) < 1e-40
+    # A window that reaches into the axis is mapped without a word.
+    near = scatter(coupling, gaussian_biphoton(DirectionPair.PP, 1.3, 0.02))
+    assert np.max(np.abs(near.output_on(grid).data)) > 0
+
+
 def _one_node_quad(fn, lo, hi, points):
     """``quad`` evaluating ``fn`` afresh at every node it visits."""
     return quad(fn, lo, hi, **_quad_options(lo, hi, points))[0]

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import re
 import warnings
 
 import mpmath
@@ -30,6 +31,7 @@ from quadwg import (
     scatter,
 )
 from quadwg import _quadpack, spectral
+from quadwg.emission import default_emission_grid, joint_spectrum
 from quadwg.gate import PulseShape
 from quadwg.spectral import (EnvelopeKind, _integrals, _quad_options,
                              gaussian_difference_profile,
@@ -1026,3 +1028,101 @@ def test_grid_paths_equal_reference_bitwise(kind, channel):
     dd = np.append(rng.uniform(-0.05, 0.3, 500), [-0.0, 0.0])
     assert gridded.amplitude(channel, ob, dd).tobytes() \
         == _reference_amplitude(gridded, channel, ob, dd).tobytes()
+
+
+# The grid rule (run deeper with --hypothesis-profile=parity -k grid_rule):
+# each draw of an input pair, envelope and grid size either gets the axes
+# that the constructor's own expressions give, bit for bit, or a fault
+# that names the quantity the grid cannot hold or resolve.
+_RULE_ENVELOPES = (Envelope.gaussian(0.02), Envelope.lorentzian(0.01),
+                   Envelope.tabulated(0.004 * np.arange(6),
+                                      [1.0, 0.9 - 0.1j, 0.7, 0.4, 0.15, 0.0]))
+
+
+def _rule_axes(coupling, halfwidth_rates, reach, shape):
+    """The sum axis about ``omega0`` and the difference axis out to the
+    larger of the envelope reach and ``reach``."""
+    env, half = coupling.envelope, halfwidth_rates * coupling.total_rate
+    env_reach = float(env.deltas[-1]) if env.kind is EnvelopeKind.TABULATED \
+        else 10.0 * env.width
+    return (np.linspace(coupling.omega0 - half, coupling.omega0 + half,
+                        shape[0]),
+            np.linspace(0.0, max(env_reach, reach), shape[1]))
+
+
+@given(envelope=st.sampled_from(_RULE_ENVELOPES),
+       total_rate=st.floats(1e-4, 0.04),
+       resonant=st.booleans(),
+       sum_center=st.floats(0.5, 1.5),
+       sum_width=st.floats(1e-4, 0.1),
+       diff_center=st.floats(-2.0, 2.0),
+       diff_width=st.floats(1e-4, 0.1),
+       shape=st.tuples(st.integers(2, 300), st.integers(2, 300)),
+       hold=st.booleans())
+def test_grid_rule_keeps_the_axes_or_names_the_quantity(
+        envelope, total_rate, resonant, sum_center, sum_width, diff_center,
+        diff_width, shape, hold):
+    coupling = CouplingSpec.isotropic(total_rate, envelope)
+    if resonant:   # one width stands for the resonant pair of that width
+        pair = sum_width
+        sum_center, diff_center, diff_width = 1.0, 0.0, sum_width
+    else:
+        pair = (sum_center, sum_width, diff_center, diff_width)
+    ob, dd = _rule_axes(coupling, 20.0, 10.0 * max(diff_width,
+                                                   abs(diff_center)), shape)
+    scale = sum_width * math.sqrt(2.0)
+    kept = (math.erf((ob[-1] - sum_center) / scale)
+            - math.erf((ob[0] - sum_center) / scale)) / 2
+    if not (sum_center - 12 * sum_width < ob[-1]
+            and sum_center + 12 * sum_width > ob[0]):
+        fault = f"at sum_center={sum_center:g} misses the output grid's sum"
+    elif abs(diff_center) > 12 * diff_width and dd[1] > diff_width:
+        fault = f"exceeds diff_width={diff_width:g}, so its map cannot"
+    elif hold and kept < 0.999:
+        fault = f"keeps only {kept:.4g} of the sum intensity"
+    else:
+        grid = FrequencyGrid.for_scattering(coupling, pair, *shape,
+                                            hold=hold)
+        assert grid.omegabar.tobytes() == ob.tobytes()
+        assert grid.delta.tobytes() == dd.tobytes()
+        return
+    with pytest.raises(ValueError, match=re.escape(fault)):
+        FrequencyGrid.for_scattering(coupling, pair, *shape, hold=hold)
+
+
+@given(envelope=st.sampled_from(_RULE_ENVELOPES),
+       total_rate=st.floats(1e-4, 0.03),
+       omega0=st.sampled_from((0.7, 1.0, 1.3)),
+       shape=st.tuples(st.integers(2, 400), st.integers(2, 400)))
+# The emit default is silent for both analytic kinds; the coarse emits of
+# the command-line tests warn.
+@example(envelope=_RULE_ENVELOPES[0], total_rate=0.004, omega0=1.0,
+         shape=(1024, 512))
+@example(envelope=_RULE_ENVELOPES[1], total_rate=0.004, omega0=1.0,
+         shape=(1024, 512))
+@example(envelope=_RULE_ENVELOPES[0], total_rate=0.004, omega0=1.0,
+         shape=(32, 16))
+@example(envelope=_RULE_ENVELOPES[1], total_rate=0.004, omega0=1.0,
+         shape=(3, 5000))
+def test_grid_rule_of_the_default_emission_grid(envelope, total_rate, omega0,
+                                                shape):
+    # The grid warns exactly when the total emission probability read off
+    # it misses one by half a unit in its sixth printed decimal or more.
+    coupling = CouplingSpec.isotropic(total_rate, envelope, omega0)
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        grid = default_emission_grid(coupling, *shape)
+    ob, dd = _rule_axes(coupling, 10.0, 0.0, shape)
+    assert grid.omegabar.tobytes() == ob.tobytes()
+    assert grid.delta.tobytes() == dd.tobytes()
+    error = joint_spectrum(coupling, grid).total_probability() - 1.0
+    if abs(error) < 5e-7:
+        assert record == []
+        return
+    (warning,) = record
+    assert warning.category is TruncationWarning
+    message = str(warning.message)
+    assert message.startswith(f"the {shape[0]}x{shape[1]} emission grid"
+                              " cannot resolve the emitted line and envelope")
+    assert float(re.search(r"off by (\S+);", message)[1]) \
+        == pytest.approx(error, rel=1e-2)

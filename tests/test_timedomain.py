@@ -29,6 +29,7 @@ from quadwg import (
     with_arrival_delay,
 )
 from quadwg import timedomain
+from quadwg.emission import default_emission_grid
 from quadwg.spectral import (
     PAIRS,
     SeparableState,
@@ -91,19 +92,35 @@ def test_scattering_config_needs_the_band_to_hold_the_input():
 
 
 def test_factory_spans_and_steps():
-    # Both constructors against the expressions each once wrote out on its
-    # own, bit for bit: the grid call, the span (the input's delay and
-    # passage plus twelve inverse rates) and dt = 0.1 over the half band.
+    # Every grid constructor against the expressions each once wrote out on
+    # its own, bit for bit: FrequencyGrid.for_scattering of one width and
+    # of the resonant pair it stands for, default_emission_grid, and both
+    # time-domain constructors, whose span is the input's delay and passage
+    # plus twelve inverse rates and whose dt is 0.1 over the half band.
     four = {DirectionPair.PP: 0.003, DirectionPair.PM: 0.0005,
             DirectionPair.MP: 0.0005, DirectionPair.MM: 0.0011}
+    tabulated = Envelope.tabulated(0.004 * np.arange(6),
+                                   [1.0, 0.9 - 0.1j, 0.7, 0.4, 0.15, 0.0])
     couplings = [isotropic(0.02),
                  CouplingSpec.mirror(0.013, Envelope.gaussian(0.04), 0.9),
                  CouplingSpec(1.0, four, Envelope.gaussian(0.03)),
-                 CouplingSpec.isotropic(0.007, Envelope.lorentzian(0.02))]
+                 CouplingSpec.isotropic(0.007, Envelope.lorentzian(0.02)),
+                 CouplingSpec(1.3, four, tabulated)]
 
-    def same(cfg, grid, span, dt, delay):
-        assert cfg.grid.omegabar.tobytes() == grid.omegabar.tobytes()
-        assert cfg.grid.delta.tobytes() == grid.delta.tobytes()
+    def axes(cpl, width, n_omegabar, n_delta, half):
+        env, g = cpl.envelope, cpl.total_rate
+        reach = float(env.deltas[-1]) if env.deltas is not None \
+            else 10.0 * env.width
+        return (np.linspace(cpl.omega0 - half * g, cpl.omega0 + half * g,
+                            n_omegabar),
+                np.linspace(0.0, max(reach, 10.0 * width), n_delta))
+
+    def same_axes(grid, expected):
+        assert grid.omegabar.tobytes() == expected[0].tobytes()
+        assert grid.delta.tobytes() == expected[1].tobytes()
+
+    def same(cfg, expected, span, dt, delay):
+        same_axes(cfg.grid, expected)
         assert [t.hex() for t in cfg.t_span] == [0.0.hex(), span.hex()]
         assert (cfg.dt.hex(), cfg.arrival_delay.hex()) \
             == (dt.hex(), delay.hex())
@@ -111,16 +128,27 @@ def test_factory_spans_and_steps():
     for cpl in couplings:
         g = cpl.total_rate
         for width, half in [(g, 20.0), (0.3 * g, 30.0)]:
+            expected = axes(cpl, width, 64, 16, half)
             cfg = TimeDomainConfig.for_scattering(
                 cpl, width, n_omegabar=64, n_delta=16, halfwidth_rates=half)
             delay = 3.0 / width
-            same(cfg, FrequencyGrid.for_scattering(cpl, width, 64, 16, half),
-                 delay + 3.0 / width + 12.0 / g, 0.1 / (half * g), delay)
+            same(cfg, expected, delay + 3.0 / width + 12.0 / g,
+                 0.1 / (half * g), delay)
+            same_axes(FrequencyGrid.for_scattering(cpl, width, 64, 16, half),
+                      expected)
+            same_axes(FrequencyGrid.for_scattering(
+                cpl, (cpl.omega0, width, 0.0, width), 64, 16, half), expected)
         for kwargs, half in [({}, 40.0), ({"halfwidth_rates": 25.0}, 25.0)]:
             cfg = TimeDomainConfig.for_emission(cpl, n_omegabar=64,
                                                 n_delta=16, **kwargs)
-            same(cfg, FrequencyGrid.for_scattering(cpl, 0.0, 64, 16, half),
-                 12.0 / g, 0.1 / (half * g), 0.0)
+            same(cfg, axes(cpl, 0.0, 64, 16, half), 12.0 / g,
+                 0.1 / (half * g), 0.0)
+            # No input leaves nothing for the band to hold.
+            same_axes(FrequencyGrid.for_scattering(cpl, 0.0, 64, 16, half,
+                                                   hold=True),
+                      axes(cpl, 0.0, 64, 16, half))
+        same_axes(default_emission_grid(cpl, 2048, 1024),
+                  axes(cpl, 0.0, 2048, 1024, 10.0))
     cfg = TimeDomainConfig.for_scattering(couplings[0], 0.05)
     assert cfg.grid.shape == (256, 128)
     assert TimeDomainConfig.for_emission(couplings[0]).grid.shape == (512, 64)
