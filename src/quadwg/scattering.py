@@ -123,12 +123,13 @@ class ScatterOutput:
     def output_on(self, grid: FrequencyGrid) -> GridState:
         """Materialize the outgoing state on ``grid``; for a separable
         input, warn (``TruncationWarning``) where ``grid`` cuts the
-        envelope or misses the input's sum window (``_check_grid``)."""
+        envelope, misses the input's sum window or cannot resolve a
+        difference profile that reaches zero (``_check_grid``)."""
         state = self.input_state
         if not isinstance(state, SeparableState):
             return self._grid_out.on_grid(grid)
         _check_grid(grid, TruncationWarning, self.coupling.envelope,
-                    (self.coupling.omega0, state.f_window, None, None))
+                    (self.coupling.omega0, state.f_window, state, None))
         drive = self._kappa * self._w \
             * np.asarray(state.f(grid.omegabar), dtype=complex)
         return self._radiated(grid, state.on_grid(grid).data,

@@ -857,12 +857,27 @@ def _check_grid(grid: FrequencyGrid, fault: type, envelope: Envelope | None,
     an input's ``(omega0, sum_window, pair, rates)``: the sum axis meets
     ``sum_window``; the difference spacing resolves the profile of a
     Gaussian ``pair`` (as ``FrequencyGrid.for_scattering`` takes it) clear
-    of zero; and the sum axis, ``rates`` total rates about ``omega0``, keeps
-    ``ENVELOPE_COVER_FRACTION`` of the pair's sum intensity.  None skips."""
+    of zero; on a map's grid (no ``rates``) the trapezoid rule gives a
+    profile that reaches zero, of a Gaussian ``pair`` or of a separable
+    state ``pair``, its own mass to within ``1 - ENVELOPE_COVER_FRACTION``;
+    and the sum axis, ``rates`` total rates about ``omega0``, keeps
+    ``ENVELOPE_COVER_FRACTION`` of the pair's sum intensity.  None skips.
+    A time-domain band integrates its input as gridded and reads its
+    probabilities against the gridded norm, so it skips the mass check."""
     def report(message):
         if issubclass(fault, Warning):
             return warn(message, fault)
         raise fault(message)
+
+    def check_mass(h, window, mass, name):
+        if window[0] > 0 or rates is not None:
+            return
+        kept = float(np.trapezoid(np.abs(h(grid.delta)) ** 2, grid.delta))
+        if abs(kept - mass) > (1.0 - ENVELOPE_COVER_FRACTION) * mass:
+            report(f"the output grid's difference spacing {grid.d_delta:g}"
+                   f" gives {name} a trapezoid mass of {kept / mass:.4g}"
+                   " times its own, so its map cannot resolve it; raise"
+                   " n_delta or widen the profile")
 
     if envelope is not None:
         kept = envelope.half_line_mass(float(grid.delta[-1]))
@@ -880,6 +895,10 @@ def _check_grid(grid: FrequencyGrid, fault: type, envelope: Envelope | None,
                f" sum_center nearer omega0={omega0:g}")
     if pair is None:
         return
+    if isinstance(pair, SeparableState):
+        check_mass(pair.h, pair.h_window, pair._factor_masses()[1],
+                   "the input's difference profile")
+        return
     sum_center, sum_width, diff_center, diff_width = pair
     if (abs(diff_center) - _GAUSSIAN_REACH * diff_width > 0
             and grid.d_delta > diff_width):
@@ -889,6 +908,9 @@ def _check_grid(grid: FrequencyGrid, fault: type, envelope: Envelope | None,
                f" diff_center={diff_center:g}; raise n_delta to at least"
                f" {math.ceil(float(grid.delta[-1]) / diff_width) + 1} or"
                " bring diff_center nearer zero")
+    if diff_width > 0:
+        check_mass(*gaussian_difference_profile(diff_width, diff_center), 1.0,
+                   f"the difference profile of diff_width={diff_width:g}")
     if rates is None or sum_width == 0:
         return
     scale = sum_width * math.sqrt(2.0)

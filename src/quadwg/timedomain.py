@@ -38,12 +38,31 @@ time; nothing loops per step.  The result is the same Runge-Kutta map,
 including the slight numerical dissipation ``|R| < 1`` that the
 norm-drift check watches, not the exact exponential.
 
+The eigen-solve uses the arrowhead's structure, not a dense ``eigh``.  A
+row whose ``G`` is zero or negligible against ``||H||`` is deflated: its
+eigenpair is ``nu`` and its own unit vector.  The other eigenvalues are
+the roots of the secular equation ``lam - sum G^2 / (lam - nu) = 0``, one
+between each pair of neighbouring poles and one beyond each outer pole,
+within ``||G||``.  Each root is held as its distance ``tau`` from the
+nearer pole of its interval, picked by the sign of the secular function
+at the midpoint, so the differences that matter are exact.  A rational
+model, the near-pole term exact and the rest fitted by value and
+derivative, gives each step as the root of a quadratic; a step that leaves
+the bracket bisects it instead.  From the computed roots the couplings are
+recomputed (Gu and Eisenstat, SIAM J. Matrix Anal. Appl. 15, 1994), so
+the eigenvectors ``(1, G / (lam - nu))``, normalized, are orthogonal to
+rounding.  They are applied to states a block of roots at a time, real
+and imaginary parts apart, and never formed whole: the solve costs
+``O(N^2)`` time and ``O(N)`` times a block in memory, against ``O(N^3)``
+and ``O(N^2)`` for ``eigh`` of ``N`` rows.
+
 Memory: a run holds one four-channel array, the modes, plus per-row
-vectors and one channel's bright direction per distinct rate (one for an
-isotropic coupling, at most three).  Each direction is built once, in
-place over its coupling, and held for the run: it gives the row norms, the
-bright amplitudes, the dark split and the final state.  The dark remainder
-and the final state overwrite the modes in place.
+vectors, the step-power tables (``_POWER_BLOCK`` rows of the eigen and
+dark factors) and one channel's bright direction per distinct rate (one
+for an isotropic coupling, at most three).  Each direction is built once,
+in place over its coupling, and held for the run: it gives the row norms,
+the bright amplitudes, the dark split and the final state.  The dark
+remainder and the final state overwrite the modes in place.
 """
 
 from __future__ import annotations
@@ -78,7 +97,9 @@ NORM_DRIFT_TOLERANCE = 1e-4
 ASYMPTOTIC_RATE_SPAN = 10.0    # required (t1 - t0) * total_rate
 SETTLE_RATES = 12.0            # settling time after the input, in 1/total_rate
 RESIDUAL_EXCITATION = 1e-4
-_POWER_BLOCK = 128             # steps per table of stability-factor powers
+_POWER_BLOCK = 64              # steps per table of stability-factor powers
+_CAUCHY_BLOCK = 1 << 15        # entries of one block of the eigenvectors
+_SECULAR_ITERATIONS = 50       # cap on the iterations of one secular root
 
 
 @dataclass(frozen=True)
@@ -229,6 +250,173 @@ def _mode_setup(coupling: CouplingSpec, grid: FrequencyGrid):
     return root_weight, allowed, channel, nu
 
 
+def _arrowhead(G, nu, emitter, bright):
+    """Eigen-solve of the arrowhead ``H = [[0, G^T], [G, diag(nu)]]``, for
+    ``G >= 0`` and strictly increasing ``nu``, with ``H = V diag(lam) V^T``.
+
+    Returns ``lam``, the emitter row ``V[0]``, the components
+    ``V^T [emitter, bright]`` and a function that applies ``V[1:]`` to
+    components; ``V`` itself is never formed (the module note gives the
+    method).  The secular roots come first, then the deflated rows.
+    """
+    eps = np.finfo(float).eps
+    n = nu.size
+    # Deflation: a row whose G is zero, or negligible against ||H||, keeps
+    # the eigenpair (nu, its unit vector).
+    kept = G > 8.0 * eps * max(float(np.max(np.abs(nu))),
+                               math.sqrt(float(np.dot(G, G))))
+    p, g2 = nu[kept], G[kept] ** 2
+    m = p.size
+    if m == 0:
+        return (np.concatenate(([0.0], nu)), np.eye(1, n + 1)[0],
+                np.concatenate(([emitter], bright)), lambda comp: comp[1:])
+
+    # Root k lies between poles k - 1 and k; the outer two lie within
+    # ||G|| of the outer poles and of the emitter's 0.
+    reach = math.sqrt(float(np.sum(g2)))
+    left = np.concatenate(([min(p[0], 0.0) - reach], p))
+    right = np.concatenate((p, [max(p[-1], 0.0) + reach]))
+    roots = np.arange(m + 1)
+    below = np.maximum(roots - 1, 0)
+    above = np.minimum(roots, m - 1)
+    # Each root is held as tau from its origin pole; lam = p[origin] + tau
+    # in floats, with the exact differences to the two bracketing poles
+    # taken from tau.
+    origin, other = below, above
+    tau = 0.5 * (left + right) - p[origin]
+    lam = p[origin] + tau
+    rows = max(1, min(m + 1, _CAUCHY_BLOCK // m))
+
+    def cauchy(ks):
+        """``(slice, 1 / (lam - p))`` for the roots ``ks``, a block at a
+        time; the block is reused."""
+        work = np.empty((min(rows, ks.size), m))
+        for start in range(0, ks.size, rows):
+            k = ks[start:start + rows]
+            block = np.subtract.outer(lam[k], p, out=work[:k.size])
+            i = np.arange(k.size)
+            block[i, origin[k]] = tau[k]
+            block[i, other[k]] = tau[k] - (p[other[k]] - p[origin[k]])
+            yield slice(start, start + k.size), np.reciprocal(block,
+                                                              out=block)
+
+    def secular(ks):
+        """The secular function ``lam - sum G^2 / (lam - p)``, its
+        derivative and a bound on its rounding error, which counts the
+        resolution of ``tau``, at the roots ``ks``."""
+        f, df, err = np.empty(ks.size), np.empty(ks.size), np.empty(ks.size)
+        spare = np.empty((min(rows, ks.size), m))
+        for part, c in cauchy(ks):
+            f[part] = c @ g2
+            err[part] = np.abs(c, out=spare[:c.shape[0]]) @ g2
+            df[part] = np.square(c, out=c) @ g2
+        df += 1.0
+        return lam[ks] - f, df, np.abs(lam[ks]) + err + np.abs(tau[ks]) * df
+
+    # Shift each root's origin to its nearer pole, by the sign of the
+    # secular function (increasing between poles) at the midpoint; the
+    # midpoint halves the bracket.
+    f, df, _ = secular(roots)
+    positive = f > 0
+    low_half = positive.copy()
+    low_half[0], low_half[m] = False, True
+    origin = np.where(low_half, below, above)
+    other = np.where(low_half, above, below)
+    base = p[origin]
+    lo = np.where(positive, left, lam) - base
+    hi = np.where(positive, lam, right) - base
+    tau = lam - base
+    # The far end of each root's interval.
+    far = np.where(low_half, right, left) - base
+    near = g2[origin]
+    outer = (roots == 0) | (roots == m)
+    active = roots
+    for _ in range(_SECULAR_ITERATIONS):
+        a = active
+        t, zo, x = tau[a], near[a], far[a]
+        # Near-pole term -zo / t exact; the rest, R = f + zo / t, fitted
+        # by value and derivative at t: between poles as c + s / (x - t),
+        # with a pole at the other bracketing pole; outside them linearly.
+        rest = f[a] + zo / t
+        slope = df[a] - zo / (t * t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # c t'^2 - b t' + e = 0, its root between 0 and x.
+            s = slope * (x - t) ** 2
+            c = rest - s / (x - t)
+            b = c * x + zo + s
+            e = zo * x
+            q = 0.5 * (b + np.copysign(
+                np.sqrt(np.maximum(b * b - 4.0 * c * e, 0.0)), b))
+            step = e / q
+            step = np.where((step / x > 0) & (step / x < 1), step, q / c)
+            # slope t'^2 + (rest - slope t) t' - zo = 0, its root on x's side.
+            c = rest - slope * t
+            q = -0.5 * (c + np.copysign(np.sqrt(c * c + 4.0 * slope * zo), c))
+            step = np.where(outer[a], np.where((q > 0) == (x > 0), q / slope,
+                                               -zo / q), step)
+        # Bisection guard: a step outside the bracket halves it instead.
+        inside = (step > lo[a]) & (step < hi[a])
+        step = np.where(inside, step, 0.5 * (lo[a] + hi[a]))
+        moved = np.abs(step - t)
+        tau[a] = step
+        lam[a] = base[a] + step
+        # The iteration converges quadratically: a model step of at most
+        # sqrt(eps) |tau| leaves an error of order eps |tau|.  A bisection
+        # stops once it moves by a few ulp, and any root once the secular
+        # function is down to its rounding error.
+        a = a[moved > np.where(inside, math.sqrt(eps), 4.0 * eps)
+              * np.abs(step)]
+        f[a], df[a], err = secular(a)
+        active = a[np.abs(f[a]) > 8.0 * eps * err]
+        if not active.size:
+            break
+        t = tau[active]
+        lo[active] = np.where(f[active] < 0, t, lo[active])
+        hi[active] = np.where(f[active] > 0, t, hi[active])
+
+    # Gu-Eisenstat: the couplings for which lam are exact eigenvalues,
+    # z2_i = (p_i - lam_i) (lam_m - p_i) prod (p_i - lam_k) / (p_i - p_k)
+    # over the roots k < m other than i, every factor from tau.
+    gap = np.where(origin == roots, 0.0, p[other] - base) - tau
+    z2 = gap[:m] * (tau[m] + (p[m - 1] - p))
+    work = np.empty((min(rows, m), m))
+    for start in range(0, m, rows):
+        k = slice(start, min(m, start + rows))
+        ratio = np.subtract.outer(p[k], p, out=work[:k.stop - start])
+        ratio[np.arange(k.stop - start), roots[k]] = np.inf
+        np.divide(gap[k, None], ratio, out=ratio)
+        np.subtract(1.0, ratio, out=ratio)
+        z2 *= np.prod(ratio, axis=0)
+    del work
+    z = np.sqrt(z2)
+
+    # Eigenvectors (1, z / (lam_k - p)) normalized, applied a block of
+    # roots at a time, to real and imaginary parts apart.
+    row = np.empty(m + 1)
+    comp = np.empty(m + 1, dtype=complex)
+    x = z * bright[kept]
+    x = np.stack((x.real, x.imag), axis=1)
+    for part, c in cauchy(roots):
+        u = c @ x
+        row[part] = 1.0 / np.sqrt(1.0 + np.square(c, out=c) @ z2)
+        comp[part] = (emitter + (u[:, 0] + 1j * u[:, 1])) * row[part]
+
+    def expand(comp):
+        y = comp[:m + 1] * row
+        y = np.stack((y.real, y.imag), axis=1)
+        out = np.zeros((m, 2))
+        for part, c in cauchy(roots):
+            out += c.T @ y[part]
+        full = np.empty(n, dtype=complex)
+        full[kept] = z * (out[:, 0] + 1j * out[:, 1])
+        full[~kept] = comp[m + 1:]
+        return full
+
+    return (np.concatenate((lam, nu[~kept])),
+            np.concatenate((row, np.zeros(n - m))),
+            np.concatenate((comp, bright[~kept])), expand)
+
+
 def integrate(coupling: CouplingSpec,
               initial: ExcitedEmitter | SeparableState | GridState,
               config: TimeDomainConfig) -> Trajectory:
@@ -247,6 +435,11 @@ def integrate(coupling: CouplingSpec,
         raise ValueError(
             "dt too large for the grid bandwidth; "
             f"dt * max detuning must stay below {STABILITY_LIMIT}")
+    # The eigen-solve needs distinct detunings.
+    if not np.all(np.diff(nu) > 0):
+        raise ValueError(
+            "sum-frequency rows fall closer than the float resolution of"
+            " their detunings obar - omega0; use a coarser sum axis")
 
     if isinstance(initial, ExcitedEmitter):
         emitter = 1.0 + 0.0j
@@ -298,13 +491,9 @@ def integrate(coupling: CouplingSpec,
     times = t0 + dt * np.arange(steps + 1)
 
     # Emitter and bright amplitudes in the eigenbasis of the arrowhead H.
-    h = np.diag(np.concatenate(([0.0], nu)))
-    h[0, 1:] = h[1:, 0] = G
-    lam, vec = np.linalg.eigh(h)
-    del h
+    lam, emitter_row, comp, expand = _arrowhead(G, nu, emitter, bright)
     growth = _rk4_factor(-1j * lam * dt)
     dark_step = _rk4_factor(-1j * nu * dt)
-    comp = vec.T @ np.concatenate(([emitter], bright))
     # Norm: eigencomponent and dark-row weights, each fading per step.
     fade = np.abs(np.concatenate((growth, dark_step))) ** 2
     weights = np.concatenate((np.abs(comp) ** 2, dark_weight))
@@ -321,14 +510,13 @@ def integrate(coupling: CouplingSpec,
     norms[0] = norm0
     for start in range(1, steps + 1, _POWER_BLOCK):
         n = min(_POWER_BLOCK, steps + 1 - start)
-        trace[start:start + n] = table[:n] @ (vec[0] * comp)
+        trace[start:start + n] = table[:n] @ (emitter_row * comp)
         norms[start:start + n] = fade_table[:n] @ weights
         comp = comp * table[n - 1]
         weights = weights * fade_table[n - 1]
-    del table, fade_table   # vec[1:] @ comp below copies vec to complex
+    del table, fade_table
 
-    bright = vec[1:] @ comp
-    del vec
+    bright = expand(comp)
     dark_fade = (dark_step ** steps)[:, None]
     for d, m in zip(bright_dir, modes):
         m *= dark_fade

@@ -18,6 +18,8 @@ settings.register_profile("suite", deadline=None, max_examples=50,
 # pytest tests/test_quadpack.py --hypothesis-profile=parity
 # pytest tests/test_entanglement.py --hypothesis-profile=parity
 # pytest tests/test_timedomain.py --hypothesis-profile=parity
+# (the arrowhead eigen-solver and integration against dense eigh alone:
+# pytest tests/test_timedomain.py -k dense_eigh --hypothesis-profile=parity)
 # pytest tests/test_emission.py --hypothesis-profile=parity
 # the grid rule against the constructors' own expressions and P_total:
 # pytest tests/test_spectral.py -k grid_rule --hypothesis-profile=parity

@@ -657,12 +657,31 @@ def test_scatter_map_must_resolve_a_difference_profile_clear_of_zero(
             "--set", "n_omegabar=16", "--set", "n_delta=8"], capsys)
 
 
+@pytest.mark.parametrize("width, mass", [("1e-5", "62.83"),
+                                         ("5e-4", "1.274")])
+def test_scatter_rejects_a_difference_profile_its_axis_cannot_resolve(
+        tmp_path, capsys, width, mass):
+    # A centred profile far narrower than the 0.0016 spacing: 1e-5 once
+    # mapped every amplitude to delta = 0 and exited 0.  The pinned 16 x 8
+    # run at diff_center=0.01 gives 1.00002 and the defaults 1.000000.
+    assert cli.run(["scatter", "--outdir", str(tmp_path), "--set",
+                    f"diff_width={width}"]) == 1
+    assert capsys.readouterr().err == (
+        "error: the output grid's difference spacing 0.0015748 gives the"
+        f" difference profile of diff_width={float(width):g} a trapezoid"
+        f" mass of {mass} times its own, so its map cannot resolve it;"
+        " raise n_delta or widen the profile\n")
+    assert not (tmp_path / "scatter.csv").exists()
+
+
 @pytest.mark.parametrize("overrides, delta_max", [
     # A sum width of 1e152 once stretched the 32 differences to 1e153,
     # every row past the first a pair 5e152 apart.
     (("sum_width=1e152",), 0.2),
     (("diff_width=0.05",), 0.5),
-    (("diff_width=0.001", "diff_center=0.004"), 0.2),
+    # n_delta=256 spaces differences 0.78 diff_widths apart: 32 would map
+    # the profile to a trapezoid mass of 0.129 and exit 1.
+    (("diff_width=0.001", "diff_center=0.004", "n_delta=256"), 0.2),
 ])
 def test_scatter_sizes_its_difference_axis_from_the_difference_profile(
         tmp_path, capsys, overrides, delta_max):

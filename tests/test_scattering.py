@@ -302,7 +302,9 @@ def test_kept_integrals_follow_the_coupling():
             GAMMA, Envelope.tabulated(deltas, [0.2, 1.0, 0.5j, 0.0])),
         isotropic(),
     ]
-    grid = FrequencyGrid.regular(1.0, 0.05, 0.1, 16, 8)
+    # 40 differences resolve the input's difference profile (width 0.003);
+    # at 8 its trapezoid mass reads 1.111 and every output_on warns.
+    grid = FrequencyGrid.regular(1.0, 0.05, 0.1, 16, 40)
     shared = fresh()
     seen = set()
     for coupling in couplings:
@@ -352,7 +354,8 @@ def test_direct_scatter_output_of_grid_state_equals_scatter():
     direct = scattering.ScatterOutput(cpl, state)
     via = scatter(cpl, state)
     assert direct.output_on(grid).data.tobytes() == via.output_on(grid).data.tobytes()
-    other = FrequencyGrid.for_scattering(cpl, 0.02, 12, 6)
+    # Six differences 0.04 apart give the profile 1.014 of its mass.
+    other = FrequencyGrid.for_scattering(cpl, 0.02, 12, 9)
     assert direct.output_on(other).data.tobytes() \
         == via.output_on(other).data.tobytes()
 
@@ -553,6 +556,30 @@ def test_separable_output_warns_when_its_grid_misses_the_sum_window():
     # A window that reaches into the axis is mapped without a word.
     near = scatter(coupling, gaussian_biphoton(DirectionPair.PP, 1.3, 0.02))
     assert np.max(np.abs(near.output_on(grid).data)) > 0
+
+
+def test_separable_output_warns_on_an_unresolved_difference_profile():
+    # A centred difference profile far narrower than the spacing: the map
+    # put all of it on delta = 0, 62.8 times its own mass, without a word.
+    coupling = isotropic(0.004)
+    f, f_window = spectral.gaussian_sum_spectrum(1.0, 0.02)
+    grid = FrequencyGrid.for_scattering(coupling, 0.02, 32, 128)
+    for width, mass in [(1e-5, "62.83"), (5e-4, "1.274")]:
+        h, h_window = gaussian_difference_profile(width)
+        result = scatter(coupling, SeparableState(DirectionPair.PP, f, h,
+                                                  f_window, h_window))
+        with pytest.warns(TruncationWarning) as record:
+            result.output_on(grid)
+        assert [str(w.message) for w in record] == [
+            "the output grid's difference spacing 0.0015748 gives the"
+            f" input's difference profile a trapezoid mass of {mass} times"
+            " its own, so its map cannot resolve it; raise n_delta or widen"
+            " the profile"]
+        assert record[0].filename == __file__
+    # The scatter command's default profile, 0.02 wide, is mapped silently.
+    h, h_window = gaussian_difference_profile(0.02)
+    scatter(coupling, SeparableState(DirectionPair.PP, f, h, f_window,
+                                     h_window)).output_on(grid)
 
 
 def _one_node_quad(fn, lo, hi, points):

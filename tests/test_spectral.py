@@ -1078,6 +1078,10 @@ def test_grid_rule_keeps_the_axes_or_names_the_quantity(
         fault = f"at sum_center={sum_center:g} misses the output grid's sum"
     elif abs(diff_center) > 12 * diff_width and dd[1] > diff_width:
         fault = f"exceeds diff_width={diff_width:g}, so its map cannot"
+    elif not hold and abs(diff_center) <= 12 * diff_width and abs(
+            np.trapezoid(np.abs(gaussian_difference_profile(
+                diff_width, diff_center)[0](dd)) ** 2, dd) - 1.0) > 1e-3:
+        fault = f"gives the difference profile of diff_width={diff_width:g}"
     elif hold and kept < 0.999:
         fault = f"keeps only {kept:.4g} of the sum intensity"
     else:

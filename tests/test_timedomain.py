@@ -39,9 +39,11 @@ from quadwg.spectral import (
     resonance_denominator,
 )
 from quadwg.timedomain import (
+    _CAUCHY_BLOCK,
     _POWER_BLOCK,
     NORM_DRIFT_TOLERANCE,
     STABILITY_LIMIT,
+    _arrowhead,
     _mode_setup,
     _rk4_factor,
     _trapezoid_weights,
@@ -134,10 +136,13 @@ def test_factory_spans_and_steps():
             delay = 3.0 / width
             same(cfg, expected, delay + 3.0 / width + 12.0 / g,
                  0.1 / (half * g), delay)
-            same_axes(FrequencyGrid.for_scattering(cpl, width, 64, 16, half),
-                      expected)
+            # With hold, as the time domain asks: a map's grid of 16
+            # differences cannot resolve the narrower inputs' profiles.
+            same_axes(FrequencyGrid.for_scattering(cpl, width, 64, 16, half,
+                                                   hold=True), expected)
             same_axes(FrequencyGrid.for_scattering(
-                cpl, (cpl.omega0, width, 0.0, width), 64, 16, half), expected)
+                cpl, (cpl.omega0, width, 0.0, width), 64, 16, half,
+                hold=True), expected)
         for kwargs, half in [({}, 40.0), ({"halfwidth_rates": 25.0}, 25.0)]:
             cfg = TimeDomainConfig.for_emission(cpl, n_omegabar=64,
                                                 n_delta=16, **kwargs)
@@ -160,6 +165,16 @@ def test_step_limit_guards_grid_bandwidth():
     config = TimeDomainConfig(grid, (0.0, 100.0), 0.26)  # limit is 0.25
     with pytest.raises(ValueError):
         integrate(cpl, ExcitedEmitter(), config)
+
+
+def test_rows_that_share_a_detuning_are_rejected():
+    # Rows 5e-25 apart at 1e-9 are distinct, yet obar - omega0 rounds them
+    # all to -1: the arrowhead's poles would coincide.
+    grid = FrequencyGrid(1e-9 + 5e-25 * np.arange(3),
+                         np.linspace(0.0, 1e-9, 3))
+    config = TimeDomainConfig(grid, (0.0, 1.0), 0.05)
+    with pytest.raises(ValueError, match="float resolution"):
+        integrate(isotropic(0.02), ExcitedEmitter(), config)
 
 
 def test_arrival_delay_is_a_pure_phase():
@@ -651,9 +666,21 @@ def test_oracle_probabilities_equal_reference_bitwise():
 # time, in place.  The functions below are frozen copies of the
 # expressions they replaced, which held the four-channel coupling, its
 # bright directions and every intermediate state as (4, n_omegabar,
-# n_delta) arrays.  The library must reproduce them bit for bit.
+# n_delta) arrays.  The library must reproduce them bit for bit.  The
+# integration copy takes its eigen-solve from ``solve``: the library's
+# arrowhead solver for the bits, or dense ``eigh`` for the reference that
+# solver replaced.
 
-def _four_channel_integrate(coupling, initial, config):
+def _dense_arrowhead(G, nu, emitter, bright):
+    """``_arrowhead`` by dense ``eigh`` of the whole arrowhead."""
+    h = np.diag(np.concatenate(([0.0], nu)))
+    h[0, 1:] = h[1:, 0] = G
+    lam, vec = np.linalg.eigh(h)
+    comp = vec.T @ np.concatenate(([emitter], bright))
+    return lam, vec[0], comp, lambda comp: vec[1:] @ comp
+
+
+def _four_channel_integrate(coupling, initial, config, solve=_arrowhead):
     grid = config.grid
     ob, dd = grid.omegabar, grid.delta
     weight = _trapezoid_weights(grid)
@@ -686,12 +713,9 @@ def _four_channel_integrate(coupling, initial, config):
     t0, t1 = config.t_span
     steps = max(1, int(math.ceil((t1 - t0) / config.dt)))
     dt = (t1 - t0) / steps
-    h = np.diag(np.concatenate(([0.0], nu)))
-    h[0, 1:] = h[1:, 0] = G
-    lam, vec = np.linalg.eigh(h)
+    lam, emitter_row, comp, expand = solve(G, nu, emitter, bright)
     growth = _rk4_factor(-1j * lam * dt)
     dark_step = _rk4_factor(-1j * nu * dt)
-    comp = vec.T @ np.concatenate(([emitter], bright))
     fade = np.abs(np.concatenate((growth, dark_step))) ** 2
     weights = np.concatenate((np.abs(comp) ** 2, dark_weight))
     table = np.cumprod(np.broadcast_to(growth, (_POWER_BLOCK, growth.size)),
@@ -704,11 +728,11 @@ def _four_channel_integrate(coupling, initial, config):
     norms[0] = norm0
     for start in range(1, steps + 1, _POWER_BLOCK):
         n = min(_POWER_BLOCK, steps + 1 - start)
-        trace[start:start + n] = table[:n] @ (vec[0] * comp)
+        trace[start:start + n] = table[:n] @ (emitter_row * comp)
         norms[start:start + n] = fade_table[:n] @ weights
         comp = comp * table[n - 1]
         weights = weights * fade_table[n - 1]
-    bright = vec[1:] @ comp
+    bright = expand(comp)
     modes = dark * (dark_step ** steps)[None, :, None] \
         + bright_dir * bright[None, :, None]
     return trace, norms, modes / np.sqrt(weight)[None, :, :]
@@ -747,12 +771,15 @@ def _steps_around_power_blocks():
 
 
 @st.composite
-def parity_cases(draw):
+def parity_cases(draw, underflow=False):
     """A coupling, a grid, an initial state and a step count: three
     envelope kinds; isotropic, mirror and four-value rates, zeros among
     them; grids whose low sum rows lie below zero or below the envelope
     support, so that some rows are uncoupled; emitter, separable and grid
-    inputs, the last on the integration grid or on another one."""
+    inputs, the last on the integration grid or on another one.  With
+    ``underflow``, a tabulated envelope may open with samples of 1e-170,
+    whose squares underflow: low rows that reach only those couple through
+    ``G = 0`` on a nonzero ``g``."""
     omega0 = draw(st.floats(0.05, 2.0))
     total = omega0 * draw(st.floats(1e-3, 0.04))
     width = total * draw(st.floats(0.3, 10.0))
@@ -763,6 +790,9 @@ def parity_cases(draw):
         values = draw(st.lists(
             st.builds(complex, st.floats(0.1, 1.0), st.floats(-1.0, 1.0)),
             min_size=n, max_size=n))
+        if underflow and draw(st.booleans()):
+            tiny = draw(st.integers(1, n - 1))
+            values[:tiny] = [1e-170] * tiny
         envelope = Envelope.tabulated(start + width * np.arange(n), values)
     else:
         envelope = getattr(Envelope, kind)(width)
@@ -839,6 +869,163 @@ def test_integrate_and_scatter_have_the_four_channel_bits(case):
         out = scatter(coupling, initial).output_on(grid)
         assert _bits(out.data) == _bits(
             _four_channel_output(coupling, initial, grid))
+
+
+# -- The arrowhead solver against dense ``eigh`` --------------------------
+#
+# ``integrate`` takes the eigenpairs of its arrowhead from the secular
+# equation; its results must agree with dense ``eigh`` of the whole
+# arrowhead to 1e-12.  On drawn cases that is 1e-12 of the state's norm,
+# the scale of both solvers' rounding: an output far smaller than the state
+# it comes from carries that rounding too (a final state 1e-4 of its norm
+# read 2e-12 of its largest value apart, each solver 2e-16 from a 40-digit
+# reference).  At the oracle's runs it is 1e-12 of each array's largest
+# value.
+
+def _gap(got, expected, scale):
+    """Largest difference over ``scale``; absolute where that is zero."""
+    return float(np.max(np.abs(got - expected))) / (scale or 1.0)
+
+
+def _arrowhead_inputs(coupling, initial, config):
+    """The arguments of the eigen-solve of a run, or None for an input of
+    zero norm."""
+    seen = []
+
+    def spy(*args):
+        seen.append(args)
+        return _arrowhead(*args)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        if isinstance(_outcome(lambda: _four_channel_integrate(
+                coupling, initial, config, solve=spy)), str):
+            return None
+    return seen[0]
+
+
+def _cluster_sums(values, ids):
+    """Sums of ``values`` over the eigenvalue clusters ``ids``: a sum over
+    a cluster does not depend on the basis within it, which ``eigh`` picks
+    as it likes for eigenvalues closer than its accuracy resolves."""
+    values = np.asarray(values, dtype=complex)
+    return np.bincount(ids, values.real) + 1j * np.bincount(ids, values.imag)
+
+
+@given(parity_cases(underflow=True))
+@settings(suppress_health_check=[HealthCheck.too_slow])
+def test_arrowhead_solver_matches_dense_eigh(case):
+    # Eigenvalues against ||H||; the squared emitter row (a unit vector's)
+    # and the squared components V^T x against |x|^2, both free of each
+    # eigenvector's sign; V applied to components carried through the
+    # run's steps against |x|.
+    args = _arrowhead_inputs(*case)
+    if args is None:
+        return
+    lam, row, comp, expand = _arrowhead(*args)
+    dense_lam, dense_row, dense_comp, dense_expand = _dense_arrowhead(*args)
+    norm = math.sqrt(abs(args[2]) ** 2 + float(np.vdot(args[3], args[3]).real))
+    order = np.argsort(lam)
+    scale = float(np.max(np.abs(dense_lam)))
+    assert _gap(lam[order], dense_lam, scale) <= 1e-12
+    ids = np.concatenate(([0], np.cumsum(np.diff(dense_lam) > 1e-3 * scale)))
+    assert _gap(_cluster_sums(row[order] ** 2, ids),
+                _cluster_sums(dense_row ** 2, ids), 1.0) <= 1e-12
+    assert _gap(_cluster_sums(comp[order] ** 2, ids),
+                _cluster_sums(dense_comp ** 2, ids), norm ** 2) <= 1e-12
+    config = case[2]
+    steps = max(1, math.ceil((config.t_span[1] - config.t_span[0])
+                             / config.dt))
+    dt = (config.t_span[1] - config.t_span[0]) / steps
+    assert _gap(
+        expand(comp * _rk4_factor(-1j * lam * dt) ** steps),
+        dense_expand(dense_comp * _rk4_factor(-1j * dense_lam * dt) ** steps),
+        norm) <= 1e-12
+
+
+def _dense_eigh_pairs(coupling, initial, config):
+    """``integrate``'s trace, norms and weighted final state, each with the
+    four-channel copy's on dense ``eigh``, and the input norm; None where
+    both fail alike (the copy has no drift guard)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        expected = _outcome(lambda: _four_channel_integrate(
+            coupling, initial, config, solve=_dense_arrowhead))
+        traj = _outcome(lambda: integrate(coupling, initial, config))
+    if isinstance(expected, str):
+        assert traj == expected
+        return None
+    trace, norms, final = expected
+    if isinstance(traj, str):
+        # Only the norm-drift guard may stop a run the copy finished.
+        assert "norm drifted" in traj
+        assert np.max(np.abs(norms - norms[0])) / norms[0] \
+            > NORM_DRIFT_TOLERANCE
+        return None
+    root_weight = np.sqrt(_trapezoid_weights(config.grid))
+    return [(traj.emitter_amplitude, trace), (traj.norm_history, norms),
+            (traj.final_state.data * root_weight, final * root_weight)], \
+        norms[0]
+
+
+@given(parity_cases(underflow=True))
+@settings(suppress_health_check=[HealthCheck.too_slow])
+def test_integrate_matches_a_dense_eigh_integration(case):
+    result = _dense_eigh_pairs(*case)
+    if result is None:
+        return
+    (trace, norms, final), norm0 = result
+    assert _gap(*trace, math.sqrt(norm0)) <= 1e-12
+    assert _gap(*norms, norm0) <= 1e-12
+    assert _gap(*final, math.sqrt(norm0)) <= 1e-12
+
+
+def _oracle_configurations():
+    """The benchmark's oracle runs: verify's, the emitter decay on a
+    256x32 emission grid, and the 128x16 pair at dt and dt / 2."""
+    cpl, state, verify = _verify_case(1)
+    decay = TimeDomainConfig.for_emission(cpl, n_omegabar=256, n_delta=32)
+    pair = TimeDomainConfig.for_scattering(cpl, 0.02, n_omegabar=128,
+                                           n_delta=16)
+    delayed = with_arrival_delay(gaussian_biphoton(DirectionPair.PP, 1.0,
+                                                   0.02),
+                                 1.0, pair.arrival_delay)
+    halved = TimeDomainConfig(pair.grid, pair.t_span, pair.dt / 2)
+    return {"verify": (cpl, state, verify),
+            "decay": (cpl, ExcitedEmitter(), decay),
+            "pair": (cpl, delayed, pair),
+            "pair-halved": (cpl, delayed, halved)}
+
+
+@pytest.mark.parametrize("run", ["verify", "decay", "pair", "pair-halved"])
+def test_integrate_matches_a_dense_eigh_integration_at_the_oracle_runs(run):
+    pairs, _ = _dense_eigh_pairs(*_oracle_configurations()[run])
+    for got, expected in pairs:
+        assert _gap(got, expected, float(np.max(np.abs(expected)))) <= 1e-12
+
+
+def test_arrowhead_solver_holds_no_dense_matrix():
+    # verify's arrowhead at 1,025 rows.  The solve and both projections
+    # peaked at 0.92 MB: two blocks of _CAUCHY_BLOCK entries of the
+    # eigenvectors (0.26 MB each) and vectors of the rows.  Dense eigh and
+    # its projections peaked at 33.7 MB, four matrices of 1,025^2 doubles.
+    cpl = isotropic(0.004, width=0.02)
+    grid = TimeDomainConfig.for_scattering(cpl, 0.02, n_omegabar=1024,
+                                           n_delta=32).grid
+    _, _, channel, nu = _mode_setup(cpl, grid)
+    G = np.sqrt(4.0 * np.sum(np.abs(channel(DirectionPair.PP)) ** 2,
+                             axis=1))
+    bright = np.exp(1j * np.arange(nu.size)) * G
+    tracemalloc.start()
+    try:
+        _, _, comp, expand = _arrowhead(G, nu, 0.5, bright)
+        expand(comp)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block = 8 * _CAUCHY_BLOCK
+    matrix = 8 * (nu.size + 1) ** 2
+    assert peak < 4 * block < matrix / 8
 
 
 def _count_coupling_builds(monkeypatch):
@@ -943,8 +1130,9 @@ def test_integrate_holds_one_four_channel_array():
     # verify's grid and one 16 times larger.  The four-channel expressions
     # peaked at 7.6 and 7.0 arrays; one channel at a time, the modes are
     # the one array, and the rest is one channel's bright direction per
-    # distinct rate (verify 2.48 and 2.40 arrays, three rates 2.98 and
-    # 2.90) or per row.
+    # distinct rate or per row.  With dense eigh the peaks read 2.48 and
+    # 2.40 arrays (three rates 2.98 and 2.90); with the arrowhead solver
+    # and 64-step power tables, 1.89 and 1.66 (2.39 and 2.16).
     for case in (_verify_case, _three_rate_case):
         peaks = []
         for scale in (1, 4):
