@@ -35,7 +35,7 @@ import numpy as np
 from . import emission, entanglement, gate, scattering, spectral, timedomain
 from .errors import _NumericalFailure
 from .spectral import (_CHUNK_POINTS, CouplingSpec, DirectionPair, Envelope,
-                       FrequencyGrid, _row_chunks)
+                       FrequencyGrid, _first_alike, _row_chunks)
 
 __all__ = ["run", "main", "print_defaults", "ConfigError"]
 
@@ -473,13 +473,6 @@ def _joint_lines(label: str, w1, w2, amps, buf: bytearray | None = None):
     return _g12_lines(x, (",", f",{label},", ",", ",", "\n"), buf)
 
 
-def _first_alike(channels: Sequence[np.ndarray]) -> tuple[int, ...]:
-    """For each of ``channels``, the index of the first one with its bits."""
-    bits = [np.ascontiguousarray(c).view(np.uint64) for c in channels]
-    return tuple(next(j for j in range(i + 1) if np.array_equal(b, bits[j]))
-                 for i, b in enumerate(bits))
-
-
 def _write_joint_csv(path: str, grid: FrequencyGrid,
                      block: Callable[[DirectionPair, slice], np.ndarray],
                      omega0: float, first: Sequence[int]) -> None:
@@ -752,6 +745,9 @@ def _cmd_verify(cfg, outdir) -> tuple[str, int]:
     coupling = _coupling_from(cfg)
     width = _as_float(cfg, "input_width")
     tol = _as_float(cfg, "tolerance")
+    if not tol > 0:   # no relative difference is below it
+        raise ConfigError(f"key 'tolerance': value must be positive, got"
+                          f" {cfg['tolerance']!r}")
     config = timedomain.TimeDomainConfig.for_scattering(
         coupling, width,
         _as_int(cfg, "n_omegabar"), _as_int(cfg, "n_delta"))

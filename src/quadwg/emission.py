@@ -28,6 +28,7 @@ from .spectral import (
     FrequencyGrid,
     GridState,
     _check_emission_grid,
+    _first_alike,
     _total_probability,
     _row_chunks,
     resonance_denominator,
@@ -200,9 +201,9 @@ class EmissionSpectrum:
         ob, dd = self.grid.omegabar[:, None], self.grid.delta[None, :]
         factors = tuple(_amplitude_factors(self.coupling, pair, ob, dd)
                         for pair in PAIRS)
-        bits = [tuple(f.tobytes() for f in pair) for pair in factors]
         object.__setattr__(self, "_factors", factors)
-        object.__setattr__(self, "_first", tuple(map(bits.index, bits)))
+        object.__setattr__(self, "_first", _first_alike(
+            [np.concatenate([f.ravel() for f in pair]) for pair in factors]))
 
     def block(self, pair: DirectionPair, rows=slice(None)) -> np.ndarray:
         """Amplitudes of channel ``pair`` on the sum-frequency ``rows``."""

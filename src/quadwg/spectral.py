@@ -382,11 +382,16 @@ class FrequencyGrid:
         of an analytic envelope, the last sample of a tabulated one) and
         ten times ``max(diff_width, |diff_center|)`` of the input ``pair``,
         ``(sum_center, sum_width, diff_center, diff_width)`` or one width
-        for the resonant pair of that width (0 for none).  ``_check_grid``
-        raises ``ValueError`` where it fails the pair (with ``hold``, also
-        where it cuts the pair's sum intensity)."""
+        for the resonant pair of that width (0 for none).  A field that is
+        not finite, a negative width, and a grid that fails the pair raise
+        ``ValueError`` (``_check_grid``; ``hold`` adds the sum intensity)."""
         if not isinstance(pair, tuple):
             pair = (coupling.omega0, pair, 0.0, pair)
+        for i, name in enumerate(("sum_center", "sum_width", "diff_center",
+                                  "diff_width")):
+            _check_finite(name, pair[i])
+            if i % 2 and pair[i] < 0:
+                raise ValueError(f"{name} must be nonnegative, got {pair[i]!r}")
         env = coupling.envelope
         if env.kind is EnvelopeKind.TABULATED:
             reach = float(env.deltas[-1])
@@ -420,13 +425,10 @@ class FrequencyGrid:
 
     def integrate(self, values: np.ndarray) -> float | np.ndarray:
         """Trapezoid over both axes (last two axes)."""
-        inner = np.trapezoid(values, self.delta, axis=-1)
-        return np.trapezoid(inner, self.omegabar, axis=-1)
+        return np.trapezoid(self.integrate_delta(values), self.omegabar)
 
     def same_axes(self, other: "FrequencyGrid") -> bool:
-        return (self.omegabar.shape == other.omegabar.shape
-                and self.delta.shape == other.delta.shape
-                and np.array_equal(self.omegabar, other.omegabar)
+        return (np.array_equal(self.omegabar, other.omegabar)
                 and np.array_equal(self.delta, other.delta))
 
 
@@ -443,6 +445,13 @@ def _row_chunks(grid: FrequencyGrid) -> list[slice]:
     step = max(1, _CHUNK_POINTS // grid.delta.size)
     return [slice(start, start + step)
             for start in range(0, grid.omegabar.size, step)]
+
+
+def _first_alike(channels: Sequence[np.ndarray]) -> tuple[int, ...]:
+    """For each of ``channels``, the index of the first one with its bits."""
+    bits = [np.ascontiguousarray(c).view(np.uint64) for c in channels]
+    return tuple(next(j for j in range(i + 1) if np.array_equal(b, bits[j]))
+                 for i, b in enumerate(bits))
 
 
 def _saturating_quotient(square, scale: float):
@@ -854,30 +863,17 @@ def _check_grid(grid: FrequencyGrid, fault: type, envelope: Envelope | None,
     """Raise ``fault``, or issue it if a warning class, for each way
     ``grid`` fails what it carries.  The difference axis keeps
     ``ENVELOPE_COVER_FRACTION`` of the mass of ``envelope``.  ``support`` is
-    an input's ``(omega0, sum_window, pair, rates)``: the sum axis meets
-    ``sum_window``; the difference spacing resolves the profile of a
-    Gaussian ``pair`` (as ``FrequencyGrid.for_scattering`` takes it) clear
-    of zero; on a map's grid (no ``rates``) the trapezoid rule gives a
-    profile that reaches zero, of a Gaussian ``pair`` or of a separable
-    state ``pair``, its own mass to within ``1 - ENVELOPE_COVER_FRACTION``;
+    an input's ``(omega0, sum_window, pair, rates)``, ``pair`` a separable
+    state or a Gaussian pair as ``FrequencyGrid.for_scattering`` takes it:
+    the sum axis meets ``sum_window``; on every grid, a Gaussian profile
+    clear of zero has a spacing within its width, and a profile that reaches
+    zero a trapezoid mass within ``1 - ENVELOPE_COVER_FRACTION`` of its own;
     and the sum axis, ``rates`` total rates about ``omega0``, keeps
-    ``ENVELOPE_COVER_FRACTION`` of the pair's sum intensity.  None skips.
-    A time-domain band integrates its input as gridded and reads its
-    probabilities against the gridded norm, so it skips the mass check."""
+    ``ENVELOPE_COVER_FRACTION`` of the pair's sum intensity.  None skips."""
     def report(message):
         if issubclass(fault, Warning):
             return warn(message, fault)
         raise fault(message)
-
-    def check_mass(h, window, mass, name):
-        if window[0] > 0 or rates is not None:
-            return
-        kept = float(np.trapezoid(np.abs(h(grid.delta)) ** 2, grid.delta))
-        if abs(kept - mass) > (1.0 - ENVELOPE_COVER_FRACTION) * mass:
-            report(f"the output grid's difference spacing {grid.d_delta:g}"
-                   f" gives {name} a trapezoid mass of {kept / mass:.4g}"
-                   " times its own, so its map cannot resolve it; raise"
-                   " n_delta or widen the profile")
 
     if envelope is not None:
         kept = envelope.half_line_mass(float(grid.delta[-1]))
@@ -893,24 +889,31 @@ def _check_grid(grid: FrequencyGrid, fault: type, envelope: Envelope | None,
                f"{(lo + hi) / 2:g} misses the output grid's sum axis"
                f" [{ob[0]:g}, {ob[-1]:g}], so its map would be empty; bring"
                f" sum_center nearer omega0={omega0:g}")
-    if pair is None:
-        return
+    sum_width, profile = 0.0, None
     if isinstance(pair, SeparableState):
-        check_mass(pair.h, pair.h_window, pair._factor_masses()[1],
+        profile = (pair.h, pair.h_window, pair._factor_masses()[1],
                    "the input's difference profile")
-        return
-    sum_center, sum_width, diff_center, diff_width = pair
-    if (abs(diff_center) - _GAUSSIAN_REACH * diff_width > 0
-            and grid.d_delta > diff_width):
-        report(f"the output grid's difference spacing {grid.d_delta:g}"
-               f" exceeds diff_width={diff_width:g}, so its map cannot"
-               " resolve the difference profile at"
-               f" diff_center={diff_center:g}; raise n_delta to at least"
-               f" {math.ceil(float(grid.delta[-1]) / diff_width) + 1} or"
-               " bring diff_center nearer zero")
-    if diff_width > 0:
-        check_mass(*gaussian_difference_profile(diff_width, diff_center), 1.0,
-                   f"the difference profile of diff_width={diff_width:g}")
+    else:
+        sum_center, sum_width, diff_center, diff_width = pair
+        if diff_width > 0:
+            profile = (*gaussian_difference_profile(diff_width, diff_center),
+                       1.0, f"the difference profile of diff_width={diff_width:g}")
+    if profile is not None:
+        h, window, mass, name = profile
+        if window[0] <= 0:
+            kept = float(np.trapezoid(np.abs(h(grid.delta)) ** 2, grid.delta))
+            if abs(kept - mass) > (1.0 - ENVELOPE_COVER_FRACTION) * mass:
+                report(f"the output grid's difference spacing {grid.d_delta:g}"
+                       f" gives {name} a trapezoid mass of {kept / mass:.4g}"
+                       " times its own, so its map cannot resolve it; raise"
+                       " n_delta or widen the profile")
+        elif isinstance(pair, tuple) and grid.d_delta > diff_width:
+            report(f"the output grid's difference spacing {grid.d_delta:g}"
+                   f" exceeds diff_width={diff_width:g}, so its map cannot"
+                   " resolve the difference profile at"
+                   f" diff_center={diff_center:g}; raise n_delta to at least"
+                   f" {math.ceil(float(grid.delta[-1]) / diff_width) + 1} or"
+                   " bring diff_center nearer zero")
     if rates is None or sum_width == 0:
         return
     scale = sum_width * math.sqrt(2.0)

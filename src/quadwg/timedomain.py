@@ -147,9 +147,9 @@ class TimeDomainConfig:
                        halfwidth_rates: float = 20.0) -> "TimeDomainConfig":
         """``_banded`` for a resonant pulse of the given width, delayed by
         three inverse widths so it arrives whole after the start.  A band
-        of ``halfwidth_rates`` total rates that keeps less than
-        ``ENVELOPE_COVER_FRACTION`` of its sum intensity raises
-        ``ValueError``.
+        that keeps less than ``ENVELOPE_COVER_FRACTION`` of its sum
+        intensity, or cannot resolve its difference profile as a map's
+        grid must, raises ``ValueError``.
         """
         if not input_width > 0:
             raise ValueError("input_width must be positive")

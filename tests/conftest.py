@@ -21,7 +21,8 @@ settings.register_profile("suite", deadline=None, max_examples=50,
 # (the arrowhead eigen-solver and integration against dense eigh alone:
 # pytest tests/test_timedomain.py -k dense_eigh --hypothesis-profile=parity)
 # pytest tests/test_emission.py --hypothesis-profile=parity
-# the grid rule against the constructors' own expressions and P_total:
+# the grid rule, time-domain bands included, against the constructors'
+# own expressions and P_total:
 # pytest tests/test_spectral.py -k grid_rule --hypothesis-profile=parity
 # and the CSV kernel, its label offsets and copied blocks against '%.12g':
 # pytest tests/test_cli.py -k "g12 or joint or abs2" --hypothesis-profile=parity

@@ -264,6 +264,11 @@ def test_removed_threads_flag_is_rejected(tmp_path, capsys):
      "key 'sum_width': value must be finite, got 'inf'"),
     ("verify", "input_width=inf",
      "key 'input_width': value must be finite, got 'inf'"),
+    # Once "verify: FAIL" and exit 2: no relative difference is below these.
+    ("verify", "tolerance=0",
+     "key 'tolerance': value must be positive, got '0'"),
+    ("verify", "tolerance=-1",
+     "key 'tolerance': value must be positive, got '-1'"),
     ("sweep-reflection", "alpha=nan",
      "key 'alpha': value must be finite, got 'nan'"),
     ("gate", "envelope=bogus", "override key 'envelope' unknown for gate"),
@@ -735,13 +740,31 @@ def test_verify_past_the_recurrence_time_is_a_configuration_error(
         tmp_path, capsys):
     # A 5e-4 input spans 15000 against 2 pi / d_omegabar = 4987 on 128
     # rows; the residual-excitation check used to fail it with exit 2.
+    # 300 differences resolve its difference profile (48 cannot).
     assert cli.run(["verify", "--outdir", str(tmp_path),
-                    "--set", "n_omegabar=128", "--set", "n_delta=48",
+                    "--set", "n_omegabar=128", "--set", "n_delta=300",
                     "--set", "input_width=5e-4"]) == 1
     err = capsys.readouterr().err
     assert "error: run spans 15000, not less than the grid's recurrence" \
         " time 2*pi/d_omegabar = 4987.28" in err
     assert "n_omegabar" in err
+
+
+def test_verify_on_a_band_too_coarse_for_its_input_is_a_configuration_error(
+        tmp_path, capsys):
+    # Once exit 2 with "verify: FAIL worst relative difference 0.3315": four
+    # differences give the 0.02 input's profile 1.34 times its own mass.
+    assert cli.run(["verify", "--outdir", str(tmp_path),
+                    "--set", "n_delta=4"]) == 1
+    assert capsys.readouterr().err == (
+        "error: the output grid's difference spacing 0.0666667 gives the"
+        " difference profile of diff_width=0.02 a trapezoid mass of 1.34"
+        " times its own, so its map cannot resolve it; raise n_delta or"
+        " widen the profile\n")
+    assert not (tmp_path / "verify.json").exists()
+    # Eight differences resolve it.
+    assert run_ok(["verify", "--outdir", str(tmp_path),
+                   "--set", "n_delta=8"], capsys).startswith("verify: OK")
 
 
 @pytest.mark.parametrize("override, band, kept, width", [

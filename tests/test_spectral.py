@@ -1031,9 +1031,10 @@ def test_grid_paths_equal_reference_bitwise(kind, channel):
 
 
 # The grid rule (run deeper with --hypothesis-profile=parity -k grid_rule):
-# each draw of an input pair, envelope and grid size either gets the axes
-# that the constructor's own expressions give, bit for bit, or a fault
-# that names the quantity the grid cannot hold or resolve.
+# each draw of an input pair, envelope and grid size, for a map's grid or
+# a time-domain band (hold), either gets the axes that the constructor's
+# own expressions give, bit for bit, or a fault that names the quantity
+# the grid cannot hold or resolve.
 _RULE_ENVELOPES = (Envelope.gaussian(0.02), Envelope.lorentzian(0.01),
                    Envelope.tabulated(0.004 * np.arange(6),
                                       [1.0, 0.9 - 0.1j, 0.7, 0.4, 0.15, 0.0]))
@@ -1059,6 +1060,20 @@ def _rule_axes(coupling, halfwidth_rates, reach, shape):
        diff_width=st.floats(1e-4, 0.1),
        shape=st.tuples(st.integers(2, 300), st.integers(2, 300)),
        hold=st.booleans())
+# Time-domain bands (hold) get the map's difference-profile rule: verify's
+# 0.02 input once ran on 4 differences, and a 5e-4 one on 48.
+@example(envelope=_RULE_ENVELOPES[0], total_rate=0.004, resonant=True,
+         sum_center=1.0, sum_width=0.02, diff_center=0.0, diff_width=0.02,
+         shape=(256, 4), hold=True)
+@example(envelope=_RULE_ENVELOPES[0], total_rate=0.004, resonant=True,
+         sum_center=1.0, sum_width=0.02, diff_center=0.0, diff_width=0.02,
+         shape=(256, 8), hold=True)
+@example(envelope=_RULE_ENVELOPES[0], total_rate=0.004, resonant=True,
+         sum_center=1.0, sum_width=5e-4, diff_center=0.0, diff_width=5e-4,
+         shape=(128, 48), hold=True)
+@example(envelope=_RULE_ENVELOPES[0], total_rate=0.004, resonant=True,
+         sum_center=1.0, sum_width=5e-4, diff_center=0.0, diff_width=5e-4,
+         shape=(128, 300), hold=True)
 def test_grid_rule_keeps_the_axes_or_names_the_quantity(
         envelope, total_rate, resonant, sum_center, sum_width, diff_center,
         diff_width, shape, hold):
@@ -1078,7 +1093,7 @@ def test_grid_rule_keeps_the_axes_or_names_the_quantity(
         fault = f"at sum_center={sum_center:g} misses the output grid's sum"
     elif abs(diff_center) > 12 * diff_width and dd[1] > diff_width:
         fault = f"exceeds diff_width={diff_width:g}, so its map cannot"
-    elif not hold and abs(diff_center) <= 12 * diff_width and abs(
+    elif abs(diff_center) <= 12 * diff_width and abs(
             np.trapezoid(np.abs(gaussian_difference_profile(
                 diff_width, diff_center)[0](dd)) ** 2, dd) - 1.0) > 1e-3:
         fault = f"gives the difference profile of diff_width={diff_width:g}"
@@ -1092,6 +1107,29 @@ def test_grid_rule_keeps_the_axes_or_names_the_quantity(
         return
     with pytest.raises(ValueError, match=re.escape(fault)):
         FrequencyGrid.for_scattering(coupling, pair, *shape, hold=hold)
+
+
+def test_grid_rule_names_a_pair_field_it_cannot_read():
+    coupling = CouplingSpec.isotropic(0.004, Envelope.gaussian(0.02))
+    # Once a bare ZeroDivisionError: a zero width is no input on its axis.
+    grid = FrequencyGrid.for_scattering(coupling, (1.0, 0.02, 0.5, 0.0),
+                                        64, 32)
+    assert grid.delta[-1] == 5.0
+    # Once "raise n_delta to at least -499", and an inverted sum window
+    # [1.24, 0.76].
+    for pair, name, value in [((1.0, 0.02, 0.5, -0.01), "diff_width", -0.01),
+                              ((1.0, -0.02, 0.0, 0.02), "sum_width", -0.02)]:
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name} must be nonnegative, got {value!r}")):
+            FrequencyGrid.for_scattering(coupling, pair, 64, 32)
+    for i, name in enumerate(("sum_center", "sum_width", "diff_center",
+                              "diff_width")):
+        for bad in (math.inf, -math.inf, math.nan):
+            pair = [1.0, 0.02, 0.0, 0.02]
+            pair[i] = bad
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{name} must be finite, got {bad!r}")):
+                FrequencyGrid.for_scattering(coupling, tuple(pair), 64, 32)
 
 
 @given(envelope=st.sampled_from(_RULE_ENVELOPES),

@@ -130,18 +130,19 @@ def test_factory_spans_and_steps():
     for cpl in couplings:
         g = cpl.total_rate
         for width, half in [(g, 20.0), (0.3 * g, 30.0)]:
-            expected = axes(cpl, width, 64, 16, half)
+            expected = axes(cpl, width, 64, 128, half)
             cfg = TimeDomainConfig.for_scattering(
-                cpl, width, n_omegabar=64, n_delta=16, halfwidth_rates=half)
+                cpl, width, n_omegabar=64, n_delta=128, halfwidth_rates=half)
             delay = 3.0 / width
             same(cfg, expected, delay + 3.0 / width + 12.0 / g,
                  0.1 / (half * g), delay)
-            # With hold, as the time domain asks: a map's grid of 16
-            # differences cannot resolve the narrower inputs' profiles.
-            same_axes(FrequencyGrid.for_scattering(cpl, width, 64, 16, half,
+            # With hold, as the time domain asks.  Its band resolves the
+            # difference profile as a map's grid must: 16 differences
+            # cannot resolve the narrower inputs, 128 resolve them all.
+            same_axes(FrequencyGrid.for_scattering(cpl, width, 64, 128, half,
                                                    hold=True), expected)
             same_axes(FrequencyGrid.for_scattering(
-                cpl, (cpl.omega0, width, 0.0, width), 64, 16, half,
+                cpl, (cpl.omega0, width, 0.0, width), 64, 128, half,
                 hold=True), expected)
         for kwargs, half in [({}, 40.0), ({"halfwidth_rates": 25.0}, 25.0)]:
             cfg = TimeDomainConfig.for_emission(cpl, n_omegabar=64,
