@@ -203,6 +203,13 @@ def _as_float(cfg, key) -> float:
     return value
 
 
+def _as_positive(cfg, key) -> float:
+    value = _as_float(cfg, key)
+    if not value > 0:
+        raise ConfigError(f"key '{key}': value must be positive, got {cfg[key]!r}")
+    return value
+
+
 def _as_int(cfg, key) -> int:
     try:
         return int(cfg[key])
@@ -614,9 +621,9 @@ def _cmd_scatter(cfg, outdir) -> tuple[str, int]:
     coupling = _coupling_from(cfg)
     channel = DirectionPair.from_string(cfg["channel"].strip())
     sum_center = _as_float(cfg, "sum_center")
-    sum_width = _as_float(cfg, "sum_width")
+    sum_width = _as_positive(cfg, "sum_width")
     diff_center = _as_float(cfg, "diff_center")
-    diff_width = _as_float(cfg, "diff_width")
+    diff_width = _as_positive(cfg, "diff_width")
     f, f_win = spectral.gaussian_sum_spectrum(sum_center, sum_width)
     h, h_win = spectral.gaussian_difference_profile(diff_width, diff_center)
     state = spectral.SeparableState(channel, f, h, f_win, h_win)
@@ -744,19 +751,13 @@ def _cmd_gate(cfg, outdir) -> tuple[str, int]:
 def _cmd_verify(cfg, outdir) -> tuple[str, int]:
     coupling = _coupling_from(cfg)
     width = _as_float(cfg, "input_width")
-    tol = _as_float(cfg, "tolerance")
-    if not tol > 0:   # no relative difference is below it
-        raise ConfigError(f"key 'tolerance': value must be positive, got"
-                          f" {cfg['tolerance']!r}")
+    tol = _as_positive(cfg, "tolerance")
     config = timedomain.TimeDomainConfig.for_scattering(
         coupling, width,
         _as_int(cfg, "n_omegabar"), _as_int(cfg, "n_delta"))
     state = spectral.gaussian_biphoton(
         DirectionPair.PP, coupling.omega0, width)
-    delayed = timedomain.with_arrival_delay(
-        state, coupling.omega0, config.arrival_delay)
-    traj = timedomain.integrate(coupling, delayed, config)
-    oracle = timedomain.oracle_channel_probabilities(traj)
+    traj, oracle = timedomain._scattering_run(coupling, state, config)
     markov = scattering.channel_probabilities(
         scattering.scatter(coupling, state))
     diffs = {

@@ -123,8 +123,8 @@ class ScatterOutput:
     def output_on(self, grid: FrequencyGrid) -> GridState:
         """Materialize the outgoing state on ``grid``; for a separable
         input, warn (``TruncationWarning``) where ``grid`` cuts the
-        envelope, misses the input's sum window or cannot resolve a
-        difference profile that reaches zero (``_check_grid``)."""
+        envelope, misses the input's sum window or cannot resolve its
+        difference profile (``_check_grid``)."""
         state = self.input_state
         if not isinstance(state, SeparableState):
             return self._grid_out.on_grid(grid)

@@ -865,9 +865,9 @@ def _check_grid(grid: FrequencyGrid, fault: type, envelope: Envelope | None,
     ``ENVELOPE_COVER_FRACTION`` of the mass of ``envelope``.  ``support`` is
     an input's ``(omega0, sum_window, pair, rates)``, ``pair`` a separable
     state or a Gaussian pair as ``FrequencyGrid.for_scattering`` takes it:
-    the sum axis meets ``sum_window``; on every grid, a Gaussian profile
-    clear of zero has a spacing within its width, and a profile that reaches
-    zero a trapezoid mass within ``1 - ENVELOPE_COVER_FRACTION`` of its own;
+    the sum axis meets ``sum_window``; on every grid, a Gaussian pair's
+    profile clear of zero has a spacing within its width, and any other
+    profile a trapezoid mass within ``1 - ENVELOPE_COVER_FRACTION`` of its own;
     and the sum axis, ``rates`` total rates about ``omega0``, keeps
     ``ENVELOPE_COVER_FRACTION`` of the pair's sum intensity.  None skips."""
     def report(message):
@@ -900,14 +900,14 @@ def _check_grid(grid: FrequencyGrid, fault: type, envelope: Envelope | None,
                        1.0, f"the difference profile of diff_width={diff_width:g}")
     if profile is not None:
         h, window, mass, name = profile
-        if window[0] <= 0:
+        if window[0] <= 0 or not isinstance(pair, tuple):
             kept = float(np.trapezoid(np.abs(h(grid.delta)) ** 2, grid.delta))
             if abs(kept - mass) > (1.0 - ENVELOPE_COVER_FRACTION) * mass:
                 report(f"the output grid's difference spacing {grid.d_delta:g}"
                        f" gives {name} a trapezoid mass of {kept / mass:.4g}"
                        " times its own, so its map cannot resolve it; raise"
                        " n_delta or widen the profile")
-        elif isinstance(pair, tuple) and grid.d_delta > diff_width:
+        elif grid.d_delta > diff_width:
             report(f"the output grid's difference spacing {grid.d_delta:g}"
                    f" exceeds diff_width={diff_width:g}, so its map cannot"
                    " resolve the difference profile at"

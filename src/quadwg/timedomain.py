@@ -80,6 +80,7 @@ from .spectral import (
     FrequencyGrid,
     GridState,
     SeparableState,
+    _check_grid,
     _width_squared,
 )
 
@@ -561,3 +562,15 @@ def oracle_channel_probabilities(traj: Trajectory) -> ChannelProbabilities:
         b = traj.final_state.data[pair.index] * root_weight
         values[pair] = float(np.vdot(b, b).real) / traj.input_norm
     return ChannelProbabilities(values)
+
+
+def _scattering_run(coupling: CouplingSpec, state: SeparableState,
+                    config: TimeDomainConfig):
+    """``(trajectory, probabilities)`` of ``state`` delayed by the arrival
+    delay; first ``state`` must pass the band as an output map's grid must
+    (``_check_grid``), or ``ValueError`` is raised."""
+    _check_grid(config.grid, ValueError, None,
+                (coupling.omega0, state.f_window, state, None))
+    traj = integrate(coupling, with_arrival_delay(
+        state, coupling.omega0, config.arrival_delay), config)
+    return traj, oracle_channel_probabilities(traj)

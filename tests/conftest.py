@@ -6,8 +6,11 @@ per labelled check at the end of the run, so the release gate is readable
 at a glance even inside a long test log.
 """
 
+import numpy as np
 import pytest
 from hypothesis import settings
+
+from quadwg.spectral import DirectionPair, SeparableState, gaussian_sum_spectrum
 
 settings.register_profile("suite", deadline=None, max_examples=50,
                           derandomize=True)
@@ -30,6 +33,16 @@ settings.register_profile("parity", deadline=None, max_examples=2000)
 settings.load_profile("suite")
 
 _GATE: dict[str, bool] = {}
+
+
+def matched_state(coupling, sigma):
+    """A resonant ``++`` pair: a Gaussian sum factor of width ``sigma``
+    and the envelope's conjugate as its difference profile."""
+    f, window = gaussian_sum_spectrum(coupling.omega0, sigma)
+    env = coupling.envelope
+    return SeparableState(DirectionPair.PP, f,
+                          lambda d: np.conj(env(d)), window,
+                          (0.0, 12 * env.width + 12 * sigma))
 
 
 @pytest.fixture

@@ -13,6 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import matched_state
 from quadwg import (
     CouplingSpec,
     DirectionPair,
@@ -28,11 +29,9 @@ from quadwg import (
     gaussian_biphoton,
     infidelity_sweep,
     integrate,
-    oracle_channel_probabilities,
     postselect_filtered_state,
     reflection_sweep,
     scatter,
-    with_arrival_delay,
     worst_case_fidelity,
 )
 from quadwg.emission import default_emission_grid, joint_spectrum, \
@@ -47,7 +46,7 @@ from quadwg.spectral import (
     gaussian_difference_profile,
     gaussian_sum_spectrum,
 )
-from quadwg.timedomain import ExcitedEmitter
+from quadwg.timedomain import ExcitedEmitter, _scattering_run
 
 GAMMA = 0.004
 
@@ -55,14 +54,6 @@ GAMMA = 0.004
 def isotropic(total=GAMMA, width=0.02, omega0=1.0, kind="gaussian"):
     env = getattr(Envelope, kind)(width)
     return CouplingSpec.isotropic(total, env, omega0)
-
-
-def matched_state(coupling, sigma):
-    env = coupling.envelope
-    state = gaussian_biphoton(DirectionPair.PP, coupling.omega0, sigma)
-    return SeparableState(DirectionPair.PP, state.f,
-                          lambda d: np.conj(env(d)),
-                          state.f_window, (0.0, 12 * env.width + 12 * sigma))
 
 
 @pytest.mark.acceptance("matched narrowband input saturates channel bounds")
@@ -184,8 +175,7 @@ def test_time_domain_oracle_matches_markov_results():
 
     config = TimeDomainConfig.for_scattering(coupling, 0.02,
                                              n_omegabar=256, n_delta=96)
-    delayed = with_arrival_delay(state, 1.0, config.arrival_delay)
-    oracle = oracle_channel_probabilities(integrate(coupling, delayed, config))
+    _, oracle = _scattering_run(coupling, state, config)
     markov = channel_probabilities(scatter(coupling, state))
     assert oracle.reflection == pytest.approx(markov.reflection, rel=2e-2)
     assert oracle.splitting == pytest.approx(markov.splitting, rel=2e-2)
@@ -203,9 +193,7 @@ def test_time_domain_oracle_matches_markov_results():
                                              n_omegabar=128, n_delta=16)
     halved = TimeDomainConfig(coarse.grid, coarse.t_span, coarse.dt / 2,
                               arrival_delay=coarse.arrival_delay)
-    coarse_input = with_arrival_delay(state, 1.0, coarse.arrival_delay)
-    probs = [oracle_channel_probabilities(integrate(coupling, coarse_input, c))
-             for c in (coarse, halved)]
+    probs = [_scattering_run(coupling, state, c)[1] for c in (coarse, halved)]
     for pair in PAIRS:
         a, b = probs[0].values[pair], probs[1].values[pair]
         assert abs(a - b) / max(b, 1e-12) < 1e-3

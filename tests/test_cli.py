@@ -262,6 +262,10 @@ def test_removed_threads_flag_is_rejected(tmp_path, capsys):
      "gamma must be finite with 2 / gamma finite, got 1e-308"),
     ("scatter", "sum_width=inf",
      "key 'sum_width': value must be finite, got 'inf'"),
+    ("scatter", "sum_width=0",
+     "key 'sum_width': value must be positive, got '0'"),
+    ("scatter", "diff_width=0",
+     "key 'diff_width': value must be positive, got '0'"),
     ("verify", "input_width=inf",
      "key 'input_width': value must be finite, got 'inf'"),
     # Once "verify: FAIL" and exit 2: no relative difference is below these.

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import erfcx
 
+from conftest import matched_state
 from quadwg import (
     CouplingSpec,
     DirectionPair,
@@ -42,14 +43,6 @@ def isotropic(total=GAMMA, width=0.02, omega0=1.0, kind="gaussian"):
     env = Envelope.gaussian(width) if kind == "gaussian" \
         else Envelope.lorentzian(width)
     return CouplingSpec.isotropic(total, env, omega0)
-
-
-def matched_state(coupling, sigma):
-    f, window = gaussian_sum_spectrum(coupling.omega0, sigma)
-    env = coupling.envelope
-    return SeparableState(DirectionPair.PP, f,
-                          lambda d: np.conj(env(d)), window,
-                          (0.0, 12 * env.width + 12 * sigma))
 
 
 def test_amplitude_on_resonance_values():
@@ -564,8 +557,9 @@ def test_separable_output_warns_on_an_unresolved_difference_profile():
     coupling = isotropic(0.004)
     f, f_window = spectral.gaussian_sum_spectrum(1.0, 0.02)
     grid = FrequencyGrid.for_scattering(coupling, 0.02, 32, 128)
-    for width, mass in [(1e-5, "62.83"), (5e-4, "1.274")]:
-        h, h_window = gaussian_difference_profile(width)
+    for width, center, mass in [(1e-5, 0.0, "62.83"), (5e-4, 0.0, "1.274"),
+                                (1e-4, 0.05, "0.002706")]:
+        h, h_window = gaussian_difference_profile(width, center)
         result = scatter(coupling, SeparableState(DirectionPair.PP, f, h,
                                                   f_window, h_window))
         with pytest.warns(TruncationWarning) as record:

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import erfcx
 
+from conftest import matched_state
 from quadwg import (
     CouplingSpec,
     DirectionPair,
@@ -46,20 +47,13 @@ from quadwg.timedomain import (
     _arrowhead,
     _mode_setup,
     _rk4_factor,
+    _scattering_run,
     _trapezoid_weights,
 )
 
 
 def isotropic(total, width=0.05, omega0=1.0):
     return CouplingSpec.isotropic(total, Envelope.gaussian(width), omega0)
-
-
-def matched_state(coupling, sigma):
-    env = coupling.envelope
-    state = gaussian_biphoton(DirectionPair.PP, coupling.omega0, sigma)
-    return SeparableState(DirectionPair.PP, state.f,
-                          lambda d: np.conj(env(d)),
-                          state.f_window, (0.0, 12 * env.width + 12 * sigma))
 
 
 def small_grid():
@@ -459,10 +453,10 @@ def test_orthogonal_difference_profile_passes_freely():
     state = SeparableState(DirectionPair.PP, base.f, h,
                            base.f_window, h_window)
     _, orthogonal = decompose(state, cpl.envelope)
+    # 64 differences: 32 give the orthogonal profile 1.029 times its mass.
     config = TimeDomainConfig.for_scattering(cpl, 0.05,
-                                             n_omegabar=96, n_delta=32)
-    delayed = with_arrival_delay(orthogonal, 1.0, config.arrival_delay)
-    probs = oracle_channel_probabilities(integrate(cpl, delayed, config))
+                                             n_omegabar=96, n_delta=64)
+    _, probs = _scattering_run(cpl, orthogonal, config)
     assert probs.values[DirectionPair.PP] == pytest.approx(1.0, abs=1e-3)
     assert probs.values[DirectionPair.MM] < 1e-6
     assert probs.splitting < 1e-6
@@ -476,8 +470,7 @@ def test_matched_scattering_agrees_with_markov():
     state = matched_state(cpl, alpha)
     config = TimeDomainConfig.for_scattering(cpl, alpha,
                                              n_omegabar=128, n_delta=48)
-    delayed = with_arrival_delay(state, 1.0, config.arrival_delay)
-    oracle = oracle_channel_probabilities(integrate(cpl, delayed, config))
+    _, oracle = _scattering_run(cpl, state, config)
     markov = channel_probabilities(scatter(cpl, state))
     assert oracle.reflection == pytest.approx(markov.reflection, rel=2e-2)
     assert oracle.splitting == pytest.approx(markov.splitting, rel=2e-2)
@@ -505,9 +498,7 @@ def test_cutoff_extrapolated_oracle_matches_markov():
     for cutoff in (20.0, 40.0):
         config = TimeDomainConfig.for_scattering(
             cpl, 0.02, n_omegabar=256, n_delta=96, halfwidth_rates=cutoff)
-        delayed = with_arrival_delay(state, 1.0, config.arrival_delay)
-        probs[cutoff] = oracle_channel_probabilities(
-            integrate(cpl, delayed, config))
+        probs[cutoff] = _scattering_run(cpl, state, config)[1]
     markov = channel_probabilities(scatter(cpl, state))
     for name in ("reflection", "splitting", "transmission"):
         raw, fine = getattr(probs[20.0], name), getattr(probs[40.0], name)
@@ -563,17 +554,35 @@ def band_limited_probabilities(coupling, state, grid):
 def test_oracle_matches_the_band_limited_reference_at_verify_defaults():
     # verify's configuration: 256 x 96 rows, a band of 20 total rates.
     # The oracle sits 1.4e-3 (++) and 1.5e-2 (the others) from the Markov
-    # probabilities, and 7.7e-6 and 8.5e-5 from the band-limited ones; the
-    # rest is row resolution, about 6 rows per linewidth.
+    # probabilities, and 7.7e-6 and 8.5e-5 from the band-limited ones.  Most
+    # of that rest is what this stationary reference leaves out, not rows:
+    # the run starts at t = 0, and it takes the input norm over the band.
     cpl = isotropic(0.004, width=0.02)
     state = gaussian_biphoton(DirectionPair.PP, 1.0, 0.02)
     config = TimeDomainConfig.for_scattering(cpl, 0.02, n_omegabar=256,
                                              n_delta=96)
-    delayed = with_arrival_delay(state, 1.0, config.arrival_delay)
-    oracle = oracle_channel_probabilities(integrate(cpl, delayed, config))
+    _, oracle = _scattering_run(cpl, state, config)
     reference = band_limited_probabilities(cpl, state, config.grid)
     for pair in PAIRS:
         assert oracle.values[pair] == pytest.approx(reference[pair], rel=2e-4)
+
+
+def test_scattering_run_refuses_a_profile_its_band_cannot_resolve():
+    # verify's band: 96 differences 0.0021 apart.  Integrated unchecked, this
+    # centred profile 5e-4 wide reads reflection 0.00129 against Markov's
+    # 0.00145.
+    cpl = isotropic(0.004, width=0.02)
+    base = gaussian_biphoton(DirectionPair.PP, 1.0, 0.02)
+    h, h_window = gaussian_difference_profile(5e-4)
+    state = SeparableState(DirectionPair.PP, base.f, h, base.f_window,
+                           h_window)
+    config = TimeDomainConfig.for_scattering(cpl, 0.02, n_omegabar=256,
+                                             n_delta=96)
+    with pytest.raises(ValueError, match=(
+            "the output grid's difference spacing 0.00210526 gives the"
+            " input's difference profile a trapezoid mass of 1.68 times its"
+            " own")):
+        _scattering_run(cpl, state, config)
 
 
 def test_initial_state_validation():
@@ -643,10 +652,7 @@ def test_oracle_probabilities_equal_reference_bitwise():
     cpl = isotropic(gamma, width=alpha)
     config = TimeDomainConfig.for_scattering(cpl, alpha,
                                              n_omegabar=128, n_delta=48)
-    state = with_arrival_delay(matched_state(cpl, alpha), 1.0,
-                               config.arrival_delay)
-    traj = integrate(cpl, state, config)
-    probs = oracle_channel_probabilities(traj)
+    traj, probs = _scattering_run(cpl, matched_state(cpl, alpha), config)
     # The trapezoid mode weights as the oracle built them before they had
     # a function of their own.
     grid = config.grid
