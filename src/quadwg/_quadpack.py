@@ -24,13 +24,14 @@ of the rule's nodes, each interval's nodes in the order QUADPACK evaluates
 them, and applies ``dqk21`` or ``dqk15i`` in Python floats.
 
 ``_lockstep`` runs many integrals, set up by ``quad(..., defer=True)``,
-one rule application of each per round.  A round places the nodes of all
-pending intervals and calls the integrand of each job once on the nodes of
-its unfinished integrals.  From ``_ARRAY_MIN`` intervals on, it applies
-``dqk21`` to all the round's finite intervals at once, on numpy arrays with
-one row per interval, and ``dqk15i`` in Python; below, both rules run in
-Python.  The array rule does the Python rule's operations in their order,
-so each integral keeps the steps and the bits of its own ``quad``.
+one rule application of each per round, and one function, ``_round``,
+runs every round.  It places each job's distinct pending intervals once
+and calls the job's integrand once on their nodes.  ``dqk15i`` runs in
+Python, and ``dqk21`` once on all the round's finite intervals: from
+``_ARRAY_MIN`` intervals on, on numpy arrays with one row per interval,
+below in Python.  The array rule does the Python rule's operations in
+their order, so each integral keeps the steps and the bits of its own
+``quad``.
 """
 
 from __future__ import annotations
@@ -1073,15 +1074,16 @@ def _lockstep(jobs: Sequence[tuple[Callable, Sequence[tuple[int, _Integration]]]
     A job is ``(values, integrals)``: ``values`` takes a float64 array of
     nodes and returns one array of values per row, and each of
     ``integrals`` is ``(row, integral)``, a ``quad(..., defer=True)`` of
-    row ``row`` of ``values``.  Each round places the nodes of the pending
-    intervals of every live integral, an interval that several of a job's
-    integrals bisect alike once; calls each job's ``values`` once, on the
-    nodes of its live integrals; and applies the rules.  From
-    ``_ARRAY_MIN`` pending intervals on, ``dqk21`` runs on arrays, once for
-    all finite intervals, and ``dqk15i`` in Python; below, both run in
-    Python.  Every integrand is elementwise: a value depends on its own
-    node only, not on the other nodes of the array, so each integral takes
-    the steps and gets the bits of its own ``quad``.
+    row ``row`` of ``values``.  Each round, ``_round``, places the nodes of
+    the pending intervals of every live integral, an interval that several
+    of a job's integrals bisect alike once; calls each job's ``values``
+    once, on the nodes of its live integrals; and applies the rules.
+    Only ``dqk21``'s engine depends on the round's size: it runs once for
+    all the round's finite intervals, on arrays from ``_ARRAY_MIN``
+    pending intervals on, in Python below.  ``dqk15i`` runs in Python.
+    Every integrand is elementwise: a value depends on its own node only,
+    not on the other nodes of the array, so each integral takes the steps
+    and gets the bits of its own ``quad``.
 
     Returns ``(result, abserr)`` of each integral, job by job in the order
     given, and issues their warnings in that order.
@@ -1094,11 +1096,11 @@ def _lockstep(jobs: Sequence[tuple[Callable, Sequence[tuple[int, _Integration]]]
             # The last integral has no other to keep step with.
             ((_, ((_, it),)),) = live
             while it.pending is not None:
-                _round_lists(live)
+                _round(live, False)
             break
         count = sum(len(it.pending) for _, running in live
                     for _, it in running)
-        (_round_arrays if count >= _ARRAY_MIN else _round_lists)(live)
+        _round(live, count >= _ARRAY_MIN)
         live = [(values, running) for values, running in
                 ((values, [(row, it) for row, it in running
                            if it.pending is not None])
@@ -1106,10 +1108,18 @@ def _lockstep(jobs: Sequence[tuple[Callable, Sequence[tuple[int, _Integration]]]
     return [[it.result() for _, it in integrals] for _, integrals in jobs]
 
 
-def _round_lists(live: list) -> None:
-    """One round of ``_lockstep`` in Python floats."""
+def _round(live: list, arrays: bool) -> None:
+    """One round of ``_lockstep``.  Each job's distinct finite intervals
+    are placed once, then the ``dqk15i`` nodes of its half- and whole-line
+    integrals, and its ``values`` is called once on them all; those
+    integrals get ``_qk15i``.  All finite intervals of the round get
+    ``dqk21`` at once: ``_qk21_array`` if ``arrays``, else ``_qk21``."""
+    # The distinct finite intervals of each job in turn, and per integral
+    # the index of each of its intervals among its job's (None for dqk15i).
+    taken: list[tuple] = []
+    jobs = []
     for values, running in live:
-        if len(running) == 1:
+        if len(running) == 1 and not arrays:
             # Nothing to share: random scatter's common case, kept lean.
             ((row, it),) = running
             nodes = np.array(it.nodes(it.pending))
@@ -1117,34 +1127,6 @@ def _round_lists(live: list) -> None:
                 .reshape(nodes.shape)
             it.advance(it.rule(fv.tolist(), it.pending))
             continue
-        x: list[float] = []
-        for _, it in running:
-            x += it.nodes(it.pending)
-        nodes = np.array(x)
-        parts = values(nodes)
-        rows: dict[int, list] = {}
-        at = 0
-        for row, it in running:
-            if row not in rows:
-                rows[row] = np.asarray(parts[row], dtype=float) \
-                    .reshape(nodes.shape).tolist()
-            n = len(it.pending) * it.width
-            it.advance(it.rule(rows[row][at:at + n], it.pending))
-            at += n
-
-
-def _round_arrays(live: list) -> None:
-    """One round of ``_lockstep`` with ``dqk21`` on arrays.  Each job's
-    distinct finite intervals are placed once, followed by the Python
-    ``dqk15i`` nodes of its half- and whole-line integrals, and its
-    ``values`` is called once on them all.  Those integrals get ``_qk15i``
-    from their slice of the values; one ``_qk21_array`` call covers every
-    finite interval of the round."""
-    # The distinct finite intervals of each job in turn, and per integral
-    # the index of each of its intervals among its job's (None for dqk15i).
-    taken: list[tuple] = []
-    jobs = []
-    for values, running in live:
         first = len(taken)
         seen: dict[tuple, int] = {}
         local = []
@@ -1164,15 +1146,20 @@ def _round_arrays(live: list) -> None:
             local.append(mine)
         jobs.append((values, running, first, len(taken) - first, tails,
                      local))
-    a, b = np.array(taken, dtype=float).reshape(-1, 2).T
-    with np.errstate(all="ignore"):
-        placed = _nodes21_array(a, b)
+    if not jobs:
+        return
+    if arrays:
+        a, b = np.array(taken, dtype=float).reshape(-1, 2).T
+        with np.errstate(all="ignore"):
+            placed = _nodes21_array(a, b).ravel()
+    else:
+        placed = np.array(_nodes21(taken), dtype=float)
     # The values of row r at interval u of a job sit in row base + r n + u
     # of the table, n being the job's number of distinct finite intervals.
     tables, offsets, us, intervals, spans = [], [], [], [], []
     base = 0
     for values, running, first, n, tails, local in jobs:
-        x = np.concatenate([placed[first:first + n].ravel(), tails])
+        x = np.concatenate([placed[first * 21:(first + n) * 21], tails])
         v = np.asarray(values(x), dtype=float).reshape(-1, x.size)
         tables.append(v[:, :n * 21].reshape(-1, 21))
         at = n * 21
@@ -1190,9 +1177,11 @@ def _round_arrays(live: list) -> None:
     if not us:
         return
     fv = np.concatenate(tables)[np.add(offsets, us)]
-    a, b = np.array(intervals).T
-    with np.errstate(all="ignore"):
-        out = _qk21_array(fv, a, b)
-    estimates = list(zip(*(column.tolist() for column in out)))
+    if arrays:
+        with np.errstate(all="ignore"):
+            out = _qk21_array(fv, *np.array(intervals).T)
+        estimates = list(zip(*(column.tolist() for column in out)))
+    else:
+        estimates = _qk21(fv.ravel().tolist(), intervals)
     for it, start, n in spans:
         it.advance(estimates[start:start + n])

@@ -211,11 +211,15 @@ def _as_positive(cfg, key) -> float:
 
 
 def _as_int(cfg, key) -> int:
+    """The grid size under ``key``: an integer of at least two."""
     try:
-        return int(cfg[key])
+        value = int(cfg[key])
     except ValueError:
         raise ConfigError(f"key '{key}': expected an integer, got {cfg[key]!r}") \
             from None
+    if value < 2:
+        raise ConfigError(f"key '{key}': value must be at least 2, got {cfg[key]!r}")
+    return value
 
 
 def _as_bool(cfg, key) -> bool:
@@ -251,17 +255,19 @@ def _as_floats(cfg, key) -> list[float]:
 
 
 def _coupling_from(cfg) -> CouplingSpec:
-    omega0 = _as_float(cfg, "omega0")
-    total = _as_float(cfg, "total_rate")
+    omega0 = _as_positive(cfg, "omega0")
+    rates = cfg["rates"].strip().lower()
+    # Four rates of their own leave the total unused.
+    total = (_as_positive if rates in ("isotropic", "mirror") else _as_float)(
+        cfg, "total_rate")
     kind = cfg["envelope"].strip().lower()
-    width = _as_float(cfg, "envelope_width")
+    width = _as_positive(cfg, "envelope_width")
     if kind == "gaussian":
         env = Envelope.gaussian(width)
     elif kind == "lorentzian":
         env = Envelope.lorentzian(width)
     else:
         raise ConfigError(f"key 'envelope': unknown kind {cfg['envelope']!r}")
-    rates = cfg["rates"].strip().lower()
     if rates == "isotropic":
         return CouplingSpec.isotropic(total, env, omega0)
     if rates == "mirror":
@@ -624,14 +630,14 @@ def _cmd_scatter(cfg, outdir) -> tuple[str, int]:
     sum_width = _as_positive(cfg, "sum_width")
     diff_center = _as_float(cfg, "diff_center")
     diff_width = _as_positive(cfg, "diff_width")
+    sizes = _as_int(cfg, "n_omegabar"), _as_int(cfg, "n_delta")
     f, f_win = spectral.gaussian_sum_spectrum(sum_center, sum_width)
     h, h_win = spectral.gaussian_difference_profile(diff_width, diff_center)
     state = spectral.SeparableState(channel, f, h, f_win, h_win)
     result = scattering.scatter(coupling, state)
     probs = scattering.channel_probabilities(result)
     grid = FrequencyGrid.for_scattering(
-        coupling, (sum_center, sum_width, diff_center, diff_width),
-        _as_int(cfg, "n_omegabar"), _as_int(cfg, "n_delta"))
+        coupling, (sum_center, sum_width, diff_center, diff_width), *sizes)
     out = result.output_on(grid)
     stem = cfg["output_stem"]
     _write_joint_csv(_outpath(outdir, stem + ".csv"), grid,
@@ -652,10 +658,10 @@ def _cmd_scatter(cfg, outdir) -> tuple[str, int]:
 
 
 def _cmd_sweep_reflection(cfg, outdir) -> tuple[str, int]:
-    alpha = _as_float(cfg, "alpha")
+    alpha = _as_positive(cfg, "alpha")
     ratios = _as_floats(cfg, "ratios")
     rates = _as_floats(cfg, "rates")
-    omega0 = _as_float(cfg, "omega0")
+    omega0 = _as_positive(cfg, "omega0")
     table = scattering.reflection_sweep(alpha, ratios, rates, omega0).reflection
     rows = [(rate, ratio, table[i, j])
             for i, rate in enumerate(rates) for j, ratio in enumerate(ratios)]
@@ -677,20 +683,14 @@ def _cmd_sweep_reflection(cfg, outdir) -> tuple[str, int]:
 
 
 def _cmd_entangle(cfg, outdir) -> tuple[str, int]:
-    omega0 = _as_float(cfg, "omega0")
-    total = _as_float(cfg, "total_rate")
+    omega0 = _as_positive(cfg, "omega0")
+    total = _as_positive(cfg, "total_rate")
     widths = _as_floats(cfg, "width_ratios")
     detunings = _as_floats(cfg, "detuning_ratios")
+    pw = _as_positive(cfg, "point_width_ratio")
+    pd = _as_float(cfg, "point_detuning_ratio")
     table = entanglement.entropy_sweeps(widths, detunings, total,
                                         omega0).entropy
-    rows = [(b, d, s) for b, line in zip(widths, table)
-            for d, s in zip(detunings, line)]
-    stem = cfg["output_stem"]
-    _write_rows_csv(_outpath(outdir, stem + ".csv"),
-                    ("width_over_rate", "detuning_over_rate", "entropy"), rows)
-
-    pw = _as_float(cfg, "point_width_ratio")
-    pd = _as_float(cfg, "point_detuning_ratio")
     coupling = CouplingSpec.isotropic(
         total, Envelope.lorentzian(pw * total), omega0)
     filters = entanglement.FilterPair.symmetric(coupling, pd * total)
@@ -698,6 +698,12 @@ def _cmd_entangle(cfg, outdir) -> tuple[str, int]:
     entropy = entanglement.entanglement_entropy(state)
     fid_psi = entanglement.bell_fidelity(state, "psi-minus")
     fid_phi = entanglement.bell_fidelity(state, "phi-plus")
+    # Every number first: an entangle that fails writes no file.
+    rows = [(b, d, s) for b, line in zip(widths, table)
+            for d, s in zip(detunings, line)]
+    stem = cfg["output_stem"]
+    _write_rows_csv(_outpath(outdir, stem + ".csv"),
+                    ("width_over_rate", "detuning_over_rate", "entropy"), rows)
     _write_json(_outpath(outdir, stem + ".json"), {
         "point_width_over_rate": _quantity(pw, "dimensionless"),
         "point_detuning_over_rate": _quantity(pd, "dimensionless"),
@@ -720,15 +726,8 @@ def _cmd_gate(cfg, outdir) -> tuple[str, int]:
     shapes = _as_list(cfg, "shapes")
     ratios = _as_floats(cfg, "ratios")
     on_power = _as_bool(cfg, "fwhm_on_power")
+    ref = _as_positive(cfg, "report_ratio")
     sweep = gate.infidelity_sweep(ratios, shapes, fwhm_on_power=on_power)
-    stem = cfg["output_stem"]
-    for i, shape in enumerate(shapes):
-        rows = [(ratio, sweep.log10_infidelity[i, j])
-                for j, ratio in enumerate(ratios)]
-        _write_rows_csv(_outpath(outdir, f"{stem}_{shape}.csv"),
-                        ("gamma_over_fwhm", "log10_infidelity"), rows)
-
-    ref = _as_float(cfg, "report_ratio")
     reports = {}
     for shape in shapes:
         rep = gate.gate_report(gate.unit_pulse(shape, on_power), ref)
@@ -739,6 +738,13 @@ def _cmd_gate(cfg, outdir) -> tuple[str, int]:
             "minimizing_occupation": _quantity(rep.minimizing_occupation,
                                                "dimensionless"),
         }
+    # Every number first: a gate that fails writes no file.
+    stem = cfg["output_stem"]
+    for i, shape in enumerate(shapes):
+        rows = [(ratio, sweep.log10_infidelity[i, j])
+                for j, ratio in enumerate(ratios)]
+        _write_rows_csv(_outpath(outdir, f"{stem}_{shape}.csv"),
+                        ("gamma_over_fwhm", "log10_infidelity"), rows)
     _write_json(_outpath(outdir, stem + ".json"), {
         "report_ratio": _quantity(ref, "dimensionless"),
         "reports": reports,
@@ -750,7 +756,7 @@ def _cmd_gate(cfg, outdir) -> tuple[str, int]:
 
 def _cmd_verify(cfg, outdir) -> tuple[str, int]:
     coupling = _coupling_from(cfg)
-    width = _as_float(cfg, "input_width")
+    width = _as_positive(cfg, "input_width")
     tol = _as_positive(cfg, "tolerance")
     config = timedomain.TimeDomainConfig.for_scattering(
         coupling, width,

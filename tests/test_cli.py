@@ -282,12 +282,43 @@ def test_removed_threads_flag_is_rejected(tmp_path, capsys):
     ("entangle", "rates=mirror", "override key 'rates' unknown for entangle"),
     ("sweep-reflection", "total_rate=0.01",
      "override key 'total_rate' unknown for sweep-reflection"),
+    # Grid sizes below two once named the axis, not the key.
+    ("scatter", "n_delta=1", "key 'n_delta': value must be at least 2, got '1'"),
+    ("emit", "n_omegabar=1",
+     "key 'n_omegabar': value must be at least 2, got '1'"),
+    ("verify", "n_omegabar=1",
+     "key 'n_omegabar': value must be at least 2, got '1'"),
+    # Each once gave the library's text, which named no key or the wrong one.
+    ("scatter", "omega0=0", "key 'omega0': value must be positive, got '0'"),
+    ("sweep-reflection", "omega0=-1",
+     "key 'omega0': value must be positive, got '-1'"),
+    ("scatter", "envelope_width=0",
+     "key 'envelope_width': value must be positive, got '0'"),
+    ("sweep-reflection", "alpha=0",
+     "key 'alpha': value must be positive, got '0'"),
+    ("gate", "report_ratio=0",
+     "key 'report_ratio': value must be positive, got '0'"),
+    ("verify", "input_width=0",
+     "key 'input_width': value must be positive, got '0'"),
+    ("entangle", "point_width_ratio=0",
+     "key 'point_width_ratio': value must be positive, got '0'"),
+    ("entangle", "total_rate=0",
+     "key 'total_rate': value must be positive, got '0'"),
+    ("scatter", "total_rate=-0.004",
+     "key 'total_rate': value must be positive, got '-0.004'"),
+    # Each once exited 1 only after writing its sweep's CSV files.
+    ("gate", "report_ratio=abc",
+     "key 'report_ratio': expected a number, got 'abc'"),
+    ("entangle", "point_width_ratio=nan",
+     "key 'point_width_ratio': value must be finite, got 'nan'"),
 ])
 def test_typed_value_diagnostics(tmp_path, capsys, command, override,
                                  message):
+    # A configuration error names its key and writes nothing.
     assert cli.run([command, "--set", override,
                     "--outdir", str(tmp_path)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(tmp_path.iterdir())
 
 
 def test_rates_mirror_and_four_values(tmp_path, capsys):
@@ -305,6 +336,12 @@ def test_rates_mirror_and_four_values(tmp_path, capsys):
     payload = json.loads((tmp_path / "four" / "scatter.json").read_text())
     assert payload["total"]["value"] == pytest.approx(1.0, abs=1e-6)
     assert payload["reflection"]["value"] > 0
+
+    # Four rates of their own need no total rate.
+    out = run_ok(["scatter", "--outdir", str(tmp_path / "untotalled"),
+                  "--set", "rates=0.001,0.0015,0.0015,0.0005",
+                  "--set", "total_rate=0"] + small, capsys)
+    assert "total_rate=0.0045" in out
 
     assert cli.run(["scatter", "--outdir", str(tmp_path / "unequal"),
                     "--set", "rates=0.001,0.002,0.0015,0.0005"] + small) == 1
@@ -559,11 +596,12 @@ def test_gate_runs_where_the_pair_factor_square_underflows(tmp_path, capsys):
 
 
 def test_entangle_names_a_negative_total_rate(tmp_path, capsys):
-    # Once "envelope width must be positive".
+    # Once "envelope width must be positive", then the library's "total_rate
+    # must be finite and positive".
     assert cli.run(["entangle", "--outdir", str(tmp_path),
                     "--set", "total_rate=-0.004"]) == 1
-    assert "total_rate must be finite and positive" \
-        in capsys.readouterr().err
+    assert capsys.readouterr().err \
+        == "error: key 'total_rate': value must be positive, got '-0.004'\n"
 
 
 @pytest.mark.parametrize("error, code", [

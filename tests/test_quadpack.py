@@ -432,6 +432,14 @@ def _lockstep_outcomes(integrals, copies, shared):
     (_slow_tail(0.5), 0.0, math.inf, _LOCKSTEP_OPTIONS),
     (_full_line(0.3, 0.1), -math.inf, math.inf, _LOCKSTEP_OPTIONS)],
     copies=9, shared=True)
+# Two finite integrals of different integrands and a half-line one, 3
+# copies each in one job: every round stays below _ARRAY_MIN, so dqk21
+# runs in Python on rows gathered from the intervals the copies share.
+@example(integrals=[
+    (_oscillating(10.0), -3.0, 3.0, _LOCKSTEP_OPTIONS),
+    (_singular(0.3, 0.5), 0.0, 1.0, _LOCKSTEP_OPTIONS),
+    (_slow_tail(0.5), 0.0, math.inf, _LOCKSTEP_OPTIONS)],
+    copies=3, shared=True)
 def test_lockstep_gives_each_integral_the_bits_of_its_own_quad(
         integrals, copies, shared):
     # Integrals that finish in different rounds, with or without a
