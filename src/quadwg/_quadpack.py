@@ -25,20 +25,23 @@ them, and applies ``dqk21`` or ``dqk15i`` in Python floats.
 
 ``_lockstep`` runs many integrals, set up by ``quad(..., defer=True)``,
 one rule application of each per round, and one function, ``_round``,
-runs every round.  It places each job's distinct pending intervals once
-and calls the job's integrand once on their nodes.  ``dqk15i`` runs in
-Python, and ``dqk21`` once on all the round's finite intervals: from
-``_ARRAY_MIN`` intervals on, on numpy arrays with one row per interval,
-below in Python.  The array rule does the Python rule's operations in
-their order, so each integral keeps the steps and the bits of its own
-``quad``.
+runs every round.  It admits integrals from iterators while fewer than
+``_WINDOW`` are live, and keeps only the outcome of each that finishes,
+so its memory follows the window and not the number of integrals.  A
+round places each job's distinct pending intervals once and calls the
+job's integrand once on their nodes.  ``dqk15i`` runs in Python, and
+``dqk21`` once on all the round's finite intervals: from ``_ARRAY_MIN``
+intervals on, on numpy arrays with one row per interval, below in
+Python.  The array rule does the Python rule's operations in their
+order, and every integrand is elementwise, so each integral keeps the
+steps and the bits of its own ``quad``, whenever it was admitted.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from typing import Callable, Generator, Sequence
+from typing import Callable, Generator, Iterable, Sequence
 
 import numpy as np
 
@@ -326,6 +329,12 @@ def _qk15i(inf: int, fv: list[float], intervals) -> list[tuple]:
 # exceeds the Python rule's.  dqk15i stays in Python: it only integrates
 # the infinite tails of a few integrands, a small share of any round.
 _ARRAY_MIN = 32
+# The most integrals ``_lockstep`` keeps live at once.  Each holds its
+# routine's partition, about 4 KB, until it finishes, so memory follows
+# this cap and not the number of integrals; with every live integral
+# pending at least one interval, a full window keeps its rounds at four
+# times ``_ARRAY_MIN``, on arrays.
+_WINDOW = 4 * _ARRAY_MIN
 # dqk21's abscissae in the order ``_nodes21`` places their pairs of nodes,
 # which is the order dqk21 sums them in, and the pairs' Kronrod and Gauss
 # weights.
@@ -1029,15 +1038,14 @@ class _Integration:
             return _qk21(fv, intervals)
         return _qk15i(self.inf, fv, intervals)
 
-    def result(self) -> tuple[float, float]:
-        """``(result, abserr)`` of the finished integral, its error code
-        issued as an ``IntegrationWarning``."""
+    def result(self) -> tuple[tuple[float, float], str | None]:
+        """``(result, abserr)`` of the finished integral, and the text of
+        its error code, or None."""
         result, abserr, ier = self.outcome
         if self.flip:
             result = -result
-        if ier:
-            warn(_MESSAGES[ier].format(limit=self.limit), IntegrationWarning)
-        return result, abserr
+        text = _MESSAGES[ier].format(limit=self.limit) if ier else None
+        return (result, abserr), text
 
 
 def quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, *,
@@ -1066,62 +1074,108 @@ def quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, *,
     return result
 
 
-def _lockstep(jobs: Sequence[tuple[Callable, Sequence[tuple[int, _Integration]]]]
+def _lockstep(jobs: Iterable[tuple[Callable, Iterable[tuple[int, _Integration]]]]
               ) -> list[list[tuple[float, float]]]:
     """Run the deferred integrals of ``jobs`` together, one rule
-    application of each per round.
+    application of each per round, at most ``_WINDOW`` at a time.
 
     A job is ``(values, integrals)``: ``values`` takes a float64 array of
     nodes and returns one array of values per row, and each of
     ``integrals`` is ``(row, integral)``, a ``quad(..., defer=True)`` of
-    row ``row`` of ``values``.  Each round, ``_round``, places the nodes of
-    the pending intervals of every live integral, an interval that several
-    of a job's integrals bisect alike once; calls each job's ``values``
-    once, on the nodes of its live integrals; and applies the rules.
-    Only ``dqk21``'s engine depends on the round's size: it runs once for
-    all the round's finite intervals, on arrays from ``_ARRAY_MIN``
-    pending intervals on, in Python below.  ``dqk15i`` runs in Python.
-    Every integrand is elementwise: a value depends on its own node only,
-    not on the other nodes of the array, so each integral takes the steps
-    and gets the bits of its own ``quad``.
+    row ``row`` of ``values``.  Both are taken from iterators, jobs and
+    each job's integrals in order, while fewer than ``_WINDOW`` integrals
+    are live: after every round, the integrals that finished make room for
+    the next.  A finished integral keeps only its outcome.  Each round,
+    ``_round``, places the nodes of the pending intervals of every live
+    integral, an interval that several of a job's integrals bisect alike
+    once; calls each job's ``values`` once, on the nodes of its live
+    integrals; and applies the rules.  Only ``dqk21``'s engine depends on
+    the round's size: it runs once for all the round's finite intervals,
+    on arrays from ``_ARRAY_MIN`` pending intervals on, in Python below.
+    ``dqk15i`` runs in Python.  Every integrand is elementwise: a value
+    depends on its own node only, not on the other nodes of the array, so
+    each integral takes the steps and gets the bits of its own ``quad``,
+    whichever integrals run beside it.
 
     Returns ``(result, abserr)`` of each integral, job by job in the order
-    given, and issues their warnings in that order.
+    given, and issues their warnings in that order once all have run.
     """
-    live = [(values, [(row, it) for row, it in integrals if it.advance()])
-            for values, integrals in jobs]
-    live = [job for job in live if job[1]]
-    while live:
-        if len(live) == 1 and len(live[0][1]) == 1:
+    jobs = iter(jobs)
+    outcomes: list[list] = []   # per job taken, each integral's by slot
+    warned: list[tuple] = []    # (job, slot, text) per error code
+    # Each job with live integrals as (values, running, its outcomes, its
+    # index), running holding (row, integral, slot) per live integral.
+    live: list[tuple] = []
+    job, integrals = None, iter(())
+    count = 0                   # live integrals
+    exhausted = False
+
+    def finish(it: _Integration, kept: list, index: int, slot: int) -> None:
+        kept[slot], text = it.result()
+        if text is not None:
+            warned.append((index, slot, text))
+
+    while True:
+        while count < _WINDOW and not exhausted:
+            taken = next(integrals, None)
+            if taken is None:
+                taken = next(jobs, None)
+                if taken is None:
+                    exhausted = True
+                else:
+                    values, integrals = taken[0], iter(taken[1])
+                    outcomes.append([])
+                    job = (values, [], outcomes[-1], len(outcomes) - 1)
+                continue
+            row, it = taken
+            _, running, kept, index = job
+            kept.append(None)
+            if not it.advance():
+                finish(it, kept, index, len(kept) - 1)
+                continue
+            if not running:
+                live.append(job)
+            running.append((row, it, len(kept) - 1))
+            count += 1
+        if not live:
+            break
+        if count == 1 and exhausted:
             # The last integral has no other to keep step with.
-            ((_, ((_, it),)),) = live
+            ((_, ((_, it, _),), _, _),) = live
             while it.pending is not None:
                 _round(live, False)
-            break
-        count = sum(len(it.pending) for _, running in live
-                    for _, it in running)
-        _round(live, count >= _ARRAY_MIN)
-        live = [(values, running) for values, running in
-                ((values, [(row, it) for row, it in running
-                           if it.pending is not None])
-                 for values, running in live) if running]
-    return [[it.result() for _, it in integrals] for _, integrals in jobs]
+        else:
+            pending = sum(len(it.pending) for _, running, _, _ in live
+                          for _, it, _ in running)
+            _round(live, pending >= _ARRAY_MIN)
+        for _, running, kept, index in live:
+            for _, it, slot in running:
+                if it.pending is None:
+                    finish(it, kept, index, slot)
+                    count -= 1
+            running[:] = [entry for entry in running
+                          if entry[1].pending is not None]
+        live = [entry for entry in live if entry[1]]
+    for _, _, text in sorted(warned):
+        warn(text, IntegrationWarning)
+    return outcomes
 
 
 def _round(live: list, arrays: bool) -> None:
-    """One round of ``_lockstep``.  Each job's distinct finite intervals
-    are placed once, then the ``dqk15i`` nodes of its half- and whole-line
-    integrals, and its ``values`` is called once on them all; those
-    integrals get ``_qk15i``.  All finite intervals of the round get
-    ``dqk21`` at once: ``_qk21_array`` if ``arrays``, else ``_qk21``."""
+    """One round of ``_lockstep`` over its ``live`` jobs.  Each job's
+    distinct finite intervals are placed once, then the ``dqk15i`` nodes
+    of its half- and whole-line integrals, and its ``values`` is called
+    once on them all; those integrals get ``_qk15i``.  All finite
+    intervals of the round get ``dqk21`` at once: ``_qk21_array`` if
+    ``arrays``, else ``_qk21``."""
     # The distinct finite intervals of each job in turn, and per integral
     # the index of each of its intervals among its job's (None for dqk15i).
     taken: list[tuple] = []
     jobs = []
-    for values, running in live:
+    for values, running, _, _ in live:
         if len(running) == 1 and not arrays:
             # Nothing to share: random scatter's common case, kept lean.
-            ((row, it),) = running
+            ((row, it, _),) = running
             nodes = np.array(it.nodes(it.pending))
             fv = np.asarray(values(nodes)[row], dtype=float) \
                 .reshape(nodes.shape)
@@ -1131,7 +1185,7 @@ def _round(live: list, arrays: bool) -> None:
         seen: dict[tuple, int] = {}
         local = []
         tails: list[float] = []
-        for _, it in running:
+        for _, it, _ in running:
             if it.inf:
                 tails += it.nodes(it.pending)
                 local.append(None)
@@ -1163,7 +1217,7 @@ def _round(live: list, arrays: bool) -> None:
         v = np.asarray(values(x), dtype=float).reshape(-1, x.size)
         tables.append(v[:, :n * 21].reshape(-1, 21))
         at = n * 21
-        for (row, it), mine in zip(running, local):
+        for (row, it, _), mine in zip(running, local):
             if mine is None:
                 m = len(it.pending) * it.width
                 it.advance(it.rule(v[row, at:at + m].tolist(), it.pending))

@@ -254,6 +254,35 @@ def _as_floats(cfg, key) -> list[float]:
     return values
 
 
+def _as_bounded(cfg, key, rule: str) -> list[float]:
+    """The comma-separated finite numbers under ``key``, each of them
+    ``"positive"`` or ``"nonnegative"`` as ``rule`` says."""
+    values = _as_floats(cfg, key)
+    for tok, value in zip(_as_list(cfg, key), values):
+        if not (value > 0 if rule == "positive" else value >= 0):
+            raise ConfigError(
+                f"key '{key}': every value must be {rule}, got {tok!r}")
+    return values
+
+
+def _as_channel(cfg) -> DirectionPair:
+    try:
+        return DirectionPair(cfg["channel"].strip())
+    except ValueError:
+        names = ", ".join(pair.value for pair in DirectionPair)
+        raise ConfigError(f"key 'channel': expected one of {names},"
+                          f" got {cfg['channel']!r}") from None
+
+
+def _check_stem(cfg) -> None:
+    """Refuse an ``output_stem`` that names no file of its own in the
+    output directory: an empty one, or one that holds a path separator."""
+    stem = cfg["output_stem"]
+    if not stem or os.path.basename(stem) != stem:
+        raise ConfigError("key 'output_stem': expected a file name without"
+                          f" a path separator, got {stem!r}")
+
+
 def _coupling_from(cfg) -> CouplingSpec:
     omega0 = _as_positive(cfg, "omega0")
     rates = cfg["rates"].strip().lower()
@@ -625,7 +654,7 @@ def _cmd_emit(cfg, outdir) -> tuple[str, int]:
 
 def _cmd_scatter(cfg, outdir) -> tuple[str, int]:
     coupling = _coupling_from(cfg)
-    channel = DirectionPair.from_string(cfg["channel"].strip())
+    channel = _as_channel(cfg)
     sum_center = _as_float(cfg, "sum_center")
     sum_width = _as_positive(cfg, "sum_width")
     diff_center = _as_float(cfg, "diff_center")
@@ -659,8 +688,8 @@ def _cmd_scatter(cfg, outdir) -> tuple[str, int]:
 
 def _cmd_sweep_reflection(cfg, outdir) -> tuple[str, int]:
     alpha = _as_positive(cfg, "alpha")
-    ratios = _as_floats(cfg, "ratios")
-    rates = _as_floats(cfg, "rates")
+    ratios = _as_bounded(cfg, "ratios", "positive")
+    rates = _as_bounded(cfg, "rates", "positive")
     omega0 = _as_positive(cfg, "omega0")
     table = scattering.reflection_sweep(alpha, ratios, rates, omega0).reflection
     rows = [(rate, ratio, table[i, j])
@@ -685,8 +714,8 @@ def _cmd_sweep_reflection(cfg, outdir) -> tuple[str, int]:
 def _cmd_entangle(cfg, outdir) -> tuple[str, int]:
     omega0 = _as_positive(cfg, "omega0")
     total = _as_positive(cfg, "total_rate")
-    widths = _as_floats(cfg, "width_ratios")
-    detunings = _as_floats(cfg, "detuning_ratios")
+    widths = _as_bounded(cfg, "width_ratios", "positive")
+    detunings = _as_bounded(cfg, "detuning_ratios", "nonnegative")
     pw = _as_positive(cfg, "point_width_ratio")
     pd = _as_float(cfg, "point_detuning_ratio")
     table = entanglement.entropy_sweeps(widths, detunings, total,
@@ -724,7 +753,7 @@ def _cmd_entangle(cfg, outdir) -> tuple[str, int]:
 
 def _cmd_gate(cfg, outdir) -> tuple[str, int]:
     shapes = _as_list(cfg, "shapes")
-    ratios = _as_floats(cfg, "ratios")
+    ratios = _as_bounded(cfg, "ratios", "positive")
     on_power = _as_bool(cfg, "fwhm_on_power")
     ref = _as_positive(cfg, "report_ratio")
     sweep = gate.infidelity_sweep(ratios, shapes, fwhm_on_power=on_power)
@@ -847,6 +876,7 @@ def run(argv: Sequence[str] | None = None) -> int:
             print("error: a subcommand is required", file=sys.stderr)
             return 1
         cfg = _read_config(args.config, args.command, args.set)
+        _check_stem(cfg)
         outdir = args.outdir or os.environ.get(ENV_OUTDIR) or "."
         summary, status = _HANDLERS[args.command](cfg, outdir)
         _write_sidecar(_outpath(outdir, cfg["output_stem"] + ".meta.json"),

@@ -466,15 +466,13 @@ def infidelity_sweep(gamma_over_fwhm: Sequence[float],
     ratios = np.asarray(gamma_over_fwhm, dtype=float)
     if np.any(ratios <= 0):
         raise ValueError("ratios must be positive")
+    pulses = [unit_pulse(name, fwhm_on_power) for name in shapes]
+    parts = _integrals(quad, (_gate_job(pulse, ratio) for pulse in pulses
+                              for ratio in ratios))
     fid = np.empty((len(shapes), ratios.size))
     infid = np.empty_like(fid)
-    for i, name in enumerate(shapes):
-        pulse = unit_pulse(name, fwhm_on_power)
-        # The integrals of every point of a curve run together, a round at
-        # a time; one curve at a time bounds the partitions held at once.
-        parts = _integrals(quad, [_gate_job(pulse, ratio)
-                                  for ratio in ratios])
-        for j, integrals in enumerate(parts):
-            fid[i, j], _, infid[i, j] = _fidelity(_pair_factor(*integrals))
+    for k, integrals in enumerate(parts):
+        i, j = divmod(k, ratios.size)
+        fid[i, j], _, infid[i, j] = _fidelity(_pair_factor(*integrals))
     return InfidelitySweep(ratios, tuple(shapes), fid,
                            np.log10(np.clip(infid, 1e-300, None)))

@@ -29,7 +29,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -529,7 +529,7 @@ def _abs2(value):
     return np.float_power(np.hypot(value.real, value.imag), 2.0)
 
 
-def _integrals(quad, jobs: Sequence[tuple]) -> list[list[float]]:
+def _integrals(quad, jobs: Iterable[tuple]) -> list[list[float]]:
     """``quad`` of each real part of each job's integrand over each of the
     job's segments, all run together; returns per job each part's sum
     over its segments.  A sum starts at ``0``, as ``sum`` does, so a part
@@ -541,25 +541,30 @@ def _integrals(quad, jobs: Sequence[tuple]) -> list[list[float]]:
     quadrature of the package runs here.  ``quad`` is the caller's own
     binding of ``_quadpack.quad``; it is called once per part and segment,
     with ``defer=True``, so each module's integrals are counted for it.
-    ``_quadpack._lockstep`` then runs all the integrals a round at a time:
-    each round it calls a job's ``values`` once, on the nodes of all its
-    unfinished integrals, so the parts share their values.  That needs
-    ``values`` elementwise, a value depending on its own node alone; each
-    integral then has the bits of its own ``quad``.
+    ``_quadpack._lockstep`` then runs the integrals a round at a time, a
+    bounded window of them live at once: it takes the jobs, and each
+    job's integrals segment by segment, as others finish, and only then
+    are they made.  Each round it calls a job's ``values`` once, on the
+    nodes of all its live integrals, so the parts share their values.
+    That needs ``values`` elementwise, a value depending on its own node
+    alone; each integral then has the bits of its own ``quad``.
     """
-    runs = []
-    for values, n_parts, segments, points in jobs:
-        options = [_quad_options(a, b, points) for a, b in segments]
-        runs.append((values, [(i, quad(_part(values, i), a, b, defer=True,
-                                       **kw))
-                              for i in range(n_parts)
-                              for (a, b), kw in zip(segments, options)]))
-    sums = []
-    for results, (_, n_parts, segments, _) in zip(_lockstep(runs), jobs):
-        n = len(segments)
-        sums.append([sum(value for value, _ in results[i * n:(i + 1) * n])
-                     for i in range(n_parts)])
-    return sums
+    parts = []
+
+    def deferred(values, n_parts, segments, points):
+        for a, b in segments:
+            kw = _quad_options(a, b, points)
+            for i in range(n_parts):
+                yield i, quad(_part(values, i), a, b, defer=True, **kw)
+
+    def runs():
+        for values, n_parts, segments, points in jobs:
+            parts.append(n_parts)
+            yield values, deferred(values, n_parts, segments, points)
+
+    results = _lockstep(runs())
+    return [[sum(value for value, _ in outcomes[i::n]) for i in range(n)]
+            for outcomes, n in zip(results, parts)]
 
 
 def _part(values: Callable, i: int) -> Callable:

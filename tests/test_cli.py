@@ -311,6 +311,29 @@ def test_removed_threads_flag_is_rejected(tmp_path, capsys):
      "key 'report_ratio': expected a number, got 'abc'"),
     ("entangle", "point_width_ratio=nan",
      "key 'point_width_ratio': value must be finite, got 'nan'"),
+    # Once wrote the hidden files .csv, .json and .meta.json, or wrote
+    # outside the output directory.
+    ("sweep-reflection", "output_stem=",
+     "key 'output_stem': expected a file name without a path separator,"
+     " got ''"),
+    ("gate", "output_stem=a/../../x",
+     "key 'output_stem': expected a file name without a path separator,"
+     " got 'a/../../x'"),
+    ("emit", "output_stem=sub/emission",
+     "key 'output_stem': expected a file name without a path separator,"
+     " got 'sub/emission'"),
+    # Each once gave the library's text, which named no key.
+    ("scatter", "channel=xx",
+     "key 'channel': expected one of ++, +-, -+, --, got 'xx'"),
+    ("gate", "ratios=0", "key 'ratios': every value must be positive, got '0'"),
+    ("sweep-reflection", "ratios=1,-2",
+     "key 'ratios': every value must be positive, got '-2'"),
+    ("sweep-reflection", "rates=0",
+     "key 'rates': every value must be positive, got '0'"),
+    ("entangle", "width_ratios=0",
+     "key 'width_ratios': every value must be positive, got '0'"),
+    ("entangle", "detuning_ratios=1,-0.5",
+     "key 'detuning_ratios': every value must be nonnegative, got '-0.5'"),
 ])
 def test_typed_value_diagnostics(tmp_path, capsys, command, override,
                                  message):

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 import warnings
 
 import mpmath
@@ -424,13 +425,49 @@ def test_narrow_gaussian_reference_point():
     assert occupation == pytest.approx(1.0)
 
 
-def test_tabulated_pulse_matches_analytic_overlap():
+def _sampled_gaussian():
+    """A Gaussian pulse a third of ``GAMMA`` wide, tabulated at 4,001
+    samples over six widths each side, and the pulse itself."""
     fwhm = GAMMA / 3
     grid = OMEGA0 + np.linspace(-6 * fwhm, 6 * fwhm, 4001)
     analytic = PulseShape.gaussian(OMEGA0, fwhm)
-    sampled = PulseShape.tabulated(grid, np.abs(analytic(grid)))
+    return PulseShape.tabulated(grid, np.abs(analytic(grid))), analytic
+
+
+def test_tabulated_pulse_matches_analytic_overlap():
+    sampled, analytic = _sampled_gaussian()
     overlap = gate_overlap(sampled, GAMMA)
     assert overlap == pytest.approx(gate_overlap(analytic, GAMMA), rel=1e-5)
+
+
+def _traced_peak(fn, *args):
+    """Traced Python memory peak of ``fn(*args)``."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_tabulated_overlap_runs_in_a_bounded_window():
+    # One job of 12,000 integrals, three per segment: the lockstep keeps a
+    # fixed window of them live and only the outcome of each finished one,
+    # about 2 MB in all.  Run all at once, they peaked at 29.1 MB.
+    sampled, _ = _sampled_gaussian()
+    assert _traced_peak(gate_overlap, sampled, GAMMA) <= 5.6e6
+
+
+def test_infidelity_sweep_memory_does_not_grow_with_its_points():
+    # Both curves run in one lockstep whose live integrals a fixed window
+    # bounds; four times the points add only their outcomes, about 0.2
+    # MB.  Run a curve at a time without the window, the peak grew from
+    # 5.2 to 20.4 MB.
+    _traced_peak(infidelity_sweep, np.geomspace(1.0, 1e4, 5))
+    growth = _traced_peak(infidelity_sweep, np.geomspace(1.0, 1e4, 244)) \
+        - _traced_peak(infidelity_sweep, np.geomspace(1.0, 1e4, 61))
+    assert growth <= 0.5e6
 
 
 @pytest.mark.parametrize("gamma", np.geomspace(1e-17, 1e-13, 9).tolist())

@@ -11,6 +11,7 @@ with ``pytest tests/test_quadpack.py --hypothesis-profile=parity``.
 import contextlib
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -382,16 +383,20 @@ def test_array_dqk21_has_the_bits_of_the_python_rule(data, n):
 
 
 _LOCKSTEP_OPTIONS = dict(epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL, limit=400)
+# Two windows of frequencies from 1 to 30, every seventh in turn, so that
+# neighbouring frequencies are admitted apart.
+_SPREAD = np.geomspace(1.0, 30.0, 2 * _quadpack._WINDOW)[
+    np.arange(2 * _quadpack._WINDOW) * 7 % (2 * _quadpack._WINDOW)].tolist()
 
 
 def _on_array(g):
     return lambda x: np.array([g(v) for v in x.tolist()], dtype=float)
 
 
-def _lockstep_outcomes(integrals, copies, shared):
+def _lockstep_outcomes(integrals, copies, shared, window=_quadpack._WINDOW):
     """Each of ``integrals`` as ``_outcome`` gives it, run ``copies``
-    times over by ``_lockstep``: as rows of one job if ``shared``, else
-    one job each."""
+    times over by ``_lockstep`` with at most ``window`` live at once: as
+    rows of one job if ``shared``, else one job each."""
     refused = {}
     runs = []
     for k, (g, a, b, options) in enumerate(integrals):
@@ -410,7 +415,8 @@ def _lockstep_outcomes(integrals, copies, shared):
     else:
         jobs = [(lambda x, g=g: [_on_array(g)(x)], [(0, it)])
                 for _, g, deferred in runs for it in deferred]
-    with warnings.catch_warnings(record=True) as caught:
+    with warnings.catch_warnings(record=True) as caught, \
+            mock.patch.object(_quadpack, "_WINDOW", window):
         warnings.simplefilter("always")
         results = [r for job in _quadpack._lockstep(jobs) for r in job]
     assert all(w.category is IntegrationWarning for w in caught)
@@ -423,7 +429,8 @@ def _lockstep_outcomes(integrals, copies, shared):
 
 
 @given(integrals=st.lists(_model_integrals(), min_size=1, max_size=5),
-       copies=st.sampled_from([1, 3, 9]), shared=st.booleans())
+       copies=st.sampled_from([1, 3, 9]), shared=st.booleans(),
+       window=st.sampled_from([_quadpack._WINDOW, 1, 4]))
 # A finite, a half-line and a whole-line integral in one job: from the
 # second round on, 9 copies of each put it on arrays, where the two
 # infinite ones take dqk15i in Python from their slices of the values.
@@ -431,7 +438,7 @@ def _lockstep_outcomes(integrals, copies, shared):
     (_oscillating(10.0), -3.0, 3.0, _LOCKSTEP_OPTIONS),
     (_slow_tail(0.5), 0.0, math.inf, _LOCKSTEP_OPTIONS),
     (_full_line(0.3, 0.1), -math.inf, math.inf, _LOCKSTEP_OPTIONS)],
-    copies=9, shared=True)
+    copies=9, shared=True, window=_quadpack._WINDOW)
 # Two finite integrals of different integrands and a half-line one, 3
 # copies each in one job: every round stays below _ARRAY_MIN, so dqk21
 # runs in Python on rows gathered from the intervals the copies share.
@@ -439,12 +446,21 @@ def _lockstep_outcomes(integrals, copies, shared):
     (_oscillating(10.0), -3.0, 3.0, _LOCKSTEP_OPTIONS),
     (_singular(0.3, 0.5), 0.0, 1.0, _LOCKSTEP_OPTIONS),
     (_slow_tail(0.5), 0.0, math.inf, _LOCKSTEP_OPTIONS)],
-    copies=3, shared=True)
+    copies=3, shared=True, window=_quadpack._WINDOW)
+# Two windows of integrals in one job, whose frequencies make them finish
+# over many rounds: the first window starts together, and the rest are
+# admitted a few at a time over six later rounds, as earlier ones finish.
+@example(integrals=[(_oscillating(w), -3.0, 3.0, _LOCKSTEP_OPTIONS)
+                    for w in _SPREAD],
+         copies=1, shared=True, window=_quadpack._WINDOW)
 def test_lockstep_gives_each_integral_the_bits_of_its_own_quad(
-        integrals, copies, shared):
+        integrals, copies, shared, window):
     # Integrals that finish in different rounds, with or without a
     # warning, alone and as copies enough to apply the rules on arrays.
-    refused, outcomes, texts = _lockstep_outcomes(integrals, copies, shared)
+    # A window of 1 or 4 admits most of them in later rounds, into jobs
+    # that other integrals have left or that run beside others.
+    refused, outcomes, texts = _lockstep_outcomes(integrals, copies, shared,
+                                                  window)
     alone = [_outcome(_quadpack.quad, _on_array(g), a, b, options)
              for g, a, b, options in integrals]
     expected_texts = []
