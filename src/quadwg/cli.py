@@ -5,11 +5,15 @@ Configuration comes from an INI-style file with one section per subcommand
 plus a shared ``[common]`` section; ``--set key=value`` flags override file
 values.  A subcommand reads only the ``[common]`` keys it uses
 (``COMMON_KEYS``), and its own section overrides ``[common]``.  Unknown
-keys are rejected with a file/line diagnostic.  Exit status is 0 on
-success, 1 on configuration errors (including invalid envelopes and
-unsupported setups), 2 on numerical failures (zero-norm states, overlaps
-outside the unit disk, spectra without spread, integrator and quadrature
-failures, failed verification).
+keys are rejected with a file/line diagnostic.  ``DEFAULTS`` states each
+key once: its default, its comment and the reader that turns its text into
+a value.  Every key a subcommand takes is read before the subcommand
+starts, so a bad value exits 1 naming its key and writes nothing, and the
+handler gets values, not text.  Exit status is 0 on success, 1 on
+configuration errors (including invalid envelopes and unsupported setups),
+2 on numerical failures (zero-norm states, overlaps outside the unit disk,
+spectra without spread, integrator and quadrature failures, failed
+verification).
 
 Data files are deterministic: identical configuration yields byte
 identical CSV/JSON.  Run metadata (timestamp, resolved configuration)
@@ -45,64 +49,176 @@ class ConfigError(Exception):
     """Bad configuration file or override."""
 
 
-# Registry of every legal key: section -> key -> (default, comment).
+# Readers of configuration text.  Each turns a key's text into its value,
+# or raises ConfigError with a message that ``_read_config`` prefixes with
+# the key.  Every number must be finite, and no reader takes empty text.
+def _number(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise ConfigError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"value must be finite, got {text!r}")
+    return value
+
+
+def _positive(text: str) -> float:
+    value = _number(text)
+    if not value > 0:
+        raise ConfigError(f"value must be positive, got {text!r}")
+    return value
+
+
+def _size(text: str) -> int:
+    """A grid size: an integer of at least two."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise ConfigError(f"expected an integer, got {text!r}") from None
+    if value < 2:
+        raise ConfigError(f"value must be at least 2, got {text!r}")
+    return value
+
+
+def _flag(text: str) -> bool:
+    word = text.strip().lower()
+    if word not in ("true", "yes", "1", "on", "false", "no", "0", "off"):
+        raise ConfigError(f"expected a boolean, got {text!r}")
+    return word in ("true", "yes", "1", "on")
+
+
+def _items(text: str) -> list[str]:
+    items = [tok.strip() for tok in text.split(",") if tok.strip()]
+    if not items:
+        raise ConfigError("expected at least one value")
+    return items
+
+
+def _numbers(rule: str) -> Callable[[str], list[float]]:
+    """Reader of comma-separated finite numbers, each of them ``"finite"``,
+    ``"positive"`` or ``"nonnegative"`` as ``rule`` says."""
+    within = {"finite": math.isfinite, "positive": lambda value: value > 0,
+              "nonnegative": lambda value: value >= 0}[rule]
+
+    def read(text):
+        items = _items(text)
+        try:
+            values = [float(tok) for tok in items]
+        except ValueError:
+            raise ConfigError("expected comma-separated numbers") from None
+        for check, name in ((math.isfinite, "finite"), (within, rule)):
+            for tok, value in zip(items, values):
+                if not check(value):
+                    raise ConfigError(
+                        f"every value must be {name}, got {tok!r}")
+        return values
+    return read
+
+
+def _one_of(choices: dict, fold: Callable[[str], str]) -> Callable:
+    """Reader of a name of ``choices``, as ``fold`` gives it, to its value."""
+    def read(text):
+        try:
+            return choices[fold(text)]
+        except KeyError:
+            raise ConfigError(f"expected one of {', '.join(choices)},"
+                              f" got {text!r}") from None
+    return read
+
+
+def _each(read: Callable) -> Callable:
+    """Reader of comma-separated values, each read by ``read``."""
+    return lambda text: [read(tok) for tok in _items(text)]
+
+
+def _rates(text: str) -> str | dict[DirectionPair, float]:
+    """``isotropic`` or ``mirror``, in any case, or four rates pp,pm,mp,mm."""
+    kind = text.strip().lower()
+    if kind in ("isotropic", "mirror"):
+        return kind
+    rates = _numbers("finite")(text)
+    if len(rates) != 4:
+        raise ConfigError("expected isotropic, mirror, or four values")
+    return dict(zip(spectral.PAIRS, rates))
+
+
+def _stem(text: str) -> str:
+    """An output stem that names a file of its own in the output directory:
+    not empty, ``.`` or ``..``, and without a path separator."""
+    if text in ("", ".", "..") or os.path.basename(text) != text:
+        raise ConfigError("expected a file name without a path separator,"
+                          f" got {text!r}")
+    return text
+
+
+# Registry of every legal key: section -> key -> (default, comment, reader).
 # Frequencies are absolute; with the default omega0 = 1 they read as
 # fractions of the resonance.
-DEFAULTS: dict[str, dict[str, tuple[str, str]]] = {
+DEFAULTS: dict[str, dict[str, tuple[str, str, Callable]]] = {
     "common": {
-        "omega0": ("1.0", "emitter resonance (sets the frequency unit)"),
-        "total_rate": ("0.004", "summed pair decay rate"),
-        "rates": ("isotropic", "isotropic | mirror | four comma values pp,pm,mp,mm"),
-        "envelope": ("gaussian", "gaussian | lorentzian"),
-        "envelope_width": ("0.02", "envelope width parameter"),
+        "omega0": ("1.0", "emitter resonance (sets the frequency unit)", _positive),
+        # Positive where it is split over the directions (_read_config).
+        "total_rate": ("0.004", "summed pair decay rate", _number),
+        "rates": ("isotropic",
+                  "isotropic | mirror | four comma values pp,pm,mp,mm", _rates),
+        "envelope": ("gaussian", "gaussian | lorentzian", _one_of(
+            {"gaussian": Envelope.gaussian, "lorentzian": Envelope.lorentzian},
+            lambda text: text.strip().lower())),
+        "envelope_width": ("0.02", "envelope width parameter", _positive),
     },
     "emit": {
-        "n_omegabar": ("1024", "sum-frequency samples"),
-        "n_delta": ("512", "difference-frequency samples"),
-        "output_stem": ("emission", "basename for csv/json outputs"),
+        "n_omegabar": ("1024", "sum-frequency samples", _size),
+        "n_delta": ("512", "difference-frequency samples", _size),
+        "output_stem": ("emission", "basename for csv/json outputs", _stem),
     },
     "scatter": {
-        "sum_center": ("1.0", "input pulse center in the sum frequency"),
-        "sum_width": ("0.02", "input pulse intensity std dev"),
-        "diff_center": ("0.0", "difference-frequency center"),
-        "diff_width": ("0.02", "difference-profile intensity std dev"),
-        "channel": ("++", "input direction channel"),
-        "n_omegabar": ("256", "output grid sum samples"),
-        "n_delta": ("128", "output grid difference samples"),
-        "output_stem": ("scatter", "basename for csv/json outputs"),
+        "sum_center": ("1.0", "input pulse center in the sum frequency", _number),
+        "sum_width": ("0.02", "input pulse intensity std dev", _positive),
+        "diff_center": ("0.0", "difference-frequency center", _number),
+        "diff_width": ("0.02", "difference-profile intensity std dev", _positive),
+        "channel": ("++", "input direction channel", _one_of(
+            {pair.value: pair for pair in DirectionPair}, str.strip)),
+        "n_omegabar": ("256", "output grid sum samples", _size),
+        "n_delta": ("128", "output grid difference samples", _size),
+        "output_stem": ("scatter", "basename for csv/json outputs", _stem),
     },
     "sweep-reflection": {
-        "alpha": ("0.002", "input intensity std dev"),
+        "alpha": ("0.002", "input intensity std dev", _positive),
         "ratios": ("0.25,0.35,0.5,0.71,1.0,1.41,2.0,2.83,4.0",
-                   "envelope-to-input width ratios"),
+                   "envelope-to-input width ratios", _numbers("positive")),
         # Only the rate-to-alpha ratios matter; these keep every rate
         # inside the flat-band validity range.
-        "rates": ("0.0004,0.002,0.01", "total rates to sweep"),
-        "output_stem": ("reflection_sweep", "basename for csv/json outputs"),
+        "rates": ("0.0004,0.002,0.01", "total rates to sweep", _numbers("positive")),
+        "output_stem": ("reflection_sweep", "basename for csv/json outputs", _stem),
     },
     "entangle": {
         "width_ratios": ("0.01,0.0316,0.1,0.316,1.0,3.16,10.0,31.6,100.0",
-                         "envelope width over total rate"),
+                         "envelope width over total rate", _numbers("positive")),
         "detuning_ratios": ("0.5,1,2,4,6,8,10,12,16,20",
-                            "filter detuning over total rate"),
-        "point_width_ratio": ("0.01", "width ratio for the summary state"),
-        "point_detuning_ratio": ("10", "detuning ratio for the summary state"),
-        "output_stem": ("entanglement", "basename for csv/json outputs"),
+                            "filter detuning over total rate",
+                            _numbers("nonnegative")),
+        "point_width_ratio": ("0.01", "width ratio for the summary state",
+                              _positive),
+        "point_detuning_ratio": ("10", "detuning ratio for the summary state",
+                                 _number),
+        "output_stem": ("entanglement", "basename for csv/json outputs", _stem),
     },
     "gate": {
-        "shapes": ("gaussian,lorentzian", "pulse shapes to sweep"),
+        "shapes": ("gaussian,lorentzian", "pulse shapes to sweep", _each(
+            _one_of({name: name for name in gate._PULSES}, str.strip))),
         "ratios": ("1,2,5,10,20,50,100,200,500,1000,2000,5000,10000",
-                   "rate-to-bandwidth ratios"),
-        "fwhm_on_power": ("false", "measure fwhm on |f|^2 instead of f"),
-        "report_ratio": ("100", "ratio for the summary report"),
-        "output_stem": ("gate_infidelity", "basename for csv/json outputs"),
+                   "rate-to-bandwidth ratios", _numbers("positive")),
+        "fwhm_on_power": ("false", "measure fwhm on |f|^2 instead of f", _flag),
+        "report_ratio": ("100", "ratio for the summary report", _positive),
+        "output_stem": ("gate_infidelity", "basename for csv/json outputs", _stem),
     },
     "verify": {
-        "input_width": ("0.02", "matched input intensity std dev"),
-        "n_omegabar": ("256", "oracle grid sum samples"),
-        "n_delta": ("96", "oracle grid difference samples"),
-        "tolerance": ("0.02", "relative agreement demanded of probabilities"),
-        "output_stem": ("verify", "basename for json output"),
+        "input_width": ("0.02", "matched input intensity std dev", _positive),
+        "n_omegabar": ("256", "oracle grid sum samples", _size),
+        "n_delta": ("96", "oracle grid difference samples", _size),
+        "tolerance": ("0.02", "relative agreement demanded of probabilities",
+                      _positive),
+        "output_stem": ("verify", "basename for json output", _stem),
     },
 }
 
@@ -125,17 +241,18 @@ def print_defaults(stream=None) -> None:
     out = stream or sys.stdout
     for section, entries in DEFAULTS.items():
         out.write(f"[{section}]\n")
-        for key, (value, comment) in entries.items():
+        for key, (value, comment, _) in entries.items():
             out.write(f"# {comment}\n{key} = {value}\n")
         out.write("\n")
 
 
 def _read_config(path: str | None, command: str,
-                 overrides: Sequence[str]) -> dict[str, str]:
-    """Merge defaults, config file and --set overrides for one command."""
+                 overrides: Sequence[str]) -> tuple[dict, SimpleNamespace]:
+    """Merge defaults, config file and --set overrides for one command, and
+    read every key it takes: the text of each, and its value."""
     common = COMMON_KEYS[command]
-    merged = {key: DEFAULTS["common"][key][0] for key in common}
-    merged.update({key: val for key, (val, _) in DEFAULTS[command].items()})
+    table = {k: DEFAULTS["common"][k] for k in common} | DEFAULTS[command]
+    merged = {key: text for key, (text, *_) in table.items()}
 
     if path is not None:
         parser = configparser.ConfigParser(interpolation=None)
@@ -154,7 +271,7 @@ def _read_config(path: str | None, command: str,
                     f" (expected one of {', '.join(DEFAULTS)})")
         # The command's own section overrides [common] whatever the order
         # of the two in the file.
-        for section, read in (("common", common), (command, DEFAULTS[command])):
+        for section, keys in (("common", common), (command, DEFAULTS[command])):
             if not parser.has_section(section):
                 continue
             for key, value in parser.items(section):
@@ -163,7 +280,7 @@ def _read_config(path: str | None, command: str,
                     raise ConfigError(
                         f"{path}:{line}: unknown key '{key}'"
                         f" in section [{section}]")
-                if key in read:
+                if key in keys:
                     merged[key] = value
     for item in overrides:
         if "=" not in item:
@@ -173,7 +290,20 @@ def _read_config(path: str | None, command: str,
         if key not in merged:
             raise ConfigError(f"override key '{key}' unknown for {command}")
         merged[key] = value.strip()
-    return merged
+
+    def read(key, reader):
+        try:
+            return reader(merged[key])
+        except ConfigError as exc:
+            raise ConfigError(f"key '{key}': {exc}") from None
+
+    values = {key: read(key, reader) for key, (_, _, reader) in table.items()}
+    # The one rule over two keys: a total rate split over the directions
+    # must be positive.  Four rates of their own leave it unused; entangle
+    # reads no rates and always splits it.
+    if "total_rate" in values and not isinstance(values.get("rates"), dict):
+        read("total_rate", _positive)
+    return merged, SimpleNamespace(**values)
 
 
 def _find_line(lines: list[str], section: str, key: str) -> int:
@@ -191,123 +321,13 @@ def _find_line(lines: list[str], section: str, key: str) -> int:
     return 0
 
 
-def _as_float(cfg, key) -> float:
-    """The finite number under ``key``."""
-    try:
-        value = float(cfg[key])
-    except ValueError:
-        raise ConfigError(f"key '{key}': expected a number, got {cfg[key]!r}") \
-            from None
-    if not math.isfinite(value):
-        raise ConfigError(f"key '{key}': value must be finite, got {cfg[key]!r}")
-    return value
-
-
-def _as_positive(cfg, key) -> float:
-    value = _as_float(cfg, key)
-    if not value > 0:
-        raise ConfigError(f"key '{key}': value must be positive, got {cfg[key]!r}")
-    return value
-
-
-def _as_int(cfg, key) -> int:
-    """The grid size under ``key``: an integer of at least two."""
-    try:
-        value = int(cfg[key])
-    except ValueError:
-        raise ConfigError(f"key '{key}': expected an integer, got {cfg[key]!r}") \
-            from None
-    if value < 2:
-        raise ConfigError(f"key '{key}': value must be at least 2, got {cfg[key]!r}")
-    return value
-
-
-def _as_bool(cfg, key) -> bool:
-    text = cfg[key].strip().lower()
-    if text in ("true", "yes", "1", "on"):
-        return True
-    if text in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError(f"key '{key}': expected a boolean, got {cfg[key]!r}")
-
-
-def _as_list(cfg, key) -> list[str]:
-    items = [tok.strip() for tok in cfg[key].split(",") if tok.strip()]
-    if not items:
-        raise ConfigError(f"key '{key}': expected at least one value")
-    return items
-
-
-def _as_floats(cfg, key) -> list[float]:
-    """The comma-separated finite numbers under ``key``."""
-    items = _as_list(cfg, key)
-    try:
-        values = [float(tok) for tok in items]
-    except ValueError:
-        raise ConfigError(f"key '{key}': expected comma-separated numbers") \
-            from None
-    bad = [tok for tok, value in zip(items, values)
-           if not math.isfinite(value)]
-    if bad:
-        raise ConfigError(
-            f"key '{key}': every value must be finite, got {bad[0]!r}")
-    return values
-
-
-def _as_bounded(cfg, key, rule: str) -> list[float]:
-    """The comma-separated finite numbers under ``key``, each of them
-    ``"positive"`` or ``"nonnegative"`` as ``rule`` says."""
-    values = _as_floats(cfg, key)
-    for tok, value in zip(_as_list(cfg, key), values):
-        if not (value > 0 if rule == "positive" else value >= 0):
-            raise ConfigError(
-                f"key '{key}': every value must be {rule}, got {tok!r}")
-    return values
-
-
-def _as_channel(cfg) -> DirectionPair:
-    try:
-        return DirectionPair(cfg["channel"].strip())
-    except ValueError:
-        names = ", ".join(pair.value for pair in DirectionPair)
-        raise ConfigError(f"key 'channel': expected one of {names},"
-                          f" got {cfg['channel']!r}") from None
-
-
-def _check_stem(cfg) -> None:
-    """Refuse an ``output_stem`` that names no file of its own in the
-    output directory: an empty one, or one that holds a path separator."""
-    stem = cfg["output_stem"]
-    if not stem or os.path.basename(stem) != stem:
-        raise ConfigError("key 'output_stem': expected a file name without"
-                          f" a path separator, got {stem!r}")
-
-
-def _coupling_from(cfg) -> CouplingSpec:
-    omega0 = _as_positive(cfg, "omega0")
-    rates = cfg["rates"].strip().lower()
-    # Four rates of their own leave the total unused.
-    total = (_as_positive if rates in ("isotropic", "mirror") else _as_float)(
-        cfg, "total_rate")
-    kind = cfg["envelope"].strip().lower()
-    width = _as_positive(cfg, "envelope_width")
-    if kind == "gaussian":
-        env = Envelope.gaussian(width)
-    elif kind == "lorentzian":
-        env = Envelope.lorentzian(width)
-    else:
-        raise ConfigError(f"key 'envelope': unknown kind {cfg['envelope']!r}")
-    if rates == "isotropic":
-        return CouplingSpec.isotropic(total, env, omega0)
-    if rates == "mirror":
-        return CouplingSpec.mirror(total, env, omega0)
-    parts = _as_floats(cfg, "rates")
-    if len(parts) != 4:
-        raise ConfigError("key 'rates': expected isotropic, mirror, or four values")
-    pp, pm, mp, mm = parts
-    return CouplingSpec(omega0, {
-        DirectionPair.PP: pp, DirectionPair.PM: pm,
-        DirectionPair.MP: mp, DirectionPair.MM: mm}, env)
+def _coupling(cfg) -> CouplingSpec:
+    """The coupling of the [common] keys."""
+    envelope = cfg.envelope(cfg.envelope_width)
+    if isinstance(cfg.rates, dict):
+        return CouplingSpec(cfg.omega0, cfg.rates, envelope)
+    return getattr(CouplingSpec, cfg.rates)(cfg.total_rate, envelope,
+                                            cfg.omega0)
 
 
 # The %.12g kernel of every CSV writer.  Each number of a row gets
@@ -633,15 +653,14 @@ def _outpath(outdir: str, name: str) -> str:
 
 
 def _cmd_emit(cfg, outdir) -> tuple[str, int]:
-    coupling = _coupling_from(cfg)
+    coupling = _coupling(cfg)
     spectrum = emission.joint_spectrum(coupling, emission.default_emission_grid(
-        coupling, _as_int(cfg, "n_omegabar"), _as_int(cfg, "n_delta")))
+        coupling, cfg.n_omegabar, cfg.n_delta))
     # Summaries first: an emit that exits 2 writes no file.
     total, corr = spectrum.total_probability(), spectrum.spectrum_correlation()
-    stem = cfg["output_stem"]
-    _write_joint_csv(_outpath(outdir, stem + ".csv"), spectrum.grid,
+    _write_joint_csv(_outpath(outdir, cfg.output_stem + ".csv"), spectrum.grid,
                      spectrum.block, coupling.omega0, spectrum._first)
-    _write_json(_outpath(outdir, stem + ".json"), {
+    _write_json(_outpath(outdir, cfg.output_stem + ".json"), {
         "total_rate": _quantity(coupling.total_rate, "omega0"),
         "envelope_width": _quantity(coupling.envelope.width, "omega0"),
         "envelope_fwhm": _quantity(coupling.envelope.fwhm(), "omega0"),
@@ -653,28 +672,23 @@ def _cmd_emit(cfg, outdir) -> tuple[str, int]:
 
 
 def _cmd_scatter(cfg, outdir) -> tuple[str, int]:
-    coupling = _coupling_from(cfg)
-    channel = _as_channel(cfg)
-    sum_center = _as_float(cfg, "sum_center")
-    sum_width = _as_positive(cfg, "sum_width")
-    diff_center = _as_float(cfg, "diff_center")
-    diff_width = _as_positive(cfg, "diff_width")
-    sizes = _as_int(cfg, "n_omegabar"), _as_int(cfg, "n_delta")
-    f, f_win = spectral.gaussian_sum_spectrum(sum_center, sum_width)
-    h, h_win = spectral.gaussian_difference_profile(diff_width, diff_center)
-    state = spectral.SeparableState(channel, f, h, f_win, h_win)
+    coupling = _coupling(cfg)
+    f, f_win = spectral.gaussian_sum_spectrum(cfg.sum_center, cfg.sum_width)
+    h, h_win = spectral.gaussian_difference_profile(cfg.diff_width,
+                                                    cfg.diff_center)
+    state = spectral.SeparableState(cfg.channel, f, h, f_win, h_win)
     result = scattering.scatter(coupling, state)
     probs = scattering.channel_probabilities(result)
     grid = FrequencyGrid.for_scattering(
-        coupling, (sum_center, sum_width, diff_center, diff_width), *sizes)
+        coupling, (cfg.sum_center, cfg.sum_width, cfg.diff_center,
+                   cfg.diff_width), cfg.n_omegabar, cfg.n_delta)
     out = result.output_on(grid)
-    stem = cfg["output_stem"]
-    _write_joint_csv(_outpath(outdir, stem + ".csv"), grid,
+    _write_joint_csv(_outpath(outdir, cfg.output_stem + ".csv"), grid,
                      lambda pair, rows: out.data[pair.index, rows],
                      coupling.omega0, _first_alike(out.data))
-    _write_json(_outpath(outdir, stem + ".json"), {
+    _write_json(_outpath(outdir, cfg.output_stem + ".json"), {
         "total_rate": _quantity(coupling.total_rate, "omega0"),
-        "sum_width": _quantity(sum_width, "omega0"),
+        "sum_width": _quantity(cfg.sum_width, "omega0"),
         "reflection": _quantity(probs.reflection, "probability"),
         "splitting": _quantity(probs.splitting, "probability"),
         "transmission": _quantity(probs.transmission, "probability"),
@@ -687,19 +701,16 @@ def _cmd_scatter(cfg, outdir) -> tuple[str, int]:
 
 
 def _cmd_sweep_reflection(cfg, outdir) -> tuple[str, int]:
-    alpha = _as_positive(cfg, "alpha")
-    ratios = _as_bounded(cfg, "ratios", "positive")
-    rates = _as_bounded(cfg, "rates", "positive")
-    omega0 = _as_positive(cfg, "omega0")
-    table = scattering.reflection_sweep(alpha, ratios, rates, omega0).reflection
+    alpha, ratios, rates = cfg.alpha, cfg.ratios, cfg.rates
+    table = scattering.reflection_sweep(alpha, ratios, rates,
+                                        cfg.omega0).reflection
     rows = [(rate, ratio, table[i, j])
             for i, rate in enumerate(rates) for j, ratio in enumerate(ratios)]
-    stem = cfg["output_stem"]
-    _write_rows_csv(_outpath(outdir, stem + ".csv"),
+    _write_rows_csv(_outpath(outdir, cfg.output_stem + ".csv"),
                     ("total_rate", "width_ratio", "reflection"), rows)
     best = [(rate, ratios[int(np.argmax(line))], float(line.max()))
             for rate, line in zip(rates, table)]
-    _write_json(_outpath(outdir, stem + ".json"), {
+    _write_json(_outpath(outdir, cfg.output_stem + ".json"), {
         "alpha": _quantity(alpha, "omega0"),
         "peaks": [{
             "total_rate": _quantity(rate, "omega0"),
@@ -712,28 +723,23 @@ def _cmd_sweep_reflection(cfg, outdir) -> tuple[str, int]:
 
 
 def _cmd_entangle(cfg, outdir) -> tuple[str, int]:
-    omega0 = _as_positive(cfg, "omega0")
-    total = _as_positive(cfg, "total_rate")
-    widths = _as_bounded(cfg, "width_ratios", "positive")
-    detunings = _as_bounded(cfg, "detuning_ratios", "nonnegative")
-    pw = _as_positive(cfg, "point_width_ratio")
-    pd = _as_float(cfg, "point_detuning_ratio")
-    table = entanglement.entropy_sweeps(widths, detunings, total,
-                                        omega0).entropy
+    total, pw, pd = (cfg.total_rate, cfg.point_width_ratio,
+                     cfg.point_detuning_ratio)
+    table = entanglement.entropy_sweeps(cfg.width_ratios, cfg.detuning_ratios,
+                                        total, cfg.omega0).entropy
     coupling = CouplingSpec.isotropic(
-        total, Envelope.lorentzian(pw * total), omega0)
+        total, Envelope.lorentzian(pw * total), cfg.omega0)
     filters = entanglement.FilterPair.symmetric(coupling, pd * total)
     state = entanglement.postselect_filtered_state(coupling, filters)
     entropy = entanglement.entanglement_entropy(state)
     fid_psi = entanglement.bell_fidelity(state, "psi-minus")
     fid_phi = entanglement.bell_fidelity(state, "phi-plus")
     # Every number first: an entangle that fails writes no file.
-    rows = [(b, d, s) for b, line in zip(widths, table)
-            for d, s in zip(detunings, line)]
-    stem = cfg["output_stem"]
-    _write_rows_csv(_outpath(outdir, stem + ".csv"),
+    rows = [(b, d, s) for b, line in zip(cfg.width_ratios, table)
+            for d, s in zip(cfg.detuning_ratios, line)]
+    _write_rows_csv(_outpath(outdir, cfg.output_stem + ".csv"),
                     ("width_over_rate", "detuning_over_rate", "entropy"), rows)
-    _write_json(_outpath(outdir, stem + ".json"), {
+    _write_json(_outpath(outdir, cfg.output_stem + ".json"), {
         "point_width_over_rate": _quantity(pw, "dimensionless"),
         "point_detuning_over_rate": _quantity(pd, "dimensionless"),
         "entropy": _quantity(entropy, "bits"),
@@ -752,14 +758,12 @@ def _cmd_entangle(cfg, outdir) -> tuple[str, int]:
 
 
 def _cmd_gate(cfg, outdir) -> tuple[str, int]:
-    shapes = _as_list(cfg, "shapes")
-    ratios = _as_bounded(cfg, "ratios", "positive")
-    on_power = _as_bool(cfg, "fwhm_on_power")
-    ref = _as_positive(cfg, "report_ratio")
-    sweep = gate.infidelity_sweep(ratios, shapes, fwhm_on_power=on_power)
+    shapes, ratios, ref = cfg.shapes, cfg.ratios, cfg.report_ratio
+    sweep = gate.infidelity_sweep(ratios, shapes,
+                                  fwhm_on_power=cfg.fwhm_on_power)
     reports = {}
     for shape in shapes:
-        rep = gate.gate_report(gate.unit_pulse(shape, on_power), ref)
+        rep = gate.gate_report(gate.unit_pulse(shape, cfg.fwhm_on_power), ref)
         reports[shape] = {
             "overlap": _quantity(rep.overlap, "dimensionless"),
             "worst_case_fidelity": _quantity(rep.worst_case_fidelity,
@@ -768,13 +772,12 @@ def _cmd_gate(cfg, outdir) -> tuple[str, int]:
                                                "dimensionless"),
         }
     # Every number first: a gate that fails writes no file.
-    stem = cfg["output_stem"]
     for i, shape in enumerate(shapes):
         rows = [(ratio, sweep.log10_infidelity[i, j])
                 for j, ratio in enumerate(ratios)]
-        _write_rows_csv(_outpath(outdir, f"{stem}_{shape}.csv"),
+        _write_rows_csv(_outpath(outdir, f"{cfg.output_stem}_{shape}.csv"),
                         ("gamma_over_fwhm", "log10_infidelity"), rows)
-    _write_json(_outpath(outdir, stem + ".json"), {
+    _write_json(_outpath(outdir, cfg.output_stem + ".json"), {
         "report_ratio": _quantity(ref, "dimensionless"),
         "reports": reports,
     })
@@ -784,12 +787,10 @@ def _cmd_gate(cfg, outdir) -> tuple[str, int]:
 
 
 def _cmd_verify(cfg, outdir) -> tuple[str, int]:
-    coupling = _coupling_from(cfg)
-    width = _as_positive(cfg, "input_width")
-    tol = _as_positive(cfg, "tolerance")
+    coupling = _coupling(cfg)
+    width, tol = cfg.input_width, cfg.tolerance
     config = timedomain.TimeDomainConfig.for_scattering(
-        coupling, width,
-        _as_int(cfg, "n_omegabar"), _as_int(cfg, "n_delta"))
+        coupling, width, cfg.n_omegabar, cfg.n_delta)
     state = spectral.gaussian_biphoton(
         DirectionPair.PP, coupling.omega0, width)
     traj, oracle = timedomain._scattering_run(coupling, state, config)
@@ -802,8 +803,7 @@ def _cmd_verify(cfg, outdir) -> tuple[str, int]:
     }
     worst = max(abs(a - b) / max(b, 1e-12) for a, b in diffs.values())
     passed = worst < tol
-    stem = cfg["output_stem"]
-    _write_json(_outpath(outdir, stem + ".json"), {
+    _write_json(_outpath(outdir, cfg.output_stem + ".json"), {
         "tolerance": _quantity(tol, "dimensionless"),
         "worst_relative_difference": _quantity(worst, "dimensionless"),
         "passed": passed,
@@ -875,12 +875,11 @@ def run(argv: Sequence[str] | None = None) -> int:
             parser.print_usage(sys.stderr)
             print("error: a subcommand is required", file=sys.stderr)
             return 1
-        cfg = _read_config(args.config, args.command, args.set)
-        _check_stem(cfg)
+        text, cfg = _read_config(args.config, args.command, args.set)
         outdir = args.outdir or os.environ.get(ENV_OUTDIR) or "."
         summary, status = _HANDLERS[args.command](cfg, outdir)
-        _write_sidecar(_outpath(outdir, cfg["output_stem"] + ".meta.json"),
-                       args.command, cfg)
+        _write_sidecar(_outpath(outdir, cfg.output_stem + ".meta.json"),
+                       args.command, text)
     except (RuntimeError, _NumericalFailure) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

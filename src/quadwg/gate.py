@@ -428,12 +428,14 @@ def gate_report(f: PulseShape, gamma: float,
     return GateReport(z - 1.0, fid, x_star)
 
 
+# The analytic pulse shapes by the names ``unit_pulse`` takes.
+_PULSES = {"gaussian": PulseShape.gaussian, "lorentzian": PulseShape.lorentzian}
+
+
 def unit_pulse(shape: str, fwhm_on_power: bool = False) -> PulseShape:
     """Pulse of the named analytic shape, centered at zero with unit FWHM."""
-    builders = {"gaussian": PulseShape.gaussian,
-                "lorentzian": PulseShape.lorentzian}
     try:
-        build = builders[shape]
+        build = _PULSES[shape]
     except KeyError:
         raise ValueError(f"unknown pulse shape {shape!r}") from None
     return build(0.0, 1.0, fwhm_on_power=fwhm_on_power)

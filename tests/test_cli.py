@@ -49,7 +49,7 @@ def test_print_defaults_is_valid_ini(capsys):
     parser.read_string(text)
     assert set(parser.sections()) == set(cli.DEFAULTS)
     for section, entries in cli.DEFAULTS.items():
-        for key, (value, _) in entries.items():
+        for key, (value, *_) in entries.items():
             assert parser.get(section, key) == value
     assert cli.run(["scatter", "--print-defaults"]) == 0
     assert capsys.readouterr().out == text
@@ -322,9 +322,19 @@ def test_removed_threads_flag_is_rejected(tmp_path, capsys):
     ("emit", "output_stem=sub/emission",
      "key 'output_stem': expected a file name without a path separator,"
      " got 'sub/emission'"),
+    # Once wrote the hidden files ..csv, ..json and ..meta.json, or .csv,
+    # .json and .meta.json.
+    ("sweep-reflection", "output_stem=.",
+     "key 'output_stem': expected a file name without a path separator,"
+     " got '.'"),
+    ("gate", "output_stem=..",
+     "key 'output_stem': expected a file name without a path separator,"
+     " got '..'"),
     # Each once gave the library's text, which named no key.
     ("scatter", "channel=xx",
      "key 'channel': expected one of ++, +-, -+, --, got 'xx'"),
+    ("gate", "shapes=triangle",
+     "key 'shapes': expected one of gaussian, lorentzian, got 'triangle'"),
     ("gate", "ratios=0", "key 'ratios': every value must be positive, got '0'"),
     ("sweep-reflection", "ratios=1,-2",
      "key 'ratios': every value must be positive, got '-2'"),
@@ -342,6 +352,21 @@ def test_typed_value_diagnostics(tmp_path, capsys, command, override,
                     "--outdir", str(tmp_path)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, key", [
+    (command, key) for command in cli.COMMANDS
+    for key in (*cli.COMMON_KEYS[command], *cli.DEFAULTS[command])])
+def test_every_key_refuses_empty_text_before_its_command_starts(
+        tmp_path, capsys, command, key):
+    # Walks the key table: a key added later is covered here too.
+    handler = mock.Mock()
+    with mock.patch.dict(cli._HANDLERS, {command: handler}):
+        assert cli.run([command, "--set", f"{key}=",
+                        "--outdir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: key '{key}': ")
+    assert not list(tmp_path.iterdir())
+    handler.assert_not_called()
 
 
 def test_rates_mirror_and_four_values(tmp_path, capsys):
